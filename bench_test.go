@@ -301,7 +301,7 @@ func BenchmarkInferenceMLPSingle(b *testing.B) {
 
 // BenchmarkInferenceMLPSingleFused measures the arena's fused single-row
 // path — vector·matrix over raw slices, no tensor.Matrix wrapping, zero
-// allocations — which the inference engine uses for batches of one.
+// allocations — which the inference engine runs for every row.
 func BenchmarkInferenceMLPSingleFused(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
@@ -316,8 +316,8 @@ func BenchmarkInferenceMLPSingleFused(b *testing.B) {
 }
 
 // BenchmarkInferenceMLPBatch256 measures amortised batch inference through
-// the forward arena — the engine's steady-state batched path, zero
-// allocations per pass (the pre-arena PredictProbs path cost 18 allocs and
+// the forward arena — the offline evaluation path, zero allocations per
+// pass (the pre-arena PredictProbs path cost 18 allocs and
 // ~2.1 MB per batch; see BENCH_*.json for the recorded before/after).
 func BenchmarkInferenceMLPBatch256(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
@@ -400,41 +400,10 @@ func BenchmarkInferenceMLPSingleFusedF32(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceMLPBatch256Observed is the same batched forward plus the
-// per-batch instrument updates the inference engine performs when an
-// Observer is attached (request counter, batch counter, batch-size
-// histogram, max gauge). The acceptance bar is <2% overhead versus
-// BenchmarkInferenceMLPBatch256 — the instruments are a handful of atomic
-// adds amortised over 256 rows of matrix math.
-func BenchmarkInferenceMLPBatch256Observed(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	arena := nn.NewArena(net)
-	x := tensor.NewMatrix(256, 66).RandomizeNormal(rng, 1)
-	probs := make([]float64, 256)
-	arena.PredictProbsInto(probs, x) // warm the scratch buffers
-
-	reg := obs.NewRegistry()
-	requests := reg.Counter("infer_requests_total", "rows scored")
-	batches := reg.Counter("infer_batches_total", "micro-batches executed")
-	batchSize := reg.Histogram("infer_batch_size", "rows per micro-batch", obs.ExpBuckets(1, 2, 9))
-	maxBatch := reg.Gauge("infer_max_batch_seen", "largest micro-batch so far")
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.PredictProbsInto(probs, x)
-		requests.Add(256)
-		batches.Inc()
-		batchSize.Observe(256)
-		maxBatch.SetMax(256)
-	}
-	b.ReportMetric(256, "samples/op")
-}
-
-// BenchmarkEngineMultiFeed drives 64 concurrent feeds through the batched
-// inference engine — the cmd/loadgen scenario as a Go benchmark. Each op is
-// one record scored end-to-end (submit, coalesce, batched forward, reply).
+// BenchmarkEngineMultiFeed drives 64 concurrent feeds through the inference
+// engine — the cmd/loadgen scenario as a Go benchmark. Each op is one row
+// scored end-to-end (take an arena, fused row forward, return the arena) on
+// the feed's own goroutine.
 func BenchmarkEngineMultiFeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
@@ -446,7 +415,7 @@ func BenchmarkEngineMultiFeed(b *testing.B) {
 	rows := make([][]float64, 64)
 	for i := range rows {
 		rows[i] = tensor.NewMatrix(1, 66).RandomizeNormal(rng, 1).Row(0)
-		eng.Predict(rows[i]) // warm arenas and the request pool
+		eng.Predict(rows[i]) // warm the arenas
 	}
 	b.ReportAllocs()
 	b.SetParallelism(64)
@@ -458,6 +427,43 @@ func BenchmarkEngineMultiFeed(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkEnginePredictSingle is the lone caller's cost at the paper's
+// model size and the serving precision (f32): one goroutine calling
+// core.DetectorEngine.PredictRecord — feature extraction, standardisation,
+// taking an arena, the fused row kernel, returning the arena. It is the
+// go-test counterpart of the repo benchmark's core.engine_predict_c1_us
+// probe. "bare" runs without an Observer, as the probe does; "observed"
+// attaches a live registry, as every server does, so the difference is what
+// the engine's per-row instrument updates cost (DESIGN.md §10).
+func BenchmarkEnginePredictSingle(b *testing.B) {
+	_, split := benchFixture(b)
+	dcfg := core.DefaultDetectorConfig()
+	dcfg.Train.Epochs = 1
+	det, err := core.TrainDetector(split.Train, dcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := split.Folds[0].Records
+	for _, c := range []struct {
+		name     string
+		observer obs.Observer
+	}{{"bare", nil}, {"observed", obs.NewRegistry()}} {
+		b.Run(c.name, func(b *testing.B) {
+			de, err := core.NewDetectorEngine(det, core.ServeConfig{Precision: "f32", Observer: c.observer})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer de.Close()
+			de.PredictRecord(&recs[0]) // warm the arena and the row pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				de.PredictRecord(&recs[i%len(recs)])
+			}
+		})
+	}
 }
 
 // BenchmarkInferenceRFSingle contrasts the RF per-sample cost (§V-B argues

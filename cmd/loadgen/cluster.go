@@ -57,7 +57,7 @@ type harnessNode struct {
 
 // runClusterMode drives a sharded cluster of n nodes (external: taken from
 // the target's shard map) with a mid-run drain of drainID.
-func runClusterMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers, batch int,
+func runClusterMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers int,
 	seed int64, n int, drainID, target string, reg *obs.Registry) {
 
 	ctx := context.Background()
@@ -100,7 +100,7 @@ func runClusterMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, w
 		fail(err)
 		defer os.RemoveAll(logRoot)
 		for i, nd := range m1.Nodes {
-			eng, err := core.NewDetectorEngine(det, core.ServeConfig{Workers: workers, MaxBatch: batch, Observer: reg})
+			eng, err := core.NewDetectorEngine(det, core.ServeConfig{Workers: workers, Observer: reg})
 			fail(err)
 			defer eng.Close()
 			srv, err := server.New(server.Config{

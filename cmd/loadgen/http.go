@@ -65,12 +65,12 @@ func newLoadClient(target string, feeds int) *occupancy.Client {
 // path. With -target it load-drives an external server; when that server is
 // cluster-configured its served weights are by construction the /v1/model
 // bundle, so the harness fetches the bundle and verifies against it too.
-func runHTTPMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers, batch int, seed int64, target string, reg *obs.Registry) {
+func runHTTPMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers int, seed int64, target string, reg *obs.Registry) {
 	ctx := context.Background()
 	inProcess := target == ""
 	var srv *server.Server
 	if inProcess {
-		eng, err := core.NewDetectorEngine(det, core.ServeConfig{Workers: workers, MaxBatch: batch, Observer: reg})
+		eng, err := core.NewDetectorEngine(det, core.ServeConfig{Workers: workers, Observer: reg})
 		fail(err)
 		defer eng.Close()
 		srv, err = server.New(server.Config{

@@ -1,18 +1,18 @@
-// Command loadgen measures serving throughput of the batched inference
-// engine against the direct per-record path, under a fleet of concurrent
-// sensor feeds sharing one trained detector — the deployment shape §IV-B's
+// Command loadgen measures serving throughput of the inference engine
+// against the direct per-record path, under a fleet of concurrent sensor
+// feeds sharing one trained detector — the deployment shape §IV-B's
 // "lightweight model on commodity hardware" argument implies but the paper
 // never benchmarks.
 //
 // It trains (or loads) a detector, replays a bank of records from -feeds
-// concurrent goroutines through both paths, and reports records/sec, the
-// speedup, and the engine's coalescing statistics. With -verify it first
-// checks every engine prediction bit-for-bit against Detector.PredictRecord,
-// which must hold for any -workers/-batch/-delay combination (DESIGN.md §9).
+// concurrent goroutines through both paths, and reports records/sec and the
+// speedup. With -verify it first checks every engine prediction bit-for-bit
+// against Detector.PredictRecord, which must hold for any -workers and any
+// number of feeds (DESIGN.md §9).
 //
 // Usage:
 //
-//	loadgen [-feeds n] [-per-feed n] [-workers n] [-batch n] [-delay d]
+//	loadgen [-feeds n] [-per-feed n] [-workers n]
 //	        [-model detector.bin] [-epochs n] [-seed n] [-verify]
 //	        [-precision f64|f32|int8] [-metrics-addr :9090] [-crash]
 //	        [-http [-target url] [-cluster n [-drain-node id]]]
@@ -47,13 +47,13 @@
 // precision's bound or any 0.5-threshold decision flips, and the engine
 // path must still match the direct reduced-precision path bit for bit.
 //
-// With -metrics-addr the engine's infer_* series (batch-size histogram,
-// queue depth, worker utilisation) are live on /metrics while the load runs,
-// and /debug/pprof/profile captures the hot path under real load.
+// With -metrics-addr the engine's infer_* series (request counters, arena
+// utilisation) are live on /metrics while the load runs, and
+// /debug/pprof/profile captures the hot path under real load.
 //
-// On a single-core host the engine's win is allocation, not parallelism:
-// expect ~1x wall-clock with zero steady-state garbage; on multi-core hosts
-// the per-worker arenas and micro-batches deliver the scaling.
+// The engine's win over the direct path is allocation and the fused row
+// kernel, not parallelism: both paths run on the feeds' own goroutines, the
+// engine with zero steady-state garbage.
 package main
 
 import (
@@ -75,9 +75,7 @@ func main() {
 	var (
 		feeds   = flag.Int("feeds", 64, "concurrent feed goroutines")
 		perFeed = flag.Int("per-feed", 2000, "records each feed submits")
-		workers = flag.Int("workers", 0, "engine workers (0 = one per core)")
-		batch   = flag.Int("batch", 256, "engine micro-batch cap")
-		delay   = flag.Duration("delay", -1, "coalescing window (<0: engine default 2ms)")
+		workers = flag.Int("workers", 0, "engine arenas, i.e. concurrent scores (0 = one per core)")
 		model   = flag.String("model", "", "detector bundle (empty: train on the fly)")
 		epochs  = flag.Int("epochs", 2, "training epochs when no -model is given")
 		seed    = flag.Int64("seed", 11, "dataset seed")
@@ -101,9 +99,9 @@ func main() {
 		runCrashChild(*model, *crashLogDir)
 		return
 	}
-	if *feeds < 1 || *perFeed < 1 || *workers < 0 || *batch < 1 || *epochs < 1 {
-		fail(fmt.Errorf("flags out of range: -feeds %d -per-feed %d -workers %d -batch %d -epochs %d",
-			*feeds, *perFeed, *workers, *batch, *epochs))
+	if *feeds < 1 || *perFeed < 1 || *workers < 0 || *epochs < 1 {
+		fail(fmt.Errorf("flags out of range: -feeds %d -per-feed %d -workers %d -epochs %d",
+			*feeds, *perFeed, *workers, *epochs))
 	}
 	if (*clusterN > 0 || *drainNode != "") && !*httpRun {
 		fail(fmt.Errorf("-cluster/-drain-node require -http"))
@@ -127,9 +125,8 @@ func main() {
 		return
 	}
 
-	// The registry doubles as the end-of-run stats source (the engine's
-	// infer_* series are read back from it) and, with -metrics-addr, a live
-	// Prometheus endpoint while the load runs.
+	// With -metrics-addr the registry is a live Prometheus endpoint while
+	// the load runs.
 	reg := obs.NewRegistry()
 	var observer obs.Observer = reg
 	if *metrics != "" {
@@ -141,21 +138,15 @@ func main() {
 
 	if *httpRun {
 		if *clusterN > 0 {
-			runClusterMode(det, recs, *feeds, *perFeed, *workers, *batch, *seed, *clusterN, *drainNode, *target, reg)
+			runClusterMode(det, recs, *feeds, *perFeed, *workers, *seed, *clusterN, *drainNode, *target, reg)
 		} else {
-			runHTTPMode(det, recs, *feeds, *perFeed, *workers, *batch, *seed, *target, reg)
+			runHTTPMode(det, recs, *feeds, *perFeed, *workers, *seed, *target, reg)
 		}
 		return
 	}
 
-	scfg := core.ServeConfig{Workers: *workers, MaxBatch: *batch, Precision: *prec, Observer: observer}
+	scfg := core.ServeConfig{Workers: *workers, Precision: *prec, Observer: observer}
 	fail(scfg.Validate())
-	if *delay >= 0 {
-		scfg.MaxDelay = *delay
-		if *delay == 0 {
-			scfg.MaxDelay = -1 // caller asked for no waiting, not the default
-		}
-	}
 
 	if *verify {
 		if p, _ := infer.ParsePrecision(*prec); p == infer.PrecisionF64 {
@@ -170,19 +161,13 @@ func main() {
 	directRate := run(*feeds, *perFeed, recs, det.PredictRecord)
 	fmt.Printf("loadgen: direct  %10.0f records/sec\n", directRate)
 
-	// Engine path: same feeds, same records, served through per-worker
-	// arenas with micro-batch coalescing.
+	// Engine path: same feeds, same records, scored on the same goroutines
+	// through the engine's preallocated arenas.
 	de, err := core.NewDetectorEngine(det, scfg)
 	fail(err)
 	engineRate := run(*feeds, *perFeed, recs, de.PredictRecord)
 	de.Close()
-	count := func(name string) int64 { return reg.Counter(name, "").Value() }
-	requests, batches := count("infer_requests_total"), count("infer_batches_total")
-	avg := float64(requests) / float64(max(batches, 1))
 	fmt.Printf("loadgen: engine  %10.0f records/sec   (%.2fx)\n", engineRate, engineRate/directRate)
-	fmt.Printf("loadgen: engine stats: %d requests, %d batches (avg %.2f rows, max %.0f), %d fused single-row, %d full\n",
-		requests, batches, avg, reg.Gauge("infer_max_batch_seen", "").Value(),
-		count("infer_fast_path_total"), count("infer_full_batches_total"))
 }
 
 // buildFixture loads or trains the detector and assembles the record bank.
@@ -268,7 +253,7 @@ func verifyBitIdentical(det *core.Detector, recs []dataset.Record, scfg core.Ser
 // harness (reduced scorer vs the f64 reference) and additionally replays
 // the bank through a live reduced-precision engine to confirm the engine
 // path scores each record identically to the harness's direct reduced path
-// — i.e. batching still changes nothing, only the declared precision does.
+// — i.e. concurrency still changes nothing, only the declared precision does.
 func verifyBoundedDivergence(det *core.Detector, recs []dataset.Record, scfg core.ServeConfig, precision string) {
 	res, err := core.RunDivergence(det, recs, core.DivergenceConfig{Precision: precision})
 	fail(err)

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	occupredict [-model detector.bin] [-minutes m] [-rate hz] [-seed n]
-//	            [-fault intensity] [-smooth k] [-epochs n]
+//	            [-fault intensity] [-smooth k] [-epochs n] [-workers n]
 //	            [-precision f64|f32|int8] [-metrics-addr :9090]
 //
 // Without -model, a detector is trained on the fly first (plus a CSI-only
@@ -47,17 +47,13 @@ func main() {
 		seed      = flag.Int64("seed", 42, "stream random seed")
 		intensity = flag.Float64("fault", 0, "fault-channel intensity (0 = clean, 1 = ~20% bursty loss + env outages)")
 		smooth    = flag.Int("smooth", 0, "state flips only after k consecutive contrary samples (0 = raw)")
-		workers   = flag.Int("workers", 0, "inference engine workers (0 = one per core)")
-		maxBatch  = flag.Int("batch", 256, "inference engine micro-batch cap")
+		workers   = flag.Int("workers", 0, "inference engine arenas, i.e. concurrent scores (0 = one per core)")
 		precision = flag.String("precision", "f64", "inference arithmetic: f64 (bit-exact reference), f32 (fast) or int8 (small)")
 		epochs    = flag.Int("epochs", 5, "training epochs for the on-the-fly detector (ignored with -model)")
 		metrics   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. :9090; empty disables)")
 	)
 	flag.Parse()
 	fail(validateFlags(*rate, *minutes, *intensity, *smooth, *model))
-	if *workers < 0 || *maxBatch < 1 {
-		fail(fmt.Errorf("-workers must be >= 0 and -batch >= 1 (got %d, %d)", *workers, *maxBatch))
-	}
 	if *epochs < 1 {
 		fail(fmt.Errorf("-epochs must be >= 1 (got %d)", *epochs))
 	}
@@ -70,7 +66,7 @@ func main() {
 	defer stop()
 
 	// One registry backs everything: the end-of-run stats report reads the
-	// fault_*/stream_*/infer_* series back from it, and -metrics-addr
+	// fault_*/stream_* series back from it, and -metrics-addr
 	// additionally exposes it over HTTP before any heavy work so training
 	// progress is already scrapable.
 	reg := obs.NewRegistry()
@@ -101,12 +97,12 @@ func main() {
 		fail(err)
 	}
 
-	// Serve the detectors through the batched inference engine: per-worker
-	// forward arenas and micro-batch coalescing, with predictions
-	// bit-identical to calling the detectors directly (DESIGN.md §9). One
-	// stream barely exercises the batching, but this is the deployment
-	// shape — cmd/loadgen drives the same path with many feeds.
-	ecfg := occupancy.EngineConfig{Workers: *workers, MaxBatch: *maxBatch, Precision: *precision, Observer: observer}
+	// Serve the detectors through the inference engine: preallocated forward
+	// arenas and the fused row kernel on the caller's goroutine, with
+	// predictions bit-identical to calling the detectors directly
+	// (DESIGN.md §9). This is the deployment shape — cmd/loadgen drives the
+	// same path with many feeds.
+	ecfg := occupancy.EngineConfig{Workers: *workers, Precision: *precision, Observer: observer}
 	fail(ecfg.Validate())
 	if *precision != occupancy.PrecisionF64 {
 		fmt.Printf("occupredict: serving at %s precision (f64 is the bit-exact reference; divergence is bounded, see loadgen -verify)\n", *precision)
@@ -192,15 +188,9 @@ func main() {
 	if interrupted {
 		fmt.Println("\noccupredict: interrupted — flushing stats")
 	}
-	// Both engines and the runtime write to the shared registry, so the
-	// infer_* counters already aggregate across primary and fallback.
 	count := func(name string) int64 { return reg.Counter(name, "").Value() }
 	fmt.Printf("occupredict: %d samples, streaming accuracy %.2f%%\n",
 		cm.total, 100*float64(cm.correct)/float64(maxi(cm.total, 1)))
-	requests, batches := count("infer_requests_total"), count("infer_batches_total")
-	fmt.Printf("occupredict: engine: %d requests in %d micro-batches (avg %.2f rows, %d fused single-row)\n",
-		requests, batches, float64(requests)/float64(maxi(int(batches), 1)),
-		count("infer_fast_path_total"))
 	if *intensity > 0 {
 		frames, dropped := count("fault_frames_total"), count("fault_dropped_total")
 		fmt.Printf("occupredict: faults: %.1f%% frames dropped, %d env gaps, %d null bursts, %d AGC jumps\n",

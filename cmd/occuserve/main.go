@@ -1,7 +1,7 @@
 // Command occuserve exposes a trained occupancy detector as the multi-tenant
 // network service: many rooms ("feeds") stream CSI frames in over HTTP/JSON
-// and read occupancy decisions back, all served by one shared batched
-// inference engine.
+// and read occupancy decisions back, all served by one shared inference
+// engine.
 //
 // The API (the full reference is API.md; see also DESIGN.md §11 and §15):
 //
@@ -33,7 +33,7 @@
 //	occuserve [-addr :8080] [-model detector.bin] [-epochs n]
 //	          [-queue n] [-max-feeds n] [-rate-limit hz] [-idle-timeout d]
 //	          [-stream-buffer n]
-//	          [-workers n] [-batch n] [-precision f64|f32|int8]
+//	          [-workers n] [-precision f64|f32|int8]
 //	          [-log-dir dir] [-fsync always|interval|off] [-fsync-interval d]
 //	          [-drain-timeout d] [-seed n]
 //	          [-drift-baseline n] [-drift-window n] [-drift-bins n]
@@ -91,8 +91,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		model     = flag.String("model", "", "detector bundle (empty: train one on the fly)")
 		epochs    = flag.Int("epochs", 5, "training epochs for the on-the-fly detector (ignored with -model)")
-		workers   = flag.Int("workers", 0, "inference engine workers (0 = one per core)")
-		maxBatch  = flag.Int("batch", 256, "inference engine micro-batch cap")
+		workers   = flag.Int("workers", 0, "inference engine arenas, i.e. concurrent scores (0 = one per core)")
 		precision = flag.String("precision", "f64", "inference arithmetic: f64 (bit-exact reference), f32 (fast) or int8 (small)")
 		queue     = flag.Int("queue", 0, "per-feed ingest queue depth (0 = default 256)")
 		maxFeeds  = flag.Int("max-feeds", 0, "concurrent feed cap (0 = default 1024)")
@@ -170,7 +169,6 @@ func main() {
 		Addr:         *addr,
 		Fallback:     fallback,
 		Workers:      *workers,
-		MaxBatch:     *maxBatch,
 		Precision:    *precision,
 		QueueDepth:   *queue,
 		MaxFeeds:     *maxFeeds,

@@ -33,9 +33,8 @@
 //
 //   - BLAS-style kernels keep their classical names but still take dst
 //     first: tensor.MatMul and variants (including the float32 MatMulF32),
-//     tensor.Axpy, the nn.Loss.Grad method, and the infer.Scorer.ScoreBatch
-//     contract. Writing in place is their entire point, so the suffix would
-//     be noise.
+//     tensor.Axpy and the nn.Loss.Grad method. Writing in place is their
+//     entire point, so the suffix would be noise.
 //
 // Everything else that takes a dst must follow one of the two. The
 // convention is enforced by TestIntoNamingConvention (naming_test.go), which

@@ -116,7 +116,7 @@ func (d *Detector) Evaluate(ds *dataset.Dataset) stats.ConfusionMatrix {
 // PredictRecord classifies one record, returning P(occupied) and the label.
 // This is the direct (one record, one forward) reference path; a fleet of
 // feeds sharing one model should go through DetectorEngine instead, which
-// produces bit-identical results with batching and no per-call garbage.
+// produces bit-identical results with no per-call garbage.
 func (d *Detector) PredictRecord(r *dataset.Record) (float64, int) {
 	row := dataset.FeatureRow(r, d.Features)
 	d.Scaler.TransformRow(row)

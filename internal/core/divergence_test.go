@@ -107,7 +107,7 @@ func TestDetectorEnginePrecision(t *testing.T) {
 		t.Fatal("NewDetectorEngine accepted precision f16")
 	}
 	for _, p := range []string{"f32", "int8"} {
-		de, err := NewDetectorEngine(det, ServeConfig{Workers: 2, MaxBatch: 16, Precision: p})
+		de, err := NewDetectorEngine(det, ServeConfig{Workers: 2, Precision: p})
 		if err != nil {
 			t.Fatal(err)
 		}

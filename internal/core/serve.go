@@ -11,19 +11,15 @@ import (
 )
 
 // ServeConfig parametrises a DetectorEngine. The zero value is a sensible
-// deployment default: one worker per core, micro-batches up to 256 rows,
-// and a 2 ms coalescing window — one tenth of the 50 ms frame period at the
-// paper's 20 Hz, so batching never threatens the real-time budget.
+// deployment default: one forward arena per core, float64 scoring.
 type ServeConfig struct {
-	// Workers is the scoring goroutine count (<= 0: one per core).
+	// Workers is how many callers can score at once (<= 0: one per core).
 	Workers int
-	// MaxBatch caps the coalesced micro-batch (default 256).
-	MaxBatch int
-	// MaxDelay is the straggler window for non-full batches. Negative
-	// disables waiting entirely; 0 selects the 2 ms default.
+	// MaxDelay is accepted and ignored. It configured the straggler window
+	// of the micro-batch coalescer, which no longer exists; the field stays
+	// only because bench/occubench sets it and bench/ is frozen across a PR
+	// that claims a gain. Drop it with the next benchmark PR (ROADMAP).
 	MaxDelay time.Duration
-	// QueueDepth bounds the submission queue (default 4×MaxBatch).
-	QueueDepth int
 	// Precision selects the scorer arithmetic: "f64" (default; bit-identical
 	// to Detector.PredictRecord), "f32" (float32 sparse-compaction arenas,
 	// the fast serving path) or "int8" (quantised weights, smallest
@@ -36,36 +32,27 @@ type ServeConfig struct {
 }
 
 // Validate reports whether the engine parameters are usable. Workers uses
-// <= 0 for "one per core" and a negative MaxDelay means "never wait", so
-// only negative sizes fail. NewDetectorEngine calls it.
+// <= 0 for "one per core", so only an unknown precision fails.
 func (c ServeConfig) Validate() error {
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("core: negative MaxBatch %d", c.MaxBatch)
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("core: negative QueueDepth %d", c.QueueDepth)
-	}
-	if _, err := infer.ParsePrecision(c.Precision); err != nil {
-		return err
-	}
-	return nil
+	_, err := infer.ParsePrecision(c.Precision)
+	return err
 }
 
 // DetectorEngine serves one trained Detector to many concurrent callers
-// through the batched inference engine (internal/infer): per-worker forward
-// arenas, micro-batch coalescing, and a fused single-sample path. It
-// implements stream.Predictor, so a fleet of stream Runtimes — one per
-// sensor feed — can share a single model at full hardware throughput
-// instead of each paying the allocating per-record path.
+// through the inference engine (internal/infer): a bounded free list of
+// forward arenas and the fused single-sample path, run on the caller's
+// goroutine. It implements stream.Predictor, so a fleet of stream Runtimes
+// — one per sensor feed — can share a single model at full hardware
+// throughput instead of each paying the allocating per-record path.
 //
 // At the default "f64" precision, predictions are bit-identical to
-// Detector.PredictRecord for any worker count and any coalescing pattern
-// (see TestDetectorEngineBitIdentical and DESIGN.md §9). At "f32"/"int8"
-// the engine keeps the same internal determinism — a record's score is a
-// pure function of the record and the model, regardless of batching — but
-// diverges boundedly from the f64 reference; RunDivergence measures and
-// bounds that divergence. Safe for concurrent use. Close releases the
-// workers; the engine must not be used afterwards.
+// Detector.PredictRecord for any worker count and any number of concurrent
+// callers (see TestDetectorEngineBitIdentical and DESIGN.md §9). At
+// "f32"/"int8" the engine keeps the same internal determinism — a record's
+// score is a pure function of the record and the model — but diverges
+// boundedly from the f64 reference; RunDivergence measures and bounds that
+// divergence. Safe for concurrent use. Close waits for in-flight
+// predictions; a prediction after Close panics.
 type DetectorEngine struct {
 	det  *Detector
 	eng  *infer.Engine
@@ -77,14 +64,6 @@ func NewDetectorEngine(d *Detector, cfg ServeConfig) (*DetectorEngine, error) {
 	if d == nil || d.Net == nil || d.Scaler == nil {
 		return nil, fmt.Errorf("core: NewDetectorEngine needs a trained detector")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxDelay == 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
-	} else if cfg.MaxDelay < 0 {
-		cfg.MaxDelay = 0
-	}
 	prec, err := infer.ParsePrecision(cfg.Precision)
 	if err != nil {
 		return nil, err
@@ -94,13 +73,10 @@ func NewDetectorEngine(d *Detector, cfg ServeConfig) (*DetectorEngine, error) {
 		return nil, err
 	}
 	eng, err := infer.New(infer.Config{
-		NewScorer:  newScorer,
-		Precision:  prec,
-		Workers:    cfg.Workers,
-		MaxBatch:   cfg.MaxBatch,
-		MaxDelay:   cfg.MaxDelay,
-		QueueDepth: cfg.QueueDepth,
-		Observer:   cfg.Observer,
+		NewScorer: newScorer,
+		Precision: prec,
+		Workers:   cfg.Workers,
+		Observer:  cfg.Observer,
 	})
 	if err != nil {
 		return nil, err
@@ -122,8 +98,7 @@ func (de *DetectorEngine) Precision() infer.Precision { return de.eng.Precision(
 
 // PredictRecord classifies one record through the engine, returning
 // P(occupied) and the label — the same contract as Detector.PredictRecord,
-// bit for bit, but allocation-free and batched across concurrent callers.
-// It implements stream.Predictor.
+// bit for bit, but allocation-free. It implements stream.Predictor.
 func (de *DetectorEngine) PredictRecord(r *dataset.Record) (float64, int) {
 	bp := de.rows.Get().(*[]float64)
 	row := *bp
@@ -139,6 +114,6 @@ func (de *DetectorEngine) PredictRow(row []float64) (float64, int) {
 	return de.eng.PredictLabel(row)
 }
 
-// Close drains and stops the engine workers. No calls may be in flight or
-// follow.
+// Close waits for in-flight predictions and retires the engine; a
+// prediction afterwards panics.
 func (de *DetectorEngine) Close() { de.eng.Close() }

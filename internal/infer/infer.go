@@ -1,27 +1,22 @@
-// Package infer is the batched inference engine: it serves one trained
-// model to many concurrent callers at hardware speed. Three mechanisms,
-// stacked:
+// Package infer is the inference engine: it serves one trained model to many
+// concurrent callers at hardware speed, on the callers' own goroutines.
 //
-//   - per-worker arenas — each worker goroutine owns a Scorer built by the
-//     configured factory (for nn models: an nn.Arena over the shared
-//     network), so a steady-state forward pass performs zero heap
-//     allocations and workers never contend on scratch memory;
-//   - micro-batch coalescing — concurrent single-row requests landing on
-//     the submission queue are gathered into one batched forward of up to
-//     MaxBatch rows, waiting at most MaxDelay for stragglers, which
-//     amortises the matmul across feeds (one weight-matrix traversal scores
-//     the whole batch instead of one traversal per row);
-//   - a fused single-sample fast path — a batch of one skips matrix
-//     assembly entirely and runs the Scorer's row path (for nn: vector·
-//     matrix over raw slices, no tensor.Matrix wrapping).
+// New builds Workers Scorers (for nn models: a forward arena over the shared
+// network) into a bounded free list. Predict takes one, runs the fused
+// single-row path on the calling goroutine — vector·matrix over raw slices,
+// no tensor.Matrix wrapping, zero heap allocations — and puts it back. There
+// are no scoring goroutines, no submission queue and no clock: a caller
+// waits only when all Workers arenas are in use, so concurrency and scratch
+// memory are bounded by Workers and a lone caller pays two channel
+// operations on top of the kernel. Rows are not batched across callers: at
+// this model size the batched kernel is no cheaper per row than the row
+// path (DESIGN.md §9), so a hand-off to gather a batch only adds latency.
 //
 // Determinism guarantee (same discipline as internal/parallel and the
 // stream runtime): each row's score is a pure function of that row and the
-// model — never of which worker ran it, how requests were coalesced, or
-// where batch boundaries fell. The matmul kernels accumulate each output
-// row independently in a fixed order, so batching changes only *when* a row
-// is scored, not its bits. TestEngineBitIdentical sweeps worker counts and
-// batch bounds to enforce this.
+// model — never of which arena ran it or what ran beside it.
+// TestEngineBitIdentical sweeps arena counts under concurrent callers to
+// enforce this.
 //
 // The engine deliberately does not know about feature extraction or
 // scalers; it scores prepared feature rows. core.DetectorEngine layers
@@ -33,40 +28,32 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/cpukit"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
-// Scorer is one worker's private view of a model. Implementations are NOT
-// required to be safe for concurrent use — the engine builds one per worker
-// from the Config.NewScorer factory. ScoreBatch and ScoreRow must agree bit
-// for bit with each other (and with the model's reference prediction path)
-// on every row.
+// Scorer is one private view of a model. Implementations are NOT required
+// to be safe for concurrent use — the engine builds Workers of them from the
+// Config.NewScorer factory and lends each to one caller at a time. ScoreRow
+// must agree bit for bit with the model's reference prediction path on every
+// row.
 type Scorer interface {
 	// InputDim returns the feature width the model expects.
 	InputDim() int
-	// ScoreBatch writes the per-row scores of x into dst (len = x.Rows).
-	ScoreBatch(dst []float64, x *tensor.Matrix)
-	// ScoreRow scores a single feature row — the batch-of-one fast path.
+	// ScoreRow scores a single feature row.
 	ScoreRow(row []float64) float64
 }
 
 // netScorer adapts an nn.Arena to Scorer.
 type netScorer struct{ arena *nn.Arena }
 
-func (s *netScorer) InputDim() int { return s.arena.Network().InputDim() }
-func (s *netScorer) ScoreBatch(dst []float64, x *tensor.Matrix) {
-	s.arena.PredictProbsInto(dst, x)
-}
+func (s *netScorer) InputDim() int                  { return s.arena.Network().InputDim() }
 func (s *netScorer) ScoreRow(row []float64) float64 { return s.arena.PredictProb1(row) }
 
 // NetworkScorer returns a Scorer factory serving a shared trained network
-// through per-worker forward arenas. The network's weights must not be
+// through per-Scorer forward arenas. The network's weights must not be
 // mutated (trained) while the engine is live.
 func NetworkScorer(net *nn.Network) func() Scorer {
 	return func() Scorer { return &netScorer{arena: nn.NewArena(net)} }
@@ -107,25 +94,19 @@ func ParsePrecision(s string) (Precision, error) {
 // f32Scorer adapts an nn.ArenaF32 to Scorer.
 type f32Scorer struct{ arena *nn.ArenaF32 }
 
-func (s *f32Scorer) InputDim() int { return s.arena.Network().InputDim() }
-func (s *f32Scorer) ScoreBatch(dst []float64, x *tensor.Matrix) {
-	s.arena.PredictProbsInto(dst, x)
-}
+func (s *f32Scorer) InputDim() int                  { return s.arena.Network().InputDim() }
 func (s *f32Scorer) ScoreRow(row []float64) float64 { return s.arena.PredictProb1(row) }
 
 // i8Scorer adapts an nn.ArenaI8 to Scorer.
 type i8Scorer struct{ arena *nn.ArenaI8 }
 
-func (s *i8Scorer) InputDim() int { return s.arena.Network().InputDim() }
-func (s *i8Scorer) ScoreBatch(dst []float64, x *tensor.Matrix) {
-	s.arena.PredictProbsInto(dst, x)
-}
+func (s *i8Scorer) InputDim() int                  { return s.arena.Network().InputDim() }
 func (s *i8Scorer) ScoreRow(row []float64) float64 { return s.arena.PredictProb1(row) }
 
 // NetworkScorerAt returns a Scorer factory for net at the given precision.
 // The reduced-precision weight representation is built once here and shared
-// read-only across the per-worker arenas, so worker count does not multiply
-// the conversion cost. Fails when the precision string is unknown or the
+// read-only across the arenas, so the arena count does not multiply the
+// conversion cost. Fails when the precision string is unknown or the
 // network is not a Dense/activation stack (reduced precision does not cover
 // convolutional layers).
 func NetworkScorerAt(net *nn.Network, p Precision) (func() Scorer, error) {
@@ -151,19 +132,14 @@ func NetworkScorerAt(net *nn.Network, p Precision) (func() Scorer, error) {
 // rowScorer adapts a per-row scoring function (e.g. rf.Forest.PredictProb,
 // linmodel.Logistic.PredictProb) to Scorer. The function itself must be safe
 // to call from one goroutine at a time per Scorer instance; the same fn is
-// shared across workers, so it must also not mutate shared state — true for
+// shared across Scorers, so it must also not mutate shared state — true for
 // the RF and logistic baselines, whose predict paths only read the model.
 type rowScorer struct {
 	dim int
 	fn  func(row []float64) float64
 }
 
-func (s *rowScorer) InputDim() int { return s.dim }
-func (s *rowScorer) ScoreBatch(dst []float64, x *tensor.Matrix) {
-	for i := range dst {
-		dst[i] = s.fn(x.Row(i))
-	}
-}
+func (s *rowScorer) InputDim() int                  { return s.dim }
 func (s *rowScorer) ScoreRow(row []float64) float64 { return s.fn(row) }
 
 // RowScorer returns a Scorer factory for models that score row-by-row (the
@@ -174,7 +150,7 @@ func RowScorer(dim int, fn func(row []float64) float64) func() Scorer {
 
 // Config parametrises an Engine.
 type Config struct {
-	// NewScorer builds one Scorer per worker. Required.
+	// NewScorer builds one Scorer per arena. Required.
 	NewScorer func() Scorer
 	// Precision declares the numeric representation the scorers compute in
 	// (empty: PrecisionF64). It must match what NewScorer builds — use
@@ -183,34 +159,22 @@ type Config struct {
 	// Engine.Precision, and exists so serving configs have one audited
 	// precision knob instead of an opaque factory.
 	Precision Precision
-	// Workers is the number of scoring goroutines. <= 0 selects
-	// parallel.Workers semantics (GOMAXPROCS).
+	// Workers is how many Scorers the engine builds, i.e. how many Predict
+	// calls can score at once. <= 0 selects parallel.Workers semantics
+	// (GOMAXPROCS).
 	Workers int
-	// MaxBatch caps how many queued requests one worker coalesces into a
-	// single batched forward. Default 256. 1 disables coalescing.
-	MaxBatch int
-	// MaxDelay is how long a worker holding a batch of ONE waits for
-	// company before scoring it. 0 (the default) means score immediately
-	// once the queue is momentarily empty — lowest latency, coalescing
-	// only under genuine concurrent load. Multi-row batches are never
-	// held: under load the next batch forms while the current one scores,
-	// so waiting would only idle the scorer (see coalesce).
-	MaxDelay time.Duration
-	// QueueDepth is the submission-queue buffer. Default 4×MaxBatch.
-	// Submitters block (backpressure) once it is full.
-	QueueDepth int
-	// Observer receives the engine's metrics: request/batch counters, the
-	// coalesced batch-size histogram, queue depth and worker utilization.
-	// Nil disables observability at zero cost. Attaching one never changes
-	// a score — instruments only count (DESIGN.md §10). Engines sharing an
-	// Observer aggregate into the same infer_* series.
+	// Observer receives the engine's metrics: request and forward-pass
+	// counters and arena utilization. Nil disables observability at zero
+	// cost. Attaching one never changes a score — instruments only count
+	// (DESIGN.md §10). Engines sharing an Observer aggregate into the same
+	// infer_* series.
 	Observer obs.Observer
 }
 
-// Validate reports whether the configuration can build an engine. Sizing
-// fields use <= 0 to select defaults, so only the missing scorer factory —
-// the one thing New cannot invent — fails. New calls it; callers may too,
-// as a pre-flight check.
+// Validate reports whether the configuration can build an engine. Workers
+// uses <= 0 to select the default, so only the missing scorer factory — the
+// one thing New cannot invent — and an unknown precision fail. New calls
+// it; callers may too, as a pre-flight check.
 func (c Config) Validate() error {
 	if c.NewScorer == nil {
 		return errors.New("infer: Config.NewScorer is required")
@@ -221,12 +185,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// request is one queued row; out is a rendezvous of capacity 1.
-type request struct {
-	row []float64
-	out chan float64
-}
-
 // metrics are the engine's obs instruments; all nil (no-op) without an
 // Observer. The infer_* series are the engine's only counters — callers
 // wanting numbers attach an obs.Registry and read it back.
@@ -234,89 +192,71 @@ type metrics struct {
 	requests    *obs.Counter
 	batches     *obs.Counter
 	fastPath    *obs.Counter
-	fullBatches *obs.Counter
 	batchSize   *obs.Histogram
-	queueDepth  *obs.Gauge
 	busyWorkers *obs.Gauge
 	workers     *obs.Gauge
-	maxBatch    *obs.Gauge
 	kernelAVX2  *obs.Gauge
 }
 
 // newMetrics resolves the engine instrument set against o (nil → all-nil).
-// The batch-size buckets are powers of two up to the configured MaxBatch,
-// so the histogram resolves exactly the coalescing behaviour MaxBatch caps.
-func newMetrics(o obs.Observer, maxBatch int) metrics {
+// Every forward pass scores one row on the fused row path, so the batch
+// series move in step with infer_requests_total; they keep their names and
+// their meaning — one observation per forward pass — for the dashboards and
+// the benchmark that read them.
+func newMetrics(o obs.Observer) metrics {
 	if o == nil {
 		return metrics{}
 	}
-	n := 1
-	for 1<<n < maxBatch {
-		n++
-	}
 	return metrics{
 		requests:    o.Counter("infer_requests_total", "rows scored"),
-		batches:     o.Counter("infer_batches_total", "forward passes, including batches of one"),
-		fastPath:    o.Counter("infer_fast_path_total", "batches of one served by the fused row path"),
-		fullBatches: o.Counter("infer_full_batches_total", "batches that hit MaxBatch exactly"),
-		batchSize:   o.Histogram("infer_batch_size", "coalesced micro-batch sizes", obs.ExpBuckets(1, 2, n+1)),
-		queueDepth:  o.Gauge("infer_queue_depth", "submission-queue depth sampled at batch formation"),
-		busyWorkers: o.Gauge("infer_busy_workers", "workers currently scoring a batch"),
-		workers:     o.Gauge("infer_workers", "scoring goroutines configured"),
-		maxBatch:    o.Gauge("infer_max_batch_seen", "largest micro-batch coalesced so far"),
+		batches:     o.Counter("infer_batches_total", "forward passes"),
+		fastPath:    o.Counter("infer_fast_path_total", "forward passes served by the fused row path"),
+		batchSize:   o.Histogram("infer_batch_size", "rows per forward pass", []float64{1}),
+		busyWorkers: o.Gauge("infer_busy_workers", "arenas currently scoring"),
+		workers:     o.Gauge("infer_workers", "arenas configured"),
 		// The obs model has no labels, so kernel identity is a 0/1 gauge:
 		// 1 when the AVX2+FMA kernels serve this process, 0 for generic.
 		kernelAVX2: o.Gauge("infer_kernel_avx2", "1 when the cpukit AVX2 kernel is active, 0 for generic"),
 	}
 }
 
-// Engine is the concurrent batched scorer. Safe for use from any number of
-// goroutines. Close drains in-flight work; Predict must not be called
-// concurrently with or after Close.
+// Engine is the concurrent scorer. Safe for use from any number of
+// goroutines.
 type Engine struct {
-	cfg  Config
-	dim  int
-	reqs chan *request
-	pool sync.Pool
-	wg   sync.WaitGroup
+	cfg Config
+	dim int
+	// free holds the Scorers no Predict is using; its capacity is Workers.
+	// Close empties and closes it, so a receive that finds it closed is a
+	// Predict after Close.
+	free chan Scorer
 	m    metrics
 }
 
-// New validates cfg, spawns the workers and returns the running engine.
+// New validates cfg, builds the Workers Scorers and returns the engine.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = defaultWorkers()
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	cfg.Precision, _ = ParsePrecision(string(cfg.Precision))
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.MaxBatch
-	}
-	probe := cfg.NewScorer()
-	if probe == nil {
-		return nil, errors.New("infer: NewScorer returned nil")
-	}
 	e := &Engine{
 		cfg:  cfg,
-		dim:  probe.InputDim(),
-		reqs: make(chan *request, cfg.QueueDepth),
-		m:    newMetrics(cfg.Observer, cfg.MaxBatch),
+		free: make(chan Scorer, cfg.Workers),
+		m:    newMetrics(cfg.Observer),
+	}
+	for w := 0; w < cfg.Workers; w++ {
+		sc := cfg.NewScorer()
+		if sc == nil {
+			return nil, errors.New("infer: NewScorer returned nil")
+		}
+		e.dim = sc.InputDim()
+		e.free <- sc
 	}
 	e.m.workers.Set(float64(cfg.Workers))
 	if cpukit.Active() == cpukit.KernelAVX2 {
 		e.m.kernelAVX2.Set(1)
-	}
-	e.pool.New = func() any { return &request{out: make(chan float64, 1)} }
-	e.wg.Add(cfg.Workers)
-	// The probe scorer serves worker 0; the rest build their own.
-	go e.worker(probe)
-	for w := 1; w < cfg.Workers; w++ {
-		go e.worker(cfg.NewScorer())
 	}
 	return e, nil
 }
@@ -334,17 +274,23 @@ func (e *Engine) Precision() Precision { return e.cfg.Precision }
 // live.
 func (e *Engine) Kernel() string { return cpukit.Active().String() }
 
-// Predict scores one feature row, blocking until a worker has served it.
-// The row is read until Predict returns and is not retained. Zero heap
-// allocations in steady state (requests are pooled). Must not be called
-// after Close.
+// Predict scores one feature row on the calling goroutine, waiting only
+// while all Workers Scorers are in use. The row is read until Predict
+// returns and is not retained. Zero heap allocations. Panics if the engine
+// is closed.
 func (e *Engine) Predict(row []float64) float64 {
-	r := e.pool.Get().(*request)
-	r.row = row
-	e.reqs <- r
-	p := <-r.out
-	r.row = nil
-	e.pool.Put(r)
+	sc, ok := <-e.free
+	if !ok {
+		panic("infer: Predict called on a closed Engine")
+	}
+	e.m.busyWorkers.Add(1)
+	p := sc.ScoreRow(row)
+	e.m.busyWorkers.Add(-1)
+	e.free <- sc
+	e.m.requests.Inc()
+	e.m.batches.Inc()
+	e.m.fastPath.Inc()
+	e.m.batchSize.Observe(1)
 	return p
 }
 
@@ -357,116 +303,11 @@ func (e *Engine) PredictLabel(row []float64) (float64, int) {
 	return p, 0
 }
 
-// Close stops the workers after the queue drains and waits for them to
-// exit. Callers must ensure no Predict is in flight or issued afterwards.
+// Close waits for every in-flight Predict to return its Scorer and then
+// retires the engine; a Predict issued afterwards panics.
 func (e *Engine) Close() {
-	close(e.reqs)
-	e.wg.Wait()
+	for w := 0; w < e.cfg.Workers; w++ {
+		<-e.free
+	}
+	close(e.free)
 }
-
-// worker owns one Scorer plus preallocated batch storage and loops:
-// take one request, coalesce whatever else is queued (up to MaxBatch,
-// waiting at most MaxDelay), score, reply.
-func (e *Engine) worker(sc Scorer) {
-	defer e.wg.Done()
-	maxB := e.cfg.MaxBatch
-	batch := make([]*request, 0, maxB)
-	x := tensor.NewMatrix(maxB, e.dim)
-	probs := make([]float64, maxB)
-	var timer *time.Timer
-	if e.cfg.MaxDelay > 0 {
-		timer = time.NewTimer(time.Hour)
-		if !timer.Stop() {
-			<-timer.C
-		}
-		defer timer.Stop()
-	}
-	for first := range e.reqs {
-		batch = append(batch[:0], first)
-		e.coalesce(&batch, timer)
-		e.score(sc, batch, x, probs)
-	}
-}
-
-// coalesce drains queued requests into *batch up to MaxBatch: first
-// whatever is immediately available, then — if MaxDelay is configured and
-// the batch is still a singleton — whatever arrives before the deadline.
-//
-// The straggler wait deliberately applies only to batches of one. A
-// multi-row batch proves concurrent load, and under concurrent load the
-// next batch forms by itself while this one scores (service time is the
-// natural coalescing window); holding a formed batch for the full budget
-// just idles the scorer. The budget exists to let a lone request gather
-// company when load is light but bursty, and is spent at most once per
-// batch.
-func (e *Engine) coalesce(batch *[]*request, timer *time.Timer) {
-	maxB := e.cfg.MaxBatch
-	waited := false
-	for len(*batch) < maxB {
-		select {
-		case r, ok := <-e.reqs:
-			if !ok {
-				return
-			}
-			*batch = append(*batch, r)
-			continue
-		default:
-		}
-		// Queue momentarily empty.
-		if timer == nil || len(*batch) > 1 || waited {
-			return
-		}
-		waited = true
-		timer.Reset(e.cfg.MaxDelay)
-		select {
-		case r, ok := <-e.reqs:
-			if ok {
-				*batch = append(*batch, r)
-			}
-		case <-timer.C:
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		if len(*batch) == 1 {
-			return // budget spent, still alone
-		}
-	}
-}
-
-// score runs one coalesced batch and replies to every submitter.
-func (e *Engine) score(sc Scorer, batch []*request, x *tensor.Matrix, probs []float64) {
-	n := len(batch)
-	e.m.requests.Add(int64(n))
-	e.m.batches.Inc()
-	e.m.batchSize.Observe(float64(n))
-	e.m.maxBatch.SetMax(float64(n))
-	e.m.queueDepth.Set(float64(len(e.reqs)))
-	e.m.busyWorkers.Add(1)
-	defer e.m.busyWorkers.Add(-1)
-	if n == e.cfg.MaxBatch {
-		e.m.fullBatches.Inc()
-	}
-	if n == 1 {
-		e.m.fastPath.Inc()
-		batch[0].out <- sc.ScoreRow(batch[0].row)
-		return
-	}
-	// EnsureShape reslices the preallocated backing in place (capacity is
-	// MaxBatch rows), so assembling the batch never allocates.
-	xb := tensor.EnsureShape(x, n, e.dim)
-	for i, r := range batch {
-		copy(xb.Row(i), r.row)
-	}
-	sc.ScoreBatch(probs[:n], xb)
-	for i, r := range batch {
-		r.out <- probs[i]
-	}
-}
-
-// defaultWorkers mirrors parallel.Workers(0): one worker per schedulable
-// core.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

@@ -1,10 +1,15 @@
 package infer
 
 import (
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cpukit"
 	"repro/internal/nn"
@@ -26,32 +31,16 @@ func testNet(t testing.TB, rows int) (*nn.Network, [][]float64, []float64) {
 	return net, rs, want
 }
 
-// TestEngineBitIdentical is the acceptance guarantee: for any worker count,
-// any MaxBatch, any MaxDelay — i.e. any possible coalescing of concurrent
-// submitters into batches — every row scores bit-identically to the direct
-// serial PredictProbs path. Run under -race this also proves the engine's
-// memory discipline.
+// TestEngineBitIdentical is the acceptance guarantee: for any arena count
+// and dozens of concurrent callers — i.e. any interleaving of who holds
+// which arena — every row scores bit-identically to the direct serial
+// PredictProbs path. Run under -race this also proves the engine's memory
+// discipline.
 func TestEngineBitIdentical(t *testing.T) {
 	net, rows, want := testNet(t, 64)
-	cases := []struct {
-		workers, maxBatch int
-		delay             time.Duration
-	}{
-		{1, 1, 0},
-		{1, 256, 0},
-		{2, 3, 0},
-		{4, 7, 500 * time.Microsecond},
-		{8, 256, 2 * time.Millisecond},
-	}
-	for _, c := range cases {
+	for _, workers := range []int{1, 2, 8} {
 		reg := obs.NewRegistry()
-		eng, err := New(Config{
-			NewScorer: NetworkScorer(net),
-			Workers:   c.workers,
-			MaxBatch:  c.maxBatch,
-			MaxDelay:  c.delay,
-			Observer:  reg,
-		})
+		eng, err := New(Config{NewScorer: NetworkScorer(net), Workers: workers, Observer: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +55,7 @@ func TestEngineBitIdentical(t *testing.T) {
 				for k := 0; k < 3*len(rows); k++ {
 					i := (f + k) % len(rows)
 					if p := eng.Predict(rows[i]); p != want[i] {
-						t.Errorf("workers=%d maxBatch=%d: row %d scored %v, want %v",
-							c.workers, c.maxBatch, i, p, want[i])
+						t.Errorf("workers=%d: row %d scored %v, want %v", workers, i, p, want[i])
 						return
 					}
 				}
@@ -76,50 +64,163 @@ func TestEngineBitIdentical(t *testing.T) {
 		wg.Wait()
 		eng.Close()
 		if want, got := int64(feeds*3*len(rows)), reg.Counter("infer_requests_total", "").Value(); got != want {
-			t.Fatalf("workers=%d: counters lost requests: %d != %d", c.workers, got, want)
-		}
-		if seen := reg.Gauge("infer_max_batch_seen", "").Value(); seen > float64(c.maxBatch) {
-			t.Fatalf("coalesced %.0f rows past MaxBatch %d", seen, c.maxBatch)
+			t.Fatalf("workers=%d: counters lost requests: %d != %d", workers, got, want)
 		}
 	}
 }
 
-// TestEngineCoalesces checks that under concurrent load with a latency
-// budget the engine actually forms multi-row batches (the whole point).
-func TestEngineCoalesces(t *testing.T) {
-	net, rows, _ := testNet(t, 64)
-	reg := obs.NewRegistry()
-	eng, err := New(Config{
-		NewScorer: NetworkScorer(net),
-		Workers:   1,
-		MaxBatch:  64,
-		MaxDelay:  2 * time.Millisecond,
-		Observer:  reg,
-	})
+// gateScorer is a fake Scorer that counts how many goroutines are inside
+// ScoreRow at once, reports each entry, and holds every caller until
+// released.
+type gateScorer struct {
+	inside, peak atomic.Int32
+	entered      chan struct{} // one send per ScoreRow entry
+	release      chan struct{} // one receive per ScoreRow exit; closed = open gate
+}
+
+func (s *gateScorer) InputDim() int { return 1 }
+func (s *gateScorer) ScoreRow(row []float64) float64 {
+	n := s.inside.Add(1)
+	for {
+		p := s.peak.Load()
+		if n <= p || s.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	s.entered <- struct{}{}
+	<-s.release
+	s.inside.Add(-1)
+	return row[0]
+}
+
+// newGateEngine builds an engine whose scorers all share one gate.
+func newGateEngine(t *testing.T, workers, callers int) (*Engine, *gateScorer) {
+	t.Helper()
+	g := &gateScorer{
+		entered: make(chan struct{}, callers), // every caller can report entry without blocking
+		release: make(chan struct{}),
+	}
+	eng, err := New(Config{NewScorer: func() Scorer { return g }, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const feeds = 48
-	var wg sync.WaitGroup
-	for f := 0; f < feeds; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for k := 0; k < 20; k++ {
-				eng.Predict(rows[(f+k)%len(rows)])
-			}
-		}(f)
+	return eng, g
+}
+
+// stillBlocked yields the processor repeatedly, giving a goroutine that
+// should be blocked every chance to run, and fails if done fires anyway.
+func stillBlocked(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+		select {
+		case <-done:
+			t.Fatal(what)
+		default:
+		}
 	}
+}
+
+// TestEngineBoundsConcurrency: Workers is a hard bound on concurrent scores.
+// With every scorer holding its caller, exactly Workers of many callers get
+// in; the rest enter only as holders are released, one for one.
+func TestEngineBoundsConcurrency(t *testing.T) {
+	const workers, callers = 3, 24
+	eng, g := newGateEngine(t, workers, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			if p := eng.Predict([]float64{float64(c)}); p != float64(c) {
+				t.Errorf("caller %d scored %v", c, p)
+			}
+		}(c)
+	}
+	for i := 0; i < workers; i++ {
+		<-g.entered
+	}
+	for i := workers; i < callers; i++ {
+		stillBlocked(t, g.entered, "a caller entered with all scorers held")
+		g.release <- struct{}{}
+		<-g.entered
+	}
+	close(g.release)
 	wg.Wait()
 	eng.Close()
-	if seen := reg.Gauge("infer_max_batch_seen", "").Value(); seen < 2 {
-		t.Fatalf("no coalescing observed under %d concurrent feeds (max batch %.0f)",
-			feeds, seen)
+	if peak := g.peak.Load(); peak != workers {
+		t.Fatalf("peak concurrent scores %d, want exactly Workers=%d", peak, workers)
 	}
-	requests := reg.Counter("infer_requests_total", "").Value()
-	batches := reg.Counter("infer_batches_total", "").Value()
-	if batches == 0 || float64(requests)/float64(batches) <= 1 {
-		t.Fatalf("average batch %d/%d, want > 1", requests, batches)
+}
+
+// TestEngineSingleWorkerSerialises: with Workers 1, a second Predict
+// completes only after the first is released.
+func TestEngineSingleWorkerSerialises(t *testing.T) {
+	eng, g := newGateEngine(t, 1, 2)
+	defer eng.Close()
+	first, second := make(chan struct{}), make(chan struct{})
+	go func() { eng.Predict([]float64{1}); close(first) }()
+	<-g.entered // the first caller holds the only scorer
+	go func() { eng.Predict([]float64{2}); close(second) }()
+	stillBlocked(t, g.entered, "second Predict entered the scorer while the first held it")
+	g.release <- struct{}{}
+	<-first
+	<-g.entered // only now does the second get in
+	stillBlocked(t, second, "second Predict completed before it was released")
+	g.release <- struct{}{}
+	<-second
+	if peak := g.peak.Load(); peak != 1 {
+		t.Fatalf("peak concurrent scores %d with Workers 1", peak)
+	}
+}
+
+// TestEngineCloseWaitsForInFlight: Close returns only after an in-flight
+// Predict has finished, and a Predict after Close panics with a message
+// instead of blocking.
+func TestEngineCloseWaitsForInFlight(t *testing.T) {
+	eng, g := newGateEngine(t, 2, 1)
+	predicted, closed := make(chan struct{}), make(chan struct{})
+	go func() { eng.Predict([]float64{1}); close(predicted) }()
+	<-g.entered
+	go func() { eng.Close(); close(closed) }()
+	stillBlocked(t, closed, "Close returned with a Predict in flight")
+	g.release <- struct{}{}
+	<-predicted
+	<-closed
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "closed Engine") {
+			t.Fatalf("Predict after Close: recovered %q, want a closed-engine panic", msg)
+		}
+	}()
+	eng.Predict([]float64{1})
+	t.Fatal("Predict after Close returned")
+}
+
+// TestNoClockInEngine keeps the clock-free property from creeping back: no
+// non-test file of this package may import "time". The engine has nothing
+// to wait for — a timer here is the straggler wait returning.
+func TestNoClockInEngine(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				t.Errorf("%s imports time; internal/infer must stay clock-free", fset.Position(imp.Pos()))
+			}
+		}
 	}
 }
 
@@ -127,7 +228,7 @@ func TestEngineCoalesces(t *testing.T) {
 // and checks scores and stats.
 func TestEngineRowScorer(t *testing.T) {
 	fn := func(row []float64) float64 { return row[0] * 2 }
-	eng, err := New(Config{NewScorer: RowScorer(3, fn), Workers: 2, MaxBatch: 4})
+	eng, err := New(Config{NewScorer: RowScorer(3, fn), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +278,16 @@ func TestPredictLabel(t *testing.T) {
 	}
 }
 
-// TestEnginePredictZeroAlloc: the submit path itself must not allocate in
-// steady state (pooled requests). Allocations by the Go runtime for channel
-// operations are already zero; this guards the request plumbing.
+// TestEnginePredictZeroAlloc: taking an arena, scoring and returning it must
+// not allocate in steady state.
 func TestEnginePredictZeroAlloc(t *testing.T) {
 	net, rows, _ := testNet(t, 8)
-	eng, err := New(Config{NewScorer: NetworkScorer(net), Workers: 1, MaxBatch: 8})
+	eng, err := New(Config{NewScorer: NetworkScorer(net), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	eng.Predict(rows[0]) // warm pool + arena
+	eng.Predict(rows[0]) // warm the arena
 	n := testing.AllocsPerRun(50, func() { eng.Predict(rows[0]) })
 	if n > 0 {
 		t.Fatalf("Predict allocates %v per call in steady state, want 0", n)
@@ -198,7 +298,8 @@ func TestEnginePredictZeroAlloc(t *testing.T) {
 // one with a live metrics registry, one with the nil default — and requires
 // bit-identical results: instruments count, they never feed back into
 // scoring. It also checks the infer_* series obey the engine's accounting
-// invariants (no lost requests, histogram count equals batch count).
+// invariants (no lost requests, one forward pass and one histogram
+// observation per request).
 func TestObserverDoesNotChangeScores(t *testing.T) {
 	net, rows, want := testNet(t, 48)
 	reg := obs.NewRegistry()
@@ -207,8 +308,6 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 		eng, err := New(Config{
 			NewScorer: NetworkScorer(net),
 			Workers:   4,
-			MaxBatch:  16,
-			MaxDelay:  time.Millisecond,
 			Observer:  o,
 		})
 		if err != nil {
@@ -243,21 +342,17 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 	requests := int64(get("infer_requests_total").Value)
 	batches := int64(get("infer_batches_total").Value)
 	fastPath := int64(get("infer_fast_path_total").Value)
-	fullBatches := int64(get("infer_full_batches_total").Value)
 	if wantReq := int64(feeds * 2 * len(rows)); requests != wantReq {
 		t.Errorf("infer_requests_total = %d, want %d (no lost requests)", requests, wantReq)
 	}
-	if batches <= 0 || batches > requests {
-		t.Errorf("infer_batches_total = %d, want in (0, %d]", batches, requests)
+	if batches != requests || fastPath != requests {
+		t.Errorf("batches=%d fast=%d, want one fused forward pass per request (%d)", batches, fastPath, requests)
 	}
-	if fastPath > batches || fullBatches > batches {
-		t.Errorf("fast=%d full=%d exceed batches=%d", fastPath, fullBatches, batches)
+	if m := get("infer_batch_size"); m.Count != batches || m.Sum != float64(requests) {
+		t.Errorf("infer_batch_size count=%d sum=%v, want %d observations of one row", m.Count, m.Sum, batches)
 	}
-	if m := get("infer_batch_size"); m.Count != batches {
-		t.Errorf("infer_batch_size count = %d, want %d batches", m.Count, batches)
-	}
-	if m := get("infer_max_batch_seen"); m.Value < 1 || m.Value > 16 {
-		t.Errorf("infer_max_batch_seen = %v, want within [1, MaxBatch]", m.Value)
+	if busy := get("infer_busy_workers").Value; busy != 0 {
+		t.Errorf("infer_busy_workers = %v after all callers returned, want 0", busy)
 	}
 }
 

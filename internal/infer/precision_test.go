@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 )
@@ -68,9 +67,9 @@ func TestNetworkScorerAtErrors(t *testing.T) {
 }
 
 // TestEngineReducedPrecisionBitIdentical is TestEngineBitIdentical for the
-// reduced paths: for any coalescing of concurrent submitters, every row
+// reduced paths: for any arena count under concurrent callers, every row
 // scores bit-identically to a direct ArenaF32/ArenaI8 over the same network
-// — batching affects scheduling, never arithmetic, at every precision.
+// — concurrency affects scheduling, never arithmetic, at every precision.
 func TestEngineReducedPrecisionBitIdentical(t *testing.T) {
 	net, rows, _ := testNet(t, 64)
 	for _, p := range []Precision{PrecisionF32, PrecisionI8} {
@@ -83,30 +82,15 @@ func TestEngineReducedPrecisionBitIdentical(t *testing.T) {
 		for i, r := range rows {
 			want[i] = direct.ScoreRow(r)
 		}
-		cases := []struct {
-			workers, maxBatch int
-			delay             time.Duration
-		}{
-			{1, 1, 0},
-			{1, 256, 0},
-			{4, 7, 500 * time.Microsecond},
-			{8, 256, 2 * time.Millisecond},
-		}
-		for _, c := range cases {
-			eng, err := New(Config{
-				NewScorer: newScorer,
-				Precision: p,
-				Workers:   c.workers,
-				MaxBatch:  c.maxBatch,
-				MaxDelay:  c.delay,
-			})
+		for _, workers := range []int{1, 2, 8} {
+			eng, err := New(Config{NewScorer: newScorer, Precision: p, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if eng.Precision() != p {
 				t.Fatalf("engine precision %q, want %q", eng.Precision(), p)
 			}
-			const feeds = 16
+			const feeds = 24
 			var wg sync.WaitGroup
 			for f := 0; f < feeds; f++ {
 				wg.Add(1)
@@ -115,8 +99,7 @@ func TestEngineReducedPrecisionBitIdentical(t *testing.T) {
 					for k := 0; k < 2*len(rows); k++ {
 						i := (f + k) % len(rows)
 						if got := eng.Predict(rows[i]); got != want[i] {
-							t.Errorf("%s workers=%d maxBatch=%d: row %d scored %v, want %v",
-								p, c.workers, c.maxBatch, i, got, want[i])
+							t.Errorf("%s workers=%d: row %d scored %v, want %v", p, workers, i, got, want[i])
 							return
 						}
 					}
@@ -128,7 +111,7 @@ func TestEngineReducedPrecisionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineF32PredictZeroAlloc: the reduced-precision submit path keeps the
+// TestEngineF32PredictZeroAlloc: the reduced-precision path keeps the
 // engine's steady-state zero-allocation property.
 func TestEngineF32PredictZeroAlloc(t *testing.T) {
 	net, rows, _ := testNet(t, 8)
@@ -136,12 +119,12 @@ func TestEngineF32PredictZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(Config{NewScorer: newScorer, Precision: PrecisionF32, Workers: 1, MaxBatch: 8})
+	eng, err := New(Config{NewScorer: newScorer, Precision: PrecisionF32, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	eng.Predict(rows[0]) // warm pool + arena
+	eng.Predict(rows[0]) // warm the arena
 	if n := testing.AllocsPerRun(50, func() { eng.Predict(rows[0]) }); n > 0 {
 		t.Fatalf("f32 Predict allocates %v per call in steady state, want 0", n)
 	}

@@ -11,7 +11,7 @@ import (
 // trained Network. The plain inference path (Forward with train=false)
 // allocates a fresh output matrix per layer per call so that it is safe from
 // any number of goroutines; at a 20 Hz streaming rate — or thousands of
-// requests per second through the batched serving engine — that garbage
+// requests per second through the serving engine — that garbage
 // dominates the actual arithmetic. An Arena instead owns one scratch matrix
 // per layer, keyed by that layer's output shape, and re-runs every pass
 // through them: after the first call at a given batch size a steady-state
@@ -27,8 +27,8 @@ import (
 // the elementwise activation arithmetic are exactly the same, only the
 // destination memory differs. TestArenaBitIdentical enforces this.
 //
-// An Arena is NOT safe for concurrent use: it is a per-goroutine (in the
-// serving engine: per-worker) resource. The underlying Network's weights are
+// An Arena is NOT safe for concurrent use: one goroutine holds it at a time
+// (the serving engine lends each of its arenas to one caller at a time). The underlying Network's weights are
 // only read, so any number of arenas may share one trained network, and
 // arena inference may run concurrently with the allocating inference path.
 // Do not run training on the network while arenas are in flight.
@@ -95,7 +95,7 @@ func (a *Arena) Forward(x *tensor.Matrix) *tensor.Matrix {
 				panic(fmt.Sprintf("nn: Dense(%d→%d) got input width %d", t.In, t.Out, cur.Cols))
 			}
 			a.scratch[i] = tensor.EnsureShape(a.scratch[i], cur.Rows, t.Out)
-			// Serial matmul: the arena's owner (a serving-engine worker, a
+			// Serial matmul: the arena's holder (a serving-engine caller, a
 			// stream loop) is the unit of parallelism; fanning out here would
 			// oversubscribe cores and allocate, breaking the zero-alloc
 			// guarantee. Bit-identical to the parallel path.

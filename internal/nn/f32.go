@@ -26,8 +26,8 @@ var quantI8 = cpukit.Active() == cpukit.KernelAVX2
 //     loading a serialised one produce bit-identical scorers;
 //   - NetworkI8 additionally quantises each Dense layer's weights to int8
 //     with one symmetric per-layer scale (activations stay float32);
-//   - ArenaF32 / ArenaI8 are the per-worker forward workspaces, mirroring
-//     Arena's contract: zero steady-state allocations, batch and single-row
+//   - ArenaF32 / ArenaI8 are the forward workspaces (one holder at a time),
+//     mirroring Arena's contract: zero steady-state allocations, batch and single-row
 //     paths bit-identical to each other, safe to share one network across
 //     any number of arenas.
 //

@@ -133,7 +133,7 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // SetMax raises the gauge to v if v exceeds the current value — the
-// high-water-mark idiom (e.g. largest micro-batch coalesced so far).
+// high-water-mark idiom (e.g. the longest backoff slept so far).
 func (g *Gauge) SetMax(v float64) {
 	if g == nil {
 		return

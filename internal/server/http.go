@@ -95,7 +95,10 @@ type IngestResponse struct {
 type FeedInfo struct {
 	ID         string `json:"id"`
 	QueueDepth int    `json:"queue_depth"`
-	Decisions  int64  `json:"decisions"`
+	// Decisions counts the decisions published so far (the latest
+	// decision's seq + 1). It trails the frames accepted by whatever is
+	// still queued or being replayed.
+	Decisions int64 `json:"decisions"`
 	// ModelVersion is the version behind the feed's latest primary
 	// decision; PinnedModel is its registry pin, if any. Both are empty on
 	// registry-less servers.
@@ -120,7 +123,9 @@ type DriftStatus struct {
 func (s *Server) feedInfo(f *feed) FeedInfo {
 	info := FeedInfo{ID: f.id, QueueDepth: s.cfg.QueueDepth}
 	f.mu.Lock()
-	info.Decisions = int64(f.nextIndex)
+	if f.haveLast {
+		info.Decisions = f.last.Seq + 1
+	}
 	info.ModelVersion = f.lastVer
 	if f.drift != nil {
 		st := f.drift.State()

@@ -215,6 +215,10 @@ func TestSwapAtomicity(t *testing.T) {
 		c.Models = reg
 		c.BuildModel = parseConstModel
 		c.QueueDepth = 4096
+		// The stream is read only after all frames are in: the subscriber
+		// buffer must hold every event, or a lagging stream handler shows
+		// up as a seq gap that has nothing to do with the swap.
+		c.StreamBuffer = 1024
 	})
 	base := ts.URL
 
@@ -236,6 +240,16 @@ func TestSwapAtomicity(t *testing.T) {
 	defer resp.Body.Close()
 
 	const total = 600
+	ingestBatch := func(sent int) {
+		if _, ir, _ := ingest(t, base, "room", mkFrames(100, 1)); ir.Accepted != 100 {
+			t.Fatalf("ingest batch at %d accepted %d", sent, ir.Accepted)
+		}
+	}
+	// The first decision is made before any flip, so version A serves at
+	// least once however fast the flipper below runs: on a slow host all 40
+	// activations can finish before a single racing frame is decided.
+	ingestBatch(0)
+	latestEvent(t, base, "room", 0)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // flip A<->B as fast as the API allows, while frames flow
@@ -248,10 +262,8 @@ func TestSwapAtomicity(t *testing.T) {
 			activateModel(t, base, id)
 		}
 	}()
-	for sent := 0; sent < total; sent += 100 {
-		if _, ir, _ := ingest(t, base, "room", mkFrames(100, 1)); ir.Accepted != 100 {
-			t.Fatalf("ingest batch at %d accepted %d", sent, ir.Accepted)
-		}
+	for sent := 100; sent < total; sent += 100 {
+		ingestBatch(sent)
 	}
 	wg.Wait()
 

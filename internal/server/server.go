@@ -46,8 +46,8 @@ import (
 // zero field takes the stated default.
 type Config struct {
 	// Primary is the shared detector serving every feed's healthy path —
-	// typically a core.DetectorEngine so concurrent feeds coalesce into
-	// micro-batches. Required.
+	// typically a core.DetectorEngine so concurrent feeds share one model
+	// and a bounded set of forward arenas. Required.
 	Primary stream.Predictor
 	// Fallback, when non-nil, serves feeds whose env feed died (see
 	// stream.Config.Fallback).

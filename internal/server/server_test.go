@@ -317,6 +317,47 @@ func TestQueueFullReturns429(t *testing.T) {
 	})
 }
 
+// TestFeedInfoCountsPublishedDecisions: the listing's decisions field counts
+// decisions published, not frames accepted — with the predictor blocked it
+// trails the accepted count by the queued backlog and catches up only as
+// predictions are released.
+func TestFeedInfoCountsPublishedDecisions(t *testing.T) {
+	gate := make(chan struct{})
+	_, ts, _ := newTestServer(t, func(c *server.Config) {
+		c.Primary = gatePred{gate: gate}
+		c.QueueDepth = 8
+	})
+	cl := newClient(t, ts.URL)
+	ctx := context.Background()
+	if fi, err := cl.RegisterFeed(ctx, "room-d"); err != nil || fi.Decisions != 0 {
+		t.Fatalf("register: %+v %v, want 0 decisions", fi, err)
+	}
+	const accepted = 5
+	if n, err := cl.Ingest(ctx, "room-d", mkFrames(accepted, 0.9)); err != nil || n != accepted {
+		t.Fatalf("ingest: %d %v, want %d accepted", n, err, accepted)
+	}
+	decisions := func() int64 {
+		feeds, err := cl.ListFeeds(ctx)
+		if err != nil || len(feeds) != 1 {
+			t.Fatalf("list: %+v %v", feeds, err)
+		}
+		// Re-registering is the per-feed read of the same FeedInfo.
+		fi, err := cl.RegisterFeed(ctx, "room-d")
+		if err != nil || fi.Decisions != feeds[0].Decisions {
+			t.Fatalf("register reports %d decisions (%v), list reports %d", fi.Decisions, err, feeds[0].Decisions)
+		}
+		return fi.Decisions
+	}
+	if got := decisions(); got != 0 {
+		t.Fatalf("%d frames accepted, predictor blocked: decisions = %d, want 0", accepted, got)
+	}
+	gate <- struct{}{}
+	gate <- struct{}{}
+	waitFor(t, 2*time.Second, "two released decisions", func() bool { return decisions() == 2 })
+	close(gate)
+	waitFor(t, 2*time.Second, "decisions to catch up with accepted", func() bool { return decisions() == accepted })
+}
+
 // TestClientRidesOutBackpressure: the typed client turns the 429 + envelope
 // contract into "the whole batch lands": it advances past accepted prefixes
 // and honors the retry delay until every frame is in.

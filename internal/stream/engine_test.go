@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // TestRuntimeOnEngineBitIdentical is the rewiring guarantee: a Runtime
-// whose Predictors are served through the batched inference engine
-// (core.DetectorEngine) must emit exactly the decision sequence of a
+// whose Predictors are served through the inference engine
+// (core.DetectorEngine) — for any arena count, with dozens of runtimes
+// sharing the engines — must emit exactly the decision sequence of a
 // Runtime calling the detectors directly — same probabilities (bit for
 // bit), same labels, same mode transitions — across a faulty stream that
 // exercises imputation, fallback and recovery.
@@ -64,46 +66,68 @@ func TestRuntimeOnEngineBitIdentical(t *testing.T) {
 		wantDecs = append(wantDecs, direct.Process(f))
 	}
 
-	pe, err := core.NewDetectorEngine(primary, core.ServeConfig{Workers: 2, MaxBatch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pe.Close()
-	fe, err := core.NewDetectorEngine(fallback, core.ServeConfig{Workers: 2, MaxBatch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	servedReg := obs.NewRegistry()
-	engCfg := runCfg
-	engCfg.Primary = pe
-	engCfg.Fallback = fe
-	engCfg.Observer = servedReg
-	served, err := stream.New(engCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range frames {
-		got := served.Process(f)
-		if got != wantDecs[i] {
-			t.Fatalf("frame %d: engine-served decision %+v != direct %+v", i, got, wantDecs[i])
+	for _, workers := range []int{1, 2, 8} {
+		pe, err := core.NewDetectorEngine(primary, core.ServeConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, name := range []string{
-		"stream_frames_total", "stream_primary_frames_total",
-		"stream_fallback_frames_total", "stream_held_frames_total",
-		"stream_csi_imputed_total", "stream_env_imputed_total",
-		"stream_degradations_total", "stream_recoveries_total",
-		"stream_flips_total",
-	} {
-		dv := directReg.Counter(name, "").Value()
-		sv := servedReg.Counter(name, "").Value()
-		if dv != sv {
-			t.Errorf("%s diverges: direct %d != engine-served %d", name, dv, sv)
+		fe, err := core.NewDetectorEngine(fallback, core.ServeConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if direct.FirstFallbackFrame() != served.FirstFallbackFrame() {
-		t.Fatalf("first fallback frame diverges: direct %d != engine-served %d",
-			direct.FirstFallbackFrame(), served.FirstFallbackFrame())
+		// Two dozen runtimes share the two engines, as feeds share them in
+		// the server; runtime 0 carries the registry the counters are
+		// compared through.
+		const runtimes = 24
+		servedReg := obs.NewRegistry()
+		var firstFallback int
+		var wg sync.WaitGroup
+		for r := 0; r < runtimes; r++ {
+			engCfg := runCfg
+			engCfg.Primary = pe
+			engCfg.Fallback = fe
+			engCfg.Observer = nil
+			if r == 0 {
+				engCfg.Observer = servedReg
+			}
+			served, err := stream.New(engCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i, f := range frames {
+					if got := served.Process(f); got != wantDecs[i] {
+						t.Errorf("workers=%d runtime %d frame %d: engine-served decision %+v != direct %+v",
+							workers, r, i, got, wantDecs[i])
+						return
+					}
+				}
+				if r == 0 {
+					firstFallback = served.FirstFallbackFrame()
+				}
+			}(r)
+		}
+		wg.Wait()
+		pe.Close()
+		fe.Close()
+		for _, name := range []string{
+			"stream_frames_total", "stream_primary_frames_total",
+			"stream_fallback_frames_total", "stream_held_frames_total",
+			"stream_csi_imputed_total", "stream_env_imputed_total",
+			"stream_degradations_total", "stream_recoveries_total",
+			"stream_flips_total",
+		} {
+			dv := directReg.Counter(name, "").Value()
+			sv := servedReg.Counter(name, "").Value()
+			if dv != sv {
+				t.Errorf("workers=%d: %s diverges: direct %d != engine-served %d", workers, name, dv, sv)
+			}
+		}
+		if direct.FirstFallbackFrame() != firstFallback {
+			t.Fatalf("workers=%d: first fallback frame diverges: direct %d != engine-served %d",
+				workers, direct.FirstFallbackFrame(), firstFallback)
+		}
 	}
 }

@@ -22,7 +22,7 @@ package tensor
 // therefore changes the *traversal* order (which (i,j,k) triples run when)
 // but never the *accumulation* order within an element, so results are bit
 // for bit identical to the flat kernel — the property every determinism
-// guarantee in this repo (parallel grid, robustness sweep, batched serving)
+// guarantee in this repo (parallel grid, robustness sweep, concurrent serving)
 // is built on. TestMatMulBlockedBitIdentical enforces it.
 
 const (

@@ -286,8 +286,8 @@ func matmulRange(dst, a, b *Matrix, lo, hi int) {
 // calling goroutine only — same kernels and cache-blocking dispatch as
 // MatMul, bit-identical output, but no goroutine fan-out and no closure
 // allocation. This is the variant for callers that already own their
-// parallelism (one serving-engine worker per core, each with a private
-// arena): fanning out inside the matmul there would oversubscribe the
+// parallelism (serving-engine callers, each holding a private arena while
+// it scores): fanning out inside the matmul there would oversubscribe the
 // machine, and the closure the parallel path allocates would break the
 // arena's zero-allocation guarantee.
 func MatMulSerial(dst, a, b *Matrix) *Matrix {

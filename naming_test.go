@@ -21,7 +21,6 @@ var intoKernels = map[string]bool{
 	"MatMulF32":    true, // float32 mirror of MatMul
 	"Axpy":         true,
 	"Grad":         true, // nn.Loss contract
-	"ScoreBatch":   true, // infer.Scorer contract
 }
 
 // TestIntoNamingConvention enforces the repository's zero-allocation naming

@@ -6,8 +6,8 @@
 // is bit-identical to the internal path it wraps. The three entry points:
 //
 //   - Train / TrainFromCSV / Load give you a *Detector;
-//   - Detector.Score (or NewEngine for batched, multi-feed scoring) turns a
-//     Sample into a Result;
+//   - Detector.Score (or NewEngine for allocation-free, multi-feed scoring)
+//     turns a Sample into a Result;
 //   - Serve (or NewServer) exposes the detector as the multi-tenant network
 //     service implemented by internal/server.
 //
@@ -213,8 +213,8 @@ func (d *Detector) Save(path string) error { return d.det.SaveFile(path) }
 func (d *Detector) Features() string { return d.det.Features.String() }
 
 // Score classifies one sample on the direct single-record path. For many
-// concurrent callers sharing one detector, use NewEngine — it batches and is
-// bit-identical to this path.
+// concurrent callers sharing one detector, use NewEngine — it does not
+// allocate and is bit-identical to this path.
 func (d *Detector) Score(s Sample) (Result, error) {
 	rec, err := s.record()
 	if err != nil {
@@ -234,8 +234,8 @@ func (d *Detector) PredictRecord(r *dataset.Record) (float64, int) {
 // bit-identical to Detector.Score and the default; PrecisionF32 serves
 // through float32 arenas (the fast path); PrecisionI8 serves int8-quantised
 // weights (the small path). Reduced precisions keep scoring deterministic —
-// a sample's probability never depends on batching — but diverge boundedly
-// from the f64 reference (see DESIGN.md §12).
+// a sample's probability never depends on what else is being scored — but
+// diverge boundedly from the f64 reference (see DESIGN.md §12).
 const (
 	PrecisionF64 = "f64"
 	PrecisionF32 = "f32"
@@ -259,13 +259,11 @@ func KernelDescription() string { return cpukit.Describe() }
 // fatal at startup rather than silently serving slower than asked.
 func KernelError() error { return cpukit.SelectionError() }
 
-// EngineConfig controls NewEngine. The zero value is sensible: one worker
-// per core, micro-batches of up to 256 rows, float64 scoring.
+// EngineConfig controls NewEngine. The zero value is sensible: one forward
+// arena per core, float64 scoring.
 type EngineConfig struct {
-	// Workers is the number of inference goroutines (0: one per core).
+	// Workers is how many callers can score at once (0: one per core).
 	Workers int
-	// MaxBatch caps one micro-batch (0: 256).
-	MaxBatch int
 	// Precision selects the scorer arithmetic: PrecisionF64 (default),
 	// PrecisionF32 or PrecisionI8.
 	Precision string
@@ -277,8 +275,8 @@ type EngineConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c EngineConfig) Validate() error {
-	if c.Workers < 0 || c.MaxBatch < 0 {
-		return fmt.Errorf("occupancy: negative engine sizes (workers %d, batch %d)", c.Workers, c.MaxBatch)
+	if c.Workers < 0 {
+		return fmt.Errorf("occupancy: negative engine workers %d", c.Workers)
 	}
 	if _, err := infer.ParsePrecision(c.Precision); err != nil {
 		return err
@@ -286,25 +284,22 @@ func (c EngineConfig) Validate() error {
 	return nil
 }
 
-// Engine serves one detector to many concurrent callers through the batched
-// inference engine: requests arriving together coalesce into micro-batches,
-// with results bit-identical to Detector.Score.
+// Engine serves one detector to many concurrent callers through the
+// inference engine: each call scores on its own goroutine with one of a
+// bounded set of preallocated arenas, with results bit-identical to
+// Detector.Score.
 type Engine struct {
 	eng *core.DetectorEngine
 	reg *obs.Registry
 }
 
-// NewEngine wraps the detector in a batched serving engine. Close it when
-// done.
+// NewEngine wraps the detector in a serving engine. Close it when done.
 func NewEngine(d *Detector, cfg EngineConfig) (*Engine, error) {
 	if d == nil {
 		return nil, errNilDetector
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 256
 	}
 	observer := cfg.Observer
 	if observer == nil {
@@ -313,7 +308,6 @@ func NewEngine(d *Detector, cfg EngineConfig) (*Engine, error) {
 	reg, _ := observer.(*obs.Registry)
 	eng, err := core.NewDetectorEngine(d.det, core.ServeConfig{
 		Workers:   cfg.Workers,
-		MaxBatch:  cfg.MaxBatch,
 		Precision: cfg.Precision,
 		Observer:  observer,
 	})
@@ -323,7 +317,7 @@ func NewEngine(d *Detector, cfg EngineConfig) (*Engine, error) {
 	return &Engine{eng: eng, reg: reg}, nil
 }
 
-// Score classifies one sample through the shared batch engine.
+// Score classifies one sample through the shared engine.
 func (e *Engine) Score(s Sample) (Result, error) {
 	rec, err := s.record()
 	if err != nil {
@@ -348,7 +342,8 @@ func (e *Engine) Requests() int64 {
 	return e.reg.Counter("infer_requests_total", "").Value()
 }
 
-// Close shuts the engine's workers down.
+// Close waits for in-flight scores and retires the engine; scoring
+// afterwards panics.
 func (e *Engine) Close() { e.eng.Close() }
 
 var errNilDetector = errors.New("occupancy: nil detector")

@@ -30,9 +30,8 @@ type ServeConfig struct {
 	// has died; train it with FeaturesCSI.
 	Fallback *Detector
 
-	// Workers / MaxBatch size the shared inference engine (see EngineConfig).
-	Workers  int
-	MaxBatch int
+	// Workers sizes the shared inference engines (see EngineConfig).
+	Workers int
 	// Precision selects the scorer arithmetic for both the primary and the
 	// fallback engine: PrecisionF64 (default), PrecisionF32 or PrecisionI8
 	// (see EngineConfig.Precision).
@@ -234,9 +233,6 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 256
-	}
 
 	// Every node serves its detector bundle on /v1/model (and the version
 	// registry) so a cluster can verify (by SHA-256 on /v1/cluster) that
@@ -264,7 +260,7 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	}
 
 	reg := obs.NewRegistry()
-	ecfg := core.ServeConfig{Workers: cfg.Workers, MaxBatch: cfg.MaxBatch, Precision: cfg.Precision, Observer: reg}
+	ecfg := core.ServeConfig{Workers: cfg.Workers, Precision: cfg.Precision, Observer: reg}
 	primary, err := core.NewDetectorEngine(d.det, ecfg)
 	if err != nil {
 		return nil, err
