@@ -45,7 +45,7 @@ import (
 //
 // With an empty -target the harness boots the whole cluster in-process;
 // with -target it drives a real occuserve cluster (scripts/cluster_smoke.sh)
-// and takes membership — and the reference weights, via /v1/model — from
+// and takes membership — and the reference weights, via /v1/models — from
 // the cluster itself.
 
 // harnessNode is one serving node under test; srv is nil for external nodes.
@@ -58,7 +58,7 @@ type harnessNode struct {
 // runClusterMode drives a sharded cluster of n nodes (external: taken from
 // the target's shard map) with a mid-run drain of drainID.
 func runClusterMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers int,
-	seed int64, n int, drainID, target string, reg *obs.Registry) {
+	n int, drainID, target string, reg *obs.Registry) {
 
 	ctx := context.Background()
 	half := perFeed / 2
@@ -107,7 +107,6 @@ func runClusterMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, w
 				Primary:        eng,
 				PrimaryUsesEnv: det.Features != dataset.FeatCSI,
 				StreamBuffer:   perFeed,
-				Seed:           seed,
 				Observer:       reg,
 				// Durability is what makes handoff possible: the sealed log
 				// of a drained node is the authoritative accepted-frame

@@ -63,9 +63,9 @@ func newLoadClient(target string, feeds int) *occupancy.Client {
 // (?all=1) and requires the event sequence to match, bit for bit in P, a
 // local stream.Runtime replaying the same frames over the direct detector
 // path. With -target it load-drives an external server; when that server is
-// cluster-configured its served weights are by construction the /v1/model
-// bundle, so the harness fetches the bundle and verifies against it too.
-func runHTTPMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers int, seed int64, target string, reg *obs.Registry) {
+// cluster-configured its served weights are by construction the active
+// /v1/models bundle, so the harness fetches it and verifies against it too.
+func runHTTPMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, workers int, target string, reg *obs.Registry) {
 	ctx := context.Background()
 	inProcess := target == ""
 	var srv *server.Server
@@ -80,7 +80,6 @@ func runHTTPMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, work
 			// events dropped" a hard guarantee, so any divergence is the
 			// server's fault, not the harness's.
 			StreamBuffer: perFeed,
-			Seed:         seed,
 			Observer:     reg,
 		})
 		fail(err)
@@ -139,9 +138,9 @@ func runHTTPMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, work
 	fmt.Printf("loadgen: http stats: %d events streamed, %d seq gaps\n", events.Load(), gaps.Load())
 	if inProcess {
 		count := func(name string) int64 { return reg.Counter(name, "").Value() }
-		fmt.Printf("loadgen: server stats: %d ingested, %d rejected queue-full, %d decisions, %d events dropped\n",
-			count("server_frames_ingested_total"), count("server_rejected_queue_full_total"),
-			count("server_decisions_total"), count("server_stream_events_dropped_total"))
+		fmt.Printf("loadgen: server stats: %d ingested, %d decisions, %d events dropped\n",
+			count("server_frames_ingested_total"), count("server_decisions_total"),
+			count("server_stream_events_dropped_total"))
 	}
 	if verify {
 		if n := diverged.Load(); n != 0 {

@@ -138,9 +138,9 @@ func main() {
 
 	if *httpRun {
 		if *clusterN > 0 {
-			runClusterMode(det, recs, *feeds, *perFeed, *workers, *seed, *clusterN, *drainNode, *target, reg)
+			runClusterMode(det, recs, *feeds, *perFeed, *workers, *clusterN, *drainNode, *target, reg)
 		} else {
-			runHTTPMode(det, recs, *feeds, *perFeed, *workers, *seed, *target, reg)
+			runHTTPMode(det, recs, *feeds, *perFeed, *workers, *target, reg)
 		}
 		return
 	}

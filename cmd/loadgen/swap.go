@@ -72,7 +72,6 @@ func runSwapMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, epoc
 		StreamBuffer: perFeed + 8,
 		Durability:   occupancy.DurabilityConfig{Dir: logDir, Fsync: "off"},
 		Drift:        occupancy.DriftConfig{Baseline: 64, Window: 32},
-		Seed:         seed,
 	})
 	fail(err)
 	runCtx, stop := context.WithCancel(ctx)

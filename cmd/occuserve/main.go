@@ -6,8 +6,8 @@
 // The API (the full reference is API.md; see also DESIGN.md §11 and §15):
 //
 //	PUT    /v1/feeds/{id}            register a feed
-//	POST   /v1/feeds/{id}/frames     batch-ingest CSI frames (429 + Retry-After
-//	                                 on backpressure)
+//	POST   /v1/feeds/{id}/frames     batch-ingest CSI frames: 202 = logged and
+//	                                 decided (429 + Retry-After when rate-limited)
 //	GET    /v1/feeds/{id}/occupancy  latest decision
 //	GET    /v1/feeds/{id}/stream     NDJSON decision stream
 //	GET    /v1/feeds/{id}/log        dump a drained feed's durable frame log
@@ -20,18 +20,17 @@
 //	POST   /v1/models/activate       atomically hot-swap the active version
 //	GET    /v1/models/{version}      fetch an installed bundle by sha256
 //	PUT    /v1/feeds/{id}/model      pin a feed to a version (A/B); DELETE unpins
-//	GET    /v1/model                 legacy alias: the active version's bundle
 //	GET    /healthz, /readyz         liveness / readiness
 //	GET    /metrics, /debug/pprof/   observability
 //
 // SIGINT/SIGTERM drains gracefully: /readyz flips to 503 and new work is
-// rejected first, queued frames finish their decisions, then the listener
-// closes.
+// rejected first, every feed closes behind the batch it has in flight, then
+// the listener closes.
 //
 // Usage:
 //
 //	occuserve [-addr :8080] [-model detector.bin] [-epochs n]
-//	          [-queue n] [-max-feeds n] [-rate-limit hz] [-idle-timeout d]
+//	          [-max-feeds n] [-rate-limit hz] [-idle-timeout d]
 //	          [-stream-buffer n]
 //	          [-workers n] [-precision f64|f32|int8]
 //	          [-log-dir dir] [-fsync always|interval|off] [-fsync-interval d]
@@ -93,13 +92,12 @@ func main() {
 		epochs    = flag.Int("epochs", 5, "training epochs for the on-the-fly detector (ignored with -model)")
 		workers   = flag.Int("workers", 0, "inference engine arenas, i.e. concurrent scores (0 = one per core)")
 		precision = flag.String("precision", "f64", "inference arithmetic: f64 (bit-exact reference), f32 (fast) or int8 (small)")
-		queue     = flag.Int("queue", 0, "per-feed ingest queue depth (0 = default 256)")
 		maxFeeds  = flag.Int("max-feeds", 0, "concurrent feed cap (0 = default 1024)")
 		rate      = flag.Float64("rate-limit", 0, "per-feed ingest rate limit in frames/sec (0 = unlimited)")
 		idle      = flag.Duration("idle-timeout", 0, "evict feeds idle this long (0 = default 2m, negative = never)")
 		streamBuf = flag.Int("stream-buffer", 0, "per-subscriber decision stream buffer (0 = default 256)")
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-		seed      = flag.Int64("seed", 42, "per-feed jitter seed")
+		seed      = flag.Int64("seed", 42, "training seed for the on-the-fly detector (ignored with -model)")
 
 		driftBaseline    = flag.Int("drift-baseline", 0, "drift: baseline sample count (0 = default 512; any -drift-* flag enables detection)")
 		driftWindow      = flag.Int("drift-window", 0, "drift: tumbling evaluation window size (0 = default 256)")
@@ -170,13 +168,11 @@ func main() {
 		Fallback:     fallback,
 		Workers:      *workers,
 		Precision:    *precision,
-		QueueDepth:   *queue,
 		MaxFeeds:     *maxFeeds,
 		RatePerSec:   *rate,
 		IdleTimeout:  *idle,
 		StreamBuffer: *streamBuf,
 		DrainTimeout: *drain,
-		Seed:         *seed,
 		Durability: occupancy.DurabilityConfig{
 			Dir:           *logDir,
 			Fsync:         *fsync,

@@ -719,61 +719,6 @@ func TestSyncFailureLatchesWriter(t *testing.T) {
 	}
 }
 
-// TestHoldRetentionDefersCap pins the recovery-replay guard: while
-// retention is held, rotations retire nothing (every logged frame stays
-// replayable); releasing applies the cap immediately and it stays enforced
-// afterwards.
-func TestHoldRetentionDefersCap(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Fsync: FsyncOff, SegmentMaxBytes: int64(segHeaderLen + 4*recordLen), MaxSegments: 2}
-	w, _, err := Open(cfg, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.HoldRetention()
-	appendN(t, w, 0, 40)
-	segs, err := listSegments(feedDir(dir, "f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) <= cfg.MaxSegments {
-		t.Fatalf("hold did not defer retention: %d segments", len(segs))
-	}
-	if got := replayAll(t, dir, "f"); len(got) != 40 {
-		t.Fatalf("replay under hold: %d frames, want all 40", len(got))
-	}
-	if err := w.ReleaseRetention(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err = listSegments(feedDir(dir, "f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) > cfg.MaxSegments {
-		t.Fatalf("release kept %d segments, cap %d", len(segs), cfg.MaxSegments)
-	}
-	appendN(t, w, 40, 5)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err = listSegments(feedDir(dir, "f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) > cfg.MaxSegments {
-		t.Fatalf("cap not enforced after release: %d segments", len(segs))
-	}
-	got := replayAll(t, dir, "f")
-	if len(got) == 0 || got[len(got)-1].Index != 44 {
-		t.Fatalf("retained suffix ends at %d, want 44", got[len(got)-1].Index)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Index != got[i-1].Index+1 {
-			t.Fatalf("retained indices not contiguous at %d", i)
-		}
-	}
-}
-
 // TestReplayToleratesSegmentRetiredMidReplay emulates the race between an
 // offline replay and a live writer's retention cap: a segment listed at
 // replay start is deleted before the replay reads it. The replay must skip

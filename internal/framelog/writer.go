@@ -62,8 +62,6 @@ type Writer struct {
 	// past an unknown on-disk state could bury torn bytes mid-segment and
 	// turn a repairable tail into ErrCorrupt at the next Open.
 	failed bool
-	// holdRetention suspends the MaxSegments cap (see HoldRetention).
-	holdRetention bool
 	// wrap, when non-nil, wraps each newly created segment file; tests use
 	// it to inject write and sync failures mid-stream.
 	wrap func(segFile) segFile
@@ -424,14 +422,7 @@ func (w *Writer) rotate() error {
 	}
 	w.segs = append(w.segs, w.seg)
 	w.m.rotations.Inc()
-	if w.holdRetention {
-		return nil
-	}
-	return w.applyRetention()
-}
-
-// applyRetention deletes the oldest segments beyond the MaxSegments cap.
-func (w *Writer) applyRetention() error {
+	// Retire the oldest segments beyond the MaxSegments cap.
 	max := w.cfg.MaxSegments
 	if max <= 0 {
 		return nil
@@ -445,20 +436,6 @@ func (w *Writer) applyRetention() error {
 		w.m.retired.Inc()
 	}
 	return nil
-}
-
-// HoldRetention suspends retention-cap deletions: segments still rotate,
-// but none is retired until ReleaseRetention. The serving layer holds
-// retention from Open until its recovery replay finishes, because the
-// replay reads the very segments a burst of live ingest could otherwise
-// rotate past the cap and delete out from under it.
-func (w *Writer) HoldRetention() { w.holdRetention = true }
-
-// ReleaseRetention re-enables the cap and immediately retires any excess
-// segments accumulated while it was held.
-func (w *Writer) ReleaseRetention() error {
-	w.holdRetention = false
-	return w.applyRetention()
 }
 
 // Flush forces everything appended so far to the device, whatever the fsync

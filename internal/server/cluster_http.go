@@ -141,10 +141,11 @@ func (s *Server) handleClusterPut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int64{"epoch": m.Epoch})
 }
 
-// handleDrain drains the node and blocks until every accepted frame has its
-// decision (or the client gives up — cancelling the request cancels the
-// wait, not the drain: the node stays in drain mode). Unbounded route: a
-// deep queue can take longer than RequestTimeout to decide.
+// handleDrain drains the node and answers once every feed is closed, which
+// is also when every accepted frame has its decision (or the client gives
+// up — cancelling the request stops the sweep between feeds, not the drain:
+// the node stays in drain mode). Unbounded route: on a node with many feeds
+// the batches in flight can take longer than RequestTimeout to finish.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if err := s.Drain(r.Context()); err != nil {
 		writeError(w, http.StatusInternalServerError, CodeDrainInterrupted, err.Error())
@@ -200,17 +201,4 @@ func (s *Server) handleFeedLog(w http.ResponseWriter, r *http.Request) {
 		return // stream already committed; the absent LogEOF line reports it
 	}
 	_ = enc.Encode(LogEOF{EOF: true, Frames: n})
-}
-
-// handleModel is the legacy alias for the active version's bundle (PR 9
-// shipped it before versions existed; -model-from still fetches it). It
-// shares writeModelBlob with GET /v1/models/{version}, so bundle
-// distribution has one code path whichever endpoint a client uses.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	v := s.activeVersion()
-	if v == nil {
-		writeError(w, http.StatusNotFound, CodeNoModel, "node serves no model artifact")
-		return
-	}
-	writeModelBlob(w, v)
 }

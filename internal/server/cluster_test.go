@@ -219,8 +219,8 @@ func TestShardMapEndpointEpochs(t *testing.T) {
 	}
 }
 
-// TestModelDistribution: a node serves its active model version on the
-// legacy /v1/model alias and reports its SHA-256 on /v1/cluster, so a
+// TestModelDistribution: a node serves its active model version to
+// Client.FetchModel and reports its SHA-256 on /v1/cluster, so a
 // cluster can prove weight identity before trusting placement-independent
 // decisions.
 func TestModelDistribution(t *testing.T) {

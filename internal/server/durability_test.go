@@ -3,13 +3,23 @@ package server_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/framelog"
 	"repro/internal/server"
+	"repro/internal/stream"
 )
 
 // durableFrames builds n frames whose first subcarrier walks a deterministic
@@ -114,29 +124,18 @@ func TestRecoveryBitIdenticalDecisions(t *testing.T) {
 		t.Fatalf("life A ingest: code=%d accepted=%d", code, ir.Accepted)
 	}
 	tsA.Close()
-	srvA.Close() // abrupt: queued frames may never reach the runtime
+	srvA.Close()
 
 	// Life B: recovery must replay all acknowledged frames and land on the
-	// reference's decision for frame half-1, bit for bit.
+	// reference's decision for frame half-1, bit for bit — and New returns
+	// only once it has, so the first read already sees it.
 	srvB, tsB, regB := newTestServer(t, durable)
 	if srvB.FeedCount() != 1 {
 		t.Fatalf("recovered %d feeds, want 1", srvB.FeedCount())
 	}
-	waitFor(t, 10*time.Second, "recovery replay", func() bool {
-		m, ok := regB.Snapshot().Get("server_frames_recovered_total")
-		return ok && m.Value == half
-	})
-	waitFor(t, 10*time.Second, "recovered decision", func() bool {
-		code, body, _ := doReq(t, http.MethodGet, tsB.URL+"/v1/feeds/room/occupancy", nil)
-		if code != http.StatusOK {
-			return false
-		}
-		var ev server.Event
-		if err := json.Unmarshal(body, &ev); err != nil {
-			return false
-		}
-		return ev.Seq == half-1
-	})
+	if got := regB.Counter("server_frames_recovered_total", "").Value(); got != half {
+		t.Fatalf("New returned with %d of %d frames replayed", got, half)
+	}
 	code, body, _ := doReq(t, http.MethodGet, tsB.URL+"/v1/feeds/room/occupancy", nil)
 	if code != http.StatusOK {
 		t.Fatalf("occupancy after recovery: %d", code)
@@ -164,8 +163,9 @@ func TestRecoveryBitIdenticalDecisions(t *testing.T) {
 }
 
 // TestReRegisterAfterCloseRecovers drives the same-process variant of
-// recovery: a feed whose queue was drained and closed re-registers and must
-// resume from its logged history with continuing indices.
+// recovery: a closed feed re-registers and must resume from its logged
+// history with continuing indices. The replay runs inside the PUT, so its
+// answer already counts the recovered decisions.
 func TestReRegisterAfterCloseRecovers(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, reg := newTestServer(t, func(c *server.Config) {
@@ -176,92 +176,94 @@ func TestReRegisterAfterCloseRecovers(t *testing.T) {
 		t.Fatalf("ingest: %d", code)
 	}
 	doReq(t, http.MethodDelete, ts.URL+"/v1/feeds/room", nil)
-	waitFor(t, 5*time.Second, "feed close", func() bool {
-		code, _, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room/occupancy", nil)
-		return code == http.StatusNotFound
-	})
+	if code, _, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room/occupancy", nil); code != http.StatusNotFound {
+		t.Fatalf("occupancy after the delete returned: %d, want 404", code)
+	}
 
-	doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
-	waitFor(t, 5*time.Second, "re-register replay", func() bool {
-		m, ok := reg.Snapshot().Get("server_frames_recovered_total")
-		return ok && m.Value == 8
-	})
+	code, body, _ := doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
+	var fi server.FeedInfo
+	if err := json.Unmarshal(body, &fi); code != http.StatusCreated || err != nil || fi.Decisions != 8 {
+		t.Fatalf("re-register: %d %s, want 201 with 8 decisions", code, body)
+	}
+	if got := reg.Counter("server_frames_recovered_total", "").Value(); got != 8 {
+		t.Fatalf("re-register replayed %d frames, want 8", got)
+	}
 	// New frames continue the logged index sequence.
 	if code, _, _ := ingest(t, ts.URL, "room", durableFrames(1, 8)); code != http.StatusAccepted {
 		t.Fatalf("post-recovery ingest: %d", code)
 	}
-	waitFor(t, 5*time.Second, "continued decision", func() bool {
-		code, body, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room/occupancy", nil)
-		if code != http.StatusOK {
-			return false
-		}
-		var ev server.Event
-		return json.Unmarshal(body, &ev) == nil && ev.Seq == 8
-	})
+	code, body, _ = doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room/occupancy", nil)
+	var ev server.Event
+	if err := json.Unmarshal(body, &ev); code != http.StatusOK || err != nil || ev.Seq != 8 {
+		t.Fatalf("continued decision: %d %s, want seq 8", code, body)
+	}
 }
 
-// TestTeardownAccountingAndDurableDrops wedges a feed's runtime, force-closes
-// the server with frames still queued, and checks the books balance:
+// TestTeardownAccountingAndDurableDrops: Close with a batch in flight. The
+// batch holds the feed lock inside its first prediction when Close arrives;
+// Close waits behind it, so the batch is acknowledged whole, the books
+// balance with nothing dropped —
 //
-//	ingested == decisions + dropped_teardown
+//	ingested == decisions
 //
-// and — because frames hit the log before the queue — a successor recovers
-// every acknowledged frame, including the ones dropped on teardown.
+// — and a successor recovers every acknowledged frame.
 func TestTeardownAccountingAndDurableDrops(t *testing.T) {
-	const queued = 32
+	const batch = 33
 	dir := t.TempDir()
-	gate := make(chan struct{})
+	g := newGatePred()
+	open := g.shut()
 	srv, ts, reg := newTestServer(t, func(c *server.Config) {
-		c.Primary = gatePred{gate: gate}
-		c.QueueDepth = queued + 4
+		c.Primary = g
 		c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff}
 	})
+	t.Cleanup(open)
 	doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
-	if code, ir, _ := ingest(t, ts.URL, "room", durableFrames(queued+1, 0)); code != http.StatusAccepted || ir.Accepted != queued+1 {
-		t.Fatalf("ingest: code=%d accepted=%d", code, ir.Accepted)
-	}
 
-	// Close cancels the feed contexts first, then waits; the runtime is
-	// wedged in the first prediction until the gate opens, after which the
-	// dead context halts the drain with frames still queued.
+	acked := make(chan int, 1)
+	go func() {
+		code, ir, _ := ingest(t, ts.URL, "room", durableFrames(batch, 0))
+		if code != http.StatusAccepted {
+			ir.Accepted = -code
+		}
+		acked <- ir.Accepted
+	}()
+	<-g.entered
 	closed := make(chan struct{})
 	go func() { srv.Close(); close(closed) }()
 	waitFor(t, 5*time.Second, "drain begins", srv.Draining)
-	time.Sleep(50 * time.Millisecond) // let Close cancel the feed context
-	close(gate)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a batch still held its feed")
+	case <-time.After(20 * time.Millisecond):
+	}
+	open()
+	if n := <-acked; n != batch {
+		t.Fatalf("in-flight batch: accepted %d (negative: status), want %d", n, batch)
+	}
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("server close wedged")
 	}
 
-	snap := reg.Snapshot()
-	get := func(name string) float64 {
-		t.Helper()
-		m, ok := snap.Get(name)
-		if !ok {
-			t.Fatalf("metric %s missing", name)
+	ingested := reg.Counter("server_frames_ingested_total", "").Value()
+	decisions := reg.Counter("server_decisions_total", "").Value()
+	if ingested != batch || decisions != ingested {
+		t.Fatalf("books do not balance: ingested=%d decisions=%d, want both %d", ingested, decisions, batch)
+	}
+	for _, m := range reg.Snapshot().Metrics {
+		if strings.Contains(m.Name, "teardown") {
+			t.Fatalf("series %s is still exposed", m.Name)
 		}
-		return m.Value
-	}
-	ingested := get("server_frames_ingested_total")
-	decisions := get("server_decisions_total")
-	dropped := get("server_frames_dropped_teardown_total")
-	if ingested != decisions+dropped {
-		t.Fatalf("books do not balance: ingested=%v decisions=%v dropped=%v", ingested, decisions, dropped)
-	}
-	if dropped == 0 {
-		t.Fatalf("expected teardown drops with a wedged runtime (ingested=%v decisions=%v)", ingested, decisions)
 	}
 
-	// Every acknowledged frame — dropped or not — recovers in the next life.
+	// Every acknowledged frame recovers in the next life, before New returns.
 	_, _, reg2 := newTestServer(t, func(c *server.Config) {
 		c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff}
 	})
-	waitFor(t, 10*time.Second, "successor replay", func() bool {
-		m, ok := reg2.Snapshot().Get("server_frames_recovered_total")
-		return ok && m.Value == queued+1
-	})
+	if got := reg2.Counter("server_frames_recovered_total", "").Value(); got != batch {
+		t.Fatalf("successor recovered %d frames, want %d", got, batch)
+	}
 }
 
 // TestDurabilityRejectsTraversalFeedIDs pins the feed-id validation against
@@ -280,13 +282,13 @@ func TestDurabilityRejectsTraversalFeedIDs(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplaySurvivesRetentionRotation pins the hold-retention wiring:
-// a feed recovering under a segment-retention cap is hit by a burst of live
-// ingest big enough to rotate the log well past the cap while the recovery
-// replay is still wedged on its first frame. Without the hold, retention
-// would delete the very segments the replay is reading and the feed would
-// die mid-recovery; with it, every recovered frame replays and the cap
-// catches up afterwards.
+// TestRecoveryReplaySurvivesRetentionRotation: a feed recovering under a
+// segment-retention cap is hit by a burst of live ingest big enough to
+// rotate the log well past the cap while its replay is still parked on the
+// first recovered frame. The replay holds the feed lock, so the burst waits,
+// lands after the recovered frames with continuing indices, and only then
+// rotates — no segment is retired under the replay, and the cap is enforced
+// afterwards.
 func TestRecoveryReplaySurvivesRetentionRotation(t *testing.T) {
 	dir := t.TempDir()
 	// 4 records per segment (8-byte segment header + 565-byte records),
@@ -295,40 +297,159 @@ func TestRecoveryReplaySurvivesRetentionRotation(t *testing.T) {
 		Dir: dir, Fsync: framelog.FsyncOff,
 		SegmentMaxBytes: 8 + 4*565, MaxSegments: 2,
 	}
-
-	// Life A: log 24 frames; the cap retains the last two segments
-	// (frames 16..23), which is what the successor must replay.
-	srvA, tsA, _ := newTestServer(t, func(c *server.Config) { c.Durability = small })
-	doReq(t, http.MethodPut, tsA.URL+"/v1/feeds/room", nil)
-	if code, ir, _ := ingest(t, tsA.URL, "room", durableFrames(24, 0)); code != http.StatusAccepted || ir.Accepted != 24 {
-		t.Fatalf("life A ingest: code=%d accepted=%d", code, ir.Accepted)
-	}
-	tsA.Close()
-	srvA.Close()
-
-	// Life B: wedge the replay on its first prediction, then ingest enough
-	// to rotate far past the cap before letting the replay proceed.
-	gate := make(chan struct{})
-	_, tsB, regB := newTestServer(t, func(c *server.Config) {
+	g := newGatePred()
+	_, ts, reg := newTestServer(t, func(c *server.Config) {
 		c.Durability = small
-		c.Primary = gatePred{gate: gate}
-		c.QueueDepth = 64
+		c.Primary = g
 	})
-	if code, ir, _ := ingest(t, tsB.URL, "room", durableFrames(24, 24)); code != http.StatusAccepted || ir.Accepted != 24 {
-		t.Fatalf("life B ingest: code=%d accepted=%d", code, ir.Accepted)
+
+	// First life of the feed: log 24 frames; the cap retains the last two
+	// segments (frames 16..23), which is what a re-register must replay.
+	doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
+	if code, ir, _ := ingest(t, ts.URL, "room", durableFrames(24, 0)); code != http.StatusAccepted || ir.Accepted != 24 {
+		t.Fatalf("first-life ingest: code=%d accepted=%d", code, ir.Accepted)
 	}
-	close(gate)
-	waitFor(t, 10*time.Second, "recovery replay under rotation", func() bool {
-		m, ok := regB.Snapshot().Get("server_frames_recovered_total")
-		return ok && m.Value == 8
-	})
-	// The feed survived and processed the recovered and the live frames.
-	waitFor(t, 10*time.Second, "post-recovery decisions", func() bool {
-		code, body, _ := doReq(t, http.MethodGet, tsB.URL+"/v1/feeds/room/occupancy", nil)
-		if code != http.StatusOK {
-			return false
+	doReq(t, http.MethodDelete, ts.URL+"/v1/feeds/room", nil)
+
+	// Second life: park the replay on its first prediction, issue the burst
+	// behind it, then let both through.
+	open := g.shut()
+	t.Cleanup(open)
+	registered := make(chan int, 1)
+	go func() {
+		code, _, _ := doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
+		registered <- code
+	}()
+	<-g.entered
+	burst := make(chan int, 1)
+	go func() {
+		code, ir, _ := ingest(t, ts.URL, "room", durableFrames(24, 24))
+		if code != http.StatusAccepted {
+			ir.Accepted = -code
 		}
-		var ev server.Event
-		return json.Unmarshal(body, &ev) == nil && ev.Seq == 47
+		burst <- ir.Accepted
+	}()
+	select {
+	case n := <-burst:
+		t.Fatalf("ingest overtook the replay it should wait behind (accepted %d)", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	open()
+	if code := <-registered; code != http.StatusCreated {
+		t.Fatalf("re-register: %d", code)
+	}
+	if n := <-burst; n != 24 {
+		t.Fatalf("burst behind the replay: accepted %d (negative: status), want 24", n)
+	}
+
+	if got := reg.Counter("server_frames_recovered_total", "").Value(); got != 8 {
+		t.Fatalf("replayed %d frames, want the 8 retained ones", got)
+	}
+	code, body, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room/occupancy", nil)
+	var ev server.Event
+	if err := json.Unmarshal(body, &ev); code != http.StatusOK || err != nil || ev.Seq != 47 {
+		t.Fatalf("final decision: %d %s, want seq 47", code, body)
+	}
+	segs, err := os.ReadDir(filepath.Join(dir, "room"))
+	if err != nil || len(segs) > small.MaxSegments {
+		t.Fatalf("retention cap not enforced after the replay: %d segments (%v), cap %d", len(segs), err, small.MaxSegments)
+	}
+}
+
+// TestConcurrentIngestMatchesLogReplay hammers one durable feed from 8
+// goroutines with 1- and 64-frame batches. Whatever order the batches win
+// the feed lock in is the order of the log, the indices and the stream at
+// once: seqs run 0..N-1 without a gap, accepted == ingested == decisions,
+// and a local stream.Runtime replaying the feed's log reproduces every
+// streamed P bit for bit.
+func TestConcurrentIngestMatchesLogReplay(t *testing.T) {
+	const (
+		senders = 8
+		rounds  = 6
+		total   = senders * rounds * (1 + 64)
+	)
+	dir := t.TempDir()
+	srv, ts, reg := newTestServer(t, func(c *server.Config) {
+		c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff}
+		c.StreamBuffer = total
+		c.SmootherNeed = 3
 	})
+	doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
+	ch, cancel := streamEvents(t, ts.URL, "room")
+	defer cancel()
+
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, n := range []int{1, 64} {
+					frames := durableFrames(n, g*1000+r*100)
+					frames[0].Dropped = r%2 == 1 // exercise CSI hold-over too
+					code, ir, _ := ingest(t, ts.URL, "room", frames)
+					if code != http.StatusAccepted {
+						t.Errorf("sender %d: status %d", g, code)
+					}
+					accepted.Add(int64(ir.Accepted))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	ingested := reg.Counter("server_frames_ingested_total", "").Value()
+	decisions := reg.Counter("server_decisions_total", "").Value()
+	if accepted.Load() != total || ingested != total || decisions != total {
+		t.Fatalf("accepted=%d ingested=%d decisions=%d, want all %d", accepted.Load(), ingested, decisions, total)
+	}
+	events := collect(t, ch, total)
+	srv.Close() // seal the log before reading it
+
+	rt, err := stream.New(stream.Config{Primary: ampPred{}, SmootherNeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := framelog.Replay(dir, "room", -1, func(fr fault.Frame) error {
+		d := rt.Process(fr)
+		ev := events[fr.Index]
+		if ev.Seq != int64(fr.Index) {
+			t.Fatalf("stream position %d carries seq %d", fr.Index, ev.Seq)
+		}
+		if math.Float64bits(ev.P) != math.Float64bits(d.P) || ev.State != d.State || ev.Flipped != d.Flipped ||
+			ev.Mode != d.Mode.String() || ev.CSIImputed != d.CSIImputed {
+			t.Fatalf("seq %d: streamed %+v, log replay decides %+v", fr.Index, ev, d)
+		}
+		return nil
+	})
+	if err != nil || n != total {
+		t.Fatalf("log replay: %d frames (%v), want %d", n, err, total)
+	}
+}
+
+// TestRegisterSpawnsNoGoroutines: a feed is state behind a lock, not a
+// goroutine. Requests go straight at the handler so no connection
+// goroutines blur the count.
+func TestRegisterSpawnsNoGoroutines(t *testing.T) {
+	srv, err := server.New(server.Config{Primary: ampPred{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 64; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/v1/feeds/idle-%02d", i), nil))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("register %d: %d", i, rec.Code)
+		}
+	}
+	// The timeout handler runs each request on a goroutine of its own, which
+	// may still be exiting after ServeHTTP has returned.
+	waitFor(t, 2*time.Second, "request goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+	if srv.FeedCount() != 64 {
+		t.Fatalf("%d feeds registered, want 64", srv.FeedCount())
+	}
 }

@@ -25,7 +25,6 @@ const (
 	CodeFeedEnded        = "feed_ended"        // 410: feed finished; stream unavailable
 	CodeFeedActive       = "feed_active"       // 409: log pull refused while the feed is live
 	CodeStaleEpoch       = "stale_epoch"       // 409: map epoch <= the installed one
-	CodeQueueFull        = "queue_full"        // 429: feed ingest queue is full
 	CodeRateLimited      = "rate_limited"      // 429: per-feed token bucket exhausted
 	CodeFeedLimit        = "feed_limit"        // 503: MaxFeeds reached
 	CodeDraining         = "draining"          // 503: node is draining; no new work

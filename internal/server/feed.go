@@ -13,15 +13,6 @@ import (
 	"repro/internal/stream"
 )
 
-// idleTimeoutReads is how many consecutive read timeouts evict a feed: the
-// stream runtime's dead-feed watchdog doubles as the server's idle-feed
-// eviction, so no separate janitor goroutine exists. Both the timed reads
-// and the capped backoff sleeps between them consume the idle budget, so
-// ReadTimeout is IdleTimeout/(2*idleTimeoutReads) and the backoff is capped
-// at one ReadTimeout — total time-to-eviction lands near IdleTimeout
-// (within the runtime's ±25% backoff jitter).
-const idleTimeoutReads = 8
-
 // Event is one decision as published to clients: the latest-decision read
 // and every NDJSON stream line carry exactly this shape. Seq is the frame
 // index the decision answers; consecutive events from a healthy subscriber
@@ -49,64 +40,70 @@ type subscriber struct {
 	all bool // every decision, not just transitions
 }
 
-// feed is one tenant: a bounded ingest queue feeding a dedicated
-// stream.Runtime, plus the latest decision and any live subscribers.
+// feed is one tenant: a lock around everything the room owns. There is no
+// goroutine and no queue behind it — ingest, recovery replay and close all
+// run to completion on the caller's goroutine while holding mu, so the
+// order in which callers win the lock is the feed's frame order, log order
+// and decision order at once.
 type feed struct {
-	id   string
-	srv  *Server
-	seed int64
+	id  string
+	srv *Server
 
-	// mu guards the ingest side (queue sends vs. closure, the frame
-	// index, the token bucket), the latest decision, and the subscriber
-	// set. Handlers must check closed under mu before sending, which is
-	// what makes "close the queue to drain" safe against concurrent
-	// producers: a send can never race the close.
-	mu        sync.Mutex
-	queue     chan fault.Frame
-	closed    bool // no further ingest (drain, unregister, or runtime end)
-	ended     bool // the runtime has finished; no further events will come
-	nextIndex int
-	tokens    float64
-	lastFill  time.Time
-	last      Event
-	haveLast  bool
-	subs      map[*subscriber]struct{}
+	// mu guards every field below. The server's table lock is never held
+	// while waiting for it (register locks a feed only before publishing
+	// it), so a long replay stalls its own feed and nothing else.
+	mu         sync.Mutex
+	rt         *stream.Runtime
+	closed     bool // ended: no ingest, no subscribers, log sealed, off the table
+	nextIndex  int
+	tokens     float64
+	lastFill   time.Time
+	lastActive time.Time // registration, end of replay, or last accepted frame
+	last       Event
+	haveLast   bool
+	subs       map[*subscriber]struct{}
 
 	// vp resolves the serving model version per prediction on
-	// registry-backed servers (nil otherwise); lastVer (under mu) is the
-	// version behind the most recent primary decision. drift, when
-	// configured, observes primary decision scores under mu and
-	// re-baselines on version changes.
+	// registry-backed servers (nil otherwise); lastVer is the version
+	// behind the most recent primary decision. drift, when configured,
+	// observes primary decision scores and re-baselines on version changes.
 	vp      *versionedPredictor
 	drift   *drift.Detector
 	lastVer string
 
 	// log is the feed's durable frame log (nil without durability). Appends
-	// happen under mu, ahead of the queue send, so the log order is exactly
-	// the accepted frame order. recoverN is how many frames run must replay
-	// from the log before consuming the queue.
-	log      *framelog.Writer
-	recoverN int
-
-	done chan struct{}
+	// happen under mu ahead of the decisions, so the log order is exactly
+	// the accepted frame order and an acknowledged frame is always
+	// replayable.
+	log *framelog.Writer
 }
 
-// newFeed builds the feed and validates its runtime configuration eagerly
-// so registration — not the first frame — reports a broken server config.
-// Callers hold s.mu.
-func (s *Server) newFeed(id string, seed int64) (*feed, error) {
+// newFeed builds the feed and its runtime without touching the disk, so
+// registration — not the first frame — reports a broken server config and
+// the table lock is never held across I/O.
+func (s *Server) newFeed(id string) (*feed, error) {
+	now := time.Now()
 	f := &feed{
-		id:       id,
-		srv:      s,
-		seed:     seed,
-		queue:    make(chan fault.Frame, s.cfg.QueueDepth),
-		tokens:   float64(s.cfg.Burst),
-		lastFill: time.Now(),
-		subs:     make(map[*subscriber]struct{}),
-		done:     make(chan struct{}),
+		id:         id,
+		srv:        s,
+		tokens:     float64(s.cfg.Burst),
+		lastFill:   now,
+		lastActive: now,
+		subs:       make(map[*subscriber]struct{}),
+	}
+	sc := stream.Config{
+		Primary:        s.cfg.Primary,
+		Fallback:       s.cfg.Fallback,
+		PrimaryUsesEnv: s.cfg.PrimaryUsesEnv,
+		MaxHoldGap:     s.cfg.MaxHoldGap,
+		WatchdogFrames: s.cfg.WatchdogFrames,
+		RecoverFrames:  s.cfg.RecoverFrames,
+		SmootherNeed:   s.cfg.SmootherNeed,
+		Observer:       s.cfg.Observer,
 	}
 	if s.cfg.Models != nil {
 		f.vp = &versionedPredictor{reg: s.cfg.Models, feed: id, def: s.cfg.Primary}
+		sc.Primary = f.vp
 	}
 	if s.cfg.Drift.Enabled() {
 		det, err := drift.New(s.cfg.Drift)
@@ -115,64 +112,48 @@ func (s *Server) newFeed(id string, seed int64) (*feed, error) {
 		}
 		f.drift = det
 	}
-	if _, err := stream.New(f.runtimeConfig()); err != nil {
+	rt, err := stream.New(sc)
+	if err != nil {
 		return nil, err
 	}
-	if s.cfg.Durability.Enabled() {
-		w, rec, err := framelog.Open(s.cfg.Durability, id)
-		if err != nil {
-			return nil, err
-		}
-		if rec.Frames > 0 {
-			// run's recovery replay is about to read these segments while
-			// live ingest may already be appending (and rotating) behind
-			// it; hold the retention cap until the replay is done so no
-			// segment it has yet to read gets retired underneath it.
-			w.HoldRetention()
-		}
-		f.log = w
-		f.recoverN = rec.Frames
-		f.nextIndex = rec.NextIndex
-	}
+	f.rt = rt
 	return f, nil
 }
 
-// runtimeConfig derives the per-feed stream configuration from the server
-// configuration. The idle watchdog maps onto the runtime's dead-feed
-// watchdog (see idleTimeoutReads).
-func (f *feed) runtimeConfig() stream.Config {
-	cfg := f.srv.cfg
-	sc := stream.Config{
-		Primary:        cfg.Primary,
-		Fallback:       cfg.Fallback,
-		PrimaryUsesEnv: cfg.PrimaryUsesEnv,
-		MaxHoldGap:     cfg.MaxHoldGap,
-		WatchdogFrames: cfg.WatchdogFrames,
-		RecoverFrames:  cfg.RecoverFrames,
-		SmootherNeed:   cfg.SmootherNeed,
-		Seed:           f.seed,
-		Observer:       cfg.Observer,
+// open opens the feed's log and replays what it holds through the fresh
+// runtime, rebuilding the exact decision state of the previous life. The
+// caller holds mu and has already published the feed, so ingest arriving
+// meanwhile waits on the lock and lands behind the recovered frames — and
+// nothing can append, rotate or retire a segment under the replay's feet.
+func (f *feed) open() error {
+	s := f.srv
+	w, rec, err := framelog.Open(s.cfg.Durability, f.id)
+	if err != nil {
+		return err
 	}
-	if f.vp != nil {
-		sc.Primary = f.vp
+	f.log = w
+	f.nextIndex = rec.NextIndex
+	if rec.Frames == 0 {
+		return nil
 	}
-	if cfg.IdleTimeout < 0 {
-		// Eviction disabled: keep the watchdog practically unreachable.
-		sc.ReadTimeout = time.Minute
-		sc.DeadFeedTimeouts = 1 << 30
-	} else {
-		sc.ReadTimeout = cfg.IdleTimeout / (2 * idleTimeoutReads)
-		sc.DeadFeedTimeouts = idleTimeoutReads
-		sc.BackoffInitial = sc.ReadTimeout / 4
-		sc.BackoffMax = sc.ReadTimeout
+	n, err := framelog.Replay(s.cfg.Durability.Dir, f.id, rec.Frames, func(fr fault.Frame) error {
+		f.decide(&fr)
+		s.m.framesRecovered.Inc()
+		return nil
+	})
+	if err == nil && n != rec.Frames {
+		err = fmt.Errorf("server: feed %q replayed %d of %d logged frames", f.id, n, rec.Frames)
 	}
-	return sc
+	f.lastActive = time.Now()
+	return err
 }
 
-// publish records one decision as the feed's latest and fans it out to the
-// subscribers. It is the single path events take, live or recovered.
-func (f *feed) publish(fr fault.Frame, d stream.Decision) {
+// decide runs one accepted frame through the runtime, records the decision
+// as the feed's latest and fans it out to the subscribers. It is the single
+// path frames take, live or recovered. Callers hold mu.
+func (f *feed) decide(fr *fault.Frame) {
 	s := f.srv
+	d := f.rt.Process(*fr)
 	ev := Event{
 		Seq:        int64(fr.Index),
 		Time:       fr.Rec.Time,
@@ -184,15 +165,12 @@ func (f *feed) publish(fr fault.Frame, d stream.Decision) {
 		CSIImputed: d.CSIImputed,
 		EnvImputed: d.EnvImputed,
 	}
-	primary := d.Mode == stream.ModePrimary
-	if f.vp != nil && primary {
-		// lastID was set by the prediction this decision came from; publish
-		// runs on the same goroutine, so the read is ordered after it.
-		ev.ModelVersion = f.vp.lastID
-	}
 	s.m.decisions.Inc()
-	f.mu.Lock()
-	if primary {
+	if d.Mode == stream.ModePrimary {
+		if f.vp != nil {
+			// lastID was set by the prediction this decision came from.
+			ev.ModelVersion = f.vp.lastID
+		}
 		if f.drift != nil {
 			if ev.ModelVersion != f.lastVer {
 				// A swap (or fallback recovery onto a new version) changes
@@ -227,114 +205,44 @@ func (f *feed) publish(fr fault.Frame, d stream.Decision) {
 			s.m.eventsDropped.Inc()
 		}
 	}
-	f.mu.Unlock()
 }
 
-// run owns the feed's runtime until the queue closes (drain/unregister),
-// the context dies, or the idle watchdog evicts it. With durability on, it
-// first replays the feed's logged frames through the runtime — rebuilding
-// the exact decision state of the previous life — before consuming live
-// ingest, whose frames queue up behind the replay in accepted order.
-func (f *feed) run(ctx context.Context) {
+// close ends the feed: ingest stops, the log is sealed (so the frames stay
+// durably replayable next start), every subscriber stream ends after the
+// events already buffered for it, and the feed leaves the routing table.
+// Whatever batch holds the lock finishes first, so every acknowledged frame
+// has its decision by the time close returns. A non-zero idleBefore makes
+// it an eviction: the feed is closed only if nothing was accepted since.
+// Idempotent.
+func (f *feed) close(idleBefore time.Time) {
 	s := f.srv
-	defer s.wg.Done()
-	defer close(f.done)
-
-	rt, err := stream.New(f.runtimeConfig())
-	if err == nil && f.recoverN > 0 {
-		var n int
-		n, err = framelog.Replay(s.cfg.Durability.Dir, f.id, f.recoverN, func(fr fault.Frame) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			f.publish(fr, rt.Process(fr))
-			s.m.framesRecovered.Inc()
-			return nil
-		})
-		if err == nil && n != f.recoverN {
-			err = fmt.Errorf("server: feed %q replayed %d of %d logged frames", f.id, n, f.recoverN)
-		}
-	}
-	if err != nil {
-		// newFeed validated the config and the log, so reaching here means
-		// the world changed underneath us (or a programming error); either
-		// way a dead feed must still leave the routing table.
-		s.remove(f)
-		f.teardown()
+	evict := !idleBefore.IsZero()
+	f.mu.Lock()
+	if f.closed || (evict && !f.lastActive.Before(idleBefore)) {
+		f.mu.Unlock()
 		return
 	}
-	if f.log != nil && f.recoverN > 0 {
-		// The replay is done with the old segments; let the retention cap
-		// catch up (appends run under mu, so the release must too). A
-		// deletion error just leaves extra segments for the next rotation.
-		f.mu.Lock()
-		_ = f.log.ReleaseRetention()
-		f.mu.Unlock()
-	}
-	err = rt.Run(ctx, f.queue, func(fr fault.Frame, d stream.Decision) error {
-		f.publish(fr, d)
-		return nil
-	})
-
-	if errors.Is(err, stream.ErrDeadFeed) {
+	f.shut()
+	f.mu.Unlock()
+	if evict {
 		s.m.feedsEvicted.Inc()
 	} else {
 		s.m.feedsClosed.Inc()
 	}
 	s.remove(f)
-	f.teardown()
 }
 
-// teardown ends the feed's serving life: it stops ingest (eviction and
-// context death leave the queue channel open, so producers must see the
-// closed flag), accounts for every accepted frame the runtime never
-// consumed — a clean drain leaves none; eviction, context death, and
-// replay failure may not — seals the log so those frames remain durably
-// replayable next start, and ends every subscriber stream.
-func (f *feed) teardown() {
-	f.mu.Lock()
+// shut is close's state change. Callers hold mu and take the feed off the
+// table afterwards.
+func (f *feed) shut() {
 	f.closed = true
-	f.mu.Unlock()
-	dropped := 0
-drain:
-	for {
-		select {
-		case _, ok := <-f.queue:
-			if !ok {
-				break drain
-			}
-			dropped++
-		default:
-			break drain
-		}
-	}
-	f.srv.m.droppedTeardown.Add(int64(dropped))
 	if f.log != nil {
 		_ = f.log.Close()
 	}
-	f.closeSubs()
-}
-
-// closeQueue stops ingest and lets the runtime drain the remaining frames.
-// Idempotent.
-func (f *feed) closeQueue() {
-	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		close(f.queue)
-	}
-	f.mu.Unlock()
-}
-
-// closeSubs ends every subscriber's stream and bars new ones.
-func (f *feed) closeSubs() {
-	f.mu.Lock()
-	f.ended = true
 	for sub := range f.subs {
 		close(sub.ch)
 	}
-	f.subs = make(map[*subscriber]struct{})
-	f.mu.Unlock()
+	f.subs = nil
 }
 
 // subscribe attaches an NDJSON client; false when the feed already ended
@@ -343,14 +251,14 @@ func (f *feed) subscribe(all bool) (*subscriber, bool) {
 	sub := &subscriber{ch: make(chan Event, f.srv.cfg.StreamBuffer), all: all}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.ended {
+	if f.closed {
 		return nil, false
 	}
 	f.subs[sub] = struct{}{}
 	return sub, true
 }
 
-// unsubscribe detaches a client (idempotent with closeSubs).
+// unsubscribe detaches a client (idempotent with close).
 func (f *feed) unsubscribe(sub *subscriber) {
 	f.mu.Lock()
 	delete(f.subs, sub)
@@ -364,47 +272,57 @@ func (f *feed) latest() (Event, bool) {
 	return f.last, f.haveLast
 }
 
-// ingestResult is the outcome of one batch enqueue.
+// ingestResult is the outcome of one batch.
 type ingestResult struct {
 	accepted int
 	rejected int
-	reason   string // "queue_full" | "rate_limited" | "" when all accepted
+	reason   string // CodeRateLimited | CodeLogError | "" when all accepted
 	retry    time.Duration
 }
 
-// enqueue pushes frames into the queue without ever blocking: the token
-// bucket is charged first, then each frame is offered with a non-blocking
-// send. The first limit hit stops the batch; accepted frames stay
-// accepted (they are already in the queue and will get decisions), the
-// rest are reported back for the client to retry. The second return is
-// false when the feed has ended.
+// Why ingest refused a batch outright (nothing accepted, nothing to retry
+// here).
+var (
+	errFeedClosed  = errors.New("feed is closed")
+	errRequestDead = errors.New("request expired before the feed accepted it")
+)
+
+// ingest runs one batch to completion under the feed lock: the token bucket
+// decides how many frames may enter, the accepted prefix is appended to the
+// log, and each accepted frame is decided and published before the call
+// returns — an acknowledged frame is logged *and* decided. The first limit
+// hit stops the batch; accepted frames stay accepted, the rest are reported
+// back for the client to retry.
 //
-// With durability on, the whole accepted prefix is appended to the log in
-// one batched write *before* any of it is made visible to the runtime, so
-// an accepted (2xx-acknowledged) frame is always replayable and the
-// durability tax is one syscall (plus at most one fsync) per ingest
-// request, not per frame. Capacity is decided first — all producers hold
-// f.mu and the consumer only drains, so len(queue) can't shrink the room
-// between the check and the sends — which keeps the log free of frames the
-// queue then rejects: log order is exactly the accepted frame order. A
-// failed batch append accepts exactly the prefix the log durably holds
-// (AppendBatch reports it) and rejects the rest: anything less and
-// recovery would replay frames the client was told to retry — duplicates
-// under colliding indices; anything more and an acknowledged frame would
-// be unreplayable. The failing chunk's torn bytes are truncated away by
-// the writer itself.
-func (f *feed) enqueue(frames []fault.Frame) (ingestResult, bool) {
+// ctx is the request's: a request that died while waiting for the lock
+// (RequestTimeout answered 503 for it, or the client hung up) is refused
+// whole, because the client was already told it failed and will retry —
+// accepting it now would duplicate the batch.
+//
+// With durability on, the whole accepted prefix is appended in one batched
+// write before any of it reaches the runtime, so the durability tax is one
+// syscall (plus at most one fsync) per request, not per frame. A failed
+// batch append accepts exactly the prefix the log durably holds
+// (AppendBatch reports it) and rejects the rest: anything less and recovery
+// would replay frames the client was told to retry — duplicates under
+// colliding indices; anything more and an acknowledged frame would be
+// unreplayable. The failing chunk's torn bytes are truncated away by the
+// writer itself.
+func (f *feed) ingest(ctx context.Context, frames []fault.Frame) (ingestResult, error) {
 	s := f.srv
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return ingestResult{}, false
+		return ingestResult{}, errFeedClosed
+	}
+	if ctx.Err() != nil {
+		return ingestResult{}, errRequestDead
 	}
 
+	now := time.Now()
 	allowed := len(frames)
 	var res ingestResult
 	if rate := s.cfg.RatePerSec; rate > 0 {
-		now := time.Now()
 		f.tokens += now.Sub(f.lastFill).Seconds() * rate
 		if burst := float64(s.cfg.Burst); f.tokens > burst {
 			f.tokens = burst
@@ -412,14 +330,9 @@ func (f *feed) enqueue(frames []fault.Frame) (ingestResult, bool) {
 		f.lastFill = now
 		if int(f.tokens) < allowed {
 			allowed = int(f.tokens)
-			res.reason = "rate_limited"
+			res.reason = CodeRateLimited
 			res.retry = time.Duration(float64(len(frames)-allowed) / rate * float64(time.Second))
 		}
-	}
-	if room := cap(f.queue) - len(f.queue); allowed > room {
-		allowed = room
-		res.reason = "queue_full"
-		res.retry = time.Second
 	}
 	for i := range frames[:allowed] {
 		frames[i].Index = f.nextIndex + i
@@ -427,25 +340,26 @@ func (f *feed) enqueue(frames []fault.Frame) (ingestResult, bool) {
 	if f.log != nil && allowed > 0 {
 		if n, err := f.log.AppendBatch(frames[:allowed]); err != nil {
 			allowed = n
-			res.reason = "log_error"
+			res.reason = CodeLogError
 			res.retry = time.Second
 		}
 	}
-	for i := range frames[:allowed] {
-		f.queue <- frames[i]
-	}
 	f.nextIndex += allowed
+	f.tokens -= float64(allowed)
 	res.accepted = allowed
-	f.tokens -= float64(res.accepted)
-	res.rejected = len(frames) - res.accepted
-	s.m.framesIngested.Add(int64(res.accepted))
+	res.rejected = len(frames) - allowed
+	s.m.framesIngested.Add(int64(allowed))
+	for i := range frames[:allowed] {
+		f.decide(&frames[i])
+	}
+	if allowed > 0 {
+		f.lastActive = now
+	}
 	switch res.reason {
-	case "queue_full":
-		s.m.rejQueueFull.Add(int64(res.rejected))
-	case "rate_limited":
+	case CodeRateLimited:
 		s.m.rejRateLimited.Add(int64(res.rejected))
-	case "log_error":
+	case CodeLogError:
 		s.m.rejLogError.Add(int64(res.rejected))
 	}
-	return res, true
+	return res, nil
 }

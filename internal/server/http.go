@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/csi"
@@ -30,8 +31,8 @@ type FrameJSON struct {
 	Dropped  bool      `json:"dropped,omitempty"`
 }
 
-// toFrame validates and converts one wire frame (Index is assigned at
-// enqueue time).
+// toFrame validates and converts one wire frame (Index is assigned under the
+// feed lock at ingest).
 func (fj *FrameJSON) toFrame() (fault.Frame, error) {
 	var f fault.Frame
 	f.Dropped = fj.Dropped
@@ -93,11 +94,10 @@ type IngestResponse struct {
 
 // FeedInfo describes one feed in registration and listing responses.
 type FeedInfo struct {
-	ID         string `json:"id"`
-	QueueDepth int    `json:"queue_depth"`
+	ID string `json:"id"`
 	// Decisions counts the decisions published so far (the latest
-	// decision's seq + 1). It trails the frames accepted by whatever is
-	// still queued or being replayed.
+	// decision's seq + 1). Ingest decides before it acknowledges, so this
+	// is also the number of frames accepted.
 	Decisions int64 `json:"decisions"`
 	// ModelVersion is the version behind the feed's latest primary
 	// decision; PinnedModel is its registry pin, if any. Both are empty on
@@ -121,7 +121,7 @@ type DriftStatus struct {
 
 // feedInfo snapshots one feed for the listing surface.
 func (s *Server) feedInfo(f *feed) FeedInfo {
-	info := FeedInfo{ID: f.id, QueueDepth: s.cfg.QueueDepth}
+	info := FeedInfo{ID: f.id}
 	f.mu.Lock()
 	if f.haveLast {
 		info.Decisions = f.last.Seq + 1
@@ -149,7 +149,7 @@ func (s *Server) feedInfo(f *feed) FeedInfo {
 // Handler returns the server's HTTP API (the full reference is API.md):
 //
 //	PUT    /v1/feeds/{id}            register a feed (idempotent)
-//	DELETE /v1/feeds/{id}            close a feed, draining its queue
+//	DELETE /v1/feeds/{id}            close a feed
 //	GET    /v1/feeds                 list local feeds
 //	POST   /v1/feeds/{id}/frames     batch-ingest CSI frames
 //	GET    /v1/feeds/{id}/occupancy  latest decision
@@ -166,8 +166,6 @@ func (s *Server) feedInfo(f *feed) FeedInfo {
 //	POST   /v1/models                install a candidate bundle (gated)
 //	POST   /v1/models/activate       atomically swap the active version
 //	GET    /v1/models/{version}      one installed version's bundle
-//	GET    /v1/model                 the active version's bundle (legacy alias
-//	                                 of GET /v1/models/{active})
 //	GET    /healthz                  process liveness
 //	GET    /readyz                   503 once draining
 //
@@ -201,7 +199,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/models/{version}", bounded(s.handleModelGet))
 	mux.Handle("PUT /v1/feeds/{id}/model", bounded(s.handleModelPin))
 	mux.Handle("DELETE /v1/feeds/{id}/model", bounded(s.handleModelUnpin))
-	mux.Handle("GET /v1/model", bounded(s.handleModel))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -236,13 +233,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.routed(w, r, id) {
 		return
 	}
-	if s.draining.Load() {
+	f, existed, err := s.register(id)
+	switch {
+	case errors.Is(err, errDraining):
 		s.m.rejDraining.Inc()
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "node is draining")
 		return
-	}
-	f, existed, err := s.register(id)
-	switch {
 	case errors.Is(err, errFeedLimit):
 		writeError(w, http.StatusServiceUnavailable, CodeFeedLimit, err.Error())
 		return
@@ -267,17 +263,12 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeUnknownFeed, "unknown feed")
 		return
 	}
-	f.closeQueue()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "closing"})
+	f.close(time.Time{})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	feeds := make([]*feed, 0, len(s.feeds))
-	for _, f := range s.feeds {
-		feeds = append(feeds, f)
-	}
-	s.mu.Unlock()
+	feeds := s.snapshot()
 	infos := make([]FeedInfo, 0, len(feeds))
 	for _, f := range feeds {
 		infos = append(infos, s.feedInfo(f))
@@ -318,9 +309,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, ok := f.enqueue(frames)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownFeed, "feed is closed")
+	res, err := f.ingest(r.Context(), frames)
+	switch {
+	case errors.Is(err, errFeedClosed):
+		writeError(w, http.StatusNotFound, CodeUnknownFeed, err.Error())
+		return
+	case err != nil:
+		// Nobody reads this: the timeout handler has answered already (or
+		// the client is gone). What matters is that nothing was accepted.
+		writeError(w, http.StatusServiceUnavailable, CodeTimeout, err.Error())
 		return
 	}
 	if res.rejected > 0 {
@@ -358,8 +355,9 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves the NDJSON decision stream. It is an unbounded route:
 // it runs until the client disconnects or the feed ends. Transitions only by
-// default; ?all=1 emits every decision (each line carries seq, so any drop
-// on a slow client is detectable as a gap).
+// default; ?all=1 (any strconv.ParseBool spelling) emits every decision —
+// each line carries seq, so any drop on a slow client is detectable as a
+// gap.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.routed(w, r, id) {
@@ -370,7 +368,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeUnknownFeed, "unknown feed")
 		return
 	}
-	all := r.URL.Query().Get("all") != ""
+	all := false
+	if v := r.URL.Query().Get("all"); v != "" {
+		var err error
+		if all, err = strconv.ParseBool(v); err != nil {
+			writeError(w, http.StatusBadRequest, CodeMalformedRequest, "all must be a boolean (1/0/true/false)")
+			return
+		}
+	}
 	sub, ok := f.subscribe(all)
 	if !ok {
 		writeError(w, http.StatusGone, CodeFeedEnded, "feed has ended")

@@ -33,13 +33,13 @@ func mlpPred() stream.Predictor {
 }
 
 // BenchmarkIngest measures the HTTP ingest path end to end — JSON decode,
-// validation, enqueue, decision — with and without the durable frame log,
+// validation, log append, decision — with and without the durable frame log,
 // so the durability tax is one diff: the per-frame delta between the
 // "durable-interval" and "volatile" lines is what DESIGN.md §13's <5%
 // overhead bound refers to. Each op is one 64-frame batch; divide ns/op by
 // 64 for the per-frame cost (also reported as frames/op). The "amp" cases
 // use a zero-cost predictor so the diff isolates the durability delta in
-// the worst light; the "mlp" cases put the paper MLP behind the queue — the
+// the worst light; the "mlp" cases put the paper MLP behind the feed — the
 // deployment shape the relative-overhead bound is stated against.
 func BenchmarkIngest(b *testing.B) {
 	const batch = 64
@@ -64,7 +64,7 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := server.Config{Primary: ampPred{}, QueueDepth: 4096}
+			cfg := server.Config{Primary: ampPred{}}
 			if tc.mod != nil {
 				tc.mod(&cfg)
 			}

@@ -58,20 +58,14 @@ func (s *Server) modelRegistry(w http.ResponseWriter) (*infer.Registry, bool) {
 	return s.cfg.Models, true
 }
 
-// activeVersion is the registry's active version, nil on registry-less
-// nodes (or before the first activation).
-func (s *Server) activeVersion() *infer.Version {
-	if s.cfg.Models == nil {
-		return nil
-	}
-	return s.cfg.Models.Active()
-}
-
-// activeModelSHA is the SHA-256 id of the active version ("" when none) —
-// what ClusterInfo advertises for the cluster's identical-weights check.
+// activeModelSHA is the SHA-256 id of the registry's active version ("" on
+// registry-less nodes or before the first activation) — what ClusterInfo
+// advertises for the cluster's identical-weights check.
 func (s *Server) activeModelSHA() string {
-	if v := s.activeVersion(); v != nil {
-		return v.ID()
+	if s.cfg.Models != nil {
+		if v := s.cfg.Models.Active(); v != nil {
+			return v.ID()
+		}
 	}
 	return ""
 }
@@ -158,9 +152,8 @@ func (s *Server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelGet serves one installed version's bundle by id —
-// GET /v1/models/{version}. GET /v1/model (the PR 9 endpoint) remains as a
-// legacy alias for the active version; both share writeModelBlob, so
-// -model-from distribution and the registry read one code path.
+// GET /v1/models/{version}, the single bundle-serving path (-model-from
+// distribution resolves the active id on GET /v1/models first).
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	reg, ok := s.modelRegistry(w)
 	if !ok {
@@ -171,12 +164,6 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeUnknownModel, "no such model version")
 		return
 	}
-	writeModelBlob(w, v)
-}
-
-// writeModelBlob is the single bundle-serving path (versioned endpoint and
-// legacy alias alike).
-func writeModelBlob(w http.ResponseWriter, v *infer.Version) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Model-SHA256", v.ID())
 	w.WriteHeader(http.StatusOK)

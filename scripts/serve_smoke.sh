@@ -2,13 +2,15 @@
 # serve_smoke.sh — end-to-end check of the network serving layer.
 #
 # Boots cmd/occuserve with a tiny on-the-fly model, polls /readyz, exercises
-# the feed lifecycle by hand (register, ingest, latest-decision read), then
+# the feed lifecycle by hand (register, ingest, and a latest-decision read
+# that must answer at once: 202 means decided), then
 # points cmd/loadgen -http -target at the live server to hammer it with
 # concurrent feeds (every non-2xx status fails the run; the bit-identity
 # divergence gate runs in loadgen's in-process mode, which the test job
 # covers, since it needs the server's exact weights), asserts a non-empty
-# /metrics exposition carrying the server_* series, and finally sends
-# SIGTERM and requires a clean drained exit 0.
+# /metrics exposition carrying the server_* series on which every ingested
+# frame has its decision, and finally sends SIGTERM and requires a clean
+# drained exit 0.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 19180)
 set -euo pipefail
@@ -47,7 +49,8 @@ fi
 echo "serve_smoke: server ready"
 
 # Feed lifecycle by hand: register must 201, ingest must accept the frame,
-# the latest-decision read must answer 200 once the decision lands.
+# and the very next latest-decision read must answer 200 — the 202 already
+# means the frame is decided, so there is nothing to poll for.
 code="$(curl -s -o /dev/null -w '%{http_code}' -X PUT "$base/v1/feeds/smoke")"
 if [ "$code" != 201 ]; then
   echo "serve_smoke: PUT /v1/feeds/smoke returned $code, want 201" >&2
@@ -60,20 +63,12 @@ if ! printf '%s' "$resp" | grep -q '"accepted":1'; then
   echo "serve_smoke: ingest did not accept the frame: $resp" >&2
   exit 1
 fi
-occ=""
-for _ in $(seq 1 60); do
-  occ_code="$(curl -s -o "$tmp/occ.json" -w '%{http_code}' "$base/v1/feeds/smoke/occupancy")"
-  if [ "$occ_code" = 200 ]; then
-    occ="$(cat "$tmp/occ.json")"
-    break
-  fi
-  sleep 0.25
-done
-if [ -z "$occ" ]; then
-  echo "serve_smoke: no decision appeared on /v1/feeds/smoke/occupancy" >&2
+occ_code="$(curl -s -o "$tmp/occ.json" -w '%{http_code}' "$base/v1/feeds/smoke/occupancy")"
+if [ "$occ_code" != 200 ]; then
+  echo "serve_smoke: GET /v1/feeds/smoke/occupancy right after the 202 returned $occ_code, want 200" >&2
   exit 1
 fi
-echo "serve_smoke: feed lifecycle OK ($occ)"
+echo "serve_smoke: feed lifecycle OK ($(cat "$tmp/occ.json"))"
 curl -sf -X DELETE "$base/v1/feeds/smoke" >/dev/null
 
 # Drive it properly: loadgen replays concurrent feeds over HTTP, retrying
@@ -92,7 +87,19 @@ if ! printf '%s\n' "$metrics" | grep -q '^# TYPE server_frames_ingested_total co
   printf '%s\n' "$metrics" | head -20 >&2
   exit 1
 fi
-echo "serve_smoke: /metrics OK ($(printf '%s\n' "$metrics" | wc -l) lines)"
+# At rest the books balance with no drop term, and the queue is gone from
+# the exposition along with the machinery.
+ingested="$(printf '%s\n' "$metrics" | awk '$1 == "server_frames_ingested_total" {print $2}')"
+decided="$(printf '%s\n' "$metrics" | awk '$1 == "server_decisions_total" {print $2}')"
+if [ -z "$ingested" ] || [ "$ingested" != "$decided" ]; then
+  echo "serve_smoke: server_frames_ingested_total=$ingested but server_decisions_total=$decided" >&2
+  exit 1
+fi
+if printf '%s\n' "$metrics" | grep -Eq '^server_[a-z_]*queue'; then
+  echo "serve_smoke: a server queue series is still exposed" >&2
+  exit 1
+fi
+echo "serve_smoke: /metrics OK ($(printf '%s\n' "$metrics" | wc -l) lines; $ingested ingested = $decided decided)"
 
 # Graceful drain: SIGTERM must flip readiness and exit 0 within the budget.
 kill -TERM "$pid"

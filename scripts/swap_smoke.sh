@@ -7,8 +7,8 @@
 # (201, then 200 on the dedup re-install), reject a garbage bundle with a
 # model_rejected envelope, refuse to activate an unknown sha with an
 # unknown_model envelope, atomically activate B and verify the active
-# version flips on GET /v1/models, GET /v1/model (the legacy alias) and the
-# X-Model-SHA256 header, fetch the displaced A back by version, pin a feed
+# version flips on GET /v1/models and serves by id on GET /v1/models/{id}
+# with its X-Model-SHA256 header, fetch the displaced A back by version, pin a feed
 # to A and unpin it (idempotently), and finally require a clean SIGTERM
 # drain. The deeper swap guarantees — zero frame loss, bit-identical
 # decision segments — are loadgen -swap's job (DESIGN.md §16).
@@ -76,15 +76,15 @@ echo "swap_smoke: envelope checks hold (model_rejected, unknown_model)"
 curl -sf -X POST -H 'Content-Type: application/json' -d "{\"id\":\"$b_id\"}" "$u/v1/models/activate" >/dev/null
 act="$(jsonfield "$(curl -sf "$u/v1/models")" active)"
 [ "$act" = "$b_id" ] || { echo "swap_smoke: active after swap is $act, want $b_id" >&2; exit 1; }
-curl -sf -D "$tmp/model.hdr" -o "$tmp/model.bin" "$u/v1/model"
+curl -sf -D "$tmp/model.hdr" -o "$tmp/model.bin" "$u/v1/models/$b_id"
 got="$(sha256sum "$tmp/model.bin" | cut -d' ' -f1)"
-[ "$got" = "$b_id" ] || { echo "swap_smoke: /v1/model serves $got, want $b_id" >&2; exit 1; }
+[ "$got" = "$b_id" ] || { echo "swap_smoke: /v1/models/$b_id serves $got" >&2; exit 1; }
 grep -qi "x-model-sha256: $b_id" "$tmp/model.hdr" \
   || { echo "swap_smoke: missing/wrong X-Model-SHA256 header" >&2; cat "$tmp/model.hdr" >&2; exit 1; }
 # The displaced A stays fetchable by version.
 got="$(curl -sf "$u/v1/models/$a_id" | sha256sum | cut -d' ' -f1)"
 [ "$got" = "$a_id" ] || { echo "swap_smoke: /v1/models/$a_id serves $got" >&2; exit 1; }
-echo "swap_smoke: activated ${b_id:0:12}; /v1/models, /v1/model and X-Model-SHA256 all agree"
+echo "swap_smoke: activated ${b_id:0:12}; /v1/models, /v1/models/{id} and X-Model-SHA256 all agree"
 
 # Pin a feed to the displaced A (the A/B lever), then unpin idempotently.
 curl -sf -X PUT "$u/v1/feeds/room-a" >/dev/null
