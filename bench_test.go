@@ -538,6 +538,34 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulATB measures dW = xᵀ·dy at the paper MLP's widest layer
+// (batch 256, 128→256) — nn.Fit's weight-gradient product.
+func BenchmarkMatMulATB(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := tensor.NewMatrix(256, 128).RandomizeNormal(rng, 1)
+	dy := tensor.NewMatrix(256, 256).RandomizeNormal(rng, 1)
+	dw := tensor.NewMatrix(128, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulATB(dw, x, dy)
+	}
+}
+
+// BenchmarkMatMulABT measures dx = dy·Wᵀ at the same layer — nn.Fit's
+// input-gradient product.
+func BenchmarkMatMulABT(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	dy := tensor.NewMatrix(256, 256).RandomizeNormal(rng, 1)
+	w := tensor.NewMatrix(128, 256).RandomizeNormal(rng, 1)
+	dx := tensor.NewMatrix(256, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulABT(dx, dy, w)
+	}
+}
+
 // BenchmarkKernelSparseRowMatMulF32 measures the sparse f32 kernel in
 // isolation at the paper MLP's widest layer shape (128→256) with ~50%
 // activation density — the inference hot loop the cpukit dispatch targets

@@ -1,8 +1,44 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
+
+	"repro/internal/cpukit"
 )
+
+// TestTrainDetectorWeightsGolden pins the bits of a trained detector: the
+// paper's 66→128→256→128→1 MLP (every float64 matmul shape nn.Fit makes,
+// the 66-wide k%4 tail and a 51-row last batch included), two seeded epochs,
+// FNV-1a over every parameter in layer order. The float64 AVX2 kernels
+// promise the scalar loops' bits (DESIGN.md §14), so this one constant must
+// hold under both legs of the CI kernel-parity job — the auto-selected
+// kernel and OCCU_KERNEL=generic — and it is the value the commit before the
+// kernels existed produces. A change here means trained weights, checkpoints
+// and every decision downstream of them moved.
+func TestTrainDetectorWeightsGolden(t *testing.T) {
+	const want = uint64(0x7fda486d087c1a78)
+	_, split := testSplit(t)
+	cfg := DefaultDetectorConfig()
+	cfg.Train.Epochs = 2
+	det, err := TrainDetector(thin(split.Train, 1000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, p := range det.Net.Params() {
+		for _, v := range p.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("trained-weights hash %#016x under kernel %s, want %#016x", got, cpukit.Active(), want)
+	}
+}
 
 // shrink tightens the quick config further: the determinism tests run the
 // full Table IV grid twice, and they only need enough data for every code

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MatrixF32 is a dense, row-major matrix of float32 values — the
 // reduced-precision mirror of Matrix for the inference hot path. The
@@ -62,7 +65,7 @@ func (m *MatrixF32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols
 
 // MatMulF32 computes dst = a × b in float32. Under the generic kernel each
 // output row runs the same 4-wide unrolled ikj loop as the float64 kernel
-// (see matmulRange); under the AVX2 kernel rows go through the FMA assembly
+// (see matmulRow); under the AVX2 kernel rows go through the FMA assembly
 // in simd_amd64.s. Either way a row is accumulated independently in a fixed
 // order, so batching never changes its bits — the determinism contract the
 // serving engine relies on (which kernel produced the bits is a process-wide
@@ -142,15 +145,21 @@ func CompactNonzeroF32(idx []int32, val []float32, src []float32) int {
 // ReLUCompactF32 applies ReLU to src and gathers the surviving (positive)
 // entries into (idx, val), returning the count — CompactNonzeroF32 fused
 // with the activation so a Dense→ReLU→Dense chain touches the activation
-// vector exactly once.
+// vector exactly once. Entries of idx and val at and beyond the returned
+// count are scratch.
+//
+// The sign of a pre-activation is a coin toss to the branch predictor, so
+// there is no branch on it: every entry is stored at the cursor and the
+// cursor advances by the predicate. v > 0 holds exactly for the bit patterns
+// 0x00000001..0x7F800000 (positive subnormals up to +Inf; ±0, negatives and
+// NaNs of either sign fall outside), which one subtraction and a borrow
+// test.
 func ReLUCompactF32(idx []int32, val []float32, src []float32) int {
 	nz := 0
 	for k, v := range src {
-		if v > 0 {
-			idx[nz] = int32(k)
-			val[nz] = v
-			nz++
-		}
+		idx[nz] = int32(k)
+		val[nz] = v
+		nz += int((uint64(math.Float32bits(v)-1) - 0x7F800000) >> 63)
 	}
 	return nz
 }

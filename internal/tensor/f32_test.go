@@ -164,6 +164,36 @@ func TestSparseRowMatMulDeterministic(t *testing.T) {
 	}
 }
 
+// reluCompactF32Ref is the branching loop ReLUCompactF32 replaced; the
+// branch-free form must gather exactly what it gathers.
+func reluCompactF32Ref(idx []int32, val []float32, src []float32) int {
+	nz := 0
+	for k, v := range src {
+		if v > 0 {
+			idx[nz] = int32(k)
+			val[nz] = v
+			nz++
+		}
+	}
+	return nz
+}
+
+func checkReLUCompactF32(t *testing.T, src []float32) {
+	t.Helper()
+	idx, val := make([]int32, len(src)), make([]float32, len(src))
+	wantIdx, wantVal := make([]int32, len(src)), make([]float32, len(src))
+	nz := ReLUCompactF32(idx, val, src)
+	want := reluCompactF32Ref(wantIdx, wantVal, src)
+	if nz != want {
+		t.Fatalf("nz = %d, want %d (src %v)", nz, want, src)
+	}
+	for i := 0; i < nz; i++ {
+		if idx[i] != wantIdx[i] || math.Float32bits(val[i]) != math.Float32bits(wantVal[i]) {
+			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, idx[i], val[i], wantIdx[i], wantVal[i])
+		}
+	}
+}
+
 func TestReLUCompactF32(t *testing.T) {
 	src := []float32{1, -2, 0, 3.5, -0.25, 0.001}
 	idx := make([]int32, len(src))
@@ -178,6 +208,35 @@ func TestReLUCompactF32(t *testing.T) {
 		if idx[i] != wantIdx[i] || val[i] != wantVal[i] {
 			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, idx[i], val[i], wantIdx[i], wantVal[i])
 		}
+	}
+
+	// Every class of bit pattern on either side of the predicate: signed
+	// zeros, the smallest and largest subnormals and normals, infinities,
+	// quiet and signalling NaNs of either sign.
+	var edges []float32
+	for _, bits := range []uint32{
+		0x00000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x3F800000, 0x7F7FFFFF,
+		0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
+	} {
+		edges = append(edges, math.Float32frombits(bits), math.Float32frombits(bits|0x80000000))
+	}
+	checkReLUCompactF32(t, edges)
+	checkReLUCompactF32(t, nil)
+
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 200; trial++ {
+		src := make([]float32, rng.Intn(300))
+		for i := range src {
+			switch rng.Intn(8) {
+			case 0:
+				src[i] = edges[rng.Intn(len(edges))]
+			case 1:
+				src[i] = math.Float32frombits(rng.Uint32())
+			default:
+				src[i] = float32(rng.NormFloat64())
+			}
+		}
+		checkReLUCompactF32(t, src)
 	}
 }
 

@@ -4,16 +4,23 @@ import "fmt"
 
 // SIMD kernel dispatch (DESIGN.md §14).
 //
-// The float32 and int8 inference kernels exist twice: a portable pure-Go
-// implementation (this file and f32.go — the reproduction reference, active
-// under OCCU_KERNEL=generic and on every non-amd64 GOARCH) and a
-// hand-written AVX2+FMA implementation (simd_amd64.s) selected at process
-// start by internal/cpukit. Dispatch is a single package-level bool read at
-// init, never per call: one process, one kernel, reported at startup and in
-// /metrics.
+// The float32 and int8 inference kernels and the float64 training matmuls
+// exist twice: a portable pure-Go implementation (this file, f32.go and
+// tensor.go — the reproduction reference, active under OCCU_KERNEL=generic
+// and on every non-amd64 GOARCH) and a hand-written AVX2 implementation
+// (simd_amd64.s) selected at process start by internal/cpukit. Dispatch is a
+// single package-level bool read at init, never per call: one process, one
+// kernel, reported at startup and in /metrics.
 //
-// Equivalence contracts, enforced by simd_test.go and FuzzKernelParity:
+// Equivalence contracts, enforced by simd_test.go, simd_f64_test.go,
+// FuzzKernelParity and FuzzF64KernelExact:
 //
+//   - float64 kernels (axpy4F64 under MatMul/MatMulSerial/MatMulATB/
+//     RowMatMulInto, the four-accumulator dot under MatMulABT): exact. The
+//     AVX2 forms use separate multiply and add instructions, never FMA, and
+//     add in the generic statement's order, so every lane rounds as the
+//     scalar code does: trained weights, checkpoints and goldens have the
+//     same bits under either kernel, and the tests compare Float64bits.
 //   - float kernels (sparseAxpyF32, denseRowMatMul, sparseDequantAxpyI8):
 //     AVX2 fuses multiply-adds and regroups the k accumulation 4-wide, so
 //     results diverge from generic by a few float32 ulps per accumulated

@@ -2,23 +2,26 @@
 
 #include "textflag.h"
 
-// AVX2+FMA inference kernels (DESIGN.md §14). These implement the same
-// operations as the pure-Go kernels in simd.go with vector arithmetic:
+// AVX2 kernels (DESIGN.md §14). These implement the same operations as the
+// pure-Go kernels in simd.go, f32.go and tensor.go with vector arithmetic:
 //
 //   - sparseAxpyF32AVX2       dst[j] += Σ_k val[k] · w[idx[k]*n + j]   (f32)
 //   - denseRowMatMulF32AVX2   dst[j] += Σ_k a[k]   · b[k*n + j]        (f32)
 //   - sparseDequantAxpyI8AVX2 dst[j] += Σ_k val[k] · f32(w[idx[k]*n+j]) (s8 weights)
 //   - quantMaddU7I8AVX2       dst[j] += Σ_g Σ_r act[4g+r] · packed[(g*n+j)*4+r] (u7×s8, i32)
+//   - axpy4F64AVX2            dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] (f64, exact)
+//   - dot4x4F64AVX2           out[r]  = Σ_k a[k] · b[r*stride + k], r = 0..3     (f64, exact)
 //
-// Floating-point kernels accumulate with VFMADD231PS in 4-row groups, so
+// The float32 kernels accumulate with VFMADD231PS in 4-row groups, so
 // sums are grouped (and fused) differently from the scalar kernels — results
 // diverge boundedly and are gated by the tensor parity tests and
 // core.RunDivergence, never assumed bit-identical. The integer kernel is
 // exact: as long as every act byte is ≤ 127 (the U7 contract), VPMADDUBSW
 // cannot saturate and the result equals the pure-Go int32 arithmetic bit for
-// bit.
+// bit. The float64 kernels at the end of the file are exact too, because
+// they fuse nothing; see the note above them.
 //
-// Register conventions shared by the float kernels:
+// Register conventions shared by the float32 kernels:
 //   DI  dst base          SI  weight/matrix base
 //   BX  n (columns)       CX  remaining k count
 //   R12 idx cursor        R13 val / a cursor
@@ -478,5 +481,160 @@ qm_gnext:
 	JMP  qm_gloop
 
 qm_done:
+	VZEROUPPER
+	RET
+
+// Exact float64 training kernels. Unlike the float32 kernels above these use
+// separate VMULPD and VADDPD — no VFMADD — and add in the order of the Go
+// statement they replace, so every lane rounds exactly as the scalar code
+// does and results are bit-identical to the generic loops (axpy4F64 and
+// matmulABTRange in tensor.go). Do not "optimise" a multiply/add pair here
+// into a fused instruction: trained weights, checkpoints and every golden
+// depend on the two roundings.
+
+// func axpy4F64AVX2(dst *float64, n int, b *float64, a0, a1, a2, a3 float64)
+// dst[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j] for j in [0,n),
+// where b0..b3 are the four consecutive n-wide rows starting at b.
+//
+// Registers: DI dst, BX n, R8–R11 the four rows, AX column index j, DX
+// loop-bound scratch, Y12–Y15 broadcast a0..a3, Y0–Y7 sums and products.
+TEXT ·axpy4F64AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), BX
+	MOVQ b+16(FP), R8
+	LEAQ (R8)(BX*8), R9
+	LEAQ (R9)(BX*8), R10
+	LEAQ (R10)(BX*8), R11
+	VBROADCASTSD a0+24(FP), Y12
+	VBROADCASTSD a1+32(FP), Y13
+	VBROADCASTSD a2+40(FP), Y14
+	VBROADCASTSD a3+48(FP), Y15
+	XORQ AX, AX
+
+ax4_j16:
+	LEAQ 16(AX), DX
+	CMPQ DX, BX
+	JGT  ax4_j4
+	VMULPD (R8)(AX*8), Y12, Y0
+	VMULPD 32(R8)(AX*8), Y12, Y1
+	VMULPD 64(R8)(AX*8), Y12, Y2
+	VMULPD 96(R8)(AX*8), Y12, Y3
+	VMULPD (R9)(AX*8), Y13, Y4
+	VMULPD 32(R9)(AX*8), Y13, Y5
+	VMULPD 64(R9)(AX*8), Y13, Y6
+	VMULPD 96(R9)(AX*8), Y13, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	VMULPD (R10)(AX*8), Y14, Y4
+	VMULPD 32(R10)(AX*8), Y14, Y5
+	VMULPD 64(R10)(AX*8), Y14, Y6
+	VMULPD 96(R10)(AX*8), Y14, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	VMULPD (R11)(AX*8), Y15, Y4
+	VMULPD 32(R11)(AX*8), Y15, Y5
+	VMULPD 64(R11)(AX*8), Y15, Y6
+	VMULPD 96(R11)(AX*8), Y15, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	VADDPD (DI)(AX*8), Y0, Y0
+	VADDPD 32(DI)(AX*8), Y1, Y1
+	VADDPD 64(DI)(AX*8), Y2, Y2
+	VADDPD 96(DI)(AX*8), Y3, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ $16, AX
+	JMP  ax4_j16
+
+ax4_j4:
+	LEAQ 4(AX), DX
+	CMPQ DX, BX
+	JGT  ax4_jtail
+	VMULPD (R8)(AX*8), Y12, Y0
+	VMULPD (R9)(AX*8), Y13, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R10)(AX*8), Y14, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R11)(AX*8), Y15, Y4
+	VADDPD Y4, Y0, Y0
+	VADDPD (DI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  ax4_j4
+
+ax4_jtail:
+	CMPQ AX, BX
+	JGE  ax4_done
+	VMULSD (R8)(AX*8), X12, X0
+	VMULSD (R9)(AX*8), X13, X4
+	VADDSD X4, X0, X0
+	VMULSD (R10)(AX*8), X14, X4
+	VADDSD X4, X0, X0
+	VMULSD (R11)(AX*8), X15, X4
+	VADDSD X4, X0, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  ax4_jtail
+
+ax4_done:
+	VZEROUPPER
+	RET
+
+// func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int)
+// Four dot products of a[0:k] against the four rows b, b+stride, b+2·stride,
+// b+3·stride (stride in elements); k must be a multiple of 4. The four lanes
+// of each accumulator are the scalar kernel's s0..s3 — lane l sums the terms
+// with index ≡ l (mod 4) in ascending order — and each is reduced as
+// (s0+s1)+(s2+s3) into out[0..3]. The k%4 tail is the caller's.
+//
+// Registers: DI out, SI a, R8–R11 the four rows, CX k, AX element index,
+// Y0–Y3 accumulators, Y4–Y8 products and a.
+TEXT ·dot4x4F64AVX2(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ stride+24(FP), BX
+	MOVQ k+32(FP), CX
+	LEAQ (R8)(BX*8), R9
+	LEAQ (R9)(BX*8), R10
+	LEAQ (R10)(BX*8), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+
+dt_k4:
+	CMPQ AX, CX
+	JGE  dt_reduce
+	VMOVUPD (SI)(AX*8), Y8
+	VMULPD (R8)(AX*8), Y8, Y4
+	VMULPD (R9)(AX*8), Y8, Y5
+	VMULPD (R10)(AX*8), Y8, Y6
+	VMULPD (R11)(AX*8), Y8, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	ADDQ $4, AX
+	JMP  dt_k4
+
+dt_reduce:
+	// Y0 = (A0 A1 A2 A3) … Y3 = (D0 D1 D2 D3), one accumulator per row.
+	VHADDPD Y1, Y0, Y4            // A0+A1  B0+B1  A2+A3  B2+B3
+	VHADDPD Y3, Y2, Y5            // C0+C1  D0+D1  C2+C3  D2+D3
+	VPERM2F128 $0x20, Y5, Y4, Y6  // A0+A1  B0+B1  C0+C1  D0+D1
+	VPERM2F128 $0x31, Y5, Y4, Y7  // A2+A3  B2+B3  C2+C3  D2+D3
+	VADDPD Y7, Y6, Y6             // (s0+s1)+(s2+s3) per row
+	VMOVUPD Y6, (DI)
 	VZEROUPPER
 	RET

@@ -1,7 +1,7 @@
 // Package tensor provides dense float64 vectors and matrices with the
 // numeric kernels the rest of the repository builds on: elementwise
-// arithmetic, blocked and parallel matrix multiplication, linear solves via
-// Cholesky factorisation, reductions, and random initialisation.
+// arithmetic, parallel matrix multiplication, linear solves via Cholesky
+// factorisation, reductions, and random initialisation.
 //
 // The design goal is predictability rather than peak throughput: row-major
 // storage, explicit dimensions, and panics on shape mismatch (shape errors
@@ -205,15 +205,21 @@ func (m *Matrix) T() *Matrix {
 }
 
 // matmulParallelThreshold is the multiply-accumulate count above which the
-// matmul kernels fan out across goroutines. Measured on the training shapes
-// this repo actually hits (batch 256, widths 64..256, Xeon 2.1 GHz): goroutine
-// spawn+join costs ~5-10 µs per call, and a kernel at 2^18 MACs runs ~100 µs
-// single-threaded, so below ~2^16 the fan-out overhead exceeds the win even
-// on many cores, while above 2^18 it is noise (<5%). 2^17 is the crossover
-// where 4 workers still net ≥1.5× on the 256×64×128 first-layer shape; the
-// same constant gates MatMul, MatMulATB and MatMulABT since all three move
-// the same flops per output element.
-const matmulParallelThreshold = 1 << 17
+// matmul kernels fan out across goroutines. Re-measured with the AVX2 kernels
+// (ISSUE 19) on the three training widths 66→128, 128→256 and 256→128 at
+// batch 4..256, serial against parallelRows at 2 workers and at 4 (Xeon
+// 2.1 GHz, 2 vCPUs, so the 4-worker column is oversubscribed): one kernel
+// runs ≈ 9 MACs/ns, so 2^17 MACs — the old threshold, set when the scalar
+// loops took ~100 µs for 2^18 — is ≈ 14 µs of work against a spawn+join that
+// costs 15–20 µs here. At 2 workers every shape loses below 2^19 (0.5–0.9×),
+// 2^19 is break-even (0.72–1.11×), 2^20 is the first size that gains on
+// balance (0.87–1.57×, mean 1.22×) and 2^21..2^23 gain 1.1–1.85×; 4 workers
+// on 2 vCPUs lose until 2^21 and gain from there. Below the threshold a call
+// stays on the caller's goroutine, which is also what keeps small test and
+// ablation nets from paying a fork per layer. The same constant gates MatMul,
+// MatMulATB and MatMulABT since all three move the same flops per output
+// element; results never depend on it (each output row has one fixed order).
+const matmulParallelThreshold = 1 << 20
 
 // MatMul computes a×b into dst (allocating when dst is nil) and returns dst.
 // dst must not alias a or b.
@@ -230,66 +236,109 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 		dst.Zero()
 	}
 	work := a.Rows * a.Cols * b.Cols
-	// Above the L2 footprint threshold the cache-blocked kernel (blocked.go)
-	// takes over; it accumulates every output element in the same order as
-	// matmulRange, so the dispatch never changes results (bit for bit).
-	kernel := matmulRange
-	if matmulUseBlocked(a.Rows, a.Cols, b.Cols) {
-		kernel = matmulRangeBlocked
-	}
 	if work >= matmulParallelThreshold && a.Rows > 1 {
-		parallelRows(a.Rows, kernel, dst, a, b)
+		parallelRows(a.Rows, matmulRange, dst, a, b)
 	} else {
-		kernel(dst, a, b, 0, a.Rows)
+		matmulRange(dst, a, b, 0, a.Rows)
 	}
 	return dst
 }
 
-// matmulRange computes rows [lo,hi) of dst = a×b with an ikj loop order that
-// streams rows of b. The k loop is unrolled 4-wide so each pass over di does
-// four fused multiply-adds per element: di is loaded and stored once instead
-// of four times, which is the dominant cost of the scalar axpy form.
-func matmulRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	kMax := a.Cols
-	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		di := dst.Row(i)[:n]
-		k := 0
-		for ; k+4 <= kMax; k += 4 {
-			a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := b.Data[k*n : k*n+n]
-			b1 := b.Data[(k+1)*n : (k+1)*n+n]
-			b2 := b.Data[(k+2)*n : (k+2)*n+n]
-			b3 := b.Data[(k+3)*n : (k+3)*n+n]
-			for j := range di {
-				di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+// axpy4F64 is the accumulation statement of every float64 matmul that
+// streams rows of b — MatMul, MatMulSerial, MatMulATB and RowMatMulInto:
+//
+//	dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+//
+// that is dst[j] + (((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j]), eight
+// roundings and nothing fused, over the four rows b0..b3 that b holds back to
+// back (len(b) == 4·len(dst)). Taking four k steps per pass loads and stores
+// dst once instead of four times. The order is what nn.Fit's trained weights,
+// the arena's row≡batch contract and every golden rest on, so it is written
+// exactly twice: the loop below, and axpy4F64AVX2 (simd_amd64.s), which does
+// the same multiplies and adds four columns to a register and is therefore
+// bit-identical, not merely close (TestF64KernelExact). A group of four zero
+// coefficients is skipped here, for both kernels: adding its +0 would turn a
+// −0 in dst into +0, so the skip is part of the result.
+//
+// The Go compiler does not fuse x*y + z on amd64 at the default GOAMD64=v1
+// (it may at v3, and does on arm64); the identity between the two kernels is
+// stated for the build this repository ships and tests.
+func axpy4F64(dst []float64, a0, a1, a2, a3 float64, b []float64) {
+	if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+		return
+	}
+	n := len(dst)
+	b = b[:4*n]
+	if useAVX2 {
+		if n > 0 {
+			axpy4F64AVX2(&dst[0], n, &b[0], a0, a1, a2, a3)
 		}
-		for ; k < kMax; k++ {
-			av := ai[k]
-			if av == 0 {
-				continue
-			}
-			bk := b.Data[k*n : k*n+n]
-			for j := range di {
-				di[j] += av * bk[j]
-			}
+		return
+	}
+	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:]
+	for j := range dst {
+		dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
+}
+
+// matmulRow accumulates dst += a·b for one row a (len(a) == b.Rows,
+// len(dst) == b.Cols): rows of b in ascending k, four at a time through
+// axpy4F64, then the k%4 tail one at a time.
+func matmulRow(dst, a []float64, b *Matrix) {
+	n := b.Cols
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		axpy4F64(dst, a[k], a[k+1], a[k+2], a[k+3], b.Data[k*n:(k+4)*n])
+	}
+	for ; k < len(a); k++ {
+		if av := a[k]; av != 0 {
+			Axpy(dst, av, b.Data[k*n:(k+1)*n])
 		}
 	}
 }
 
+// matmulRange computes rows [lo,hi) of dst = a×b, each row independently and
+// in the same order (matmulRow), so how rows are batched or split across
+// workers never changes a result.
+func matmulRange(dst, a, b *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		matmulRow(dst.Row(i), a.Row(i), b)
+	}
+}
+
+// RowMatMulInto computes dst = row·b + bias for a single sample without any
+// Matrix wrapping — the fused fast path the inference arena uses for the
+// 1×N case the 20 Hz stream runtime hits on every frame. bias may be nil.
+// len(row) must equal b.Rows and len(dst) must equal b.Cols; dst must not
+// alias row or b.Data. The accumulation is MatMul's row loop itself
+// (matmulRow), so the result is bit-identical to
+// MatMul(nil, FromSlice(1, len(row), row), b).
+func RowMatMulInto(dst, row []float64, b *Matrix, bias []float64) {
+	if len(row) != b.Rows {
+		panic("tensor: RowMatMulInto inner dims")
+	}
+	if len(dst) != b.Cols {
+		panic("tensor: RowMatMulInto dst length")
+	}
+	if bias != nil && len(bias) != b.Cols {
+		panic("tensor: RowMatMulInto bias length")
+	}
+	for j := range dst {
+		dst[j] = 0
+	}
+	matmulRow(dst, row, b)
+	for j, v := range bias {
+		dst[j] += v
+	}
+}
+
 // MatMulSerial computes a×b into dst (allocating when dst is nil) on the
-// calling goroutine only — same kernels and cache-blocking dispatch as
-// MatMul, bit-identical output, but no goroutine fan-out and no closure
-// allocation. This is the variant for callers that already own their
-// parallelism (serving-engine callers, each holding a private arena while
-// it scores): fanning out inside the matmul there would oversubscribe the
-// machine, and the closure the parallel path allocates would break the
-// arena's zero-allocation guarantee.
+// calling goroutine only — same kernel as MatMul, bit-identical output, but
+// no goroutine fan-out and no closure allocation. This is the variant for
+// callers that already own their parallelism (serving-engine callers, each
+// holding a private arena while it scores): fanning out inside the matmul
+// there would oversubscribe the machine, and the closure the parallel path
+// allocates would break the arena's zero-allocation guarantee.
 func MatMulSerial(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
@@ -302,11 +351,7 @@ func MatMulSerial(dst, a, b *Matrix) *Matrix {
 		}
 		dst.Zero()
 	}
-	if matmulUseBlocked(a.Rows, a.Cols, b.Cols) {
-		matmulRangeBlocked(dst, a, b, 0, a.Rows)
-	} else {
-		matmulRange(dst, a, b, 0, a.Rows)
-	}
+	matmulRange(dst, a, b, 0, a.Rows)
 	return dst
 }
 
@@ -339,36 +384,25 @@ func MatMulATB(dst, a, b *Matrix) *Matrix {
 }
 
 // matmulATBRange computes dst rows [lo,hi) of aᵀ×b, k-outer so the rows of a
-// and b stream sequentially, unrolled 4-wide over k to amortise dst traffic.
+// and b stream sequentially, four k steps at a time through axpy4F64 to
+// amortise dst traffic.
 func matmulATBRange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
 	m := a.Rows
 	k := 0
 	for ; k+4 <= m; k += 4 {
 		ak0, ak1, ak2, ak3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
-		bk0, bk1, bk2, bk3 := b.Row(k)[:n], b.Row(k + 1)[:n], b.Row(k + 2)[:n], b.Row(k + 3)[:n]
+		bk := b.Data[k*n : (k+4)*n]
 		for i := lo; i < hi; i++ {
-			a0, a1, a2, a3 := ak0[i], ak1[i], ak2[i], ak3[i]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			di := dst.Data[i*n : i*n+n]
-			for j := range di {
-				di[j] += a0*bk0[j] + a1*bk1[j] + a2*bk2[j] + a3*bk3[j]
-			}
+			axpy4F64(dst.Data[i*n:i*n+n], ak0[i], ak1[i], ak2[i], ak3[i], bk)
 		}
 	}
 	for ; k < m; k++ {
 		ak := a.Row(k)
-		bk := b.Row(k)[:n]
+		bk := b.Row(k)
 		for i := lo; i < hi; i++ {
-			av := ak[i]
-			if av == 0 {
-				continue
-			}
-			di := dst.Data[i*n : i*n+n]
-			for j := range di {
-				di[j] += av * bk[j]
+			if av := ak[i]; av != 0 {
+				Axpy(dst.Data[i*n:i*n+n], av, bk)
 			}
 		}
 	}
@@ -397,25 +431,42 @@ func MatMulABT(dst, a, b *Matrix) *Matrix {
 }
 
 // matmulABTRange computes dst rows [lo,hi) of a×bᵀ. Each output element is a
-// dot product; four independent accumulators break the add-latency chain the
-// single-accumulator form serialises on.
+// dot product over four independent accumulators s0..s3 — s_l sums the terms
+// with k ≡ l (mod 4) in ascending k — reduced as (s0+s1)+(s2+s3), then the
+// k%4 tail added one term at a time. Under AVX2 the four accumulators are the
+// four lanes of one register and dot4x4F64AVX2 runs four rows of b against
+// one load of a; multiply and add stay separate instructions, so both paths
+// round identically (TestF64KernelExact).
 func matmulABTRange(dst, a, b *Matrix, lo, hi int) {
 	kMax := a.Cols
+	k4 := kMax &^ 3
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
 		di := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
+		j := 0
+		if useAVX2 && k4 > 0 {
+			for ; j+4 <= b.Rows; j += 4 {
+				dot4x4F64AVX2(&di[j], &ai[0], &b.Data[j*kMax], kMax, k4)
+			}
+		}
+		for ; j < b.Rows; j++ {
 			bj := b.Row(j)
 			var s0, s1, s2, s3 float64
-			k := 0
-			for ; k+4 <= kMax; k += 4 {
+			for k := 0; k < k4; k += 4 {
 				s0 += ai[k] * bj[k]
 				s1 += ai[k+1] * bj[k+1]
 				s2 += ai[k+2] * bj[k+2]
 				s3 += ai[k+3] * bj[k+3]
 			}
-			s := (s0 + s1) + (s2 + s3)
-			for ; k < kMax; k++ {
+			di[j] = (s0 + s1) + (s2 + s3)
+		}
+		if k4 == kMax {
+			continue
+		}
+		for j := range di {
+			bj := b.Row(j)
+			s := di[j]
+			for k := k4; k < kMax; k++ {
 				s += ai[k] * bj[k]
 			}
 			di[j] = s

@@ -123,19 +123,30 @@ func TestMatMulDstReuse(t *testing.T) {
 	matricesEqual(t, dst, b, 0)
 }
 
+// mustFanOut fails a test whose shape no longer reaches the parallel path it
+// exists to cover (matmulParallelThreshold moves when the kernels do).
+func mustFanOut(t *testing.T, work int) {
+	t.Helper()
+	if work < matmulParallelThreshold {
+		t.Fatalf("shape has %d MACs, below matmulParallelThreshold %d: the parallel path is not exercised", work, matmulParallelThreshold)
+	}
+}
+
 // TestMatMulParallelMatchesSerial forces the parallel path and checks it
 // against a reference triple loop.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
+	const m, k, n = 140, 90, 90
+	mustFanOut(t, m*k*n)
 	rng := rand.New(rand.NewSource(2))
-	a := NewMatrix(70, 90).RandomizeNormal(rng, 1)
-	b := NewMatrix(90, 80).RandomizeNormal(rng, 1)
+	a := NewMatrix(m, k).RandomizeNormal(rng, 1)
+	b := NewMatrix(k, n).RandomizeNormal(rng, 1)
 	got := MatMul(nil, a, b)
-	want := NewMatrix(70, 80)
-	for i := 0; i < 70; i++ {
-		for j := 0; j < 80; j++ {
+	want := NewMatrix(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
 			var s float64
-			for k := 0; k < 90; k++ {
-				s += a.At(i, k) * b.At(k, j)
+			for kk := 0; kk < k; kk++ {
+				s += a.At(i, kk) * b.At(kk, j)
 			}
 			want.Set(i, j, s)
 		}
@@ -164,9 +175,10 @@ func TestMatMulABT(t *testing.T) {
 // TestMatMulATBParallelMatchesReference forces the parallel path (work ≥
 // matmulParallelThreshold) and checks against the transpose reference.
 func TestMatMulATBParallelMatchesReference(t *testing.T) {
+	mustFanOut(t, 300*64*64)
 	rng := rand.New(rand.NewSource(5))
-	a := NewMatrix(300, 64).RandomizeNormal(rng, 1) // 300·64·40 ≈ 2^19.5
-	b := NewMatrix(300, 40).RandomizeNormal(rng, 1)
+	a := NewMatrix(300, 64).RandomizeNormal(rng, 1)
+	b := NewMatrix(300, 64).RandomizeNormal(rng, 1)
 	got := MatMulATB(nil, a, b)
 	want := MatMul(nil, a.T(), b)
 	matricesEqual(t, got, want, 1e-9)
@@ -174,8 +186,9 @@ func TestMatMulATBParallelMatchesReference(t *testing.T) {
 
 // TestMatMulABTParallelMatchesReference does the same for a×bᵀ.
 func TestMatMulABTParallelMatchesReference(t *testing.T) {
+	mustFanOut(t, 200*64*90)
 	rng := rand.New(rand.NewSource(6))
-	a := NewMatrix(120, 64).RandomizeNormal(rng, 1)
+	a := NewMatrix(200, 64).RandomizeNormal(rng, 1)
 	b := NewMatrix(90, 64).RandomizeNormal(rng, 1)
 	got := MatMulABT(nil, a, b)
 	want := MatMul(nil, a, b.T())
@@ -187,6 +200,7 @@ func TestMatMulABTParallelMatchesReference(t *testing.T) {
 // output rows, never the accumulation order, so single-threaded and
 // multi-threaded runs agree bit for bit.
 func TestMatMulKernelsDeterministicUnderGOMAXPROCS(t *testing.T) {
+	mustFanOut(t, 257*96*130)
 	rng := rand.New(rand.NewSource(7))
 	a := NewMatrix(257, 96).RandomizeNormal(rng, 1)
 	b := NewMatrix(96, 130).RandomizeNormal(rng, 1)
@@ -362,16 +376,75 @@ func TestMatMulParallelZeroAlloc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(61))
-	// 256³ MACs is above matmulParallelThreshold, so this takes the
+	// 128³ MACs is above matmulParallelThreshold, so this takes the
 	// parallel branch of MatMul.
-	a := NewMatrix(256, 256).RandomizeNormal(rng, 1)
-	b := NewMatrix(256, 256).RandomizeNormal(rng, 1)
-	dst := NewMatrix(256, 256)
-	if n := testing.AllocsPerRun(5, func() {
+	mustFanOut(t, 128*128*128)
+	a := NewMatrix(128, 128).RandomizeNormal(rng, 1)
+	b := NewMatrix(128, 128).RandomizeNormal(rng, 1)
+	dst := NewMatrix(128, 128)
+	// Many runs, because AllocsPerRun reports the floor of the mean and
+	// under -race sync.Pool.Put discards one object in four on purpose:
+	// over 5 runs those refills alone reached a mean of 1 in about a third
+	// of attempts; over 100 they stay near 0.75 while one real allocation
+	// per call still reads 3.
+	if n := testing.AllocsPerRun(100, func() {
 		MatMul(dst, a, b)
 		MatMulATB(dst, a, b)
 		MatMulABT(dst, a, b)
 	}); n != 0 {
 		t.Fatalf("parallel matmul dispatch allocates %v per run, want 0", n)
+	}
+}
+
+// TestRowMatMulInto checks the fused single-sample kernel against the 1×N
+// matrix path, bias included, bit for bit.
+func TestRowMatMulInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, s := range []struct{ k, n int }{{1, 1}, {7, 5}, {66, 128}, {256, 129}, {515, 2049}} {
+		row := make([]float64, s.k)
+		for i := range row {
+			row[i] = rng.NormFloat64()
+		}
+		row[0] = 0 // exercise the zero-skip branch
+		b := NewMatrix(s.k, s.n).RandomizeNormal(rng, 1)
+		bias := make([]float64, s.n)
+		for i := range bias {
+			bias[i] = rng.NormFloat64()
+		}
+		want := MatMul(nil, FromSlice(1, s.k, row), b)
+		want.AddRowVector(bias)
+		dst := make([]float64, s.n)
+		RowMatMulInto(dst, row, b, bias)
+		for j, v := range want.Data {
+			if dst[j] != v {
+				t.Fatalf("%dx%d: RowMatMulInto diverges at %d: %v != %v", s.k, s.n, j, dst[j], v)
+			}
+		}
+		// nil bias variant.
+		want2 := MatMul(nil, FromSlice(1, s.k, row), b)
+		RowMatMulInto(dst, row, b, nil)
+		for j, v := range want2.Data {
+			if dst[j] != v {
+				t.Fatalf("%dx%d: RowMatMulInto(nil bias) diverges at %d", s.k, s.n, j)
+			}
+		}
+	}
+}
+
+func TestRowMatMulIntoPanics(t *testing.T) {
+	b := NewMatrix(3, 2)
+	for _, fn := range []func(){
+		func() { RowMatMulInto(make([]float64, 2), make([]float64, 2), b, nil) },
+		func() { RowMatMulInto(make([]float64, 3), make([]float64, 3), b, nil) },
+		func() { RowMatMulInto(make([]float64, 2), make([]float64, 3), b, make([]float64, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on shape mismatch")
+				}
+			}()
+			fn()
+		}()
 	}
 }

@@ -16,10 +16,12 @@
 # regression check below tracks all of them.
 #
 # Two tiers. The µs-scale serving benchmarks (the fused single-row paths and
-# the engine) run by time, five times each, and the record keeps the median
-# with the fastest and slowest run beside it: three iterations of a 3 µs
-# operation measure a cold cache, not the operation. Everything else still
-# runs three iterations (ROADMAP item 1a covers moving the rest).
+# the engine) and the three float64 matmuls training runs on (MatMul,
+# MatMulATB, MatMulABT — about a millisecond each since the AVX2 kernels) run
+# by time, five times each, and the record keeps the median with the fastest
+# and slowest run beside it: three iterations of a 3 µs operation measure a
+# cold cache, not the operation. Everything else still runs three iterations
+# (ROADMAP item 1b covers moving the rest).
 #
 # After writing, the inference benchmarks (Inference*/Engine*) are compared
 # against the latest earlier BENCH_*.json: a >15% ns/op regression prints a
@@ -34,8 +36,8 @@ out="${1:-BENCH_$(date +%F).json}"
 if [[ -z "${1:-}" && -e "$out" ]]; then
   out="BENCH_$(date +%FT%H%M%S).json"
 fi
-benches='BenchmarkTable4Full|BenchmarkTrainEpochMLP|BenchmarkMatMul$|BenchmarkInferenceMLPBatch256|BenchmarkFrameLogAppend|BenchmarkKernel|BenchmarkModelSwap'
-timed='BenchmarkInferenceMLPSingleFused|BenchmarkEngineMultiFeed|BenchmarkEnginePredictSingle'
+benches='BenchmarkTable4Full|BenchmarkTrainEpochMLP|BenchmarkInferenceMLPBatch256|BenchmarkFrameLogAppend|BenchmarkKernel|BenchmarkModelSwap'
+timed='BenchmarkInferenceMLPSingleFused|BenchmarkEngineMultiFeed|BenchmarkEnginePredictSingle|BenchmarkMatMul$|BenchmarkMatMulATB$|BenchmarkMatMulABT$'
 
 raw="$(go test -bench="$benches" -benchtime=3x -benchmem -run '^$' . 2>&1)"
 echo "$raw"
