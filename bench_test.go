@@ -616,6 +616,30 @@ func BenchmarkKernelQuantMaddU7I8(b *testing.B) {
 	}
 }
 
+// BenchmarkReLUCompactF32 measures the activation compaction between two
+// Dense layers at the detector's widest hidden layer: 512 pre-activations of
+// random sign, the ReLU applied and the survivors gathered into (idx, val) —
+// everything the f32 row path does that is not the axpy (DESIGN.md §14;
+// branch-free scalar loop under OCCU_KERNEL=generic, VPERMPS left-packing
+// under AVX2).
+func BenchmarkReLUCompactF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	src := make([]float32, 512)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64())
+	}
+	idx := make([]int32, len(src))
+	val := make([]float32, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkInt = tensor.ReLUCompactF32(idx, val, src)
+	}
+}
+
+// benchSinkInt keeps a benchmarked call's result alive.
+var benchSinkInt int
+
 // helpers ---------------------------------------------------------------------
 
 // benchSnapshot builds a fixed occupant snapshot with the given headcount.
@@ -782,6 +806,48 @@ func BenchmarkFrameLogAppend(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFrameLogRecover measures what a restart pays the log per feed:
+// framelog.OpenReplay over one 4 000-frame feed (restart_recovery's per-feed
+// size) — list, read, CRC and decode every record once into the reused
+// frame, hand it over, open the writer behind it (DESIGN.md §13). The
+// callback does what costs nothing, so this is the log's share alone; the
+// allocation figures are per recovered feed, not per frame.
+func BenchmarkFrameLogRecover(b *testing.B) {
+	const frames = 4000
+	cfg := framelog.Config{Dir: b.TempDir(), Fsync: framelog.FsyncOff}
+	w, _, err := framelog.Open(cfg, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]fault.Frame, 250)
+	for i := 0; i < frames; i += len(batch) {
+		for k := range batch {
+			batch[k].Index, batch[k].EnvOK = i+k, true
+			batch[k].Rec.Temp = 20 + float64(k)/100
+			batch[k].Rec.CSI[0] = float64(i + k)
+		}
+		if _, err := w.AppendBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(frames * 565)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		last := -1
+		w, rec, err := framelog.OpenReplay(cfg, "bench", func(f *fault.Frame) { last = f.Index })
+		if err != nil || rec.Frames != frames || last != frames-1 {
+			b.Fatalf("recovered %d frames, last index %d, error %v", rec.Frames, last, err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- Online learning / hot swap (DESIGN.md §16) ----------------------------

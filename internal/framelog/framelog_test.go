@@ -410,6 +410,7 @@ func TestWriterRandomKillPoints(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(feedDir(dir, "f"), segmentName(0)), raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
+		checkRecovery(t, dir, "f", mkFrame)
 		w2, rec, err := Open(Config{Dir: dir, Fsync: FsyncOff}, "f")
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)

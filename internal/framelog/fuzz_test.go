@@ -159,6 +159,7 @@ func TestOpenNeverPanicsOnMutants(t *testing.T) {
 		mut = mut[:rng.Intn(len(mut)+1)]
 		dir := t.TempDir()
 		writeSegment(t, dir, "f", mut)
+		checkRecovery(t, dir, "f", nil)
 		w, rec, err := Open(Config{Dir: dir, Fsync: FsyncOff}, "f")
 		if err != nil {
 			continue
@@ -174,9 +175,10 @@ func TestOpenNeverPanicsOnMutants(t *testing.T) {
 	}
 }
 
-// FuzzReplay feeds arbitrary bytes to the segment reader. The property is
-// purely "no panic, bounded work": any outcome (clean stop or error) is
-// acceptable for garbage input.
+// FuzzReplay feeds arbitrary bytes to the segment reader. Any outcome
+// (clean stop or error) is acceptable for garbage input, as long as there is
+// no panic, the work is bounded, and the one-pass and two-pass recoveries of
+// those bytes agree with the restated reference (checkRecovery).
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(segmentHeader())
@@ -192,5 +194,6 @@ func FuzzReplay(f *testing.F) {
 		if max := (len(data) - segHeaderLen) / recordLen; n > max || (max < 0 && n != 0) {
 			t.Fatalf("replayed %d frames out of %d bytes", n, len(data))
 		}
+		checkRecovery(t, dir, "f", nil)
 	})
 }

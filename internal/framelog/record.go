@@ -99,32 +99,32 @@ func appendRecord(dst []byte, f *fault.Frame) []byte {
 	return dst
 }
 
-// decodeRecord validates one record at the start of raw and returns the
-// frame and the bytes consumed. A short, zero-length, over-length or
-// CRC-failing record returns ok=false — the caller decides whether that is
+// checkRecord validates the record at the start of raw — length, then CRC —
+// and returns its payload, aliasing raw, without decoding it. ok=false is a
+// short, mis-sized or CRC-failing record; the caller decides whether that is
 // a torn tail (stop) or corruption (error).
-func decodeRecord(raw []byte) (f fault.Frame, n int, ok bool) {
+func checkRecord(raw []byte) (payload []byte, ok bool) {
 	le := binary.LittleEndian
-	if len(raw) < recHeaderLen {
-		return f, 0, false
-	}
-	length := le.Uint32(raw)
 	// Version 1 records are fixed-size: any other length — zero from a
 	// preallocated-then-torn region, or huge from corrupt bytes — is
 	// invalid, and rejecting it here caps what a hostile file can make the
 	// reader allocate or skip.
-	if length != payloadLen {
-		return f, 0, false
+	if len(raw) < recordLen || le.Uint32(raw) != payloadLen {
+		return nil, false
 	}
-	if len(raw) < recordLen {
-		return f, 0, false
-	}
-	payload := raw[recHeaderLen:recordLen]
-	if crc32.Checksum(payload, crcTable) != le.Uint32(raw[4:]) {
-		return f, 0, false
-	}
+	payload = raw[recHeaderLen:recordLen]
+	return payload, crc32.Checksum(payload, crcTable) == le.Uint32(raw[4:])
+}
 
-	f.Index = int(le.Uint64(payload[0:]))
+// payloadIndex reads the frame index of a validated payload.
+func payloadIndex(payload []byte) int {
+	return int(binary.LittleEndian.Uint64(payload))
+}
+
+// decodePayload overwrites every field of f from a validated payload.
+func decodePayload(f *fault.Frame, payload []byte) {
+	le := binary.LittleEndian
+	f.Index = payloadIndex(payload)
 	f.Rec.Time = time.Unix(0, int64(le.Uint64(payload[8:]))).UTC()
 	f.Rec.Temp = math.Float64frombits(le.Uint64(payload[16:]))
 	f.Rec.Humidity = math.Float64frombits(le.Uint64(payload[24:]))
@@ -140,23 +140,19 @@ func decodeRecord(raw []byte) (f fault.Frame, n int, ok bool) {
 		f.Rec.CSI[k] = math.Float64frombits(le.Uint64(payload[45+8*k:]))
 	}
 	f.Truth = f.Rec
-	return f, recordLen, true
 }
 
-// checkSegmentHeader validates the 8-byte segment header and returns the
-// bytes consumed.
-func checkSegmentHeader(raw []byte) (int, error) {
+// checkSegmentHeader validates the segment header at the start of raw,
+// which must hold at least segHeaderLen bytes.
+func checkSegmentHeader(raw []byte) error {
 	le := binary.LittleEndian
-	if len(raw) < segHeaderLen {
-		return 0, fmt.Errorf("framelog: segment truncated before header (%d bytes)", len(raw))
-	}
 	if got := le.Uint32(raw); got != segMagic {
-		return 0, fmt.Errorf("framelog: bad segment magic 0x%08X", got)
+		return fmt.Errorf("framelog: bad segment magic 0x%08X", got)
 	}
 	if got := le.Uint32(raw[4:]); got != segVersion {
-		return 0, fmt.Errorf("framelog: unsupported segment version %d", got)
+		return fmt.Errorf("framelog: unsupported segment version %d", got)
 	}
-	return segHeaderLen, nil
+	return nil
 }
 
 // segmentHeader returns the encoded segment header.

@@ -67,13 +67,22 @@ type Writer struct {
 	wrap func(segFile) segFile
 }
 
-// Open opens (or creates) the log for one feed, scanning every retained
-// segment to validate it and repairing a torn tail by truncating the last
-// segment to its final valid record. Corruption before the tail fails with
-// ErrCorrupt — acknowledged data is never silently dropped. The scan is
-// O(log size); the serving layer replays the same bytes right after, so the
-// log is read at most twice per recovery.
+// Open is OpenReplay with nobody listening: a retained record costs one CRC
+// and an index read, and nothing is decoded.
 func Open(cfg Config, feed string) (*Writer, Recovery, error) {
+	return OpenReplay(cfg, feed, nil)
+}
+
+// OpenReplay opens (or creates) the log for one feed in one pass over what
+// it holds: each retained record is validated and, once it passes its CRC,
+// decoded and handed to fn (when non-nil) in append order — one read, one
+// checksum, one decode per logged frame. fn gets one frame reused from
+// record to record and must not keep the pointer. A torn tail is repaired by
+// truncating the last segment to its final valid record; corruption before
+// the tail fails with ErrCorrupt — acknowledged data is never silently
+// dropped. On success fn has seen exactly Recovery.Frames frames; on failure
+// the valid records ahead of the fault, which the caller must discard.
+func OpenReplay(cfg Config, feed string, fn func(*fault.Frame)) (*Writer, Recovery, error) {
 	var rec Recovery
 	if err := cfg.Validate(); err != nil {
 		return nil, rec, err
@@ -100,19 +109,35 @@ func Open(cfg Config, feed string) (*Writer, Recovery, error) {
 	if err != nil {
 		return nil, rec, err
 	}
+	rec.LastIndex = -1
 	if len(segs) == 0 {
 		if err := w.createSegment(0); err != nil {
 			return nil, rec, err
 		}
 		w.segs = []int{0}
-		rec.LastIndex = -1
 		return w, rec, nil
 	}
 
-	rec, lastEnd, err := w.scan(segs, &rec)
+	var frame fault.Frame
+	lastEnd, torn, err := walk(w.dir, feed, segs, false, func(payload []byte) bool {
+		rec.LastIndex = payloadIndex(payload)
+		if rec.Frames == 0 {
+			rec.FirstIndex = rec.LastIndex
+		}
+		rec.Frames++
+		if fn != nil {
+			decodePayload(&frame, payload)
+			fn(&frame)
+		}
+		return true
+	})
 	if err != nil {
 		return nil, rec, err
 	}
+	// LastIndex, not the last segment: a header-less one holds no record.
+	rec.NextIndex = rec.LastIndex + 1
+	rec.TornTail = torn > 0
+	rec.TruncatedBytes = torn
 	last := segs[len(segs)-1]
 	path := filepath.Join(w.dir, segmentName(last))
 	if rec.TornTail {
@@ -148,64 +173,6 @@ func Open(cfg Config, feed string) (*Writer, Recovery, error) {
 	}
 	w.m.recovered.Add(int64(rec.Frames))
 	return w, rec, nil
-}
-
-// scan walks every segment, counting valid records and locating the valid
-// end of the last one. Corruption in a non-last segment — or after any
-// point in the last segment that further valid data follows — cannot be a
-// torn append, so it fails with ErrCorrupt.
-func (w *Writer) scan(segs []int, rec *Recovery) (Recovery, int64, error) {
-	rec.LastIndex = -1
-	first := true
-	var lastEnd int64
-	for i, seg := range segs {
-		lastSeg := i == len(segs)-1
-		raw, err := os.ReadFile(filepath.Join(w.dir, segmentName(seg)))
-		if err != nil {
-			return *rec, 0, err
-		}
-		if len(raw) < segHeaderLen {
-			if !lastSeg {
-				return *rec, 0, fmt.Errorf("framelog: %s/%s: %w", w.feed, segmentName(seg), ErrCorrupt)
-			}
-			// A crash between createSegment and its header landing leaves
-			// the last segment empty or mid-header. The earlier segments
-			// still hold records, so fall through to the NextIndex
-			// computation below — returning early here would hand out
-			// NextIndex 0 and make post-recovery appends reuse indices the
-			// log already holds.
-			rec.TornTail = len(raw) > 0
-			rec.TruncatedBytes += int64(len(raw))
-			break
-		}
-		off, err := checkSegmentHeader(raw)
-		if err != nil {
-			return *rec, 0, fmt.Errorf("framelog: %s/%s: %w", w.feed, segmentName(seg), err)
-		}
-		for off < len(raw) {
-			f, n, ok := decodeRecord(raw[off:])
-			if !ok {
-				if !lastSeg {
-					return *rec, 0, fmt.Errorf("framelog: %s/%s offset %d: %w", w.feed, segmentName(seg), off, ErrCorrupt)
-				}
-				rec.TornTail = true
-				rec.TruncatedBytes += int64(len(raw) - off)
-				break
-			}
-			if first {
-				rec.FirstIndex = f.Index
-				first = false
-			}
-			rec.LastIndex = f.Index
-			rec.Frames++
-			off += n
-		}
-		if lastSeg {
-			lastEnd = int64(off)
-		}
-	}
-	rec.NextIndex = rec.LastIndex + 1
-	return *rec, lastEnd, nil
 }
 
 // createSegment starts segment n as the active one.

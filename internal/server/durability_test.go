@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -353,6 +354,73 @@ func TestRecoveryReplaySurvivesRetentionRotation(t *testing.T) {
 	segs, err := os.ReadDir(filepath.Join(dir, "room"))
 	if err != nil || len(segs) > small.MaxSegments {
 		t.Fatalf("retention cap not enforced after the replay: %d segments (%v), cap %d", len(segs), err, small.MaxSegments)
+	}
+}
+
+// TestCorruptLogFailsRecovery: recovery decides frames in the pass that
+// validates them, so a log that turns out corrupt further on has already fed
+// the runtime. None of that may be served: a corrupt record in a sealed
+// segment fails the re-registration (500, ErrCorrupt's text in the envelope)
+// and the next start (ErrCorrupt in New's chain), the feed is off the table
+// and unreadable either way, and the log is left as found for the operator.
+func TestCorruptLogFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(c *server.Config) {
+		// 4 records per segment, so 12 frames seal two segments.
+		c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff, SegmentMaxBytes: 8 + 4*565}
+	}
+	_, ts, reg := newTestServer(t, durable)
+	doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
+	doReq(t, http.MethodPut, ts.URL+"/v1/feeds/other", nil)
+	if code, ir, _ := ingest(t, ts.URL, "room", durableFrames(12, 0)); code != http.StatusAccepted || ir.Accepted != 12 {
+		t.Fatalf("ingest: code=%d accepted=%d", code, ir.Accepted)
+	}
+	doReq(t, http.MethodDelete, ts.URL+"/v1/feeds/room", nil)
+
+	// Flip one payload bit of the sixth record: second segment, sealed,
+	// with five good records ahead of it and six behind.
+	seg := filepath.Join(dir, "room", "00000001.flog")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8+565+100] ^= 0x04
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	decided := reg.Counter("server_decisions_total", "").Value()
+	code, body, _ := doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil)
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), framelog.ErrCorrupt.Error()) {
+		t.Fatalf("re-register over a corrupt log: %d %s, want 500 naming %q", code, body, framelog.ErrCorrupt)
+	}
+	// The five frames ahead of the fault were decided and counted as
+	// replayed; the books stay balanced, and nobody can read the result.
+	if got := reg.Counter("server_decisions_total", "").Value() - decided; got != 5 {
+		t.Fatalf("decided %d frames ahead of the fault, want 5", got)
+	}
+	if got := reg.Counter("server_frames_recovered_total", "").Value(); got != 5 {
+		t.Fatalf("server_frames_recovered_total = %d, want 5", got)
+	}
+	if code, _, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds/room/occupancy", nil); code != http.StatusNotFound {
+		t.Fatalf("occupancy of the failed feed: %d, want 404", code)
+	}
+	code, body, _ = doReq(t, http.MethodGet, ts.URL+"/v1/feeds", nil)
+	if code != http.StatusOK || strings.Contains(string(body), `"room"`) || !strings.Contains(string(body), `"other"`) {
+		t.Fatalf("GET /v1/feeds: %d %s, want other without room", code, body)
+	}
+	if after, err := os.ReadFile(seg); err != nil || string(after) != string(raw) {
+		t.Fatalf("the corrupt segment was modified (err %v)", err)
+	}
+
+	// The next start must refuse the directory just as loudly.
+	cfg := server.Config{Primary: ampPred{}}
+	durable(&cfg)
+	if srv, err := server.New(cfg); !errors.Is(err, framelog.ErrCorrupt) {
+		if srv != nil {
+			srv.Close()
+		}
+		t.Fatalf("New over a corrupt log: %v, want ErrCorrupt in the chain", err)
 	}
 }
 

@@ -120,32 +120,34 @@ func (s *Server) newFeed(id string) (*feed, error) {
 	return f, nil
 }
 
-// open opens the feed's log and replays what it holds through the fresh
-// runtime, rebuilding the exact decision state of the previous life. The
-// caller holds mu and has already published the feed, so ingest arriving
-// meanwhile waits on the lock and lands behind the recovered frames — and
-// nothing can append, rotate or retire a segment under the replay's feet.
+// open opens the feed's log and, in the same pass that validates it, runs
+// every frame it holds through the fresh runtime, rebuilding the exact
+// decision state of the previous life. The caller holds mu and has already
+// published the feed, so ingest arriving meanwhile waits on the lock and
+// lands behind the recovered frames — and nothing can append, rotate or
+// retire a segment under the replay's feet. A frame is decided as soon as
+// its record checks out, so when the log turns out corrupt further on, the
+// runtime has already seen the frames ahead of the fault: the error takes
+// the whole feed off the table (register), and what was decided goes with
+// it, unpublished to anyone but the decision counter.
 func (f *feed) open() error {
 	s := f.srv
-	w, rec, err := framelog.Open(s.cfg.Durability, f.id)
+	n := 0
+	w, rec, err := framelog.OpenReplay(s.cfg.Durability, f.id, func(fr *fault.Frame) {
+		f.decide(fr)
+		n++
+	})
+	s.m.framesRecovered.Add(int64(n))
 	if err != nil {
 		return err
 	}
 	f.log = w
 	f.nextIndex = rec.NextIndex
-	if rec.Frames == 0 {
-		return nil
-	}
-	n, err := framelog.Replay(s.cfg.Durability.Dir, f.id, rec.Frames, func(fr fault.Frame) error {
-		f.decide(&fr)
-		s.m.framesRecovered.Inc()
-		return nil
-	})
-	if err == nil && n != rec.Frames {
-		err = fmt.Errorf("server: feed %q replayed %d of %d logged frames", f.id, n, rec.Frames)
-	}
 	f.lastActive = time.Now()
-	return err
+	if n != rec.Frames {
+		return fmt.Errorf("server: feed %q replayed %d of %d logged frames", f.id, n, rec.Frames)
+	}
+	return nil
 }
 
 // decide runs one accepted frame through the runtime, records the decision

@@ -37,7 +37,8 @@ import (
 
 // Predictor is the slice of a detector the runtime needs. *core.Detector
 // implements it; the indirection keeps this package free of a dependency
-// cycle with internal/core.
+// cycle with internal/core. The record belongs to the caller and is reused
+// for the next frame: an implementation reads it and lets go.
 type Predictor interface {
 	PredictRecord(r *dataset.Record) (float64, int)
 }
@@ -258,6 +259,12 @@ type Runtime struct {
 
 	frames        int // frames processed so far; also the next frame index
 	firstFallback int // index of the first fallback-served frame, -1 until one
+
+	// rec is the record handed to the detector: the frame's, with imputed
+	// fields patched in. It lives here because the pointer passed through
+	// the Predictor interface escapes — a local would cost one heap record
+	// per frame.
+	rec dataset.Record
 }
 
 type envSample struct {
@@ -336,7 +343,8 @@ func (rt *Runtime) Process(f fault.Frame) Decision {
 	}
 
 	// --- CSI gap bridging -------------------------------------------------
-	rec := f.Rec
+	rec := &rt.rec
+	*rec = f.Rec
 	d := Decision{Mode: rt.mode}
 	if f.Dropped {
 		rt.dropRun++
@@ -373,7 +381,7 @@ func (rt *Runtime) Process(f fault.Frame) Decision {
 	}
 
 	// --- inference --------------------------------------------------------
-	d.P, d.Pred = pred.PredictRecord(&rec)
+	d.P, d.Pred = pred.PredictRecord(rec)
 	d.State = d.Pred
 	if rt.sm != nil {
 		d.State, d.Flipped = rt.sm.Push(d.Pred)

@@ -382,6 +382,83 @@ func (a *altPred) PredictRecord(*dataset.Record) (float64, int) {
 	return 0.1, 0
 }
 
+// degradingTrace is the corpus the observer and allocation tests share: 60
+// frames with an env outage long enough to impute, degrade to the fallback
+// and recover, isolated dropped frames (CSI held) and one run of drops
+// longer than degradingConfig's MaxHoldGap (decision held) — every branch
+// of Process.
+func degradingTrace() []fault.Frame {
+	trace := make([]fault.Frame, 60)
+	for i := range trace {
+		f := frame(i, 20+float64(i%5))
+		if i >= 10 && i < 35 {
+			f.EnvOK = false // env outage: imputation, then degradation
+		}
+		if i%13 == 7 || (i >= 48 && i < 52) {
+			f.Dropped = true // CSI gaps: hold-imputation, then held decisions
+		}
+		trace[i] = f
+	}
+	return trace
+}
+
+func degradingConfig(primary, fallback Predictor, o obs.Observer) Config {
+	return Config{
+		Primary:        primary,
+		Fallback:       fallback,
+		PrimaryUsesEnv: true,
+		MaxHoldGap:     2,
+		WatchdogFrames: 5,
+		RecoverFrames:  4,
+		SmootherNeed:   2,
+		Observer:       o,
+	}
+}
+
+// recordSum is a predictor that reads every field the detectors read and
+// allocates nothing, so what Process itself allocates is all there is.
+type recordSum struct{}
+
+func (recordSum) PredictRecord(r *dataset.Record) (float64, int) {
+	s := r.Temp + r.Humidity
+	for _, v := range r.CSI {
+		s += v
+	}
+	return s, int(s) & 1
+}
+
+// TestProcessZeroAlloc: the record handed to the detector lives in the
+// Runtime, so a frame costs no heap whichever way it goes — primary,
+// imputed CSI, imputed env, fallback or held — with or without an observer.
+func TestProcessZeroAlloc(t *testing.T) {
+	trace := degradingTrace()
+	for _, o := range []obs.Observer{nil, obs.NewRegistry()} {
+		rt, err := New(degradingConfig(recordSum{}, recordSum{}, o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen struct{ primary, fallback, held, csiImputed, envImputed bool }
+		// AllocsPerRun calls the function once more than asked, to warm up:
+		// 59 measured calls after it, one frame of the corpus each.
+		i := 0
+		allocs := testing.AllocsPerRun(len(trace)-1, func() {
+			d := rt.Process(trace[i])
+			i++
+			seen.primary = seen.primary || d.Mode == ModePrimary
+			seen.fallback = seen.fallback || d.Mode == ModeFallback
+			seen.held = seen.held || d.Mode == ModeHeld
+			seen.csiImputed = seen.csiImputed || d.CSIImputed
+			seen.envImputed = seen.envImputed || d.EnvImputed
+		})
+		if allocs != 0 {
+			t.Errorf("observer %v: Process allocates %v times a frame, want 0", o != nil, allocs)
+		}
+		if !seen.primary || !seen.fallback || !seen.held || !seen.csiImputed || !seen.envImputed {
+			t.Fatalf("corpus did not reach every branch of Process: %+v", seen)
+		}
+	}
+}
+
 // TestObserverDoesNotChangeDecisions replays one degrading trace through two
 // identically-configured runtimes — one with a live metrics registry, one
 // with the nil default — and requires every decision to match bit for bit.
@@ -389,28 +466,9 @@ func (a *altPred) PredictRecord(*dataset.Record) (float64, int) {
 // (DESIGN.md §10). It also cross-checks the stream_* series against counts
 // reconstructed from the decision sequence itself.
 func TestObserverDoesNotChangeDecisions(t *testing.T) {
-	trace := make([]fault.Frame, 60)
-	for i := range trace {
-		f := frame(i, 20+float64(i%5))
-		if i >= 10 && i < 35 {
-			f.EnvOK = false // env outage: imputation, then degradation
-		}
-		if i%13 == 7 {
-			f.Dropped = true // CSI gaps: hold-imputation path
-		}
-		trace[i] = f
-	}
-
+	trace := degradingTrace()
 	run := func(o obs.Observer) []Decision {
-		rt, err := New(Config{
-			Primary:        &fakePred{p: 0.9, pred: 1},
-			Fallback:       &fakePred{p: 0.2, pred: 0},
-			PrimaryUsesEnv: true,
-			WatchdogFrames: 5,
-			RecoverFrames:  4,
-			SmootherNeed:   2,
-			Observer:       o,
-		})
+		rt, err := New(degradingConfig(&fakePred{p: 0.9, pred: 1}, &fakePred{p: 0.2, pred: 0}, o))
 		if err != nil {
 			t.Fatal(err)
 		}

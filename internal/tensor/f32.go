@@ -130,11 +130,30 @@ func MatMulF32(dst, a, b *MatrixF32) *MatrixF32 {
 // from (the scalar f32 and f64 kernels are equally compute-bound on this
 // workload — see DESIGN.md §12). The scan order depends only on src itself,
 // preserving the per-row determinism contract.
+//
+// Under the AVX2 kernel the leading multiple of eight entries go through
+// compactNonzeroF32AVX2, which is exact — the same count and the same
+// (idx, val)[:count] as the Go loop for every bit pattern (NaNs are nonzero,
+// ±0 are not); entries at and beyond the count are scratch either way.
 func CompactNonzeroF32(idx []int32, val []float32, src []float32) int {
+	if !useAVX2 {
+		return compactNonzeroF32Generic(idx, val, src, 0)
+	}
+	checkCompactRoom("CompactNonzeroF32", idx, val, src)
+	nz, k := 0, len(src)&^7
+	if k > 0 {
+		nz = compactNonzeroF32AVX2(&idx[0], &val[0], &src[0], k)
+	}
+	return nz + compactNonzeroF32Generic(idx[nz:], val[nz:], src[k:], k)
+}
+
+// compactNonzeroF32Generic is the scalar compaction loop; entry k of src is
+// reported as index base+k.
+func compactNonzeroF32Generic(idx []int32, val []float32, src []float32, base int) int {
 	nz := 0
 	for k, v := range src {
 		if v != 0 {
-			idx[nz] = int32(k)
+			idx[nz] = int32(base + k)
 			val[nz] = v
 			nz++
 		}
@@ -142,11 +161,37 @@ func CompactNonzeroF32(idx []int32, val []float32, src []float32) int {
 	return nz
 }
 
+// checkCompactRoom is the bounds check the vector compaction kernels cannot
+// make themselves: they store eight lanes at the cursor, scratch included,
+// so idx and val must hold len(src) entries whatever the count turns out to
+// be (the scalar loops get the same guarantee one index at a time).
+func checkCompactRoom(name string, idx []int32, val []float32, src []float32) {
+	if len(idx) < len(src) || len(val) < len(src) {
+		panic(fmt.Sprintf("tensor: %s idx/val length %d/%d < src %d", name, len(idx), len(val), len(src)))
+	}
+}
+
 // ReLUCompactF32 applies ReLU to src and gathers the surviving (positive)
 // entries into (idx, val), returning the count — CompactNonzeroF32 fused
 // with the activation so a Dense→ReLU→Dense chain touches the activation
 // vector exactly once. Entries of idx and val at and beyond the returned
-// count are scratch.
+// count are scratch. Under the AVX2 kernel the leading multiple of eight
+// entries go through reluCompactF32AVX2, exact in the same sense as
+// CompactNonzeroF32's kernel.
+func ReLUCompactF32(idx []int32, val []float32, src []float32) int {
+	if !useAVX2 {
+		return reluCompactF32Generic(idx, val, src, 0)
+	}
+	checkCompactRoom("ReLUCompactF32", idx, val, src)
+	nz, k := 0, len(src)&^7
+	if k > 0 {
+		nz = reluCompactF32AVX2(&idx[0], &val[0], &src[0], k)
+	}
+	return nz + reluCompactF32Generic(idx[nz:], val[nz:], src[k:], k)
+}
+
+// reluCompactF32Generic is the scalar ReLU compaction loop; entry k of src
+// is reported as index base+k.
 //
 // The sign of a pre-activation is a coin toss to the branch predictor, so
 // there is no branch on it: every entry is stored at the cursor and the
@@ -154,10 +199,10 @@ func CompactNonzeroF32(idx []int32, val []float32, src []float32) int {
 // 0x00000001..0x7F800000 (positive subnormals up to +Inf; ±0, negatives and
 // NaNs of either sign fall outside), which one subtraction and a borrow
 // test.
-func ReLUCompactF32(idx []int32, val []float32, src []float32) int {
+func reluCompactF32Generic(idx []int32, val []float32, src []float32, base int) int {
 	nz := 0
 	for k, v := range src {
-		idx[nz] = int32(k)
+		idx[nz] = int32(base + k)
 		val[nz] = v
 		nz += int((uint64(math.Float32bits(v)-1) - 0x7F800000) >> 63)
 	}

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,32 +166,59 @@ func TestSparseRowMatMulDeterministic(t *testing.T) {
 	}
 }
 
-// reluCompactF32Ref is the branching loop ReLUCompactF32 replaced; the
-// branch-free form must gather exactly what it gathers.
-func reluCompactF32Ref(idx []int32, val []float32, src []float32) int {
-	nz := 0
-	for k, v := range src {
-		if v > 0 {
-			idx[nz] = int32(k)
-			val[nz] = v
-			nz++
-		}
-	}
-	return nz
+// The compaction entry points, each beside the plain branching loop it must
+// reproduce. The references are restated here on purpose: they are what the
+// branch-free scalar loop and the AVX2 kernel are both checked against, under
+// either OCCU_KERNEL setting.
+var compactions = []struct {
+	name string
+	fn   func(idx []int32, val []float32, src []float32) int
+	keep func(v float32) bool
+}{
+	{"ReLUCompactF32", ReLUCompactF32, func(v float32) bool { return v > 0 }},
+	{"CompactNonzeroF32", CompactNonzeroF32, func(v float32) bool { return v != 0 }},
 }
 
-func checkReLUCompactF32(t *testing.T, src []float32) {
-	t.Helper()
-	idx, val := make([]int32, len(src)), make([]float32, len(src))
-	wantIdx, wantVal := make([]int32, len(src)), make([]float32, len(src))
-	nz := ReLUCompactF32(idx, val, src)
-	want := reluCompactF32Ref(wantIdx, wantVal, src)
-	if nz != want {
-		t.Fatalf("nz = %d, want %d (src %v)", nz, want, src)
+// compactEdges is every class of bit pattern on either side of both
+// predicates: signed zeros, the smallest and largest subnormals and normals,
+// infinities, quiet and signalling NaNs of either sign.
+func compactEdges() []float32 {
+	var edges []float32
+	for _, bits := range []uint32{
+		0x00000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x3F800000, 0x7F7FFFFF,
+		0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
+	} {
+		edges = append(edges, math.Float32frombits(bits), math.Float32frombits(bits|0x80000000))
 	}
-	for i := 0; i < nz; i++ {
-		if idx[i] != wantIdx[i] || math.Float32bits(val[i]) != math.Float32bits(wantVal[i]) {
-			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, idx[i], val[i], wantIdx[i], wantVal[i])
+	return edges
+}
+
+// checkCompactF32 runs every compaction over src into idx/val that are
+// exactly len(src) long and dirty on entry, and compares the count and the
+// (idx, val) prefix — values under Float32bits, so NaN payloads and the sign
+// of zero count — with the reference loop. Entries past the count are
+// scratch and not looked at.
+func checkCompactF32(t testing.TB, src []float32) {
+	t.Helper()
+	for _, c := range compactions {
+		idx, val := make([]int32, len(src)), make([]float32, len(src))
+		for i := range idx {
+			idx[i], val[i] = -7, math.Float32frombits(0xDEADBEEF)
+		}
+		nz := c.fn(idx, val, src)
+		want := 0
+		for k, v := range src {
+			if !c.keep(v) {
+				continue
+			}
+			if want < nz && (idx[want] != int32(k) || math.Float32bits(val[want]) != math.Float32bits(v)) {
+				t.Fatalf("%s (avx2=%v) len %d: entry %d = (%d, %#08x), want (%d, %#08x)", c.name, useAVX2,
+					len(src), want, idx[want], math.Float32bits(val[want]), k, math.Float32bits(v))
+			}
+			want++
+		}
+		if nz != want {
+			t.Fatalf("%s (avx2=%v) len %d: count %d, want %d", c.name, useAVX2, len(src), nz, want)
 		}
 	}
 }
@@ -209,23 +238,50 @@ func TestReLUCompactF32(t *testing.T) {
 			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, idx[i], val[i], wantIdx[i], wantVal[i])
 		}
 	}
+}
 
-	// Every class of bit pattern on either side of the predicate: signed
-	// zeros, the smallest and largest subnormals and normals, infinities,
-	// quiet and signalling NaNs of either sign.
-	var edges []float32
-	for _, bits := range []uint32{
-		0x00000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x3F800000, 0x7F7FFFFF,
-		0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
-	} {
-		edges = append(edges, math.Float32frombits(bits), math.Float32frombits(bits|0x80000000))
+func TestCompactNonzeroF32(t *testing.T) {
+	src := []float32{1, -2, 0, 3.5, float32(math.Copysign(0, -1)), float32(math.NaN())}
+	idx := make([]int32, len(src))
+	val := make([]float32, len(src))
+	nz := CompactNonzeroF32(idx, val, src)
+	wantIdx := []int32{0, 1, 3, 5}
+	if nz != len(wantIdx) {
+		t.Fatalf("nz = %d, want %d", nz, len(wantIdx))
 	}
-	checkReLUCompactF32(t, edges)
-	checkReLUCompactF32(t, nil)
+	for i, k := range wantIdx {
+		if idx[i] != k || math.Float32bits(val[i]) != math.Float32bits(src[k]) {
+			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, idx[i], val[i], k, src[k])
+		}
+	}
+}
+
+// TestCompactF32Exact is the exactness gate of both compaction entry points
+// (DESIGN.md §14): whichever kernel the process runs, they return what the
+// plain loops return.
+func TestCompactF32Exact(t *testing.T) {
+	edges := compactEdges()
+	checkCompactF32(t, edges)
+
+	// Each edge pattern at each lane of a two-vector row plus a scalar
+	// tail, among neighbours that are all kept and then all dropped — so the
+	// pattern's own verdict and the packing of what follows it both show.
+	for _, fill := range []float32{1.5, -1.5, 0} {
+		for _, e := range edges {
+			for pos := 0; pos < 19; pos++ {
+				src := make([]float32, 19)
+				for i := range src {
+					src[i] = fill
+				}
+				src[pos] = e
+				checkCompactF32(t, src)
+			}
+		}
+	}
 
 	rng := rand.New(rand.NewSource(36))
-	for trial := 0; trial < 200; trial++ {
-		src := make([]float32, rng.Intn(300))
+	randomRow := func(n int) []float32 {
+		src := make([]float32, n)
 		for i := range src {
 			switch rng.Intn(8) {
 			case 0:
@@ -236,8 +292,83 @@ func TestReLUCompactF32(t *testing.T) {
 				src[i] = float32(rng.NormFloat64())
 			}
 		}
-		checkReLUCompactF32(t, src)
+		return src
 	}
+	// Every length around the vector width, then the network's own widths.
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 8; trial++ {
+			checkCompactF32(t, randomRow(n))
+		}
+	}
+	for _, n := range []int{66, 128, 256, 512} {
+		for trial := 0; trial < 8; trial++ {
+			checkCompactF32(t, randomRow(n))
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		src := make([]float32, rng.Intn(300))
+		for i := range src {
+			src[i] = math.Float32frombits(rng.Uint32())
+		}
+		checkCompactF32(t, src)
+	}
+}
+
+// TestCompactF32ShortOutputPanics: the vector kernels store eight lanes at
+// the cursor whatever the predicate says, so output slices shorter than src
+// must be refused before the call — even for a row the scalar loop would
+// have survived because nothing in it is kept.
+func TestCompactF32ShortOutputPanics(t *testing.T) {
+	panics := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	kept, dropped := make([]float32, 16), make([]float32, 16)
+	for i := range kept {
+		kept[i] = 1
+	}
+	for _, c := range compactions {
+		for _, short := range []struct{ idx, val int }{{15, 16}, {16, 15}, {0, 0}} {
+			idx, val := make([]int32, short.idx), make([]float32, short.val)
+			if panics(func() { c.fn(idx, val, kept) }) == "" {
+				t.Fatalf("%s: no panic with %d/%d outputs for 16 kept inputs", c.name, short.idx, short.val)
+			}
+			if !useAVX2 {
+				continue
+			}
+			want := fmt.Sprintf("tensor: %s idx/val length %d/%d < src 16", c.name, short.idx, short.val)
+			if got := panics(func() { c.fn(idx, val, dropped) }); got != want {
+				t.Fatalf("%s: panic %q, want %q", c.name, got, want)
+			}
+		}
+	}
+}
+
+// FuzzCompactF32 reads the input as raw float32 bit patterns and holds both
+// compaction entry points to the plain loops, count and prefix.
+func FuzzCompactF32(f *testing.F) {
+	seed := make([]byte, 0, 4*20)
+	for _, e := range compactEdges() {
+		seed = binary.LittleEndian.AppendUint32(seed, math.Float32bits(e))
+	}
+	f.Add(seed)
+	f.Add(seed[:4*9])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 4*4096 {
+			raw = raw[:4*4096]
+		}
+		src := make([]float32, len(raw)/4)
+		for i := range src {
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		checkCompactF32(t, src)
+	})
 }
 
 func TestSparseRowDotColumnF64(t *testing.T) {

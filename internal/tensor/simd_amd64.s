@@ -11,6 +11,8 @@
 //   - quantMaddU7I8AVX2       dst[j] += Σ_g Σ_r act[4g+r] · packed[(g*n+j)*4+r] (u7×s8, i32)
 //   - axpy4F64AVX2            dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] (f64, exact)
 //   - dot4x4F64AVX2           out[r]  = Σ_k a[k] · b[r*stride + k], r = 0..3     (f64, exact)
+//   - reluCompactF32AVX2      (idx, val) ← { (k, src[k]) : src[k] > 0 },  count  (f32, exact)
+//   - compactNonzeroF32AVX2   (idx, val) ← { (k, src[k]) : src[k] != 0 }, count  (f32, exact)
 //
 // The float32 kernels accumulate with VFMADD231PS in 4-row groups, so
 // sums are grouped (and fused) differently from the scalar kernels — results
@@ -18,8 +20,9 @@
 // core.RunDivergence, never assumed bit-identical. The integer kernel is
 // exact: as long as every act byte is ≤ 127 (the U7 contract), VPMADDUBSW
 // cannot saturate and the result equals the pure-Go int32 arithmetic bit for
-// bit. The float64 kernels at the end of the file are exact too, because
-// they fuse nothing; see the note above them.
+// bit. The float64 kernels after them are exact too, because they fuse
+// nothing, and the compaction kernels at the end of the file because they
+// compute nothing — they compare and move; see the notes above each.
 //
 // Register conventions shared by the float32 kernels:
 //   DI  dst base          SI  weight/matrix base
@@ -636,5 +639,87 @@ dt_reduce:
 	VPERM2F128 $0x31, Y5, Y4, Y7  // A2+A3  B2+B3  C2+C3  D2+D3
 	VADDPD Y7, Y6, Y6             // (s0+s1)+(s2+s3) per row
 	VMOVUPD Y6, (DI)
+	VZEROUPPER
+	RET
+
+// Exact activation compaction. Eight float32 lanes a step: compare against
+// zero, take the 8-bit lane mask, look the mask up in compactPerm (the
+// positions of its set bits in ascending order, one byte each) and in
+// compactCount (how many there are), left-pack the surviving values and
+// their indices with VPERMPS/VPERMD and store all eight lanes at the cursor,
+// which then advances by the count. The same (idx, val)[:count] as the Go
+// loops for every bit pattern; lanes stored past the count are scratch, so
+// the caller must guarantee idx and val hold n entries. n must be a multiple
+// of 8 (the tail stays in Go). No POPCNT/BMI: nothing here needs more than
+// the AVX2 cpukit detects.
+//
+// Registers: SI src, DI idx, R8 val, BX n, AX element index, CX cursor
+// (the count so far), DX lane mask then its popcount, R10 compactPerm,
+// R11 compactCount, Y15 zero, Y14 lane indices AX..AX+7, Y13 eights,
+// Y0 values, Y1 compare mask, Y2 permutation, Y3/Y4 packed values/indices.
+#define COMPACT_SETUP \
+	LEAQ ·compactPerm(SB), R10; \
+	LEAQ ·compactCount(SB), R11; \
+	VXORPS Y15, Y15, Y15; \
+	VPMOVZXBD 2040(R10), Y14; \
+	VPCMPEQD Y13, Y13, Y13; \
+	VPSRLD $31, Y13, Y13; \
+	VPSLLD $3, Y13, Y13; \
+	XORQ AX, AX; \
+	XORQ CX, CX
+
+#define COMPACT_STEP(PRED) \
+	VMOVUPS (SI)(AX*4), Y0; \
+	VCMPPS PRED, Y15, Y0, Y1; \
+	VMOVMSKPS Y1, DX; \
+	VPMOVZXBD (R10)(DX*8), Y2; \
+	VPERMPS Y0, Y2, Y3; \
+	VPERMD Y14, Y2, Y4; \
+	VMOVUPS Y3, (R8)(CX*4); \
+	VMOVDQU Y4, (DI)(CX*4); \
+	MOVBQZX (R11)(DX*1), DX; \
+	ADDQ DX, CX; \
+	VPADDD Y13, Y14, Y14; \
+	ADDQ $8, AX
+
+// func reluCompactF32AVX2(idx *int32, val *float32, src *float32, n int) int
+// Keeps src[k] > 0: predicate 0x1E, greater-than, ordered, quiet — false
+// for ±0, negatives and every NaN, as the Go comparison is.
+TEXT ·reluCompactF32AVX2(SB), NOSPLIT, $0-40
+	MOVQ idx+0(FP), DI
+	MOVQ val+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), BX
+	COMPACT_SETUP
+
+rc_loop:
+	CMPQ AX, BX
+	JGE  rc_done
+	COMPACT_STEP($0x1E)
+	JMP  rc_loop
+
+rc_done:
+	MOVQ CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func compactNonzeroF32AVX2(idx *int32, val *float32, src *float32, n int) int
+// Keeps src[k] != 0: predicate 0x04, not-equal, unordered, quiet — false
+// for ±0 only, true for every NaN, as the Go comparison is.
+TEXT ·compactNonzeroF32AVX2(SB), NOSPLIT, $0-40
+	MOVQ idx+0(FP), DI
+	MOVQ val+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), BX
+	COMPACT_SETUP
+
+nzc_loop:
+	CMPQ AX, BX
+	JGE  nzc_done
+	COMPACT_STEP($0x04)
+	JMP  nzc_loop
+
+nzc_done:
+	MOVQ CX, ret+32(FP)
 	VZEROUPPER
 	RET

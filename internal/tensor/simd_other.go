@@ -31,3 +31,11 @@ func axpy4F64AVX2(dst *float64, n int, b *float64, a0, a1, a2, a3 float64) {
 func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int) {
 	panic("tensor: AVX2 kernel called on non-amd64")
 }
+
+func reluCompactF32AVX2(idx *int32, val *float32, src *float32, n int) int {
+	panic("tensor: AVX2 kernel called on non-amd64")
+}
+
+func compactNonzeroF32AVX2(idx *int32, val *float32, src *float32, n int) int {
+	panic("tensor: AVX2 kernel called on non-amd64")
+}

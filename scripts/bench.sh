@@ -16,9 +16,11 @@
 # regression check below tracks all of them.
 #
 # Two tiers. The µs-scale serving benchmarks (the fused single-row paths and
-# the engine) and the three float64 matmuls training runs on (MatMul,
-# MatMulATB, MatMulABT — about a millisecond each since the AVX2 kernels) run
-# by time, five times each, and the record keeps the median with the fastest
+# the engine), the three float64 matmuls training runs on (MatMul,
+# MatMulATB, MatMulABT — about a millisecond each since the AVX2 kernels)
+# and the two halves of a recovered frame's cost outside the axpy
+# (ReLUCompactF32, ~0.1 µs a row; FrameLogRecover, ~1 ms a 4 000-frame feed)
+# run by time, five times each, and the record keeps the median with the fastest
 # and slowest run beside it: three iterations of a 3 µs operation measure a
 # cold cache, not the operation. Everything else still runs three iterations
 # (ROADMAP item 1b covers moving the rest).
@@ -37,7 +39,7 @@ if [[ -z "${1:-}" && -e "$out" ]]; then
   out="BENCH_$(date +%FT%H%M%S).json"
 fi
 benches='BenchmarkTable4Full|BenchmarkTrainEpochMLP|BenchmarkInferenceMLPBatch256|BenchmarkFrameLogAppend|BenchmarkKernel|BenchmarkModelSwap'
-timed='BenchmarkInferenceMLPSingleFused|BenchmarkEngineMultiFeed|BenchmarkEnginePredictSingle|BenchmarkMatMul$|BenchmarkMatMulATB$|BenchmarkMatMulABT$'
+timed='BenchmarkInferenceMLPSingleFused|BenchmarkEngineMultiFeed|BenchmarkEnginePredictSingle|BenchmarkMatMul$|BenchmarkMatMulATB$|BenchmarkMatMulABT$|BenchmarkReLUCompactF32|BenchmarkFrameLogRecover'
 
 raw="$(go test -bench="$benches" -benchtime=3x -benchmem -run '^$' . 2>&1)"
 echo "$raw"
