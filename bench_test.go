@@ -317,8 +317,8 @@ func BenchmarkInferenceMLPSingleFused(b *testing.B) {
 
 // BenchmarkInferenceMLPBatch256 measures amortised batch inference through
 // the forward arena — the offline evaluation path, zero allocations per
-// pass (the pre-arena PredictProbs path cost 18 allocs and
-// ~2.1 MB per batch; see BENCH_*.json for the recorded before/after).
+// pass (the pre-arena PredictProbs path cost 18 allocs and ~2.1 MB per
+// batch).
 func BenchmarkInferenceMLPBatch256(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
@@ -401,7 +401,7 @@ func BenchmarkInferenceMLPSingleFusedF32(b *testing.B) {
 }
 
 // BenchmarkEngineMultiFeed drives 64 concurrent feeds through the inference
-// engine — the cmd/loadgen scenario as a Go benchmark. Each op is one row
+// engine — the serving fleet's scoring path as a Go benchmark. Each op is one row
 // scored end-to-end (take an arena, fused row forward, return the arena) on
 // the feed's own goroutine.
 func BenchmarkEngineMultiFeed(b *testing.B) {

@@ -4,28 +4,25 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/nn"
-	"repro/internal/stream"
 	"repro/pkg/occupancy"
 )
 
-// The swap harness is the proof gate of the versioned-model hot-swap: a
-// real occupancy server serves live feeds while a shadow-trained candidate
-// is installed and atomically activated mid-run, and the harness requires
+// The swap gate is the proof of the versioned-model hot-swap: a real
+// occupancy server serves live feeds while a shadow-trained candidate is
+// installed and atomically activated mid-run, and the harness requires
 //
 //  1. zero acknowledged frames lost across the swap (every feed's event
-//     sequence is gapless);
-//  2. version honesty: every decision is tagged with a version that was
-//     actually active (or pinned) for that feed, the tag never flips back
-//     once the new version appears, and a pinned feed never moves;
+//     sequence is complete and gapless);
+//  2. version honesty: every decision is tagged with the version that was
+//     active (or pinned) for that feed at that frame — the tag flips exactly
+//     at the activation barrier, never back, and a pinned feed never moves;
 //  3. bit-identity: each feed's decision sequence — the old-version prefix
 //     and the new-version suffix through ONE stateful runtime — matches an
 //     offline replay of the fetched bundles exactly;
@@ -35,147 +32,69 @@ import (
 // The candidate comes from the server's own durable frame logs via
 // core.ShadowTrain, so the gate exercises the full retrain-install-swap
 // loop the online-learning design describes.
-
-// switchPred replays a feed's versioned history: the harness points cur at
-// the old or new detector before each Process call, mirroring the swap
-// boundary the live stream reported.
-type switchPred struct{ cur *core.Detector }
-
-func (s *switchPred) PredictRecord(r *dataset.Record) (float64, int) {
-	return s.cur.PredictRecord(r)
-}
-
-// swapFeedID names feed f of the swap run.
-func swapFeedID(f int) string { return fmt.Sprintf("swap-%03d", f) }
-
-// runSwapMode drives the install/activate/pin lifecycle against an
-// in-process server under live load.
-func runSwapMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, epochs int, seed int64) {
-	ctx := context.Background()
-	if perFeed < 2 {
-		fail(fmt.Errorf("swap: -per-feed must be at least 2"))
-	}
+func runSwap(ctx context.Context, fx fixture, feeds, perFeed, epochs int, seed int64) error {
 	half := perFeed / 2
 	tmp, err := os.MkdirTemp("", "loadgen-swap-*")
-	fail(err)
+	if err != nil {
+		return err
+	}
 	defer os.RemoveAll(tmp)
-	model := filepath.Join(tmp, "detector.bin")
-	fail(det.SaveFile(model))
-	pub, err := occupancy.Load(model)
-	fail(err)
-
 	logDir := filepath.Join(tmp, "framelog")
-	srv, err := occupancy.NewServer(pub, occupancy.ServeConfig{
-		Addr: "127.0.0.1:0",
+	n, err := bootNode(fx.bundle, occupancy.ServeConfig{
 		// A subscriber buffer covering the whole run makes "no events
-		// dropped" a hard guarantee, so a seq gap can only mean lost frames.
+		// dropped" a hard guarantee, so a short stream can only mean lost
+		// frames.
 		StreamBuffer: perFeed + 8,
 		Durability:   occupancy.DurabilityConfig{Dir: logDir, Fsync: "off"},
 		Drift:        occupancy.DriftConfig{Baseline: 64, Window: 32},
 	})
-	fail(err)
-	runCtx, stop := context.WithCancel(ctx)
-	runDone := make(chan error, 1)
-	go func() { runDone <- srv.Run(runCtx) }()
-	fmt.Printf("loadgen: swap: server at %s, logging to %s\n", srv.URL(), logDir)
-	cl := newLoadClient(srv.URL(), feeds)
-
-	ms, err := cl.Models(ctx)
-	fail(err)
-	if len(ms.Models) != 1 || ms.Active == "" {
-		fail(fmt.Errorf("swap: boot registry: %+v", ms))
+	if err != nil {
+		return err
 	}
-	shaA := ms.Active
-
-	// Register every feed and subscribe to its full decision stream before
-	// the first frame.
-	type feedRun struct {
-		events []occupancy.Decision
-		done   chan struct{}
+	defer n.stop()
+	fmt.Printf("loadgen: swap: server at %s, logging to %s\n", n.url, logDir)
+	cl, err := newLoadClient(n.url, feeds)
+	if err != nil {
+		return err
 	}
+	old, err := activeSpan(ctx, cl)
+	if err != nil {
+		return err
+	}
+
+	// Phase 1: every feed opens and the whole first half serves on the boot
+	// version. eachFeed returning is the barrier — a 202 means decided, so
+	// the shadow training set and the swap boundary are both settled.
+	feedID := func(f int) string { return fmt.Sprintf("swap-%03d", f) }
 	runs := make([]*feedRun, feeds)
-	for f := 0; f < feeds; f++ {
-		id := swapFeedID(f)
-		if _, err := cl.RegisterFeed(ctx, id); err != nil {
-			fail(fmt.Errorf("swap: register %s: %w", id, err))
+	err = eachFeed(feeds, func(f int) error {
+		run, err := openFeed(ctx, cl, feedID(f), f, fx.recs)
+		if err != nil {
+			return err
 		}
-		st, err := cl.StreamDecisions(ctx, id, true)
-		fail(err)
-		fr := &feedRun{events: make([]occupancy.Decision, 0, perFeed), done: make(chan struct{})}
-		runs[f] = fr
-		go func() {
-			defer close(fr.done)
-			defer st.Close()
-			for {
-				d, err := st.Next()
-				if err != nil {
-					return
-				}
-				fr.events = append(fr.events, d)
-			}
-		}()
-	}
-
-	// sendHalf streams frames [from, to) to every feed concurrently and
-	// waits for full acknowledgement — a barrier, so the swap lands at a
-	// known frame boundary per feed (within one in-flight batch).
-	sendHalf := func(from, to int) {
-		var wg sync.WaitGroup
-		for f := 0; f < feeds; f++ {
-			wg.Add(1)
-			go func(f int) {
-				defer wg.Done()
-				id := swapFeedID(f)
-				pending := make([]occupancy.Frame, 0, httpBatch)
-				flush := func() {
-					if len(pending) == 0 {
-						return
-					}
-					if _, err := cl.Ingest(ctx, id, pending); err != nil {
-						fail(fmt.Errorf("swap: ingest %s: %w", id, err))
-					}
-					pending = pending[:0]
-				}
-				for k := from; k < to; k++ {
-					pending = append(pending, httpFrame(recs, f, k))
-					if len(pending) == httpBatch {
-						flush()
-					}
-				}
-				flush()
-			}(f)
-		}
-		wg.Wait()
-	}
-
-	// Phase 1: the whole first half serves on version A.
-	sendHalf(0, half)
-
-	// Wait until every first-half frame has its decision, so the shadow
-	// training set and the swap boundary are stable.
-	for f := 0; f < feeds; f++ {
-		waitForSeq(ctx, cl, swapFeedID(f), int64(half-1))
+		runs[f] = run
+		return run.send(ctx, 0, half)
+	})
+	if err != nil {
+		return err
 	}
 
 	// The install gate: garbage is rejected on the wire, never listed,
 	// never activatable.
 	if _, err := cl.InstallModel(ctx, []byte("not-a-detector-bundle")); !occupancy.IsCode(err, "model_rejected") {
-		fail(fmt.Errorf("swap: garbage install answered %v, want model_rejected", err))
+		return fmt.Errorf("swap: garbage install answered %v, want model_rejected", err)
 	}
-	if err := cl.ActivateModel(ctx, "0000000000000000000000000000000000000000000000000000000000000000"); !occupancy.IsCode(err, "unknown_model") {
-		fail(fmt.Errorf("swap: bogus activate answered %v, want unknown_model", err))
+	if err := cl.ActivateModel(ctx, strings.Repeat("0", 64)); !occupancy.IsCode(err, "unknown_model") {
+		return fmt.Errorf("swap: bogus activate answered %v, want unknown_model", err)
 	}
-	if ms, err = cl.Models(ctx); err != nil || len(ms.Models) != 1 {
-		fail(fmt.Errorf("swap: rejected candidate leaked into the registry: %+v %v", ms, err))
+	ms, err := cl.Models(ctx)
+	if err != nil || len(ms.Models) != 1 || ms.Active != old.version {
+		return fmt.Errorf("swap: rejected candidate leaked into the registry: %+v %v", ms, err)
 	}
 	fmt.Println("loadgen: swap: install gate holds (model_rejected / unknown_model)")
 
 	// Phase 2: shadow-train a candidate from the server's own frame logs,
 	// pseudo-labelled by the bundle the server actually serves.
-	activeBlob, err := cl.FetchModel(ctx)
-	fail(err)
-	active, err := core.LoadDetector(bytes.NewReader(activeBlob))
-	fail(err)
 	scfg := core.ShadowTrainConfig{
 		LogDir:         logDir,
 		MaxFrames:      20000,
@@ -188,140 +107,72 @@ func runSwapMode(det *core.Detector, recs []dataset.Record, feeds, perFeed, epoc
 	}
 	scfg.Detector.Train.Epochs = epochs
 	t0 := time.Now()
-	candidate, nTrained, err := core.ShadowTrain(active, scfg)
-	fail(err)
-	var bundleB bytes.Buffer
-	fail(candidate.Save(&bundleB))
+	candidate, nTrained, err := core.ShadowTrain(old.det, scfg)
+	if err != nil {
+		return err
+	}
+	var bundle bytes.Buffer
+	if err := candidate.Save(&bundle); err != nil {
+		return err
+	}
 	fmt.Printf("loadgen: swap: shadow-trained candidate on %d logged frames in %v\n", nTrained, time.Since(t0).Round(time.Millisecond))
 
-	// Phase 3: install, pin feed 0 to the incumbent, activate — the swap.
-	infoB, err := cl.InstallModel(ctx, bundleB.Bytes())
-	fail(err)
-	shaB := infoB.ID
-	if shaB == shaA {
-		fail(fmt.Errorf("swap: candidate collided with the incumbent"))
+	// Phase 3: install, pin feed 0 to the incumbent, activate — the swap. No
+	// frame is in flight, so every unpinned feed must flip exactly at half.
+	info, err := cl.InstallModel(ctx, bundle.Bytes())
+	if err != nil {
+		return err
 	}
-	fail(cl.PinFeedModel(ctx, swapFeedID(0), shaA))
-	fail(cl.ActivateModel(ctx, shaB))
-	if ms, err = cl.Models(ctx); err != nil || ms.Active != shaB {
-		fail(fmt.Errorf("swap: activation not visible: %+v %v", ms, err))
+	if info.ID == old.version {
+		return fmt.Errorf("swap: candidate collided with the incumbent")
 	}
-	fmt.Printf("loadgen: swap: activated %.12s… mid-run (feed 0 pinned to %.12s…)\n", shaB, shaA)
-
-	// Phase 4: the second half serves on version B (feed 0 stays on A).
-	sendHalf(half, perFeed)
-	waitForSeq(ctx, cl, swapFeedID(0), int64(perFeed-1))
-
-	// Surface the drift detectors exercised along the way (the listing only
-	// covers live feeds, so read it before closing them).
-	if infos, err := cl.ListFeeds(ctx); err == nil {
-		for _, fi := range infos {
-			if fi.Drift != nil && fi.ID == swapFeedID(0) {
-				fmt.Printf("loadgen: swap: drift on %s: %d windows, psi %.3f, ks %.3f\n",
-					fi.ID, fi.Drift.Windows, fi.Drift.PSI, fi.Drift.KS)
-			}
-		}
+	if err := cl.PinFeedModel(ctx, feedID(0), old.version); err != nil {
+		return err
+	}
+	if err := cl.ActivateModel(ctx, info.ID); err != nil {
+		return err
+	}
+	if ms, err = cl.Models(ctx); err != nil || ms.Active != info.ID {
+		return fmt.Errorf("swap: activation not visible: %+v %v", ms, err)
+	}
+	fmt.Printf("loadgen: swap: activated %.12s… mid-run (feed 0 pinned to %.12s…)\n", info.ID, old.version)
+	// The reference for the suffix is what the server now serves, fetched
+	// back from it like any other version.
+	swapped, err := versionSpan(ctx, cl, half, info.ID)
+	if err != nil {
+		return err
 	}
 
-	for f := 0; f < feeds; f++ {
-		id := swapFeedID(f)
-		if err := cl.CloseFeed(ctx, id); err != nil {
-			fail(fmt.Errorf("swap: close %s: %w", id, err))
-		}
-	}
-	for _, fr := range runs {
-		<-fr.done
+	// Phase 4: the second half serves on the new version (feed 0 stays on
+	// the old one).
+	err = eachFeed(feeds, func(f int) error { return runs[f].send(ctx, half, perFeed) })
+	if err != nil {
+		return err
 	}
 
-	// Verification. Replay each feed offline through one stateful runtime,
-	// switching detectors at the boundary the live tags report: the smoother
-	// and imputation state carry across the swap, so post-swap decisions are
-	// a function of both models' history — exactly what the server must have
+	// Phase 5: close every feed and replay it offline through one stateful
+	// runtime, switching detectors at the barrier: the smoother and
+	// imputation state carry across the swap, so post-swap decisions are a
+	// function of both models' history — exactly what the server must have
 	// computed.
-	detA, err := core.LoadDetector(bytes.NewReader(mustFetch(ctx, cl, shaA)))
-	fail(err)
-	detB, err := core.LoadDetector(bytes.NewReader(mustFetch(ctx, cl, shaB)))
-	fail(err)
-	lost, diverged := 0, 0
-	for f := 0; f < feeds; f++ {
-		ev := runs[f].events
-		if len(ev) != perFeed {
-			fail(fmt.Errorf("swap: %s streamed %d of %d decisions", swapFeedID(f), len(ev), perFeed))
+	err = eachFeed(feeds, func(f int) error {
+		events, err := runs[f].close(ctx)
+		if err != nil {
+			return err
 		}
-		boundary := perFeed
-		for k := range ev {
-			if ev[k].Seq != int64(k) {
-				lost++
-			}
-			switch ev[k].ModelVersion {
-			case shaA:
-				if k >= boundary {
-					fail(fmt.Errorf("swap: %s flipped back to the old version at seq %d", swapFeedID(f), k))
-				}
-			case shaB:
-				if f == 0 {
-					fail(fmt.Errorf("swap: pinned feed served the new version at seq %d", k))
-				}
-				if boundary == perFeed {
-					boundary = k
-				}
-			default:
-				fail(fmt.Errorf("swap: %s decision %d tagged with unknown version %q", swapFeedID(f), k, ev[k].ModelVersion))
-			}
-		}
+		spans := []span{old, swapped}
 		if f == 0 {
-			boundary = perFeed // pinned: the whole run replays on A
-		} else if boundary != half {
-			// The activation landed at the barrier between the halves with
-			// no frames in flight, so the tag must flip exactly there.
-			fail(fmt.Errorf("swap: %s swapped at seq %d, want the half boundary %d", swapFeedID(f), boundary, half))
+			spans = spans[:1] // pinned: the whole run replays on the old version
 		}
-
-		sp := &switchPred{cur: detA}
-		rt, err := stream.New(stream.Config{Primary: sp, PrimaryUsesEnv: detA.Features != dataset.FeatCSI})
-		fail(err)
-		for k := 0; k < perFeed; k++ {
-			if k == boundary {
-				sp.cur = detB
-			}
-			d := rt.Process(refFrame(recs, f, k))
-			e := ev[k]
-			if math.Float64bits(e.P) != math.Float64bits(d.P) || e.Pred != d.Pred ||
-				e.State != d.State || e.Mode != d.Mode.String() {
-				diverged++
-			}
-		}
+		return runs[f].verify(events, 0, perFeed, spans)
+	})
+	if err != nil {
+		return fmt.Errorf("swap: %w", err)
 	}
-	if lost != 0 || diverged != 0 {
-		fail(fmt.Errorf("swap: %d seq gaps, %d decisions diverged from the offline replay", lost, diverged))
-	}
-
-	stop()
-	if err := <-runDone; err != nil {
-		fail(fmt.Errorf("swap: server shutdown: %w", err))
+	if err := n.stop(); err != nil {
+		return fmt.Errorf("swap: server shutdown: %w", err)
 	}
 	fmt.Printf("loadgen: swap: %d feeds × %d frames across an atomic swap — zero frames lost, all decisions bit-identical to the offline replay\n",
 		feeds, perFeed)
-}
-
-// waitForSeq polls a feed's latest decision until it reaches seq.
-func waitForSeq(ctx context.Context, cl *occupancy.Client, id string, seq int64) {
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		d, ok, err := cl.Occupancy(ctx, id)
-		if err == nil && ok && d.Seq >= seq {
-			return
-		}
-		if time.Now().After(deadline) {
-			fail(fmt.Errorf("swap: %s never reached seq %d", id, seq))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// mustFetch downloads one version's bundle.
-func mustFetch(ctx context.Context, cl *occupancy.Client, sha string) []byte {
-	b, err := cl.FetchModelVersion(ctx, sha)
-	fail(err)
-	return b
+	return nil
 }

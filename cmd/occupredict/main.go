@@ -105,7 +105,7 @@ func main() {
 	ecfg := occupancy.EngineConfig{Workers: *workers, Precision: *precision, Observer: observer}
 	fail(ecfg.Validate())
 	if *precision != occupancy.PrecisionF64 {
-		fmt.Printf("occupredict: serving at %s precision (f64 is the bit-exact reference; divergence is bounded, see loadgen -verify)\n", *precision)
+		fmt.Printf("occupredict: serving at %s precision (f64 is the bit-exact reference; divergence is bounded, DESIGN.md §12)\n", *precision)
 	}
 	primaryEng, err := occupancy.NewEngine(primary, ecfg)
 	fail(err)

@@ -38,14 +38,14 @@
 //	          [-drift-baseline n] [-drift-window n] [-drift-bins n]
 //	          [-drift-psi x] [-drift-ks x] [-drift-consecutive n]
 //	          [-cluster-self id] [-cluster-nodes id=url,...] [-cluster-vnodes n]
-//	          [-cluster-forward] [-model-from url]
+//	          [-model-from url]
 //
 // Cluster mode: -cluster-self names this node in the shard map;
 // -cluster-nodes seeds the initial membership (epoch 1), or is left empty to
 // have an orchestrator install the map via PUT /v1/cluster. A node whose
-// -cluster-self is absent from the map owns no feeds; give it
-// -cluster-forward and it is the thin router that proxies every feed request
-// to the owner. -model-from fetches the detector bundle from a running peer
+// -cluster-self is absent from the map owns no feeds: it is the thin router
+// that answers every feed request with a 307 to the owner. -model-from
+// fetches the detector bundle from a running peer
 // instead of loading or training one, so every node serves byte-identical
 // weights (verify via the model_sha256 field of /v1/cluster).
 //
@@ -53,7 +53,7 @@
 // bit-identical to the offline reference path; f32 halves the hot-path
 // precision for throughput; int8 serves quantised weights. Reduced
 // precisions stay deterministic per sample but diverge boundedly from f64
-// (bound it first with `loadgen -verify -precision ...`; DESIGN.md §12).
+// (TestDivergenceGoldenBounds pins the bounds; DESIGN.md §12).
 //
 // -log-dir enables durable ingest: every accepted frame is logged before it
 // is acknowledged, and a restart replays each feed's log to the exact
@@ -110,11 +110,10 @@ func main() {
 		fsync         = flag.String("fsync", "interval", "frame log sync policy: always, interval or off")
 		fsyncInterval = flag.Duration("fsync-interval", 0, "max time between syncs under -fsync interval (0 = default 100ms)")
 
-		clusterSelf    = flag.String("cluster-self", "", "this node's ID in the shard map (empty: standalone)")
-		clusterNodes   = flag.String("cluster-nodes", "", "initial shard membership as id=url[,id=url...] (empty: wait for an orchestrator to install a map)")
-		clusterVNodes  = flag.Int("cluster-vnodes", 0, "virtual nodes per member on the hash ring (0 = default 64)")
-		clusterForward = flag.Bool("cluster-forward", false, "proxy misplaced feed requests to their owner instead of answering 307 (router mode)")
-		modelFrom      = flag.String("model-from", "", "fetch the detector bundle from this running peer instead of -model/training")
+		clusterSelf   = flag.String("cluster-self", "", "this node's ID in the shard map (empty: standalone)")
+		clusterNodes  = flag.String("cluster-nodes", "", "initial shard membership as id=url[,id=url...] (empty: wait for an orchestrator to install a map)")
+		clusterVNodes = flag.Int("cluster-vnodes", 0, "virtual nodes per member on the hash ring (0 = default 64)")
+		modelFrom     = flag.String("model-from", "", "fetch the detector bundle from this running peer instead of -model/training")
 	)
 	flag.Parse()
 	if *epochs < 1 {
@@ -158,9 +157,9 @@ func main() {
 	if *clusterSelf != "" {
 		m, merr := parseClusterNodes(*clusterNodes, *clusterVNodes)
 		fail(merr)
-		clusterCfg = &occupancy.ClusterConfig{Self: *clusterSelf, Map: m, Forward: *clusterForward}
-	} else if *clusterNodes != "" || *clusterForward {
-		fail(fmt.Errorf("-cluster-nodes/-cluster-forward need -cluster-self"))
+		clusterCfg = &occupancy.ClusterConfig{Self: *clusterSelf, Map: m}
+	} else if *clusterNodes != "" {
+		fail(fmt.Errorf("-cluster-nodes needs -cluster-self"))
 	}
 
 	srv, err := occupancy.NewServer(primary, occupancy.ServeConfig{
@@ -197,12 +196,8 @@ func main() {
 		fmt.Println("occuserve: per-feed drift detection on (server_drift_* metrics)")
 	}
 	if clusterCfg != nil {
-		role := "member"
-		if clusterCfg.Forward {
-			role = "forwarding router"
-		}
-		fmt.Printf("occuserve: cluster node %q (%s, map epoch %d, %d members)\n",
-			clusterCfg.Self, role, clusterCfg.Map.Epoch, len(clusterCfg.Map.Nodes))
+		fmt.Printf("occuserve: cluster node %q (map epoch %d, %d members)\n",
+			clusterCfg.Self, clusterCfg.Map.Epoch, len(clusterCfg.Map.Nodes))
 	}
 	if *precision != occupancy.PrecisionF64 {
 		fmt.Printf("occuserve: serving at %s precision (bounded divergence vs the f64 reference, DESIGN.md §12)\n", *precision)

@@ -31,7 +31,14 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	csvPath := filepath.Join(dir, "trace.csv")
-	if err := d.SaveCSV(csvPath); err != nil {
+	csvFile, err := os.Create(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteCSV(csvFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := csvFile.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,11 +213,11 @@ func TestForestBundlesInterop(t *testing.T) {
 	cfg := rf.DefaultForestConfig()
 	cfg.NumTrees = 6
 	f := rf.FitClassifier(x, y, cfg)
-	path := filepath.Join(t.TempDir(), "rf.bin")
-	if err := f.SaveFile(path); err != nil {
+	var bundle bytes.Buffer
+	if err := f.Save(&bundle); err != nil {
 		t.Fatal(err)
 	}
-	back, err := rf.LoadFile(path)
+	back, err := rf.Load(&bundle)
 	if err != nil {
 		t.Fatal(err)
 	}

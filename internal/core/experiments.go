@@ -462,23 +462,6 @@ func RunProfile(d *dataset.Dataset, maxSamples int) (*ProfileResult, error) {
 	return res, nil
 }
 
-// thinToSpacing subsamples d so consecutive records are at least `spacing`
-// apart, using the record timestamps.
-func thinToSpacing(d *dataset.Dataset, spacing time.Duration) *dataset.Dataset {
-	if d.Len() < 2 {
-		return d
-	}
-	out := &dataset.Dataset{}
-	next := d.Records[0].Time
-	for i := range d.Records {
-		if !d.Records[i].Time.Before(next) {
-			out.Records = append(out.Records, d.Records[i])
-			next = d.Records[i].Time.Add(spacing)
-		}
-	}
-	return out
-}
-
 func adfLags(n int) int {
 	l := n / 50
 	if l < 1 {

@@ -40,16 +40,6 @@ func (c ActivityConfig) Validate() error {
 	return c.Train.Validate()
 }
 
-// DefaultActivityConfig mirrors the detector's architecture with a 3-logit
-// softmax head.
-func DefaultActivityConfig() ActivityConfig {
-	return ActivityConfig{
-		Hidden: append([]int(nil), PaperHidden...),
-		Train:  nn.DefaultTrainConfig(),
-		Seed:   1,
-	}
-}
-
 // TrainActivity fits the activity classifier on CSI features.
 func TrainActivity(train *dataset.Dataset, cfg ActivityConfig) (*ActivityClassifier, error) {
 	if err := cfg.Validate(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -34,8 +35,7 @@ func TestEvaluateMultiClass(t *testing.T) {
 
 func TestTrainActivityAndPredict(t *testing.T) {
 	_, split := testSplit(t)
-	acfg := DefaultActivityConfig()
-	acfg.Hidden = []int{32, 16}
+	acfg := ActivityConfig{Hidden: []int{32, 16}, Train: nn.DefaultTrainConfig(), Seed: 1}
 	acfg.Train.Epochs = 8
 	acfg.Train.BatchSize = 64
 	train := thin(split.Train, 1500)

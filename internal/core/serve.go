@@ -109,11 +109,6 @@ func (de *DetectorEngine) PredictRecord(r *dataset.Record) (float64, int) {
 	return p, label
 }
 
-// PredictRow scores an already-extracted, already-standardised feature row.
-func (de *DetectorEngine) PredictRow(row []float64) (float64, int) {
-	return de.eng.PredictLabel(row)
-}
-
 // Close waits for in-flight predictions and retires the engine; a
 // prediction afterwards panics.
 func (de *DetectorEngine) Close() { de.eng.Close() }

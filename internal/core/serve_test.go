@@ -78,26 +78,3 @@ func TestDetectorEngineValidation(t *testing.T) {
 		t.Fatal("expected error for untrained detector")
 	}
 }
-
-// TestDetectorEnginePredictRow checks the pre-standardised row entry point
-// against PredictRecord.
-func TestDetectorEnginePredictRow(t *testing.T) {
-	det, recs := serveFixture(t)
-	// MaxDelay is what bench/occubench still passes: accepted, ignored.
-	de, err := NewDetectorEngine(det, ServeConfig{Workers: 2, MaxDelay: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer de.Close()
-	if de.Detector() != det {
-		t.Fatal("Detector accessor")
-	}
-	r := &recs[0]
-	wantP, wantL := det.PredictRecord(r)
-	row := dataset.FeatureRow(r, det.Features)
-	det.Scaler.TransformRow(row)
-	p, l := de.PredictRow(row)
-	if p != wantP || l != wantL {
-		t.Fatalf("PredictRow (%v,%d) != (%v,%d)", p, l, wantP, wantL)
-	}
-}

@@ -115,11 +115,6 @@ func init() {
 // implementation.
 func Active() Kernel { return active }
 
-// HasAVX2FMA reports whether the hardware (CPU + OS) can run the AVX2+FMA
-// kernels, regardless of what Active selected — the raw capability bit for
-// metrics and test skips.
-func HasAVX2FMA() bool { return hardware }
-
 // SelectionError returns the startup selection failure, if any: an
 // unparseable OCCU_KERNEL value, or OCCU_KERNEL=avx2 on hardware that cannot
 // run it. While it is non-nil the process runs KernelGeneric; CLIs check it

@@ -73,7 +73,7 @@ func TestSelectKernel(t *testing.T) {
 // selectKernel's verdict on them. Run under OCCU_KERNEL=generic (the CI
 // kernel-parity job) this also proves the override reached the dispatch.
 func TestActiveConsistent(t *testing.T) {
-	wantK, _, wantErr := selectKernel(os.Getenv(EnvKernel), HasAVX2FMA())
+	wantK, _, wantErr := selectKernel(os.Getenv(EnvKernel), hardware)
 	if Active() != wantK {
 		t.Fatalf("Active() = %v, want %v", Active(), wantK)
 	}

@@ -369,16 +369,6 @@ func (s *Sampler) SampleComplex(snap *agents.Snapshot, env envsim.State, dtSecon
 	return rx
 }
 
-// Phases extracts the per-subcarrier phase (radians, in (-π, π]) from a
-// complex channel vector.
-func Phases(h [NumSubcarriers]complex128) [NumSubcarriers]float64 {
-	var out [NumSubcarriers]float64
-	for k, c := range h {
-		out[k] = cmplx.Phase(c)
-	}
-	return out
-}
-
 // Reset clears per-person phase state and AGC, keeping configuration.
 func (s *Sampler) Reset() {
 	s.motionPhase = make(map[int]float64)

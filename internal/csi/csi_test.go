@@ -230,33 +230,3 @@ func TestSampleComplexConsistentWithAmplitudes(t *testing.T) {
 		}
 	}
 }
-
-func TestPhasesInRange(t *testing.T) {
-	s := NewSampler(Config{Seed: 13})
-	rx := s.SampleComplex(emptySnap(0), calmEnv, 0.05)
-	ph := Phases(rx)
-	for k, p := range ph {
-		if p <= -math.Pi || p > math.Pi || math.IsNaN(p) {
-			t.Fatalf("phase %d out of range: %g", k, p)
-		}
-	}
-	// Phases are frequency-selective too (delay slope across subcarriers).
-	if stats.StdDev(ph[:]) < 1e-3 {
-		t.Fatal("phases suspiciously flat")
-	}
-}
-
-func TestSubcarriersFor(t *testing.T) {
-	for bw, want := range map[float64]int{20: 64, 40: 128, 80: 256, 160: 512} {
-		got, err := SubcarriersFor(bw)
-		if err != nil || got != want {
-			t.Fatalf("d_H(%g) = %d, %v; want %d", bw, got, err, want)
-		}
-	}
-	if _, err := SubcarriersFor(30); err == nil {
-		t.Fatal("30 MHz must be rejected")
-	}
-	if NumSubcarriers != 64 || UsableSubcarriers != 52 {
-		t.Fatal("constants drifted")
-	}
-}

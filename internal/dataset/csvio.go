@@ -115,19 +115,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// SaveCSV writes the dataset to path.
-func (d *Dataset) SaveCSV(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // LoadCSV reads a dataset from path.
 func LoadCSV(path string) (*Dataset, error) {
 	f, err := os.Open(path)

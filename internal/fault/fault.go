@@ -21,7 +21,6 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -405,14 +404,4 @@ func geometric(rng *rand.Rand, mean float64) int {
 		n = 1
 	}
 	return n
-}
-
-// Stream composes the fault channel over dataset.Stream: it generates the
-// clean trace and invokes fn with each corrupted frame. Cancelling ctx stops
-// the trace mid-generation with ctx.Err().
-func Stream(ctx context.Context, gcfg dataset.GenConfig, fcfg Config, fn func(Frame) error) error {
-	in := NewInjector(fcfg)
-	return dataset.Stream(ctx, gcfg, func(r dataset.Record) error {
-		return fn(in.Apply(r))
-	})
 }

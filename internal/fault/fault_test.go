@@ -258,23 +258,3 @@ func TestStaleEnvRepeatsLastReading(t *testing.T) {
 		t.Fatalf("no stale readings in 500 frames at p=0.2")
 	}
 }
-
-func TestStreamComposesOverDataset(t *testing.T) {
-	gcfg := dataset.DefaultGenConfig(1, 9)
-	gcfg.Start = time.Date(2022, 1, 5, 9, 0, 0, 0, time.UTC)
-	gcfg.Duration = 60 * time.Second
-	n := 0
-	err := Stream(context.Background(), gcfg, DefaultProfile(1), func(f Frame) error {
-		if f.Index != n {
-			t.Fatalf("frame index %d, want %d", f.Index, n)
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 60 {
-		t.Fatalf("streamed %d frames, want 60", n)
-	}
-}

@@ -129,25 +129,6 @@ func NetworkScorerAt(net *nn.Network, p Precision) (func() Scorer, error) {
 	return nil, fmt.Errorf("infer: unknown precision %q (want f64, f32 or int8)", p)
 }
 
-// rowScorer adapts a per-row scoring function (e.g. rf.Forest.PredictProb,
-// linmodel.Logistic.PredictProb) to Scorer. The function itself must be safe
-// to call from one goroutine at a time per Scorer instance; the same fn is
-// shared across Scorers, so it must also not mutate shared state — true for
-// the RF and logistic baselines, whose predict paths only read the model.
-type rowScorer struct {
-	dim int
-	fn  func(row []float64) float64
-}
-
-func (s *rowScorer) InputDim() int                  { return s.dim }
-func (s *rowScorer) ScoreRow(row []float64) float64 { return s.fn(row) }
-
-// RowScorer returns a Scorer factory for models that score row-by-row (the
-// RF and logistic-regression baselines). dim is the expected feature width.
-func RowScorer(dim int, fn func(row []float64) float64) func() Scorer {
-	return func() Scorer { return &rowScorer{dim: dim, fn: fn} }
-}
-
 // Config parametrises an Engine.
 type Config struct {
 	// NewScorer builds one Scorer per arena. Required.

@@ -224,35 +224,6 @@ func TestNoClockInEngine(t *testing.T) {
 	}
 }
 
-// TestEngineRowScorer serves a row-function model (the RF/LR baseline seam)
-// and checks scores and stats.
-func TestEngineRowScorer(t *testing.T) {
-	fn := func(row []float64) float64 { return row[0] * 2 }
-	eng, err := New(Config{NewScorer: RowScorer(3, fn), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for f := 0; f < 16; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			row := []float64{float64(f), 1, 2}
-			for k := 0; k < 25; k++ {
-				if p := eng.Predict(row); p != float64(2*f) {
-					t.Errorf("row scorer: got %v want %v", p, 2*f)
-					return
-				}
-			}
-		}(f)
-	}
-	wg.Wait()
-	eng.Close()
-	if eng.InputDim() != 3 {
-		t.Fatal("InputDim")
-	}
-}
-
 // TestEngineConfigErrors covers constructor validation.
 func TestEngineConfigErrors(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
@@ -263,9 +234,17 @@ func TestEngineConfigErrors(t *testing.T) {
 	}
 }
 
+// identityScorer scores a one-wide row as its only element.
+type identityScorer struct{}
+
+func (identityScorer) InputDim() int                  { return 1 }
+func (identityScorer) ScoreRow(row []float64) float64 { return row[0] }
+
+func newIdentityScorer() Scorer { return identityScorer{} }
+
 // TestPredictLabel checks the threshold helper.
 func TestPredictLabel(t *testing.T) {
-	eng, err := New(Config{NewScorer: RowScorer(1, func(r []float64) float64 { return r[0] }), Workers: 1})
+	eng, err := New(Config{NewScorer: newIdentityScorer, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestParsePrecision(t *testing.T) {
 // TestConfigValidatePrecision: the config contract rejects unknown
 // precisions and normalises the empty default.
 func TestConfigValidatePrecision(t *testing.T) {
-	scorer := RowScorer(1, func(r []float64) float64 { return r[0] })
+	scorer := newIdentityScorer
 	if err := (Config{NewScorer: scorer, Precision: "f16"}).Validate(); err == nil {
 		t.Fatal("Validate accepted precision f16")
 	}

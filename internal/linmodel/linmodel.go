@@ -231,16 +231,3 @@ func (l *Linear) Predict(x *tensor.Matrix) [][]float64 {
 	}
 	return cols
 }
-
-// PredictRow returns the fitted values for one sample.
-func (l *Linear) PredictRow(row []float64) []float64 {
-	out := make([]float64, l.W.Cols)
-	for t := range out {
-		s := l.B[t]
-		for j, v := range row {
-			s += v * l.W.At(j, t)
-		}
-		out[t] = s
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package linmodel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -119,73 +118,4 @@ func (p *PCA) Transform(x *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return out
-}
-
-// ExplainedRatio returns each component's share of the total variance in
-// the fitted data (components ∑ ≤ 1; the remainder lives off-subspace).
-func (p *PCA) ExplainedRatio(totalVariance float64) []float64 {
-	out := make([]float64, len(p.Explained))
-	if totalVariance <= 0 {
-		return out
-	}
-	for i, v := range p.Explained {
-		out[i] = v / totalVariance
-	}
-	return out
-}
-
-// TotalVariance sums the per-column variances of x, the denominator for
-// ExplainedRatio.
-func TotalVariance(x *tensor.Matrix) float64 {
-	if x.Rows == 0 {
-		return 0
-	}
-	means := x.ColMeans()
-	var total float64
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - means[j]
-			total += d * d
-		}
-	}
-	return total / float64(x.Rows)
-}
-
-// InverseTransform maps projected rows (n×k) back into the original space
-// (n×d) — the rank-k denoised reconstruction.
-func (p *PCA) InverseTransform(z *tensor.Matrix) *tensor.Matrix {
-	k := p.Components.Rows
-	if z.Cols != k {
-		panic(fmt.Sprintf("linmodel: InverseTransform width %d != %d", z.Cols, k))
-	}
-	d := len(p.Mean)
-	out := tensor.NewMatrix(z.Rows, d)
-	for i := 0; i < z.Rows; i++ {
-		row := out.Row(i)
-		copy(row, p.Mean)
-		for c := 0; c < k; c++ {
-			tensor.Axpy(row, z.At(i, c), p.Components.Row(c))
-		}
-	}
-	return out
-}
-
-// Orthonormality measures the worst deviation of the component rows from
-// perfect orthonormality (0 = exact), a diagnostic used by tests.
-func (p *PCA) Orthonormality() float64 {
-	k := p.Components.Rows
-	var worst float64
-	for i := 0; i < k; i++ {
-		for j := i; j < k; j++ {
-			dot := tensor.Dot(p.Components.Row(i), p.Components.Row(j))
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if dev := math.Abs(dot - want); dev > worst {
-				worst = dev
-			}
-		}
-	}
-	return worst
 }

@@ -14,7 +14,7 @@ func TestConv1DForwardKnown(t *testing.T) {
 	// Kernel [1, -1], bias 0.5: out[p] = x[p] - x[p+1] + 0.5.
 	c.W = tensor.FromSlice(1, 2, []float64{1, -1})
 	c.B = tensor.FromSlice(1, 1, []float64{0.5})
-	x := tensor.FromRows([][]float64{{3, 1, 4, 1}})
+	x := tensor.FromSlice(1, 4, []float64{3, 1, 4, 1})
 	out := c.Forward(x, false)
 	want := []float64{3 - 1 + 0.5, 1 - 4 + 0.5, 4 - 1 + 0.5}
 	if out.Cols != 3 {
@@ -37,7 +37,7 @@ func TestConv1DMultiChannel(t *testing.T) {
 	c.W = tensor.FromSlice(1, 2, []float64{2, 3})
 	c.B.Zero()
 	// Channel-major row: ch0 = [1,2,3], ch1 = [10,20,30].
-	x := tensor.FromRows([][]float64{{1, 2, 3, 10, 20, 30}})
+	x := tensor.FromSlice(1, 6, []float64{1, 2, 3, 10, 20, 30})
 	out := c.Forward(x, false)
 	want := []float64{32, 64, 96}
 	for i, w := range want {
@@ -65,7 +65,7 @@ func TestConv1DGradCheck(t *testing.T) {
 func TestMaxPool1DForwardBackward(t *testing.T) {
 	p := NewMaxPool1D(2, 4, 2)
 	// ch0 = [1,5,2,2], ch1 = [9,0,3,4] → pooled [5,2, 9,4].
-	x := tensor.FromRows([][]float64{{1, 5, 2, 2, 9, 0, 3, 4}})
+	x := tensor.FromSlice(1, 8, []float64{1, 5, 2, 2, 9, 0, 3, 4})
 	out := p.Forward(x, true)
 	want := []float64{5, 2, 9, 4}
 	for i, w := range want {
@@ -73,7 +73,7 @@ func TestMaxPool1DForwardBackward(t *testing.T) {
 			t.Fatalf("pool out %v", out.Data)
 		}
 	}
-	g := p.Backward(tensor.FromRows([][]float64{{1, 2, 3, 4}}))
+	g := p.Backward(tensor.FromSlice(1, 4, []float64{1, 2, 3, 4}))
 	wantG := []float64{0, 1, 2, 0 /* tie → first max kept? idx2 */, 3, 0, 0, 4}
 	// For ch0 window [2,2] the first element wins ties.
 	wantG[2], wantG[3] = 2, 0

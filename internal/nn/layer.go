@@ -1,7 +1,7 @@
 // Package nn is a small, dependency-free neural-network library: dense
-// layers, ReLU/Sigmoid/Tanh activations, dropout, BCE/MSE losses, SGD /
-// momentum / AdamW optimisers, a mini-batch training loop, binary model
-// serialisation, and gradient checking. It implements exactly what the
+// layers, ReLU/Sigmoid/Tanh activations, dropout, BCE/MSE losses, the AdamW
+// optimiser, a mini-batch training loop, binary model serialisation, and
+// gradient checking. It implements exactly what the
 // paper's PyTorch-Lightning MLP needs (4 dense layers, ReLU, BCE, AdamW-style
 // "adaptive mini-batch gradient descent with a weight decay strategy"),
 // plus the hidden-activation and hidden-gradient capture that Grad-CAM

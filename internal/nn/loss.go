@@ -113,60 +113,3 @@ func (MSE) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 
 // Name implements Loss.
 func (MSE) Name() string { return "mse" }
-
-// Huber is the Huber loss with threshold Delta, a robust alternative used by
-// the extension benches (quadratic near zero, linear in the tails).
-type Huber struct {
-	Delta float64
-}
-
-// Value implements Loss.
-func (h Huber) Value(pred, target *tensor.Matrix) float64 {
-	mustLossShapes(pred, target, "Huber")
-	if len(pred.Data) == 0 {
-		return 0
-	}
-	d := h.Delta
-	if d <= 0 {
-		d = 1
-	}
-	var s float64
-	for i, p := range pred.Data {
-		r := math.Abs(p - target.Data[i])
-		if r <= d {
-			s += 0.5 * r * r
-		} else {
-			s += d * (r - 0.5*d)
-		}
-	}
-	return s / float64(len(pred.Data))
-}
-
-// Grad implements Loss.
-func (h Huber) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
-	mustLossShapes(pred, target, "Huber")
-	d := h.Delta
-	if d <= 0 {
-		d = 1
-	}
-	out := gradDst(dst, pred, "Huber")
-	inv := 1.0
-	if len(pred.Data) > 0 {
-		inv = 1 / float64(len(pred.Data))
-	}
-	for i, p := range pred.Data {
-		r := p - target.Data[i]
-		switch {
-		case r > d:
-			out.Data[i] = d * inv
-		case r < -d:
-			out.Data[i] = -d * inv
-		default:
-			out.Data[i] = r * inv
-		}
-	}
-	return out
-}
-
-// Name implements Loss.
-func (h Huber) Name() string { return "huber" }

@@ -224,19 +224,3 @@ func (n *Network) ForwardBackwardCapture(x *tensor.Matrix, outGrad *tensor.Matri
 	res.InputGrad = grad
 	return res
 }
-
-// CloneWeightsFrom copies all parameter values from src, which must have an
-// identical architecture.
-func (n *Network) CloneWeightsFrom(src *Network) {
-	dst := n.Params()
-	s := src.Params()
-	if len(dst) != len(s) {
-		panic("nn: CloneWeightsFrom architecture mismatch")
-	}
-	for i := range dst {
-		if len(dst[i].Data) != len(s[i].Data) {
-			panic("nn: CloneWeightsFrom parameter shape mismatch")
-		}
-		copy(dst[i].Data, s[i].Data)
-	}
-}

@@ -15,54 +15,6 @@ type Optimizer interface {
 	Name() string
 }
 
-// SGD is plain stochastic gradient descent with optional L2 weight decay
-// (coupled, i.e. added to the gradient).
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Matrix) {
-	for i, p := range params {
-		g := grads[i]
-		for j := range p.Data {
-			p.Data[j] -= s.LR * (g.Data[j] + s.WeightDecay*p.Data[j])
-		}
-	}
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// Momentum is SGD with classical momentum.
-type Momentum struct {
-	LR       float64
-	Beta     float64 // momentum coefficient, e.g. 0.9
-	velocity [][]float64
-}
-
-// Step implements Optimizer.
-func (m *Momentum) Step(params, grads []*tensor.Matrix) {
-	if m.velocity == nil {
-		m.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			m.velocity[i] = make([]float64, len(p.Data))
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		v := m.velocity[i]
-		for j := range p.Data {
-			v[j] = m.Beta*v[j] + g.Data[j]
-			p.Data[j] -= m.LR * v[j]
-		}
-	}
-}
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string { return "momentum" }
-
 // AdamW implements Adam with decoupled weight decay (Loshchilov & Hutter,
 // the paper's reference [23]): the decay is applied directly to the weights
 // rather than folded into the adaptive gradient statistics.

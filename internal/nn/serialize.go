@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 )
 
 // Binary model format:
@@ -236,29 +235,6 @@ func Load(r io.Reader) (*Network, error) {
 		}
 	}
 	return net, nil
-}
-
-// SaveFile writes the model to path.
-func (n *Network) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := n.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 func writeFloat32s(w io.Writer, data []float64) error {

@@ -3,7 +3,6 @@ package nn
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -37,22 +36,6 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		if d := a.Data[i] - b.Data[i]; d > 1e-4 || d < -1e-4 {
 			t.Fatalf("prediction drift %g", d)
 		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	net := NewMLP(4, []int{8}, 1, rng)
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := net.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumParams() != net.NumParams() {
-		t.Fatal("param count mismatch")
 	}
 }
 

@@ -239,18 +239,6 @@ func DefBuckets() []float64 {
 	return []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 }
 
-// LinearBuckets returns n ascending buckets start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic(fmt.Sprintf("obs: LinearBuckets(%g, %g, %d)", start, width, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n ascending buckets start, start·factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if n < 1 || start <= 0 || factor <= 1 {

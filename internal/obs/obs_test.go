@@ -127,7 +127,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("c_total", "")
 			g := r.Gauge("g", "")
-			h := r.Histogram("h", "", LinearBuckets(1, 1, 8))
+			h := r.Histogram("h", "", []float64{1, 2, 3, 4, 5, 6, 7, 8})
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				c.Add(2)
@@ -209,10 +209,6 @@ func TestSnapshotGet(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 	exp := ExpBuckets(1, 2, 4)
 	if exp[0] != 1 || exp[3] != 8 {
 		t.Fatalf("ExpBuckets = %v", exp)

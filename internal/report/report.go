@@ -20,28 +20,8 @@ func New(title string, header ...string) *Table {
 	return &Table{Title: title, header: header}
 }
 
-// AddRow appends a row. Float64 cells render with two decimals, everything
-// else with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // AddRowStrings appends a pre-formatted row.
 func (t *Table) AddRowStrings(cells ...string) { t.rows = append(t.rows, cells) }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {

@@ -7,8 +7,8 @@ import (
 
 func TestTableRendering(t *testing.T) {
 	tb := New("TABLE X", "Fold", "Acc", "Notes")
-	tb.AddRow(1, 0.97123, "ok")
-	tb.AddRow("Avg.", 0.5, "mixed bag")
+	tb.AddRowStrings("1", "0.97", "ok")
+	tb.AddRowStrings("Avg.", "0.50", "mixed bag")
 	out := tb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 {
@@ -21,7 +21,7 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("header %q", lines[1])
 	}
 	if !strings.Contains(lines[3], "0.97") {
-		t.Fatalf("float formatting: %q", lines[3])
+		t.Fatalf("first row: %q", lines[3])
 	}
 	if !strings.Contains(lines[4], "mixed bag") {
 		t.Fatalf("string row: %q", lines[4])
@@ -29,9 +29,6 @@ func TestTableRendering(t *testing.T) {
 	// Columns aligned: header and rows have the separator-consistent width.
 	if len(lines[2]) < len("Fold  Acc") {
 		t.Fatal("separator too short")
-	}
-	if tb.NumRows() != 2 {
-		t.Fatal("NumRows")
 	}
 }
 
@@ -53,7 +50,7 @@ func TestTableNoTitleAndRaggedRows(t *testing.T) {
 
 func TestTrailingWhitespaceTrimmed(t *testing.T) {
 	tb := New("", "LongHeader", "X")
-	tb.AddRow("a", "b")
+	tb.AddRowStrings("a", "b")
 	for _, line := range strings.Split(tb.String(), "\n") {
 		if line != strings.TrimRight(line, " ") {
 			t.Fatalf("trailing whitespace in %q", line)

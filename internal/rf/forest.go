@@ -46,8 +46,6 @@ type Forest struct {
 	Trees      []*Tree
 	regression bool
 	nFeatures  int
-	oobScore   float64
-	hasOOB     bool
 }
 
 // FitClassifier trains a classification forest on x with labels y ∈ {0,1}.
@@ -105,98 +103,19 @@ func fit(x *tensor.Matrix, y []float64, cfg ForestConfig, regression bool) *Fore
 	}
 
 	// Tree training fans out on the shared pool; each task touches only its
-	// own slot, so no locking is needed. The out-of-bag masks are kept so
-	// the OOB pass below can run in a fixed order.
-	inBags := make([][]bool, cfg.NumTrees)
+	// own slot, so no locking is needed.
 	parallel.ForEach(0, cfg.NumTrees, func(ti int) {
 		rng := rand.New(rand.NewSource(seeds[ti]))
 		idx := make([]int, nBoot)
-		inBag := make([]bool, x.Rows)
 		for j := range idx {
-			k := rng.Intn(x.Rows)
-			idx[j] = k
-			inBag[k] = true
+			idx[j] = rng.Intn(x.Rows)
 		}
 		f.Trees[ti] = BuildTree(x, y, idx, TreeConfig{
 			MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, MTry: mtry,
 		}, regression, rng)
-		inBags[ti] = inBag
 	})
-
-	// OOB accumulation, parallel over samples rather than trees: each sample
-	// sums its out-of-bag trees in ascending tree index, so the floating-
-	// point result is bit-identical for any worker count (summing in tree-
-	// completion order, as the previous mutex-guarded version did, is not).
-	oobSum := make([]float64, x.Rows)
-	oobCnt := make([]int, x.Rows)
-	parallel.ForEachChunk(0, x.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x.Row(i)
-			for ti, tree := range f.Trees {
-				if !inBags[ti][i] {
-					oobSum[i] += tree.PredictValue(row)
-					oobCnt[i]++
-				}
-			}
-		}
-	})
-
-	// OOB score: accuracy for classification, R² for regression.
-	f.computeOOB(y, oobSum, oobCnt)
 	return f
 }
-
-func (f *Forest) computeOOB(y, oobSum []float64, oobCnt []int) {
-	n := 0
-	if f.regression {
-		var rss, tss, mean float64
-		cnt := 0
-		for i := range y {
-			if oobCnt[i] > 0 {
-				mean += y[i]
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			return
-		}
-		mean /= float64(cnt)
-		for i := range y {
-			if oobCnt[i] > 0 {
-				pred := oobSum[i] / float64(oobCnt[i])
-				rss += (y[i] - pred) * (y[i] - pred)
-				tss += (y[i] - mean) * (y[i] - mean)
-			}
-		}
-		if tss > 0 {
-			f.oobScore = 1 - rss/tss
-			f.hasOOB = true
-		}
-		return
-	}
-	correct := 0
-	for i := range y {
-		if oobCnt[i] == 0 {
-			continue
-		}
-		n++
-		pred := 0.0
-		if oobSum[i]/float64(oobCnt[i]) >= 0.5 {
-			pred = 1
-		}
-		if pred == y[i] {
-			correct++
-		}
-	}
-	if n > 0 {
-		f.oobScore = float64(correct) / float64(n)
-		f.hasOOB = true
-	}
-}
-
-// OOBScore returns the out-of-bag estimate (accuracy or R²) and whether one
-// is available.
-func (f *Forest) OOBScore() (float64, bool) { return f.oobScore, f.hasOOB }
 
 // PredictProb returns the ensemble class-1 probability for one sample.
 func (f *Forest) PredictProb(row []float64) float64 {

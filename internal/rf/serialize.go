@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Binary forest format:
@@ -145,27 +144,4 @@ func Load(r io.Reader) (*Forest, error) {
 		f.Trees[ti] = t
 	}
 	return f, nil
-}
-
-// SaveFile writes the forest to path.
-func (f *Forest) SaveFile(path string) error {
-	fd, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.Save(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
-}
-
-// LoadFile reads a forest from path.
-func LoadFile(path string) (*Forest, error) {
-	fd, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fd.Close()
-	return Load(fd)
 }

@@ -3,7 +3,6 @@ package rf
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/tensor"
@@ -55,21 +54,6 @@ func TestForestSaveLoadRoundtrip(t *testing.T) {
 		if f.NumNodes() != back.NumNodes() {
 			t.Fatal("node count drift")
 		}
-	}
-}
-
-func TestForestSaveLoadFile(t *testing.T) {
-	f, _ := trainedForest(t, false)
-	path := filepath.Join(t.TempDir(), "forest.bin")
-	if err := f.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumNodes() != f.NumNodes() {
-		t.Fatal("file roundtrip")
 	}
 }
 

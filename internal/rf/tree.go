@@ -242,24 +242,6 @@ func (t *Tree) PredictValue(row []float64) float64 {
 // NumNodes returns the node count (leaves included).
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
-// Depth returns the maximum depth (a single leaf has depth 0).
-func (t *Tree) Depth() int {
-	var walk func(i int) int
-	walk = func(i int) int {
-		nd := &t.nodes[i]
-		if nd.feature < 0 {
-			return 0
-		}
-		l := walk(nd.left)
-		r := walk(nd.right)
-		return 1 + int(math.Max(float64(l), float64(r)))
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return walk(0)
-}
-
 // FeatureImportance accumulates sample-weighted impurity-split counts per
 // feature (a mean-decrease-in-impurity proxy; normalised to sum to 1).
 func (t *Tree) FeatureImportance(nFeatures int) []float64 {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"strings"
 
 	"repro/internal/cluster"
@@ -14,24 +12,16 @@ import (
 	"repro/internal/framelog"
 )
 
-// ForwardHeader marks a request already forwarded once by a cluster node. A
-// forwarded request arriving at a node that would forward it again means two
-// nodes disagree on placement (shard maps at different epochs); bouncing it
-// a second time could loop forever, so the receiver answers 503
-// routing_conflict instead and the client retries after refreshing its map.
-const ForwardHeader = "X-Occu-Forward"
-
 // maxClusterBody bounds a PUT /v1/cluster map (a map is a few KB even at
 // hundreds of nodes).
 const maxClusterBody = 1 << 20
 
-// ClusterInfo is the GET /v1/cluster body: the node's identity and role plus
-// the installed shard map. ModelSHA256 lets an orchestrator (or loadgen's
-// verifier) prove every node serves identical weights before trusting
-// cross-node bit-identity.
+// ClusterInfo is the GET /v1/cluster body: the node's identity plus the
+// installed shard map. ModelSHA256 lets an orchestrator prove every node
+// serves identical weights before trusting cross-node bit-identity
+// (scripts/cluster_smoke.sh does).
 type ClusterInfo struct {
 	Self        string      `json:"self"`
-	Forward     bool        `json:"forward,omitempty"`
 	Draining    bool        `json:"draining,omitempty"`
 	ModelSHA256 string      `json:"model_sha256,omitempty"`
 	Map         cluster.Map `json:"map"`
@@ -53,9 +43,9 @@ type LogEOF struct {
 }
 
 // routed resolves the feed's owner on the shard map and, when it is not this
-// node, answers the request — 307 to the owner, or a proxied round trip in
-// Forward mode — and reports true. False means the feed is local (or the
-// node is standalone / has no installed map) and the caller serves it.
+// node, answers the request with a 307 to the owner and reports true. False
+// means the feed is local (or the node is standalone / has no installed map)
+// and the caller serves it.
 func (s *Server) routed(w http.ResponseWriter, r *http.Request, id string) bool {
 	if s.shard == nil || !validFeedID(id) {
 		return false
@@ -64,46 +54,10 @@ func (s *Server) routed(w http.ResponseWriter, r *http.Request, id string) bool 
 	if !ok || owner.ID == s.self {
 		return false
 	}
-	if s.forward {
-		if r.Header.Get(ForwardHeader) != "" {
-			writeError(w, http.StatusServiceUnavailable, CodeRoutingConflict,
-				fmt.Sprintf("request forwarded by %q bounced: shard maps disagree on the owner of %q", r.Header.Get(ForwardHeader), id))
-			return true
-		}
-		s.forwardTo(owner, w, r)
-		return true
-	}
 	w.Header().Set("Location", strings.TrimSuffix(owner.Addr, "/")+r.URL.RequestURI())
 	writeError(w, http.StatusTemporaryRedirect, CodeMisplacedFeed,
 		fmt.Sprintf("feed %q is owned by node %q at %s", id, owner.ID, owner.Addr))
 	return true
-}
-
-// forwardTo proxies the request to the owning node, reusing one reverse
-// proxy per peer address. FlushInterval -1 flushes every write so forwarded
-// NDJSON decision streams stay line-latency live.
-func (s *Server) forwardTo(n cluster.Node, w http.ResponseWriter, r *http.Request) {
-	s.proxyMu.Lock()
-	p := s.proxies[n.Addr]
-	if p == nil {
-		u, err := url.Parse(n.Addr)
-		if err != nil {
-			s.proxyMu.Unlock()
-			writeError(w, http.StatusBadGateway, CodeBadGateway,
-				fmt.Sprintf("owner %q has unusable addr %q", n.ID, n.Addr))
-			return
-		}
-		p = httputil.NewSingleHostReverseProxy(u)
-		p.FlushInterval = -1
-		p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			writeError(w, http.StatusBadGateway, CodeBadGateway,
-				"forwarding to the owning node failed: "+err.Error())
-		}
-		s.proxies[n.Addr] = p
-	}
-	s.proxyMu.Unlock()
-	r.Header.Set(ForwardHeader, s.self)
-	p.ServeHTTP(w, r)
 }
 
 func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +67,6 @@ func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, ClusterInfo{
 		Self:        s.self,
-		Forward:     s.forward,
 		Draining:    s.draining.Load(),
 		ModelSHA256: s.activeModelSHA(),
 		Map:         s.shard.Map(),

@@ -27,10 +27,10 @@ type clusterNode struct {
 
 // newClusterNode boots a cluster-configured server with no map installed
 // yet (the test installs one once every node's URL is known).
-func newClusterNode(t *testing.T, self string, forward bool, mod func(*server.Config)) *clusterNode {
+func newClusterNode(t *testing.T, self string, mod func(*server.Config)) *clusterNode {
 	t.Helper()
 	srv, ts, _ := newTestServer(t, func(c *server.Config) {
-		c.Cluster = &server.ClusterConfig{Self: self, Forward: forward}
+		c.Cluster = &server.ClusterConfig{Self: self}
 		if mod != nil {
 			mod(c)
 		}
@@ -65,8 +65,8 @@ func feedOwnedBy(t *testing.T, m occupancy.ShardMap, nodeID string) string {
 // 307 with Location and the misplaced_feed envelope; a redirect-following
 // client lands on the owner; a shard-map-aware client goes straight there.
 func TestMisplacedFeedRouting(t *testing.T) {
-	n0 := newClusterNode(t, "n0", false, nil)
-	n1 := newClusterNode(t, "n1", false, nil)
+	n0 := newClusterNode(t, "n0", nil)
+	n1 := newClusterNode(t, "n1", nil)
 	m := occupancy.ShardMap{Epoch: 1, Nodes: []occupancy.ClusterNode{
 		{ID: "n0", Addr: n0.ts.URL},
 		{ID: "n1", Addr: n1.ts.URL},
@@ -115,62 +115,6 @@ func TestMisplacedFeedRouting(t *testing.T) {
 	})
 }
 
-// TestForwardRouterAndConflict: a node absent from the map with Forward set
-// is a thin router — it owns nothing and proxies everything, including the
-// NDJSON stream. A forwarded request that would be forwarded again (maps
-// disagree) answers 503 routing_conflict instead of looping.
-func TestForwardRouterAndConflict(t *testing.T) {
-	n0 := newClusterNode(t, "n0", false, nil)
-	n1 := newClusterNode(t, "n1", false, nil)
-	router := newClusterNode(t, "router", true, nil)
-	m := occupancy.ShardMap{Epoch: 1, Nodes: []occupancy.ClusterNode{
-		{ID: "n0", Addr: n0.ts.URL},
-		{ID: "n1", Addr: n1.ts.URL},
-	}}
-	installMap(t, m, n0, n1, router)
-	feed := feedOwnedBy(t, m, "n1")
-	ctx := context.Background()
-
-	// Everything below talks only to the router, with routing disabled, and
-	// still reaches the owner.
-	cl := router.cl
-	if _, err := cl.RegisterFeed(ctx, feed); err != nil {
-		t.Fatalf("register via router: %v", err)
-	}
-	if n1.srv.FeedCount() != 1 {
-		t.Fatalf("feed not on its owner: n1=%d", n1.srv.FeedCount())
-	}
-	stream, err := cl.StreamDecisions(ctx, feed, true)
-	if err != nil {
-		t.Fatalf("stream via router: %v", err)
-	}
-	defer stream.Close()
-	if n, err := cl.Ingest(ctx, feed, mkFrames(3, 0.9)); err != nil || n != 3 {
-		t.Fatalf("ingest via router: %d %v", n, err)
-	}
-	for i := 0; i < 3; i++ {
-		ev, err := stream.Next()
-		if err != nil || int(ev.Seq) != i {
-			t.Fatalf("forwarded stream event %d: %+v %v", i, ev, err)
-		}
-	}
-
-	// A request already forwarded once must not bounce again.
-	req, _ := http.NewRequest(http.MethodGet, router.ts.URL+"/v1/feeds/"+feed+"/occupancy", nil)
-	req.Header.Set(server.ForwardHeader, "n9")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb server.ErrorBody
-	if err := jsonDecode(resp, &eb); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable || eb.Code != server.CodeRoutingConflict {
-		t.Fatalf("bounced forward: %d %+v, want 503 %s", resp.StatusCode, eb.Code, server.CodeRoutingConflict)
-	}
-}
-
 // TestShardMapEndpointEpochs pins the /v1/cluster contract: 404 no_cluster
 // on standalone nodes, local serving before any map is installed, epoch
 // monotonicity (409 stale_epoch), and the install round trip.
@@ -189,7 +133,7 @@ func TestShardMapEndpointEpochs(t *testing.T) {
 	}
 
 	// Cluster node before any map: owns everything, serves locally.
-	n0 := newClusterNode(t, "n0", false, nil)
+	n0 := newClusterNode(t, "n0", nil)
 	info, err := n0.cl.Cluster(ctx)
 	if err != nil || info.Self != "n0" || !info.Map.Empty() {
 		t.Fatalf("pre-install cluster info: %+v %v", info, err)
@@ -233,7 +177,7 @@ func TestModelDistribution(t *testing.T) {
 	if _, err := reg.Activate(v.ID()); err != nil {
 		t.Fatal(err)
 	}
-	n0 := newClusterNode(t, "n0", false, func(c *server.Config) { c.Models = reg })
+	n0 := newClusterNode(t, "n0", func(c *server.Config) { c.Models = reg })
 	ctx := context.Background()
 
 	got, err := n0.cl.FetchModel(ctx)
@@ -250,7 +194,7 @@ func TestModelDistribution(t *testing.T) {
 	}
 
 	// A node without a registry answers 404 no_model.
-	bare := newClusterNode(t, "n1", false, nil)
+	bare := newClusterNode(t, "n1", nil)
 	if _, err := bare.cl.FetchModel(ctx); !occupancy.IsCode(err, server.CodeNoModel) {
 		t.Fatalf("fetch model without registry: %v", err)
 	}
@@ -286,8 +230,8 @@ func TestDrainHandoffBitIdentity(t *testing.T) {
 			c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff}
 		}
 	}
-	na := newClusterNode(t, "na", false, durable(t.TempDir()))
-	nb := newClusterNode(t, "nb", false, durable(t.TempDir()))
+	na := newClusterNode(t, "na", durable(t.TempDir()))
+	nb := newClusterNode(t, "nb", durable(t.TempDir()))
 	m1 := occupancy.ShardMap{Epoch: 1, Nodes: []occupancy.ClusterNode{
 		{ID: "na", Addr: na.ts.URL},
 		{ID: "nb", Addr: nb.ts.URL},

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -231,7 +232,8 @@ func TestTeardownAccountingAndDurableDrops(t *testing.T) {
 	<-g.entered
 	closed := make(chan struct{})
 	go func() { srv.Close(); close(closed) }()
-	waitFor(t, 5*time.Second, "drain begins", srv.Draining)
+	cl := newClient(t, ts.URL)
+	waitFor(t, 5*time.Second, "drain begins", func() bool { return cl.Ready(context.Background()) != nil })
 	select {
 	case <-closed:
 		t.Fatal("Close returned while a batch still held its feed")

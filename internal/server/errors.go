@@ -29,8 +29,6 @@ const (
 	CodeFeedLimit        = "feed_limit"        // 503: MaxFeeds reached
 	CodeDraining         = "draining"          // 503: node is draining; no new work
 	CodeMisplacedFeed    = "misplaced_feed"    // 307: another node owns this feed
-	CodeRoutingConflict  = "routing_conflict"  // 503: forwarded request bounced back (maps disagree)
-	CodeBadGateway       = "bad_gateway"       // 502: forwarding to the owner failed
 	CodeLogError         = "log_error"         // 500: durable append failed mid-batch
 	CodeDrainInterrupted = "drain_interrupted" // 500: drain cancelled before finishing
 	CodeTimeout          = "timeout"           // 503: RequestTimeout elapsed

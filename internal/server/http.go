@@ -171,8 +171,8 @@ func (s *Server) feedInfo(f *feed) FeedInfo {
 //
 // On a cluster-configured node, every per-feed route first resolves the
 // feed's owner on the shard map: a misplaced request is answered 307 (with
-// Location and a misplaced_feed envelope) or, in Forward mode, proxied to
-// the owner. Every error on the surface is one ErrorBody envelope.
+// Location and a misplaced_feed envelope). Every error on the surface is one
+// ErrorBody envelope.
 //
 // Every route except the NDJSON stream, the log dump, and cluster drain is
 // bounded by RequestTimeout. Metrics/pprof are deliberately not mounted

@@ -25,14 +25,13 @@
 // deterministic and the shared engine is bit-identical to the direct
 // path), so a client replaying the same frames in order sees exactly the
 // decisions an in-process runtime would produce — the property
-// cmd/loadgen's HTTP mode verifies end to end. See DESIGN.md §11.
+// cmd/loadgen verifies end to end. See DESIGN.md §11.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httputil"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,9 +100,9 @@ type Config struct {
 	Durability framelog.Config
 
 	// Cluster, when non-nil, makes the node shard-aware: it serves and
-	// accepts the versioned shard map on /v1/cluster and redirects (or,
-	// with Forward, proxies) requests for feeds another node owns. Nil
-	// keeps the node standalone — every feed is local. See DESIGN.md §15.
+	// accepts the versioned shard map on /v1/cluster and redirects
+	// requests for feeds another node owns. Nil keeps the node standalone
+	// — every feed is local. See DESIGN.md §15.
 	Cluster *ClusterConfig
 
 	// Models, when non-nil, is the node's versioned model registry: the
@@ -137,17 +136,13 @@ type Config struct {
 // ClusterConfig configures a node's place in the sharded cluster.
 type ClusterConfig struct {
 	// Self is this node's ID. It need not appear in the map: a node whose
-	// ID the map omits owns nothing and redirects (or forwards) every feed
-	// request — that is the thin-router configuration.
+	// ID the map omits owns nothing and redirects every feed request —
+	// that is the thin-router configuration.
 	Self string
 	// Map is the initial shard map. The zero Map means "no membership
 	// installed yet"; feed requests are served locally until an
 	// orchestrator PUTs a populated map to /v1/cluster.
 	Map cluster.Map
-	// Forward proxies misplaced feed requests to the owner instead of
-	// answering 307. Routers set it; peer nodes usually leave clients to
-	// follow redirects (or route by shard map) themselves.
-	Forward bool
 }
 
 // Validate reports whether the cluster configuration is usable.
@@ -273,32 +268,10 @@ type Server struct {
 	sweepStop chan struct{}
 	stopOnce  sync.Once
 
-	// shard is the live cluster view (nil on standalone nodes); self and
-	// forward mirror the ClusterConfig.
-	shard   *cluster.State
-	self    string
-	forward bool
-
-	// proxies caches one reverse proxy per peer address for Forward mode.
-	proxyMu sync.Mutex
-	proxies map[string]*httputil.ReverseProxy
-}
-
-// ShardMap returns the node's installed shard map (zero Map when the node is
-// standalone or nothing is installed yet).
-func (s *Server) ShardMap() cluster.Map {
-	if s.shard == nil {
-		return cluster.Map{}
-	}
-	return s.shard.Map()
-}
-
-// UpdateShardMap installs a newer shard map (see cluster.State.Update).
-func (s *Server) UpdateShardMap(m cluster.Map) error {
-	if s.shard == nil {
-		return errors.New("server: node is not cluster-configured")
-	}
-	return s.shard.Update(m)
+	// shard is the live cluster view (nil on standalone nodes); self is
+	// the ClusterConfig's node ID.
+	shard *cluster.State
+	self  string
 }
 
 // New builds a Server. The configuration must Validate. With durability
@@ -313,17 +286,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		m:       newMetrics(cfg.Observer),
-		feeds:   make(map[string]*feed),
-		proxies: make(map[string]*httputil.ReverseProxy),
+		cfg:   cfg,
+		m:     newMetrics(cfg.Observer),
+		feeds: make(map[string]*feed),
 	}
 	if cfg.Cluster != nil {
 		st, err := cluster.NewState(cfg.Cluster.Map)
 		if err != nil {
 			return nil, err
 		}
-		s.shard, s.self, s.forward = st, cfg.Cluster.Self, cfg.Cluster.Forward
+		s.shard, s.self = st, cfg.Cluster.Self
 	}
 	if cfg.Durability.Enabled() {
 		if err := s.recoverFeeds(); err != nil {
@@ -383,9 +355,6 @@ func (s *Server) FeedCount() int {
 	defer s.mu.Unlock()
 	return len(s.feeds)
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // BeginDrain flips the server into drain mode: /readyz answers 503 and new
 // registrations and ingest are rejected, while batches already holding a

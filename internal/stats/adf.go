@@ -23,20 +23,6 @@ type ADFResult struct {
 // i.e. whether the series is (trend-free) stationary.
 func (r ADFResult) Stationary() bool { return r.Statistic < r.Crit5 }
 
-// StationaryAt reports rejection at the given level, one of 1, 5 or 10.
-func (r ADFResult) StationaryAt(level int) bool {
-	switch level {
-	case 1:
-		return r.Statistic < r.Crit1
-	case 5:
-		return r.Statistic < r.Crit5
-	case 10:
-		return r.Statistic < r.Crit10
-	default:
-		panic(fmt.Sprintf("stats: unsupported significance level %d", level))
-	}
-}
-
 func (r ADFResult) String() string {
 	verdict := "non-stationary (unit root not rejected)"
 	if r.Stationary() {

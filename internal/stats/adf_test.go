@@ -20,7 +20,7 @@ func TestADFStationaryWhiteNoise(t *testing.T) {
 	if !res.Stationary() {
 		t.Fatalf("white noise must be stationary: %v", res)
 	}
-	if !res.StationaryAt(1) {
+	if res.Statistic >= res.Crit1 {
 		t.Fatalf("white noise should reject even at 1%%: %v", res)
 	}
 }
@@ -96,13 +96,7 @@ func TestADFStringVerdicts(t *testing.T) {
 		t.Fatalf("bad stationary rendering: %q", got)
 	}
 	r2 := ADFResult{Statistic: -1, Crit1: -3.43, Crit5: -2.86, Crit10: -2.57}
-	if r2.Stationary() || r2.StationaryAt(10) {
+	if r2.Stationary() {
 		t.Fatal("t=-1 must not reject")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad level")
-		}
-	}()
-	r2.StationaryAt(7)
 }

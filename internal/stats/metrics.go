@@ -35,20 +35,6 @@ func MAPE(y, yhat []float64) float64 {
 	return 100 * s / float64(len(y))
 }
 
-// RMSE computes the root mean squared error.
-func RMSE(y, yhat []float64) float64 {
-	mustSameLen(y, yhat, "RMSE")
-	if len(y) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}
-
 // Accuracy computes the fraction of matching binary labels (0 or 1).
 func Accuracy(y []int, yhat []int) float64 {
 	if len(y) != len(yhat) {
@@ -125,22 +111,6 @@ func (c *ConfusionMatrix) F1() float64 {
 func (c *ConfusionMatrix) String() string {
 	return fmt.Sprintf("TP=%d TN=%d FP=%d FN=%d acc=%.4f prec=%.4f rec=%.4f f1=%.4f",
 		c.TP, c.TN, c.FP, c.FN, c.Accuracy(), c.Precision(), c.Recall(), c.F1())
-}
-
-// BinaryCrossEntropy computes the BCE loss of paper eq. (4) on probability
-// predictions p against {0,1} targets y, with clipping for numerical safety.
-func BinaryCrossEntropy(y []float64, p []float64) float64 {
-	mustSameLen(y, p, "BinaryCrossEntropy")
-	if len(y) == 0 {
-		return 0
-	}
-	const eps = 1e-12
-	var s float64
-	for i := range y {
-		pi := math.Min(math.Max(p[i], eps), 1-eps)
-		s += y[i]*math.Log(pi) + (1-y[i])*math.Log(1-pi)
-	}
-	return -s / float64(len(y))
 }
 
 func mustSameLen(a, b []float64, op string) {

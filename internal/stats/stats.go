@@ -64,26 +64,6 @@ func Pearson(x, y []float64) float64 {
 	return Covariance(x, y) / (sx * sy)
 }
 
-// Autocorrelation returns the lag-k autocorrelation of x.
-func Autocorrelation(x []float64, k int) float64 {
-	if k < 0 || k >= len(x) {
-		return 0
-	}
-	m := Mean(x)
-	var num, den float64
-	for i := range x {
-		d := x[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := k; i < len(x); i++ {
-		num += (x[i] - m) * (x[i-k] - m)
-	}
-	return num / den
-}
-
 // Quantile returns the q-th quantile (0..1) of x using linear interpolation.
 // x does not need to be sorted; a sorted copy is made internally.
 func Quantile(x []float64, q float64) float64 {
@@ -147,40 +127,4 @@ func insertionSortOrQuick(s []float64) {
 	s[i], s[hi] = s[hi], s[i]
 	insertionSortOrQuick(s[:i])
 	insertionSortOrQuick(s[i+1:])
-}
-
-// Summary bundles the descriptive statistics used when profiling the
-// collected series (§V-A "we analyze the data distribution ... numerically").
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Max         float64
-	P25, Median, P75 float64
-}
-
-// Summarize computes a Summary for x.
-func Summarize(x []float64) Summary {
-	if len(x) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(x), Mean: Mean(x), Std: StdDev(x)}
-	s.Min, s.Max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.P25 = Quantile(x, 0.25)
-	s.Median = Quantile(x, 0.50)
-	s.P75 = Quantile(x, 0.75)
-	return s
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p25=%.4g med=%.4g p75=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.P25, s.Median, s.P75, s.Max)
 }

@@ -38,25 +38,6 @@ func FromMatrixF32(m *Matrix) *MatrixF32 {
 	return out
 }
 
-// EnsureShapeF32 returns a float32 matrix of shape r×c for use as scratch,
-// reusing m where possible — the float32 counterpart of EnsureShape, with
-// the same contract: contents are unspecified, and m may be resliced in
-// place when its backing array has capacity.
-func EnsureShapeF32(m *MatrixF32, r, c int) *MatrixF32 {
-	if m == nil {
-		return NewMatrixF32(r, c)
-	}
-	if m.Rows == r && m.Cols == c {
-		return m
-	}
-	if cap(m.Data) >= r*c {
-		m.Rows, m.Cols = r, c
-		m.Data = m.Data[:r*c]
-		return m
-	}
-	return NewMatrixF32(r, c)
-}
-
 // At returns element (i, j).
 func (m *MatrixF32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 

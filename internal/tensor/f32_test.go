@@ -25,28 +25,6 @@ func TestFromMatrixF32Rounds(t *testing.T) {
 	}
 }
 
-func TestEnsureShapeF32(t *testing.T) {
-	m := NewMatrixF32(4, 8)
-	p := &m.Data[0]
-	// Shrink: must reslice in place.
-	s := EnsureShapeF32(m, 2, 8)
-	if s != m || &s.Data[0] != p || s.Rows != 2 || s.Cols != 8 {
-		t.Fatal("shrink did not reuse backing array")
-	}
-	// Same shape: identity.
-	if EnsureShapeF32(s, 2, 8) != s {
-		t.Fatal("same-shape call did not return receiver")
-	}
-	// Grow past capacity: fresh allocation.
-	g := EnsureShapeF32(s, 16, 16)
-	if g == s || g.Rows != 16 || g.Cols != 16 {
-		t.Fatal("grow did not allocate the right shape")
-	}
-	if EnsureShapeF32(nil, 3, 3) == nil {
-		t.Fatal("nil receiver")
-	}
-}
-
 // TestMatMulF32MatchesF64 checks the float32 kernel against the float64
 // reference within float32 rounding.
 func TestMatMulF32MatchesF64(t *testing.T) {

@@ -39,23 +39,6 @@ func FromSlice(r, c int, data []float64) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: data}
 }
 
-// FromRows builds a matrix by copying the given rows, which must all have
-// equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("tensor: ragged row %d: len %d != %d", i, len(row), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // EnsureShape returns a matrix of shape r×c for use as scratch, reusing m
 // where possible — the idiom the nn training hot path uses to avoid
 // re-allocating per batch. When m already has the shape it is returned
@@ -158,28 +141,10 @@ func (m *Matrix) Sub(o *Matrix) *Matrix {
 	return m
 }
 
-// MulElem multiplies m by o element-wise (Hadamard), in place, returns m.
-func (m *Matrix) MulElem(o *Matrix) *Matrix {
-	m.mustSameShape(o, "MulElem")
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-	return m
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddScaled adds s*o into m in place (axpy) and returns m.
-func (m *Matrix) AddScaled(s float64, o *Matrix) *Matrix {
-	m.mustSameShape(o, "AddScaled")
-	for i, v := range o.Data {
-		m.Data[i] += s * v
 	}
 	return m
 }

@@ -48,59 +48,45 @@ func TestAtSetRow(t *testing.T) {
 }
 
 func TestFromRowsAndClone(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone must not alias")
 	}
 	if m.At(1, 1) != 4 {
-		t.Fatal("FromRows wrong layout")
+		t.Fatal("FromSlice wrong layout")
 	}
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestAddSubScale(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{10, 20}, {30, 40}})
+	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	b := FromSlice(2, 2, []float64{10, 20, 30, 40})
 	a.Add(b)
-	matricesEqual(t, a, FromRows([][]float64{{11, 22}, {33, 44}}), 0)
+	matricesEqual(t, a, FromSlice(2, 2, []float64{11, 22, 33, 44}), 0)
 	a.Sub(b)
-	matricesEqual(t, a, FromRows([][]float64{{1, 2}, {3, 4}}), 0)
+	matricesEqual(t, a, FromSlice(2, 2, []float64{1, 2, 3, 4}), 0)
 	a.Scale(2)
-	matricesEqual(t, a, FromRows([][]float64{{2, 4}, {6, 8}}), 0)
-	a.AddScaled(0.5, b)
-	matricesEqual(t, a, FromRows([][]float64{{7, 14}, {21, 28}}), 1e-12)
+	matricesEqual(t, a, FromSlice(2, 2, []float64{2, 4, 6, 8}), 0)
 }
 
 func TestMulElemApply(t *testing.T) {
-	a := FromRows([][]float64{{1, -2}, {3, -4}})
-	b := FromRows([][]float64{{2, 2}, {2, 2}})
-	a.MulElem(b)
-	matricesEqual(t, a, FromRows([][]float64{{2, -4}, {6, -8}}), 0)
+	a := FromSlice(2, 2, []float64{2, -4, 6, -8})
 	a.Apply(math.Abs)
-	matricesEqual(t, a, FromRows([][]float64{{2, 4}, {6, 8}}), 0)
+	matricesEqual(t, a, FromSlice(2, 2, []float64{2, 4, 6, 8}), 0)
 }
 
 func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	at := a.T()
-	matricesEqual(t, at, FromRows([][]float64{{1, 4}, {2, 5}, {3, 6}}), 0)
+	matricesEqual(t, at, FromSlice(3, 2, []float64{1, 4, 2, 5, 3, 6}), 0)
 }
 
 func TestMatMulSmall(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
 	got := MatMul(nil, a, b)
-	matricesEqual(t, got, FromRows([][]float64{{19, 22}, {43, 50}}), 1e-12)
+	matricesEqual(t, got, FromSlice(2, 2, []float64{19, 22, 43, 50}), 1e-12)
 }
 
 func TestMatMulIdentity(t *testing.T) {
@@ -115,8 +101,8 @@ func TestMatMulIdentity(t *testing.T) {
 }
 
 func TestMatMulDstReuse(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, 1}})
-	b := FromRows([][]float64{{2, 3}, {4, 5}})
+	a := FromSlice(2, 2, []float64{1, 0, 0, 1})
+	b := FromSlice(2, 2, []float64{2, 3, 4, 5})
 	dst := NewMatrix(2, 2)
 	dst.Fill(999) // must be overwritten, not accumulated
 	MatMul(dst, a, b)
@@ -236,9 +222,9 @@ func TestMatMulShapePanics(t *testing.T) {
 }
 
 func TestAddRowVectorColSums(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
 	m.AddRowVector([]float64{10, 20})
-	matricesEqual(t, m, FromRows([][]float64{{11, 22}, {13, 24}, {15, 26}}), 0)
+	matricesEqual(t, m, FromSlice(3, 2, []float64{11, 22, 13, 24, 15, 26}), 0)
 	sums := m.ColSums()
 	if sums[0] != 39 || sums[1] != 72 {
 		t.Fatalf("ColSums got %v", sums)
@@ -250,7 +236,7 @@ func TestAddRowVectorColSums(t *testing.T) {
 }
 
 func TestSumMaxAbs(t *testing.T) {
-	m := FromRows([][]float64{{-5, 2}, {3, -1}})
+	m := FromSlice(2, 2, []float64{-5, 2, 3, -1})
 	if m.Sum() != -1 {
 		t.Fatalf("Sum got %g", m.Sum())
 	}
@@ -322,7 +308,7 @@ func TestQuickAddCommutes(t *testing.T) {
 }
 
 func TestMatrixString(t *testing.T) {
-	small := FromRows([][]float64{{1, 2}, {3, 4}})
+	small := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	s := small.String()
 	if s != "Matrix(2x2)[1 2; 3 4]" {
 		t.Fatalf("small render %q", s)
@@ -356,15 +342,6 @@ func TestZeroAndFill(t *testing.T) {
 	if m.Sum() != 0 {
 		t.Fatal("Zero")
 	}
-}
-
-func TestMinMaxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MinMax(nil)
 }
 
 // TestMatMulParallelZeroAlloc pins the parallel dispatch path to zero heap

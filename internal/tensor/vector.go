@@ -55,51 +55,6 @@ func MatVec(m *Matrix, v []float64) []float64 {
 	return out
 }
 
-// VecMat computes vᵀ×m, returning a new vector of length m.Cols.
-func VecMat(v []float64, m *Matrix) []float64 {
-	if len(v) != m.Rows {
-		panic(fmt.Sprintf("tensor: VecMat len %d != rows %d", len(v), m.Rows))
-	}
-	out := make([]float64, m.Cols)
-	for i, vi := range v {
-		if vi == 0 {
-			continue
-		}
-		Axpy(out, vi, m.Row(i))
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of v (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// MinMax returns the smallest and largest values in v. It panics on empty
-// input: callers always operate on non-empty series.
-func MinMax(v []float64) (lo, hi float64) {
-	if len(v) == 0 {
-		panic("tensor: MinMax of empty slice")
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Clamp limits x to the interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

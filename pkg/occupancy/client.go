@@ -69,23 +69,22 @@ func IsCode(err error, code string) bool {
 // ClientConfig configures Client. Only BaseURL is required.
 type ClientConfig struct {
 	// BaseURL is any node of the service — a standalone server, a cluster
-	// member, or a forwarding router. No trailing slash required.
+	// member, or a thin router. No trailing slash required.
 	BaseURL string
 	// HTTPClient, when non-nil, replaces http.DefaultClient. Streaming
 	// calls need a client without an overall Timeout.
 	HTTPClient *http.Client
 	// MaxRetries bounds consecutive no-progress retries of a pressure
-	// response (429, 500 log_error, or 503 draining / routing_conflict)
-	// before Ingest gives up (default 4). Retries honor Retry-After /
-	// retry_after_ms; a batch that makes partial progress resets the
-	// budget.
+	// response (429, 500 log_error, or 503 draining) before Ingest gives
+	// up (default 4). Retries honor Retry-After / retry_after_ms; a batch
+	// that makes partial progress resets the budget.
 	MaxRetries int
 	// MaxRetryWait caps one Retry-After sleep (default 5s).
 	MaxRetryWait time.Duration
 	// DisableRouting pins every request to BaseURL: the client never
-	// fetches the shard map and relies on server-side redirects or
-	// forwarding. The default (false) routes per-feed requests to the
-	// owning node once a shard map is available.
+	// fetches the shard map and relies on server-side redirects. The
+	// default (false) routes per-feed requests to the owning node once a
+	// shard map is available.
 	DisableRouting bool
 }
 
@@ -118,8 +117,8 @@ const maxIngestBatch = 512
 // fetches the map from BaseURL and sends each feed's requests straight to
 // the owning node (refresh with RefreshShardMap after a topology change). A
 // standalone server, or DisableRouting, pins everything to BaseURL; requests
-// that still land on a non-owner are healed by the server — the client
-// follows its 307, or the router forwards.
+// that still land on a non-owner are healed by the server's 307, which the
+// client follows.
 type Client struct {
 	cfg  ClientConfig
 	base string
@@ -347,10 +346,10 @@ func (c *Client) Ingest(ctx context.Context, id string, frames []Frame) (int, er
 		if err := c.sleep(ctx, ae.RetryAfterMS); err != nil {
 			return accepted, err
 		}
-		if ae.Code == server.CodeDraining || ae.Code == server.CodeRoutingConflict {
-			// The topology is moving under us — a drain or a map the nodes
-			// disagree on. Re-resolve the feed's owner before the retry so
-			// the remainder lands where the feed now lives.
+		if ae.Code == server.CodeDraining {
+			// The topology is moving under us. Re-resolve the feed's owner
+			// before the retry so the remainder lands where the feed now
+			// lives.
 			_ = c.RefreshShardMap(ctx)
 			ep = c.endpointFor(ctx, id)
 		}
@@ -360,13 +359,11 @@ func (c *Client) Ingest(ctx context.Context, id string, frames []Frame) (int, er
 
 // retryableCode reports whether an envelope code means "back off and retry
 // the rest of the batch". Pressure codes (429, log_error) mean the same
-// node will accept soon; the transitional 503s (draining, routing_conflict)
-// mean another node will — Ingest refreshes the shard map before those
-// retries.
+// node will accept soon; the transitional 503 draining means another node
+// will — Ingest refreshes the shard map before that retry.
 func retryableCode(code string) bool {
 	switch code {
-	case server.CodeRateLimited, server.CodeLogError,
-		server.CodeDraining, server.CodeRoutingConflict:
+	case server.CodeRateLimited, server.CodeLogError, server.CodeDraining:
 		return true
 	}
 	return false

@@ -65,8 +65,7 @@ type ServeConfig struct {
 	// Cluster, when non-nil, makes this node one member of a sharded
 	// serving cluster: it serves and accepts the versioned shard map on
 	// /v1/cluster and answers requests for feeds another node owns with a
-	// 307 to the owner (or proxies them when Forward is set). Nil keeps
-	// the node standalone.
+	// 307 to the owner. Nil keeps the node standalone.
 	Cluster *ClusterConfig
 
 	// Drift, when enabled, attaches a per-feed drift detector to the
@@ -126,16 +125,13 @@ type ClusterNode = cluster.Node
 // ClusterConfig places a node in (or in front of) a sharded cluster.
 type ClusterConfig struct {
 	// Self is this node's ID in the shard map. An ID the map omits makes
-	// the node a thin router: it owns no feeds and redirects (or, with
-	// Forward, proxies) every feed request to the owner.
+	// the node a thin router: it owns no feeds and redirects every feed
+	// request to the owner.
 	Self string
 	// Map is the initial shard map. The zero value means "no membership
 	// yet": feeds are served locally until a populated map is installed
 	// via PUT /v1/cluster (Client.UpdateShardMap).
 	Map ShardMap
-	// Forward proxies misplaced feed requests to their owner instead of
-	// answering 307 — the router configuration.
-	Forward bool
 }
 
 // Validate reports whether the cluster configuration is usable.
@@ -143,7 +139,7 @@ func (c ClusterConfig) Validate() error { return c.lower().Validate() }
 
 // lower converts to the internal/server form.
 func (c ClusterConfig) lower() server.ClusterConfig {
-	return server.ClusterConfig{Self: c.Self, Map: c.Map, Forward: c.Forward}
+	return server.ClusterConfig{Self: c.Self, Map: c.Map}
 }
 
 // DurabilityConfig is the public face of the per-feed frame log (see

@@ -2,9 +2,9 @@
 # cluster_smoke.sh — end-to-end check of the sharded serving cluster.
 #
 # Boots three occuserve nodes behind one shard map — n1 trains the detector,
-# n2/n3 fetch the bundle from n1 via -model-from — plus a thin forwarding
+# n2/n3 fetch the bundle from n1 via -model-from — plus a thin redirecting
 # router in front, asserts all four advertise the same model SHA-256, then
-# points cmd/loadgen -http -cluster at the router: 64 feeds stream at their
+# points cmd/loadgen -cluster at the router: 64 feeds stream at their
 # owning nodes, node n3 is drained out of the map mid-run, its sealed feed
 # logs are handed off to the new owners, and loadgen's exit code asserts
 # that every decision is bit-identical to a single-node replay and that zero
@@ -44,12 +44,12 @@ wait_ready "$u1" n1
 pids+=($!)
 "$tmp/occuserve" -addr "127.0.0.1:$p3" -cluster-self n3 -log-dir "$tmp/log-n3" -model-from "$u1" "${common[@]}" >"$tmp/n3.log" 2>&1 &
 pids+=($!)
-"$tmp/occuserve" -addr "127.0.0.1:$pr" -cluster-self router -cluster-forward -model-from "$u1" "${common[@]}" >"$tmp/router.log" 2>&1 &
+"$tmp/occuserve" -addr "127.0.0.1:$pr" -cluster-self router -model-from "$u1" "${common[@]}" >"$tmp/router.log" 2>&1 &
 pids+=($!)
 wait_ready "$u2" n2
 wait_ready "$u3" n3
 wait_ready "$ur" router
-echo "cluster_smoke: 3 nodes + forwarding router ready"
+echo "cluster_smoke: 3 nodes + redirecting router ready"
 
 # Model distribution: every node (and the router) must advertise the same
 # bundle SHA — byte-identical weights are the precondition for
@@ -65,8 +65,9 @@ for u in "$u2" "$u3" "$ur"; do
 done
 echo "cluster_smoke: model sha256 ${s1:0:12}... identical on all nodes"
 
-# The uniform error envelope must hold on the wire, through the router.
-env_body="$(curl -s "$ur/v1/feeds/ghost/occupancy")"
+# The uniform error envelope must hold on the wire, through the router's
+# redirect to the owner.
+env_body="$(curl -sL "$ur/v1/feeds/ghost/occupancy")"
 if ! printf '%s' "$env_body" | grep -q '"code":"unknown_feed"'; then
   echo "cluster_smoke: error envelope missing or malformed through the router: $env_body" >&2
   exit 1
@@ -75,7 +76,7 @@ echo "cluster_smoke: error envelope OK through the router"
 
 # The full harness: 64 feeds through the router, mid-run drain of n3 with
 # sealed-log handoff; the exit code asserts bit-identity and zero loss.
-if ! "$tmp/loadgen" -http -cluster 3 -target "$ur" -drain-node n3 \
+if ! "$tmp/loadgen" -cluster 3 -target "$ur" -drain-node n3 \
   -feeds 64 -per-feed 120 -epochs 1 >"$tmp/loadgen.log" 2>&1; then
   echo "cluster_smoke: loadgen cluster harness failed" >&2
   tail -30 "$tmp/loadgen.log" >&2

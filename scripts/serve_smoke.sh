@@ -3,14 +3,13 @@
 #
 # Boots cmd/occuserve with a tiny on-the-fly model, polls /readyz, exercises
 # the feed lifecycle by hand (register, ingest, and a latest-decision read
-# that must answer at once: 202 means decided), then
-# points cmd/loadgen -http -target at the live server to hammer it with
-# concurrent feeds (every non-2xx status fails the run; the bit-identity
-# divergence gate runs in loadgen's in-process mode, which the test job
-# covers, since it needs the server's exact weights), asserts a non-empty
-# /metrics exposition carrying the server_* series on which every ingested
-# frame has its decision, and finally sends SIGTERM and requires a clean
-# drained exit 0.
+# that must answer at once: 202 means decided), then points
+# cmd/loadgen -target at the live server to hammer it with concurrent feeds:
+# loadgen fetches the bundle the server serves on /v1/models and fails on any
+# unexpected status or any streamed decision that is not bit-identical to its
+# local replay. It then asserts a non-empty /metrics exposition carrying the
+# server_* series on which every ingested frame has its decision, and finally
+# sends SIGTERM and requires a clean drained exit 0.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 19180)
 set -euo pipefail
@@ -72,14 +71,21 @@ echo "serve_smoke: feed lifecycle OK ($(cat "$tmp/occ.json"))"
 curl -sf -X DELETE "$base/v1/feeds/smoke" >/dev/null
 
 # Drive it properly: loadgen replays concurrent feeds over HTTP, retrying
-# 429 partial accepts and failing on any unexpected status or stream error.
-if ! "$tmp/loadgen" -http -target "$base" -feeds 8 -per-feed 200 -epochs 1 \
+# 429 partial accepts and failing on any unexpected status, stream error or
+# decision that differs from its replay of the served bundle. -per-feed stays
+# under occuserve's default 256-event stream buffer, so no event can be
+# dropped on a slow subscriber.
+if ! "$tmp/loadgen" -target "$base" -feeds 8 -per-feed 200 -epochs 1 \
   >"$tmp/loadgen.log" 2>&1; then
-  echo "serve_smoke: loadgen -http failed" >&2
+  echo "serve_smoke: loadgen -target failed" >&2
   cat "$tmp/loadgen.log" >&2
   exit 1
 fi
 tail -3 "$tmp/loadgen.log"
+if ! grep -q 'bit-identical to the local runtime' "$tmp/loadgen.log"; then
+  echo "serve_smoke: loadgen did not verify the streamed decisions" >&2
+  exit 1
+fi
 
 metrics="$(curl -sf "$base/metrics")"
 if ! printf '%s\n' "$metrics" | grep -q '^# TYPE server_frames_ingested_total counter'; then
