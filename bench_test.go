@@ -811,9 +811,10 @@ func BenchmarkFrameLogAppend(b *testing.B) {
 // BenchmarkFrameLogRecover measures what a restart pays the log per feed:
 // framelog.OpenReplay over one 4 000-frame feed (restart_recovery's per-feed
 // size) — list, read, CRC and decode every record once into the reused
-// frame, hand it over, open the writer behind it (DESIGN.md §13). The
-// callback does what costs nothing, so this is the log's share alone; the
-// allocation figures are per recovered feed, not per frame.
+// frame, hand it over, open the writer behind it (DESIGN.md §13). That is a
+// full replay, what a feed without a usable snapshot pays. The callback does
+// what costs nothing, so this is the log's share alone; the allocation
+// figures are per recovered feed, not per frame.
 func BenchmarkFrameLogRecover(b *testing.B) {
 	const frames = 4000
 	cfg := framelog.Config{Dir: b.TempDir(), Fsync: framelog.FsyncOff}
@@ -840,7 +841,7 @@ func BenchmarkFrameLogRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		last := -1
-		w, rec, err := framelog.OpenReplay(cfg, "bench", func(f *fault.Frame) { last = f.Index })
+		w, rec, err := framelog.OpenReplay(cfg, "bench", framelog.Anchor{}, func(f *fault.Frame) { last = f.Index })
 		if err != nil || rec.Frames != frames || last != frames-1 {
 			b.Fatalf("recovered %d frames, last index %d, error %v", rec.Frames, last, err)
 		}

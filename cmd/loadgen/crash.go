@@ -5,11 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/fault"
@@ -25,10 +29,16 @@ import (
 //  3. the parent reads the child's log offline: every acknowledged frame
 //     must be there (logged >= acked, in send order, bit for bit), and
 //     whatever the dead child streamed must match the replay;
-//  4. a fresh child recovers from the same log; its first visible decision
-//     must be bit-identical to the replay of the logged frames;
+//  4. a fresh child recovers from the same log — from the snapshot the last
+//     segment seal wrote plus the frames logged since, or the whole log —
+//     and its first visible decision must be bit-identical to the replay of
+//     the logged frames;
 //  5. the stream continues through the restart, and every post-recovery
-//     decision must match the uninterrupted replay exactly.
+//     decision must match the uninterrupted replay exactly;
+//  6. that child is drained (SIGTERM), which snapshots the feed, and a third
+//     child boots from the same log: its /metrics must show every logged
+//     frame restored and none replayed, and its first decision and a
+//     further stretch of the stream must match the replay bit for bit.
 //
 // The child is this same binary re-exec'd with -crash-child, so the gate
 // needs no second build product.
@@ -38,12 +48,14 @@ import (
 const crashReadyPrefix = "loadgen-child: serving "
 
 // runCrashChild is the -crash-child entry point: a durable node on an
-// ephemeral port, serving until killed.
+// ephemeral port, serving until SIGKILLed or, on SIGTERM, drained.
 func runCrashChild(model, logDir string) error {
 	bundle, err := os.ReadFile(model)
 	if err != nil {
 		return err
 	}
+	term, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
+	defer stop()
 	n, err := bootNode(bundle, occupancy.ServeConfig{
 		// A subscriber buffer large enough for the whole run makes "no
 		// events dropped" a hard guarantee, so the parent's bit-identity
@@ -59,31 +71,50 @@ func runCrashChild(model, logDir string) error {
 		return err
 	}
 	fmt.Println(crashReadyPrefix + n.url)
-	select {} // the parent's SIGKILL is the only way out
+	<-term.Done()
+	return n.stop()
 }
 
-// startCrashChild launches the child server process and returns a client
-// bound to its base URL, plus kill: SIGKILL and reap, once — later calls
-// repeat the first answer, so a deferred kill backs up the planned one.
-func startCrashChild(model, logDir string) (kill func() error, cl *occupancy.Client, err error) {
+// crashChild is one life of the child server process.
+type crashChild struct {
+	url string
+	cl  *occupancy.Client
+	// kill SIGKILLs and reaps the child; term SIGTERMs it and requires its
+	// drain to end in a clean exit. The first call of either decides, and
+	// later calls repeat its answer, so a deferred kill backs up both.
+	kill, term func() error
+}
+
+// startCrashChild launches the child server process and binds a client to
+// its base URL.
+func startCrashChild(model, logDir string) (*crashChild, error) {
 	self, err := os.Executable()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cmd := exec.Command(self, "-crash-child", "-model", model, "-crash-log-dir", logDir)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	kill = sync.OnceValue(func() error {
-		err := cmd.Process.Kill() // SIGKILL: no handler runs, no flush, no drain
-		_ = cmd.Wait()
-		return err
-	})
+	var once sync.Once
+	var endErr error
+	end := func(sig os.Signal) func() error {
+		return func() error {
+			once.Do(func() {
+				endErr = cmd.Process.Signal(sig) // SIGKILL: no handler runs, no flush, no drain
+				if waitErr := cmd.Wait(); endErr == nil && sig == syscall.SIGTERM {
+					endErr = waitErr // a drained child exits 0
+				}
+			})
+			return endErr
+		}
+	}
+	ch := &crashChild{kill: end(os.Kill), term: end(syscall.SIGTERM)}
 	urlc := make(chan string, 1)
 	go func() {
 		// The ready line is all the child prints on stdout; a child that died
@@ -94,20 +125,44 @@ func startCrashChild(model, logDir string) (kill func() error, cl *occupancy.Cli
 	// The child announces itself after binding its listener, so the first
 	// request needs no readiness poll: it waits in the accept queue.
 	select {
-	case url := <-urlc:
-		cl, err = newLoadClient(url, 1)
+	case ch.url = <-urlc:
+		ch.cl, err = newLoadClient(ch.url, 1)
 	case <-time.After(30 * time.Second):
 		err = fmt.Errorf("no address announced within 30s")
 	}
 	if err != nil {
-		_ = kill()
-		return nil, nil, fmt.Errorf("crash: child server did not come up: %w", err)
+		_ = ch.kill()
+		return nil, fmt.Errorf("crash: child server did not come up: %w", err)
 	}
-	return kill, cl, nil
+	return ch, nil
+}
+
+// recoveryCounts scrapes a child's /metrics for what its recovery did: the
+// logged frames whose decision state it rebuilt, and how many of those its
+// snapshots restored rather than a replay.
+func (ch *crashChild) recoveryCounts() (recovered, restored float64, err error) {
+	resp, err := http.Get(ch.url + "/metrics")
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 2 && f[0] == "server_frames_recovered_total" {
+			recovered, err = strconv.ParseFloat(f[1], 64)
+		} else if len(f) == 2 && f[0] == "server_frames_restored_total" {
+			restored, err = strconv.ParseFloat(f[1], 64)
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	return recovered, restored, sc.Err()
 }
 
 // runCrash drives the kill-and-recover scenario on one feed. total is the
-// planned frame count; the kill lands once half of it is acknowledged.
+// planned frame count; the kill lands once half of it is acknowledged, and
+// the third life streams a further quarter.
 func runCrash(ctx context.Context, fx fixture, total int) error {
 	tmp, err := os.MkdirTemp("", "loadgen-crash-*")
 	if err != nil {
@@ -122,17 +177,17 @@ func runCrash(ctx context.Context, fx fixture, total int) error {
 	const id = "crash-room"
 
 	// Phase 1: serve and stream until the kill threshold.
-	killA, clA, err := startCrashChild(model, logDir)
+	childA, err := startCrashChild(model, logDir)
 	if err != nil {
 		return err
 	}
-	defer killA()
-	ref, err := activeSpan(ctx, clA)
+	defer childA.kill()
+	ref, err := activeSpan(ctx, childA.cl)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("loadgen: crash: child A serving bundle %.12s…, logging to %s\n", ref.version, logDir)
-	runA, err := openFeed(ctx, clA, id, 0, fx.recs)
+	runA, err := openFeed(ctx, childA.cl, id, 0, fx.recs)
 	if err != nil {
 		return err
 	}
@@ -151,7 +206,7 @@ func runCrash(ctx context.Context, fx fixture, total int) error {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if err := killA(); err != nil {
+	if err := childA.kill(); err != nil {
 		return err
 	}
 	// The send either finished just ahead of the kill or failed on it; what
@@ -194,14 +249,14 @@ func runCrash(ctx context.Context, fx fixture, total int) error {
 
 	// Phase 3: a fresh child recovers from the log alone, to the decision
 	// the uninterrupted replay holds after the last logged frame.
-	killB, clB, err := startCrashChild(model, logDir)
+	childB, err := startCrashChild(model, logDir)
 	if err != nil {
 		return err
 	}
-	defer killB()
-	// NewServer replays the log before it returns and the child announces
+	defer childB.kill()
+	// NewServer recovers the log before it returns and the child announces
 	// itself after that, so the recovered decision is there to read at once.
-	rec, ok, err := clB.Occupancy(ctx, id)
+	rec, ok, err := childB.cl.Occupancy(ctx, id)
 	if err != nil || !ok {
 		return fmt.Errorf("crash: child B holds no recovered decision (ok=%v): %v", ok, err)
 	}
@@ -212,20 +267,58 @@ func runCrash(ctx context.Context, fx fixture, total int) error {
 
 	// Phase 4: the stream continues across the crash as if it never
 	// happened — every remaining decision bit-identical to the replay.
-	runB, err := openFeed(ctx, clB, id, 0, fx.recs)
+	runB, err := openFeed(ctx, childB.cl, id, 0, fx.recs)
 	if err != nil {
 		return err
 	}
 	if err := runB.send(ctx, logged, total); err != nil {
 		return fmt.Errorf("crash: continuation: %w", err)
 	}
-	eventsB, err := runB.close(ctx)
-	if err != nil {
-		return err
+	// A clean drain closes the feed, which ends its stream and snapshots it.
+	if err := childB.term(); err != nil {
+		return fmt.Errorf("crash: child B did not drain cleanly: %w", err)
 	}
-	if err := runB.verify(eventsB, logged, total-logged, []span{ref}); err != nil {
+	if err := runB.verify(runB.wait(), logged, total-logged, []span{ref}); err != nil {
 		return fmt.Errorf("crash: after recovery: %w", err)
 	}
 	fmt.Printf("loadgen: crash: %d post-recovery decisions bit-identical; zero acknowledged frames lost\n", total-logged)
+
+	// Phase 5: after a clean drain nothing is left to replay — the third
+	// child restores every logged frame's state from the snapshot — and the
+	// stream still goes on exactly as the uninterrupted replay does.
+	childC, err := startCrashChild(model, logDir)
+	if err != nil {
+		return err
+	}
+	defer childC.kill()
+	if recovered, restored, err := childC.recoveryCounts(); err != nil || recovered != float64(total) || restored != recovered {
+		return fmt.Errorf("crash: child C recovered %v frames, %v of them restored (%v); want all %d restored and none replayed",
+			recovered, restored, err, total)
+	}
+	if rec, ok, err = childC.cl.Occupancy(ctx, id); err != nil || !ok {
+		return fmt.Errorf("crash: child C holds no restored decision (ok=%v): %v", ok, err)
+	}
+	if err := runA.verify([]occupancy.Decision{rec}, total-1, 1, []span{ref}); err != nil {
+		return fmt.Errorf("crash: restored state: %w", err)
+	}
+	more := total + total/4
+	runC, err := openFeed(ctx, childC.cl, id, 0, fx.recs)
+	if err != nil {
+		return err
+	}
+	if err := runC.send(ctx, total, more); err != nil {
+		return fmt.Errorf("crash: third life: %w", err)
+	}
+	eventsC, err := runC.close(ctx)
+	if err != nil {
+		return err
+	}
+	if err := runC.verify(eventsC, total, more-total, []span{ref}); err != nil {
+		return fmt.Errorf("crash: after the clean restart: %w", err)
+	}
+	if err := childC.term(); err != nil {
+		return fmt.Errorf("crash: child C did not drain cleanly: %w", err)
+	}
+	fmt.Printf("loadgen: crash: clean restart restored all %d frames, replayed none; %d further decisions bit-identical\n", total, more-total)
 	return nil
 }

@@ -23,8 +23,9 @@
 // feeds' sealed logs to their new owners (in-process nodes, or with -target
 // a running cluster, whose nodes must also serve with durability on);
 // -swap installs and atomically activates a shadow-trained candidate
-// mid-run; -crash SIGKILLs a durable child server mid-stream and restarts it
-// from its frame log. Each fails on any lost acknowledged frame and on any
+// mid-run; -crash SIGKILLs a durable child server mid-stream, restarts it
+// from its frame log, then drains it and restarts it once more from its
+// snapshot alone. Each fails on any lost acknowledged frame and on any
 // decision that differs by one bit from the single-runtime replay; the
 // comment at the top of cluster.go, swap.go and crash.go states the gate's
 // contract in full (DESIGN.md §15, §16, §13).
@@ -62,7 +63,7 @@ func main() {
 
 		swap = flag.Bool("swap", false, "hot-swap gate: shadow-train a candidate from the server's frame logs, install and atomically activate it mid-run, and require zero frame loss plus bit-identical old/new decision segments (DESIGN.md §16)")
 
-		crash       = flag.Bool("crash", false, "SIGKILL a durable child server mid-stream, restart it, and require bit-identical recovered decisions (DESIGN.md §13)")
+		crash       = flag.Bool("crash", false, "SIGKILL a durable child server mid-stream, restart it, drain it, restart it again, and require bit-identical recovered decisions (DESIGN.md §13)")
 		crashChild  = flag.Bool("crash-child", false, "internal: run as the durable server child for -crash")
 		crashLogDir = flag.String("crash-log-dir", "", "internal: frame log root for -crash-child")
 	)

@@ -96,6 +96,9 @@ func (de *DetectorEngine) Detector() *Detector { return de.det }
 // Precision returns the scorer precision the engine was built with.
 func (de *DetectorEngine) Precision() infer.Precision { return de.eng.Precision() }
 
+// Kernel names the compute kernel the engine's scores run on.
+func (de *DetectorEngine) Kernel() string { return de.eng.Kernel() }
+
 // PredictRecord classifies one record through the engine, returning
 // P(occupied) and the label — the same contract as Detector.PredictRecord,
 // bit for bit, but allocation-free. It implements stream.Predictor.

@@ -28,9 +28,12 @@
 //     error, never a silent drop.
 //
 // Replaying a feed's log through a fresh stream.Runtime reproduces the live
-// run's decisions bit for bit (the server does exactly that on restart;
-// cmd/loadgen -crash proves it against a SIGKILL'd process). See DESIGN.md
-// §13 for the record format and the measured append overhead.
+// run's decisions bit for bit. Beside the segments each feed keeps one
+// checksummed snapshot of its decision state, written when a segment seals
+// and when the feed closes and anchored to the record it covers up to, so a
+// restart restores that state and replays only the records after it
+// (OpenReplay's anchor); cmd/loadgen -crash proves both against a SIGKILL'd
+// process. See DESIGN.md §13 for the formats and the measured costs.
 package framelog
 
 import (
@@ -74,11 +77,12 @@ type Config struct {
 	// (default 64 MiB).
 	SegmentMaxBytes int64
 	// MaxSegments, when > 0, bounds retained segments per feed: after a
-	// rotation the oldest segments beyond the cap are deleted. Recovery
-	// then replays only the retained suffix — still bit-identical to an
-	// offline replay of that same suffix, but no longer of the full
-	// history. 0 retains everything (the default, and what the recovery
-	// bit-identity guarantee against the uninterrupted live run assumes).
+	// rotation the oldest segments beyond the cap are deleted. A snapshot
+	// is written on every seal, so recovery still resumes from the full
+	// history's state and replays only the records after it; without a
+	// usable snapshot it replays the retained suffix from a fresh state,
+	// bit-identical to an offline replay of that suffix but not of the full
+	// history. 0 retains everything (the default).
 	MaxSegments int
 	// Observer receives the framelog_* metrics (append/fsync latency
 	// histograms, rotation and recovery counters). Nil disables

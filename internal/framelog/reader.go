@@ -5,76 +5,98 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/fault"
 )
 
 // walk is the one pass over a feed's log that OpenReplay and Replay share:
-// segments in order, each read whole into one reused buffer, each record
-// validated — length, then CRC — and its payload handed to visit, which
-// returns false to end the walk early. The torn-tail rule lives here and
-// nowhere else: an invalid record or a short header in the last segment was
-// never acknowledged, so the walk ends cleanly there and reports (end, torn),
-// the last segment's valid length and the bytes after it; anywhere earlier
-// it cannot be a torn append (rotation syncs a segment before the next
-// exists) and fails with ErrCorrupt. skipRetired is for readers beside a
-// live writer, whose retention cap may retire a listed segment before the
+// segments in order, each read a chunk of records at a time through one
+// pooled buffer, each record validated — length, then CRC — and its payload
+// and stored CRC handed to visit, which returns false to end the walk early;
+// a payload is valid only until visit returns. The torn-tail rule lives here
+// and nowhere else: an invalid record or a short header in the last segment
+// was never acknowledged, so the walk ends cleanly there and reports (end,
+// torn), the last segment's valid length and the bytes after it; anywhere
+// earlier it cannot be a torn append (rotation syncs a segment before the
+// next exists) and fails with ErrCorrupt. skipRetired is for readers beside
+// a live writer, whose retention cap may retire a listed segment before the
 // walk reaches it: retired, not corrupt.
-func walk(dir, feed string, segs []int, skipRetired bool, visit func(payload []byte) bool) (end, torn int64, err error) {
-	var raw []byte
+func walk(dir, feed string, segs []int, skipRetired bool, visit func(payload []byte, crc uint32) bool) (end, torn int64, err error) {
+	buf := chunks.Get().(*[walkChunk]byte)
+	defer chunks.Put(buf)
 	for i, seg := range segs {
-		lastSeg := i == len(segs)-1
 		name := segmentName(seg)
-		if raw, err = readSegment(filepath.Join(dir, name), raw); err != nil {
-			if skipRetired && os.IsNotExist(err) {
-				continue
-			}
+		good, size, stopped, err := walkSegment(filepath.Join(dir, name), feed+"/"+name, buf[:], visit)
+		switch {
+		case skipRetired && os.IsNotExist(err):
+			continue
+		case err != nil:
 			return 0, 0, err
-		}
-		// good is the segment's valid prefix: nothing without a whole header
-		// (createSegment crashed), else it and every record that checks out.
-		good := 0
-		if len(raw) >= segHeaderLen {
-			if err := checkSegmentHeader(raw); err != nil {
-				return 0, 0, fmt.Errorf("framelog: %s/%s: %w", feed, name, err)
-			}
-			for good = segHeaderLen; good < len(raw); good += recordLen {
-				payload, ok := checkRecord(raw[good:])
-				if !ok {
-					break
-				}
-				if !visit(payload) {
-					return 0, 0, nil
-				}
-			}
-		}
-		if !lastSeg && (good == 0 || good < len(raw)) {
+		case stopped:
+			return 0, 0, nil
+		case i < len(segs)-1 && (good == 0 || good < size):
 			return 0, 0, fmt.Errorf("framelog: %s/%s offset %d: %w", feed, name, good, ErrCorrupt)
 		}
-		end, torn = int64(good), int64(len(raw)-good)
+		end, torn = good, size-good
 	}
 	return end, torn, nil
 }
 
-// readSegment reads a segment file, as long as it is now, into a reused buf.
-func readSegment(path string, buf []byte) ([]byte, error) {
+// walkChunk is how much of a segment walk reads at a time: a whole number of
+// records and few reads a segment, and — pooled — no segment-sized buffer
+// per feed for a restart that reads every log back to back at CRC speed.
+const walkChunk = 256 * recordLen
+
+var chunks = sync.Pool{New: func() any { return new([walkChunk]byte) }}
+
+// walkSegment reads one segment, as long as it is when opened, through buf
+// and hands visit each record up to the first that fails its check. good is
+// the valid prefix — nothing without a whole header (createSegment crashed),
+// else the header and the records that check out — and size what the file
+// held; stopped reports that visit ended the walk.
+func walkSegment(path, label string, buf []byte, visit func(payload []byte, crc uint32) bool) (good, size int64, stopped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return buf, err
+		return 0, 0, false, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return buf, err
+		return 0, 0, false, err
 	}
-	if int64(cap(buf)) < fi.Size() {
-		buf = make([]byte, fi.Size())
+	r := io.LimitReader(f, fi.Size())
+	if n, err := io.ReadFull(r, buf[:segHeaderLen]); n < segHeaderLen {
+		return 0, int64(n), false, atEnd(err)
 	}
-	n, err := io.ReadFull(f, buf[:fi.Size()])
+	if err := checkSegmentHeader(buf); err != nil {
+		return 0, 0, false, fmt.Errorf("framelog: %s: %w", label, err)
+	}
+	good, size = segHeaderLen, segHeaderLen
+	for valid := true; ; {
+		n, err := io.ReadFull(r, buf)
+		for at := 0; valid && at < n; at += recordLen {
+			payload, crc, ok := checkRecord(buf[at:n])
+			if valid = ok; ok {
+				good += recordLen
+				if !visit(payload, crc) {
+					return 0, 0, true, nil
+				}
+			}
+		}
+		if size += int64(n); err != nil {
+			return good, size, false, atEnd(err)
+		}
+	}
+}
+
+// atEnd drops the error of a read that ran out of file: a segment shorter
+// than a moment ago is, for the reader, what it now holds.
+func atEnd(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		err = nil // shorter than a moment ago: what is there is the file
+		return nil
 	}
-	return buf[:n], err
+	return err
 }
 
 // Replay streams a feed's logged frames, in append order, through fn. A
@@ -99,7 +121,7 @@ func Replay(root, feed string, limit int, fn func(fault.Frame) error) (int, erro
 	delivered := 0
 	var f fault.Frame
 	var fnErr error
-	_, _, err = walk(dir, feed, segs, true, func(payload []byte) bool {
+	_, _, err = walk(dir, feed, segs, true, func(payload []byte, _ uint32) bool {
 		decodePayload(&f, payload)
 		if fnErr = fn(f); fnErr != nil {
 			return false

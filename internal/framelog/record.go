@@ -100,20 +100,20 @@ func appendRecord(dst []byte, f *fault.Frame) []byte {
 }
 
 // checkRecord validates the record at the start of raw — length, then CRC —
-// and returns its payload, aliasing raw, without decoding it. ok=false is a
-// short, mis-sized or CRC-failing record; the caller decides whether that is
-// a torn tail (stop) or corruption (error).
-func checkRecord(raw []byte) (payload []byte, ok bool) {
+// and returns its payload, aliasing raw, without decoding it, and its stored
+// CRC. ok=false is a short, mis-sized or CRC-failing record; the caller
+// decides whether that is a torn tail (stop) or corruption (error).
+func checkRecord(raw []byte) (payload []byte, crc uint32, ok bool) {
 	le := binary.LittleEndian
 	// Version 1 records are fixed-size: any other length — zero from a
 	// preallocated-then-torn region, or huge from corrupt bytes — is
 	// invalid, and rejecting it here caps what a hostile file can make the
 	// reader allocate or skip.
 	if len(raw) < recordLen || le.Uint32(raw) != payloadLen {
-		return nil, false
+		return nil, 0, false
 	}
-	payload = raw[recHeaderLen:recordLen]
-	return payload, crc32.Checksum(payload, crcTable) == le.Uint32(raw[4:])
+	payload, crc = raw[recHeaderLen:recordLen], le.Uint32(raw[4:])
+	return payload, crc, crc32.Checksum(payload, crcTable) == crc
 }
 
 // payloadIndex reads the frame index of a validated payload.

@@ -18,6 +18,7 @@ import (
 // how, and every file's bytes once the writer has been opened and closed.
 type refRecovery struct {
 	indices []int
+	crcs    []uint32 // the stored CRC of each record in indices
 	rec     Recovery
 	corrupt bool // fails with ErrCorrupt
 	badHdr  bool // fails on a segment's magic or version
@@ -88,6 +89,7 @@ func referenceRecovery(t testing.TB, dir string) refRecovery {
 			ref.rec.LastIndex = index
 			ref.rec.Frames++
 			ref.indices = append(ref.indices, index)
+			ref.crcs = append(ref.crcs, le.Uint32(raw[off+4:]))
 			off += 8 + payload
 		}
 	}
@@ -118,11 +120,13 @@ func copyFeed(t testing.TB, src, feed string) string {
 	return root
 }
 
-// checkRecovery holds both recovery paths — OpenReplay in one pass, and Open
-// followed by Replay(limit = Recovery.Frames) — to the reference on private
-// copies of a feed's log: the same frames delivered (bit for bit equal to
-// want(index) when the log's frames are known), the same Recovery, the same
-// verdict, and the same bytes left on disk. src is not touched.
+// checkRecovery holds every recovery path — OpenReplay in one pass, OpenReplay
+// resuming at an anchor on the middle record, and Open followed by
+// Replay(limit = Recovery.Frames) — to the reference on private copies of a
+// feed's log: the same frames delivered (bit for bit equal to want(index)
+// when the log's frames are known; only those after the anchor when
+// resuming), the same Recovery, the same verdict, and the same bytes left on
+// disk. src is not touched.
 func checkRecovery(t testing.TB, src, feed string, want func(index int) fault.Frame) {
 	t.Helper()
 	ref := referenceRecovery(t, feedDir(src, feed))
@@ -137,14 +141,14 @@ func checkRecovery(t testing.TB, src, feed string, want func(index int) fault.Fr
 			t.Fatalf("%s: recovery %+v, want %+v", path, rec, ref.rec)
 		}
 	}
-	delivered := func(path string, got []fault.Frame) {
+	delivered := func(path string, got []fault.Frame, indices []int) {
 		t.Helper()
-		if len(got) != len(ref.indices) {
-			t.Fatalf("%s: delivered %d frames, want %d", path, len(got), len(ref.indices))
+		if len(got) != len(indices) {
+			t.Fatalf("%s: delivered %d frames, want %d", path, len(got), len(indices))
 		}
 		for i, g := range got {
-			if g.Index != ref.indices[i] || !framesEqual(asTruthFrame(g), g) {
-				t.Fatalf("%s: frame %d has index %d (want %d) or Truth != Rec", path, i, g.Index, ref.indices[i])
+			if g.Index != indices[i] || !framesEqual(asTruthFrame(g), g) {
+				t.Fatalf("%s: frame %d has index %d (want %d) or Truth != Rec", path, i, g.Index, indices[i])
 			}
 			if want != nil && !framesEqual(g, want(g.Index)) {
 				t.Fatalf("%s: frame %d (index %d) is not the frame that was logged", path, i, g.Index)
@@ -174,15 +178,31 @@ func checkRecovery(t testing.TB, src, feed string, want func(index int) fault.Fr
 	// One pass.
 	one := copyFeed(t, src, feed)
 	var got []fault.Frame
-	w, rec, err := OpenReplay(cfg(one), feed, func(f *fault.Frame) { got = append(got, *f) })
+	w, rec, err := OpenReplay(cfg(one), feed, Anchor{}, func(f *fault.Frame) { got = append(got, *f) })
 	verdict("OpenReplay", rec, err)
-	delivered("OpenReplay", got)
+	delivered("OpenReplay", got, ref.indices)
 	if err == nil {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	disk("OpenReplay", one)
+
+	// One pass, resuming after the middle record.
+	if mid := len(ref.indices) / 2; mid < len(ref.indices) {
+		resumed := copyFeed(t, src, feed)
+		got = nil
+		from := Anchor{Next: ref.indices[mid] + 1, CRC: ref.crcs[mid]}
+		w, rec, err := OpenReplay(cfg(resumed), feed, from, func(f *fault.Frame) { got = append(got, *f) })
+		verdict("OpenReplay resuming", rec, err)
+		delivered("OpenReplay resuming", got, ref.indices[mid+1:])
+		if err == nil {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		disk("OpenReplay resuming", resumed)
+	}
 
 	// Two passes, as recovery ran before.
 	two := copyFeed(t, src, feed)
@@ -197,7 +217,7 @@ func checkRecovery(t testing.TB, src, feed string, want func(index int) fault.Fr
 		if err != nil || n != rec.Frames {
 			t.Fatalf("Replay after Open: %d frames, error %v; want %d", n, err, rec.Frames)
 		}
-		delivered("Open+Replay", replayed)
+		delivered("Open+Replay", replayed, ref.indices)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package framelog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -23,8 +24,8 @@ type segFile interface {
 
 // Recovery describes what Open found in an existing feed log.
 type Recovery struct {
-	// Frames is how many valid records the log holds — the number of frames
-	// a recovery replay will deliver.
+	// Frames is how many valid records the log holds. OpenReplay delivers
+	// all of them, or — when its anchor holds — those after the anchor.
 	Frames int
 	// FirstIndex / LastIndex are the frame indices bounding the retained
 	// records (0/-1 on an empty log). FirstIndex is 0 unless the retention
@@ -37,6 +38,10 @@ type Recovery struct {
 	// record; TruncatedBytes is how much was cut repairing it.
 	TornTail       bool
 	TruncatedBytes int64
+	// Stale says why the anchor OpenReplay was given does not hold
+	// (AnchorMismatch, BeyondLog or BeforeLog), in which case nothing was
+	// delivered; "" when it holds or none was given.
+	Stale string
 }
 
 // Writer appends frames to one feed's log. It is not safe for concurrent
@@ -52,6 +57,7 @@ type Writer struct {
 	seg      int   // active segment number
 	segs     []int // live segment numbers, ascending
 	segBytes int64
+	anchor   Anchor // the last appended record: what a snapshot taken now covers
 	lastSync time.Time
 	buf      []byte
 	closed   bool
@@ -70,7 +76,7 @@ type Writer struct {
 // Open is OpenReplay with nobody listening: a retained record costs one CRC
 // and an index read, and nothing is decoded.
 func Open(cfg Config, feed string) (*Writer, Recovery, error) {
-	return OpenReplay(cfg, feed, nil)
+	return OpenReplay(cfg, feed, Anchor{}, nil)
 }
 
 // OpenReplay opens (or creates) the log for one feed in one pass over what
@@ -82,7 +88,13 @@ func Open(cfg Config, feed string) (*Writer, Recovery, error) {
 // the tail fails with ErrCorrupt — acknowledged data is never silently
 // dropped. On success fn has seen exactly Recovery.Frames frames; on failure
 // the valid records ahead of the fault, which the caller must discard.
-func OpenReplay(cfg Config, feed string, fn func(*fault.Frame)) (*Writer, Recovery, error) {
+//
+// A non-zero from resumes instead (the caller holds a snapshot's state):
+// every record is still read and checked, but none is decoded until record
+// from.Next-1 turns up with CRC from.CRC; fn then sees only the frames after
+// it. When no record matches, Recovery.Stale says why and fn has seen
+// nothing.
+func OpenReplay(cfg Config, feed string, from Anchor, fn func(*fault.Frame)) (*Writer, Recovery, error) {
 	var rec Recovery
 	if err := cfg.Validate(); err != nil {
 		return nil, rec, err
@@ -115,27 +127,37 @@ func OpenReplay(cfg Config, feed string, fn func(*fault.Frame)) (*Writer, Recove
 			return nil, rec, err
 		}
 		w.segs = []int{0}
+		rec.Stale = from.stale(rec)
 		return w, rec, nil
 	}
 
 	var frame fault.Frame
-	lastEnd, torn, err := walk(w.dir, feed, segs, false, func(payload []byte) bool {
+	deliver := from.Next == 0
+	lastEnd, torn, err := walk(w.dir, feed, segs, false, func(payload []byte, crc uint32) bool {
 		rec.LastIndex = payloadIndex(payload)
 		if rec.Frames == 0 {
 			rec.FirstIndex = rec.LastIndex
 		}
 		rec.Frames++
-		if fn != nil {
+		if deliver && fn != nil {
 			decodePayload(&frame, payload)
 			fn(&frame)
 		}
+		if from.Next > 0 && rec.LastIndex == from.Next-1 {
+			deliver = crc == from.CRC
+		}
+		w.anchor.CRC = crc
 		return true
 	})
 	if err != nil {
 		return nil, rec, err
 	}
+	if !deliver {
+		rec.Stale = from.stale(rec)
+	}
 	// LastIndex, not the last segment: a header-less one holds no record.
 	rec.NextIndex = rec.LastIndex + 1
+	w.anchor.Next = rec.NextIndex
 	rec.TornTail = torn > 0
 	rec.TruncatedBytes = torn
 	last := segs[len(segs)-1]
@@ -246,6 +268,7 @@ func (w *Writer) Append(f *fault.Frame) error {
 		w.m.appendErrors.Inc()
 		return err
 	}
+	w.anchorAt(f)
 	w.segBytes += int64(len(w.buf))
 	w.m.appends.Inc()
 	w.m.bytes.Add(int64(len(w.buf)))
@@ -318,6 +341,7 @@ func (w *Writer) AppendBatch(frames []fault.Frame) (int, error) {
 			w.m.appendErrors.Inc()
 			return written, err
 		}
+		w.anchorAt(&frames[written+n-1])
 		w.segBytes += int64(len(w.buf))
 		w.m.appends.Add(int64(n))
 		w.m.bytes.Add(int64(len(w.buf)))
@@ -332,6 +356,15 @@ func (w *Writer) AppendBatch(frames []fault.Frame) (int, error) {
 	}
 	return written, nil
 }
+
+// anchorAt records that f, whose record ends w.buf, is the log's last frame.
+func (w *Writer) anchorAt(f *fault.Frame) {
+	w.anchor = Anchor{Next: f.Index + 1, CRC: binary.LittleEndian.Uint32(w.buf[len(w.buf)-recordLen+4:])}
+}
+
+// Segment returns the number of the active segment; it advances each time a
+// segment seals.
+func (w *Writer) Segment() int { return w.seg }
 
 // maybeSync applies the fsync policy after an append: unconditional under
 // FsyncAlways, deadline-driven under FsyncInterval, never under FsyncOff.
@@ -406,7 +439,8 @@ func (w *Writer) rotate() error {
 }
 
 // Flush forces everything appended so far to the device, whatever the fsync
-// policy. The serving layer calls it before answering teardown.
+// policy. The serving layer never needs it — SaveSnapshot and Close sync the
+// log themselves; the benchmark's sync probe times it.
 func (w *Writer) Flush() error {
 	if w.closed {
 		return nil

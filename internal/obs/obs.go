@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -281,7 +282,7 @@ var _ Observer = (*Registry)(nil)
 // panics on a kind collision — two components disagreeing about what a name
 // means is a programming error worth failing loudly on.
 func (r *Registry) lookup(name, help string, kind Kind, mk func(m *metric)) *metric {
-	if !validName(name) {
+	if !validName(name, kind) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	r.mu.Lock()
@@ -314,8 +315,26 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // validName checks the Prometheus metric-name grammar
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validName(name string) bool {
+// [a-zA-Z_:][a-zA-Z0-9_:]*, optionally followed — on counters and gauges —
+// by a label block {k="v",...}. Each labelled name is its own series; the
+// series of one family share its HELP and TYPE.
+func validName(name string, kind Kind) bool {
+	fam, labels, labelled := strings.Cut(name, "{")
+	if labelled && (kind == KindHistogram || !strings.Contains(labels, `="`) ||
+		!strings.HasSuffix(labels, `"}`) || strings.ContainsAny(labels, "{\\\n")) {
+		return false
+	}
+	return validFamily(fam)
+}
+
+// family is a series name without its label block.
+func family(name string) string {
+	fam, _, _ := strings.Cut(name, "{")
+	return fam
+}
+
+// validFamily checks the bare metric-name grammar.
+func validFamily(name string) bool {
 	if name == "" {
 		return false
 	}

@@ -85,7 +85,8 @@ func TestKindCollisionPanics(t *testing.T) {
 
 func TestInvalidNamePanics(t *testing.T) {
 	r := NewRegistry()
-	for _, bad := range []string{"", "9lead", "has space", "dash-ed"} {
+	for _, bad := range []string{"", "9lead", "has space", "dash-ed",
+		`x{`, `x{}`, `x{k}`, `x{k=v}`, `x{k="v"`, `x{k="v",}`, `x{k="a\"}`, `9x{k="v"}`} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -94,6 +95,33 @@ func TestInvalidNamePanics(t *testing.T) {
 			}()
 			r.Counter(bad, "")
 		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("labelled histogram: expected panic")
+			}
+		}()
+		r.Histogram(`h{k="v"}`, "", nil)
+	}()
+}
+
+// TestLabelledSeriesShareOneFamily: counters named family{label="value"}
+// are separate series exposed under their family's single HELP and TYPE.
+func TestLabelledSeriesShareOneFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`x_total{reason="b"}`, "by reason").Add(2)
+	r.Counter(`x_total{reason="a",kind="k"}`, "by reason").Inc()
+	r.Counter("x_totals", "another family").Inc()
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP x_totals another family\n# TYPE x_totals counter\nx_totals 1\n" +
+		"# HELP x_total by reason\n# TYPE x_total counter\n" +
+		"x_total{reason=\"a\",kind=\"k\"} 1\nx_total{reason=\"b\"} 2\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 

@@ -94,14 +94,18 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return r.Snapshot().WriteProm(w)
 }
 
-// WriteProm writes an already-taken snapshot in the exposition format.
+// WriteProm writes an already-taken snapshot in the exposition format. The
+// labelled series of one family sort next to each other, so their HELP and
+// TYPE lines are written once, ahead of the first.
 func (s Snapshot) WriteProm(w io.Writer) error {
 	var b strings.Builder
-	for _, m := range s.Metrics {
-		if m.Help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", m.Name, escapeHelp(m.Help))
+	for i, m := range s.Metrics {
+		if fam := family(m.Name); i == 0 || fam != family(s.Metrics[i-1].Name) {
+			if m.Help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", fam, escapeHelp(m.Help))
+			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", fam, m.Kind)
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", m.Name, m.Kind)
 		switch m.Kind {
 		case KindCounter, KindGauge:
 			b.WriteString(m.Name)

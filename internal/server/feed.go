@@ -91,6 +91,17 @@ func (s *Server) newFeed(id string) (*feed, error) {
 		lastActive: now,
 		subs:       make(map[*subscriber]struct{}),
 	}
+	if s.cfg.Models != nil {
+		f.vp = &versionedPredictor{reg: s.cfg.Models, feed: id, def: s.cfg.Primary}
+	}
+	return f, f.fresh()
+}
+
+// fresh gives the feed the decision state of one that has seen no frame: a
+// new runtime and drift detector, no latest decision. Only newFeed's call
+// can fail; later ones rebuild from the configuration it accepted.
+func (f *feed) fresh() error {
+	s := f.srv
 	sc := stream.Config{
 		Primary:        s.cfg.Primary,
 		Fallback:       s.cfg.Fallback,
@@ -101,28 +112,26 @@ func (s *Server) newFeed(id string) (*feed, error) {
 		SmootherNeed:   s.cfg.SmootherNeed,
 		Observer:       s.cfg.Observer,
 	}
-	if s.cfg.Models != nil {
-		f.vp = &versionedPredictor{reg: s.cfg.Models, feed: id, def: s.cfg.Primary}
+	if f.vp != nil {
 		sc.Primary = f.vp
 	}
+	var err error
+	f.drift = nil
 	if s.cfg.Drift.Enabled() {
-		det, err := drift.New(s.cfg.Drift)
-		if err != nil {
-			return nil, err
+		if f.drift, err = drift.New(s.cfg.Drift); err != nil {
+			return err
 		}
-		f.drift = det
 	}
-	rt, err := stream.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	f.rt = rt
-	return f, nil
+	f.rt, err = stream.New(sc)
+	f.last, f.haveLast, f.lastVer = Event{}, false, ""
+	return err
 }
 
-// open opens the feed's log and, in the same pass that validates it, runs
-// every frame it holds through the fresh runtime, rebuilding the exact
-// decision state of the previous life. The caller holds mu and has already
+// open rebuilds the exact decision state of the feed's previous life: it
+// restores the feed's snapshot and, in the pass that validates the whole
+// log, runs the frames logged after the snapshot's anchor through the
+// runtime — every logged frame, through a fresh runtime, when the snapshot
+// is unusable (counted by reason). The caller holds mu and has already
 // published the feed, so ingest arriving meanwhile waits on the lock and
 // lands behind the recovered frames — and nothing can append, rotate or
 // retire a segment under the replay's feet. A frame is decided as soon as
@@ -133,20 +142,42 @@ func (s *Server) newFeed(id string) (*feed, error) {
 func (f *feed) open() error {
 	s := f.srv
 	n := 0
-	w, rec, err := framelog.OpenReplay(s.cfg.Durability, f.id, func(fr *fault.Frame) {
+	replay := func(fr *fault.Frame) {
 		f.decide(fr)
 		n++
-	})
-	s.m.framesRecovered.Add(int64(n))
+	}
+	from, reason, err := f.restore(framelog.ReadSnapshot(s.cfg.Durability.Dir, f.id))
 	if err != nil {
 		return err
 	}
+	w, rec, err := framelog.OpenReplay(s.cfg.Durability, f.id, from, replay)
+	if err == nil && rec.Stale != "" {
+		reason, from = rec.Stale, framelog.Anchor{}
+		_ = w.Close() // nothing was appended; reopened to replay everything
+		if err = f.fresh(); err == nil {
+			w, rec, err = framelog.OpenReplay(s.cfg.Durability, f.id, from, replay)
+		}
+	}
+	if reason != "" && (reason != ignoredMissing || rec.Frames > 0) {
+		s.m.snapshotsIgnored[reason].Inc()
+	}
+	if err != nil {
+		s.m.framesRecovered.Add(int64(n))
+		return err
+	}
+	want := rec.Frames
+	if from.Next > 0 {
+		want = rec.NextIndex - from.Next
+	}
+	if n != want {
+		_ = w.Close()
+		return fmt.Errorf("server: feed %q replayed %d of the %d logged frames it should", f.id, n, want)
+	}
+	s.m.framesRecovered.Add(int64(from.Next + n))
+	s.m.framesRestored.Add(int64(from.Next))
 	f.log = w
 	f.nextIndex = rec.NextIndex
 	f.lastActive = time.Now()
-	if n != rec.Frames {
-		return fmt.Errorf("server: feed %q replayed %d of %d logged frames", f.id, n, rec.Frames)
-	}
 	return nil
 }
 
@@ -209,9 +240,10 @@ func (f *feed) decide(fr *fault.Frame) {
 	}
 }
 
-// close ends the feed: ingest stops, the log is sealed (so the frames stay
-// durably replayable next start), every subscriber stream ends after the
-// events already buffered for it, and the feed leaves the routing table.
+// close ends the feed: ingest stops, the decision state is snapshotted and
+// the log sealed (so the next start restores it and replays nothing), every
+// subscriber stream ends after the events already buffered for it, and the
+// feed leaves the routing table.
 // Whatever batch holds the lock finishes first, so every acknowledged frame
 // has its decision by the time close returns. A non-zero idleBefore makes
 // it an eviction: the feed is closed only if nothing was accepted since.
@@ -235,10 +267,11 @@ func (f *feed) close(idleBefore time.Time) {
 }
 
 // shut is close's state change. Callers hold mu and take the feed off the
-// table afterwards.
+// table afterwards. A feed whose recovery failed has no log to snapshot.
 func (f *feed) shut() {
 	f.closed = true
 	if f.log != nil {
+		f.saveSnapshot()
 		_ = f.log.Close()
 	}
 	for sub := range f.subs {
@@ -339,12 +372,15 @@ func (f *feed) ingest(ctx context.Context, frames []fault.Frame) (ingestResult, 
 	for i := range frames[:allowed] {
 		frames[i].Index = f.nextIndex + i
 	}
+	sealed := false
 	if f.log != nil && allowed > 0 {
+		seg := f.log.Segment()
 		if n, err := f.log.AppendBatch(frames[:allowed]); err != nil {
 			allowed = n
 			res.reason = CodeLogError
 			res.retry = time.Second
 		}
+		sealed = f.log.Segment() != seg
 	}
 	f.nextIndex += allowed
 	f.tokens -= float64(allowed)
@@ -353,6 +389,10 @@ func (f *feed) ingest(ctx context.Context, frames []fault.Frame) (ingestResult, 
 	s.m.framesIngested.Add(int64(allowed))
 	for i := range frames[:allowed] {
 		f.decide(&frames[i])
+	}
+	if sealed {
+		// A restart after this replays at most the frames logged since.
+		f.saveSnapshot()
 	}
 	if allowed > 0 {
 		f.lastActive = now

@@ -92,11 +92,13 @@ type Config struct {
 	// Durability, when its Dir is set, puts a per-feed append-only frame
 	// log (internal/framelog) under the ingest path: every frame is
 	// appended — straight to the kernel, ahead of its decision — before it
-	// is acknowledged, and New replays each feed's log through a fresh
-	// runtime on startup, recovering every feed to the bit-identical
-	// decision state an uninterrupted run would hold. The zero value
-	// disables durability. The Observer above also receives the
-	// framelog_* series.
+	// is acknowledged, and each feed snapshots its decision state when a
+	// segment seals and when it closes. New restores each feed's snapshot
+	// and replays the frames logged after it (all of them, through a fresh
+	// runtime, when the snapshot is missing or unusable), recovering every
+	// feed to the bit-identical decision state an uninterrupted run would
+	// hold. The zero value disables durability. The Observer above also
+	// receives the framelog_* series.
 	Durability framelog.Config
 
 	// Cluster, when non-nil, makes the node shard-aware: it serves and
@@ -220,18 +222,23 @@ type metrics struct {
 	eventsDropped   *obs.Counter
 	feedsRecovered  *obs.Counter
 	framesRecovered *obs.Counter
+	framesRestored  *obs.Counter
 	reqLatency      *obs.Histogram
 	driftWindows    *obs.Counter
 	driftTriggers   *obs.Counter
 	driftPSI        *obs.Gauge
 	driftKS         *obs.Gauge
+
+	// snapshotsIgnored holds one series per ignoreReasons entry, all
+	// registered up front so the label set is fixed.
+	snapshotsIgnored map[string]*obs.Counter
 }
 
 func newMetrics(o obs.Observer) metrics {
 	if o == nil {
 		return metrics{}
 	}
-	return metrics{
+	m := metrics{
 		activeFeeds:     o.Gauge("server_active_feeds", "feeds currently registered"),
 		feedsCreated:    o.Counter("server_feeds_created_total", "feeds registered"),
 		feedsEvicted:    o.Counter("server_feeds_evicted_total", "feeds closed by the idle sweeper"),
@@ -243,13 +250,21 @@ func newMetrics(o obs.Observer) metrics {
 		decisions:       o.Counter("server_decisions_total", "decisions produced across all feeds"),
 		eventsDropped:   o.Counter("server_stream_events_dropped_total", "stream events dropped on slow subscribers"),
 		feedsRecovered:  o.Counter("server_feeds_recovered_total", "feeds rebuilt from the frame log at startup"),
-		framesRecovered: o.Counter("server_frames_recovered_total", "frames replayed from the frame log into feed runtimes"),
+		framesRecovered: o.Counter("server_frames_recovered_total", "logged frames whose decision state recovery rebuilt, restored from a snapshot or replayed"),
+		framesRestored:  o.Counter("server_frames_restored_total", "logged frames covered by a restored snapshot instead of replayed"),
 		reqLatency:      o.Histogram("server_request_seconds", "non-streaming request latency", obs.ExpBuckets(1e-4, 4, 10)),
 		driftWindows:    o.Counter("server_drift_windows_total", "drift evaluation windows closed across all feeds"),
 		driftTriggers:   o.Counter("server_drift_triggers_total", "feeds whose drift detector latched its trigger"),
 		driftPSI:        o.Gauge("server_drift_psi", "PSI of the most recently evaluated drift window (any feed)"),
 		driftKS:         o.Gauge("server_drift_ks", "KS statistic of the most recently evaluated drift window (any feed)"),
+
+		snapshotsIgnored: make(map[string]*obs.Counter, len(ignoreReasons)),
 	}
+	for _, r := range ignoreReasons {
+		m.snapshotsIgnored[r] = o.Counter(`server_snapshots_ignored_total{reason="`+r+`"}`,
+			"feed recoveries that replayed the whole log because its snapshot was unusable")
+	}
+	return m
 }
 
 // Server routes per-feed frame streams into stream Runtimes over a shared
@@ -272,12 +287,17 @@ type Server struct {
 	// the ClusterConfig's node ID.
 	shard *cluster.State
 	self  string
+
+	// scorer is the model-independent part of every feed's scorer identity
+	// (feed.scorer): what besides the model version decides its frames.
+	scorer string
 }
 
 // New builds a Server. The configuration must Validate. With durability
-// configured, every feed found in the log directory is re-registered and
-// its log replayed through a fresh runtime before New returns the server —
-// so the first request after a restart already sees the recovered state. A
+// configured, every feed found in the log directory is re-registered — its
+// snapshot restored and the records after it replayed, or its whole log
+// replayed through a fresh runtime — before New returns the server, so the
+// first request after a restart already sees the recovered state. A
 // feed whose log is corrupt before its tail fails New (acknowledged frames
 // are never silently dropped; move the feed's directory aside to proceed).
 func New(cfg Config) (*Server, error) {
@@ -286,9 +306,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		m:     newMetrics(cfg.Observer),
-		feeds: make(map[string]*feed),
+		cfg:    cfg,
+		m:      newMetrics(cfg.Observer),
+		feeds:  make(map[string]*feed),
+		scorer: scorerOf(cfg),
 	}
 	if cfg.Cluster != nil {
 		st, err := cluster.NewState(cfg.Cluster.Map)

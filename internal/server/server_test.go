@@ -37,10 +37,22 @@ func (ampPred) PredictRecord(r *dataset.Record) (float64, int) {
 // gatePred scores like ampPred behind a gate the test can shut: while it is
 // shut every prediction blocks — holding its feed's lock, since scoring runs
 // inside ingest and replay — and announces itself on entered, so a test can
-// park a batch or a replay mid-flight deterministically.
+// park a batch or a replay mid-flight deterministically. It also records the
+// time stamp of every record it scores, in scoring order, so a test can
+// prove which frames went first without a clock of its own.
 type gatePred struct {
 	gate    atomic.Value  // chan struct{}; unset or closed: open
 	entered chan struct{} // one token per prediction that met a shut gate
+
+	mu     sync.Mutex
+	scored []time.Time
+}
+
+// order returns the time stamps of the records scored so far, in order.
+func (g *gatePred) order() []time.Time {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]time.Time(nil), g.scored...)
 }
 
 func newGatePred() *gatePred { return &gatePred{entered: make(chan struct{}, 4096)} }
@@ -61,6 +73,9 @@ func (g *gatePred) PredictRecord(r *dataset.Record) (float64, int) {
 			<-ch
 		}
 	}
+	g.mu.Lock()
+	g.scored = append(g.scored, r.Time)
+	g.mu.Unlock()
 	return ampPred{}.PredictRecord(r)
 }
 

@@ -425,6 +425,10 @@ func (s *Server) Run(ctx context.Context) error {
 	drainErr := s.inner.Drain(drainCtx)
 	shutErr := s.httpSrv.Shutdown(drainCtx)
 	s.closeEngines()
+	// A request's stopped timeout timer keeps its context, which names the
+	// http.Server, reachable until the deadline: unhooked, a stopped
+	// server's models and engines do not outlive it by RequestTimeout.
+	s.httpSrv.Handler = http.NotFoundHandler()
 	close(s.shutdown)
 	if drainErr != nil {
 		return drainErr

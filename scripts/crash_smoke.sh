@@ -4,11 +4,14 @@
 # Builds cmd/loadgen and runs its -crash harness: a child server process
 # (loadgen re-exec'd) serves with a durable frame log, streams frames until
 # half are acknowledged, is SIGKILLed mid-flight, and is restarted from the
-# log alone. The harness exits non-zero if any acknowledged frame is missing
-# from the log, if any logged frame is not bit-faithful, if the recovered
-# decision state differs by one bit from a local replay of the log, or if
-# any post-recovery decision diverges from the uninterrupted reference
-# (DESIGN.md §13).
+# log alone; that second child finishes the stream and is drained with
+# SIGTERM, which snapshots the feed, and a third child boots from the same
+# log. The harness exits non-zero if any acknowledged frame is missing from
+# the log, if any logged frame is not bit-faithful, if a recovered decision
+# state differs by one bit from a local replay of the log, if any later
+# decision diverges from the uninterrupted reference, or if the third
+# child's /metrics do not show every logged frame restored from the
+# snapshot and none replayed (DESIGN.md §13).
 #
 # Usage: scripts/crash_smoke.sh [per-feed]   (default 1200 frames)
 set -euo pipefail
