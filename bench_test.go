@@ -13,6 +13,8 @@ package repro
 
 import (
 	"context"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
@@ -502,6 +504,35 @@ func BenchmarkCSISampleBusy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Sample(busy, env, 0.05)
 	}
+}
+
+// BenchmarkPhasorSum measures the channel model's ray sum alone: a
+// paper-config table — line of sight, 8 wall reflections, 3 furniture
+// scatterers and two rays for each of 4 occupants — at 64 subcarriers.
+func BenchmarkPhasorSum(b *testing.B) {
+	cfg := csi.DefaultConfig()
+	w := make([]float64, csi.NumSubcarriers)
+	for k := range w {
+		w[k] = -2 * math.Pi * (cfg.CenterFreqHz + float64(k-csi.NumSubcarriers/2)*cfg.SubcarrierSpacingHz)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rays := make([]tensor.Phasor, 1+cfg.WallReflections+3+2*4)
+	for i := range rays {
+		length := 2 + 20*rng.Float64()
+		rays[i] = tensor.Phasor{
+			G:     cmplx.Rect(0.5*rng.Float64(), 2*math.Pi*rng.Float64()),
+			Att:   math.Exp(-cfg.HumidityAbsorption * 8 * length),
+			Tau:   length / 299792458.0,
+			Base:  cfg.ThermalPhaseCoeff * length,
+			Extra: rng.NormFloat64(),
+		}
+	}
+	re, im := make([]float64, len(w)), make([]float64, len(w))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.PhasorSumInto(re, im, w, rays)
+	}
+	b.ReportMetric(float64(len(rays)*len(w)), "phasors/op")
 }
 
 // BenchmarkTrainEpochMLP measures one epoch on 2 000×64 inputs with the

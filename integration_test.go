@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/nn"
-	"repro/internal/rf"
 	"repro/internal/tensor"
 	"repro/internal/xai"
 )
@@ -196,35 +195,6 @@ func TestCrossModelAgreementOnEasySamples(t *testing.T) {
 	if res.Acc[0][1][dataset.FeatCSI] < 60 || res.Acc[0][2][dataset.FeatCSI] < 60 {
 		t.Fatalf("non-linear models below 60%%: RF=%g MLP=%g",
 			res.Acc[0][1][dataset.FeatCSI], res.Acc[0][2][dataset.FeatCSI])
-	}
-}
-
-// TestForestBundlesInterop checks the RF serialisation works for models
-// trained through the core pipeline data.
-func TestForestBundlesInterop(t *testing.T) {
-	gcfg := dataset.DefaultGenConfig(1.0/60, 31)
-	gcfg.Start = time.Date(2022, 1, 5, 8, 0, 0, 0, time.UTC)
-	gcfg.Duration = 12 * time.Hour
-	d, err := dataset.Generate(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := d.Matrix(dataset.FeatCSI)
-	cfg := rf.DefaultForestConfig()
-	cfg.NumTrees = 6
-	f := rf.FitClassifier(x, y, cfg)
-	var bundle bytes.Buffer
-	if err := f.Save(&bundle); err != nil {
-		t.Fatal(err)
-	}
-	back, err := rf.Load(&bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < x.Rows; i += 50 {
-		if f.PredictProb(x.Row(i)) != back.PredictProb(x.Row(i)) {
-			t.Fatal("forest bundle prediction drift")
-		}
 	}
 }
 

@@ -84,30 +84,29 @@ type Config struct {
 	Seed      int64
 }
 
-// Validate reports whether the scenario is simulable: counts, dimensions,
-// rates and speeds must be non-negative, hours must lie within the day and
-// LunchOutProb must be a probability. Zero values are fine — NewSimulator
-// defaults them.
+// Validate reports whether the scenario is simulable: every float field
+// must be finite (NaN would pass any range check), counts, dimensions,
+// spreads, rates and speeds non-negative, hours within the day and
+// LunchOutProb a probability. Zero values are fine — NewSimulator defaults
+// them.
 func (c Config) Validate() error {
 	if c.NumPersons < 0 || c.FurnitureCount < 0 {
 		return fmt.Errorf("agents: negative head counts (persons %d, furniture %d)", c.NumPersons, c.FurnitureCount)
 	}
-	if c.RoomW < 0 || c.RoomH < 0 {
-		return fmt.Errorf("agents: negative room dimensions %g×%g", c.RoomW, c.RoomH)
-	}
-	if c.ArrivalMeanHour < 0 || c.ArrivalMeanHour > 24 || c.DepartMeanHour < 0 || c.DepartMeanHour > 24 {
-		return fmt.Errorf("agents: schedule hours (arrive %g, depart %g) outside [0, 24]",
-			c.ArrivalMeanHour, c.DepartMeanHour)
-	}
-	if c.ArrivalStdMin < 0 || c.DepartStdMin < 0 {
-		return fmt.Errorf("agents: negative schedule spread (arrive %g, depart %g)", c.ArrivalStdMin, c.DepartStdMin)
-	}
-	if c.LunchOutProb < 0 || c.LunchOutProb > 1 {
-		return fmt.Errorf("agents: LunchOutProb %g outside [0, 1]", c.LunchOutProb)
-	}
-	if c.ErrandRatePerHour < 0 || c.FurnitureMoveRatePerHour < 0 || c.WalkSpeed < 0 {
-		return fmt.Errorf("agents: negative rates (errand %g, furniture %g, walk %g)",
-			c.ErrandRatePerHour, c.FurnitureMoveRatePerHour, c.WalkSpeed)
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		name      string
+		v, lo, hi float64
+	}{
+		{"RoomW", c.RoomW, 0, inf}, {"RoomH", c.RoomH, 0, inf},
+		{"ArrivalMeanHour", c.ArrivalMeanHour, 0, 24}, {"ArrivalStdMin", c.ArrivalStdMin, 0, inf},
+		{"DepartMeanHour", c.DepartMeanHour, 0, 24}, {"DepartStdMin", c.DepartStdMin, 0, inf},
+		{"LunchOutProb", c.LunchOutProb, 0, 1}, {"ErrandRatePerHour", c.ErrandRatePerHour, 0, inf},
+		{"FurnitureMoveRatePerHour", c.FurnitureMoveRatePerHour, 0, inf}, {"WalkSpeed", c.WalkSpeed, 0, inf},
+	} {
+		if math.IsInf(f.v, 0) || !(f.v >= f.lo && f.v <= f.hi) {
+			return fmt.Errorf("agents: %s = %g, want a finite value in [%g, %g]", f.name, f.v, f.lo, f.hi)
+		}
 	}
 	return nil
 }

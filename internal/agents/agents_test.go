@@ -1,6 +1,9 @@
 package agents
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -219,5 +222,34 @@ func TestForcedBusyOverridesWeekend(t *testing.T) {
 		if sn.Count < 2 {
 			t.Fatalf("forced busy must override the weekend: %d at %v", sn.Count, sn.Time)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes every ordered range check, so
+// Validate must refuse NaN and ±Inf in each float field, by name. The table
+// is every float64 field of Config, found by reflection, so a field added
+// later is covered too.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	ct := reflect.TypeOf(Config{})
+	n := 0
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		n++
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := DefaultConfig()
+			reflect.ValueOf(&c).Elem().Field(i).SetFloat(bad)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), " "+f.Name+" = ") {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", f.Name, bad, err)
+			}
+		}
+	}
+	if n != 10 {
+		t.Fatalf("found %d float fields, want 10", n)
 	}
 }

@@ -8,14 +8,16 @@
 //     platform. This is the reproduction reference for the float64 path and
 //     the fallback everywhere the hardware or the operator rules AVX2 out.
 //   - KernelAVX2 — hand-written AVX2 assembly (internal/tensor/simd_amd64.s)
-//     for the float32 and int8 inference hot paths and for the float64
-//     matmuls training runs on. The inference kernels use vector FMA, which
-//     reorders floating-point sums, so they are admitted the same way
-//     reduced precision was (DESIGN.md §12): bounded divergence against the
-//     generic reference with zero decision flips, enforced by
-//     core.RunDivergence and the tensor parity tests. The float64 kernels
-//     use no FMA and keep the generic order, so training is bit-identical
-//     under either kernel (DESIGN.md §14).
+//     for the float32 and int8 inference hot paths, for the float64
+//     matmuls training runs on, and for the channel simulator's ray sum
+//     (tensor.PhasorSumInto, math.Sincos four lanes at a time). The
+//     inference kernels use vector FMA, which reorders floating-point sums,
+//     so they are admitted the same way reduced precision was (DESIGN.md
+//     §12): bounded divergence against the generic reference with zero
+//     decision flips, enforced by core.RunDivergence and the tensor parity
+//     tests. The float64 kernels use no FMA and keep the generic order, so
+//     training and every generated record are bit-identical under either
+//     kernel (DESIGN.md §14).
 //
 // The choice is made once, at process start, from two inputs:
 //

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/agents"
 	"repro/internal/envsim"
+	"repro/internal/tensor"
 )
 
 // NumSubcarriers is the CSI vector width for a 20 MHz channel (§II-A).
@@ -83,26 +84,32 @@ type Config struct {
 	Seed    int64
 }
 
-// Validate reports whether the channel parameters are physical:
-// frequencies, counts, jitters and noise must be non-negative and
-// ShadowDepth must be a fraction in [0, 1]. Zero values are fine —
-// NewSampler defaults them.
+// Validate reports whether the channel parameters are physical: every float
+// field must be finite (NaN would pass any range check and turn the
+// channel into NaN), frequencies, reflectivity, widths, jitters, noise and
+// AGC settings non-negative, ShadowDepth a fraction in [0, 1] and
+// WallReflections non-negative. Zero values are fine — NewSampler defaults
+// them.
 func (c Config) Validate() error {
-	if c.CenterFreqHz < 0 || c.SubcarrierSpacingHz < 0 {
-		return fmt.Errorf("csi: negative frequencies (center %g, spacing %g)", c.CenterFreqHz, c.SubcarrierSpacingHz)
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		name      string
+		v, lo, hi float64
+	}{
+		{"CenterFreqHz", c.CenterFreqHz, 0, inf}, {"SubcarrierSpacingHz", c.SubcarrierSpacingHz, 0, inf},
+		{"TX.X", c.TX.X, -inf, inf}, {"TX.Y", c.TX.Y, -inf, inf}, {"RX.X", c.RX.X, -inf, inf}, {"RX.Y", c.RX.Y, -inf, inf},
+		{"BodyReflectivity", c.BodyReflectivity, 0, inf}, {"ShadowDepth", c.ShadowDepth, 0, 1},
+		{"ShadowWidth", c.ShadowWidth, 0, inf}, {"HumidityAbsorption", c.HumidityAbsorption, 0, inf},
+		{"ThermalPhaseCoeff", c.ThermalPhaseCoeff, -inf, inf}, {"MotionPhaseJitter", c.MotionPhaseJitter, 0, inf},
+		{"StillPhaseJitter", c.StillPhaseJitter, 0, inf}, {"NoiseSigma", c.NoiseSigma, 0, inf},
+		{"AGCTarget", c.AGCTarget, 0, inf}, {"AGCRate", c.AGCRate, 0, inf},
+	} {
+		if math.IsInf(f.v, 0) || !(f.v >= f.lo && f.v <= f.hi) {
+			return fmt.Errorf("csi: %s = %g, want a finite value in [%g, %g]", f.name, f.v, f.lo, f.hi)
+		}
 	}
 	if c.WallReflections < 0 {
 		return fmt.Errorf("csi: negative WallReflections %d", c.WallReflections)
-	}
-	if c.ShadowDepth < 0 || c.ShadowDepth > 1 {
-		return fmt.Errorf("csi: ShadowDepth %g outside [0, 1]", c.ShadowDepth)
-	}
-	if c.BodyReflectivity < 0 || c.ShadowWidth < 0 || c.HumidityAbsorption < 0 ||
-		c.MotionPhaseJitter < 0 || c.StillPhaseJitter < 0 || c.NoiseSigma < 0 ||
-		c.AGCTarget < 0 || c.AGCRate < 0 {
-		return fmt.Errorf("csi: negative channel parameter (body %g, shadow width %g, absorption %g, motion %g, still %g, noise %g, agc %g/%g)",
-			c.BodyReflectivity, c.ShadowWidth, c.HumidityAbsorption,
-			c.MotionPhaseJitter, c.StillPhaseJitter, c.NoiseSigma, c.AGCTarget, c.AGCRate)
 	}
 	return nil
 }
@@ -149,8 +156,12 @@ type Sampler struct {
 
 	agcGain float64
 
-	// scratch
-	h [NumSubcarriers]complex128
+	// w[k] = −2π·f_k, the radian frequency of subcarrier k.
+	w [NumSubcarriers]float64
+
+	// scratch: this tick's ray table and the channel it sums to.
+	rays   []tensor.Phasor
+	re, im [NumSubcarriers]float64
 }
 
 // NewSampler builds a Sampler; zero config fields take defaults.
@@ -207,6 +218,11 @@ func NewSampler(cfg Config) *Sampler {
 		motionPhase: make(map[int]float64),
 		agcGain:     1,
 		layoutVer:   -1,
+	}
+	f0 := cfg.CenterFreqHz - float64(NumSubcarriers/2)*cfg.SubcarrierSpacingHz
+	for k := range s.w {
+		f := f0 + float64(k)*cfg.SubcarrierSpacingHz
+		s.w[k] = -2 * math.Pi * f
 	}
 	return s
 }
@@ -302,30 +318,26 @@ func (s *Sampler) SampleComplex(snap *agents.Snapshot, env envsim.State, dtSecon
 		losAtten *= 1 - cfg.ShadowDepth*math.Exp(-d*d/(2*cfg.ShadowWidth*cfg.ShadowWidth))
 	}
 
-	// Assemble the frequency response.
-	for k := range s.h {
-		s.h[k] = 0
-	}
-	f0 := cfg.CenterFreqHz - float64(NumSubcarriers/2)*cfg.SubcarrierSpacingHz
-	addRay := func(g complex128, length float64, extraPhase float64) {
-		att := math.Exp(-absorb * length)
-		base := thermal * length // thermal phase drift scales with path length
-		for k := 0; k < NumSubcarriers; k++ {
-			f := f0 + float64(k)*cfg.SubcarrierSpacingHz
-			// Keep only the delay phase modulo the carrier: use the
-			// baseband-equivalent delay phase 2π·f·τ.
-			tau := length / speedOfLight
-			phase := -2*math.Pi*f*tau + base + extraPhase
-			s.h[k] += g * cmplx.Rect(att, phase)
+	// Assemble the frequency response: one ray per path, summed over the
+	// subcarriers by tensor.PhasorSumInto as G·att·e^{j·phase} with the
+	// baseband-equivalent delay phase −2π·f·τ plus the thermal drift, which
+	// scales with path length, plus any motion phase.
+	ray := func(g complex128, length, extraPhase float64) tensor.Phasor {
+		return tensor.Phasor{
+			G:     g,
+			Att:   math.Exp(-absorb * length),
+			Tau:   length / speedOfLight,
+			Base:  thermal * length,
+			Extra: extraPhase,
 		}
 	}
-
+	s.rays = s.rays[:0]
 	for i, r := range s.staticRays {
 		g := r.gain
 		if i == 0 {
 			g *= complex(losAtten, 0)
 		}
-		addRay(g, r.length, 0)
+		s.rays = append(s.rays, ray(g, r.length, 0))
 	}
 
 	// Scattered rays per present person, with a motion-dependent phase
@@ -343,16 +355,16 @@ func (s *Sampler) SampleComplex(snap *agents.Snapshot, env envsim.State, dtSecon
 			ph += cfg.StillPhaseJitter * math.Sqrt(dtSeconds) * s.rng.NormFloat64()
 		}
 		s.motionPhase[p.ID] = ph
-		addRay(cmplx.Rect(amp, 0), d, ph)
-		addRay(cmplx.Rect(0.45*amp, 0), d+2.3, ph)
+		s.rays = append(s.rays, ray(cmplx.Rect(amp, 0), d, ph), ray(cmplx.Rect(0.45*amp, 0), d+2.3, ph))
 	}
+	tensor.PhasorSumInto(s.re[:], s.im[:], s.w[:], s.rays)
 
 	// Receiver: AWGN + slow AGC towards the target mean amplitude.
 	var rx [NumSubcarriers]complex128
 	var mean float64
 	for k := 0; k < NumSubcarriers; k++ {
-		re := real(s.h[k]) + cfg.NoiseSigma*s.rng.NormFloat64()
-		im := imag(s.h[k]) + cfg.NoiseSigma*s.rng.NormFloat64()
+		re := s.re[k] + cfg.NoiseSigma*s.rng.NormFloat64()
+		im := s.im[k] + cfg.NoiseSigma*s.rng.NormFloat64()
 		rx[k] = complex(re, im)
 		mean += math.Hypot(re, im)
 	}

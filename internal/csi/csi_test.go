@@ -2,6 +2,8 @@ package csi
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,6 +228,47 @@ func TestSampleComplexConsistentWithAmplitudes(t *testing.T) {
 		for k := range amps {
 			if math.Abs(amps[k]-math.Hypot(real(rx[k]), imag(rx[k]))) > 1e-12 {
 				t.Fatal("amplitude path must equal |complex path|")
+			}
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes every ordered range check, so
+// Validate must refuse NaN and ±Inf in each float field, by name. The table
+// is every float64 field of Config — TX and RX coordinates included —
+// found by reflection, so a field added later is covered too.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	type field struct {
+		name  string
+		index []int
+	}
+	var fields []field
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Float64:
+			fields = append(fields, field{f.Name, f.Index})
+		case reflect.Struct:
+			for j := 0; j < f.Type.NumField(); j++ {
+				if g := f.Type.Field(j); g.Type.Kind() == reflect.Float64 {
+					fields = append(fields, field{f.Name + "." + g.Name, []int{i, j}})
+				}
+			}
+		}
+	}
+	if len(fields) != 16 {
+		t.Fatalf("found %d float fields, want 16", len(fields))
+	}
+	for _, f := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := DefaultConfig()
+			reflect.ValueOf(&c).Elem().FieldByIndex(f.index).SetFloat(bad)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), " "+f.name+" = ") {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", f.name, bad, err)
 			}
 		}
 	}

@@ -497,3 +497,19 @@ func TestMapCSIColumns(t *testing.T) {
 	}()
 	d.MapCSIColumns(func(_ int, s []float64) []float64 { return s[:1] })
 }
+
+// TestGenerateRejectsNonFiniteParameters: a NaN absorption once validated
+// and generated NaN CSI, an infinite wall leak NaN temperatures. Both must
+// now fail up front, naming the field.
+func TestGenerateRejectsNonFiniteParameters(t *testing.T) {
+	for name, mutate := range map[string]func(*GenConfig){
+		"HumidityAbsorption": func(c *GenConfig) { c.CSI.HumidityAbsorption = math.NaN() },
+		"WallLeak":           func(c *GenConfig) { c.Env.WallLeak = math.Inf(1) },
+	} {
+		cfg := shortConfig()
+		mutate(&cfg)
+		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Generate error %v, want one naming the field", name, err)
+		}
+	}
+}

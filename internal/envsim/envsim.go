@@ -84,20 +84,30 @@ func (iv Interval) Contains(t time.Time) bool {
 	return !t.Before(iv.From) && t.Before(iv.To)
 }
 
-// Validate reports whether the physical parameters are sensible: rates,
-// powers and noise amplitudes must be non-negative and the heating
-// schedule hours must lie in [0, 24]. Zero values are fine — NewSimulator
-// defaults them.
+// Validate reports whether the physical parameters are sensible: every
+// float field must be finite (NaN would pass any range check and an
+// infinite rate turns the series into NaN), rates, powers and noise
+// amplitudes non-negative, and the heating schedule hours must lie in
+// [0, 24]. Zero values are fine — NewSimulator defaults them.
 func (c Config) Validate() error {
-	if c.Hysteresis < 0 || c.HeaterPower < 0 || c.WallLeak < 0 ||
-		c.OccupantHeat < 0 || c.OccupantMoisture < 0 || c.VentExchange < 0 ||
-		c.BoostFactor < 0 {
-		return fmt.Errorf("envsim: negative rate or power (hyst %g, heater %g, leak %g, occ heat %g, occ moisture %g, vent %g, boost %g)",
-			c.Hysteresis, c.HeaterPower, c.WallLeak, c.OccupantHeat, c.OccupantMoisture, c.VentExchange, c.BoostFactor)
-	}
-	if c.NoiseTemp < 0 || c.NoiseHumidity < 0 || c.SensorNoiseTemp < 0 {
-		return fmt.Errorf("envsim: negative noise amplitude (temp %g, humidity %g, sensor %g)",
-			c.NoiseTemp, c.NoiseHumidity, c.SensorNoiseTemp)
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		name      string
+		v, lo, hi float64
+	}{
+		{"InitialTemp", c.InitialTemp, -inf, inf}, {"InitialHumidity", c.InitialHumidity, -inf, inf},
+		{"Setpoint", c.Setpoint, -inf, inf}, {"Hysteresis", c.Hysteresis, 0, inf},
+		{"HeaterPower", c.HeaterPower, 0, inf}, {"WallLeak", c.WallLeak, 0, inf},
+		{"OccupantHeat", c.OccupantHeat, 0, inf}, {"OccupantMoisture", c.OccupantMoisture, 0, inf},
+		{"VentExchange", c.VentExchange, 0, inf}, {"OutdoorMeanTemp", c.OutdoorMeanTemp, -inf, inf},
+		{"OutdoorTempSwing", c.OutdoorTempSwing, -inf, inf}, {"OutdoorHumidity", c.OutdoorHumidity, -inf, inf},
+		{"OutdoorHumSwing", c.OutdoorHumSwing, -inf, inf}, {"BoostFactor", c.BoostFactor, 0, inf},
+		{"NoiseTemp", c.NoiseTemp, 0, inf}, {"NoiseHumidity", c.NoiseHumidity, 0, inf},
+		{"SensorNoiseTemp", c.SensorNoiseTemp, 0, inf},
+	} {
+		if math.IsInf(f.v, 0) || !(f.v >= f.lo && f.v <= f.hi) {
+			return fmt.Errorf("envsim: %s = %g, want a finite value in [%g, %g]", f.name, f.v, f.lo, f.hi)
+		}
 	}
 	if c.HeatingStartHour < 0 || c.HeatingStartHour > 24 ||
 		c.HeatingEndHour < 0 || c.HeatingEndHour > 24 {

@@ -3,6 +3,8 @@ package envsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -250,5 +252,34 @@ func TestSensorNoiseIsMeasurementOnly(t *testing.T) {
 	// accumulated over a minute of 1 s steps.
 	if math.Abs(s.State().Temp-cfg.InitialTemp) > 0.5 {
 		t.Fatalf("physical state contaminated by sensor noise: %g", s.State().Temp)
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes every ordered range check, so
+// Validate must refuse NaN and ±Inf in each float field, by name. The table
+// is every float64 field of Config, found by reflection, so a field added
+// later is covered too.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	ct := reflect.TypeOf(Config{})
+	n := 0
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		n++
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := DefaultConfig()
+			reflect.ValueOf(&c).Elem().Field(i).SetFloat(bad)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), " "+f.Name+" = ") {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", f.Name, bad, err)
+			}
+		}
+	}
+	if n != 17 {
+		t.Fatalf("found %d float fields, want 17", n)
 	}
 }

@@ -43,9 +43,8 @@ func DefaultForestConfig() ForestConfig {
 
 // Forest is a bagged ensemble of CART trees.
 type Forest struct {
-	Trees      []*Tree
-	regression bool
-	nFeatures  int
+	Trees     []*Tree
+	nFeatures int
 }
 
 // FitClassifier trains a classification forest on x with labels y ∈ {0,1}.
@@ -83,7 +82,7 @@ func fit(x *tensor.Matrix, y []float64, cfg ForestConfig, regression bool) *Fore
 			mtry = 1
 		}
 	}
-	f := &Forest{Trees: make([]*Tree, cfg.NumTrees), regression: regression, nFeatures: x.Cols}
+	f := &Forest{Trees: make([]*Tree, cfg.NumTrees), nFeatures: x.Cols}
 	if x.Rows == 0 {
 		for i := range f.Trees {
 			f.Trees[i] = BuildTree(x, y, nil, TreeConfig{}, regression, rand.New(rand.NewSource(cfg.Seed)))
@@ -182,7 +181,7 @@ func (f *Forest) NumNodes() int {
 	return total
 }
 
-// SizeBytes estimates serialised size: each node stores feature (4B),
+// SizeBytes estimates the stored model size: each node takes a feature (4B),
 // threshold (8B), two child indices (8B) and a value (8B).
 func (f *Forest) SizeBytes() int { return f.NumNodes() * 28 }
 

@@ -4,16 +4,17 @@ import "fmt"
 
 // SIMD kernel dispatch (DESIGN.md §14).
 //
-// The float32 and int8 inference kernels and the float64 training matmuls
-// exist twice: a portable pure-Go implementation (this file, f32.go and
-// tensor.go — the reproduction reference, active under OCCU_KERNEL=generic
-// and on every non-amd64 GOARCH) and a hand-written AVX2 implementation
-// (simd_amd64.s) selected at process start by internal/cpukit. Dispatch is a
-// single package-level bool read at init, never per call: one process, one
-// kernel, reported at startup and in /metrics.
+// The float32 and int8 inference kernels, the float64 training matmuls and
+// the phasor sum exist twice: a portable pure-Go implementation (this file,
+// f32.go, tensor.go and phasor.go — the reproduction reference, active
+// under OCCU_KERNEL=generic and on every non-amd64 GOARCH) and a
+// hand-written AVX2 implementation (simd_amd64.s) selected at process start
+// by internal/cpukit. Dispatch is a single package-level bool read at init,
+// never per call: one process, one kernel, reported at startup and in
+// /metrics.
 //
 // Equivalence contracts, enforced by simd_test.go, simd_f64_test.go,
-// FuzzKernelParity and FuzzF64KernelExact:
+// phasor_test.go and their fuzzers:
 //
 //   - float64 kernels (axpy4F64 under MatMul/MatMulSerial/MatMulATB/
 //     RowMatMulInto, the four-accumulator dot under MatMulABT): exact. The
@@ -29,6 +30,11 @@ import "fmt"
 //   - integer kernel (quantMaddU7I8): exact. Both implementations compute
 //     the same int32 sums, so they agree bit for bit; the parity test uses
 //     ==, not a tolerance.
+//   - the channel simulator's ray sum (PhasorSumInto, phasor.go): exact,
+//     like the float64 kernels — math.Sincos's reduction and polynomials in
+//     its order, separate multiplies and adds — with the inputs whose exact
+//     result the kernel cannot promise handed to the generic loop
+//     (TestPhasorSumExact, FuzzPhasorSumExact).
 //   - under KernelGeneric, the exported entry points run byte-for-byte the
 //     pre-SIMD scalar code paths, so OCCU_KERNEL=generic reproduces every
 //     historical result bit-identically.

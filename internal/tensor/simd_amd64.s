@@ -13,6 +13,7 @@
 //   - dot4x4F64AVX2           out[r]  = Σ_k a[k] · b[r*stride + k], r = 0..3     (f64, exact)
 //   - reluCompactF32AVX2      (idx, val) ← { (k, src[k]) : src[k] > 0 },  count  (f32, exact)
 //   - compactNonzeroF32AVX2   (idx, val) ← { (k, src[k]) : src[k] != 0 }, count  (f32, exact)
+//   - phasorSumAVX2           re[k] + i·im[k] = Σ_r G_r · Rect(Att_r, (w[k]·τ_r + base_r) + extra_r) (f64, exact)
 //
 // The float32 kernels accumulate with VFMADD231PS in 4-row groups, so
 // sums are grouped (and fused) differently from the scalar kernels — results
@@ -21,8 +22,10 @@
 // exact: as long as every act byte is ≤ 127 (the U7 contract), VPMADDUBSW
 // cannot saturate and the result equals the pure-Go int32 arithmetic bit for
 // bit. The float64 kernels after them are exact too, because they fuse
-// nothing, and the compaction kernels at the end of the file because they
-// compute nothing — they compare and move; see the notes above each.
+// nothing, the compaction kernels because they compute nothing — they
+// compare and move — and the phasor sum at the end of the file because it
+// performs math.Sincos's operations in math.Sincos's order; see the notes
+// above each.
 //
 // Register conventions shared by the float32 kernels:
 //   DI  dst base          SI  weight/matrix base
@@ -721,5 +724,139 @@ nzc_loop:
 
 nzc_done:
 	MOVQ CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func phasorSumAVX2(re, im, w *float64, blocks int, rays *Phasor, n int) int
+// The multipath ray sum, four subcarriers a block with the n rays looped
+// inside so the sums stay in registers: each lane performs, on the scalar
+// loop's operands and in its order, the phase (w·τ + base) + extra, then
+// math.Sincos — Cody–Waite reduction by the three π/4 parts, the odd-octant
+// fix, both degree-6 polynomials, the swap as a blend and the sign flips as
+// XORs — then Att·cos, Att·sin and the complex multiply-accumulate
+// (gr·zr − gi·zi, gr·zi + gi·zr). Separate multiplies and adds, no FMA, as
+// in the f64 kernels above. A block in which some lane's |phase| is NaN, ±Inf
+// or ≥ 2²⁹ is abandoned unstored: the kernel returns the number of blocks it
+// stored, and PhasorSumInto runs that block through the Go loop. The lanes
+// reach ±0 without math.Sincos's special case: the sign is taken from the
+// sign bit, so −0 gives (−0, 1) as the special case does.
+//
+// Registers: DI re, SI im, DX w, AX element index, CX 4·blocks, R8 rays,
+// R9 n, R10 phasorConst, R11 ray cursor (a Phasor is 48 bytes: G at 0/8,
+// Att 16, Tau 24, Base 32, Extra 40), R12 rays left, BX lane mask,
+// Y15 w[k..k+3], Y14/Y13 the real/imaginary sums, Y12 sign bit.
+TEXT ·phasorSumAVX2(SB), NOSPLIT, $0-56
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ blocks+24(FP), CX
+	SHLQ $2, CX
+	MOVQ rays+32(FP), R8
+	MOVQ n+40(FP), R9
+	LEAQ ·phasorConst(SB), R10
+	VMOVUPD 192(R10), Y12
+	XORQ AX, AX
+
+ps_block:
+	CMPQ AX, CX
+	JGE  ps_done
+	VMOVUPD (DX)(AX*8), Y15
+	VXORPD Y14, Y14, Y14
+	VXORPD Y13, Y13, Y13
+	MOVQ R8, R11
+	MOVQ R9, R12
+
+ps_ray:
+	TESTQ R12, R12
+	JLE   ps_store
+	VBROADCASTSD 24(R11), Y0
+	VMULPD Y0, Y15, Y0            // w·τ
+	VBROADCASTSD 32(R11), Y1
+	VADDPD Y1, Y0, Y0             // + base
+	VBROADCASTSD 40(R11), Y1
+	VADDPD Y1, Y0, Y0             // + extra: the phase x
+	VANDNPD Y0, Y12, Y1           // |x|
+	VCMPPD $0x15, 224(R10), Y1, Y2 // NLT_UQ: |x| ≥ 2²⁹, or NaN
+	VMOVMSKPD Y2, BX
+	TESTL BX, BX
+	JNZ   ps_done
+	VANDPD Y12, Y0, Y0            // sign of x: sin's sign so far
+	VMULPD 0(R10), Y1, Y2         // |x|·(4/π)
+	VROUNDPD $3, Y2, Y2           // j, truncated
+	VADDPD 128(R10), Y2, Y2       // 2⁵² + j: j's bits in the low mantissa
+	VPAND 160(R10), Y2, Y3
+	VPADDQ Y3, Y2, Y2             // odd j → j+1
+	VSUBPD 128(R10), Y2, Y3       // y = float64(j)
+	VPSLLQ $62, Y2, Y4            // j bit 1 at the sign: swap sin and cos
+	VPSLLQ $61, Y2, Y5
+	VANDPD Y12, Y5, Y5            // j bit 2 at the sign: j > 3 flips both signs
+	VXORPD Y5, Y0, Y0             // sin's sign
+	VXORPD Y4, Y5, Y5             // cos's sign: bit 1 xor bit 2
+	VMULPD 32(R10), Y3, Y2
+	VSUBPD Y2, Y1, Y1             // |x| − y·PI4A
+	VMULPD 64(R10), Y3, Y2
+	VSUBPD Y2, Y1, Y1             // − y·PI4B
+	VMULPD 96(R10), Y3, Y2
+	VSUBPD Y2, Y1, Y1             // − y·PI4C = z
+	VMULPD Y1, Y1, Y3             // zz
+	VMULPD 320(R10), Y3, Y6       // ((((c0·zz + c1)·zz + c2)·zz + c3)·zz + c4)·zz + c5
+	VADDPD 352(R10), Y6, Y6
+	VMULPD Y3, Y6, Y6
+	VADDPD 384(R10), Y6, Y6
+	VMULPD Y3, Y6, Y6
+	VADDPD 416(R10), Y6, Y6
+	VMULPD Y3, Y6, Y6
+	VADDPD 448(R10), Y6, Y6
+	VMULPD Y3, Y6, Y6
+	VADDPD 480(R10), Y6, Y6
+	VMULPD 512(R10), Y3, Y7       // the same over s0..s5
+	VADDPD 544(R10), Y7, Y7
+	VMULPD Y3, Y7, Y7
+	VADDPD 576(R10), Y7, Y7
+	VMULPD Y3, Y7, Y7
+	VADDPD 608(R10), Y7, Y7
+	VMULPD Y3, Y7, Y7
+	VADDPD 640(R10), Y7, Y7
+	VMULPD Y3, Y7, Y7
+	VADDPD 672(R10), Y7, Y7
+	VMULPD Y3, Y3, Y8
+	VMULPD Y6, Y8, Y8             // zz·zz·P_cos
+	VMULPD 256(R10), Y3, Y9
+	VMOVUPD 288(R10), Y6
+	VSUBPD Y9, Y6, Y6             // 1 − 0.5·zz
+	VADDPD Y8, Y6, Y6             // cos(z)
+	VMULPD Y3, Y1, Y8
+	VMULPD Y7, Y8, Y8             // z·zz·P_sin
+	VADDPD Y8, Y1, Y1             // sin(z)
+	VBLENDVPD Y4, Y6, Y1, Y7      // sin(x) = swap ? cos(z) : sin(z), unsigned
+	VBLENDVPD Y4, Y1, Y6, Y8      // cos(x) = swap ? sin(z) : cos(z), unsigned
+	VXORPD Y0, Y7, Y7
+	VXORPD Y5, Y8, Y8
+	VBROADCASTSD 16(R11), Y2
+	VMULPD Y2, Y8, Y8             // zr = Att·cos
+	VMULPD Y2, Y7, Y7             // zi = Att·sin
+	VBROADCASTSD (R11), Y2        // gr
+	VBROADCASTSD 8(R11), Y3       // gi
+	VMULPD Y8, Y2, Y9
+	VMULPD Y7, Y3, Y10
+	VSUBPD Y10, Y9, Y9            // gr·zr − gi·zi
+	VMULPD Y7, Y2, Y10
+	VMULPD Y8, Y3, Y11
+	VADDPD Y11, Y10, Y10          // gr·zi + gi·zr
+	VADDPD Y9, Y14, Y14
+	VADDPD Y10, Y13, Y13
+	ADDQ $48, R11
+	DECQ R12
+	JMP  ps_ray
+
+ps_store:
+	VMOVUPD Y14, (DI)(AX*8)
+	VMOVUPD Y13, (SI)(AX*8)
+	ADDQ $4, AX
+	JMP  ps_block
+
+ps_done:
+	SHRQ $2, AX                   // blocks stored; the one at AX, if any, was abandoned
+	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET

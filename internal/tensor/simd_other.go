@@ -39,3 +39,7 @@ func reluCompactF32AVX2(idx *int32, val *float32, src *float32, n int) int {
 func compactNonzeroF32AVX2(idx *int32, val *float32, src *float32, n int) int {
 	panic("tensor: AVX2 kernel called on non-amd64")
 }
+
+func phasorSumAVX2(re, im, w *float64, blocks int, rays *Phasor, n int) int {
+	panic("tensor: AVX2 kernel called on non-amd64")
+}

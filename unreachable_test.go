@@ -20,7 +20,6 @@ import (
 var reachedIndirectly = map[string]string{
 	"nn.GradCheck":                   "the numerical-gradient reference the nn tests compare backward passes against",
 	"dataset.FeatureSet.MarshalText": "reached through encoding: experiment results marshal FeatureSet map keys as JSON text",
-	"rf.Load":                        "reader of the forest bundle Forest.Save writes; no command persists a forest today, and retiring the format with its hostile-input fuzzers is its own change",
 	"server.Server.FeedCount":        "the server tests' leak check: how many feeds a node holds, read without a request that would itself be routed, rate-limited or refused while draining",
 }
 
