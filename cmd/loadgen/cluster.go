@@ -22,12 +22,15 @@ import (
 //     shard map places it on;
 //  2. the harness installs the epoch+1 map with one node removed and drains
 //     that node (accepted frames all get their decisions, feed logs seal);
-//  3. each moved feed's pre-drain decisions must match the replay and its
-//     sealed log must hold exactly its acknowledged frames; the feed is then
-//     handed off — its log re-ingested through the new owner's normal ingest
-//     path — and every feed streams its second half;
-//  4. every feed's full decision sequence (for moved feeds, as recomputed by
-//     the new owner) must match the replay bit for bit.
+//  3. each moved feed's pre-drain decisions must match the replay; the feed
+//     then moves as its directory — the drained node's sealed segments and
+//     snapshot streamed into the new owner, which opens the feed as a restart
+//     would. The new owner must hold a decision for every acknowledged frame,
+//     and its /metrics must show every moved frame restored from a snapshot
+//     and none replayed. This phase is timed, and the bytes moved counted;
+//  4. every feed streams its second half, and its decisions — for a moved
+//     feed, from its first decision on the new owner — must match the replay
+//     bit for bit.
 //
 // With an empty target the harness boots the whole cluster in-process; with
 // a target it drives a real occuserve cluster (scripts/cluster_smoke.sh) and
@@ -50,9 +53,9 @@ func runCluster(ctx context.Context, fx fixture, feeds, perFeed, n int, drainID,
 			id := fmt.Sprintf("n%d", i)
 			nd, err := bootNode(fx.bundle, occupancy.ServeConfig{
 				StreamBuffer: perFeed,
-				// Durability is what makes handoff possible: the sealed log
-				// of a drained node is the authoritative accepted-frame
-				// history its successor re-ingests.
+				// Durability is what makes hand-off possible: a drained
+				// node's sealed log and snapshot are what its successor
+				// opens the feed on.
 				Durability: occupancy.DurabilityConfig{Dir: filepath.Join(logRoot, id)},
 				// No map yet: it is installed below, once every node's
 				// address is known.
@@ -132,46 +135,64 @@ func runCluster(ctx context.Context, fx fixture, feeds, perFeed, n int, drainID,
 		return fmt.Errorf("cluster: after the drain: %w", err)
 	}
 
-	// Phase 3: moved feeds are checked and handed to their new owners; every
-	// feed streams its second half and is verified whole.
-	var moved, handedOff atomic.Int64
+	// Phase 3, timed: each moved feed's pre-drain stream is checked, then the
+	// feed moves as its directory — the drained node's sealed log and snapshot
+	// streamed into the new owner, which opens it as a restart would.
+	restored0, replayed0, err := handoffCounts(m2)
+	if err != nil {
+		return err
+	}
+	handStart := time.Now()
+	var moved, movedBytes atomic.Int64
 	err = eachFeed(feeds, func(f int) error {
 		id, run := feedID(f), first[f]
-		if owner, _ := m1.Owner(id); owner.ID == drainID {
-			moved.Add(1)
-			// The drain tore the feed down on the old owner: its stream
-			// ended after delivering exactly the decisions it made.
-			if err := run.verify(run.wait(), 0, half, []span{ref}); err != nil {
-				return fmt.Errorf("cluster: before the drain: %w", err)
-			}
-			// Zero-loss gate: the sealed log must hold every acknowledged
-			// frame, in order.
-			logged, err := cl.At(drained.Addr).FeedLog(ctx, id)
-			if err != nil {
-				return fmt.Errorf("cluster: log pull %s from %s: %w", id, drainID, err)
-			}
-			if len(logged) != half {
-				return fmt.Errorf("cluster: %s: LOST FRAMES: %d acknowledged on %s, %d logged", id, half, drainID, len(logged))
-			}
-			for i, lf := range logged {
-				if lf.Seq != i {
-					return fmt.Errorf("cluster: %s: log seq %d at position %d", id, lf.Seq, i)
-				}
-			}
-			// Hand the history to the new owner: open there first (routed by
-			// the new map) so the recomputed decisions are observable, then
-			// replay the log through normal ingest.
-			if run, err = openFeed(ctx, cl, id, f, fx.recs); err != nil {
+		if owner, _ := m1.Owner(id); owner.ID != drainID {
+			return nil
+		}
+		moved.Add(1)
+		// The drain tore the feed down on the old owner: its stream ended
+		// after delivering exactly the decisions it made.
+		if err := run.verify(run.wait(), 0, half, []span{ref}); err != nil {
+			return fmt.Errorf("cluster: before the drain: %w", err)
+		}
+		info, n, err := cl.HandoffFeed(ctx, id, drained.Addr)
+		if err != nil {
+			return fmt.Errorf("cluster: handoff %s: %w", id, err)
+		}
+		// Zero-loss gate: the new owner holds a decision for every frame
+		// acknowledged on the old one.
+		if info.Decisions != int64(half) {
+			return fmt.Errorf("cluster: %s: LOST FRAMES: %d acknowledged on %s, %d decided on the new owner", id, half, drainID, info.Decisions)
+		}
+		movedBytes.Add(n)
+		first[f] = nil // reopened on the new owner below
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	handoff := time.Since(handStart)
+	restored, replayed, err := handoffCounts(m2)
+	if err != nil {
+		return err
+	}
+	if restored-restored0 != float64(moved.Load()*int64(half)) || replayed != replayed0 {
+		return fmt.Errorf("cluster: the new owners restored %v of the %d frames moved and replayed %v; want all restored, none replayed",
+			restored-restored0, moved.Load()*int64(half), replayed-replayed0)
+	}
+	fmt.Printf("loadgen: cluster: hand-off of %d feeds (%d frames, %d bytes) from %q in %v, every frame restored from its snapshot, none replayed\n",
+		moved.Load(), moved.Load()*int64(half), movedBytes.Load(), drainID, handoff.Round(time.Millisecond))
+
+	// Phase 4: every feed streams its second half. A moved feed is verified
+	// from its first decision on the new owner.
+	err = eachFeed(feeds, func(f int) error {
+		run, from := first[f], 0
+		if run == nil {
+			var err error
+			if run, err = openFeed(ctx, cl, feedID(f), f, fx.recs); err != nil {
 				return err
 			}
-			nh, err := cl.HandoffFeed(ctx, id, drained.Addr)
-			if err != nil {
-				return fmt.Errorf("cluster: handoff %s: %w", id, err)
-			}
-			if nh != half {
-				return fmt.Errorf("cluster: handoff %s moved %d frames, want %d", id, nh, half)
-			}
-			handedOff.Add(int64(nh))
+			from = half
 		}
 		if err := run.send(ctx, half, perFeed); err != nil {
 			return err
@@ -180,9 +201,7 @@ func runCluster(ctx context.Context, fx fixture, feeds, perFeed, n int, drainID,
 		if err != nil {
 			return err
 		}
-		// For a moved feed this is the new owner's recomputation of the
-		// whole sequence from the handed-off history plus the live tail.
-		return run.verify(events, 0, perFeed, []span{ref})
+		return run.verify(events, from, perFeed-from, []span{ref})
 	})
 	if err != nil {
 		return err
@@ -199,12 +218,24 @@ func runCluster(ctx context.Context, fx fixture, feeds, perFeed, n int, drainID,
 	}
 	fmt.Printf("loadgen: cluster %10.0f frames/sec   (%d nodes, %d feeds, %d frames, %v)\n",
 		float64(feeds*perFeed)/elapsed.Seconds(), len(m1.Nodes), feeds, feeds*perFeed, elapsed.Round(time.Millisecond))
-	fmt.Printf("loadgen: cluster stats: %d feeds handed off %d frames from %q\n", moved.Load(), handedOff.Load(), drainID)
 	if moved.Load() == 0 {
 		return fmt.Errorf("cluster: no feed was placed on %q — the drain exercised nothing", drainID)
 	}
 	fmt.Println("loadgen: cluster verify: every decision bit-identical to the single-node reference; zero acknowledged frames lost across the drain")
 	return nil
+}
+
+// handoffCounts sums, over the nodes of m, the logged frames their
+// recoveries restored from a snapshot and those they replayed.
+func handoffCounts(m occupancy.ShardMap) (restored, replayed float64, err error) {
+	for _, nd := range m.Nodes {
+		recovered, rs, err := recoveryCounts(nd.Addr)
+		if err != nil {
+			return 0, 0, fmt.Errorf("cluster: %s /metrics: %w", nd.ID, err)
+		}
+		restored, replayed = restored+rs, replayed+recovered-rs
+	}
+	return restored, replayed, nil
 }
 
 // installMap PUTs next on every member of the current map — and on target

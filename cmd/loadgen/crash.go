@@ -5,12 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -135,29 +133,6 @@ func startCrashChild(model, logDir string) (*crashChild, error) {
 		return nil, fmt.Errorf("crash: child server did not come up: %w", err)
 	}
 	return ch, nil
-}
-
-// recoveryCounts scrapes a child's /metrics for what its recovery did: the
-// logged frames whose decision state it rebuilt, and how many of those its
-// snapshots restored rather than a replay.
-func (ch *crashChild) recoveryCounts() (recovered, restored float64, err error) {
-	resp, err := http.Get(ch.url + "/metrics")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if f := strings.Fields(sc.Text()); len(f) == 2 && f[0] == "server_frames_recovered_total" {
-			recovered, err = strconv.ParseFloat(f[1], 64)
-		} else if len(f) == 2 && f[0] == "server_frames_restored_total" {
-			restored, err = strconv.ParseFloat(f[1], 64)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return recovered, restored, sc.Err()
 }
 
 // runCrash drives the kill-and-recover scenario on one feed. total is the
@@ -291,7 +266,7 @@ func runCrash(ctx context.Context, fx fixture, total int) error {
 		return err
 	}
 	defer childC.kill()
-	if recovered, restored, err := childC.recoveryCounts(); err != nil || recovered != float64(total) || restored != recovered {
+	if recovered, restored, err := recoveryCounts(childC.url); err != nil || recovered != float64(total) || restored != recovered {
 		return fmt.Errorf("crash: child C recovered %v frames, %v of them restored (%v); want all %d restored and none replayed",
 			recovered, restored, err, total)
 	}

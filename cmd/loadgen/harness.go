@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,6 +72,29 @@ func noFeedsLeft(ctx context.Context, cl *occupancy.Client, what string) error {
 		return fmt.Errorf("%s still has %d feeds", what, len(infos))
 	}
 	return nil
+}
+
+// recoveryCounts scrapes a node's /metrics for what its recoveries did: the
+// logged frames whose decision state they rebuilt, and how many of those a
+// snapshot restored rather than a replay.
+func recoveryCounts(base string) (recovered, restored float64, err error) {
+	resp, err := http.Get(strings.TrimSuffix(base, "/") + "/metrics")
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 2 && f[0] == "server_frames_recovered_total" {
+			recovered, err = strconv.ParseFloat(f[1], 64)
+		} else if len(f) == 2 && f[0] == "server_frames_restored_total" {
+			restored, err = strconv.ParseFloat(f[1], 64)
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	return recovered, restored, sc.Err()
 }
 
 // newLoadClient builds the occupancy.Client every mode drives the service

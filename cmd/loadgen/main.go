@@ -19,9 +19,11 @@
 // replay) with a stream buffer of at least -per-feed, so that no event can
 // be dropped on a slow subscriber.
 //
-// -cluster drains one node out of a sharded cluster mid-run and hands its
-// feeds' sealed logs to their new owners (in-process nodes, or with -target
-// a running cluster, whose nodes must also serve with durability on);
+// -cluster drains one node out of a sharded cluster mid-run and moves each
+// of its feeds to its new owner as its log directory — sealed segments and
+// snapshot, opened there as a restart would open them — timing the hand-off
+// and counting the bytes moved (in-process nodes, or with -target a running
+// cluster, whose nodes must also serve with durability on);
 // -swap installs and atomically activates a shadow-trained candidate
 // mid-run; -crash SIGKILLs a durable child server mid-stream, restarts it
 // from its frame log, then drains it and restarts it once more from its

@@ -10,7 +10,8 @@
 //	                                 decided (429 + Retry-After when rate-limited)
 //	GET    /v1/feeds/{id}/occupancy  latest decision
 //	GET    /v1/feeds/{id}/stream     NDJSON decision stream
-//	GET    /v1/feeds/{id}/log        dump a drained feed's durable frame log
+//	GET    /v1/feeds/{id}/log        a drained feed's log directory, as an archive
+//	PUT    /v1/feeds/{id}/log        install an archive and open the feed on it
 //	DELETE /v1/feeds/{id}            close a feed
 //	GET    /v1/cluster               shard map, node identity, model hash
 //	PUT    /v1/cluster               install a newer shard map

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/dataset"
+	"repro/internal/framelog"
 	"repro/internal/linmodel"
 	"repro/internal/nn"
 	"repro/internal/stats"
@@ -301,17 +302,10 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	return d, nil
 }
 
-// SaveFile / LoadDetectorFile are the path-based variants.
+// SaveFile writes the bundle to path atomically: an interrupted or failed
+// save leaves whatever path held before.
 func (d *Detector) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return framelog.WriteFileAtomic(path, d.Save)
 }
 
 // LoadDetectorFile reads a detector bundle from path.

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/linmodel"
 	"repro/internal/nn"
 )
 
@@ -103,6 +107,46 @@ func TestDetectorSaveLoadRoundtrip(t *testing.T) {
 		if d := p1 - p2; d > 1e-3 || d < -1e-3 {
 			t.Fatalf("prediction drift %g", d)
 		}
+	}
+}
+
+// unsavable is a layer the bundle format has no kind for: saving a network
+// that holds one fails after the layers before it were written.
+type unsavable struct{ *nn.ReLU }
+
+// TestSaveFileIsAtomic: a save that fails partway leaves the previous bundle
+// byte-identical and no temporary file beside it.
+func TestSaveFileIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "detector.bin")
+	det := &Detector{
+		Net:      nn.NewMLP(dataset.FeatCSIEnv.Dim(), []int{64}, 1, rand.New(rand.NewSource(3))),
+		Scaler:   &linmodel.Scaler{Mean: make([]float64, dataset.FeatCSIEnv.Dim()), Std: make([]float64, dataset.FeatCSIEnv.Dim())},
+		Features: dataset.FeatCSIEnv,
+	}
+	for i := range det.Scaler.Std {
+		det.Scaler.Std[i] = 1
+	}
+	if err := det.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := *det
+	broken.Net = &nn.Network{Layers: append(append([]nn.Layer(nil), det.Net.Layers...), unsavable{})}
+	if err := broken.SaveFile(path); err == nil {
+		t.Fatal("saving an unsavable network succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
+		t.Fatalf("the failed save changed the previous bundle (err %v)", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("the failed save left %d entries beside the bundle (err %v)", len(ents), err)
+	}
+	if back, err := LoadDetectorFile(path); err != nil || back.Features != det.Features {
+		t.Fatalf("the previous bundle no longer loads: %v", err)
 	}
 }
 

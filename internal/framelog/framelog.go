@@ -42,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -195,18 +196,23 @@ func listSegments(dir string) ([]int, error) {
 	}
 	var segs []int
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".flog") {
-			continue
+		if n, ok := segmentNumber(e.Name()); ok && !e.IsDir() {
+			segs = append(segs, n)
 		}
-		var n int
-		if _, err := fmt.Sscanf(name, "%08d.flog", &n); err != nil {
-			continue
-		}
-		segs = append(segs, n)
 	}
 	sort.Ints(segs)
 	return segs, nil
+}
+
+// segmentNumber parses a segment file name; only names segmentName writes
+// parse.
+func segmentNumber(name string) (int, bool) {
+	digits, ok := strings.CutSuffix(name, ".flog")
+	if !ok || len(digits) != 8 || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }
 
 // ListFeeds returns the feed IDs that have a log directory under root, in

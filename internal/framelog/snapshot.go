@@ -141,15 +141,11 @@ func (w *Writer) SaveSnapshot(scorer string, state []byte) error {
 	}
 	tmp := filepath.Join(w.dir, snapshotName+".tmp")
 	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(EncodeSnapshot(Snapshot{Anchor: w.anchor, Scorer: scorer, State: state}))
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		err = closeSynced(f, func(dst io.Writer) error {
+			_, err := dst.Write(EncodeSnapshot(Snapshot{Anchor: w.anchor, Scorer: scorer, State: state}))
+			return err
+		})
 	}
 	if err != nil {
 		return err

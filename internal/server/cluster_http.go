@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/fault"
 	"repro/internal/framelog"
 )
 
@@ -25,21 +27,6 @@ type ClusterInfo struct {
 	Draining    bool        `json:"draining,omitempty"`
 	ModelSHA256 string      `json:"model_sha256,omitempty"`
 	Map         cluster.Map `json:"map"`
-}
-
-// LogFrame is one line of the GET /v1/feeds/{id}/log NDJSON body: the
-// frame's log index plus its original wire form, exactly re-ingestable.
-type LogFrame struct {
-	Seq int `json:"seq"`
-	FrameJSON
-}
-
-// LogEOF terminates a complete log dump. A dump that ends without this line
-// was cut short (log read error mid-stream after the 200 was committed) and
-// must not be trusted for handoff.
-type LogEOF struct {
-	EOF    bool `json:"eof"`
-	Frames int  `json:"frames"`
 }
 
 // routed resolves the feed's owner on the shard map and, when it is not this
@@ -107,51 +94,83 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "drained"})
 }
 
-// handleFeedLog dumps a feed's durable frame log as NDJSON — the pull side
-// of feed handoff. It refuses while the feed is live here (the log would
-// still be growing); drain the node first, which also guarantees every
-// logged frame already has its decision on this node. After the 200 is
-// committed a log read error can only truncate the stream, which the
-// missing LogEOF line makes detectable.
-func (s *Server) handleFeedLog(w http.ResponseWriter, r *http.Request) {
+// handleLogGet serves the feed's log directory as a framelog archive — the
+// source side of a hand-off: sealed segments and snapshot as they lie on disk,
+// each under its own CRCs. Only a draining node whose feed is closed answers,
+// and draining refuses every registration, so nothing can reopen the log
+// while it streams. Unbounded route: a long log streams for as long as it
+// takes. After the 200 a read error can only cut the archive short, and an
+// archive without its trailer is refused by the importer.
+func (s *Server) handleLogGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validFeedID(id) {
-		writeError(w, http.StatusBadRequest, CodeInvalidFeedID, "feed id must be 1-128 chars of [a-zA-Z0-9._-]")
+	if !s.logRoute(w, id) {
 		return
 	}
-	if !s.cfg.Durability.Enabled() {
-		writeError(w, http.StatusNotFound, CodeNoLog, "node runs without durability; there is no frame log")
-		return
-	}
-	if s.lookup(id) != nil {
+	if !s.draining.Load() || s.lookup(id) != nil {
 		writeError(w, http.StatusConflict, CodeFeedActive,
-			"feed is live on this node; drain the node (POST /v1/cluster/drain) before pulling its log")
+			"the feed can still change here; drain the node (POST /v1/cluster/drain) before exporting its log")
 		return
 	}
-	ids, err := framelog.ListFeeds(s.cfg.Durability.Dir)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "listing frame logs: "+err.Error())
-		return
-	}
-	found := false
-	for _, have := range ids {
-		if have == id {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if _, err := os.Stat(filepath.Join(s.cfg.Durability.Dir, id)); err != nil {
 		writeError(w, http.StatusNotFound, CodeNoLog, "no frame log for this feed")
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/x-tar")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	n, err := framelog.Replay(s.cfg.Durability.Dir, id, -1, func(f fault.Frame) error {
-		return enc.Encode(LogFrame{Seq: f.Index, FrameJSON: frameJSON(&f)})
-	})
-	if err != nil {
-		return // stream already committed; the absent LogEOF line reports it
-	}
-	_ = enc.Encode(LogEOF{EOF: true, Frames: n})
+	_ = framelog.Export(w, s.cfg.Durability.Dir, id)
 }
+
+// handleLogPut is the receiving side of a hand-off: it installs the archive
+// in the body as the feed's log directory and opens the feed on it, exactly
+// as a restart opens a feed it finds on disk — its snapshot restored, only
+// the frames logged after it replayed. The feed sits locked in the table
+// while the archive streams in, so nothing else can register it or create
+// its directory meanwhile. Refusals leave nothing on disk: a feed live here,
+// or one that already has a log directory, answers 409 feed_active; an
+// archive whose snapshot another scorer wrote — another model version, pin,
+// precision, kernel or runtime setting — answers 409 scorer_mismatch, before
+// any segment is written. Unbounded route, like the export.
+func (s *Server) handleLogPut(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if s.routed(w, r, id) || !s.logRoute(w, id) {
+		return
+	}
+	f, existed, err := s.register(id, func(f *feed) error {
+		return framelog.Import(s.cfg.Durability.Dir, id, r.Body, func(snap framelog.Snapshot) error {
+			if snap.Scorer != f.scorer() {
+				return fmt.Errorf("%w: the archive was scored by %q, this node scores the feed by %q", errScorerMismatch, snap.Scorer, f.scorer())
+			}
+			return nil
+		})
+	})
+	switch {
+	case existed || errors.Is(err, fs.ErrExist):
+		writeError(w, http.StatusConflict, CodeFeedActive, "the feed is live here or already has a log directory")
+	case errors.Is(err, errScorerMismatch):
+		writeError(w, http.StatusConflict, CodeScorerMismatch, err.Error())
+	case errors.Is(err, framelog.ErrBadArchive):
+		writeError(w, http.StatusBadRequest, CodeMalformedRequest, err.Error())
+	case err != nil:
+		s.registerError(w, err)
+	default:
+		writeJSON(w, http.StatusCreated, s.feedInfo(f))
+	}
+}
+
+// logRoute answers a log request that names no feed or reaches a node
+// without durability, and reports whether the request may go on.
+func (s *Server) logRoute(w http.ResponseWriter, id string) bool {
+	switch {
+	case !validFeedID(id):
+		writeError(w, http.StatusBadRequest, CodeInvalidFeedID, "feed id must be 1-128 chars of [a-zA-Z0-9._-]")
+	case !s.cfg.Durability.Enabled():
+		writeError(w, http.StatusNotFound, CodeNoLog, "node runs without durability; there is no frame log")
+	default:
+		return true
+	}
+	return false
+}
+
+// errScorerMismatch refuses an archive whose snapshot this node would not
+// have written.
+var errScorerMismatch = errors.New("server: scorer mismatch")

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/framelog"
 	"repro/internal/infer"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/pkg/occupancy"
 )
@@ -23,19 +23,20 @@ type clusterNode struct {
 	srv *server.Server
 	ts  *httptest.Server
 	cl  *occupancy.Client // pinned to this node, no map routing
+	reg *obs.Registry
 }
 
 // newClusterNode boots a cluster-configured server with no map installed
 // yet (the test installs one once every node's URL is known).
 func newClusterNode(t *testing.T, self string, mod func(*server.Config)) *clusterNode {
 	t.Helper()
-	srv, ts, _ := newTestServer(t, func(c *server.Config) {
+	srv, ts, reg := newTestServer(t, func(c *server.Config) {
 		c.Cluster = &server.ClusterConfig{Self: self}
 		if mod != nil {
 			mod(c)
 		}
 	})
-	return &clusterNode{srv: srv, ts: ts, cl: newClient(t, ts.URL)}
+	return &clusterNode{srv: srv, ts: ts, cl: newClient(t, ts.URL), reg: reg}
 }
 
 // installMap PUTs the map on every node.
@@ -200,120 +201,48 @@ func TestModelDistribution(t *testing.T) {
 	}
 }
 
-// TestDrainHandoffBitIdentity is the cluster tier's core determinism gate:
-// a feed serves its first half on node A, A drains out of the topology, the
-// feed's durable log is pulled and re-ingested on node B, and the second
-// half continues there — and the full decision sequence (A's half, B's
-// replayed half, B's live half) is bit-identical to one uninterrupted
-// single-node run, with zero acknowledged frames lost.
+// TestDrainHandoffBitIdentity is the cluster tier's core determinism gate: a
+// feed serves its first half on node A, A drains out of the topology, and the
+// feed moves to node B as its log directory. B opens it exactly as a restart
+// would — every handed-off frame restored from the snapshot A's close wrote,
+// none replayed, B's latest decision A's last one — and the second half
+// continues there bit-identically to one uninterrupted single-node run.
 func TestDrainHandoffBitIdentity(t *testing.T) {
 	const half = 20
 	all := durableFrames(2*half, 0)
+	want := referenceRun(t, nil, all)
+	p := newHandoffPair(t, nil)
 	ctx := context.Background()
 
-	// Reference: one standalone, non-durable node sees every frame.
-	_, rts, _ := newTestServer(t, nil)
-	rcl := newClient(t, rts.URL)
-	if _, err := rcl.RegisterFeed(ctx, "room"); err != nil {
-		t.Fatal(err)
-	}
-	rch, rcancel := streamEvents(t, rts.URL, "room")
-	defer rcancel()
-	if n, err := rcl.Ingest(ctx, "room", all); err != nil || n != 2*half {
-		t.Fatalf("reference ingest: %d %v", n, err)
-	}
-	want := collect(t, rch, 2*half)
-
-	// Cluster: A and B, both durable, feed placed on A by the epoch-1 map.
-	durable := func(dir string) func(*server.Config) {
-		return func(c *server.Config) {
-			c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff}
-		}
-	}
-	na := newClusterNode(t, "na", durable(t.TempDir()))
-	nb := newClusterNode(t, "nb", durable(t.TempDir()))
-	m1 := occupancy.ShardMap{Epoch: 1, Nodes: []occupancy.ClusterNode{
-		{ID: "na", Addr: na.ts.URL},
-		{ID: "nb", Addr: nb.ts.URL},
-	}}
-	installMap(t, m1, na, nb)
-	feed := feedOwnedBy(t, m1, "na")
-	// The frames carry the feed-independent pattern, so the reference
-	// sequence applies to any feed id.
-
-	cl := newClient(t, na.ts.URL)
-	if err := cl.RefreshShardMap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.RegisterFeed(ctx, feed); err != nil {
-		t.Fatal(err)
-	}
-	ach, acancel := streamEvents(t, na.ts.URL, feed)
+	ach, acancel := streamEvents(t, p.a.ts.URL, p.feed)
 	defer acancel()
-	if n, err := cl.Ingest(ctx, feed, all[:half]); err != nil || n != half {
+	if n, err := p.cl.Ingest(ctx, p.feed, all[:half]); err != nil || n != half {
 		t.Fatalf("first-half ingest: %d %v", n, err)
 	}
-	gotA := collect(t, ach, half)
-	for i, ev := range gotA {
+	for i, ev := range collect(t, ach, half) {
 		if !sameEvent(ev, want[i]) {
 			t.Fatalf("node A event %d diverged:\n got %+v\nwant %+v", i, ev, want[i])
 		}
 	}
 
-	// Topology change: A leaves. Install everywhere, then drain A — after
-	// which every acknowledged frame has its decision and A's log is sealed.
-	m2 := m1.Without("na")
-	installMap(t, m2, na, nb)
-	if err := cl.RefreshShardMap(ctx); err != nil {
-		t.Fatalf("client map refresh: %v", err)
+	p.drain(t)
+	if p.cl.ShardMap().Epoch != 2 {
+		t.Fatalf("client routes by epoch %d, want 2", p.cl.ShardMap().Epoch)
 	}
-	if cl.ShardMap().Epoch != m2.Epoch {
-		t.Fatalf("client routes by epoch %d, want %d", cl.ShardMap().Epoch, m2.Epoch)
+	info, moved, err := p.cl.HandoffFeed(ctx, p.feed, p.a.ts.URL)
+	if err != nil || info.Decisions != half || moved == 0 {
+		t.Fatalf("handoff: %+v, %d bytes, %v; want %d decisions", info, moved, err, half)
 	}
-	if err := cl.At(na.ts.URL).DrainNode(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	if p.b.srv.FeedCount() != 1 {
+		t.Fatal("feed did not land on B")
 	}
-	if na.srv.FeedCount() != 0 {
-		t.Fatalf("%d feeds survived drain on A", na.srv.FeedCount())
+	if recovered, restored := recoveryCounts(p.b.reg); recovered != half || restored != half {
+		t.Fatalf("B recovered %d frames, %d of them restored; want all %d restored, none replayed", recovered, restored, half)
 	}
-
-	// Zero lost acknowledged frames: A's sealed log holds exactly the
-	// accepted first half.
-	logged, err := cl.At(na.ts.URL).FeedLog(ctx, feed)
-	if err != nil {
-		t.Fatal(err)
+	if d, ok, err := p.cl.Occupancy(ctx, p.feed); err != nil || !ok || !sameEvent(d, want[half-1]) {
+		t.Fatalf("B's latest decision: %+v ok=%v %v, want A's last %+v", d, ok, err, want[half-1])
 	}
-	if len(logged) != half {
-		t.Fatalf("A's log holds %d frames, want %d", len(logged), half)
-	}
-	for i, lf := range logged {
-		if lf.Seq != i {
-			t.Fatalf("log frame %d carries seq %d", i, lf.Seq)
-		}
-	}
-
-	// Handoff: register on the new owner, subscribe, replay the history
-	// through the normal ingest path, then continue live.
-	if _, err := cl.RegisterFeed(ctx, feed); err != nil {
-		t.Fatal(err)
-	}
-	if nb.srv.FeedCount() != 1 {
-		t.Fatal("feed did not land on B after the topology change")
-	}
-	bch, bcancel := streamEvents(t, nb.ts.URL, feed)
-	defer bcancel()
-	if n, err := cl.HandoffFeed(ctx, feed, na.ts.URL); err != nil || n != half {
-		t.Fatalf("handoff: %d %v", n, err)
-	}
-	if n, err := cl.Ingest(ctx, feed, all[half:]); err != nil || n != half {
-		t.Fatalf("second-half ingest: %d %v", n, err)
-	}
-	gotB := collect(t, bch, 2*half)
-	for i, ev := range gotB {
-		if !sameEvent(ev, want[i]) {
-			t.Fatalf("node B event %d diverged:\n got %+v\nwant %+v", i, ev, want[i])
-		}
-	}
+	p.continueBitIdentically(t, all[half:], want[half:])
 }
 
 // jsonDecode decodes a response body and closes it.

@@ -850,3 +850,38 @@ func TestRegisterSpawnsNoGoroutines(t *testing.T) {
 		t.Fatalf("%d feeds registered, want 64", srv.FeedCount())
 	}
 }
+
+// TestRecoverySkipsForeignDirectories: recovery registers only directories a
+// valid feed id names. A log root that is its own volume holds lost+found,
+// and a hand-off cut short by a crash leaves its half-written staging
+// directory; the node boots past both and recovers exactly its two feeds.
+func TestRecoverySkipsForeignDirectories(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(c *server.Config) { c.Durability = framelog.Config{Dir: dir, Fsync: framelog.FsyncOff} }
+	srv, ts, _ := newTestServer(t, durable)
+	for _, id := range []string{"room-a", "room-b"} {
+		doReq(t, http.MethodPut, ts.URL+"/v1/feeds/"+id, nil)
+		if code, _, _ := ingest(t, ts.URL, id, durableFrames(3, 0)); code != http.StatusAccepted {
+			t.Fatalf("ingest %s: %d", id, code)
+		}
+	}
+	ts.Close()
+	srv.Close()
+	staging := filepath.Join(dir, "room-c+import-1234")
+	for _, d := range []string{filepath.Join(dir, "lost+found"), staging} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(staging, "00000000.flog"), []byte("OFLG"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _, reg := newTestServer(t, durable)
+	if srv2.FeedCount() != 2 {
+		t.Fatalf("recovered %d feeds, want 2", srv2.FeedCount())
+	}
+	if recovered, _ := recoveryCounts(reg); recovered != 6 {
+		t.Fatalf("recovered %d frames, want 6", recovered)
+	}
+}

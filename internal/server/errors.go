@@ -23,7 +23,8 @@ const (
 	CodeUnknownModel     = "unknown_model"     // 404: no installed model version under that id
 	CodeModelRejected    = "model_rejected"    // 422: candidate bundle failed the install gate
 	CodeFeedEnded        = "feed_ended"        // 410: feed finished; stream unavailable
-	CodeFeedActive       = "feed_active"       // 409: log pull refused while the feed is live
+	CodeFeedActive       = "feed_active"       // 409: log export or import refused: the feed is live or may change
+	CodeScorerMismatch   = "scorer_mismatch"   // 409: hand-off archive scored by another model, precision, kernel or setting
 	CodeStaleEpoch       = "stale_epoch"       // 409: map epoch <= the installed one
 	CodeRateLimited      = "rate_limited"      // 429: per-feed token bucket exhausted
 	CodeFeedLimit        = "feed_limit"        // 503: MaxFeeds reached

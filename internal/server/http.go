@@ -59,26 +59,6 @@ func (fj *FrameJSON) toFrame() (fault.Frame, error) {
 	return f, nil
 }
 
-// frameJSON is toFrame's inverse for the ingest-visible fields: it renders a
-// frame back to the wire exactly as a client would have sent it, which is
-// what makes a log pull + re-ingest (feed handoff) reproduce the original
-// accepted frame sequence bit for bit. Fields the HTTP path never populates
-// (EnvStale, Nulled, AGCGlitch) are deliberately not round-tripped —
-// decisions do not depend on them.
-func frameJSON(f *fault.Frame) FrameJSON {
-	fj := FrameJSON{Time: f.Rec.Time, Dropped: f.Dropped}
-	if !f.Dropped {
-		fj.CSI = append([]float64(nil), f.Rec.CSI[:]...)
-	}
-	if f.EnvOK {
-		fj.Temp, fj.Humidity = f.Rec.Temp, f.Rec.Humidity
-	} else {
-		no := false
-		fj.EnvOK = &no
-	}
-	return fj
-}
-
 // IngestRequest is the body of POST /v1/feeds/{id}/frames.
 type IngestRequest struct {
 	Frames []FrameJSON `json:"frames"`
@@ -155,8 +135,10 @@ func (s *Server) feedInfo(f *feed) FeedInfo {
 //	GET    /v1/feeds/{id}/occupancy  latest decision
 //	GET    /v1/feeds/{id}/stream     NDJSON decision stream (?all=1: every
 //	                                 decision, default: state transitions)
-//	GET    /v1/feeds/{id}/log        NDJSON dump of the feed's durable frame
-//	                                 log (handoff source; requires durability)
+//	GET    /v1/feeds/{id}/log        the closed feed's log directory as an
+//	                                 archive (hand-off source; draining only)
+//	PUT    /v1/feeds/{id}/log        install an archive and open the feed on
+//	                                 it (hand-off target)
 //	PUT    /v1/feeds/{id}/model      pin the feed to a model version
 //	DELETE /v1/feeds/{id}/model      unpin the feed (back to the active model)
 //	GET    /v1/cluster               shard map + node identity + model hash
@@ -174,9 +156,10 @@ func (s *Server) feedInfo(f *feed) FeedInfo {
 // Location and a misplaced_feed envelope). Every error on the surface is one
 // ErrorBody envelope.
 //
-// Every route except the NDJSON stream, the log dump, and cluster drain is
-// bounded by RequestTimeout. Metrics/pprof are deliberately not mounted
-// here — compose with obs.Handler on the same mux (see cmd/occuserve).
+// Every route except the NDJSON stream, the two log routes, and cluster
+// drain is bounded by RequestTimeout. Metrics/pprof are deliberately not
+// mounted here — compose with obs.Handler on the same mux (see
+// cmd/occuserve).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	bounded := func(h http.HandlerFunc) http.Handler {
@@ -189,7 +172,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/feeds/{id}/frames", bounded(s.handleIngest))
 	mux.Handle("GET /v1/feeds/{id}/occupancy", bounded(s.handleOccupancy))
 	mux.HandleFunc("GET /v1/feeds/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/feeds/{id}/log", s.handleFeedLog)
+	mux.HandleFunc("GET /v1/feeds/{id}/log", s.handleLogGet)
+	mux.HandleFunc("PUT /v1/feeds/{id}/log", s.handleLogPut)
 	mux.Handle("GET /v1/cluster", bounded(s.handleClusterGet))
 	mux.Handle("PUT /v1/cluster", bounded(s.handleClusterPut))
 	mux.HandleFunc("POST /v1/cluster/drain", s.handleDrain)
@@ -233,17 +217,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.routed(w, r, id) {
 		return
 	}
-	f, existed, err := s.register(id)
-	switch {
-	case errors.Is(err, errDraining):
-		s.m.rejDraining.Inc()
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "node is draining")
-		return
-	case errors.Is(err, errFeedLimit):
-		writeError(w, http.StatusServiceUnavailable, CodeFeedLimit, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+	f, existed, err := s.register(id, nil)
+	if err != nil {
+		s.registerError(w, err)
 		return
 	}
 	code := http.StatusCreated
@@ -251,6 +227,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, s.feedInfo(f))
+}
+
+// registerError answers a registration that failed.
+func (s *Server) registerError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errDraining):
+		s.m.rejDraining.Inc()
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "node is draining")
+	case errors.Is(err, errFeedLimit):
+		writeError(w, http.StatusServiceUnavailable, CodeFeedLimit, err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+	}
 }
 
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {

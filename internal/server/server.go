@@ -333,7 +333,8 @@ func New(cfg Config) (*Server, error) {
 
 // recoverFeeds re-registers every feed present in the log directory,
 // GOMAXPROCS at a time: each registration scans and replays its feed's log
-// to completion, so when the fan-out returns every feed is recovered.
+// to completion, so when the fan-out returns every feed is recovered. A
+// directory no valid feed id names is not a feed's and is left alone.
 func (s *Server) recoverFeeds() error {
 	ids, err := framelog.ListFeeds(s.cfg.Durability.Dir)
 	if err != nil {
@@ -342,8 +343,9 @@ func (s *Server) recoverFeeds() error {
 	errs := make([]error, len(ids))
 	parallel.ForEach(0, len(ids), func(i int) {
 		if !validFeedID(ids[i]) {
-			errs[i] = fmt.Errorf("server: frame log holds invalid feed id %q", ids[i])
-		} else if _, _, err := s.register(ids[i]); err != nil {
+			return // not a feed's: lost+found, a hand-off's staging directory
+		}
+		if _, _, err := s.register(ids[i], nil); err != nil {
 			errs[i] = fmt.Errorf("server: recovering feed %q: %w", ids[i], err)
 		} else {
 			s.m.feedsRecovered.Inc()
@@ -410,8 +412,10 @@ func (s *Server) Close() { _ = s.Drain(context.Background()) }
 // register creates (or finds) a feed. The bool reports whether it already
 // existed. A new feed enters the table locked and, with durability on,
 // opens and replays its log before the lock is released: requests that find
-// it meanwhile simply wait, and land behind the recovered frames.
-func (s *Server) register(id string) (*feed, bool, error) {
+// it meanwhile simply wait, and land behind the recovered frames. install,
+// when non-nil, runs first under the same lock and puts the feed's log in
+// place (a hand-off); its error fails the registration.
+func (s *Server) register(id string, install func(*feed) error) (*feed, bool, error) {
 	s.mu.Lock()
 	if f, ok := s.feeds[id]; ok {
 		s.mu.Unlock()
@@ -438,11 +442,15 @@ func (s *Server) register(id string) (*feed, bool, error) {
 	s.m.activeFeeds.Set(float64(len(s.feeds)))
 	s.mu.Unlock()
 
-	if s.cfg.Durability.Enabled() {
-		if err = f.open(); err != nil {
-			// A dead feed must still leave the routing table.
-			f.shut()
-		}
+	if install != nil {
+		err = install(f)
+	}
+	if err == nil && s.cfg.Durability.Enabled() {
+		err = f.open()
+	}
+	if err != nil {
+		// A dead feed must still leave the routing table.
+		f.shut()
 	}
 	f.mu.Unlock()
 	if err != nil {

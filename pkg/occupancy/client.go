@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -36,9 +37,6 @@ type (
 	ErrorBody = server.ErrorBody
 	// ClusterInfo is the GET /v1/cluster body.
 	ClusterInfo = server.ClusterInfo
-	// LoggedFrame is one line of a feed's durable-log dump: the frame plus
-	// its log sequence number.
-	LoggedFrame = server.LogFrame
 	// ModelInfo describes one installed model version.
 	ModelInfo = server.ModelInfo
 	// ModelsResponse is the versioned-model listing body.
@@ -155,7 +153,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // At returns a derived client pinned to the given node address (no shard-map
 // routing), sharing the HTTP client and retry policy. Use it to address one
-// specific node — drain it, pull a log from it — regardless of placement.
+// specific node — drain it, list its feeds — regardless of placement.
 func (c *Client) At(addr string) *Client {
 	return &Client{
 		cfg:    c.cfg,
@@ -479,76 +477,64 @@ func (c *Client) UpdateShardMap(ctx context.Context, m ShardMap) error {
 
 // DrainNode drains the node at BaseURL: new work is rejected immediately and
 // the call blocks until every feed is closed behind its in-flight batch. After
-// a clean return the node's feed logs are complete and quiescent — safe handoff
+// a clean return the node's feed logs are complete and quiescent — safe hand-off
 // sources.
 func (c *Client) DrainNode(ctx context.Context) error {
 	return c.do(ctx, http.MethodPost, c.base, "/v1/cluster/drain", nil, nil)
 }
 
-// FeedLog pulls the feed's complete durable frame log from the node at
-// BaseURL. It fails if the dump is truncated (no terminating eof line) or
-// the count disagrees — a partial log must never seed a handoff.
-func (c *Client) FeedLog(ctx context.Context, id string) ([]LoggedFrame, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/feeds/"+url.PathEscape(id)+"/log", nil)
+// HandoffFeed moves a feed from fromAddr, a drained node, onto its owner on
+// the client's shard map: the old node's GET .../log streams the feed's log
+// directory — sealed segments and snapshot, as they lie on disk — straight
+// into the owner's PUT .../log, which installs it and opens the feed exactly
+// as a restart would: the snapshot restored, nothing re-scored. It returns
+// the feed as the owner now holds it and the archive bytes moved. The body
+// streams through and cannot be sent twice, so an answer from a node that
+// does not own the feed (307) is an error: refresh the shard map and retry.
+func (c *Client) HandoffFeed(ctx context.Context, id, fromAddr string) (FeedInfo, int64, error) {
+	path := "/v1/feeds/" + url.PathEscape(id) + "/log"
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(fromAddr, "/")+path, nil)
 	if err != nil {
-		return nil, err
+		return FeedInfo{}, 0, err
 	}
+	src, err := c.hc.Do(req)
+	if err != nil {
+		return FeedInfo{}, 0, err
+	}
+	defer src.Body.Close()
+	if src.StatusCode != http.StatusOK {
+		return FeedInfo{}, 0, decodeAPIError(src)
+	}
+	body := &countingReader{r: src.Body}
+	req, err = http.NewRequestWithContext(ctx, http.MethodPut, c.endpointFor(ctx, id)+path, body)
+	if err != nil {
+		return FeedInfo{}, 0, err
+	}
+	req.Header.Set("Content-Type", "application/x-tar")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return FeedInfo{}, body.n.Load(), err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
+	if resp.StatusCode != http.StatusCreated {
+		return FeedInfo{}, body.n.Load(), decodeAPIError(resp)
 	}
-	dec := json.NewDecoder(resp.Body)
-	var frames []LoggedFrame
-	for {
-		var line struct {
-			LoggedFrame
-			EOF    bool `json:"eof"`
-			Frames int  `json:"frames"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, errors.New("occupancy: log dump truncated (no eof line)")
-			}
-			return nil, err
-		}
-		if line.EOF {
-			if line.Frames != len(frames) {
-				return nil, fmt.Errorf("occupancy: log dump eof count %d != %d frames received", line.Frames, len(frames))
-			}
-			return frames, nil
-		}
-		frames = append(frames, line.LoggedFrame)
-	}
+	var fi FeedInfo
+	err = json.NewDecoder(resp.Body).Decode(&fi)
+	return fi, body.n.Load(), err
 }
 
-// HandoffFeed moves a feed's history onto its current owner: it pulls the
-// complete log from fromAddr (a drained node), registers the feed — routed
-// to the new owner — and re-ingests the history in order through the normal
-// ingest path. Decisions are a pure function of the accepted frame sequence,
-// so the new owner recomputes the feed's decision sequence bit-identically;
-// live ingest then continues where the old node stopped. It returns the
-// number of frames handed off.
-func (c *Client) HandoffFeed(ctx context.Context, id, fromAddr string) (int, error) {
-	logged, err := c.At(fromAddr).FeedLog(ctx, id)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.RegisterFeed(ctx, id); err != nil {
-		return 0, err
-	}
-	frames := make([]Frame, len(logged))
-	for i, lf := range logged {
-		frames[i] = lf.FrameJSON
-	}
-	n, err := c.Ingest(ctx, id, frames)
-	if err != nil {
-		return n, fmt.Errorf("occupancy: handoff re-ingest of %q accepted %d of %d: %w", id, n, len(frames), err)
-	}
-	return n, nil
+// countingReader counts the bytes read through it; the transport reads a
+// request body on a goroutine of its own.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 // FetchModel downloads the bundle of the node's active model version: it

@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end check of the sharded serving cluster.
 #
-# Boots three occuserve nodes behind one shard map — n1 trains the detector,
-# n2/n3 fetch the bundle from n1 via -model-from — plus a thin redirecting
-# router in front, asserts all four advertise the same model SHA-256, then
+# Boots three occuserve nodes behind one shard map — n1 serves a bundle
+# cmd/occutrain wrote, n2/n3 fetch it from n1 via -model-from — plus a thin
+# redirecting router in front, asserts all four advertise the same model
+# SHA-256, then
 # points cmd/loadgen -cluster at the router: 64 feeds stream at their
-# owning nodes, node n3 is drained out of the map mid-run, its sealed feed
-# logs are handed off to the new owners, and loadgen's exit code asserts
-# that every decision is bit-identical to a single-node replay and that zero
-# acknowledged frames were lost. Finally every process must drain cleanly on
-# SIGTERM (DESIGN.md §15).
+# owning nodes, node n3 is drained out of the map mid-run, and each of its
+# feeds moves to its new owner as its log directory (sealed segments and
+# snapshot, streamed from n3's GET .../log into the owner's PUT .../log).
+# loadgen's exit code asserts that every decision is bit-identical to a
+# single-node replay, that the new owners' /metrics show every moved frame
+# restored from its snapshot and none replayed, and that zero acknowledged
+# frames were lost. Finally every process must drain cleanly on SIGTERM
+# (DESIGN.md §15).
 #
 # Usage: scripts/cluster_smoke.sh [baseport]   (default 19200)
 set -euo pipefail
@@ -24,7 +28,13 @@ pids=()
 trap 'kill "${pids[@]}" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/occuserve" ./cmd/occuserve
+go build -o "$tmp/occutrain" ./cmd/occutrain
 go build -o "$tmp/loadgen" ./cmd/loadgen
+# Every member must score a moved feed with the same arithmetic, or the new
+# owner refuses the hand-off (scorer_mismatch). A node that trains on the fly
+# also trains a CSI-only fallback that -model-from does not carry, so n1
+# serves a trained bundle instead, exactly as its peers do.
+"$tmp/occutrain" -epochs 1 -model "$tmp/detector.bin" >"$tmp/occutrain.log" 2>&1
 
 wait_ready() { # url name
   for _ in $(seq 1 240); do
@@ -36,8 +46,8 @@ wait_ready() { # url name
   exit 1
 }
 
-common=(-epochs 1 -stream-buffer 4096 -cluster-nodes "$nodes")
-"$tmp/occuserve" -addr "127.0.0.1:$p1" -cluster-self n1 -log-dir "$tmp/log-n1" "${common[@]}" >"$tmp/n1.log" 2>&1 &
+common=(-stream-buffer 4096 -cluster-nodes "$nodes")
+"$tmp/occuserve" -addr "127.0.0.1:$p1" -cluster-self n1 -log-dir "$tmp/log-n1" -model "$tmp/detector.bin" "${common[@]}" >"$tmp/n1.log" 2>&1 &
 pids+=($!)
 wait_ready "$u1" n1
 "$tmp/occuserve" -addr "127.0.0.1:$p2" -cluster-self n2 -log-dir "$tmp/log-n2" -model-from "$u1" "${common[@]}" >"$tmp/n2.log" 2>&1 &
@@ -74,15 +84,16 @@ if ! printf '%s' "$env_body" | grep -q '"code":"unknown_feed"'; then
 fi
 echo "cluster_smoke: error envelope OK through the router"
 
-# The full harness: 64 feeds through the router, mid-run drain of n3 with
-# sealed-log handoff; the exit code asserts bit-identity and zero loss.
+# The full harness: 64 feeds through the router, mid-run drain of n3 and
+# the hand-off of its feeds; the exit code asserts bit-identity, restore
+# without replay, and zero loss.
 if ! "$tmp/loadgen" -cluster 3 -target "$ur" -drain-node n3 \
   -feeds 64 -per-feed 120 -epochs 1 >"$tmp/loadgen.log" 2>&1; then
   echo "cluster_smoke: loadgen cluster harness failed" >&2
   tail -30 "$tmp/loadgen.log" >&2
   exit 1
 fi
-tail -3 "$tmp/loadgen.log"
+tail -4 "$tmp/loadgen.log"
 
 kill -TERM "${pids[@]}" 2>/dev/null || true
 for p in "${pids[@]}"; do
