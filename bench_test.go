@@ -301,13 +301,22 @@ func BenchmarkInferenceMLPSingle(b *testing.B) {
 	}
 }
 
+// benchArena lowers net at precision p and returns one arena over it.
+func benchArena(b *testing.B, net *nn.Network, p nn.Precision) *nn.Arena {
+	prog, err := nn.Lower(net, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog.NewArena()
+}
+
 // BenchmarkInferenceMLPSingleFused measures the arena's fused single-row
 // path — vector·matrix over raw slices, no tensor.Matrix wrapping, zero
 // allocations — which the inference engine runs for every row.
 func BenchmarkInferenceMLPSingleFused(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	arena := nn.NewArena(net)
+	arena := benchArena(b, net, nn.F64)
 	row := tensor.NewMatrix(1, 66).RandomizeNormal(rng, 1).Row(0)
 	arena.PredictProb1(row) // warm the scratch buffers
 	b.ReportAllocs()
@@ -324,7 +333,7 @@ func BenchmarkInferenceMLPSingleFused(b *testing.B) {
 func BenchmarkInferenceMLPBatch256(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	arena := nn.NewArena(net)
+	arena := benchArena(b, net, nn.F64)
 	x := tensor.NewMatrix(256, 66).RandomizeNormal(rng, 1)
 	probs := make([]float64, 256)
 	arena.PredictProbsInto(probs, x) // warm the scratch buffers
@@ -344,11 +353,7 @@ func BenchmarkInferenceMLPBatch256(b *testing.B) {
 func BenchmarkInferenceMLPBatch256F32(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	nf, err := nn.NewNetworkF32(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arena := nn.NewArenaF32(nf)
+	arena := benchArena(b, net, nn.F32)
 	x := tensor.NewMatrix(256, 66).RandomizeNormal(rng, 1)
 	probs := make([]float64, 256)
 	arena.PredictProbsInto(probs, x)
@@ -367,11 +372,7 @@ func BenchmarkInferenceMLPBatch256F32(b *testing.B) {
 func BenchmarkInferenceMLPBatch256I8(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	nq, err := nn.NewNetworkI8(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arena := nn.NewArenaI8(nq)
+	arena := benchArena(b, net, nn.I8)
 	x := tensor.NewMatrix(256, 66).RandomizeNormal(rng, 1)
 	probs := make([]float64, 256)
 	arena.PredictProbsInto(probs, x)
@@ -388,11 +389,7 @@ func BenchmarkInferenceMLPBatch256I8(b *testing.B) {
 func BenchmarkInferenceMLPSingleFusedF32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	nf, err := nn.NewNetworkF32(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arena := nn.NewArenaF32(nf)
+	arena := benchArena(b, net, nn.F32)
 	row := tensor.NewMatrix(1, 66).RandomizeNormal(rng, 1).Row(0)
 	arena.PredictProb1(row)
 	b.ReportAllocs()
@@ -409,7 +406,11 @@ func BenchmarkInferenceMLPSingleFusedF32(b *testing.B) {
 func BenchmarkEngineMultiFeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	eng, err := infer.New(infer.Config{NewScorer: infer.NetworkScorer(net)})
+	newScorer, err := infer.NetworkScorerAt(net, infer.PrecisionF64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := infer.New(infer.Config{NewScorer: newScorer})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,10 +2,38 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
 )
+
+// TestCSVGolden pins the bytes `csigen -rate 1 -hours 2` writes: an FNV-1a
+// hash of the CSV, produced by main itself (flags, streaming flushes and
+// all), the same under either OCCU_KERNEL setting. A change to the
+// simulator's physics or to the CSV format moves it on purpose; say so where
+// it lands.
+func TestCSVGolden(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.csv")
+	args := os.Args
+	defer func() { os.Args = args }()
+	os.Args = []string{"csigen", "-rate", "1", "-hours", "2", "-q", "-out", out}
+	flag.CommandLine = flag.NewFlagSet("csigen", flag.ExitOnError)
+	main()
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	const want = 0x7c21476af517abfc
+	if h.Sum64() != want {
+		t.Fatalf("%d CSV bytes hashing to %#016x, want %#016x", len(b), h.Sum64(), uint64(want))
+	}
+}
 
 func TestLineBufferAfterHeader(t *testing.T) {
 	var b lineBuffer

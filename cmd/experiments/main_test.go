@@ -2,11 +2,52 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"hash/fnv"
+	"io"
+	"os"
+	"regexp"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
+
+// timing matches the wall-clock figures main prints ("records in 0.1s",
+// "computed in 0.6s"), the only run-to-run variation in its output.
+var timing = regexp.MustCompile(`(records|computed) in [0-9.]+s`)
+
+// TestTable4Golden pins what `experiments -quick -only table4` prints: an
+// FNV-1a hash of main's stdout with the timing figures blanked — trace
+// generation, the fold split, LogReg/RF/MLP training and scoring over every
+// feature set and fold, and the table rendering, the same under either
+// OCCU_KERNEL setting and for any -workers value. A change that moves an
+// accuracy figure moves it on purpose; say so where it lands.
+func TestTable4Golden(t *testing.T) {
+	stdout, args := os.Stdout, os.Args
+	defer func() { os.Stdout, os.Args = stdout, args }()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	os.Stdout = w
+	os.Args = []string{"experiments", "-quick", "-only", "table4"}
+	flag.CommandLine = flag.NewFlagSet("experiments", flag.ExitOnError)
+	main()
+	w.Close()
+	out := timing.ReplaceAll(<-done, []byte("$1 in Xs"))
+	h := fnv.New64a()
+	h.Write(out)
+	const want = 0xdb926ee9bdc3af17
+	if h.Sum64() != want {
+		t.Fatalf("stdout hashes to %#016x, want %#016x:\n%s", h.Sum64(), uint64(want), out)
+	}
+}
 
 // TestResultsJSONRoundtrip ensures the -json export marshals cleanly,
 // including the FeatureSet-keyed Table IV maps (which rely on the

@@ -26,8 +26,8 @@
 //
 //   - High-level APIs carry an "Into" suffix and take the destination as the
 //     first parameter: nn.Network.PredictProbsInto, nn.Network.
-//     PredictBinaryInto, nn.Arena.PredictProbsInto (and the ArenaF32/ArenaI8
-//     mirrors), dataset.FeatureRowInto, tensor.RowMatMulInto,
+//     PredictBinaryInto, nn.Arena.PredictProbsInto (one arena at every
+//     precision), dataset.FeatureRowInto, tensor.RowMatMulInto,
 //     tensor.SparseRowMatMulF32Into. Each is the allocation-free variant of
 //     a same-named convenience API and must produce bit-identical results.
 //

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cpukit"
 	"repro/internal/dataset"
 	"repro/internal/infer"
-	"repro/internal/nn"
 )
 
 // Divergence harness (DESIGN.md §12): before a reduced-precision scorer
@@ -114,13 +113,17 @@ func RunDivergence(det *Detector, recs []dataset.Record, cfg DivergenceConfig) (
 
 	// Reference: the float64 arena, bit-identical to Detector.PredictRecord
 	// (TestArenaBitIdentical). Candidate: one reduced-precision scorer of
-	// the same kind the serving engine builds per worker.
-	ref := nn.NewArena(det.Net)
+	// the same kind the serving engine builds per worker. Either lowering
+	// refuses a network no arena can score.
+	newRef, err := infer.NetworkScorerAt(det.Net, infer.PrecisionF64)
+	if err != nil {
+		return nil, err
+	}
 	newScorer, err := infer.NetworkScorerAt(det.Net, prec)
 	if err != nil {
 		return nil, err
 	}
-	reduced := newScorer()
+	ref, reduced := newRef(), newScorer()
 
 	res := &DivergenceResult{Precision: prec, Kernel: cpukit.Active().String(), Samples: len(recs)}
 	res.BoundAbsDelta, res.BoundFlipRate = DefaultDivergenceBounds(prec)
@@ -137,7 +140,7 @@ func RunDivergence(det *Detector, recs []dataset.Record, cfg DivergenceConfig) (
 		dataset.FeatureRowInto(row, &recs[i], det.Features)
 		det.Scaler.TransformRow(row)
 		p64 := ref.PredictProb1(row)
-		pr := reduced.ScoreRow(row)
+		pr := reduced.PredictProb1(row)
 		d := pr - p64
 		if d < 0 {
 			d = -d

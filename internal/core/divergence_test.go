@@ -123,7 +123,7 @@ func TestDetectorEnginePrecision(t *testing.T) {
 		for i := range recs {
 			dataset.FeatureRowInto(row, &recs[i], det.Features)
 			det.Scaler.TransformRow(row)
-			want := direct.ScoreRow(row)
+			want := direct.PredictProb1(row)
 			got, _ := de.PredictRecord(&recs[i])
 			if got != want {
 				t.Fatalf("%s: record %d: engine %v != direct reduced path %v", p, i, got, want)
@@ -148,7 +148,7 @@ func TestRunFootprintAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ni, err := nn.NewNetworkI8(det.Net)
+	ni, err := nn.Lower(det.Net, nn.I8)
 	if err != nil {
 		t.Fatal(err)
 	}

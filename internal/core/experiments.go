@@ -550,7 +550,7 @@ func RunFootprintAt(det *Detector, iters int, precision string) (*FootprintResul
 		Precision: string(prec),
 	}
 	if prec == infer.PrecisionI8 {
-		nq, err := nn.NewNetworkI8(det.Net)
+		nq, err := nn.Lower(det.Net, nn.I8)
 		if err != nil {
 			return nil, err
 		}

@@ -34,29 +34,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Scorer is one private view of a model. Implementations are NOT required
-// to be safe for concurrent use — the engine builds Workers of them from the
-// Config.NewScorer factory and lends each to one caller at a time. ScoreRow
-// must agree bit for bit with the model's reference prediction path on every
-// row.
+// Scorer is one private view of a model; for nn models it is an *nn.Arena.
+// Implementations are NOT required to be safe for concurrent use — the
+// engine builds Workers of them from the Config.NewScorer factory and lends
+// each to one caller at a time. PredictProb1 must agree bit for bit with the
+// model's reference prediction path at its precision on every row.
 type Scorer interface {
 	// InputDim returns the feature width the model expects.
 	InputDim() int
-	// ScoreRow scores a single feature row.
-	ScoreRow(row []float64) float64
-}
-
-// netScorer adapts an nn.Arena to Scorer.
-type netScorer struct{ arena *nn.Arena }
-
-func (s *netScorer) InputDim() int                  { return s.arena.Network().InputDim() }
-func (s *netScorer) ScoreRow(row []float64) float64 { return s.arena.PredictProb1(row) }
-
-// NetworkScorer returns a Scorer factory serving a shared trained network
-// through per-Scorer forward arenas. The network's weights must not be
-// mutated (trained) while the engine is live.
-func NetworkScorer(net *nn.Network) func() Scorer {
-	return func() Scorer { return &netScorer{arena: nn.NewArena(net)} }
+	// PredictProb1 scores a single feature row.
+	PredictProb1(row []float64) float64
 }
 
 // Precision selects the numeric representation the engine's scorers compute
@@ -64,17 +51,17 @@ func NetworkScorer(net *nn.Network) func() Scorer {
 // everywhere determinism is asserted; PrecisionF32 and PrecisionI8 trade
 // bounded probability divergence (verified by core's divergence harness)
 // for throughput and model footprint.
-type Precision string
+type Precision = nn.Precision
 
 const (
-	// PrecisionF64 scores through the float64 arena — bit-identical to the
+	// PrecisionF64 scores the float64 program — bit-identical to the
 	// reference prediction path. The default.
-	PrecisionF64 Precision = "f64"
-	// PrecisionF32 scores through the float32 sparse-compaction arena.
-	PrecisionF32 Precision = "f32"
-	// PrecisionI8 scores through int8-quantised weights with float32
-	// activations. Smaller, not faster, on scalar CPUs — see DESIGN.md §12.
-	PrecisionI8 Precision = "int8"
+	PrecisionF64 = nn.F64
+	// PrecisionF32 scores the float32 sparse-compaction program.
+	PrecisionF32 = nn.F32
+	// PrecisionI8 scores int8-quantised weights with float32 activations.
+	// Smaller, not faster, on scalar CPUs — see DESIGN.md §12.
+	PrecisionI8 = nn.I8
 )
 
 // ParsePrecision maps a flag/config string onto a Precision; the empty
@@ -91,42 +78,25 @@ func ParsePrecision(s string) (Precision, error) {
 	return "", fmt.Errorf("infer: unknown precision %q (want f64, f32 or int8)", s)
 }
 
-// f32Scorer adapts an nn.ArenaF32 to Scorer.
-type f32Scorer struct{ arena *nn.ArenaF32 }
-
-func (s *f32Scorer) InputDim() int                  { return s.arena.Network().InputDim() }
-func (s *f32Scorer) ScoreRow(row []float64) float64 { return s.arena.PredictProb1(row) }
-
-// i8Scorer adapts an nn.ArenaI8 to Scorer.
-type i8Scorer struct{ arena *nn.ArenaI8 }
-
-func (s *i8Scorer) InputDim() int                  { return s.arena.Network().InputDim() }
-func (s *i8Scorer) ScoreRow(row []float64) float64 { return s.arena.PredictProb1(row) }
-
-// NetworkScorerAt returns a Scorer factory for net at the given precision.
-// The reduced-precision weight representation is built once here and shared
-// read-only across the arenas, so the arena count does not multiply the
-// conversion cost. Fails when the precision string is unknown or the
-// network is not a Dense/activation stack (reduced precision does not cover
-// convolutional layers).
+// NetworkScorerAt returns a Scorer factory for net at the given precision
+// ("" selects f64). The network is lowered once (nn.Lower) and every Scorer
+// is an arena over that one read-only program, so the arena count does not
+// multiply the conversion cost. Fails on an unknown precision and on any
+// stack nn.Lower cannot serve — a convolution, widths that do not chain, a
+// head wider than one column — so a model that cannot be scored is refused
+// here, at every precision, instead of panicking on its first row. At f64
+// the arenas read the network's own weights: do not train it while the
+// engine is live.
 func NetworkScorerAt(net *nn.Network, p Precision) (func() Scorer, error) {
-	switch p {
-	case "", PrecisionF64:
-		return NetworkScorer(net), nil
-	case PrecisionF32:
-		nf, err := nn.NewNetworkF32(net)
-		if err != nil {
-			return nil, err
-		}
-		return func() Scorer { return &f32Scorer{arena: nn.NewArenaF32(nf)} }, nil
-	case PrecisionI8:
-		nq, err := nn.NewNetworkI8(net)
-		if err != nil {
-			return nil, err
-		}
-		return func() Scorer { return &i8Scorer{arena: nn.NewArenaI8(nq)} }, nil
+	p, err := ParsePrecision(string(p))
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("infer: unknown precision %q (want f64, f32 or int8)", p)
+	prog, err := nn.Lower(net, p)
+	if err != nil {
+		return nil, err
+	}
+	return func() Scorer { return prog.NewArena() }, nil
 }
 
 // Config parametrises an Engine.
@@ -265,7 +235,7 @@ func (e *Engine) Predict(row []float64) float64 {
 		panic("infer: Predict called on a closed Engine")
 	}
 	e.m.busyWorkers.Add(1)
-	p := sc.ScoreRow(row)
+	p := sc.PredictProb1(row)
 	e.m.busyWorkers.Add(-1)
 	e.free <- sc
 	e.m.requests.Inc()

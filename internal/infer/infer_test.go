@@ -31,6 +31,15 @@ func testNet(t testing.TB, rows int) (*nn.Network, [][]float64, []float64) {
 	return net, rs, want
 }
 
+// f64Scorers is NetworkScorerAt at f64 for tests: a refusal fails the test.
+func f64Scorers(t testing.TB, net *nn.Network) func() Scorer {
+	newScorer, err := NetworkScorerAt(net, PrecisionF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newScorer
+}
+
 // TestEngineBitIdentical is the acceptance guarantee: for any arena count
 // and dozens of concurrent callers — i.e. any interleaving of who holds
 // which arena — every row scores bit-identically to the direct serial
@@ -40,7 +49,7 @@ func TestEngineBitIdentical(t *testing.T) {
 	net, rows, want := testNet(t, 64)
 	for _, workers := range []int{1, 2, 8} {
 		reg := obs.NewRegistry()
-		eng, err := New(Config{NewScorer: NetworkScorer(net), Workers: workers, Observer: reg})
+		eng, err := New(Config{NewScorer: f64Scorers(t, net), Workers: workers, Observer: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,16 +79,16 @@ func TestEngineBitIdentical(t *testing.T) {
 }
 
 // gateScorer is a fake Scorer that counts how many goroutines are inside
-// ScoreRow at once, reports each entry, and holds every caller until
+// PredictProb1 at once, reports each entry, and holds every caller until
 // released.
 type gateScorer struct {
 	inside, peak atomic.Int32
-	entered      chan struct{} // one send per ScoreRow entry
-	release      chan struct{} // one receive per ScoreRow exit; closed = open gate
+	entered      chan struct{} // one send per PredictProb1 entry
+	release      chan struct{} // one receive per PredictProb1 exit; closed = open gate
 }
 
 func (s *gateScorer) InputDim() int { return 1 }
-func (s *gateScorer) ScoreRow(row []float64) float64 {
+func (s *gateScorer) PredictProb1(row []float64) float64 {
 	n := s.inside.Add(1)
 	for {
 		p := s.peak.Load()
@@ -237,8 +246,8 @@ func TestEngineConfigErrors(t *testing.T) {
 // identityScorer scores a one-wide row as its only element.
 type identityScorer struct{}
 
-func (identityScorer) InputDim() int                  { return 1 }
-func (identityScorer) ScoreRow(row []float64) float64 { return row[0] }
+func (identityScorer) InputDim() int                      { return 1 }
+func (identityScorer) PredictProb1(row []float64) float64 { return row[0] }
 
 func newIdentityScorer() Scorer { return identityScorer{} }
 
@@ -261,7 +270,7 @@ func TestPredictLabel(t *testing.T) {
 // not allocate in steady state.
 func TestEnginePredictZeroAlloc(t *testing.T) {
 	net, rows, _ := testNet(t, 8)
-	eng, err := New(Config{NewScorer: NetworkScorer(net), Workers: 1})
+	eng, err := New(Config{NewScorer: f64Scorers(t, net), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +294,7 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 	const feeds = 8
 	for _, o := range []obs.Observer{nil, reg} {
 		eng, err := New(Config{
-			NewScorer: NetworkScorer(net),
+			NewScorer: f64Scorers(t, net),
 			Workers:   4,
 			Observer:  o,
 		})
@@ -341,7 +350,7 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 func TestEngineKernelSurfaced(t *testing.T) {
 	net, _, _ := testNet(t, 4)
 	reg := obs.NewRegistry()
-	eng, err := New(Config{NewScorer: NetworkScorer(net), Workers: 1, Observer: reg})
+	eng, err := New(Config{NewScorer: f64Scorers(t, net), Workers: 1, Observer: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

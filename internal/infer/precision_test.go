@@ -46,8 +46,8 @@ func TestConfigValidatePrecision(t *testing.T) {
 	}
 }
 
-// TestNetworkScorerAtErrors: unknown precisions and non-fusable stacks fail
-// at construction, not at score time.
+// TestNetworkScorerAtErrors: unknown precisions and stacks no arena can
+// score fail at construction, at every precision, not at score time.
 func TestNetworkScorerAtErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	net := nn.NewMLP(4, []int{4}, 1, rng)
@@ -55,20 +55,16 @@ func TestNetworkScorerAtErrors(t *testing.T) {
 		t.Fatal("NetworkScorerAt accepted f16")
 	}
 	cnn := nn.NewCNN(12, 1, rng)
-	for _, p := range []Precision{PrecisionF32, PrecisionI8} {
+	for _, p := range []Precision{PrecisionF64, PrecisionF32, PrecisionI8} {
 		if _, err := NetworkScorerAt(cnn, p); err == nil {
 			t.Fatalf("NetworkScorerAt(%s) accepted a CNN", p)
 		}
-	}
-	// f64 covers every stack, including the CNN.
-	if _, err := NetworkScorerAt(cnn, PrecisionF64); err != nil {
-		t.Fatalf("NetworkScorerAt(f64) on CNN: %v", err)
 	}
 }
 
 // TestEngineReducedPrecisionBitIdentical is TestEngineBitIdentical for the
 // reduced paths: for any arena count under concurrent callers, every row
-// scores bit-identically to a direct ArenaF32/ArenaI8 over the same network
+// scores bit-identically to a direct arena over the same lowered network
 // — concurrency affects scheduling, never arithmetic, at every precision.
 func TestEngineReducedPrecisionBitIdentical(t *testing.T) {
 	net, rows, _ := testNet(t, 64)
@@ -80,7 +76,7 @@ func TestEngineReducedPrecisionBitIdentical(t *testing.T) {
 		direct := newScorer()
 		want := make([]float64, len(rows))
 		for i, r := range rows {
-			want[i] = direct.ScoreRow(r)
+			want[i] = direct.PredictProb1(r)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			eng, err := New(Config{NewScorer: newScorer, Precision: p, Workers: workers})

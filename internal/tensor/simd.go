@@ -16,12 +16,12 @@ import "fmt"
 // Equivalence contracts, enforced by simd_test.go, simd_f64_test.go,
 // phasor_test.go and their fuzzers:
 //
-//   - float64 kernels (axpy4F64 under MatMul/MatMulSerial/MatMulATB/
-//     RowMatMulInto, the four-accumulator dot under MatMulABT): exact. The
-//     AVX2 forms use separate multiply and add instructions, never FMA, and
-//     add in the generic statement's order, so every lane rounds as the
-//     scalar code does: trained weights, checkpoints and goldens have the
-//     same bits under either kernel, and the tests compare Float64bits.
+//   - float64 kernels (axpy4F64 under MatMul/MatMulATB/RowMatMulInto, the
+//     four-accumulator dot under MatMulABT): exact. The AVX2 forms use
+//     separate multiply and add instructions, never FMA, and add in the
+//     generic statement's order, so every lane rounds as the scalar code
+//     does: trained weights, checkpoints and goldens have the same bits
+//     under either kernel, and the tests compare Float64bits.
 //   - float kernels (sparseAxpyF32, denseRowMatMul, sparseDequantAxpyI8):
 //     AVX2 fuses multiply-adds and regroups the k accumulation 4-wide, so
 //     results diverge from generic by a few float32 ulps per accumulated
@@ -110,7 +110,7 @@ func SparseRowMatMulI8Into(dst, bias []float32, w []int8, n int, scale float32, 
 }
 
 // sparseRowMatMulI8Generic is the scalar int8 kernel, verbatim the loop the
-// pre-SIMD ArenaI8 ran (4-wide k groups, per-element widening, scale+bias
+// pre-SIMD int8 arena ran (4-wide k groups, per-element widening, scale+bias
 // epilogue).
 func sparseRowMatMulI8Generic(dst, bias []float32, w []int8, n int, scale float32, idx []int32, val []float32) {
 	for j := range dst {

@@ -154,7 +154,7 @@ func sameBits(t *testing.T, op string, got, want *Matrix) {
 	}
 }
 
-// checkF64Exact runs the five entry points on one (m, k, n) shape: x is m×k,
+// checkF64Exact runs the four entry points on one (m, k, n) shape: x is m×k,
 // w is k×n, dy is m×n — a layer's forward x·w, its dW = xᵀ·dy and its
 // dx = dy·wᵀ, the three products nn.Fit makes.
 func checkF64Exact(t *testing.T, rng *rand.Rand, m, k, n int, palette []float64, every int) {
@@ -168,7 +168,6 @@ func checkF64Exact(t *testing.T, rng *rand.Rand, m, k, n int, palette []float64,
 	// Into a dirty destination: MatMul must zero it, MatMulABT overwrite it.
 	dirty := fillF64(NewMatrix(m, n), rng, palette, every)
 	sameBits(t, "MatMul(dst)", MatMul(dirty, x, w), fwd)
-	sameBits(t, "MatMulSerial", MatMulSerial(nil, x, w), fwd)
 	sameBits(t, "MatMulATB", MatMulATB(nil, x, dy), matMulATBRef(x, dy))
 	dirty = fillF64(NewMatrix(m, k), rng, palette, every)
 	sameBits(t, "MatMulABT", MatMulABT(dirty, dy, w), matMulABTRef(dy, w))

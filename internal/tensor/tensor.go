@@ -210,7 +210,7 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 }
 
 // axpy4F64 is the accumulation statement of every float64 matmul that
-// streams rows of b — MatMul, MatMulSerial, MatMulATB and RowMatMulInto:
+// streams rows of b — MatMul, MatMulATB and RowMatMulInto:
 //
 //	dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 //
@@ -295,29 +295,6 @@ func RowMatMulInto(dst, row []float64, b *Matrix, bias []float64) {
 	for j, v := range bias {
 		dst[j] += v
 	}
-}
-
-// MatMulSerial computes a×b into dst (allocating when dst is nil) on the
-// calling goroutine only — same kernel as MatMul, bit-identical output, but
-// no goroutine fan-out and no closure allocation. This is the variant for
-// callers that already own their parallelism (serving-engine callers, each
-// holding a private arena while it scores): fanning out inside the matmul
-// there would oversubscribe the machine, and the closure the parallel path
-// allocates would break the arena's zero-allocation guarantee.
-func MatMulSerial(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
-	}
-	if dst == nil {
-		dst = NewMatrix(a.Rows, b.Cols)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Cols {
-			panic("tensor: MatMul dst shape mismatch")
-		}
-		dst.Zero()
-	}
-	matmulRange(dst, a, b, 0, a.Rows)
-	return dst
 }
 
 // MatMulATB computes aᵀ×b into dst (allocating when nil). a is m×r, b is m×c,

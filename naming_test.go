@@ -14,13 +14,12 @@ import (
 // suffix: BLAS-style kernels and interface contracts where in-place writing
 // is the entire point (see doc.go, "Zero-allocation naming convention").
 var intoKernels = map[string]bool{
-	"MatMul":       true,
-	"MatMulSerial": true,
-	"MatMulATB":    true,
-	"MatMulABT":    true,
-	"MatMulF32":    true, // float32 mirror of MatMul
-	"Axpy":         true,
-	"Grad":         true, // nn.Loss contract
+	"MatMul":    true,
+	"MatMulATB": true,
+	"MatMulABT": true,
+	"MatMulF32": true, // float32 mirror of MatMul
+	"Axpy":      true,
+	"Grad":      true, // nn.Loss contract
 }
 
 // TestIntoNamingConvention enforces the repository's zero-allocation naming

@@ -346,8 +346,9 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 // newInstallGate builds the BuildModel hook for candidate bundles: parse,
 // feature-set match against the boot detector, a divergence sweep at the
 // serving precision (skipped at f64, where serving is the bit-exact
-// reference), and only then an engine. Any failure rejects the install —
-// the registry never holds a version that cannot serve.
+// reference), and only then an engine, whose lowering refuses a network no
+// arena can score. Any failure rejects the install — the registry never
+// holds a version that cannot serve.
 func newInstallGate(boot *Detector, ecfg core.ServeConfig) func([]byte) (stream.Predictor, error) {
 	// The divergence sweep needs representative frames; generate a short
 	// synthetic trace lazily (and once), since f64 servers never need it.
