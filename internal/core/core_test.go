@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -263,5 +264,40 @@ func TestDefaultConfigsConsistent(t *testing.T) {
 	net := nn.NewMLP(64, PaperHidden, 1, newTestRng())
 	if net.NumParams() != 8320+33024+32896+129 {
 		t.Fatalf("CSI MLP params %d", net.NumParams())
+	}
+}
+
+// TestConfigsRejectNonFiniteTrainRates: every config that embeds an
+// nn.TrainConfig refuses a NaN or infinite rate through its Validate, which
+// TrainDetector, TrainEnvRegressor, TrainActivity and the experiment grids
+// call before training.
+func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		set  func(*nn.TrainConfig)
+	}{
+		{"LR NaN", func(c *nn.TrainConfig) { c.LR = math.NaN() }},
+		{"LR +Inf", func(c *nn.TrainConfig) { c.LR = math.Inf(1) }},
+		{"WeightDecay NaN", func(c *nn.TrainConfig) { c.WeightDecay = math.NaN() }},
+		{"ClipNorm +Inf", func(c *nn.TrainConfig) { c.ClipNorm = math.Inf(1) }},
+	} {
+		det := DefaultDetectorConfig()
+		bad.set(&det.Train)
+		env := DefaultEnvRegressorConfig()
+		bad.set(&env.Train)
+		act := ActivityConfig{Train: nn.DefaultTrainConfig()}
+		bad.set(&act.Train)
+		exp := DefaultExperimentConfig()
+		bad.set(&exp.NNTrain)
+		for cfg, err := range map[string]error{
+			"DetectorConfig":     det.Validate(),
+			"EnvRegressorConfig": env.Validate(),
+			"ActivityConfig":     act.Validate(),
+			"ExperimentConfig":   exp.Validate(),
+		} {
+			if err == nil {
+				t.Errorf("%s with %s validated", cfg, bad.name)
+			}
+		}
 	}
 }

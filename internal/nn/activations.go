@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -24,7 +25,20 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
+// positiveMask is all ones when v > 0 and zero otherwise, for every bit
+// pattern, without a branch. Read as an unsigned integer, v's bits lie in
+// [1, +Inf's bits] exactly when v > 0: +0 is below that range, and a
+// positive NaN is above it, as is everything with the sign bit set (−0,
+// negatives, negative NaNs). bits−1 < +Inf's bits is that range test, and
+// bits.Sub64 returns its borrow as 0 or 1. A data-dependent `if v > 0`
+// mispredicts on about half of a layer's activations; the mask costs the
+// same for all of them.
+func positiveMask(v float64) uint64 {
+	_, borrow := bits.Sub64(math.Float64bits(v)-1, 0x7FF0000000000000, 0)
+	return -borrow
+}
+
+// Forward implements Layer: v where v > 0, else +0.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	var out *tensor.Matrix
 	if train {
@@ -35,31 +49,29 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		// No writes to r here: inference must stay concurrent-safe.
 		out = tensor.NewMatrix(x.Rows, x.Cols)
 	}
+	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(v))
 	}
 	return out
 }
 
-// Backward implements Layer: passes gradient where the input was positive.
+// Backward implements Layer: passes gradient where the input was positive
+// and +0 elsewhere.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if r.input == nil {
 		panic("nn: ReLU.Backward without a training Forward")
 	}
-	r.bwdDx = tensor.EnsureShape(r.bwdDx, grad.Rows, grad.Cols)
-	out := r.bwdDx
-	for i, v := range r.input.Data {
-		if v > 0 {
-			out.Data[i] = grad.Data[i]
-		} else {
-			out.Data[i] = 0
-		}
+	if !grad.SameShape(r.input) {
+		panic("nn: ReLU.Backward gradient shape differs from its input's")
 	}
-	return out
+	r.bwdDx = tensor.EnsureShape(r.bwdDx, grad.Rows, grad.Cols)
+	in := r.input.Data
+	dst, g := r.bwdDx.Data[:len(in)], grad.Data[:len(in)]
+	for i, v := range in {
+		dst[i] = math.Float64frombits(math.Float64bits(g[i]) & positiveMask(v))
+	}
+	return r.bwdDx
 }
 
 // Params implements Layer.

@@ -32,14 +32,21 @@ func NewConv1D(inC, outC, k, l int, rng *rand.Rand) *Conv1D {
 	if k < 1 || k > l {
 		panic(fmt.Sprintf("nn: Conv1D kernel %d out of [1,%d]", k, l))
 	}
-	c := &Conv1D{
+	c := newConv1D(inC, outC, k, l)
+	c.W.KaimingInit(rng, inC*k)
+	return c
+}
+
+// newConv1D allocates a Conv1D layer with zero kernels and bias, for Load to
+// fill; k must lie in [1, l].
+func newConv1D(inC, outC, k, l int) *Conv1D {
+	return &Conv1D{
 		InC: inC, OutC: outC, K: k, L: l,
-		W:     tensor.NewMatrix(outC, inC*k).KaimingInit(rng, inC*k),
+		W:     tensor.NewMatrix(outC, inC*k),
 		B:     tensor.NewMatrix(1, outC),
 		GradW: tensor.NewMatrix(outC, inC*k),
 		GradB: tensor.NewMatrix(1, outC),
 	}
-	return c
 }
 
 // LOut returns the output length per channel.

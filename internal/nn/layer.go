@@ -59,14 +59,21 @@ type Dense struct {
 
 // NewDense creates a Dense layer with Kaiming-uniform weights and zero bias.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{
+	d := newDense(in, out)
+	d.W.KaimingInit(rng, in)
+	return d
+}
+
+// newDense allocates a Dense layer with zero weights and bias, for Load to
+// fill.
+func newDense(in, out int) *Dense {
+	return &Dense{
 		In: in, Out: out,
-		W:     tensor.NewMatrix(in, out).KaimingInit(rng, in),
+		W:     tensor.NewMatrix(in, out),
 		B:     tensor.NewMatrix(1, out),
 		GradW: tensor.NewMatrix(in, out),
 		GradB: tensor.NewMatrix(1, out),
 	}
-	return d
 }
 
 // Forward computes x·W + b for a batch x (n×In).
@@ -89,22 +96,29 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward computes parameter gradients and returns ∂L/∂x = grad·Wᵀ.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	d.paramGrads(grad)
+	d.bwdDx = tensor.EnsureShape(d.bwdDx, grad.Rows, d.In)
+	return tensor.MatMulABT(d.bwdDx, grad, d.W)
+}
+
+// paramGrads is Backward without the input gradient: dW = xᵀ·grad and
+// db = column sums of grad. Training's first layer stops here (see
+// Network.backwardParams).
+func (d *Dense) paramGrads(grad *tensor.Matrix) {
 	if d.input == nil {
 		panic("nn: Dense.Backward without a training Forward")
 	}
-	// dW = xᵀ·grad ; db = column sums of grad ; dx = grad·Wᵀ.
 	tensor.MatMulATB(d.GradW, d.input, grad)
-	gb := d.GradB.Data
+	gb := d.GradB.Data[:grad.Cols]
 	for j := range gb {
 		gb[j] = 0
 	}
 	for i := 0; i < grad.Rows; i++ {
-		for j, v := range grad.Row(i) {
-			gb[j] += v
+		row := grad.Data[i*len(gb) : i*len(gb)+len(gb)]
+		for j := range gb {
+			gb[j] += row[j]
 		}
 	}
-	d.bwdDx = tensor.EnsureShape(d.bwdDx, grad.Rows, d.In)
-	return tensor.MatMulABT(d.bwdDx, grad, d.W)
 }
 
 // Params returns [W, B].

@@ -53,6 +53,24 @@ func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	return grad
 }
 
+// backwardParams is Backward for a training step: it fills every layer's
+// parameter gradients and stops before the first layer's input gradient,
+// which nothing in training reads — for a Dense first layer that is one
+// matmul (and one scratch matrix) fewer per batch.
+func (n *Network) backwardParams(grad *tensor.Matrix) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		grad = n.Layers[i].Backward(grad)
+	}
+	if d, ok := n.Layers[0].(*Dense); ok {
+		d.paramGrads(grad)
+		return
+	}
+	n.Layers[0].Backward(grad)
+}
+
 // Params returns all trainable parameters in layer order.
 func (n *Network) Params() []*tensor.Matrix {
 	var out []*tensor.Matrix

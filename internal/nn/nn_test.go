@@ -69,6 +69,50 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUExact holds the branch-free ReLU to the scalar definition under
+// math.Float64bits — forward v if v > 0 else +0, backward g if v > 0 else
+// +0 — for every class of bit pattern: signed zeros, the smallest
+// subnormals, ±MaxFloat64, ±Inf, quiet and signalling NaNs with the sign
+// bit set and clear, and NaN and infinite gradients.
+func TestReLUExact(t *testing.T) {
+	bits := math.Float64frombits
+	vals := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-323, bits(0x000FFFFFFFFFFFFF),
+		2.2250738585072014e-308, -2.2250738585072014e-308, 1, -1,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), bits(0x7FF0000000000001), bits(0x7FFFFFFFFFFFFFFF),
+		bits(0xFFF8000000000000), bits(0xFFF0000000000001), bits(0xFFFFFFFFFFFFFFFF),
+	}
+	grads := []float64{1, -2.5, 0, math.Copysign(0, -1), 5e-324, math.Inf(-1), math.NaN(), bits(0xFFF8000000000001)}
+	x := tensor.NewMatrix(len(grads), len(vals))
+	g := tensor.NewMatrix(len(grads), len(vals))
+	for i, gv := range grads {
+		copy(x.Row(i), vals)
+		for j := range vals {
+			g.Set(i, j, gv)
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	r := NewReLU()
+	infer := r.Forward(x, false)
+	out := r.Forward(x, true)
+	dx := r.Backward(g)
+	for k, v := range x.Data {
+		wantOut, wantDx := 0.0, 0.0
+		if v > 0 {
+			wantOut, wantDx = v, g.Data[k]
+		}
+		if !same(out.Data[k], wantOut) || !same(infer.Data[k], wantOut) {
+			t.Errorf("ReLU(%#016x) = %#016x (inference %#016x), want %#016x", math.Float64bits(v),
+				math.Float64bits(out.Data[k]), math.Float64bits(infer.Data[k]), math.Float64bits(wantOut))
+		}
+		if !same(dx.Data[k], wantDx) {
+			t.Errorf("ReLU'(%#016x)·%#016x = %#016x, want %#016x", math.Float64bits(v), math.Float64bits(g.Data[k]),
+				math.Float64bits(dx.Data[k]), math.Float64bits(wantDx))
+		}
+	}
+}
+
 func TestSigmoidScalarStability(t *testing.T) {
 	if SigmoidScalar(0) != 0.5 {
 		t.Fatal("sigmoid(0)")

@@ -40,7 +40,8 @@ const (
 	kindMaxPool = 6
 )
 
-// Save writes the network to w in the binary model format.
+// Save writes the network to w in the binary model format. A weight or bias
+// that is not a finite float32 is an error, the one Load would report.
 func (n *Network) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if err := binary.Write(bw, binary.LittleEndian, uint32(modelMagic)); err != nil {
@@ -121,7 +122,9 @@ func (n *Network) Save(w io.Writer) error {
 }
 
 // Load reads a network in the binary model format. Dropout layers are
-// restored with a fresh deterministic RNG (they are inference no-ops).
+// restored with a fresh deterministic RNG (they are inference no-ops). A
+// NaN or infinite weight or bias is refused: no trained model holds one,
+// and every score it touched would be NaN.
 func Load(r io.Reader) (*Network, error) {
 	br := bufio.NewReader(r)
 	var magic, version, nLayers uint32
@@ -167,7 +170,7 @@ func Load(r io.Reader) (*Network, error) {
 			if uint64(in)*uint64(out) > 1<<24 {
 				return nil, fmt.Errorf("nn: implausible dense size %dx%d", in, out)
 			}
-			d := NewDense(int(in), int(out), rand.New(rand.NewSource(0)))
+			d := newDense(int(in), int(out))
 			if err := readFloat32s(br, d.W.Data); err != nil {
 				return nil, err
 			}
@@ -208,7 +211,7 @@ func Load(r io.Reader) (*Network, error) {
 			if uint64(dims[0])*uint64(dims[1])*uint64(dims[2]) > 1<<24 {
 				return nil, fmt.Errorf("nn: implausible conv size %dx%dx%d", dims[0], dims[1], dims[2])
 			}
-			c := NewConv1D(int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3]), rand.New(rand.NewSource(0)))
+			c := newConv1D(int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3]))
 			if err := readFloat32s(br, c.W.Data); err != nil {
 				return nil, err
 			}
@@ -237,22 +240,35 @@ func Load(r io.Reader) (*Network, error) {
 	return net, nil
 }
 
+// writeFloat32s stores data as little-endian float32s and refuses any value
+// that is NaN or infinite as a float32 — a diverged weight, or a finite one
+// beyond ±MaxFloat32 — since Load would refuse the bundle it wrote.
 func writeFloat32s(w io.Writer, data []float64) error {
 	buf := make([]byte, 4*len(data))
 	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(v)))
+		f := float32(v)
+		if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+			return fmt.Errorf("nn: parameter %v is not a finite float32", v)
+		}
+		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
+// readFloat32s fills dst from little-endian float32s and refuses any that is
+// NaN or infinite.
 func readFloat32s(r io.Reader, dst []float64) error {
 	buf := make([]byte, 4*len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
 	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("nn: non-finite parameter %v", v)
+		}
+		dst[i] = v
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,6 +59,52 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// TestNonFiniteParametersRefused: a NaN weight, a ±Inf bias, or a finite
+// weight beyond ±MaxFloat32 (which float32 storage would turn into ±Inf)
+// fails Save, and a bundle holding one — written by patching a marked
+// parameter of a finite model — fails Load.
+func TestNonFiniteParametersRefused(t *testing.T) {
+	const mark = float32(1234.5)
+	for _, bad := range []struct {
+		name string
+		v    float64
+		bias bool
+	}{
+		{"NaN weight", math.NaN(), false},
+		{"+Inf bias", math.Inf(1), true},
+		{"-Inf weight", math.Inf(-1), false},
+		{"weight 1e39", 1e39, false},
+	} {
+		at := func(net *Network) *float64 {
+			d := net.Layers[2].(*Dense)
+			if bad.bias {
+				return &d.B.Data[0]
+			}
+			return &d.W.Data[3]
+		}
+		net := NewMLP(4, []int{8}, 1, rand.New(rand.NewSource(27)))
+		*at(net) = bad.v
+		if err := net.Save(io.Discard); err == nil {
+			t.Errorf("%s: Save wrote it", bad.name)
+		}
+		*at(net) = float64(mark)
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var markBits, badBits [4]byte
+		binary.LittleEndian.PutUint32(markBits[:], math.Float32bits(mark))
+		binary.LittleEndian.PutUint32(badBits[:], math.Float32bits(float32(bad.v)))
+		if n := bytes.Count(buf.Bytes(), markBits[:]); n != 1 {
+			t.Fatalf("%s: marked parameter found %d times in the bundle", bad.name, n)
+		}
+		raw := bytes.Replace(buf.Bytes(), markBits[:], badBits[:], 1)
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: Load read it", bad.name)
+		}
 	}
 }
 

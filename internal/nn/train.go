@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -38,15 +39,20 @@ type TrainConfig struct {
 
 // Validate reports whether the configuration is trainable. Fit defaults
 // zero sizes, so Validate only rejects the contradictions defaulting cannot
-// repair: negative counts and rates.
+// repair: negative counts, and rates that are negative, NaN or infinite (a
+// NaN rate trains without complaint into a model of NaN weights).
 func (c TrainConfig) Validate() error {
 	if c.Epochs < 0 || c.BatchSize < 0 || c.StartEpoch < 0 {
 		return fmt.Errorf("nn: negative training sizes (epochs %d, batch %d, start %d)",
 			c.Epochs, c.BatchSize, c.StartEpoch)
 	}
-	if c.LR < 0 || c.WeightDecay < 0 || c.ClipNorm < 0 {
-		return fmt.Errorf("nn: negative training rates (lr %g, decay %g, clip %g)",
-			c.LR, c.WeightDecay, c.ClipNorm)
+	for _, r := range [...]struct {
+		name string
+		v    float64
+	}{{"LR", c.LR}, {"WeightDecay", c.WeightDecay}, {"ClipNorm", c.ClipNorm}} {
+		if !(r.v >= 0) || math.IsInf(r.v, 1) {
+			return fmt.Errorf("nn: training rate %s = %v, want finite and non-negative", r.name, r.v)
+		}
 	}
 	return nil
 }
@@ -90,8 +96,7 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 	for i := range idx {
 		idx[i] = i
 	}
-	params := n.Params()
-	grads := n.Grads()
+	step := newTrainStep(n, loss, opt, cfg.ClipNorm)
 
 	// Persistent batch buffers. The tail batch (when x.Rows is not a
 	// multiple of BatchSize) reuses the same backing arrays through
@@ -103,7 +108,6 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 		tx = tensor.FromSlice(tail, x.Cols, bx.Data[:tail*x.Cols])
 		ty = tensor.FromSlice(tail, y.Cols, by.Data[:tail*y.Cols])
 	}
-	var gradBuf *tensor.Matrix
 
 	// Replay the shuffle draws of already-completed epochs so a resumed
 	// run sees the same batch order as an uninterrupted one.
@@ -159,15 +163,8 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 				copy(yb.Row(bi), y.Row(si))
 			}
 
-			pred := n.Forward(xb, true)
-			epochLoss += loss.Value(pred, yb)
+			epochLoss += step.run(xb, yb)
 			batches++
-			gradBuf = tensor.EnsureShape(gradBuf, pred.Rows, pred.Cols)
-			n.Backward(loss.Grad(gradBuf, pred, yb))
-			if cfg.ClipNorm > 0 {
-				ClipGradNorm(grads, cfg.ClipNorm)
-			}
-			opt.Step(params, grads)
 		}
 		mean := epochLoss / float64(batches)
 		history = append(history, mean)
@@ -186,15 +183,37 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 // FitOnline performs a single incremental update on one mini-batch — the
 // "online training" deployment mode the paper argues for in §V-B (an MLP
 // can be trained continuously on new data without revisiting the dataset).
-// The same optimiser must be passed across calls to retain its state.
+// The same optimiser must be passed across calls to retain its state. The
+// update is Fit's per-batch step, so it costs what a batch of Fit costs.
 func (n *Network) FitOnline(xb, yb *tensor.Matrix, loss Loss, opt Optimizer, clipNorm float64) float64 {
-	pred := n.Forward(xb, true)
-	l := loss.Value(pred, yb)
-	n.Backward(loss.Grad(nil, pred, yb))
-	grads := n.Grads()
-	if clipNorm > 0 {
-		ClipGradNorm(grads, clipNorm)
+	return newTrainStep(n, loss, opt, clipNorm).run(xb, yb)
+}
+
+// trainStep is one optimiser step on one mini-batch, shared by Fit's batch
+// loop and FitOnline: forward, loss, backward down to the parameter
+// gradients (not the first layer's input gradient), clipping, update.
+type trainStep struct {
+	net           *Network
+	loss          Loss
+	opt           Optimizer
+	clipNorm      float64 // 0 disables clipping
+	params, grads []*tensor.Matrix
+	gradBuf       *tensor.Matrix // ∂loss/∂pred, reused across batches
+}
+
+func newTrainStep(n *Network, loss Loss, opt Optimizer, clipNorm float64) *trainStep {
+	return &trainStep{net: n, loss: loss, opt: opt, clipNorm: clipNorm, params: n.Params(), grads: n.Grads()}
+}
+
+// run trains on (xb, yb) and returns the batch's loss before the update.
+func (s *trainStep) run(xb, yb *tensor.Matrix) float64 {
+	pred := s.net.Forward(xb, true)
+	l := s.loss.Value(pred, yb)
+	s.gradBuf = tensor.EnsureShape(s.gradBuf, pred.Rows, pred.Cols)
+	s.net.backwardParams(s.loss.Grad(s.gradBuf, pred, yb))
+	if s.clipNorm > 0 {
+		ClipGradNorm(s.grads, s.clipNorm)
 	}
-	opt.Step(n.Params(), grads)
+	s.opt.Step(s.params, s.grads)
 	return l
 }

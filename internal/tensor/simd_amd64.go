@@ -18,7 +18,8 @@ import (
 var useAVX2 = cpukit.Active() == cpukit.KernelAVX2
 
 // The assembly kernels. All pointers must reference slices with enough
-// elements for the stated shape; nz/kMax/groups of zero are legal no-ops.
+// elements for the stated shape; nz/kMax/groups/passes/blocks of zero are
+// legal no-ops.
 // See simd_amd64.s for the per-kernel contracts.
 
 //go:noescape
@@ -34,10 +35,10 @@ func sparseDequantAxpyI8AVX2(dst *float32, n int, w *int8, idx *int32, val *floa
 func quantMaddU7I8AVX2(dst *int32, n int, packed *int8, act *uint8, groups int)
 
 //go:noescape
-func axpy4F64AVX2(dst *float64, n int, b *float64, a0, a1, a2, a3 float64)
+func axpy4F64AVX2(dst *float64, dstStride, n int, b *float64, bStride int, a *float64, aLane, aStride, passes int)
 
 //go:noescape
-func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int)
+func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int, blocks int)
 
 //go:noescape
 func reluCompactF32AVX2(idx *int32, val *float32, src *float32, n int) int

@@ -9,8 +9,8 @@
 //   - denseRowMatMulF32AVX2   dst[j] += Σ_k a[k]   · b[k*n + j]        (f32)
 //   - sparseDequantAxpyI8AVX2 dst[j] += Σ_k val[k] · f32(w[idx[k]*n+j]) (s8 weights)
 //   - quantMaddU7I8AVX2       dst[j] += Σ_g Σ_r act[4g+r] · packed[(g*n+j)*4+r] (u7×s8, i32)
-//   - axpy4F64AVX2            dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] (f64, exact)
-//   - dot4x4F64AVX2           out[r]  = Σ_k a[k] · b[r*stride + k], r = 0..3     (f64, exact)
+//   - axpy4F64AVX2            per pass: dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] (f64, exact)
+//   - dot4x4F64AVX2           per block: out[r] = Σ_k a[k] · b[r*stride + k], r = 0..3  (f64, exact)
 //   - reluCompactF32AVX2      (idx, val) ← { (k, src[k]) : src[k] > 0 },  count  (f32, exact)
 //   - compactNonzeroF32AVX2   (idx, val) ← { (k, src[k]) : src[k] != 0 }, count  (f32, exact)
 //   - phasorSumAVX2           re[k] + i·im[k] = Σ_r G_r · Rect(Att_r, (w[k]·τ_r + base_r) + extra_r) (f64, exact)
@@ -496,25 +496,55 @@ qm_done:
 // does and results are bit-identical to the generic loops (axpy4F64 and
 // matmulABTRange in tensor.go). Do not "optimise" a multiply/add pair here
 // into a fused instruction: trained weights, checkpoints and every golden
-// depend on the two roundings.
+// depend on the two roundings. Each kernel loops over its blocks itself, so
+// a whole matmul row (or a whole row range of one k-block) costs one call.
 
-// func axpy4F64AVX2(dst *float64, n int, b *float64, a0, a1, a2, a3 float64)
-// dst[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j] for j in [0,n),
-// where b0..b3 are the four consecutive n-wide rows starting at b.
+// func axpy4F64AVX2(dst *float64, dstStride, n int, b *float64, bStride int, a *float64, aLane, aStride, passes int)
+// For p in [0, passes): with a0..a3 = a[p·aStride + l·aLane] (l = 0..3),
+// skip the pass if all four are ±0; otherwise, with d = dst + p·dstStride
+// and b0..b3 the four consecutive n-wide rows starting at b + p·bStride,
+// d[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j] for j in [0,n).
+// Strides are in elements. The skip ORs the coefficients' bit patterns and
+// shifts the four sign bits out: the result is zero exactly when every
+// coefficient is +0 or −0, so a NaN (non-zero mantissa) is never skipped —
+// the Go test a0 == 0 && … && a3 == 0, bit for bit.
 //
-// Registers: DI dst, BX n, R8–R11 the four rows, AX column index j, DX
-// loop-bound scratch, Y12–Y15 broadcast a0..a3, Y0–Y7 sums and products.
-TEXT ·axpy4F64AVX2(SB), NOSPLIT, $0-56
+// Registers: DI dst row, BX n, R8 b block, R9–R11 its rows 1–3, SI a block,
+// CX passes left, R12 aLane, R13 aStride, R14 dstStride, R15 bStride (all
+// four in bytes), AX &a2 then column index j, DX skip test then loop-bound
+// scratch, Y12–Y15 broadcast a0..a3, Y0–Y7 sums and products.
+TEXT ·axpy4F64AVX2(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
-	MOVQ n+8(FP), BX
-	MOVQ b+16(FP), R8
+	MOVQ dstStride+8(FP), R14
+	MOVQ n+16(FP), BX
+	MOVQ b+24(FP), R8
+	MOVQ bStride+32(FP), R15
+	MOVQ a+40(FP), SI
+	MOVQ aLane+48(FP), R12
+	MOVQ aStride+56(FP), R13
+	MOVQ passes+64(FP), CX
+	SHLQ $3, R12
+	SHLQ $3, R13
+	SHLQ $3, R14
+	SHLQ $3, R15
+
+ax4_pass:
+	TESTQ CX, CX
+	JLE   ax4_done
+	LEAQ  (SI)(R12*2), AX         // &a2
+	MOVQ  (SI), DX
+	ORQ   (SI)(R12*1), DX
+	ORQ   (AX), DX
+	ORQ   (AX)(R12*1), DX
+	SHLQ  $1, DX                  // sign bits out: zero iff all four are ±0
+	JZ    ax4_next
+	VBROADCASTSD (SI), Y12
+	VBROADCASTSD (SI)(R12*1), Y13
+	VBROADCASTSD (AX), Y14
+	VBROADCASTSD (AX)(R12*1), Y15
 	LEAQ (R8)(BX*8), R9
 	LEAQ (R9)(BX*8), R10
 	LEAQ (R10)(BX*8), R11
-	VBROADCASTSD a0+24(FP), Y12
-	VBROADCASTSD a1+32(FP), Y13
-	VBROADCASTSD a2+40(FP), Y14
-	VBROADCASTSD a3+48(FP), Y15
 	XORQ AX, AX
 
 ax4_j16:
@@ -578,7 +608,7 @@ ax4_j4:
 
 ax4_jtail:
 	CMPQ AX, BX
-	JGE  ax4_done
+	JGE  ax4_next
 	VMULSD (R8)(AX*8), X12, X0
 	VMULSD (R9)(AX*8), X13, X4
 	VADDSD X4, X0, X0
@@ -591,25 +621,39 @@ ax4_jtail:
 	INCQ AX
 	JMP  ax4_jtail
 
+ax4_next:
+	ADDQ R14, DI
+	ADDQ R15, R8
+	ADDQ R13, SI
+	DECQ CX
+	JMP  ax4_pass
+
 ax4_done:
 	VZEROUPPER
 	RET
 
-// func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int)
-// Four dot products of a[0:k] against the four rows b, b+stride, b+2·stride,
-// b+3·stride (stride in elements); k must be a multiple of 4. The four lanes
-// of each accumulator are the scalar kernel's s0..s3 — lane l sums the terms
-// with index ≡ l (mod 4) in ascending order — and each is reduced as
-// (s0+s1)+(s2+s3) into out[0..3]. The k%4 tail is the caller's.
+// func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int, blocks int)
+// For each of `blocks` blocks: four dot products of a[0:k] against the four
+// rows b, b+stride, b+2·stride, b+3·stride (stride in elements) into
+// out[0..3], then out advances by 4 and b by four rows. k must be a multiple
+// of 4. The four lanes of each accumulator are the scalar kernel's s0..s3 —
+// lane l sums the terms with index ≡ l (mod 4) in ascending order — and each
+// is reduced as (s0+s1)+(s2+s3). The k%4 tail and the b rows past the last
+// whole block are the caller's.
 //
-// Registers: DI out, SI a, R8–R11 the four rows, CX k, AX element index,
-// Y0–Y3 accumulators, Y4–Y8 products and a.
-TEXT ·dot4x4F64AVX2(SB), NOSPLIT, $0-40
+// Registers: DI out, SI a, R8–R11 the block's four rows, BX stride, CX k,
+// DX blocks left, AX element index, Y0–Y3 accumulators, Y4–Y8 products and a.
+TEXT ·dot4x4F64AVX2(SB), NOSPLIT, $0-48
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), R8
 	MOVQ stride+24(FP), BX
 	MOVQ k+32(FP), CX
+	MOVQ blocks+40(FP), DX
+
+dt_block:
+	TESTQ DX, DX
+	JLE   dt_done
 	LEAQ (R8)(BX*8), R9
 	LEAQ (R9)(BX*8), R10
 	LEAQ (R10)(BX*8), R11
@@ -642,6 +686,12 @@ dt_reduce:
 	VPERM2F128 $0x31, Y5, Y4, Y7  // A2+A3  B2+B3  C2+C3  D2+D3
 	VADDPD Y7, Y6, Y6             // (s0+s1)+(s2+s3) per row
 	VMOVUPD Y6, (DI)
+	ADDQ $32, DI
+	LEAQ (R11)(BX*8), R8          // the next block's first row
+	DECQ DX
+	JMP  dt_block
+
+dt_done:
 	VZEROUPPER
 	RET
 

@@ -24,11 +24,11 @@ func quantMaddU7I8AVX2(dst *int32, n int, packed *int8, act *uint8, groups int) 
 	panic("tensor: AVX2 kernel called on non-amd64")
 }
 
-func axpy4F64AVX2(dst *float64, n int, b *float64, a0, a1, a2, a3 float64) {
+func axpy4F64AVX2(dst *float64, dstStride, n int, b *float64, bStride int, a *float64, aLane, aStride, passes int) {
 	panic("tensor: AVX2 kernel called on non-amd64")
 }
 
-func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int) {
+func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int, blocks int) {
 	panic("tensor: AVX2 kernel called on non-amd64")
 }
 

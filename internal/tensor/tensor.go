@@ -210,52 +210,68 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 }
 
 // axpy4F64 is the accumulation statement of every float64 matmul that
-// streams rows of b — MatMul, MatMulATB and RowMatMulInto:
+// streams rows of b — MatMul, MatMulATB and RowMatMulInto — run for `passes`
+// passes. Pass p takes four coefficients a0..a3 from a[p·aStride + l·aLane]
+// (l = 0..3), the four n-wide rows b0..b3 that lie back to back from
+// b[p·bStride], and the n-wide row of dst from dst[p·dstStride], and does
 //
 //	dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 //
 // that is dst[j] + (((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j]), eight
-// roundings and nothing fused, over the four rows b0..b3 that b holds back to
-// back (len(b) == 4·len(dst)). Taking four k steps per pass loads and stores
-// dst once instead of four times. The order is what nn.Fit's trained weights,
-// the arena's row≡batch contract and every golden rest on, so it is written
-// exactly twice: the loop below, and axpy4F64AVX2 (simd_amd64.s), which does
-// the same multiplies and adds four columns to a register and is therefore
-// bit-identical, not merely close (TestF64KernelExact). A group of four zero
-// coefficients is skipped here, for both kernels: adding its +0 would turn a
-// −0 in dst into +0, so the skip is part of the result.
+// roundings and nothing fused. Taking four k steps per pass loads and stores
+// dst once instead of four times; taking many passes per call lets a whole
+// row of MatMul (dstStride 0, b advancing by four rows) or a whole dst row
+// range of one MatMulATB k-block (dst advancing by a row, b fixed) cost one
+// call. A pass whose four coefficients all compare equal to zero is skipped:
+// adding its +0 would turn a −0 in dst into +0, so the skip is part of the
+// result. ±0 count as zero, a NaN does not. Strides are non-negative.
+//
+// The order is what nn.Fit's trained weights, the arena's row≡batch
+// contract and every golden rest on, so it is written exactly twice: the
+// loop below, and axpy4F64AVX2 (simd_amd64.s), which does the same
+// multiplies and adds four columns to a register, tests the same skip, and
+// is therefore bit-identical, not merely close (TestF64KernelExact).
 //
 // The Go compiler does not fuse x*y + z on amd64 at the default GOAMD64=v1
 // (it may at v3, and does on arm64); the identity between the two kernels is
 // stated for the build this repository ships and tests.
-func axpy4F64(dst []float64, a0, a1, a2, a3 float64, b []float64) {
-	if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+func axpy4F64(dst []float64, dstStride int, b []float64, bStride int, a []float64, aLane, aStride, passes, n int) {
+	if passes <= 0 || n <= 0 {
 		return
 	}
-	n := len(dst)
-	b = b[:4*n]
+	// The last pass reaches furthest into every operand; checking it once
+	// keeps the kernel inside the slices.
+	last := passes - 1
+	_ = dst[last*dstStride+n-1]
+	_ = b[last*bStride+4*n-1]
+	_ = a[last*aStride+3*aLane]
 	if useAVX2 {
-		if n > 0 {
-			axpy4F64AVX2(&dst[0], n, &b[0], a0, a1, a2, a3)
-		}
+		axpy4F64AVX2(&dst[0], dstStride, n, &b[0], bStride, &a[0], aLane, aStride, passes)
 		return
 	}
-	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:]
-	for j := range dst {
-		dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	for p := 0; p < passes; p++ {
+		ap := a[p*aStride:]
+		a0, a1, a2, a3 := ap[0], ap[aLane], ap[2*aLane], ap[3*aLane]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		d := dst[p*dstStride : p*dstStride+n]
+		bp := b[p*bStride : p*bStride+4*n]
+		b0, b1, b2, b3 := bp[:n], bp[n:2*n], bp[2*n:3*n], bp[3*n:]
+		for j := range d {
+			d[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
 	}
 }
 
 // matmulRow accumulates dst += a·b for one row a (len(a) == b.Rows,
-// len(dst) == b.Cols): rows of b in ascending k, four at a time through
-// axpy4F64, then the k%4 tail one at a time.
+// len(dst) == b.Cols): rows of b in ascending k, four at a time in one
+// axpy4F64 call, then the k%4 tail one at a time.
 func matmulRow(dst, a []float64, b *Matrix) {
 	n := b.Cols
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		axpy4F64(dst, a[k], a[k+1], a[k+2], a[k+3], b.Data[k*n:(k+4)*n])
-	}
-	for ; k < len(a); k++ {
+	k4 := len(a) &^ 3
+	axpy4F64(dst, 0, b.Data, 4*n, a, 1, 4, k4/4, n)
+	for k := k4; k < len(a); k++ {
 		if av := a[k]; av != 0 {
 			Axpy(dst, av, b.Data[k*n:(k+1)*n])
 		}
@@ -326,20 +342,18 @@ func MatMulATB(dst, a, b *Matrix) *Matrix {
 }
 
 // matmulATBRange computes dst rows [lo,hi) of aᵀ×b, k-outer so the rows of a
-// and b stream sequentially, four k steps at a time through axpy4F64 to
-// amortise dst traffic.
+// and b stream sequentially: each block of four k steps is one axpy4F64 call
+// over the whole row range, with dst row i taking its coefficients from
+// column i of a's four rows.
 func matmulATBRange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
+	r := a.Cols
 	m := a.Rows
-	k := 0
-	for ; k+4 <= m; k += 4 {
-		ak0, ak1, ak2, ak3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
-		bk := b.Data[k*n : (k+4)*n]
-		for i := lo; i < hi; i++ {
-			axpy4F64(dst.Data[i*n:i*n+n], ak0[i], ak1[i], ak2[i], ak3[i], bk)
-		}
+	k4 := m &^ 3
+	for k := 0; k < k4; k += 4 {
+		axpy4F64(dst.Data[lo*n:], n, b.Data[k*n:], 0, a.Data[k*r+lo:], r, 1, hi-lo, n)
 	}
-	for ; k < m; k++ {
+	for k := k4; k < m; k++ {
 		ak := a.Row(k)
 		bk := b.Row(k)
 		for i := lo; i < hi; i++ {
@@ -377,22 +391,24 @@ func MatMulABT(dst, a, b *Matrix) *Matrix {
 // with k ≡ l (mod 4) in ascending k — reduced as (s0+s1)+(s2+s3), then the
 // k%4 tail added one term at a time. Under AVX2 the four accumulators are the
 // four lanes of one register and dot4x4F64AVX2 runs four rows of b against
-// one load of a; multiply and add stay separate instructions, so both paths
-// round identically (TestF64KernelExact).
+// one load of a, every group of four rows of b in one call per output row;
+// multiply and add stay separate instructions, so both paths round
+// identically (TestF64KernelExact).
 func matmulABTRange(dst, a, b *Matrix, lo, hi int) {
 	kMax := a.Cols
 	k4 := kMax &^ 3
+	j4 := 0
+	if useAVX2 && k4 > 0 {
+		j4 = b.Rows &^ 3
+	}
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
 		di := dst.Row(i)
-		j := 0
-		if useAVX2 && k4 > 0 {
-			for ; j+4 <= b.Rows; j += 4 {
-				dot4x4F64AVX2(&di[j], &ai[0], &b.Data[j*kMax], kMax, k4)
-			}
+		if j4 > 0 {
+			dot4x4F64AVX2(&di[0], &ai[0], &b.Data[0], kMax, k4, j4/4)
 		}
-		for ; j < b.Rows; j++ {
-			bj := b.Row(j)
+		for j := j4; j < b.Rows; j++ {
+			bj := b.Data[j*kMax : j*kMax+kMax]
 			var s0, s1, s2, s3 float64
 			for k := 0; k < k4; k += 4 {
 				s0 += ai[k] * bj[k]
@@ -400,13 +416,17 @@ func matmulABTRange(dst, a, b *Matrix, lo, hi int) {
 				s2 += ai[k+2] * bj[k+2]
 				s3 += ai[k+3] * bj[k+3]
 			}
-			di[j] = (s0 + s1) + (s2 + s3)
+			s := (s0 + s1) + (s2 + s3)
+			for k := k4; k < kMax; k++ {
+				s += ai[k] * bj[k]
+			}
+			di[j] = s
 		}
 		if k4 == kMax {
 			continue
 		}
-		for j := range di {
-			bj := b.Row(j)
+		for j := 0; j < j4; j++ {
+			bj := b.Data[j*kMax : j*kMax+kMax]
 			s := di[j]
 			for k := k4; k < kMax; k++ {
 				s += ai[k] * bj[k]
