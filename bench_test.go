@@ -873,7 +873,7 @@ func BenchmarkFrameLogRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		last := -1
-		w, rec, err := framelog.OpenReplay(cfg, "bench", framelog.Anchor{}, func(f *fault.Frame) { last = f.Index })
+		w, rec, err := framelog.OpenReplay(cfg, nil, "bench", framelog.Anchor{}, func(f *fault.Frame) { last = f.Index })
 		if err != nil || rec.Frames != frames || last != frames-1 {
 			b.Fatalf("recovered %d frames, last index %d, error %v", rec.Frames, last, err)
 		}

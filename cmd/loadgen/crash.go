@@ -60,9 +60,9 @@ func runCrashChild(model, logDir string) error {
 		// sweep sees every decision.
 		StreamBuffer: 1 << 16,
 		Durability: occupancy.DurabilityConfig{
-			Dir:           logDir,
-			Fsync:         framelog.FsyncInterval,
-			FsyncInterval: 5 * time.Millisecond,
+			Dir:      logDir,
+			Fsync:    framelog.FsyncInterval,
+			Interval: 5 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -62,10 +62,11 @@
 // -fsync bounds the power-loss window; a plain process kill loses nothing
 // under any policy.
 //
-// Setting any -drift-* flag attaches a deterministic per-feed drift
-// detector to the primary decision-score stream: PSI and KS over tumbling
-// windows against a baseline captured at feed start, exported on /metrics
-// (server_drift_*) and the feed listing. Candidate bundles installed via
+// Setting any -drift-* flag (a threshold alone included; the others take
+// their defaults) attaches a deterministic per-feed drift detector to the
+// primary decision-score stream: PSI and KS over tumbling windows against a
+// baseline captured at feed start, exported on /metrics (server_drift_*)
+// and the feed listing. Candidate bundles installed via
 // POST /v1/models pass a divergence gate before they become activatable;
 // `loadgen -swap` proves a mid-run activation loses nothing (DESIGN.md §16).
 //
@@ -163,6 +164,14 @@ func main() {
 		fail(fmt.Errorf("-cluster-nodes needs -cluster-self"))
 	}
 
+	driftCfg := occupancy.DriftConfig{
+		Baseline:    *driftBaseline,
+		Window:      *driftWindow,
+		Bins:        *driftBins,
+		PSI:         *driftPSI,
+		KS:          *driftKS,
+		Consecutive: *driftConsecutive,
+	}
 	srv, err := occupancy.NewServer(primary, occupancy.ServeConfig{
 		Addr:         *addr,
 		Fallback:     fallback,
@@ -174,26 +183,18 @@ func main() {
 		StreamBuffer: *streamBuf,
 		DrainTimeout: *drain,
 		Durability: occupancy.DurabilityConfig{
-			Dir:           *logDir,
-			Fsync:         *fsync,
-			FsyncInterval: *fsyncInterval,
+			Dir:      *logDir,
+			Fsync:    *fsync,
+			Interval: *fsyncInterval,
 		},
 		Cluster: clusterCfg,
-		Drift: occupancy.DriftConfig{
-			Baseline:    *driftBaseline,
-			Window:      *driftWindow,
-			Bins:        *driftBins,
-			PSI:         *driftPSI,
-			KS:          *driftKS,
-			Consecutive: *driftConsecutive,
-		},
+		Drift:   driftCfg,
 	})
 	fail(err)
 	if *logDir != "" {
 		fmt.Printf("occuserve: durable frame log at %s (fsync=%s)\n", *logDir, *fsync)
 	}
-	if dc := (occupancy.DriftConfig{Baseline: *driftBaseline, Window: *driftWindow, Bins: *driftBins,
-		PSI: *driftPSI, KS: *driftKS, Consecutive: *driftConsecutive}); dc.Enabled() {
+	if driftCfg.Enabled() {
 		fmt.Println("occuserve: per-feed drift detection on (server_drift_* metrics)")
 	}
 	if clusterCfg != nil {

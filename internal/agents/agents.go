@@ -186,9 +186,6 @@ type Snapshot struct {
 	LayoutVersion int
 }
 
-// Occupied reports whether at least one person is present (paper label).
-func (s *Snapshot) Occupied() bool { return s.Count > 0 }
-
 // Simulator drives the occupant population.
 type Simulator struct {
 	cfg       Config

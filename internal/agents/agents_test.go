@@ -29,13 +29,13 @@ func TestNightIsEmptyWorkdayIsOccupied(t *testing.T) {
 		h := sn.Time.Hour()
 		if h < 6 {
 			nightN++
-			if sn.Occupied() {
+			if sn.Count > 0 {
 				nightOcc++
 			}
 		}
 		if h >= 11 && h < 12 {
 			dayN++
-			if sn.Occupied() {
+			if sn.Count > 0 {
 				dayOcc++
 			}
 		}
@@ -66,7 +66,7 @@ func TestForcedEmptyOverridesSchedule(t *testing.T) {
 	s := New(Config{Seed: 3, ForcedEmpty: []TimeRange{forced}})
 	snaps := runDay(s, day.Add(9*time.Hour), 6*time.Hour, time.Minute)
 	for _, sn := range snaps {
-		if forced.Contains(sn.Time) && sn.Occupied() {
+		if forced.Contains(sn.Time) && sn.Count > 0 {
 			t.Fatalf("occupied during forced-empty at %v", sn.Time)
 		}
 	}
@@ -183,7 +183,7 @@ func TestWeekendIsEmpty(t *testing.T) {
 	sat := time.Date(2022, 1, 8, 0, 0, 0, 0, time.UTC)
 	s := New(Config{Seed: 10})
 	for _, sn := range runDay(s, sat, 48*time.Hour, 5*time.Minute) {
-		if sn.Occupied() {
+		if sn.Count > 0 {
 			t.Fatalf("weekend occupancy at %v", sn.Time)
 		}
 	}
@@ -195,7 +195,7 @@ func TestCustomWorkDays(t *testing.T) {
 	sat := time.Date(2022, 1, 8, 0, 0, 0, 0, time.UTC)
 	occupied := 0
 	for _, sn := range runDay(s, sat, 24*time.Hour, time.Minute) {
-		if sn.Occupied() {
+		if sn.Count > 0 {
 			occupied++
 		}
 	}
@@ -205,7 +205,7 @@ func TestCustomWorkDays(t *testing.T) {
 	// And empty on Monday.
 	mon := time.Date(2022, 1, 10, 0, 0, 0, 0, time.UTC)
 	for _, sn := range runDay(s, mon, 24*time.Hour, 5*time.Minute) {
-		if sn.Occupied() {
+		if sn.Count > 0 {
 			t.Fatal("saturday-only office occupied on Monday")
 		}
 	}

@@ -182,16 +182,6 @@ func (r *Ring) Owner(feed string) (Node, bool) {
 	return r.nodes[r.points[i].id], true
 }
 
-// Nodes returns the ring's membership, ID-sorted.
-func (r *Ring) Nodes() []Node {
-	out := make([]Node, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // fnv64a is the 64-bit FNV-1a hash run through a splitmix64 finalizer. FNV
 // alone clumps on short, similar keys ("feed-000", "occu-1#17"), badly
 // enough to starve ring nodes; the finalizer gives full avalanche. The
@@ -235,13 +225,6 @@ func (s *State) Map() Map {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.m
-}
-
-// Epoch returns the current epoch.
-func (s *State) Epoch() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Epoch
 }
 
 // Owner returns the current owner of the feed (false when no map is

@@ -227,7 +227,7 @@ func TestStateEpochMonotonic(t *testing.T) {
 	if err := st.Update(next); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Epoch(); got != 2 {
+	if got := st.Map().Epoch; got != 2 {
 		t.Fatalf("epoch %d, want 2", got)
 	}
 	if _, ok := st.Map().NodeByID("occu-2"); ok {

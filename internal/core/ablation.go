@@ -60,6 +60,9 @@ func runPoints(dimension string, workers, n int, eval func(i int) (AblationPoint
 // ("size parameters chosen ... with special care in keeping the number of
 // parameters bounded", §IV-B).
 func RunArchitectureAblation(split *dataset.Split, cfg ExperimentConfig) (*AblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	topologies := []struct {
 		name   string
 		hidden []int
@@ -84,6 +87,9 @@ func RunArchitectureAblation(split *dataset.Split, cfg ExperimentConfig) (*Ablat
 // standardisation — the preprocessing the paper leaves implicit but every
 // pipeline on raw-amplitude CSI depends on.
 func RunStandardizationAblation(split *dataset.Split, cfg ExperimentConfig) (*AblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	variants := []struct {
 		name string
 		std  bool
@@ -101,6 +107,9 @@ func RunStandardizationAblation(split *dataset.Split, cfg ExperimentConfig) (*Ab
 // RunTrainSizeAblation sweeps the training-set size (via thinning),
 // quantifying how much of the 74-hour capture the detector actually needs.
 func RunTrainSizeAblation(split *dataset.Split, cfg ExperimentConfig, sizes []int) (*AblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(sizes) == 0 {
 		sizes = []int{500, 2000, 8000, 32000}
 	}
@@ -118,6 +127,9 @@ func RunTrainSizeAblation(split *dataset.Split, cfg ExperimentConfig, sizes []in
 
 // RunEpochsAblation sweeps training epochs around the paper's 10.
 func RunEpochsAblation(split *dataset.Split, cfg ExperimentConfig, epochs []int) (*AblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(epochs) == 0 {
 		epochs = []int{1, 3, 10, 30}
 	}
@@ -139,6 +151,9 @@ func RunEpochsAblation(split *dataset.Split, cfg ExperimentConfig, epochs []int)
 // (moving average, Hampel, Savitzky–Golay), each applied per subcarrier
 // over time to both training and evaluation folds.
 func RunPreprocessAblation(split *dataset.Split, cfg ExperimentConfig) (*AblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}
@@ -226,6 +241,9 @@ func trainEvalPCA(split *dataset.Split, cfg ExperimentConfig, k int) (AblationPo
 // over the subcarrier axis (the other common model family in CSI sensing):
 // same training budget, same CSI features.
 func RunModelFamilyAblation(split *dataset.Split, cfg ExperimentConfig) (*AblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}

@@ -15,8 +15,8 @@ import (
 	"math/rand"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
-	"repro/internal/framelog"
 	"repro/internal/linmodel"
 	"repro/internal/nn"
 	"repro/internal/stats"
@@ -305,7 +305,7 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 // SaveFile writes the bundle to path atomically: an interrupted or failed
 // save leaves whatever path held before.
 func (d *Detector) SaveFile(path string) error {
-	return framelog.WriteFileAtomic(path, d.Save)
+	return atomicfile.Write(path, d.Save)
 }
 
 // LoadDetectorFile reads a detector bundle from path.

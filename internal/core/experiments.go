@@ -118,6 +118,9 @@ type Table4Result struct {
 // matrix). Every task derives its inputs from its index and cfg alone, so
 // the result is bit-identical to the sequential run for any worker count.
 func RunTable4(split *dataset.Split, cfg ExperimentConfig) (*Table4Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}
@@ -233,6 +236,9 @@ type Table5Result struct {
 // regress temperature and humidity from the 64 CSI amplitudes, trained on
 // the training fold, evaluated per test fold.
 func RunTable5(split *dataset.Split, cfg ExperimentConfig) (*Table5Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}
@@ -329,6 +335,9 @@ type Figure3Result struct {
 // RunFigure3 trains the C+E detector and applies Grad-CAM over a
 // (subsampled) batch of evaluation records, reproducing Figure 3.
 func RunFigure3(split *dataset.Split, cfg ExperimentConfig) (*Figure3Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	dcfg := DefaultDetectorConfig()
 	dcfg.Features = dataset.FeatCSIEnv
 	if len(cfg.Hidden) > 0 {
@@ -491,6 +500,9 @@ type TimeOnlyResult struct {
 // natural model here: "occupied during working hours" is an interval rule a
 // single linear threshold on the clock cannot express.
 func RunTimeOnly(split *dataset.Split, cfg ExperimentConfig) (*TimeOnlyResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	train := thin(split.Train, cfg.MaxTrainSamples)
 	x, y := train.Matrix(dataset.FeatTime)
 	fcfg := rf.ForestConfig{NumTrees: 5, MaxDepth: 6, MinLeaf: 5, MTry: 1, Seed: cfg.Seed}

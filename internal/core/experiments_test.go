@@ -155,3 +155,19 @@ func TestRunTimeOnly(t *testing.T) {
 		t.Fatal("average must be positive")
 	}
 }
+
+// TestRunnersRefuseInvalidConfigs: an experiment runner validates its
+// configuration before training anything, so a NaN learning rate or a
+// negative fault intensity is an error, not a table of NaN-trained cells.
+func TestRunnersRefuseInvalidConfigs(t *testing.T) {
+	_, split := testSplit(t)
+	cfg := shrink(quickCfg())
+	bad := cfg
+	bad.NNTrain.LR = math.NaN()
+	if _, err := RunTable4(split, bad); err == nil {
+		t.Error("RunTable4 trained with NNTrain.LR = NaN")
+	}
+	if _, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{-1}}); err == nil {
+		t.Error("RunRobustness swept a negative intensity")
+	}
+}

@@ -124,6 +124,9 @@ type ActivityResult struct {
 // RunActivity trains the activity classifier and an RF baseline on the
 // training fold and evaluates both per test fold.
 func RunActivity(split *dataset.Split, cfg ExperimentConfig) (*ActivityResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}
@@ -209,6 +212,9 @@ type WindowedActivityResult struct {
 // RunWindowedActivity runs the activity task twice — on raw snapshots and
 // on windowed (mean, std) features — quantifying the windowing ablation.
 func RunWindowedActivity(split *dataset.Split, windowN int, cfg ExperimentConfig) (*WindowedActivityResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}
@@ -286,6 +292,9 @@ type CountingResult struct {
 // an RF regressor — the crowd-counting task of the paper's references
 // [3], [12], [13] on our substrate.
 func RunCounting(split *dataset.Split, classes int, cfg ExperimentConfig) (*CountingResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}

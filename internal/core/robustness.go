@@ -27,34 +27,19 @@ type RobustnessConfig struct {
 	// at every non-zero intensity — the "sensor unplugged" scenario that
 	// must drive the runtime into its CSI-only fallback.
 	FullEnvOutage bool
-	// WatchdogFrames / RecoverFrames / MaxHoldGap tune the runtime (zero:
-	// stream defaults).
-	WatchdogFrames int
-	RecoverFrames  int
-	MaxHoldGap     int
-	// SmootherNeed enables hysteresis smoothing of scored decisions. Keep
-	// zero to score raw per-sample predictions (required for the clean
-	// run to reproduce Table IV bit-identically).
-	SmootherNeed int
 }
 
 // Validate reports whether the sweep is runnable: intensities must be
-// non-negative, the base fault profile must validate, and the runtime
-// tuning knobs must be non-negative (zero selects stream defaults).
+// non-negative and the base fault profile must validate. The runtimes run
+// at the stream defaults, unsmoothed, so the clean run scores raw
+// per-sample predictions and reproduces Table IV bit-identically.
 func (c RobustnessConfig) Validate() error {
 	for i, v := range c.Intensities {
 		if v < 0 {
 			return fmt.Errorf("core: negative fault intensity %g at index %d", v, i)
 		}
 	}
-	if err := c.Profile.Validate(); err != nil {
-		return err
-	}
-	if c.WatchdogFrames < 0 || c.RecoverFrames < 0 || c.MaxHoldGap < 0 || c.SmootherNeed < 0 {
-		return fmt.Errorf("core: negative runtime tuning (watchdog %d, recover %d, hold %d, smoother %d)",
-			c.WatchdogFrames, c.RecoverFrames, c.MaxHoldGap, c.SmootherNeed)
-	}
-	return nil
+	return c.Profile.Validate()
 }
 
 // DefaultRobustnessConfig sweeps from clean to heavily degraded.
@@ -127,6 +112,12 @@ type robustCell struct {
 // goroutines; every cell derives its injector seed from its index alone,
 // so results and fault traces are bit-identical for any worker count.
 func RunRobustness(split *dataset.Split, cfg ExperimentConfig, rcfg RobustnessConfig) (*RobustnessResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := rcfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(split.Folds) == 0 {
 		return nil, fmt.Errorf("core: split has no test folds")
 	}
@@ -174,7 +165,7 @@ func RunRobustness(split *dataset.Split, cfg ExperimentConfig, rcfg RobustnessCo
 		if rcfg.FullEnvOutage && intensity > 0 {
 			fcfg.EnvDead = true
 		}
-		cells[ci], cellErrs[ci] = runRobustnessCell(thin(split.Folds[fi], cfg.MaxEvalSamples), fcfg, csiDet, cePrim, rcfg)
+		cells[ci], cellErrs[ci] = runRobustnessCell(thin(split.Folds[fi], cfg.MaxEvalSamples), fcfg, csiDet, cePrim)
 	})
 	for _, err := range cellErrs {
 		if err != nil {
@@ -227,7 +218,7 @@ func RunRobustness(split *dataset.Split, cfg ExperimentConfig, rcfg RobustnessCo
 // runRobustnessCell streams one fold through one fault configuration,
 // scoring the CSI-only detector and the degradation pipeline on the same
 // fault trace.
-func runRobustnessCell(fold *dataset.Dataset, fcfg fault.Config, csiDet, cePrim *Detector, rcfg RobustnessConfig) (robustCell, error) {
+func runRobustnessCell(fold *dataset.Dataset, fcfg fault.Config, csiDet, cePrim *Detector) (robustCell, error) {
 	var cell robustCell
 	// Per-cell registries stand in for the removed Stats() snapshots: each
 	// component writes its counters to a private Registry the cell reads
@@ -237,12 +228,7 @@ func runRobustnessCell(fold *dataset.Dataset, fcfg fault.Config, csiDet, cePrim 
 	fcfg.Observer = injReg
 	inj := fault.NewInjector(fcfg)
 
-	csiRT, err := stream.New(stream.Config{
-		Primary:      csiDet,
-		MaxHoldGap:   rcfg.MaxHoldGap,
-		SmootherNeed: rcfg.SmootherNeed,
-		Observer:     csiReg,
-	})
+	csiRT, err := stream.New(stream.Config{Primary: csiDet, Observer: csiReg})
 	if err != nil {
 		return cell, err
 	}
@@ -250,10 +236,6 @@ func runRobustnessCell(fold *dataset.Dataset, fcfg fault.Config, csiDet, cePrim 
 		Primary:        cePrim,
 		Fallback:       csiDet,
 		PrimaryUsesEnv: true,
-		MaxHoldGap:     rcfg.MaxHoldGap,
-		WatchdogFrames: rcfg.WatchdogFrames,
-		RecoverFrames:  rcfg.RecoverFrames,
-		SmootherNeed:   rcfg.SmootherNeed,
 		Observer:       pipeReg,
 	})
 	if err != nil {

@@ -94,12 +94,7 @@ func TestRunRobustnessDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunRobustnessDegradesUnderOutage(t *testing.T) {
 	_, split := testSplit(t)
 	cfg := shrink(quickCfg())
-	rcfg := RobustnessConfig{
-		Intensities:    []float64{0, 1},
-		FullEnvOutage:  true,
-		WatchdogFrames: 10,
-	}
-	res, err := RunRobustness(split, cfg, rcfg)
+	res, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{0, 1}, FullEnvOutage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +107,10 @@ func TestRunRobustnessDegradesUnderOutage(t *testing.T) {
 			faulty.Degradations, len(split.Folds))
 	}
 	// Env is dead from frame 0, so the watchdog must trip within its first
-	// interval in every fold.
-	if faulty.MaxFirstFallbackFrame < 0 || faulty.MaxFirstFallbackFrame > rcfg.WatchdogFrames {
-		t.Fatalf("first fallback at frame %d, want within one watchdog interval (%d frames)",
-			faulty.MaxFirstFallbackFrame, rcfg.WatchdogFrames)
+	// interval (the stream default, 40 frames) in every fold.
+	if faulty.MaxFirstFallbackFrame < 0 || faulty.MaxFirstFallbackFrame > 40 {
+		t.Fatalf("first fallback at frame %d, want within one watchdog interval (40 frames)",
+			faulty.MaxFirstFallbackFrame)
 	}
 	if faulty.FallbackFrac < 0.9 {
 		t.Fatalf("fallback served only %.0f%% of frames under a full env outage", 100*faulty.FallbackFrac)
@@ -137,11 +132,7 @@ func TestRunRobustnessCustomProfile(t *testing.T) {
 	_, split := testSplit(t)
 	cfg := shrink(quickCfg())
 	prof := fault.Config{EnvDead: true}
-	res, err := RunRobustness(split, cfg, RobustnessConfig{
-		Intensities:    []float64{1},
-		Profile:        prof,
-		WatchdogFrames: 10,
-	})
+	res, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{1}, Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,10 @@ func NewDetectorEngine(d *Detector, cfg ServeConfig) (*DetectorEngine, error) {
 	if d == nil || d.Net == nil || d.Scaler == nil {
 		return nil, fmt.Errorf("core: NewDetectorEngine needs a trained detector")
 	}
-	prec, err := infer.ParsePrecision(cfg.Precision)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	prec := infer.Precision(cfg.Precision)
 	newScorer, err := infer.NetworkScorerAt(d.Net, prec)
 	if err != nil {
 		return nil, err
@@ -89,9 +89,6 @@ func NewDetectorEngine(d *Detector, cfg ServeConfig) (*DetectorEngine, error) {
 	}
 	return de, nil
 }
-
-// Detector returns the model being served.
-func (de *DetectorEngine) Detector() *Detector { return de.det }
 
 // Precision returns the scorer precision the engine was built with.
 func (de *DetectorEngine) Precision() infer.Precision { return de.eng.Precision() }

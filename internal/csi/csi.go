@@ -380,10 +380,3 @@ func (s *Sampler) SampleComplex(snap *agents.Snapshot, env envsim.State, dtSecon
 	}
 	return rx
 }
-
-// Reset clears per-person phase state and AGC, keeping configuration.
-func (s *Sampler) Reset() {
-	s.motionPhase = make(map[int]float64)
-	s.agcGain = 1
-	s.layoutVer = -1
-}

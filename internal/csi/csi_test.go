@@ -184,19 +184,6 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	s := NewSampler(Config{Seed: 10})
-	p := agents.PersonView{ID: 3, Pos: agents.Point{X: 4, Y: 4}, Speed: 1}
-	s.Sample(occupiedSnap(0, p), calmEnv, 0.05)
-	if len(s.motionPhase) == 0 {
-		t.Fatal("motion phase should be tracked")
-	}
-	s.Reset()
-	if len(s.motionPhase) != 0 || s.agcGain != 1 || s.layoutVer != -1 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestLineDistance(t *testing.T) {
 	s := NewSampler(Config{Seed: 11}) // TX (5,3), RX (7,3)
 	if d := s.lineDistance(agents.Point{X: 6, Y: 3}); d != 0 {

@@ -41,8 +41,8 @@ const (
 )
 
 // Config parameterizes a Detector. The zero value means "drift detection
-// off" (Enabled reports false); setting any of Baseline/Window enables it
-// with defaults for the remaining zero fields.
+// off" (Enabled reports false); setting any field enables it with defaults
+// for the remaining zero fields.
 type Config struct {
 	// Baseline is the number of scores accumulated as the reference
 	// distribution before any evaluation happens (default 512).
@@ -64,8 +64,8 @@ type Config struct {
 }
 
 // Enabled reports whether this configuration asks for drift detection at
-// all. The zero value is disabled; any explicit sizing enables it.
-func (c Config) Enabled() bool { return c.Baseline != 0 || c.Window != 0 }
+// all: the zero value is disabled, any set field enables it.
+func (c Config) Enabled() bool { return c != Config{} }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {

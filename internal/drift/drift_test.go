@@ -70,6 +70,25 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestAnySettingEnables: setting any field — not only Baseline or Window —
+// asks for detection, so a threshold alone attaches a detector and a broken
+// threshold alone is refused instead of passing as "disabled".
+func TestAnySettingEnables(t *testing.T) {
+	for _, c := range []drift.Config{{PSI: 0.1}, {KS: 0.1}, {Bins: 8}, {Consecutive: 3}} {
+		if !c.Enabled() {
+			t.Errorf("%+v: not enabled", c)
+		}
+		if _, err := drift.New(c); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	for _, c := range []drift.Config{{KS: math.NaN()}, {PSI: -1, KS: -1}} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v: validated", c)
+		}
+	}
+}
+
 // TestShiftTriggers: a regime break in the score distribution latches the
 // trigger; a stationary stream never does.
 func TestShiftTriggers(t *testing.T) {

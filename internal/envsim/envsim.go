@@ -338,9 +338,6 @@ func (s *Simulator) Step(t time.Time, dt time.Duration, occupants int) State {
 	return meas
 }
 
-// State returns the current state without advancing time.
-func (s *Simulator) State() State { return s.state }
-
 // AbsoluteHumidity converts (temperature °C, relative humidity %) to an
 // absolute humidity in g/m³ using the Magnus approximation for saturation
 // vapour pressure. The CSI model uses this to couple the radio channel to

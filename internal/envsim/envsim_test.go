@@ -182,7 +182,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	if s.cfg.Setpoint != DefaultConfig().Setpoint || s.cfg.HeaterPower != DefaultConfig().HeaterPower {
 		t.Fatal("defaults not applied")
 	}
-	if s.State().Temp != DefaultConfig().InitialTemp {
+	if s.state.Temp != DefaultConfig().InitialTemp {
 		t.Fatal("initial state")
 	}
 }
@@ -250,8 +250,8 @@ func TestSensorNoiseIsMeasurementOnly(t *testing.T) {
 	}
 	// Internal physical state moved by far less than the noise amplitude
 	// accumulated over a minute of 1 s steps.
-	if math.Abs(s.State().Temp-cfg.InitialTemp) > 0.5 {
-		t.Fatalf("physical state contaminated by sensor noise: %g", s.State().Temp)
+	if math.Abs(s.state.Temp-cfg.InitialTemp) > 0.5 {
+		t.Fatalf("physical state contaminated by sensor noise: %g", s.state.Temp)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 // Archive: a feed's log directory as one stream, the format a drain hand-off
@@ -171,7 +173,7 @@ func Import(root, feed string, r io.Reader, accept func(Snapshot) error) (err er
 			return err
 		}
 		var copied int64
-		err = closeSynced(f, func(w io.Writer) (err error) {
+		err = atomicfile.CloseSynced(f, func(w io.Writer) (err error) {
 			copied, err = io.Copy(w, io.TeeReader(io.MultiReader(&raw, tr), sum))
 			return err
 		})
@@ -194,56 +196,11 @@ func Import(root, feed string, r io.Reader, accept func(Snapshot) error) (err er
 	if _, _, err := walk(stage, feed, segs, false, func([]byte, uint32) bool { return true }); err != nil {
 		return bad("%v", err)
 	}
-	if err := syncDir(stage); err != nil {
+	if err := atomicfile.SyncDir(stage); err != nil {
 		return err
 	}
 	if err := os.Rename(stage, dst); err != nil {
 		return err
 	}
-	return syncDir(root)
-}
-
-// WriteFileAtomic makes path hold what fill writes, or leaves it as it was:
-// fill writes a temporary file beside path (named with a '+', so no feed id
-// names it either), which is fsynced, closed and renamed over path, and the
-// directory is fsynced. On any error the temporary file is removed.
-func WriteFileAtomic(path string, fill func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp := filepath.Join(dir, "+"+filepath.Base(path)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err == nil {
-		err = closeSynced(f, fill)
-	}
-	if err == nil {
-		if err = os.Rename(tmp, path); err == nil {
-			return syncDir(dir)
-		}
-	}
-	os.Remove(tmp)
-	return err
-}
-
-// closeSynced has fill, when non-nil, write f, then fsyncs and closes it; f
-// is closed whatever happens.
-func closeSynced(f *os.File, fill func(io.Writer) error) (err error) {
-	if fill != nil {
-		err = fill(f)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// syncDir fsyncs a directory, making the entries created or renamed in it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return closeSynced(d, nil)
+	return atomicfile.SyncDir(root)
 }

@@ -275,33 +275,6 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestWriteFileAtomic: a failed fill leaves the old file byte-identical and
-// no temporary file; a good one replaces it.
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bundle")
-	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		w.Write([]byte("half a new"))
-		return boom
-	})
-	if got, _ := os.ReadFile(path); err != boom || string(got) != "old" || len(tree(t, dir)) != 1 {
-		t.Fatalf("failed write: err %v, file %q, dir %v", err, got, tree(t, dir))
-	}
-	if err := WriteFileAtomic(path, func(w io.Writer) error { _, err := w.Write([]byte("new")); return err }); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "new" || len(tree(t, dir)) != 1 {
-		t.Fatalf("good write: file %q, dir %v", got, tree(t, dir))
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
-		t.Fatalf("good write: mode %v (%v), want 0644", fi.Mode(), err)
-	}
-}
-
 // crcOf is the trailer CRC of the entries' bodies.
 func crcOf(es []entry) hash.Hash32 {
 	sum := crc32.New(crcTable)

@@ -85,10 +85,6 @@ type Config struct {
 	// bit-identical to an offline replay of that suffix but not of the full
 	// history. 0 retains everything (the default).
 	MaxSegments int
-	// Observer receives the framelog_* metrics (append/fsync latency
-	// histograms, rotation and recovery counters). Nil disables
-	// observability.
-	Observer obs.Observer
 }
 
 // Validate reports whether the configuration is usable. The zero value is

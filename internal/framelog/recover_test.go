@@ -178,7 +178,7 @@ func checkRecovery(t testing.TB, src, feed string, want func(index int) fault.Fr
 	// One pass.
 	one := copyFeed(t, src, feed)
 	var got []fault.Frame
-	w, rec, err := OpenReplay(cfg(one), feed, Anchor{}, func(f *fault.Frame) { got = append(got, *f) })
+	w, rec, err := OpenReplay(cfg(one), nil, feed, Anchor{}, func(f *fault.Frame) { got = append(got, *f) })
 	verdict("OpenReplay", rec, err)
 	delivered("OpenReplay", got, ref.indices)
 	if err == nil {
@@ -193,7 +193,7 @@ func checkRecovery(t testing.TB, src, feed string, want func(index int) fault.Fr
 		resumed := copyFeed(t, src, feed)
 		got = nil
 		from := Anchor{Next: ref.indices[mid] + 1, CRC: ref.crcs[mid]}
-		w, rec, err := OpenReplay(cfg(resumed), feed, from, func(f *fault.Frame) { got = append(got, *f) })
+		w, rec, err := OpenReplay(cfg(resumed), nil, feed, from, func(f *fault.Frame) { got = append(got, *f) })
 		verdict("OpenReplay resuming", rec, err)
 		delivered("OpenReplay resuming", got, ref.indices[mid+1:])
 		if err == nil {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 // Snapshot file, one per feed beside its segments, little-endian:
@@ -142,7 +144,7 @@ func (w *Writer) SaveSnapshot(scorer string, state []byte) error {
 	tmp := filepath.Join(w.dir, snapshotName+".tmp")
 	f, err := os.Create(tmp)
 	if err == nil {
-		err = closeSynced(f, func(dst io.Writer) error {
+		err = atomicfile.CloseSynced(f, func(dst io.Writer) error {
 			_, err := dst.Write(EncodeSnapshot(Snapshot{Anchor: w.anchor, Scorer: scorer, State: state}))
 			return err
 		})

@@ -83,7 +83,7 @@ func TestResumeOrSayWhyNot(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var got []int
-			w, rec, err := OpenReplay(Config{Dir: dir, Fsync: FsyncOff}, "f", c.from, func(f *fault.Frame) { got = append(got, f.Index) })
+			w, rec, err := OpenReplay(Config{Dir: dir, Fsync: FsyncOff}, nil, "f", c.from, func(f *fault.Frame) { got = append(got, f.Index) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestResumeOrSayWhyNot(t *testing.T) {
 	}
 
 	// A feed with no log at all holds nothing an anchor could match.
-	w, rec, err := OpenReplay(Config{Dir: dir, Fsync: FsyncOff}, "new", Anchor{Next: 1}, nil)
+	w, rec, err := OpenReplay(Config{Dir: dir, Fsync: FsyncOff}, nil, "new", Anchor{Next: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // segFile is the surface the writer needs from the active segment file.
@@ -73,10 +74,10 @@ type Writer struct {
 	wrap func(segFile) segFile
 }
 
-// Open is OpenReplay with nobody listening: a retained record costs one CRC
-// and an index read, and nothing is decoded.
+// Open is OpenReplay with nobody listening and no metrics: a retained
+// record costs one CRC and an index read, and nothing is decoded.
 func Open(cfg Config, feed string) (*Writer, Recovery, error) {
-	return OpenReplay(cfg, feed, Anchor{}, nil)
+	return OpenReplay(cfg, nil, feed, Anchor{}, nil)
 }
 
 // OpenReplay opens (or creates) the log for one feed in one pass over what
@@ -94,7 +95,10 @@ func Open(cfg Config, feed string) (*Writer, Recovery, error) {
 // from.Next-1 turns up with CRC from.CRC; fn then sees only the frames after
 // it. When no record matches, Recovery.Stale says why and fn has seen
 // nothing.
-func OpenReplay(cfg Config, feed string, from Anchor, fn func(*fault.Frame)) (*Writer, Recovery, error) {
+//
+// o, when non-nil, receives the writer's framelog_* metrics (append/fsync
+// latency histograms, rotation and recovery counters).
+func OpenReplay(cfg Config, o obs.Observer, feed string, from Anchor, fn func(*fault.Frame)) (*Writer, Recovery, error) {
 	var rec Recovery
 	if err := cfg.Validate(); err != nil {
 		return nil, rec, err
@@ -110,7 +114,7 @@ func OpenReplay(cfg Config, feed string, from Anchor, fn func(*fault.Frame)) (*W
 		cfg:      cfg,
 		feed:     feed,
 		dir:      feedDir(cfg.Dir, feed),
-		m:        newMetrics(cfg.Observer),
+		m:        newMetrics(o),
 		lastSync: time.Now(),
 		buf:      make([]byte, 0, recordLen),
 	}

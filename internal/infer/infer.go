@@ -212,9 +212,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// InputDim returns the feature width the engine scores.
-func (e *Engine) InputDim() int { return e.dim }
-
 // Precision returns the declared scorer precision (PrecisionF64 unless the
 // config said otherwise).
 func (e *Engine) Precision() Precision { return e.cfg.Precision }

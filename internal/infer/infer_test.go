@@ -319,13 +319,14 @@ func TestObserverDoesNotChangeScores(t *testing.T) {
 		eng.Close()
 	}
 
-	snap := reg.Snapshot()
 	get := func(name string) obs.MetricSnapshot {
-		m, ok := snap.Get(name)
-		if !ok {
-			t.Fatalf("series %s missing from registry", name)
+		for _, m := range reg.Snapshot().Metrics {
+			if m.Name == name {
+				return m
+			}
 		}
-		return m
+		t.Fatalf("series %s missing from registry", name)
+		return obs.MetricSnapshot{}
 	}
 	requests := int64(get("infer_requests_total").Value)
 	batches := int64(get("infer_batches_total").Value)

@@ -74,15 +74,18 @@ func TestRegistryInstallActivate(t *testing.T) {
 	if len(list) != 2 || !list[1].Active || list[0].Active || !list[0].EverActive {
 		t.Fatalf("list: %+v", list)
 	}
-	snap := reg.Snapshot()
+	got := make(map[string]float64)
+	for _, m := range reg.Snapshot().Metrics {
+		got[m.Name] = m.Value
+	}
 	for name, want := range map[string]float64{
 		"infer_model_installs_total": 2,
 		"infer_model_swaps_total":    2,
 		"infer_model_active_seq":     2,
 		"infer_model_versions":       2,
 	} {
-		if m, ok := snap.Get(name); !ok || m.Value != want {
-			t.Fatalf("metric %s: got %+v want %v", name, m, want)
+		if v, ok := got[name]; !ok || v != want {
+			t.Fatalf("metric %s: got %v want %v", name, v, want)
 		}
 	}
 }

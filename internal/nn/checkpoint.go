@@ -8,8 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/tensor"
 )
 
@@ -40,9 +40,8 @@ const (
 // SaveCheckpoint atomically writes a training checkpoint: the network's
 // parameters at full precision, the optimiser state (AdamW moments and
 // step count; stateless optimisers store nothing) and the number of
-// completed epochs. The file is written to a temporary sibling, fsynced
-// and renamed into place, so a crash mid-save leaves the previous
-// checkpoint intact.
+// completed epochs. The file is replaced atomically (atomicfile.Write), so
+// a crash mid-save leaves the previous checkpoint intact.
 func SaveCheckpoint(path string, n *Network, opt Optimizer, epoch int) error {
 	params := n.Params()
 	var payload bytes.Buffer
@@ -84,30 +83,10 @@ func SaveCheckpoint(path string, n *Network, opt Optimizer, epoch int) error {
 	binary.Write(&out, le, uint64(payload.Len()))
 	out.Write(payload.Bytes())
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(out.Bytes())
 		return err
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(out.Bytes()); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	})
 }
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint into net

@@ -52,9 +52,6 @@ func newConv1D(inC, outC, k, l int) *Conv1D {
 // LOut returns the output length per channel.
 func (c *Conv1D) LOut() int { return c.L - c.K + 1 }
 
-// OutDim returns the flattened output width OutC·LOut.
-func (c *Conv1D) OutDim() int { return c.OutC * c.LOut() }
-
 // Forward implements Layer.
 func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != c.InC*c.L {
@@ -143,9 +140,6 @@ func (c *Conv1D) Grads() []*tensor.Matrix { return []*tensor.Matrix{c.GradW, c.G
 
 // Name implements Layer.
 func (c *Conv1D) Name() string { return "conv1d" }
-
-// NumParams returns the trainable scalar count.
-func (c *Conv1D) NumParams() int { return c.OutC*c.InC*c.K + c.OutC }
 
 // MaxPool1D downsamples each channel by taking the maximum over
 // non-overlapping windows of size W (stride = W, trailing remainder

@@ -130,9 +130,6 @@ func (d *Dense) Grads() []*tensor.Matrix { return []*tensor.Matrix{d.GradW, d.Gr
 // Name implements Layer.
 func (d *Dense) Name() string { return "dense" }
 
-// NumParams returns the count of trainable scalars in the layer.
-func (d *Dense) NumParams() int { return d.In*d.Out + d.Out }
-
 // Dropout randomly zeroes activations with probability P during training and
 // rescales survivors by 1/(1-P) (inverted dropout). At inference it is the
 // identity.

@@ -17,8 +17,6 @@ type Loss interface {
 	// loop reuse one gradient buffer across batches instead of allocating
 	// per step; it must not alias pred or target.
 	Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix
-	// Name identifies the loss for logging.
-	Name() string
 }
 
 func mustLossShapes(pred, target *tensor.Matrix, name string) {
@@ -76,9 +74,6 @@ func (BCEWithLogits) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Name implements Loss.
-func (BCEWithLogits) Name() string { return "bce_logits" }
-
 // MSE is mean squared error, used for the humidity/temperature regression
 // of §V-D ("minimization of a squared error objective").
 type MSE struct{}
@@ -110,6 +105,3 @@ func (MSE) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 	}
 	return out
 }
-
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }

@@ -39,9 +39,6 @@ func TestDenseBackwardShapes(t *testing.T) {
 	if d.GradW.Rows != 3 || d.GradW.Cols != 5 || d.GradB.Cols != 5 {
 		t.Fatal("grad shapes wrong")
 	}
-	if d.NumParams() != 3*5+5 {
-		t.Fatalf("NumParams got %d", d.NumParams())
-	}
 }
 
 func TestDenseBackwardRequiresTrainingForward(t *testing.T) {
@@ -181,7 +178,9 @@ func TestDropout(t *testing.T) {
 		t.Fatalf("dropout counts off: zeros=%d twos=%d", zeros, twos)
 	}
 	// Backward respects the same mask.
-	g := dp.Backward(tensor.NewMatrix(10, 100).Apply(func(float64) float64 { return 1 }))
+	ones := tensor.NewMatrix(10, 100)
+	ones.Fill(1)
+	g := dp.Backward(ones)
 	for i, v := range g.Data {
 		if (out.Data[i] == 0) != (v == 0) {
 			t.Fatal("dropout backward mask mismatch")
@@ -288,8 +287,8 @@ func TestMLPArchitectureString(t *testing.T) {
 	}
 	counts := []int{8320, 33024, 32896, 129}
 	for i, d := range dense {
-		if d.NumParams() != counts[i] {
-			t.Fatalf("layer %d params %d want %d", i, d.NumParams(), counts[i])
+		if n := len(d.W.Data) + len(d.B.Data); n != counts[i] {
+			t.Fatalf("layer %d params %d want %d", i, n, counts[i])
 		}
 	}
 	if net.NumParams() != 8320+33024+32896+129 {
@@ -400,10 +399,6 @@ func TestAdamWDecoupledDecayShrinksWeights(t *testing.T) {
 	}
 	if w.Data[0] >= 1 || w.Data[0] <= 0 {
 		t.Fatalf("decoupled decay wrong: %g", w.Data[0])
-	}
-	a.Reset()
-	if a.t != 0 || a.m != nil {
-		t.Fatal("Reset did not clear state")
 	}
 }
 

@@ -11,8 +11,6 @@ type Optimizer interface {
 	// Step applies one update. params and grads are parallel slices
 	// collected across all layers.
 	Step(params, grads []*tensor.Matrix)
-	// Name identifies the optimiser for logging.
-	Name() string
 }
 
 // AdamW implements Adam with decoupled weight decay (Loshchilov & Hutter,
@@ -63,17 +61,6 @@ func (a *AdamW) Step(params, grads []*tensor.Matrix) {
 			p.Data[j] -= step * mi[j] / (math.Sqrt(vi[j]) + a.Eps)
 		}
 	}
-}
-
-// Name implements Optimizer.
-func (a *AdamW) Name() string { return "adamw" }
-
-// Reset clears the optimiser state (moment estimates and step counter) so an
-// optimiser value can be reused across independent training runs.
-func (a *AdamW) Reset() {
-	a.t = 0
-	a.m = nil
-	a.v = nil
 }
 
 // ClipGradNorm rescales all gradients so their global L2 norm does not

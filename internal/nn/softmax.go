@@ -74,9 +74,6 @@ func (s SoftmaxCE) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Name implements Loss.
-func (s SoftmaxCE) Name() string { return "softmax_ce" }
-
 // InverseFrequencyWeights returns per-class weights proportional to
 // 1/frequency, normalised to mean 1, so rare classes contribute as much
 // total gradient as common ones. Classes absent from labels get weight 1.

@@ -39,16 +39,6 @@ type Snapshot struct {
 	Metrics []MetricSnapshot
 }
 
-// Get returns the named metric's snapshot, or false.
-func (s Snapshot) Get(name string) (MetricSnapshot, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MetricSnapshot{}, false
-}
-
 // Snapshot captures every registered instrument, sorted by name.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()

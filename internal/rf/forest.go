@@ -26,13 +26,13 @@ type ForestConfig struct {
 // Validate reports whether the configuration is trainable (zero sizes are
 // defaulted by Fit, so only contradictions fail).
 func (c ForestConfig) Validate() error {
-	if c.NumTrees < 0 || c.MinLeaf < 0 {
-		return fmt.Errorf("rf: negative forest sizes (trees %d, min leaf %d)", c.NumTrees, c.MinLeaf)
+	if c.NumTrees < 0 {
+		return fmt.Errorf("rf: negative NumTrees %d", c.NumTrees)
 	}
 	if c.SubsampleRatio < 0 || c.SubsampleRatio > 1 {
 		return fmt.Errorf("rf: SubsampleRatio %g outside [0, 1]", c.SubsampleRatio)
 	}
-	return nil
+	return TreeConfig{MaxDepth: c.MaxDepth, MinLeaf: c.MinLeaf, MTry: c.MTry}.Validate()
 }
 
 // DefaultForestConfig mirrors common scikit-learn defaults scaled for a
@@ -149,41 +149,6 @@ func (f *Forest) PredictValues(x *tensor.Matrix) []float64 {
 	})
 	return out
 }
-
-// FeatureImportance averages per-tree importances, normalised to sum to 1.
-func (f *Forest) FeatureImportance() []float64 {
-	imp := make([]float64, f.nFeatures)
-	for _, t := range f.Trees {
-		for i, v := range t.FeatureImportance(f.nFeatures) {
-			imp[i] += v
-		}
-	}
-	var total float64
-	for _, v := range imp {
-		total += v
-	}
-	if total > 0 {
-		for i := range imp {
-			imp[i] /= total
-		}
-	}
-	return imp
-}
-
-// NumNodes returns the total node count across trees, a proxy for the model
-// footprint the paper contrasts with the MLP's (§V-B: "RF is computationally
-// and space-intensive").
-func (f *Forest) NumNodes() int {
-	total := 0
-	for _, t := range f.Trees {
-		total += t.NumNodes()
-	}
-	return total
-}
-
-// SizeBytes estimates the stored model size: each node takes a feature (4B),
-// threshold (8B), two child indices (8B) and a value (8B).
-func (f *Forest) SizeBytes() int { return f.NumNodes() * 28 }
 
 func parallelRows(n int, fn func(lo, hi int)) {
 	// Tree traversal is ~1µs per row; below a few hundred rows the spawn

@@ -238,26 +238,3 @@ func (t *Tree) PredictValue(row []float64) float64 {
 		}
 	}
 }
-
-// NumNodes returns the node count (leaves included).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
-// FeatureImportance accumulates sample-weighted impurity-split counts per
-// feature (a mean-decrease-in-impurity proxy; normalised to sum to 1).
-func (t *Tree) FeatureImportance(nFeatures int) []float64 {
-	imp := make([]float64, nFeatures)
-	var total float64
-	for i := range t.nodes {
-		nd := &t.nodes[i]
-		if nd.feature >= 0 {
-			imp[nd.feature] += float64(nd.samples)
-			total += float64(nd.samples)
-		}
-	}
-	if total > 0 {
-		for i := range imp {
-			imp[i] /= total
-		}
-	}
-	return imp
-}

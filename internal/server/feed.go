@@ -150,12 +150,12 @@ func (f *feed) open() error {
 	if err != nil {
 		return err
 	}
-	w, rec, err := framelog.OpenReplay(s.cfg.Durability, f.id, from, replay)
+	w, rec, err := framelog.OpenReplay(s.cfg.Durability, s.cfg.Observer, f.id, from, replay)
 	if err == nil && rec.Stale != "" {
 		reason, from = rec.Stale, framelog.Anchor{}
 		_ = w.Close() // nothing was appended; reopened to replay everything
 		if err = f.fresh(); err == nil {
-			w, rec, err = framelog.OpenReplay(s.cfg.Durability, f.id, from, replay)
+			w, rec, err = framelog.OpenReplay(s.cfg.Durability, s.cfg.Observer, f.id, from, replay)
 		}
 	}
 	if reason != "" && (reason != ignoredMissing || rec.Frames > 0) {

@@ -311,7 +311,7 @@ func TestSwapAtomicity(t *testing.T) {
 // same model scoring a changed input distribution (ampPred passes the
 // first subcarrier through as the score).
 func TestDriftTriggerDeterministic(t *testing.T) {
-	runAmp := func() (server.FeedInfo, float64) {
+	runAmp := func() (server.FeedInfo, int64) {
 		_, ts, obsReg := newTestServer(t, func(c *server.Config) {
 			c.Drift.Baseline = 40
 			c.Drift.Window = 20
@@ -340,9 +340,7 @@ func TestDriftTriggerDeterministic(t *testing.T) {
 		if len(feeds.Feeds) != 1 || feeds.Feeds[0].Drift == nil {
 			t.Fatalf("feed listing without drift status: %+v", feeds.Feeds)
 		}
-		snap := obsReg.Snapshot()
-		trig, _ := snap.Get("server_drift_triggers_total")
-		return feeds.Feeds[0], trig.Value
+		return feeds.Feeds[0], obsReg.Counter("server_drift_triggers_total", "").Value()
 	}
 
 	first, trig1 := runAmp()
@@ -358,5 +356,26 @@ func TestDriftTriggerDeterministic(t *testing.T) {
 	}
 	if trig1 != 1 || trig2 != 1 {
 		t.Fatalf("server_drift_triggers_total: %v and %v, want 1", trig1, trig2)
+	}
+}
+
+// TestDriftThresholdAloneAttaches: a drift config that sets only a
+// threshold still attaches a detector to every feed (the remaining fields
+// defaulted), and the feed listing reports its state.
+func TestDriftThresholdAloneAttaches(t *testing.T) {
+	_, ts, _ := newTestServer(t, func(c *server.Config) { c.Drift.PSI = 0.1 })
+	if code, _, _ := doReq(t, http.MethodPut, ts.URL+"/v1/feeds/room", nil); code != http.StatusCreated {
+		t.Fatal("register")
+	}
+	if _, ir, _ := ingest(t, ts.URL, "room", mkFrames(4, 0.2)); ir.Accepted != 4 {
+		t.Fatal("ingest")
+	}
+	var feeds struct{ Feeds []server.FeedInfo }
+	_, body, _ := doReq(t, http.MethodGet, ts.URL+"/v1/feeds", nil)
+	if err := json.Unmarshal(body, &feeds); err != nil {
+		t.Fatal(err)
+	}
+	if len(feeds.Feeds) != 1 || feeds.Feeds[0].Drift == nil {
+		t.Fatalf("Drift{PSI: 0.1} attached no detector: %s", body)
 	}
 }

@@ -98,7 +98,7 @@ type Config struct {
 	// runtime, when the snapshot is missing or unusable), recovering every
 	// feed to the bit-identical decision state an uninterrupted run would
 	// hold. The zero value disables durability. The Observer above also
-	// receives the framelog_* series.
+	// receives the framelog_* series (framelog.OpenReplay).
 	Durability framelog.Config
 
 	// Cluster, when non-nil, makes the node shard-aware: it serves and

@@ -412,8 +412,12 @@ func TestTimedOutIngestAcceptsNothing(t *testing.T) {
 	// Both handlers run on after their 503s; the request histogram counts a
 	// handler when it returns (register + holder + waiter).
 	waitFor(t, 5*time.Second, "timed-out handlers to finish", func() bool {
-		m, ok := reg.Snapshot().Get("server_request_seconds")
-		return ok && m.Count == 3
+		for _, m := range reg.Snapshot().Metrics {
+			if m.Name == "server_request_seconds" {
+				return m.Count == 3
+			}
+		}
+		return false
 	})
 	// The holder's frame was mid-flight and is in; the waiter's are not.
 	if got := reg.Counter("server_frames_ingested_total", "").Value(); got != 1 {

@@ -33,6 +33,3 @@ func (s *Smoother) Push(pred int) (state int, flipped bool) {
 	}
 	return s.state, false
 }
-
-// State returns the current announced state.
-func (s *Smoother) State() int { return s.state }

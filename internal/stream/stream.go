@@ -292,9 +292,6 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// Mode returns the current degradation state.
-func (rt *Runtime) Mode() Mode { return rt.mode }
-
 // FirstFallbackFrame returns the index of the first frame served by the
 // fallback detector, or -1 if the runtime has never fallen back. Aggregate
 // counts (frames, imputations, transitions) live in the stream_* series of

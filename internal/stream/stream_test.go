@@ -196,8 +196,8 @@ func TestDegradationAndRecovery(t *testing.T) {
 			firstFallback = i
 		}
 	}
-	if rt.Mode() != ModeFallback {
-		t.Fatalf("runtime did not degrade; mode %v", rt.Mode())
+	if rt.mode != ModeFallback {
+		t.Fatalf("runtime did not degrade; mode %v", rt.mode)
 	}
 	if firstFallback < 0 || firstFallback-3 > 5 {
 		t.Fatalf("fallback started at frame %d, want within one watchdog interval (5) of the outage at 3", firstFallback)
@@ -218,8 +218,8 @@ func TestDegradationAndRecovery(t *testing.T) {
 		rt.Process(frame(i, 21))
 		i++
 	}
-	if rt.Mode() != ModePrimary {
-		t.Fatalf("runtime did not recover; mode %v", rt.Mode())
+	if rt.mode != ModePrimary {
+		t.Fatalf("runtime did not recover; mode %v", rt.mode)
 	}
 	if r := count(reg, "stream_recoveries_total"); r != 1 {
 		t.Fatalf("recoveries = %d, want 1", r)
@@ -527,7 +527,10 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 		}
 	}
 
-	snap := reg.Snapshot()
+	snap := make(map[string]obs.MetricSnapshot)
+	for _, m := range reg.Snapshot().Metrics {
+		snap[m.Name] = m
+	}
 	checks := []struct {
 		name string
 		want int
@@ -543,7 +546,7 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 		{"stream_flips_total", want.flips},
 	}
 	for _, c := range checks {
-		m, ok := snap.Get(c.name)
+		m, ok := snap[c.name]
 		if !ok {
 			t.Fatalf("series %s missing from registry", c.name)
 		}
@@ -558,7 +561,7 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 	}
 	// Decision latency is observed per frame by Run (the channel-driven
 	// loop), not by direct Process calls; here it must exist but stay empty.
-	if m, ok := snap.Get("stream_decision_latency_seconds"); !ok || m.Count != 0 {
+	if m, ok := snap["stream_decision_latency_seconds"]; !ok || m.Count != 0 {
 		t.Errorf("stream_decision_latency_seconds = %+v, want registered with 0 observations", m)
 	}
 }

@@ -38,12 +38,6 @@ func FromMatrixF32(m *Matrix) *MatrixF32 {
 	return out
 }
 
-// At returns element (i, j).
-func (m *MatrixF32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *MatrixF32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
 // MatMulF32 computes dst = a × b in float32. Under the generic kernel each
 // output row runs the same 4-wide unrolled ikj loop as the float64 kernel
 // (see matmulRow); under the AVX2 kernel rows go through the FMA assembly

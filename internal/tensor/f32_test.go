@@ -88,7 +88,7 @@ func TestSparseKernelsMatchDense(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var s float32
 				for q := 0; q < 8; q++ {
-					s += val[c+q] * w.At(int(idx[c+q]), j)
+					s += val[c+q] * w.Data[int(idx[c+q])*w.Cols+j]
 				}
 				ref[j] += s
 			}
@@ -97,14 +97,14 @@ func TestSparseKernelsMatchDense(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var s float32
 				for q := 0; q < 4; q++ {
-					s += val[c+q] * w.At(int(idx[c+q]), j)
+					s += val[c+q] * w.Data[int(idx[c+q])*w.Cols+j]
 				}
 				ref[j] += s
 			}
 		}
 		for ; c < nz; c++ {
 			for j := 0; j < n; j++ {
-				ref[j] += val[c] * w.At(int(idx[c]), j)
+				ref[j] += val[c] * w.Data[int(idx[c])*w.Cols+j]
 			}
 		}
 		for j := range dst {
@@ -357,7 +357,7 @@ func TestSparseRowDotColumnF64(t *testing.T) {
 	got := SparseRowDotColumnF64(w, 0.75, 0, idx, val)
 	want := 0.75
 	for k, id := range idx {
-		want += float64(val[k]) * float64(w.At(int(id), 0))
+		want += float64(val[k]) * float64(w.Data[int(id)*w.Cols+0])
 	}
 	if got != want {
 		t.Fatalf("f64 dot: %v != %v", got, want)

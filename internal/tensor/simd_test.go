@@ -95,7 +95,7 @@ func TestSparseRowMatMulF32Parity(t *testing.T) {
 				for j := 0; j < n; j++ {
 					want := float64(bias[j])
 					for k := 0; k < nz; k++ {
-						want += float64(val[k]) * float64(b.At(int(idx[k]), j))
+						want += float64(val[k]) * float64(b.Data[int(idx[k])*b.Cols+j])
 					}
 					if !closeF32(got[j], want, math.Abs(want), nz) {
 						t.Fatalf("n=%d in=%d nz=%d j=%d: got %g, f64 ref %g", n, in, nz, j, got[j], want)
@@ -131,10 +131,10 @@ func TestMatMulF32Parity(t *testing.T) {
 			for j := 0; j < n; j++ {
 				want := 0.0
 				for kk := 0; kk < k; kk++ {
-					want += float64(a.At(i, kk)) * float64(b.At(kk, j))
+					want += float64(a.Data[i*a.Cols+kk]) * float64(b.Data[kk*b.Cols+j])
 				}
-				if !closeF32(dst.At(i, j), want, math.Abs(want), k) {
-					t.Fatalf("%dx%dx%d (%d,%d): got %g, f64 ref %g", m, k, n, i, j, dst.At(i, j), want)
+				if !closeF32(dst.Data[i*dst.Cols+j], want, math.Abs(want), k) {
+					t.Fatalf("%dx%dx%d (%d,%d): got %g, f64 ref %g", m, k, n, i, j, dst.Data[i*dst.Cols+j], want)
 				}
 			}
 		}
@@ -349,7 +349,7 @@ func FuzzKernelParity(f *testing.F) {
 		for j := 0; j < n; j++ {
 			want := float64(bias[j])
 			for k := 0; k < nz; k++ {
-				want += float64(val[k]) * float64(b.At(int(idx[k]), j))
+				want += float64(val[k]) * float64(b.Data[int(idx[k])*b.Cols+j])
 			}
 			if !closeF32(got[j], want, math.Abs(want), nz) {
 				t.Fatalf("seed=%d nz=%d in=%d n=%d j=%d: got %g, f64 ref %g", seed, nz, in, n, j, got[j], want)

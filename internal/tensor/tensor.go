@@ -117,56 +117,12 @@ func (m *Matrix) String() string {
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
-func (m *Matrix) mustSameShape(o *Matrix, op string) {
-	if !m.SameShape(o) {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-}
-
-// Add adds o into m element-wise, in place, and returns m.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	m.mustSameShape(o, "Add")
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-	return m
-}
-
-// Sub subtracts o from m element-wise, in place, and returns m.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	m.mustSameShape(o, "Sub")
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-	return m
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Apply replaces each element x with f(x) in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-	return m
-}
-
-// T returns a newly allocated transpose.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		for j, v := range ri {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
 }
 
 // matmulParallelThreshold is the multiply-accumulate count above which the
@@ -498,15 +454,6 @@ func (m *Matrix) ColMeans() []float64 {
 		out[j] *= inv
 	}
 	return out
-}
-
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty).

@@ -11,6 +11,11 @@
 //   - Serve (or NewServer) exposes the detector as the multi-tenant network
 //     service implemented by internal/server.
 //
+// ServeConfig's nested DriftConfig, ClusterConfig and DurabilityConfig are
+// aliases of the internal configs they set (drift.Config,
+// server.ClusterConfig, framelog.Config), not copies: a setting is declared,
+// documented and validated once, and NewServer passes each straight through.
+//
 // cmd/occupredict and cmd/occuserve are the reference consumers.
 package occupancy
 

@@ -75,45 +75,10 @@ type ServeConfig struct {
 	Drift DriftConfig
 }
 
-// DriftConfig is the public face of the per-feed drift detector (see
-// internal/drift). The zero value disables detection; setting any field
-// enables it, with the remaining fields defaulted.
-type DriftConfig struct {
-	// Baseline is how many primary decision scores establish the
-	// reference distribution (default 512).
-	Baseline int
-	// Window is the tumbling evaluation window size (default 256).
-	Window int
-	// Bins is the histogram resolution for PSI (default 16).
-	Bins int
-	// PSI and KS are the per-window trigger thresholds (defaults 0.25 and
-	// 0.2; negative disables that statistic).
-	PSI float64
-	KS  float64
-	// Consecutive is how many successive over-threshold windows latch a
-	// drift trigger (default 2).
-	Consecutive int
-}
-
-// Validate reports whether the drift configuration is usable; the zero
-// value is valid (drift detection off).
-func (c DriftConfig) Validate() error { return c.lower().Validate() }
-
-// Enabled reports whether any field is set, i.e. whether the server will
-// attach a drift detector to each feed.
-func (c DriftConfig) Enabled() bool { return c.lower().Enabled() }
-
-// lower converts to the internal/drift form.
-func (c DriftConfig) lower() drift.Config {
-	return drift.Config{
-		Baseline:    c.Baseline,
-		Window:      c.Window,
-		Bins:        c.Bins,
-		PSI:         c.PSI,
-		KS:          c.KS,
-		Consecutive: c.Consecutive,
-	}
-}
+// DriftConfig configures the per-feed drift detector (see internal/drift).
+// The zero value disables detection; setting any field enables it, with the
+// remaining fields defaulted.
+type DriftConfig = drift.Config
 
 // ShardMap is the versioned cluster membership every node and client
 // routes by; see internal/cluster for the placement contract.
@@ -122,64 +87,19 @@ type ShardMap = cluster.Map
 // ClusterNode is one serving node in a ShardMap.
 type ClusterNode = cluster.Node
 
-// ClusterConfig places a node in (or in front of) a sharded cluster.
-type ClusterConfig struct {
-	// Self is this node's ID in the shard map. An ID the map omits makes
-	// the node a thin router: it owns no feeds and redirects every feed
-	// request to the owner.
-	Self string
-	// Map is the initial shard map. The zero value means "no membership
-	// yet": feeds are served locally until a populated map is installed
-	// via PUT /v1/cluster (Client.UpdateShardMap).
-	Map ShardMap
-}
+// ClusterConfig places a node in (or in front of) a sharded cluster: Self
+// is this node's ID in the shard map (an ID the map omits makes the node a
+// thin router), Map the initial membership (the zero Map waits for
+// Client.UpdateShardMap).
+type ClusterConfig = server.ClusterConfig
 
-// Validate reports whether the cluster configuration is usable.
-func (c ClusterConfig) Validate() error { return c.lower().Validate() }
-
-// lower converts to the internal/server form.
-func (c ClusterConfig) lower() server.ClusterConfig {
-	return server.ClusterConfig{Self: c.Self, Map: c.Map}
-}
-
-// DurabilityConfig is the public face of the per-feed frame log (see
-// internal/framelog). The zero value means "no durability".
-type DurabilityConfig struct {
-	// Dir is the log root; each feed logs to Dir/<feedID>/. Empty disables
-	// durability.
-	Dir string
-	// Fsync is the sync policy: "always" (survive power loss per frame),
-	// "interval" (default; bound the power-loss window at FsyncInterval) or
-	// "off". A SIGKILL'd process loses nothing under any policy — appends
-	// bypass user-space buffering — the policy only matters for power loss.
-	Fsync string
-	// FsyncInterval is the maximum time between syncs under "interval"
-	// (default 100ms).
-	FsyncInterval time.Duration
-	// SegmentMaxBytes rotates log segments at this size (default 64 MiB).
-	SegmentMaxBytes int64
-	// MaxSegments, when > 0, caps retained segments per feed; recovery then
-	// replays only the retained suffix. 0 retains everything.
-	MaxSegments int
-}
-
-// Validate reports whether the durability configuration is usable; the zero
-// value is valid (durability off).
-func (c DurabilityConfig) Validate() error {
-	return c.framelog(nil).Validate()
-}
-
-// framelog lowers the public config to the internal one.
-func (c DurabilityConfig) framelog(o obs.Observer) framelog.Config {
-	return framelog.Config{
-		Dir:             c.Dir,
-		Fsync:           c.Fsync,
-		Interval:        c.FsyncInterval,
-		SegmentMaxBytes: c.SegmentMaxBytes,
-		MaxSegments:     c.MaxSegments,
-		Observer:        o,
-	}
-}
+// DurabilityConfig is the per-feed frame log (see internal/framelog): Dir
+// is the log root (empty disables durability), Fsync the sync policy —
+// "always", "interval" (default; at most Interval between syncs, default
+// 100ms) or "off"; a SIGKILL'd process loses nothing under any policy, the
+// policy only matters for power loss — and SegmentMaxBytes/MaxSegments bound
+// each feed's segments.
+type DurabilityConfig = framelog.Config
 
 // Validate reports whether the configuration is serveable.
 func (c ServeConfig) Validate() error {
@@ -249,12 +169,6 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var clusterCfg *server.ClusterConfig
-	if cfg.Cluster != nil {
-		cc := cfg.Cluster.lower()
-		clusterCfg = &cc
-	}
-
 	reg := obs.NewRegistry()
 	ecfg := core.ServeConfig{Workers: cfg.Workers, Precision: cfg.Precision, Observer: reg}
 	primary, err := core.NewDetectorEngine(d.det, ecfg)
@@ -309,11 +223,11 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 		RequestTimeout: cfg.RequestTimeout,
 		StreamBuffer:   cfg.StreamBuffer,
 		Observer:       reg,
-		Durability:     cfg.Durability.framelog(reg),
-		Cluster:        clusterCfg,
+		Durability:     cfg.Durability,
+		Cluster:        cfg.Cluster,
 		Models:         models,
 		BuildModel:     buildModel,
-		Drift:          cfg.Drift.lower(),
+		Drift:          cfg.Drift,
 	})
 	if err != nil {
 		closeAll()

@@ -18,23 +18,22 @@ import (
 // names under internal/ that no non-test code names, each with the reason it
 // stays. A name is "pkg.Ident" or "pkg.Type.Method".
 var reachedIndirectly = map[string]string{
-	"nn.GradCheck":                   "the numerical-gradient reference the nn tests compare backward passes against",
-	"dataset.FeatureSet.MarshalText": "reached through encoding: experiment results marshal FeatureSet map keys as JSON text",
-	"server.Server.FeedCount":        "the server tests' leak check: how many feeds a node holds, read without a request that would itself be routed, rate-limited or refused while draining",
+	"nn.GradCheck":            "the numerical-gradient reference the nn tests compare backward passes against",
+	"server.Server.FeedCount": "the server tests' leak check: how many feeds a node holds, read without a request that would itself be routed, rate-limited or refused while draining",
 }
 
 // TestNoUnreachableExports keeps dead surface out of internal/: every
 // exported top-level identifier and every exported method declared there
-// must be named from non-test code somewhere in the tree — the root module
+// must be reached from non-test code somewhere in the tree — the root module
 // or bench/ — or sit in reachedIndirectly with a reason. A top-level name
 // counts when the type checker resolves some identifier outside the
 // declaration itself (and outside its own methods' receivers) to it. A
-// method counts when some selector in non-test code picks a method or field
-// of that name — by name, not by receiver type, because a call through an
-// interface names every implementation and the checker cannot tell which;
-// the rule therefore misses a dead method that shares its name with a live
-// one, and never flags a live one. Tests are not callers: a helper only its
-// own test reaches is deleted with the test, not kept for it.
+// method counts when some selector resolves to that method itself, or when
+// its type implements an interface — named or anonymous — whose method of
+// that name non-test code calls; every standard-library interface counts as
+// called, since fmt, encoding/json, net/http and the rest call through them.
+// Tests are not callers: a helper only its own test reaches is deleted with
+// the test, not kept for it.
 func TestNoUnreachableExports(t *testing.T) {
 	l := &treeLoader{
 		fset: token.NewFileSet(),
@@ -44,7 +43,7 @@ func TestNoUnreachableExports(t *testing.T) {
 			Uses: make(map[*ast.Ident]types.Object),
 		},
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -109,18 +108,14 @@ func TestNoUnreachableExports(t *testing.T) {
 	}
 
 	used := make(map[types.Object]bool)
-	// selected holds every method or field name some selector picks.
-	selected := make(map[string]bool)
+	// called indexes by method name the interfaces whose method of that
+	// name non-test code calls.
+	called := make(map[string][]*types.Interface)
 	for id, obj := range l.info.Uses {
-		switch o := obj.(type) {
-		case *types.Func:
-			obj = o.Origin()
-			if o.Type().(*types.Signature).Recv() != nil {
-				selected[o.Name()] = true
-			}
-		case *types.Var:
-			if o.IsField() {
-				selected[o.Name()] = true
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called[fn.Name()] = append(called[fn.Name()], recv.Type().Underlying().(*types.Interface))
 			}
 		}
 		if s, ok := own[obj]; ok && s.from <= id.Pos() && id.Pos() < s.to {
@@ -130,24 +125,37 @@ func TestNoUnreachableExports(t *testing.T) {
 			used[obj] = true
 		}
 	}
+	for _, iface := range l.stdInterfaces() {
+		for i := 0; i < iface.NumMethods(); i++ {
+			called[iface.Method(i).Name()] = append(called[iface.Method(i).Name()], iface)
+		}
+	}
+	implementsCalled := func(fn types.Object, recv *types.Named) bool {
+		for _, iface := range called[fn.Name()] {
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+		return false
+	}
 
 	var dead []string
 	names := make(map[string]bool)
 	for _, obj := range declared {
 		name := obj.Pkg().Name() + "." + obj.Name()
-		method := false
-		if recv := receiverOf(obj); recv != nil {
-			name, method = obj.Pkg().Name()+"."+recv.Obj().Name()+"."+obj.Name(), true
+		recv := receiverOf(obj)
+		if recv != nil {
+			name = obj.Pkg().Name() + "." + recv.Obj().Name() + "." + obj.Name()
 		}
 		names[name] = true
-		if _, ok := reachedIndirectly[name]; ok || used[obj] || method && selected[obj.Name()] {
+		if _, ok := reachedIndirectly[name]; ok || used[obj] || recv != nil && implementsCalled(obj, recv) {
 			continue
 		}
 		dead = append(dead, name+"  ("+l.fset.Position(obj.Pos()).String()+")")
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("exported but named by no non-test code: %s — delete it (with the tests of it alone), unexport it, or allow-list it with a reason", d)
+		t.Errorf("exported but reached by no non-test code: %s — delete it (with the tests of it alone), unexport it, or allow-list it with a reason", d)
 	}
 	for name := range reachedIndirectly {
 		if !names[name] {
@@ -180,15 +188,21 @@ func receiverOf(obj types.Object) *types.Named {
 // ./bench/x just as "repro/x" is ./x — is the object its package declared.
 type treeLoader struct {
 	fset  *token.FileSet
-	std   types.Importer
+	std   types.ImporterFrom
 	pkgs  map[string]*types.Package
 	info  *types.Info
 	files []*ast.File
+	// stdPkgs are the standard-library packages the tree imports.
+	stdPkgs []*types.Package
 }
 
 func (l *treeLoader) Import(path string) (*types.Package, error) {
 	if path != "repro" && !strings.HasPrefix(path, "repro/") {
-		return l.std.Import(path)
+		p, err := l.std.Import(path)
+		if err == nil {
+			l.stdPkgs = append(l.stdPkgs, p)
+		}
+		return p, err
 	}
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -213,4 +227,37 @@ func (l *treeLoader) Import(path string) (*types.Package, error) {
 	l.pkgs[path] = p
 	l.files = append(l.files, files...)
 	return p, nil
+}
+
+// stdInterfaces returns error and every method-set interface the standard
+// library declares in the packages the tree imports, directly or not.
+func (l *treeLoader) stdInterfaces() []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := make(map[*types.Package]bool)
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.IsMethodSet() && iface.NumMethods() > 0 {
+				out = append(out, iface)
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range l.stdPkgs {
+		visit(p)
+	}
+	return out
 }
