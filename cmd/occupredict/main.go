@@ -7,8 +7,10 @@
 // the identity; at -fault 1 it models ~20% bursty frame loss, AGC resteps,
 // subcarrier nulls and env-sensor outages, and the runtime imputes short gaps
 // and falls back from the C+E detector to the CSI-only model when the env
-// feed dies. Ctrl-C shuts down gracefully: stats are flushed and the exit
-// code is 0.
+// feed dies. Each generated record goes through the fault channel and the
+// runtime's Process inside dataset.Stream's callback: one loop, no queue.
+// Ctrl-C ends that loop (dataset.Stream returns ctx.Err()) and shuts down
+// gracefully: stats are flushed and the exit code is 0.
 //
 // Usage:
 //
@@ -123,14 +125,12 @@ func main() {
 		Fallback:       fallbackPred,
 		PrimaryUsesEnv: primary.Features() != occupancy.FeaturesCSI,
 		SmootherNeed:   *smooth,
-		Seed:           *seed,
 		Observer:       observer,
 	})
 	fail(err)
 
 	// Stream a fresh scenario (different seed ⇒ unseen trace) during a
-	// workday morning so both transitions occur. The producer feeds the
-	// bounded queue through the fault channel; the runtime consumes it.
+	// workday morning so both transitions occur.
 	scfg := dataset.DefaultGenConfig(*rate, *seed)
 	scfg.Start = dataset.PaperStart.Add(41 * time.Hour) // Jan 6, 08:08
 	scfg.Duration = time.Duration(*minutes * float64(time.Minute))
@@ -138,24 +138,13 @@ func main() {
 	fcfg := fault.DefaultProfile(*seed + 1).Scale(*intensity)
 	fcfg.Observer = observer
 	inj := fault.NewInjector(fcfg)
-	frames := make(chan fault.Frame, 64)
-	prodErr := make(chan error, 1)
-	go func() {
-		defer close(frames)
-		prodErr <- dataset.Stream(ctx, scfg, func(r dataset.Record) error {
-			select {
-			case frames <- inj.Apply(r):
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
 
 	var cm struct{ correct, total int }
 	last := -1
 	lastMode := stream.ModePrimary
-	err = rt.Run(ctx, frames, func(f fault.Frame, d stream.Decision) error {
+	err = dataset.Stream(ctx, scfg, func(r dataset.Record) error {
+		f := inj.Apply(r)
+		d := rt.Process(f)
 		truth := f.Truth.Label()
 		cm.total++
 		if d.State == truth {
@@ -180,9 +169,6 @@ func main() {
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		fail(err)
-	}
-	if perr := <-prodErr; perr != nil && !errors.Is(perr, context.Canceled) {
-		fail(perr)
 	}
 
 	if interrupted {

@@ -5,7 +5,10 @@
 //
 // The stream runs through the fault channel and the degradation-aware
 // runtime (internal/stream), so the demo survives bursty frame loss with
-// hold-last-value imputation. Ctrl-C exits gracefully: the online-tuned
+// hold-last-value imputation. Each generated record goes through the fault
+// channel, the runtime's Process and the online step inside
+// dataset.Stream's callback: one loop, no queue. Ctrl-C ends that loop
+// (dataset.Stream returns ctx.Err()) and exits gracefully: the online-tuned
 // network is checkpointed (resumable with nn.LoadCheckpoint), stats are
 // flushed and the exit code is 0.
 package main
@@ -81,26 +84,15 @@ func main() {
 	fcfg := fault.DefaultProfile(99).Scale(*intensity)
 	fcfg.Observer = reg
 	inj := fault.NewInjector(fcfg)
-	frames := make(chan fault.Frame, 64)
-	prodErr := make(chan error, 1)
-	go func() {
-		defer close(frames)
-		prodErr <- dataset.Stream(ctx, scfg, func(r dataset.Record) error {
-			select {
-			case frames <- inj.Apply(r):
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
 
 	opt := nn.NewAdamW(1e-4, 0)
 	var onlineBatchX []float64
 	var onlineBatchY []float64
 	var n, correct, flips int
 
-	err = rt.Run(ctx, frames, func(f fault.Frame, d stream.Decision) error {
+	err = dataset.Stream(ctx, scfg, func(r dataset.Record) error {
+		f := inj.Apply(r)
+		d := rt.Process(f)
 		if d.Flipped {
 			flips++
 			label := "EMPTY"
@@ -138,9 +130,6 @@ func main() {
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		log.Fatal(err)
-	}
-	if perr := <-prodErr; perr != nil && !errors.Is(perr, context.Canceled) {
-		log.Fatal(perr)
 	}
 	if interrupted {
 		fmt.Println("\ninterrupted — saving checkpoint and flushing stats")

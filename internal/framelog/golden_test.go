@@ -51,7 +51,7 @@ func TestGoldenRecoveryDeterminism(t *testing.T) {
 			check.Apply(recs[i])
 		}
 
-		scfg := stream.Config{Primary: envPred{}, PrimaryUsesEnv: true, Seed: seed}
+		scfg := stream.Config{Primary: envPred{}, PrimaryUsesEnv: true}
 		live, err := stream.New(scfg)
 		if err != nil {
 			t.Fatal(err)

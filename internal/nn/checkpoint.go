@@ -27,22 +27,21 @@ import (
 //	  epoch    uint32  epochs fully completed
 //	  nParams  uint32
 //	  per param: len uint32, float64[len]
-//	  optKind  uint8   0 = stateless, 1 = AdamW
+//	  optKind  uint8   1 = AdamW (0, a stateless optimiser, is refused)
 //	  AdamW:   t uint64, then m and v float64 arrays matching the params
 const (
 	ckptMagic   = 0x4F434B50
 	ckptVersion = 1
 
-	ckptOptStateless = 0
-	ckptOptAdamW     = 1
+	ckptOptAdamW = 1
 )
 
 // SaveCheckpoint atomically writes a training checkpoint: the network's
-// parameters at full precision, the optimiser state (AdamW moments and
-// step count; stateless optimisers store nothing) and the number of
-// completed epochs. The file is replaced atomically (atomicfile.Write), so
-// a crash mid-save leaves the previous checkpoint intact.
-func SaveCheckpoint(path string, n *Network, opt Optimizer, epoch int) error {
+// parameters at full precision, the AdamW moments and step count, and the
+// number of completed epochs. The file is replaced atomically
+// (atomicfile.Write), so a crash mid-save leaves the previous checkpoint
+// intact.
+func SaveCheckpoint(path string, n *Network, opt *AdamW, epoch int) error {
 	params := n.Params()
 	var payload bytes.Buffer
 	le := binary.LittleEndian
@@ -52,28 +51,18 @@ func SaveCheckpoint(path string, n *Network, opt Optimizer, epoch int) error {
 		binary.Write(&payload, le, uint32(len(p.Data)))
 		writeFloat64s(&payload, p.Data)
 	}
-	switch o := opt.(type) {
-	case *AdamW:
-		payload.WriteByte(ckptOptAdamW)
-		binary.Write(&payload, le, uint64(o.t))
-		// Moments may not be allocated yet (no step taken): store zeros of
-		// the right shape so load never has to special-case.
+	payload.WriteByte(ckptOptAdamW)
+	binary.Write(&payload, le, uint64(opt.t))
+	// Moments may not be allocated yet (no step taken): store zeros of the
+	// right shape so load never has to special-case.
+	for _, moments := range [][][]float64{opt.m, opt.v} {
 		for i, p := range params {
-			if o.m == nil {
+			if moments == nil {
 				writeFloat64s(&payload, make([]float64, len(p.Data)))
 			} else {
-				writeFloat64s(&payload, o.m[i])
+				writeFloat64s(&payload, moments[i])
 			}
 		}
-		for i, p := range params {
-			if o.v == nil {
-				writeFloat64s(&payload, make([]float64, len(p.Data)))
-			} else {
-				writeFloat64s(&payload, o.v[i])
-			}
-		}
-	default:
-		payload.WriteByte(ckptOptStateless)
 	}
 
 	var out bytes.Buffer
@@ -91,9 +80,12 @@ func SaveCheckpoint(path string, n *Network, opt Optimizer, epoch int) error {
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint into net
 // and opt, returning the number of completed epochs. It rejects — with an
-// error, never a panic — truncated files, bit flips (CRC mismatch), shape
-// mismatches against the given network, and optimiser-kind mismatches.
-func LoadCheckpoint(path string, n *Network, opt Optimizer) (epoch int, err error) {
+// error, never a panic, and changing neither net nor opt — truncated files,
+// bit flips (CRC mismatch), shape mismatches against the given network, an
+// optimiser kind other than AdamW, and values a resumed run could not
+// survive: non-finite parameters or first moments, negative or non-finite
+// second moments, and a step count int cannot hold.
+func LoadCheckpoint(path string, n *Network, opt *AdamW) (epoch int, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -143,67 +135,78 @@ func LoadCheckpoint(path string, n *Network, opt Optimizer) (epoch int, err erro
 		if err := readFloat64s(r, vals[i]); err != nil {
 			return 0, fmt.Errorf("nn: checkpoint param %d: %w", i, err)
 		}
-		for _, v := range vals[i] {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("nn: checkpoint param %d contains non-finite values", i)
-			}
+		if !finiteFrom(vals[i], math.Inf(-1)) {
+			return 0, fmt.Errorf("nn: checkpoint param %d contains non-finite values", i)
 		}
 	}
 	optKind, err := r.ReadByte()
 	if err != nil {
 		return 0, fmt.Errorf("nn: checkpoint: %w", err)
 	}
-	switch optKind {
-	case ckptOptStateless:
-		if _, isAdam := opt.(*AdamW); isAdam {
-			return 0, fmt.Errorf("nn: checkpoint has no optimiser state but resume uses AdamW")
-		}
-	case ckptOptAdamW:
-		a, ok := opt.(*AdamW)
-		if !ok {
-			return 0, fmt.Errorf("nn: checkpoint carries AdamW state but resume uses %T", opt)
-		}
-		var t uint64
-		if err := binary.Read(r, le, &t); err != nil {
-			return 0, fmt.Errorf("nn: checkpoint: %w", err)
-		}
-		m := make([][]float64, nParams)
-		v := make([][]float64, nParams)
-		for i := range m {
-			m[i] = make([]float64, len(params[i].Data))
-			if err := readFloat64s(r, m[i]); err != nil {
-				return 0, fmt.Errorf("nn: checkpoint AdamW m[%d]: %w", i, err)
-			}
-		}
-		for i := range v {
-			v[i] = make([]float64, len(params[i].Data))
-			if err := readFloat64s(r, v[i]); err != nil {
-				return 0, fmt.Errorf("nn: checkpoint AdamW v[%d]: %w", i, err)
-			}
-		}
-		a.t = int(t)
-		a.m = m
-		a.v = v
-	default:
+	if optKind != ckptOptAdamW {
 		return 0, fmt.Errorf("nn: unknown checkpoint optimiser kind %d", optKind)
+	}
+	var t uint64
+	if err := binary.Read(r, le, &t); err != nil {
+		return 0, fmt.Errorf("nn: checkpoint: %w", err)
+	}
+	if t > math.MaxInt64 {
+		return 0, fmt.Errorf("nn: checkpoint AdamW step count %d overflows int", t)
+	}
+	// m is a running mean of gradients, v one of their squares.
+	m, err := readMoments(r, "m", params, math.Inf(-1))
+	if err != nil {
+		return 0, err
+	}
+	v, err := readMoments(r, "v", params, 0)
+	if err != nil {
+		return 0, err
 	}
 	if r.Len() != 0 {
 		return 0, fmt.Errorf("nn: checkpoint has %d trailing bytes", r.Len())
 	}
 
-	// Everything validated: only now mutate the network.
+	// Everything validated: only now mutate the network and the optimiser.
 	for i, p := range params {
 		copy(p.Data, vals[i])
 	}
+	opt.t, opt.m, opt.v = int(t), m, v
 	return int(epoch32), nil
 }
 
-// FitCheckpointed wraps Fit with checkpoint/resume: if path exists it is
+// readMoments reads one AdamW moment array per parameter tensor, refusing
+// any value that is not finite or is below lo.
+func readMoments(r *bytes.Reader, name string, params []*tensor.Matrix, lo float64) ([][]float64, error) {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = make([]float64, len(p.Data))
+		if err := readFloat64s(r, out[i]); err != nil {
+			return nil, fmt.Errorf("nn: checkpoint AdamW %s[%d]: %w", name, i, err)
+		}
+		if !finiteFrom(out[i], lo) {
+			return nil, fmt.Errorf("nn: checkpoint AdamW %s[%d] holds a non-finite value or one below %v", name, i, lo)
+		}
+	}
+	return out, nil
+}
+
+// finiteFrom reports whether every value is finite and at least lo.
+func finiteFrom(vals []float64, lo float64) bool {
+	for _, v := range vals {
+		if !(v >= lo) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// FitCheckpointed is Fit with checkpoint/resume: if path exists it is
 // loaded (a corrupt file is an error, not a silent restart) and training
-// continues from the recorded epoch, replaying the shuffle RNG so the
-// resumed run is bit-identical to an uninterrupted one; a checkpoint is
-// saved atomically after every `every` epochs (and after the final one).
-// Returns the per-epoch losses of the epochs actually run.
+// continues from the recorded epoch through Fit's own loop, replaying the
+// shuffle RNG so the resumed run is bit-identical to an uninterrupted one;
+// a checkpoint is saved atomically after every `every` epochs (and after
+// the final one). A failed save stops training at its epoch. Returns the
+// per-epoch losses of the epochs actually run, with the save error if any.
 //
 // Exactness holds for dropout-free networks (dropout draws are not part of
 // the checkpoint); the paper's MLP qualifies.
@@ -211,39 +214,22 @@ func (n *Network) FitCheckpointed(x, y *tensor.Matrix, loss Loss, cfg TrainConfi
 	if every <= 0 {
 		every = 1
 	}
-	opt := cfg.Optimizer
-	if opt == nil {
-		opt = NewAdamW(cfg.LR, cfg.WeightDecay)
-	}
-	cfg.Optimizer = opt
+	opt := NewAdamW(cfg.LR, cfg.WeightDecay)
+	start := 0
 	if _, statErr := os.Stat(path); statErr == nil {
 		ep, err := LoadCheckpoint(path, n, opt)
 		if err != nil {
 			return nil, fmt.Errorf("nn: resume from %s: %w", path, err)
 		}
-		cfg.StartEpoch = ep
+		start = ep
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
-	}
-	if cfg.StartEpoch >= cfg.Epochs {
-		return nil, nil
-	}
-	userHook := cfg.OnEpoch
-	var saveErr error
-	lastEpoch := cfg.Epochs - 1
-	cfg.OnEpoch = func(epoch int, l float64) {
-		if userHook != nil {
-			userHook(epoch, l)
+	last := max(cfg.Epochs, 1) - 1
+	return n.fitEpochs(x, y, loss, cfg, opt, start, func(epoch int) error {
+		if (epoch+1)%every == 0 || epoch == last {
+			return SaveCheckpoint(path, n, opt, epoch+1)
 		}
-		if (epoch+1)%every == 0 || epoch == lastEpoch {
-			if err := SaveCheckpoint(path, n, opt, epoch+1); err != nil && saveErr == nil {
-				saveErr = err
-			}
-		}
-	}
-	hist := n.Fit(x, y, loss, cfg)
-	return hist, saveErr
+		return nil
+	})
 }
 
 func writeFloat64s(buf *bytes.Buffer, data []float64) {

@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -212,6 +215,80 @@ func TestLoadCheckpointRejectsShapeMismatch(t *testing.T) {
 	other := NewMLP(8, []int{4}, 1, rand.New(rand.NewSource(1)))
 	if _, err := LoadCheckpoint(path, other, NewAdamW(1e-3, 0)); err == nil {
 		t.Fatal("checkpoint loaded into a differently shaped network")
+	}
+}
+
+// TestLoadCheckpointRejectsHostileOptimiserState: a checkpoint whose CRC is
+// valid but whose AdamW state would poison the resumed run — a non-finite
+// first moment, a negative or non-finite second moment, a step count int
+// cannot hold, or the stateless optimiser kind — is refused, and neither
+// the network nor the optimiser changes.
+func TestLoadCheckpointRejectsHostileOptimiserState(t *testing.T) {
+	_, _, mk := ckptProblem(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.ckpt")
+	net := mk()
+	if err := SaveCheckpoint(path, net, NewAdamW(1e-3, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Payload: header (20 bytes), epoch and tensor count, each tensor's
+	// length and values, then the kind byte, t, m and v (v ends the file).
+	kind := 20 + 8
+	for _, p := range net.Params() {
+		kind += 4 + 8*len(p.Data)
+	}
+	tOff, mOff, vLast := kind+1, kind+9, len(raw)-8
+	le := binary.LittleEndian
+	putFloat := func(off int, v float64) func([]byte) {
+		return func(b []byte) { le.PutUint64(b[off:], math.Float64bits(v)) }
+	}
+	for _, tc := range []struct {
+		name  string
+		patch func([]byte)
+	}{
+		{"NaN m", putFloat(mOff, math.NaN())},
+		{"+Inf m", putFloat(mOff, math.Inf(1))},
+		{"negative v", putFloat(vLast, -1)},
+		{"NaN v", putFloat(vLast, math.NaN())},
+		{"+Inf v", putFloat(vLast, math.Inf(1))},
+		{"t above MaxInt64", func(b []byte) { le.PutUint64(b[tOff:], 1<<63) }},
+		{"stateless kind", func(b []byte) { b[kind] = 0 }},
+	} {
+		mut := append([]byte(nil), raw...)
+		tc.patch(mut)
+		le.PutUint32(mut[8:], crc32.ChecksumIEEE(mut[20:]))
+		hostile := filepath.Join(dir, "hostile.ckpt")
+		if err := os.WriteFile(hostile, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, opt := mk(), NewAdamW(1e-3, 0)
+		if _, err := LoadCheckpoint(hostile, got, opt); err == nil {
+			t.Errorf("%s: checkpoint loaded without error", tc.name)
+		}
+		if opt.t != 0 || opt.m != nil || opt.v != nil {
+			t.Errorf("%s: a refused load changed the optimiser", tc.name)
+		}
+		paramsEqual(t, got, mk())
+	}
+}
+
+// TestFitCheckpointedStopsAtFailedSave: a checkpoint that cannot be written
+// stops training at the epoch whose save failed, and the error comes back
+// with that epoch's loss, instead of every remaining epoch training with
+// nothing to resume from.
+func TestFitCheckpointedStopsAtFailedSave(t *testing.T) {
+	x, y, mk := ckptProblem(t)
+	path := filepath.Join(t.TempDir(), "missing", "train.ckpt")
+	hist, err := mk().FitCheckpointed(x, y, BCEWithLogits{}, ckptCfg(), path, 1)
+	if err == nil {
+		t.Fatal("FitCheckpointed reported success with an unwritable checkpoint path")
+	}
+	if len(hist) != 1 {
+		t.Fatalf("history has %d epochs, want 1: training must stop at the failed save", len(hist))
 	}
 }
 

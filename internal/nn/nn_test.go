@@ -371,7 +371,7 @@ func TestOptimizersReduceQuadratic(t *testing.T) {
 	// Minimise f(w) = ||w||² via each optimiser, starting from w=1.
 	for _, tc := range []struct {
 		name string
-		opt  Optimizer
+		opt  *AdamW
 	}{
 		{"adamw", NewAdamW(0.1, 0)},
 	} {

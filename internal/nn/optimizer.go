@@ -6,13 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates network parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update. params and grads are parallel slices
-	// collected across all layers.
-	Step(params, grads []*tensor.Matrix)
-}
-
 // AdamW implements Adam with decoupled weight decay (Loshchilov & Hutter,
 // the paper's reference [23]): the decay is applied directly to the weights
 // rather than folded into the adaptive gradient statistics.
@@ -33,7 +26,8 @@ func NewAdamW(lr, weightDecay float64) *AdamW {
 	return &AdamW{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay}
 }
 
-// Step implements Optimizer.
+// Step applies one update. params and grads are parallel slices collected
+// across all layers.
 func (a *AdamW) Step(params, grads []*tensor.Matrix) {
 	if a.m == nil {
 		a.m = make([][]float64, len(params))

@@ -20,13 +20,6 @@ type TrainConfig struct {
 	ClipNorm    float64 // 0 disables gradient clipping
 	Seed        int64
 	Shuffle     bool
-	// StartEpoch skips the first StartEpoch epochs while still replaying
-	// their shuffle draws, so a run resumed from a checkpoint walks the
-	// exact batch sequence the uninterrupted run would have. Set by
-	// FitCheckpointed; zero for a fresh run.
-	StartEpoch int
-	// Optimizer overrides the default AdamW when non-nil.
-	Optimizer Optimizer
 	// OnEpoch, when non-nil, receives (epoch, meanLoss) after each epoch.
 	OnEpoch func(epoch int, loss float64)
 	// Observer receives per-epoch training metrics (train_* series: epoch
@@ -42,9 +35,8 @@ type TrainConfig struct {
 // repair: negative counts, and rates that are negative, NaN or infinite (a
 // NaN rate trains without complaint into a model of NaN weights).
 func (c TrainConfig) Validate() error {
-	if c.Epochs < 0 || c.BatchSize < 0 || c.StartEpoch < 0 {
-		return fmt.Errorf("nn: negative training sizes (epochs %d, batch %d, start %d)",
-			c.Epochs, c.BatchSize, c.StartEpoch)
+	if c.Epochs < 0 || c.BatchSize < 0 {
+		return fmt.Errorf("nn: negative training sizes (epochs %d, batch %d)", c.Epochs, c.BatchSize)
 	}
 	for _, r := range [...]struct {
 		name string
@@ -71,24 +63,31 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
-// Fit trains the network on (x, y) minimising loss. y must have one row per
-// x row. Returns the per-epoch mean training loss.
+// Fit trains the network on (x, y) minimising loss with a fresh AdamW. y
+// must have one row per x row. Returns the per-epoch mean training loss.
 func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64 {
+	hist, _ := n.fitEpochs(x, y, loss, cfg, NewAdamW(cfg.LR, cfg.WeightDecay), 0, nil)
+	return hist
+}
+
+// fitEpochs is the one training loop, under Fit and FitCheckpointed. It
+// trains epochs start..cfg.Epochs-1 with opt, first replaying the shuffle
+// draws of the epochs before start, so a run resumed from a checkpoint
+// walks the exact batch sequence the uninterrupted run would have. After
+// each epoch's OnEpoch it calls after, when non-nil; an error from after
+// stops training and is returned with the losses of the epochs run so far.
+func (n *Network) fitEpochs(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, opt *AdamW, start int, after func(epoch int) error) ([]float64, error) {
 	if x.Rows != y.Rows {
 		panic(fmt.Sprintf("nn: Fit rows mismatch x=%d y=%d", x.Rows, y.Rows))
-	}
-	if x.Rows == 0 {
-		return nil
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
+	if x.Rows == 0 || start >= cfg.Epochs {
+		return nil, nil
+	}
 	if cfg.BatchSize <= 0 || cfg.BatchSize > x.Rows {
 		cfg.BatchSize = x.Rows
-	}
-	opt := cfg.Optimizer
-	if opt == nil {
-		opt = NewAdamW(cfg.LR, cfg.WeightDecay)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -96,6 +95,7 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 	for i := range idx {
 		idx[i] = i
 	}
+	shuffle := func() { rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }) }
 	step := newTrainStep(n, loss, opt, cfg.ClipNorm)
 
 	// Persistent batch buffers. The tail batch (when x.Rows is not a
@@ -109,17 +109,9 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 		ty = tensor.FromSlice(tail, y.Cols, by.Data[:tail*y.Cols])
 	}
 
-	// Replay the shuffle draws of already-completed epochs so a resumed
-	// run sees the same batch order as an uninterrupted one.
-	if cfg.StartEpoch < 0 {
-		cfg.StartEpoch = 0
-	}
-	if cfg.StartEpoch > cfg.Epochs {
-		cfg.StartEpoch = cfg.Epochs
-	}
 	if cfg.Shuffle {
-		for e := 0; e < cfg.StartEpoch; e++ {
-			rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for e := 0; e < start; e++ {
+			shuffle()
 		}
 	}
 
@@ -135,14 +127,14 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 		mDur = cfg.Observer.Histogram("train_epoch_seconds", "wall-clock duration per training epoch", nil)
 	}
 
-	history := make([]float64, 0, cfg.Epochs-cfg.StartEpoch)
-	for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
+	history := make([]float64, 0, cfg.Epochs-start)
+	for epoch := start; epoch < cfg.Epochs; epoch++ {
 		var t0 time.Time
 		if mDur != nil {
 			t0 = time.Now()
 		}
 		if cfg.Shuffle {
-			rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+			shuffle()
 		}
 		var epochLoss float64
 		batches := 0
@@ -176,8 +168,13 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(epoch, mean)
 		}
+		if after != nil {
+			if err := after(epoch); err != nil {
+				return history, err
+			}
+		}
 	}
-	return history
+	return history, nil
 }
 
 // FitOnline performs a single incremental update on one mini-batch — the
@@ -185,7 +182,7 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64
 // can be trained continuously on new data without revisiting the dataset).
 // The same optimiser must be passed across calls to retain its state. The
 // update is Fit's per-batch step, so it costs what a batch of Fit costs.
-func (n *Network) FitOnline(xb, yb *tensor.Matrix, loss Loss, opt Optimizer, clipNorm float64) float64 {
+func (n *Network) FitOnline(xb, yb *tensor.Matrix, loss Loss, opt *AdamW, clipNorm float64) float64 {
 	return newTrainStep(n, loss, opt, clipNorm).run(xb, yb)
 }
 
@@ -195,13 +192,13 @@ func (n *Network) FitOnline(xb, yb *tensor.Matrix, loss Loss, opt Optimizer, cli
 type trainStep struct {
 	net           *Network
 	loss          Loss
-	opt           Optimizer
+	opt           *AdamW
 	clipNorm      float64 // 0 disables clipping
 	params, grads []*tensor.Matrix
 	gradBuf       *tensor.Matrix // ∂loss/∂pred, reused across batches
 }
 
-func newTrainStep(n *Network, loss Loss, opt Optimizer, clipNorm float64) *trainStep {
+func newTrainStep(n *Network, loss Loss, opt *AdamW, clipNorm float64) *trainStep {
 	return &trainStep{net: n, loss: loss, opt: opt, clipNorm: clipNorm, params: n.Params(), grads: n.Grads()}
 }
 

@@ -133,23 +133,6 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v exceeds the current value — the
-// high-water-mark idiom (e.g. the longest backoff slept so far).
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

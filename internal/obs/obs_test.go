@@ -27,11 +27,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
-	g.SetMax(1.0) // below current: no-op
-	g.SetMax(7)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge after SetMax = %g, want 7", got)
-	}
 }
 
 func TestHistogramBucketSemantics(t *testing.T) {
@@ -65,7 +60,6 @@ func TestNilInstrumentsNoop(t *testing.T) {
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
-	g.SetMax(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read as zero")
@@ -160,7 +154,6 @@ func TestRegistryConcurrent(t *testing.T) {
 				c.Inc()
 				c.Add(2)
 				g.Add(1)
-				g.SetMax(float64(i))
 				h.Observe(float64(i % 10))
 			}
 		}(w)

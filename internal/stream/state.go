@@ -10,7 +10,7 @@ import (
 const stateVersion = 1
 
 // carried lists, in encoding order, every field Process carries from one
-// frame to the next (the back-off jitter source is Run's alone).
+// frame to the next.
 func (rt *Runtime) carried() []any {
 	h, d := &rt.envHist, &rt.lastDec
 	fields := []any{(*int)(&rt.mode), &rt.envMissRun, &rt.envOKRun, &rt.dropRun, &rt.haveCSI, &rt.haveDec,

@@ -10,24 +10,21 @@
 //     fallback when the env feed dies, swapping back after the feed has
 //     been healthy again for a recovery window;
 //   - hysteresis smoothing — per-sample flicker is debounced before a
-//     state transition is announced (Smoother, shared with the examples);
-//   - bounded-queue consumption — the asynchronous Run loop reads from a
-//     bounded channel with a per-read timeout, exponential backoff with
-//     seeded jitter, and a dead-feed watchdog, so a stalled producer can
-//     neither wedge the consumer nor grow memory without bound.
+//     state transition is announced (Smoother, shared with the examples).
 //
-// The synchronous Process path is purely deterministic: its output is a
-// function of the frame sequence alone, never of time or scheduling, which
-// is what lets internal/core's robustness sweep promise bit-identical
-// results for any worker count.
+// The runtime is Process, one call per frame, driven from the caller's own
+// loop: the server's under its feed lock, the CLIs' inside dataset.Stream's
+// callback. It is purely deterministic: its output is a function of the
+// frame sequence alone, never of time or scheduling, which is what lets
+// internal/core's robustness sweep promise bit-identical results for any
+// worker count. The package reads no clock and draws no random numbers
+// (TestNoClockInStream).
 package stream
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/csi"
 	"repro/internal/dataset"
@@ -107,42 +104,25 @@ type Config struct {
 	// when > 0: a flip requires that many consecutive contrary samples.
 	SmootherNeed int
 
-	// ReadTimeout bounds one queue read in Run. Default 250 ms.
-	ReadTimeout time.Duration
-	// BackoffInitial/BackoffMax bound the exponential backoff between
-	// timed-out reads. Defaults 50 ms / 2 s.
-	BackoffInitial time.Duration
-	BackoffMax     time.Duration
-	// DeadFeedTimeouts is how many consecutive timed-out reads Run
-	// tolerates before declaring the feed dead. Default 8.
-	DeadFeedTimeouts int
-	// Seed drives the backoff jitter.
-	Seed int64
-
 	// Observer receives the runtime's metrics (frame/imputation/transition
-	// counters, the current mode, decision latency). Nil disables
-	// observability at zero cost; attaching one never changes a decision —
-	// instruments only count (DESIGN.md §10). Several runtimes may share
-	// one Observer: the series aggregate.
+	// counters, the current mode). Nil disables observability at zero cost;
+	// attaching one never changes a decision — instruments only count
+	// (DESIGN.md §10). Several runtimes may share one Observer: the series
+	// aggregate.
 	Observer obs.Observer
 }
 
 // Validate reports whether the configuration can run. Zero fields select
 // defaults (withDefaults), so only contradictions fail: a missing primary
-// detector, negative counts or timeouts, or an unknown imputation policy.
-// New calls it; callers may too, as a pre-flight check.
+// detector, negative counts, or an unknown imputation policy. New calls
+// it; callers may too, as a pre-flight check.
 func (c Config) Validate() error {
 	if c.Primary == nil {
 		return errors.New("stream: Config.Primary is required")
 	}
-	if c.MaxHoldGap < 0 || c.WatchdogFrames < 0 || c.RecoverFrames < 0 ||
-		c.SmootherNeed < 0 || c.DeadFeedTimeouts < 0 {
-		return fmt.Errorf("stream: negative frame counts (hold %d, watchdog %d, recover %d, smoother %d, dead-feed %d)",
-			c.MaxHoldGap, c.WatchdogFrames, c.RecoverFrames, c.SmootherNeed, c.DeadFeedTimeouts)
-	}
-	if c.ReadTimeout < 0 || c.BackoffInitial < 0 || c.BackoffMax < 0 {
-		return fmt.Errorf("stream: negative timeouts (read %v, backoff %v..%v)",
-			c.ReadTimeout, c.BackoffInitial, c.BackoffMax)
+	if c.MaxHoldGap < 0 || c.WatchdogFrames < 0 || c.RecoverFrames < 0 || c.SmootherNeed < 0 {
+		return fmt.Errorf("stream: negative frame counts (hold %d, watchdog %d, recover %d, smoother %d)",
+			c.MaxHoldGap, c.WatchdogFrames, c.RecoverFrames, c.SmootherNeed)
 	}
 	if c.Imputation != ImputeHold && c.Imputation != ImputeLinear {
 		return fmt.Errorf("stream: unknown imputation policy %d", int(c.Imputation))
@@ -160,18 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecoverFrames == 0 {
 		c.RecoverFrames = 100
-	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = 250 * time.Millisecond
-	}
-	if c.BackoffInitial == 0 {
-		c.BackoffInitial = 50 * time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.DeadFeedTimeouts == 0 {
-		c.DeadFeedTimeouts = 8
 	}
 	return c
 }
@@ -207,11 +175,7 @@ type metrics struct {
 	degradations *obs.Counter
 	recoveries   *obs.Counter
 	flips        *obs.Counter
-	readTimeouts *obs.Counter
-	deadFeeds    *obs.Counter
 	mode         *obs.Gauge
-	maxBackoff   *obs.Gauge
-	latency      *obs.Histogram
 }
 
 // newMetrics resolves the stream instrument set against o (nil → all-nil).
@@ -229,11 +193,7 @@ func newMetrics(o obs.Observer) metrics {
 		degradations: o.Counter("stream_degradations_total", "primary-to-fallback transitions"),
 		recoveries:   o.Counter("stream_recoveries_total", "fallback-to-primary transitions"),
 		flips:        o.Counter("stream_flips_total", "smoothed occupancy state transitions"),
-		readTimeouts: o.Counter("stream_read_timeouts_total", "queue reads that timed out in Run"),
-		deadFeeds:    o.Counter("stream_dead_feeds_total", "dead-feed watchdog firings"),
 		mode:         o.Gauge("stream_mode", "current degradation mode (0=primary 1=fallback 2=held)"),
-		maxBackoff:   o.Gauge("stream_max_backoff_seconds", "largest backoff sleep taken by Run so far"),
-		latency:      o.Histogram("stream_decision_latency_seconds", "per-frame decision latency in Run", obs.ExpBuckets(1e-6, 4, 10)),
 	}
 }
 
@@ -242,7 +202,6 @@ func newMetrics(o obs.Observer) metrics {
 type Runtime struct {
 	cfg Config
 	sm  *Smoother
-	rng *rand.Rand
 	m   metrics
 
 	mode       Mode
@@ -281,7 +240,6 @@ func New(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
 		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		mode:          ModePrimary,
 		m:             newMetrics(cfg.Observer),
 		firstFallback: -1,
@@ -426,51 +384,12 @@ func (rt *Runtime) imputeEnv(idx int) (temp, hum float64) {
 		last.hum + (last.hum-prev.hum)/span*ahead
 }
 
-// ErrDeadFeed is returned by Run when the source stops delivering frames
-// for DeadFeedTimeouts consecutive read timeouts.
-var ErrDeadFeed = errors.New("stream: feed dead (no frames within the watchdog window)")
-
-// Run consumes frames from a bounded channel until it closes, the context
-// is cancelled, or the dead-feed watchdog fires. Each read is bounded by
-// ReadTimeout; timed-out reads back off exponentially with seeded jitter.
-// A frame arriving mid-backoff is delivered immediately — the backoff only
-// paces the watchdog, it never delays a live producer. fn receives every
-// frame with its decision; a non-nil error from fn stops the loop and is
-// returned.
-//
-// The producer writing to frames gets backpressure for free: sends block
-// once the channel's buffer — the bounded queue — is full.
+// Run hands every frame from frames, with its Process decision, to fn
+// until the channel closes (nil), ctx is done (ctx.Err()) or fn fails (its
+// error). Only the benchmark's run-loop probe calls it; the CLIs and the
+// server call Process from their own loops.
 func (rt *Runtime) Run(ctx context.Context, frames <-chan fault.Frame, fn func(fault.Frame, Decision) error) error {
-	cfg := &rt.cfg
-	backoff := cfg.BackoffInitial
-	timeouts := 0
-	timer := time.NewTimer(cfg.ReadTimeout)
-	defer timer.Stop()
-	// deliver runs one received frame through Process and the caller's fn.
-	deliver := func(f fault.Frame) error {
-		timeouts = 0
-		backoff = cfg.BackoffInitial
-		// The clock is only read when a latency histogram is attached,
-		// so the uninstrumented loop stays free of time syscalls. Timing
-		// wraps Process alone: fn is the caller's code.
-		var t0 time.Time
-		if rt.m.latency != nil {
-			t0 = time.Now()
-		}
-		d := rt.Process(f)
-		if rt.m.latency != nil {
-			rt.m.latency.Observe(time.Since(t0).Seconds())
-		}
-		return fn(f, d)
-	}
 	for {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(cfg.ReadTimeout)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -478,38 +397,8 @@ func (rt *Runtime) Run(ctx context.Context, frames <-chan fault.Frame, fn func(f
 			if !ok {
 				return nil
 			}
-			if err := deliver(f); err != nil {
+			if err := fn(f, rt.Process(f)); err != nil {
 				return err
-			}
-		case <-timer.C:
-			rt.m.readTimeouts.Inc()
-			timeouts++
-			if timeouts >= cfg.DeadFeedTimeouts {
-				rt.m.deadFeeds.Inc()
-				return ErrDeadFeed
-			}
-			// Exponential backoff with ±25% seeded jitter. The sleep still
-			// listens on the frame channel so a producer that comes back
-			// mid-backoff is served at once.
-			jitter := 1 + (rt.rng.Float64()-0.5)/2
-			sleep := time.Duration(float64(backoff) * jitter)
-			rt.m.maxBackoff.SetMax(sleep.Seconds())
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case f, ok := <-frames:
-				if !ok {
-					return nil
-				}
-				if err := deliver(f); err != nil {
-					return err
-				}
-				continue // deliver reset the backoff; don't double it
-			case <-time.After(sleep):
-			}
-			backoff *= 2
-			if backoff > cfg.BackoffMax {
-				backoff = cfg.BackoffMax
 			}
 		}
 	}

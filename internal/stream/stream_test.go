@@ -3,6 +3,10 @@ package stream
 import (
 	"context"
 	"errors"
+	"go/parser"
+	"go/token"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,7 +276,7 @@ func TestNewRequiresPrimary(t *testing.T) {
 
 func TestRunConsumesBoundedQueue(t *testing.T) {
 	prim := &fakePred{p: 0.7, pred: 1}
-	rt, err := New(Config{Primary: prim, ReadTimeout: time.Second})
+	rt, err := New(Config{Primary: prim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,35 +303,8 @@ func TestRunConsumesBoundedQueue(t *testing.T) {
 	}
 }
 
-func TestRunDetectsDeadFeed(t *testing.T) {
-	reg := obs.NewRegistry()
-	rt, err := New(Config{
-		Primary:          &fakePred{},
-		ReadTimeout:      5 * time.Millisecond,
-		BackoffInitial:   time.Millisecond,
-		BackoffMax:       4 * time.Millisecond,
-		DeadFeedTimeouts: 3,
-		Observer:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan fault.Frame) // nobody ever sends
-	start := time.Now()
-	err = rt.Run(context.Background(), ch, func(fault.Frame, Decision) error { return nil })
-	if !errors.Is(err, ErrDeadFeed) {
-		t.Fatalf("err = %v, want ErrDeadFeed", err)
-	}
-	if dead, to := count(reg, "stream_dead_feeds_total"), count(reg, "stream_read_timeouts_total"); dead != 1 || to != 3 {
-		t.Fatalf("counters: deadFeeds=%d readTimeouts=%d", dead, to)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("dead-feed detection took too long")
-	}
-}
-
 func TestRunStopsOnContextCancel(t *testing.T) {
-	rt, err := New(Config{Primary: &fakePred{}, ReadTimeout: 10 * time.Millisecond, BackoffInitial: time.Millisecond})
+	rt, err := New(Config{Primary: &fakePred{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,9 +536,33 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 	if want.degradations == 0 || want.recoveries == 0 {
 		t.Fatalf("trace did not degrade and recover: %+v", want)
 	}
-	// Decision latency is observed per frame by Run (the channel-driven
-	// loop), not by direct Process calls; here it must exist but stay empty.
-	if m, ok := snap["stream_decision_latency_seconds"]; !ok || m.Count != 0 {
-		t.Errorf("stream_decision_latency_seconds = %+v, want registered with 0 observations", m)
+}
+
+// TestNoClockInStream keeps Process a function of the frame sequence alone,
+// as the package doc promises: no non-test file of this package may import
+// "time" or "math/rand". A timer or a random draw here is a read-timeout
+// watchdog and its backoff jitter returning.
+func TestNoClockInStream(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			switch imp.Path.Value {
+			case `"time"`, `"math/rand"`, `"math/rand/v2"`:
+				t.Errorf("%s imports %s; internal/stream must read no clock and draw no random numbers",
+					fset.Position(imp.Pos()), imp.Path.Value)
+			}
+		}
 	}
 }
