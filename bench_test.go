@@ -707,7 +707,7 @@ func BenchmarkExtActivity(b *testing.B) {
 	cfg := benchCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunActivity(split, cfg); err != nil {
+		if _, _, err := core.RunActivity(split, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -719,7 +719,7 @@ func BenchmarkExtCounting(b *testing.B) {
 	cfg := benchCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCounting(split, 5, cfg); err != nil {
+		if _, err := core.RunCounting(split, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -732,7 +732,7 @@ func BenchmarkAblationArchitecture(b *testing.B) {
 	cfg.NNTrain.Epochs = 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunArchitectureAblation(split, cfg); err != nil {
+		if _, err := core.RunAblation(split, cfg, "arch"); err != nil {
 			b.Fatal(err)
 		}
 	}

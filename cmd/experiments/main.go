@@ -12,7 +12,11 @@
 //	§IV-B     — model footprint and inference latency
 //
 // plus the extensions: activity recognition (the paper's §VI future work,
-// with the windowed front-end comparison) and occupant counting.
+// with the windowed front-end comparison), occupant counting and the
+// fault-intensity robustness sweep. The design sweeps behind the detector
+// (core.AblationDims: topology, standardisation, training-set size, epochs,
+// model family, preprocessing) run only when named: -only ablate runs all
+// six, -only ablate-<dim> one.
 //
 // Usage:
 //
@@ -20,7 +24,8 @@
 //	            [-quick] [-json results.json] [-workers n]
 //
 // -quick shrinks everything for a fast smoke run; -json additionally dumps
-// every computed result for downstream plotting.
+// every computed result for downstream plotting. An unknown -only name
+// exits with status 2.
 package main
 
 import (
@@ -28,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,12 +48,16 @@ func main() {
 		seed    = flag.Int64("seed", 1, "master random seed")
 		train   = flag.Int("train", 40000, "max training samples after thinning (0 = all)")
 		eval    = flag.Int("eval", 8000, "max evaluation samples per fold (0 = all)")
-		only    = flag.String("only", "", "run a single experiment: table1..table5, figure3, profile, timeonly, footprint, activity, counting, robustness")
+		only    = flag.String("only", "", "run a single section: "+strings.Join(sections(), ", "))
 		quick   = flag.Bool("quick", false, "small fast run (low rate, few samples, small models)")
 		jsonOut = flag.String("json", "", "also write all computed results to this JSON file")
 		workers = flag.Int("workers", 0, "worker goroutines for the experiment grids (0 = GOMAXPROCS); results are identical for any value")
 	)
 	flag.Parse()
+	if *only != "" && !slices.ContainsFunc(sections(), func(s string) bool { return strings.EqualFold(s, *only) }) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -only %q; valid: %s\n", *only, strings.Join(sections(), ", "))
+		os.Exit(2)
+	}
 
 	ecfg := core.DefaultExperimentConfig()
 	ecfg.Seed = *seed
@@ -64,7 +74,12 @@ func main() {
 		ecfg.RF.MaxDepth = 14
 	}
 
-	want := func(name string) bool { return *only == "" || strings.EqualFold(*only, name) }
+	want := func(name string) bool {
+		if *only == "" {
+			return !strings.HasPrefix(name, "ablate")
+		}
+		return strings.EqualFold(*only, name)
+	}
 
 	fmt.Printf("Generating %v trace at %.3g Hz (seed %d)...\n", dataset.PaperDuration, *rate, *seed)
 	t0 := time.Now()
@@ -115,9 +130,29 @@ func main() {
 	if want("robustness") {
 		results.Robustness = runAndPrintRobustness(split, ecfg)
 	}
+	var dims []string
+	for _, dim := range core.AblationDims {
+		if want("ablate") || want("ablate-"+dim) {
+			dims = append(dims, dim)
+		}
+	}
+	if len(dims) > 0 {
+		results.Ablations = runAndPrintAblations(split, ecfg, dims)
+	}
 	if *jsonOut != "" {
 		writeJSON(*jsonOut, results)
 	}
+}
+
+// sections lists the -only names in run order. The ablate ones run only
+// when named.
+func sections() []string {
+	names := []string{"table1", "table2", "table3", "profile", "table4", "table5", "figure3",
+		"timeonly", "footprint", "activity", "counting", "robustness", "ablate"}
+	for _, dim := range core.AblationDims {
+		names = append(names, "ablate-"+dim)
+	}
+	return names
 }
 
 // resultsJSON aggregates every computed artefact for the -json export.
@@ -137,6 +172,7 @@ type resultsJSON struct {
 	WindowedActivity *core.WindowedActivityResult `json:"windowed_activity,omitempty"`
 	Counting         *core.CountingResult         `json:"counting,omitempty"`
 	Robustness       *core.RobustnessResult       `json:"robustness,omitempty"`
+	Ablations        []*core.AblationResult       `json:"ablations,omitempty"`
 }
 
 func writeJSON(path string, v interface{}) {
@@ -151,7 +187,7 @@ func writeJSON(path string, v interface{}) {
 
 func runAndPrintActivity(split *dataset.Split, ecfg core.ExperimentConfig) (*core.ActivityResult, *core.WindowedActivityResult) {
 	t0 := time.Now()
-	res, err := core.RunActivity(split, ecfg)
+	res, w, err := core.RunActivity(split, ecfg)
 	check(err)
 	t := report.New("EXTENSION — activity recognition (empty / static / motion) from CSI, accuracy (%)",
 		"Fold", "MLP", "RF")
@@ -166,8 +202,6 @@ func runAndPrintActivity(split *dataset.Split, ecfg core.ExperimentConfig) (*cor
 	fmt.Printf("  (paper §VI future work, implemented here; %.1fs)\n\n", time.Since(t0).Seconds())
 
 	// Windowed front-end comparison (1 s of samples at the trace rate).
-	w, err := core.RunWindowedActivity(split, 10, ecfg)
-	check(err)
 	fmt.Printf("  windowed front-end (N=%d): avg %.0f%% → %.0f%%, motion recall %.2f → %.2f\n\n",
 		w.WindowN, w.SnapshotAvg, w.WindowedAvg, w.SnapshotMotionRec, w.WindowedMotionRec)
 	return res, w
@@ -175,7 +209,7 @@ func runAndPrintActivity(split *dataset.Split, ecfg core.ExperimentConfig) (*cor
 
 func runAndPrintCounting(split *dataset.Split, ecfg core.ExperimentConfig) *core.CountingResult {
 	t0 := time.Now()
-	res, err := core.RunCounting(split, 5, ecfg)
+	res, err := core.RunCounting(split, ecfg)
 	check(err)
 	t := report.New("EXTENSION — occupant counting (0..4+, from CSI)",
 		"Fold", "MLP exact %", "MLP MAE", "RF exact %", "RF MAE")
@@ -195,9 +229,7 @@ func runAndPrintCounting(split *dataset.Split, ecfg core.ExperimentConfig) *core
 
 func runAndPrintRobustness(split *dataset.Split, ecfg core.ExperimentConfig) *core.RobustnessResult {
 	t0 := time.Now()
-	rcfg := core.DefaultRobustnessConfig()
-	rcfg.FullEnvOutage = true
-	res, err := core.RunRobustness(split, ecfg, rcfg)
+	res, err := core.RunRobustness(split, ecfg)
 	check(err)
 	t := report.New("ROBUSTNESS — accuracy (%) vs fault intensity (bursty loss + AGC + nulls + env outage)",
 		"Intensity", "Drop %", "CSI-only avg", "Pipeline avg", "Fallback %", "Imputed %", "Degr/Recov")
@@ -214,6 +246,24 @@ func runAndPrintRobustness(split *dataset.Split, ecfg core.ExperimentConfig) *co
 	fmt.Printf("(intensity 0 row reproduces the Table IV MLP columns bit-identically; %.1fs)\n\n",
 		time.Since(t0).Seconds())
 	return res
+}
+
+func runAndPrintAblations(split *dataset.Split, ecfg core.ExperimentConfig, dims []string) []*core.AblationResult {
+	all, err := core.RunAblation(split, ecfg, dims...)
+	check(err)
+	for _, res := range all {
+		t := report.New(fmt.Sprintf("ABLATION — %s (CSI occupancy, fold-average accuracy)", res.Dimension),
+			"Config", "Avg acc %", "Per fold", "Params", "Train time")
+		for _, p := range res.Points {
+			t.AddRowStrings(p.Name,
+				fmt.Sprintf("%.1f", p.Acc),
+				strings.Trim(fmtFolds(p.PerFold), "[]"),
+				fmt.Sprintf("%d", p.Params),
+				p.TrainTime.Round(time.Millisecond).String())
+		}
+		fmt.Println(t)
+	}
+	return all
 }
 
 func check(err error) {
@@ -383,7 +433,7 @@ func runAndPrintFootprint(split *dataset.Split, ecfg core.ExperimentConfig) *cor
 	dcfg.Train = ecfg.NNTrain
 	dcfg.Train.Epochs = 1 // footprint does not depend on training quality
 	dcfg.Seed = ecfg.Seed
-	det, err := core.TrainDetector(thinForFootprint(split), dcfg)
+	det, err := core.TrainDetector(split.Train.Thin(2000), dcfg)
 	check(err)
 	fp := core.RunFootprint(det, 2000)
 	fmt.Println("§IV-B deployment footprint (C+E detector, paper architecture)")
@@ -391,19 +441,6 @@ func runAndPrintFootprint(split *dataset.Split, ecfg core.ExperimentConfig) *cor
 		fp.Params, fp.SizeKiB, fp.InferencePerSample)
 	fmt.Printf("  (paper: 77 881 params*, 15.18 KiB, 10.781 ms/sample — *see DESIGN.md §5)\n\n")
 	return fp
-}
-
-func thinForFootprint(split *dataset.Split) *dataset.Dataset {
-	d := split.Train
-	if d.Len() <= 2000 {
-		return d
-	}
-	stride := d.Len() / 2000
-	out := &dataset.Dataset{}
-	for i := 0; i < d.Len(); i += stride {
-		out.Records = append(out.Records, d.Records[i])
-	}
-	return out
 }
 
 func fmtFolds(v []float64) string {

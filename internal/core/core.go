@@ -209,6 +209,11 @@ func TrainEnvRegressor(train *dataset.Dataset, cfg EnvRegressorConfig) (*EnvRegr
 // Predict returns the estimated (temperature, humidity) series for a fold.
 func (e *EnvRegressor) Predict(ds *dataset.Dataset) (temp, hum []float64) {
 	x, _ := ds.Matrix(e.Feature)
+	return e.predict(x)
+}
+
+// predict is Predict on the raw feature matrix.
+func (e *EnvRegressor) predict(x *tensor.Matrix) (temp, hum []float64) {
 	xs := e.Scaler.Transform(x)
 	cols := e.Net.PredictRegression(xs)
 	temp = make([]float64, len(cols[0]))

@@ -57,12 +57,12 @@ func quickDetectorCfg(feat dataset.FeatureSet) DetectorConfig {
 
 func TestTrainDetectorAndEvaluate(t *testing.T) {
 	_, split := testSplit(t)
-	det, err := TrainDetector(thin(split.Train, 1500), quickDetectorCfg(dataset.FeatCSI))
+	det, err := TrainDetector(split.Train.Thin(1500), quickDetectorCfg(dataset.FeatCSI))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// In-sample sanity: the CSI detector must beat chance comfortably.
-	cm := det.Evaluate(thin(split.Train, 800))
+	cm := det.Evaluate(split.Train.Thin(800))
 	if cm.Accuracy() < 0.8 {
 		t.Fatalf("train accuracy %.3f too low", cm.Accuracy())
 	}
@@ -85,7 +85,7 @@ func TestTrainDetectorEmpty(t *testing.T) {
 
 func TestDetectorSaveLoadRoundtrip(t *testing.T) {
 	_, split := testSplit(t)
-	det, err := TrainDetector(thin(split.Train, 800), quickDetectorCfg(dataset.FeatCSIEnv))
+	det, err := TrainDetector(split.Train.Thin(800), quickDetectorCfg(dataset.FeatCSIEnv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestEnvRegressorLearns(t *testing.T) {
 	cfg.Hidden = []int{32, 16}
 	cfg.Train.Epochs = 10
 	cfg.Train.BatchSize = 64
-	reg, err := TrainEnvRegressor(thin(split.Train, 1500), cfg)
+	reg, err := TrainEnvRegressor(split.Train.Thin(1500), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := thin(split.Train, 400)
+	ev := split.Train.Thin(400)
 	tPred, hPred := reg.Predict(ev)
 	tTrue, _ := ev.Column("temp")
 	hTrue, _ := ev.Column("humidity")
@@ -199,13 +199,13 @@ func TestThin(t *testing.T) {
 	for i := range d.Records {
 		d.Records[i].Count = i
 	}
-	if got := thin(d, 0); got.Len() != 100 {
+	if got := d.Thin(0); got.Len() != 100 {
 		t.Fatal("0 keeps all")
 	}
-	if got := thin(d, 200); got.Len() != 100 {
+	if got := d.Thin(200); got.Len() != 100 {
 		t.Fatal("cap above size keeps all")
 	}
-	th := thin(d, 10)
+	th := d.Thin(10)
 	if th.Len() < 5 || th.Len() > 10 {
 		t.Fatalf("thin length %d", th.Len())
 	}
@@ -223,7 +223,7 @@ func TestRunFootprint(t *testing.T) {
 	dcfg := quickDetectorCfg(dataset.FeatCSIEnv)
 	dcfg.Hidden = PaperHidden
 	dcfg.Train.Epochs = 1
-	det, err := TrainDetector(thin(split.Train, 300), dcfg)
+	det, err := TrainDetector(split.Train.Thin(300), dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestDefaultConfigsConsistent(t *testing.T) {
 
 // TestConfigsRejectNonFiniteTrainRates: every config that embeds an
 // nn.TrainConfig refuses a NaN or infinite rate through its Validate, which
-// TrainDetector, TrainEnvRegressor, TrainActivity and the experiment grids
-// call before training.
+// TrainDetector, TrainEnvRegressor and the experiment grids call before
+// training.
 func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 	for _, bad := range []struct {
 		name string
@@ -285,14 +285,11 @@ func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 		bad.set(&det.Train)
 		env := DefaultEnvRegressorConfig()
 		bad.set(&env.Train)
-		act := ActivityConfig{Train: nn.DefaultTrainConfig()}
-		bad.set(&act.Train)
 		exp := DefaultExperimentConfig()
 		bad.set(&exp.NNTrain)
 		for cfg, err := range map[string]error{
 			"DetectorConfig":     det.Validate(),
 			"EnvRegressorConfig": env.Validate(),
-			"ActivityConfig":     act.Validate(),
 			"ExperimentConfig":   exp.Validate(),
 		} {
 			if err == nil {

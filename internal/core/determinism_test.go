@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/dataset"
 
 	"repro/internal/cpukit"
 )
@@ -23,7 +26,7 @@ func TestTrainDetectorWeightsGolden(t *testing.T) {
 	_, split := testSplit(t)
 	cfg := DefaultDetectorConfig()
 	cfg.Train.Epochs = 2
-	det, err := TrainDetector(thin(split.Train, 1000), cfg)
+	det, err := TrainDetector(split.Train.Thin(1000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,38 +136,50 @@ func TestRunTable5DeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestAblationDeterministicAcrossWorkerCounts spot-checks one sweep (the
-// cheapest, standardisation) under different worker counts.
+// TestAblationDeterministicAcrossWorkerCounts runs one grid holding every
+// model kind and front end the experiments use — logistic regression,
+// forests, MLPs and the CNN; raw, standardised, filtered, PCA and windowed
+// inputs; occupancy, activity, count and T/H regression — on 1 and 3
+// workers: every row must agree bit for bit.
 func TestAblationDeterministicAcrossWorkerCounts(t *testing.T) {
 	_, split := testSplit(t)
 	base := shrink(quickCfg())
 
-	var results []*AblationResult
+	cells := table4Cells(base)
+	for _, dim := range []string{"std", "family", "preproc"} {
+		_, cs, err := ablationCells(dim, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cs...)
+	}
+	win := baseCell(base, mlp, dataset.FeatCSI, activity)
+	win.window = 10
+	ols := baseCell(base, linear, dataset.FeatCSI, envTH)
+	ols.std = false
+	cells = append(cells, win, ols,
+		baseCell(base, forest, dataset.FeatCSI, activity),
+		baseCell(base, mlp, dataset.FeatCSI, count),
+		baseCell(base, forest, dataset.FeatCSI, count),
+		baseCell(base, mlp, dataset.FeatCSI, envTH))
+
+	var results [][]row
 	for _, w := range []int{1, 3} {
 		cfg := base
 		cfg.Workers = w
-		res, err := RunStandardizationAblation(split, cfg)
+		rows, err := runCells(split, cfg, cells)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		results = append(results, res)
+		results = append(results, rows)
 	}
 	ref, res := results[0], results[1]
-	if len(ref.Points) != len(res.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(ref.Points), len(res.Points))
-	}
-	for i := range ref.Points {
-		if ref.Points[i].Name != res.Points[i].Name {
-			t.Errorf("point %d name %q vs %q", i, res.Points[i].Name, ref.Points[i].Name)
+	for i, c := range cells {
+		if !reflect.DeepEqual(ref[i].folds, res[i].folds) || !reflect.DeepEqual(ref[i].pooled, res[i].pooled) {
+			t.Errorf("cell %d (%v): %+v/%+v vs %+v/%+v", i, c, res[i].folds, res[i].pooled, ref[i].folds, ref[i].pooled)
 		}
-		if ref.Points[i].Acc != res.Points[i].Acc {
-			t.Errorf("point %q: acc %v vs %v", ref.Points[i].Name, res.Points[i].Acc, ref.Points[i].Acc)
-		}
-		for fi := range ref.Points[i].PerFold {
-			if ref.Points[i].PerFold[fi] != res.Points[i].PerFold[fi] {
-				t.Errorf("point %q fold %d: %v vs %v", ref.Points[i].Name, fi,
-					res.Points[i].PerFold[fi], ref.Points[i].PerFold[fi])
-			}
+		if ref[i].params != res[i].params {
+			t.Errorf("cell %d (%v): %d params vs %d", i, c, res[i].params, ref[i].params)
 		}
 	}
 }

@@ -2,14 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/infer"
 	"repro/internal/linmodel"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/rf"
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -83,21 +81,6 @@ func DefaultExperimentConfig() ExperimentConfig {
 	}
 }
 
-// thin returns a stride-subsampled view with at most max records (max<=0
-// keeps everything). Striding preserves the temporal spread, unlike a
-// prefix cut which would drop whole regimes.
-func thin(d *dataset.Dataset, max int) *dataset.Dataset {
-	if max <= 0 || d.Len() <= max {
-		return d
-	}
-	stride := (d.Len() + max - 1) / max
-	out := &dataset.Dataset{Records: make([]dataset.Record, 0, max)}
-	for i := 0; i < d.Len(); i += stride {
-		out.Records = append(out.Records, d.Records[i])
-	}
-	return out
-}
-
 // Table4Result holds occupancy accuracy per fold / model / feature subset,
 // plus the per-column averages (the paper's "Avg." row), in percent.
 type Table4Result struct {
@@ -110,111 +93,44 @@ type Table4Result struct {
 // and the MLP on each of the three feature subsets on the training fold and
 // evaluates each of the five test folds. Models are trained exactly once —
 // fold evaluation never re-trains (§V-B).
-//
-// The grid runs in three parallel stages on cfg.Workers goroutines: feature
-// preparation (one task per subset), cell training (one task per
-// model×subset combination), and fold evaluation (one task per
-// subset×fold, scoring all three trained models against a shared design
-// matrix). Every task derives its inputs from its index and cfg alone, so
-// the result is bit-identical to the sequential run for any worker count.
 func RunTable4(split *dataset.Split, cfg ExperimentConfig) (*Table4Result, error) {
-	if err := cfg.Validate(); err != nil {
+	rows, err := runCells(split, cfg, table4Cells(cfg))
+	if err != nil {
 		return nil, err
 	}
-	if len(split.Folds) == 0 {
-		return nil, fmt.Errorf("core: split has no test folds")
-	}
-	train := thin(split.Train, cfg.MaxTrainSamples)
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-	workers := parallel.Workers(cfg.Workers)
-	nFeat, nModel, nFold := len(Table4Features), len(Table4Models), len(split.Folds)
-
-	// Stage 1: per-subset design matrices and scalers.
-	type featData struct {
-		x, xStd *tensor.Matrix
-		y       []int
-		yF      *tensor.Matrix
-		scaler  *linmodel.Scaler
-	}
-	prep := parallel.Map(workers, nFeat, func(i int) featData {
-		x, y := train.Matrix(Table4Features[i])
-		scaler := linmodel.FitScaler(x)
-		yF := tensor.NewMatrix(len(y), 1)
-		for j, v := range y {
-			yF.Set(j, 0, float64(v))
-		}
-		return featData{x: x, xStd: scaler.Transform(x), y: y, yF: yF, scaler: scaler}
-	})
-
-	// Stage 2: the nine cells train concurrently. Each task fills only its
-	// own slot with a prediction closure over the trained model; all three
-	// closures are inference-only and safe to call from many goroutines.
-	preds := make([]func(xf, xfStd *tensor.Matrix) []int, nModel*nFeat)
-	parallel.ForEach(workers, nModel*nFeat, func(ci int) {
-		mi, fi := ci/nFeat, ci%nFeat
-		d := prep[fi]
-		switch Table4Models[mi] {
-		case ModelLogistic:
-			logit := &linmodel.Logistic{}
-			lcfg := cfg.Logistic
-			lcfg.Seed = cfg.Seed
-			logit.Fit(d.xStd, d.y, lcfg)
-			preds[ci] = func(_, xfStd *tensor.Matrix) []int { return logit.Predict(xfStd) }
-		case ModelRF:
-			rfcfg := cfg.RF
-			rfcfg.Seed = cfg.Seed
-			forest := rf.FitClassifier(d.x, d.y, rfcfg)
-			preds[ci] = func(xf, _ *tensor.Matrix) []int { return forest.Predict(xf) }
-		case ModelMLP:
-			tcfg := cfg.NNTrain
-			tcfg.Seed = cfg.Seed
-			net := nn.NewMLP(Table4Features[fi].Dim(), cfg.Hidden, 1, rand.New(rand.NewSource(cfg.Seed)))
-			net.Fit(d.xStd, d.yF, nn.BCEWithLogits{}, tcfg)
-			preds[ci] = func(_, xfStd *tensor.Matrix) []int { return net.PredictBinary(xfStd) }
-		}
-	})
-
-	// Stage 3: evaluation fans out per (subset, fold) into a flat array —
-	// the result maps are filled serially afterwards because Go maps do not
-	// tolerate concurrent writes.
-	acc := make([]float64, nFold*nModel*nFeat)
-	parallel.ForEach(workers, nFeat*nFold, func(ti int) {
-		fi, foldI := ti/nFold, ti%nFold
-		ev := thin(split.Folds[foldI], cfg.MaxEvalSamples)
-		xf, yf := ev.Matrix(Table4Features[fi])
-		xfStd := prep[fi].scaler.Transform(xf)
-		for mi := 0; mi < nModel; mi++ {
-			p := preds[mi*nFeat+fi](xf, xfStd)
-			acc[(foldI*nModel+mi)*nFeat+fi] = 100 * stats.Accuracy(yf, p)
-		}
-	})
-
+	nFeat, nFold := len(Table4Features), len(split.Folds)
 	res := &Table4Result{
 		Acc: make([][]map[dataset.FeatureSet]float64, nFold),
-		Avg: make([]map[dataset.FeatureSet]float64, nModel),
+		Avg: make([]map[dataset.FeatureSet]float64, len(Table4Models)),
 	}
 	for foldI := range res.Acc {
-		res.Acc[foldI] = make([]map[dataset.FeatureSet]float64, nModel)
+		res.Acc[foldI] = make([]map[dataset.FeatureSet]float64, len(Table4Models))
 		for mi := range res.Acc[foldI] {
 			res.Acc[foldI][mi] = map[dataset.FeatureSet]float64{}
 			for fi, feat := range Table4Features {
-				res.Acc[foldI][mi][feat] = acc[(foldI*nModel+mi)*nFeat+fi]
+				res.Acc[foldI][mi][feat] = rows[mi*nFeat+fi].folds[foldI].acc
 			}
 		}
 	}
 	for mi := range res.Avg {
 		res.Avg[mi] = map[dataset.FeatureSet]float64{}
 		for fi, feat := range Table4Features {
-			var s float64
-			for foldI := 0; foldI < nFold; foldI++ {
-				s += acc[(foldI*nModel+mi)*nFeat+fi]
-			}
-			res.Avg[mi][feat] = s / float64(nFold)
+			res.Avg[mi][feat] = stats.Mean(rows[mi*nFeat+fi].accs())
 		}
 	}
 	return res, nil
+}
+
+// table4Cells lists the Table IV grid model-major (Table4Models order),
+// feature-minor.
+func table4Cells(cfg ExperimentConfig) []cell {
+	var cells []cell
+	for _, m := range []model{linear, forest, mlp} {
+		for _, feat := range Table4Features {
+			cells = append(cells, baseCell(cfg, m, feat, occupancy))
+		}
+	}
+	return cells
 }
 
 // RegScores is one cell pair of Table V for one fold: MAE and MAPE for the
@@ -236,67 +152,19 @@ type Table5Result struct {
 // regress temperature and humidity from the 64 CSI amplitudes, trained on
 // the training fold, evaluated per test fold.
 func RunTable5(split *dataset.Split, cfg ExperimentConfig) (*Table5Result, error) {
-	if err := cfg.Validate(); err != nil {
+	ols := baseCell(cfg, linear, dataset.FeatCSI, envTH)
+	ols.name, ols.std = "Table V OLS", false
+	net := baseCell(cfg, mlp, dataset.FeatCSI, envTH)
+	net.name = "Table V MLP"
+	rows, err := runCells(split, cfg, []cell{ols, net})
+	if err != nil {
 		return nil, err
 	}
-	if len(split.Folds) == 0 {
-		return nil, fmt.Errorf("core: split has no test folds")
+	res := &Table5Result{}
+	for fi := range split.Folds {
+		res.Linear = append(res.Linear, rows[0].folds[fi].reg)
+		res.Neural = append(res.Neural, rows[1].folds[fi].reg)
 	}
-	train := thin(split.Train, cfg.MaxTrainSamples)
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-	workers := parallel.Workers(cfg.Workers)
-
-	// The two regressors train concurrently; errors are kept per-slot.
-	var lin *linmodel.Linear
-	var reg *EnvRegressor
-	var linErr, regErr error
-	parallel.ForEach(workers, 2, func(i int) {
-		if i == 0 {
-			// Linear: OLS on raw CSI, tiny ridge for collinear subcarriers.
-			xTrain, _ := train.Matrix(dataset.FeatCSI)
-			lin, linErr = linmodel.FitLinear(xTrain, train.EnvTargets(), 1e-8)
-			return
-		}
-		// Neural: the shared EnvRegressor.
-		ecfg := EnvRegressorConfig{Hidden: cfg.Hidden, Train: cfg.NNTrain, Seed: cfg.Seed}
-		ecfg.Train.Seed = cfg.Seed
-		reg, regErr = TrainEnvRegressor(train, ecfg)
-	})
-	if linErr != nil {
-		return nil, fmt.Errorf("core: Table V OLS: %w", linErr)
-	}
-	if regErr != nil {
-		return nil, regErr
-	}
-
-	res := &Table5Result{
-		Linear: make([]RegScores, len(split.Folds)),
-		Neural: make([]RegScores, len(split.Folds)),
-	}
-	parallel.ForEach(workers, len(split.Folds), func(fi int) {
-		ev := thin(split.Folds[fi], cfg.MaxEvalSamples)
-		xf, _ := ev.Matrix(dataset.FeatCSI)
-		tTrue, _ := ev.Column("temp")
-		hTrue, _ := ev.Column("humidity")
-
-		linPred := lin.Predict(xf)
-		res.Linear[fi] = RegScores{
-			MAET:  stats.MAE(tTrue, linPred[0]),
-			MAEH:  stats.MAE(hTrue, linPred[1]),
-			MAPET: stats.MAPE(tTrue, linPred[0]),
-			MAPEH: stats.MAPE(hTrue, linPred[1]),
-		}
-
-		tPred, hPred := reg.Predict(ev)
-		res.Neural[fi] = RegScores{
-			MAET:  stats.MAE(tTrue, tPred),
-			MAEH:  stats.MAE(hTrue, hPred),
-			MAPET: stats.MAPE(tTrue, tPred),
-			MAPEH: stats.MAPE(hTrue, hPred),
-		}
-	})
 	res.AvgLin = avgScores(res.Linear)
 	res.AvgNN = avgScores(res.Neural)
 	return res, nil
@@ -345,7 +213,7 @@ func RunFigure3(split *dataset.Split, cfg ExperimentConfig) (*Figure3Result, err
 	}
 	dcfg.Train = cfg.NNTrain
 	dcfg.Seed = cfg.Seed
-	det, err := TrainDetector(thin(split.Train, cfg.MaxTrainSamples), dcfg)
+	det, err := TrainDetector(split.Train.Thin(cfg.MaxTrainSamples), dcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +233,7 @@ func ExplainDetector(det *Detector, split *dataset.Split, maxBatch int) (*Figure
 	if maxBatch <= 0 {
 		maxBatch = 2048
 	}
-	batch := thin(pool, maxBatch)
+	batch := pool.Thin(maxBatch)
 	x, _ := batch.Matrix(dataset.FeatCSIEnv)
 	xs := det.Scaler.Transform(x)
 	cam, err := xai.GradCAM(det.Net, xs, 1)
@@ -416,7 +284,7 @@ func RunProfile(d *dataset.Dataset, maxSamples int) (*ProfileResult, error) {
 	if d.Len() < 50 {
 		return nil, fmt.Errorf("core: dataset too small to profile (%d records)", d.Len())
 	}
-	thinned := thin(d, maxSamples)
+	thinned := d.Thin(maxSamples)
 	temp, _ := thinned.Column("temp")
 	hum, _ := thinned.Column("humidity")
 	occ, _ := thinned.Column("occupancy")
@@ -500,23 +368,14 @@ type TimeOnlyResult struct {
 // natural model here: "occupied during working hours" is an interval rule a
 // single linear threshold on the clock cannot express.
 func RunTimeOnly(split *dataset.Split, cfg ExperimentConfig) (*TimeOnlyResult, error) {
-	if err := cfg.Validate(); err != nil {
+	c := baseCell(cfg, forest, dataset.FeatTime, occupancy)
+	c.name, c.trees = "time-only", rf.ForestConfig{NumTrees: 5, MaxDepth: 6, MinLeaf: 5, MTry: 1, Seed: cfg.Seed}
+	rows, err := runCells(split, cfg, []cell{c})
+	if err != nil {
 		return nil, err
 	}
-	train := thin(split.Train, cfg.MaxTrainSamples)
-	x, y := train.Matrix(dataset.FeatTime)
-	fcfg := rf.ForestConfig{NumTrees: 5, MaxDepth: 6, MinLeaf: 5, MTry: 1, Seed: cfg.Seed}
-	forest := rf.FitClassifier(x, y, fcfg)
-	res := &TimeOnlyResult{}
-	for _, fold := range split.Folds {
-		ev := thin(fold, cfg.MaxEvalSamples)
-		xf, yf := ev.Matrix(dataset.FeatTime)
-		acc := 100 * stats.Accuracy(yf, forest.Predict(xf))
-		res.PerFold = append(res.PerFold, acc)
-		res.Avg += acc
-	}
-	res.Avg /= float64(len(res.PerFold))
-	return res, nil
+	perFold := rows[0].accs()
+	return &TimeOnlyResult{PerFold: perFold, Avg: stats.Mean(perFold)}, nil
 }
 
 // FootprintResult reproduces the §IV-B deployment numbers: parameter count,

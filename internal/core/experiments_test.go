@@ -50,6 +50,12 @@ func TestRunTable4NoFolds(t *testing.T) {
 	if _, err := RunTable5(bad, quickCfg()); err == nil {
 		t.Fatal("no folds must error (table 5)")
 	}
+	if _, err := RunAblation(bad, quickCfg(), "std"); err == nil {
+		t.Fatal("no folds must error (ablation)")
+	}
+	if _, err := RunCounting(bad, quickCfg()); err == nil {
+		t.Fatal("no folds must error (counting)")
+	}
 }
 
 func TestRunTable5ShapeAndNonLinearity(t *testing.T) {
@@ -98,7 +104,7 @@ func TestRunFigure3EnvUnimportant(t *testing.T) {
 
 func TestExplainDetectorRejectsWrongFeatures(t *testing.T) {
 	_, split := testSplit(t)
-	det, err := TrainDetector(thin(split.Train, 400), quickDetectorCfg(dataset.FeatCSI))
+	det, err := TrainDetector(split.Train.Thin(400), quickDetectorCfg(dataset.FeatCSI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +163,8 @@ func TestRunTimeOnly(t *testing.T) {
 }
 
 // TestRunnersRefuseInvalidConfigs: an experiment runner validates its
-// configuration before training anything, so a NaN learning rate or a
-// negative fault intensity is an error, not a table of NaN-trained cells.
+// configuration before training anything, so a NaN learning rate is an
+// error, not a table of NaN-trained cells, and an unknown sweep is an error.
 func TestRunnersRefuseInvalidConfigs(t *testing.T) {
 	_, split := testSplit(t)
 	cfg := shrink(quickCfg())
@@ -167,7 +173,10 @@ func TestRunnersRefuseInvalidConfigs(t *testing.T) {
 	if _, err := RunTable4(split, bad); err == nil {
 		t.Error("RunTable4 trained with NNTrain.LR = NaN")
 	}
-	if _, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{-1}}); err == nil {
-		t.Error("RunRobustness swept a negative intensity")
+	if _, err := RunRobustness(split, bad); err == nil {
+		t.Error("RunRobustness trained with NNTrain.LR = NaN")
+	}
+	if _, err := RunAblation(split, cfg, "arch", "archx"); err == nil {
+		t.Error("RunAblation ran an unknown sweep")
 	}
 }

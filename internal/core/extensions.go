@@ -3,74 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dataset"
-	"repro/internal/linmodel"
-	"repro/internal/nn"
-	"repro/internal/rf"
-	"repro/internal/tensor"
+	"repro/internal/stats"
 )
 
 // This file implements the paper's stated future work (§VI: "an ML model
 // that simultaneously performs occupancy detection and activity
 // recognition") plus the occupant-counting task its Table II motivates,
 // as extensions on the same substrate.
-
-// ActivityClassifier recognises the 3-class activity state
-// (empty / static occupancy / motion) from CSI amplitudes.
-type ActivityClassifier struct {
-	Net    *nn.Network
-	Scaler *linmodel.Scaler
-}
-
-// ActivityConfig controls TrainActivity.
-type ActivityConfig struct {
-	Hidden []int
-	Train  nn.TrainConfig
-	Seed   int64
-}
-
-// Validate reports whether the configuration is trainable (positive hidden
-// widths, valid training hyper-parameters). TrainActivity calls it.
-func (c ActivityConfig) Validate() error {
-	if err := validHidden(c.Hidden); err != nil {
-		return err
-	}
-	return c.Train.Validate()
-}
-
-// TrainActivity fits the activity classifier on CSI features.
-func TrainActivity(train *dataset.Dataset, cfg ActivityConfig) (*ActivityClassifier, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-	x, _ := train.Matrix(dataset.FeatCSI)
-	scaler := linmodel.FitScaler(x)
-	xs := scaler.Transform(x)
-	labels := train.ActivityLabels()
-	y := nn.OneHot(labels, dataset.NumActivities)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := nn.NewMLP(dataset.FeatCSI.Dim(), cfg.Hidden, dataset.NumActivities, rng)
-	// Inverse-frequency weighting: motion samples are a small minority
-	// (walking bouts last seconds), and the unweighted objective would
-	// simply ignore that class.
-	loss := nn.SoftmaxCE{ClassWeights: nn.InverseFrequencyWeights(labels, dataset.NumActivities)}
-	net.Fit(xs, y, loss, cfg.Train)
-	return &ActivityClassifier{Net: net, Scaler: scaler}, nil
-}
-
-// Predict returns the activity class per record.
-func (a *ActivityClassifier) Predict(ds *dataset.Dataset) []int {
-	x, _ := ds.Matrix(dataset.FeatCSI)
-	return a.Net.PredictClasses(a.Scaler.Transform(x))
-}
 
 // MultiClassResult summarises a multi-class evaluation: overall accuracy,
 // per-class recall, and the full confusion matrix (rows = truth).
@@ -121,81 +62,6 @@ type ActivityResult struct {
 	Pooled     MultiClassResult // MLP over all folds pooled
 }
 
-// RunActivity trains the activity classifier and an RF baseline on the
-// training fold and evaluates both per test fold.
-func RunActivity(split *dataset.Split, cfg ExperimentConfig) (*ActivityResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(split.Folds) == 0 {
-		return nil, fmt.Errorf("core: split has no test folds")
-	}
-	train := thin(split.Train, cfg.MaxTrainSamples)
-	acfg := ActivityConfig{Hidden: cfg.Hidden, Train: cfg.NNTrain, Seed: cfg.Seed}
-	clf, err := TrainActivity(train, acfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// RF baseline: one-vs-rest is unnecessary — CART handles multi-class
-	// via per-class probability trees; here we train one forest per class
-	// and take the argmax, the standard reduction with binary-leaf trees.
-	x, _ := train.Matrix(dataset.FeatCSI)
-	labels := train.ActivityLabels()
-	forests := make([]*rf.Forest, dataset.NumActivities)
-	for c := range forests {
-		bin := make([]int, len(labels))
-		for i, l := range labels {
-			if l == c {
-				bin[i] = 1
-			}
-		}
-		fcfg := cfg.RF
-		fcfg.Seed = cfg.Seed + int64(c)
-		forests[c] = rf.FitClassifier(x, bin, fcfg)
-	}
-	rfPredict := func(ds *dataset.Dataset) []int {
-		xf, _ := ds.Matrix(dataset.FeatCSI)
-		out := make([]int, xf.Rows)
-		for i := 0; i < xf.Rows; i++ {
-			row := xf.Row(i)
-			best, bestP := 0, math.Inf(-1)
-			for c, f := range forests {
-				if p := f.PredictProb(row); p > bestP {
-					best, bestP = c, p
-				}
-			}
-			out[i] = best
-		}
-		return out
-	}
-
-	res := &ActivityResult{}
-	var pooledTruth, pooledPred []int
-	for _, fold := range split.Folds {
-		ev := thin(fold, cfg.MaxEvalSamples)
-		truth := ev.ActivityLabels()
-
-		mlpPred := clf.Predict(ev)
-		mlpAcc := 100 * EvaluateMultiClass(truth, mlpPred, dataset.NumActivities).Accuracy
-		res.MLPPerFold = append(res.MLPPerFold, mlpAcc)
-		res.MLPAvg += mlpAcc
-
-		rfp := rfPredict(ev)
-		rfAcc := 100 * EvaluateMultiClass(truth, rfp, dataset.NumActivities).Accuracy
-		res.RFPerFold = append(res.RFPerFold, rfAcc)
-		res.RFAvg += rfAcc
-
-		pooledTruth = append(pooledTruth, truth...)
-		pooledPred = append(pooledPred, mlpPred...)
-	}
-	n := float64(len(split.Folds))
-	res.MLPAvg /= n
-	res.RFAvg /= n
-	res.Pooled = EvaluateMultiClass(pooledTruth, pooledPred, dataset.NumActivities)
-	return res, nil
-}
-
 // WindowedActivityResult compares instantaneous-snapshot activity
 // recognition against the windowed front-end (dataset.WindowSpec): the
 // per-subcarrier temporal std makes brief walking bouts visible.
@@ -209,68 +75,33 @@ type WindowedActivityResult struct {
 	WindowedPerFold   []float64
 }
 
-// RunWindowedActivity runs the activity task twice — on raw snapshots and
-// on windowed (mean, std) features — quantifying the windowing ablation.
-func RunWindowedActivity(split *dataset.Split, windowN int, cfg ExperimentConfig) (*WindowedActivityResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(split.Folds) == 0 {
-		return nil, fmt.Errorf("core: split has no test folds")
-	}
-	if windowN < 2 {
-		windowN = 10
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-	res := &WindowedActivityResult{WindowN: windowN}
-
-	// Baseline: the plain snapshot classifier.
-	base, err := RunActivity(split, cfg)
+// RunActivity trains the activity classifier (the MLP, inverse-frequency
+// weighted), an RF baseline and the same MLP on windowed (mean, std)
+// features of 10 samples on the training fold, and evaluates each per test
+// fold: the snapshot result and the windowing comparison.
+func RunActivity(split *dataset.Split, cfg ExperimentConfig) (*ActivityResult, *WindowedActivityResult, error) {
+	snap := baseCell(cfg, mlp, dataset.FeatCSI, activity)
+	snap.name, snap.train = "activity MLP", cfg.NNTrain // the classifier keeps NNTrain's own shuffle seed
+	rfc := baseCell(cfg, forest, dataset.FeatCSI, activity)
+	rfc.name = "activity RF"
+	win := baseCell(cfg, mlp, dataset.FeatCSI, activity)
+	win.name, win.window = "windowed activity MLP", 10
+	rows, err := runCells(split, cfg, []cell{snap, rfc, win})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.SnapshotAvg = base.MLPAvg
-	res.SnapshotPerFold = base.MLPPerFold
-	res.SnapshotMotionRec = base.Pooled.Recall[dataset.ActivityMotion]
-
-	// Windowed: same MLP family on (mean, std) features. Windows are
-	// computed on the full-rate series (thinning first would stretch a
-	// "1-second" window over minutes), then the *rows* are thinned.
-	spec := dataset.WindowSpec{N: windowN}
-	xwFull, idxFull, err := split.Train.WindowedMatrix(spec)
-	if err != nil {
-		return nil, err
+	res := &ActivityResult{MLPPerFold: rows[0].accs(), RFPerFold: rows[1].accs(), Pooled: rows[0].pooled}
+	res.MLPAvg, res.RFAvg = stats.Mean(res.MLPPerFold), stats.Mean(res.RFPerFold)
+	w := &WindowedActivityResult{
+		WindowN:           win.window,
+		SnapshotAvg:       res.MLPAvg,
+		WindowedAvg:       stats.Mean(rows[2].accs()),
+		SnapshotMotionRec: rows[0].pooled.Recall[dataset.ActivityMotion],
+		WindowedMotionRec: rows[2].pooled.Recall[dataset.ActivityMotion],
+		SnapshotPerFold:   res.MLPPerFold,
+		WindowedPerFold:   rows[2].accs(),
 	}
-	xw, idx := thinRows(xwFull, idxFull, cfg.MaxTrainSamples)
-	labels := split.Train.WindowedLabels(idx, func(r *dataset.Record) int { return r.ActivityLabel() })
-	scaler := linmodel.FitScaler(xw)
-	xs := scaler.Transform(xw)
-	net := nn.NewMLP(spec.Dim(), cfg.Hidden, dataset.NumActivities, rand.New(rand.NewSource(cfg.Seed)))
-	tcfg := cfg.NNTrain
-	tcfg.Seed = cfg.Seed
-	wloss := nn.SoftmaxCE{ClassWeights: nn.InverseFrequencyWeights(labels, dataset.NumActivities)}
-	net.Fit(xs, nn.OneHot(labels, dataset.NumActivities), wloss, tcfg)
-
-	var pooledTruth, pooledPred []int
-	for _, fold := range split.Folds {
-		xfFull, fidxFull, err := fold.WindowedMatrix(spec)
-		if err != nil {
-			return nil, err
-		}
-		xf, fidx := thinRows(xfFull, fidxFull, cfg.MaxEvalSamples)
-		truth := fold.WindowedLabels(fidx, func(r *dataset.Record) int { return r.ActivityLabel() })
-		pred := net.PredictClasses(scaler.Transform(xf))
-		acc := 100 * EvaluateMultiClass(truth, pred, dataset.NumActivities).Accuracy
-		res.WindowedPerFold = append(res.WindowedPerFold, acc)
-		res.WindowedAvg += acc
-		pooledTruth = append(pooledTruth, truth...)
-		pooledPred = append(pooledPred, pred...)
-	}
-	res.WindowedAvg /= float64(len(split.Folds))
-	res.WindowedMotionRec = EvaluateMultiClass(pooledTruth, pooledPred, dataset.NumActivities).Recall[dataset.ActivityMotion]
-	return res, nil
+	return res, w, nil
 }
 
 // CountingResult is the occupant-counting extension outcome.
@@ -288,117 +119,40 @@ type CountingResult struct {
 }
 
 // RunCounting estimates the number of simultaneous occupants (clamped at
-// classes-1, default 5 ⇒ "4 or more") from CSI, with an MLP classifier and
-// an RF regressor — the crowd-counting task of the paper's references
-// [3], [12], [13] on our substrate.
-func RunCounting(split *dataset.Split, classes int, cfg ExperimentConfig) (*CountingResult, error) {
-	if err := cfg.Validate(); err != nil {
+// 4 ⇒ "4 or more") from CSI, with an MLP classifier and an RF regressor —
+// the crowd-counting task of the paper's references [3], [12], [13] on our
+// substrate.
+func RunCounting(split *dataset.Split, cfg ExperimentConfig) (*CountingResult, error) {
+	net := baseCell(cfg, mlp, dataset.FeatCSI, count)
+	net.name = "counting MLP"
+	reg := baseCell(cfg, forest, dataset.FeatCSI, count)
+	reg.name = "counting RF"
+	rows, err := runCells(split, cfg, []cell{net, reg})
+	if err != nil {
 		return nil, err
 	}
-	if len(split.Folds) == 0 {
-		return nil, fmt.Errorf("core: split has no test folds")
+	res := &CountingResult{Classes: countClasses, MLPExact: rows[0].accs(), RFExact: rows[1].accs()}
+	for fi := range split.Folds {
+		res.MLPMAE = append(res.MLPMAE, rows[0].folds[fi].mae)
+		res.RFMAE = append(res.RFMAE, rows[1].folds[fi].mae)
 	}
-	if classes < 2 {
-		classes = 5
-	}
-	train := thin(split.Train, cfg.MaxTrainSamples)
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-
-	x, _ := train.Matrix(dataset.FeatCSI)
-	scaler := linmodel.FitScaler(x)
-	xs := scaler.Transform(x)
-	counts := train.CountLabels(classes)
-
-	// MLP classifier over count classes.
-	y := nn.OneHot(counts, classes)
-	net := nn.NewMLP(dataset.FeatCSI.Dim(), cfg.Hidden, classes, rand.New(rand.NewSource(cfg.Seed)))
-	tcfg := cfg.NNTrain
-	tcfg.Seed = cfg.Seed
-	net.Fit(xs, y, nn.SoftmaxCE{}, tcfg)
-
-	// RF regressor on the clamped count.
-	yreg := make([]float64, len(counts))
-	for i, c := range counts {
-		yreg[i] = float64(c)
-	}
-	fcfg := cfg.RF
-	fcfg.Seed = cfg.Seed
-	forest := rf.FitRegressor(x, yreg, fcfg)
-
-	res := &CountingResult{Classes: classes}
-	for _, fold := range split.Folds {
-		ev := thin(fold, cfg.MaxEvalSamples)
-		xf, _ := ev.Matrix(dataset.FeatCSI)
-		truth := ev.CountLabels(classes)
-
-		mlpPred := net.PredictClasses(scaler.Transform(xf))
-		exact, mae := countScores(truth, toFloats(mlpPred))
-		res.MLPExact = append(res.MLPExact, exact)
-		res.MLPMAE = append(res.MLPMAE, mae)
-
-		raw := forest.PredictValues(xf)
-		rounded := make([]float64, len(raw))
-		for i, v := range raw {
-			rounded[i] = math.Round(tensor.Clamp(v, 0, float64(classes-1)))
-		}
-		exact, mae = countScores(truth, rounded)
-		res.RFExact = append(res.RFExact, exact)
-		res.RFMAE = append(res.RFMAE, mae)
-	}
-	n := float64(len(split.Folds))
-	for i := range res.MLPExact {
-		res.MLPExactAvg += res.MLPExact[i]
-		res.MLPMAEAvg += res.MLPMAE[i]
-		res.RFExactAvg += res.RFExact[i]
-		res.RFMAEAvg += res.RFMAE[i]
-	}
-	res.MLPExactAvg /= n
-	res.MLPMAEAvg /= n
-	res.RFExactAvg /= n
-	res.RFMAEAvg /= n
+	res.MLPExactAvg, res.MLPMAEAvg = stats.Mean(res.MLPExact), stats.Mean(res.MLPMAE)
+	res.RFExactAvg, res.RFMAEAvg = stats.Mean(res.RFExact), stats.Mean(res.RFMAE)
 	return res, nil
 }
 
-// thinRows stride-subsamples matrix rows (and the aligned index slice) to
-// at most max rows (max<=0 keeps everything).
-func thinRows(x *tensor.Matrix, idx []int, max int) (*tensor.Matrix, []int) {
-	if max <= 0 || x.Rows <= max {
-		return x, idx
-	}
-	stride := (x.Rows + max - 1) / max
-	out := tensor.NewMatrix((x.Rows+stride-1)/stride, x.Cols)
-	outIdx := make([]int, 0, out.Rows)
-	r := 0
-	for i := 0; i < x.Rows; i += stride {
-		copy(out.Row(r), x.Row(i))
-		outIdx = append(outIdx, idx[i])
-		r++
-	}
-	return out, outIdx
-}
-
-func toFloats(v []int) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // countScores returns (exact-match %, MAE in persons).
-func countScores(truth []int, pred []float64) (float64, float64) {
+func countScores(truth, pred []int) (float64, float64) {
 	if len(truth) == 0 {
 		return 0, 0
 	}
 	exact := 0
 	var mae float64
 	for i, t := range truth {
-		if int(pred[i]) == t {
+		if pred[i] == t {
 			exact++
 		}
-		mae += math.Abs(float64(t) - pred[i])
+		mae += math.Abs(float64(t - pred[i]))
 	}
 	n := float64(len(truth))
 	return 100 * float64(exact) / n, mae / n

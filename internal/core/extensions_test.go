@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -33,23 +32,24 @@ func TestEvaluateMultiClass(t *testing.T) {
 	EvaluateMultiClass([]int{0}, []int{0, 1}, 2)
 }
 
-func TestTrainActivityAndPredict(t *testing.T) {
+// TestActivityCellBeatsMajority scores the activity classifier in-sample
+// (its training set is its one test fold): it must comfortably beat the
+// majority class. An empty training set is an error.
+func TestActivityCellBeatsMajority(t *testing.T) {
 	_, split := testSplit(t)
-	acfg := ActivityConfig{Hidden: []int{32, 16}, Train: nn.DefaultTrainConfig(), Seed: 1}
-	acfg.Train.Epochs = 8
-	acfg.Train.BatchSize = 64
-	train := thin(split.Train, 1500)
-	clf, err := TrainActivity(train, acfg)
+	cfg := quickCfg()
+	cfg.Hidden = []int{32, 16}
+	cfg.NNTrain.Epochs = 8
+	cfg.NNTrain.BatchSize = 64
+	train := split.Train.Thin(1500)
+	c := baseCell(cfg, mlp, dataset.FeatCSI, activity)
+	rows, err := runCells(&dataset.Split{Train: train, Folds: []*dataset.Dataset{train}}, cfg, []cell{c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// In-sample: must comfortably beat the majority class.
-	truth := train.ActivityLabels()
-	pred := clf.Predict(train)
-	res := EvaluateMultiClass(truth, pred, dataset.NumActivities)
 	major := map[int]int{}
-	for _, l := range truth {
-		major[l]++
+	for i := range train.Records {
+		major[train.Records[i].ActivityLabel()]++
 	}
 	best := 0
 	for _, c := range major {
@@ -57,18 +57,19 @@ func TestTrainActivityAndPredict(t *testing.T) {
 			best = c
 		}
 	}
-	baseline := float64(best) / float64(len(truth))
-	if res.Accuracy <= baseline {
-		t.Fatalf("activity accuracy %.3f not above majority baseline %.3f", res.Accuracy, baseline)
+	baseline := float64(best) / float64(train.Len())
+	if acc := rows[0].pooled.Accuracy; acc <= baseline {
+		t.Fatalf("activity accuracy %.3f not above majority baseline %.3f", acc, baseline)
 	}
-	if _, err := TrainActivity(&dataset.Dataset{}, acfg); err == nil {
+	empty := &dataset.Split{Train: &dataset.Dataset{}, Folds: split.Folds}
+	if _, err := runCells(empty, cfg, []cell{c}); err == nil {
 		t.Fatal("empty training set must error")
 	}
 }
 
 func TestRunActivity(t *testing.T) {
 	_, split := testSplit(t)
-	res, err := RunActivity(split, quickCfg())
+	res, _, err := RunActivity(split, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +95,14 @@ func TestRunActivity(t *testing.T) {
 		t.Fatal("empty pooled confusion")
 	}
 	bad := &dataset.Split{Train: split.Train}
-	if _, err := RunActivity(bad, quickCfg()); err == nil {
+	if _, _, err := RunActivity(bad, quickCfg()); err == nil {
 		t.Fatal("no folds must error")
 	}
 }
 
 func TestRunCounting(t *testing.T) {
 	_, split := testSplit(t)
-	res, err := RunCounting(split, 5, quickCfg())
+	res, err := RunCounting(split, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +124,10 @@ func TestRunCounting(t *testing.T) {
 	if res.RFMAEAvg > 2 || res.MLPMAEAvg > 2 {
 		t.Fatalf("counting MAE too high: RF %g MLP %g", res.RFMAEAvg, res.MLPMAEAvg)
 	}
-	// Default classes kick in for degenerate input.
-	res2, err := RunCounting(split, 0, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Classes != 5 {
-		t.Fatal("default classes")
-	}
 }
 
 func TestCountScores(t *testing.T) {
-	exact, mae := countScores([]int{0, 1, 2}, []float64{0, 2, 2})
+	exact, mae := countScores([]int{0, 1, 2}, []int{0, 2, 2})
 	if exact != 100.0*2/3 {
 		t.Fatalf("exact %g", exact)
 	}
@@ -148,12 +141,11 @@ func TestCountScores(t *testing.T) {
 
 func TestRunWindowedActivity(t *testing.T) {
 	_, split := testSplit(t)
-	cfg := quickCfg()
-	res, err := RunWindowedActivity(split, 6, cfg)
+	act, res, err := RunActivity(split, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WindowN != 6 {
+	if res.WindowN != 10 {
 		t.Fatal("window size")
 	}
 	if len(res.SnapshotPerFold) != 5 || len(res.WindowedPerFold) != 5 {
@@ -167,13 +159,10 @@ func TestRunWindowedActivity(t *testing.T) {
 	if res.WindowedAvg <= 0 || res.SnapshotAvg <= 0 {
 		t.Fatal("averages")
 	}
-	// Default window for degenerate N.
-	res2, err := RunWindowedActivity(split, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.WindowN != 10 {
-		t.Fatal("default window")
+	// The snapshot side is the activity classifier itself, not a retrain.
+	if res.SnapshotAvg != act.MLPAvg || res.SnapshotMotionRec != act.Pooled.Recall[dataset.ActivityMotion] {
+		t.Fatalf("snapshot %v/%v differs from the activity MLP %v/%v", res.SnapshotAvg,
+			res.SnapshotMotionRec, act.MLPAvg, act.Pooled.Recall[dataset.ActivityMotion])
 	}
 }
 

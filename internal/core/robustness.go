@@ -1,53 +1,17 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-
 	"repro/internal/dataset"
 	"repro/internal/fault"
-	"repro/internal/linmodel"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/stream"
-	"repro/internal/tensor"
 )
 
-// RobustnessConfig controls the fault-intensity sweep.
-type RobustnessConfig struct {
-	// Intensities are the fault-channel scale factors swept (0 = clean).
-	// Empty selects the default grid.
-	Intensities []float64
-	// Profile is the base fault profile at intensity 1. A zero value
-	// selects fault.DefaultProfile.
-	Profile fault.Config
-	// FullEnvOutage additionally kills the env feed for the entire stream
-	// at every non-zero intensity — the "sensor unplugged" scenario that
-	// must drive the runtime into its CSI-only fallback.
-	FullEnvOutage bool
-}
-
-// Validate reports whether the sweep is runnable: intensities must be
-// non-negative and the base fault profile must validate. The runtimes run
-// at the stream defaults, unsmoothed, so the clean run scores raw
-// per-sample predictions and reproduces Table IV bit-identically.
-func (c RobustnessConfig) Validate() error {
-	for i, v := range c.Intensities {
-		if v < 0 {
-			return fmt.Errorf("core: negative fault intensity %g at index %d", v, i)
-		}
-	}
-	return c.Profile.Validate()
-}
-
-// DefaultRobustnessConfig sweeps from clean to heavily degraded.
-func DefaultRobustnessConfig() RobustnessConfig {
-	return RobustnessConfig{
-		Intensities: []float64{0, 0.25, 0.5, 1, 2},
-	}
-}
+// robustnessIntensities are the fault-channel scale factors swept, from
+// clean (0) to heavily degraded, on fault.DefaultProfile.
+var robustnessIntensities = []float64{0, 0.25, 0.5, 1, 2}
 
 // RobustnessPoint is one intensity level of the sweep.
 type RobustnessPoint struct {
@@ -106,77 +70,46 @@ type robustCell struct {
 //   - the full pipeline — C+E primary with CSI-only fallback behind the
 //     env-feed watchdog.
 //
-// Both MLPs are trained exactly as their RunTable4 cells are, so the clean
+// At every non-zero intensity the env feed is also dead for the entire
+// stream — the "sensor unplugged" scenario that must drive the runtime into
+// its CSI-only fallback. Both MLPs are the Table IV cells, so the clean
 // (intensity 0) sweep reproduces the Table IV MLP accuracies bit-
 // identically. The (intensity × fold) grid fans out over cfg.Workers
 // goroutines; every cell derives its injector seed from its index alone,
 // so results and fault traces are bit-identical for any worker count.
-func RunRobustness(split *dataset.Split, cfg ExperimentConfig, rcfg RobustnessConfig) (*RobustnessResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := rcfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(split.Folds) == 0 {
-		return nil, fmt.Errorf("core: split has no test folds")
-	}
-	if len(rcfg.Intensities) == 0 {
-		rcfg.Intensities = DefaultRobustnessConfig().Intensities
-	}
-	if !rcfg.Profile.Active() {
-		rcfg.Profile = fault.DefaultProfile(0)
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-	train := thin(split.Train, cfg.MaxTrainSamples)
-	workers := parallel.Workers(cfg.Workers)
-
-	// Train the two MLP cells with the exact RunTable4 recipe (same seed
-	// derivation, same scaler fit, same init) so intensity 0 reproduces
-	// the corresponding Table IV cells bit-identically.
-	feats := []dataset.FeatureSet{dataset.FeatCSI, dataset.FeatCSIEnv}
-	dets := make([]*Detector, len(feats))
-	parallel.ForEach(workers, len(feats), func(i int) {
-		x, y := train.Matrix(feats[i])
-		scaler := linmodel.FitScaler(x)
-		yF := tensor.NewMatrix(len(y), 1)
-		for j, v := range y {
-			yF.Set(j, 0, float64(v))
-		}
-		tcfg := cfg.NNTrain
-		tcfg.Seed = cfg.Seed
-		net := nn.NewMLP(feats[i].Dim(), cfg.Hidden, 1, rand.New(rand.NewSource(cfg.Seed)))
-		net.Fit(scaler.Transform(x), yF, nn.BCEWithLogits{}, tcfg)
-		dets[i] = &Detector{Net: net, Scaler: scaler, Features: feats[i]}
+func RunRobustness(split *dataset.Split, cfg ExperimentConfig) (*RobustnessResult, error) {
+	rows, err := runCells(split, cfg, []cell{
+		baseCell(cfg, mlp, dataset.FeatCSI, occupancy),
+		baseCell(cfg, mlp, dataset.FeatCSIEnv, occupancy),
 	})
-	csiDet, cePrim := dets[0], dets[1]
+	if err != nil {
+		return nil, err
+	}
+	csiDet := &Detector{Net: rows[0].net, Scaler: rows[0].scaler, Features: dataset.FeatCSI}
+	cePrim := &Detector{Net: rows[1].net, Scaler: rows[1].scaler, Features: dataset.FeatCSIEnv}
+	workers := parallel.Workers(cfg.Workers)
+	profile := fault.DefaultProfile(0)
 
-	nInt, nFold := len(rcfg.Intensities), len(split.Folds)
+	nInt, nFold := len(robustnessIntensities), len(split.Folds)
 	seeds := parallel.Seeds(cfg.Seed^0x526F6275, nInt*nFold) // "Robu"
-	cells := make([]robustCell, nInt*nFold)
+	results := make([]robustCell, nInt*nFold)
 	cellErrs := make([]error, nInt*nFold)
 	parallel.ForEach(workers, nInt*nFold, func(ci int) {
 		ii, fi := ci/nFold, ci%nFold
-		intensity := rcfg.Intensities[ii]
-		fcfg := rcfg.Profile.Scale(intensity)
+		intensity := robustnessIntensities[ii]
+		fcfg := profile.Scale(intensity)
 		fcfg.Seed = seeds[ci]
-		if rcfg.FullEnvOutage && intensity > 0 {
-			fcfg.EnvDead = true
-		}
-		cells[ci], cellErrs[ci] = runRobustnessCell(thin(split.Folds[fi], cfg.MaxEvalSamples), fcfg, csiDet, cePrim)
+		fcfg.EnvDead = intensity > 0
+		results[ci], cellErrs[ci] = runRobustnessCell(split.Folds[fi].Thin(cfg.MaxEvalSamples), fcfg, csiDet, cePrim)
 	})
-	for _, err := range cellErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstErr(cellErrs); err != nil {
+		return nil, err
 	}
 
 	res := &RobustnessResult{Points: make([]RobustnessPoint, nInt)}
 	for ii := range res.Points {
 		p := RobustnessPoint{
-			Intensity:             rcfg.Intensities[ii],
+			Intensity:             robustnessIntensities[ii],
 			CSIOnly:               make([]float64, nFold),
 			Pipeline:              make([]float64, nFold),
 			TraceHash:             1469598103934665603,
@@ -184,7 +117,7 @@ func RunRobustness(split *dataset.Split, cfg ExperimentConfig, rcfg RobustnessCo
 		}
 		var frames, dropped, fallback, imputed, held int
 		for fi := 0; fi < nFold; fi++ {
-			c := &cells[ii*nFold+fi]
+			c := &results[ii*nFold+fi]
 			p.CSIOnly[fi] = c.csiAcc
 			p.Pipeline[fi] = c.pipeAcc
 			p.CSIAvg += c.csiAcc

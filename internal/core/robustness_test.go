@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/fault"
 )
 
 // TestRunRobustnessCleanReproducesTable4 is the acceptance contract for the
@@ -19,14 +18,17 @@ func TestRunRobustnessCleanReproducesTable4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{0}})
+	res, err := RunRobustness(split, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 1 {
-		t.Fatalf("got %d points, want 1", len(res.Points))
+	if len(res.Points) != 5 {
+		t.Fatalf("got %d points, want 5", len(res.Points))
 	}
 	p := res.Points[0]
+	if p.Intensity != 0 {
+		t.Fatalf("first point at intensity %v, want the clean 0", p.Intensity)
+	}
 	var mlpIdx int = -1
 	for mi, m := range Table4Models {
 		if m == ModelMLP {
@@ -56,13 +58,12 @@ func TestRunRobustnessCleanReproducesTable4(t *testing.T) {
 func TestRunRobustnessDeterministicAcrossWorkerCounts(t *testing.T) {
 	_, split := testSplit(t)
 	base := shrink(quickCfg())
-	rcfg := RobustnessConfig{Intensities: []float64{0, 1}, FullEnvOutage: true}
 
 	var results []*RobustnessResult
 	for _, w := range []int{1, 4} {
 		cfg := base
 		cfg.Workers = w
-		res, err := RunRobustness(split, cfg, rcfg)
+		res, err := RunRobustness(split, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,19 +87,22 @@ func TestRunRobustnessDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunRobustnessDegradesUnderOutage drives the pipeline with ~20% bursty
-// frame loss plus a full env-sensor outage. The acceptance contract: the
+// TestRunRobustnessDegradesUnderOutage drives the pipeline at intensity 1:
+// ~20% bursty frame loss plus a full env-sensor outage. The acceptance contract: the
 // runtime must not panic, every fold's pipeline must fall back to the
 // CSI-only model within one watchdog interval, and the clean point must be
 // unaffected.
 func TestRunRobustnessDegradesUnderOutage(t *testing.T) {
 	_, split := testSplit(t)
 	cfg := shrink(quickCfg())
-	res, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{0, 1}, FullEnvOutage: true})
+	res, err := RunRobustness(split, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := res.Points[1]
+	faulty := res.Points[3]
+	if faulty.Intensity != 1 {
+		t.Fatalf("point 3 at intensity %v, want 1", faulty.Intensity)
+	}
 	if faulty.DropRate < 0.10 || faulty.DropRate > 0.40 {
 		t.Fatalf("drop rate %v outside the expected bursty-loss band", faulty.DropRate)
 	}
@@ -123,24 +127,5 @@ func TestRunRobustnessDegradesUnderOutage(t *testing.T) {
 	clean := res.Points[0]
 	if clean.DropRate != 0 || clean.Degradations != 0 {
 		t.Fatalf("clean point contaminated by sweep: drop=%v degr=%d", clean.DropRate, clean.Degradations)
-	}
-}
-
-// TestRunRobustnessCustomProfile checks the profile override path: a loss-
-// free, env-only profile must never drop frames yet still trigger fallback.
-func TestRunRobustnessCustomProfile(t *testing.T) {
-	_, split := testSplit(t)
-	cfg := shrink(quickCfg())
-	prof := fault.Config{EnvDead: true}
-	res, err := RunRobustness(split, cfg, RobustnessConfig{Intensities: []float64{1}, Profile: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Points[0]
-	if p.DropRate != 0 {
-		t.Fatalf("env-only profile dropped %.1f%% of frames", 100*p.DropRate)
-	}
-	if p.Degradations < len(split.Folds) {
-		t.Fatalf("env-dead profile produced only %d degradations", p.Degradations)
 	}
 }

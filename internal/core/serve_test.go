@@ -12,7 +12,7 @@ import (
 func serveFixture(t *testing.T) (*Detector, []dataset.Record) {
 	t.Helper()
 	_, split := testSplit(t)
-	det, err := TrainDetector(thin(split.Train, 600), quickDetectorCfg(dataset.FeatCSIEnv))
+	det, err := TrainDetector(split.Train.Thin(600), quickDetectorCfg(dataset.FeatCSIEnv))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,13 +73,13 @@ func TestShadowTrainValidate(t *testing.T) {
 // feature set, and it substantially agrees with its pseudo-labeler.
 func TestShadowTrainDeterministicDistill(t *testing.T) {
 	_, split := testSplit(t)
-	active, err := TrainDetector(thin(split.Train, 1200), quickDetectorCfg(dataset.FeatCSIEnv))
+	active, err := TrainDetector(split.Train.Thin(1200), quickDetectorCfg(dataset.FeatCSIEnv))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	logRecs := thin(split.Train, 900).Records
+	logRecs := split.Train.Thin(900).Records
 	writeShadowLog(t, dir, "room-a", logRecs[:len(logRecs)/2])
 	writeShadowLog(t, dir, "room-b", logRecs[len(logRecs)/2:])
 
@@ -129,12 +129,12 @@ func TestShadowTrainDeterministicDistill(t *testing.T) {
 // proven end to end through the log-replay path.
 func TestShadowTrainResume(t *testing.T) {
 	_, split := testSplit(t)
-	active, err := TrainDetector(thin(split.Train, 800), quickDetectorCfg(dataset.FeatCSIEnv))
+	active, err := TrainDetector(split.Train.Thin(800), quickDetectorCfg(dataset.FeatCSIEnv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	writeShadowLog(t, dir, "room", thin(split.Folds[0], 500).Records)
+	writeShadowLog(t, dir, "room", split.Folds[0].Thin(500).Records)
 
 	full := shadowCfg(dir, filepath.Join(t.TempDir(), "full.bin"))
 	full.Detector.Train.Epochs = 4
@@ -158,7 +158,7 @@ func TestShadowTrainResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	probe := thin(split.Folds[0], 200).Records
+	probe := split.Folds[0].Thin(200).Records
 	bw, bg := predictBits(want, probe), predictBits(got, probe)
 	for i := range bw {
 		if bw[i] != bg[i] {
@@ -171,12 +171,12 @@ func TestShadowTrainResume(t *testing.T) {
 // dropped frames.
 func TestShadowTrainMaxFrames(t *testing.T) {
 	_, split := testSplit(t)
-	active, err := TrainDetector(thin(split.Train, 800), quickDetectorCfg(dataset.FeatCSIEnv))
+	active, err := TrainDetector(split.Train.Thin(800), quickDetectorCfg(dataset.FeatCSIEnv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	recs := thin(split.Folds[0], 300).Records
+	recs := split.Folds[0].Thin(300).Records
 	w, _, err := framelog.Open(framelog.Config{Dir: dir, Fsync: framelog.FsyncOff}, "room")
 	if err != nil {
 		t.Fatal(err)

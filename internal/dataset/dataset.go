@@ -77,15 +77,6 @@ func (r *Record) CountLabel(maxClasses int) int {
 	return r.Count
 }
 
-// ActivityLabels extracts the activity ground truth for every record.
-func (d *Dataset) ActivityLabels() []int {
-	out := make([]int, len(d.Records))
-	for i := range d.Records {
-		out[i] = d.Records[i].ActivityLabel()
-	}
-	return out
-}
-
 // CountLabels extracts clamped occupant-count classes for every record.
 func (d *Dataset) CountLabels(maxClasses int) []int {
 	out := make([]int, len(d.Records))
@@ -304,6 +295,21 @@ func (d *Dataset) Profile() Profile {
 // Slice returns a view of the records in [from, to).
 func (d *Dataset) Slice(from, to int) *Dataset {
 	return &Dataset{Records: d.Records[from:to]}
+}
+
+// Thin returns a stride-subsampled view with at most max records (max<=0
+// keeps everything). Striding preserves the temporal spread, unlike a
+// prefix cut which would drop whole regimes.
+func (d *Dataset) Thin(max int) *Dataset {
+	if max <= 0 || d.Len() <= max {
+		return d
+	}
+	stride := (d.Len() + max - 1) / max
+	out := &Dataset{Records: make([]Record, 0, max)}
+	for i := 0; i < d.Len(); i += stride {
+		out.Records = append(out.Records, d.Records[i])
+	}
+	return out
 }
 
 // MapCSIColumns returns a deep copy of the dataset with every subcarrier's

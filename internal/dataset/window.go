@@ -84,13 +84,3 @@ func (d *Dataset) WindowedMatrix(spec WindowSpec) (*tensor.Matrix, []int, error)
 	}
 	return x, idx, nil
 }
-
-// WindowedLabels maps row indices from WindowedMatrix through a per-record
-// label function.
-func (d *Dataset) WindowedLabels(idx []int, label func(*Record) int) []int {
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = label(&d.Records[j])
-	}
-	return out
-}

@@ -80,14 +80,19 @@ func TestWindowedMatrixErrors(t *testing.T) {
 	}
 }
 
+// TestWindowedLabels: WindowedMatrix's row index names each window's last
+// record, the one its labels come from.
 func TestWindowedLabels(t *testing.T) {
 	d := &Dataset{Records: []Record{{Count: 0}, {Count: 2}, {Count: 2, Walking: 1}}}
 	x, idx, err := d.WindowedMatrix(WindowSpec{N: 2})
 	if err != nil || x.Rows != 2 {
 		t.Fatal(err)
 	}
-	occ := d.WindowedLabels(idx, func(r *Record) int { return r.Label() })
-	act := d.WindowedLabels(idx, func(r *Record) int { return r.ActivityLabel() })
+	var occ, act []int
+	for _, j := range idx {
+		occ = append(occ, d.Records[j].Label())
+		act = append(act, d.Records[j].ActivityLabel())
+	}
 	if occ[0] != 1 || occ[1] != 1 {
 		t.Fatalf("occ labels %v", occ)
 	}

@@ -194,13 +194,6 @@ func clampProb(p float64) float64 {
 	return p
 }
 
-// Active reports whether the configuration can inject any fault at all.
-func (c Config) Active() bool {
-	return c.PGoodToBad > 0 || c.LossGood > 0 || c.AGCJumpProb > 0 ||
-		c.NullProb > 0 || c.JitterStd > 0 || c.EnvOutageProb > 0 ||
-		c.EnvStaleProb > 0 || c.EnvDead
-}
-
 // metrics are the injector's obs instruments; all nil (no-op) without an
 // Observer in Config. Injectors sharing an Observer aggregate.
 type metrics struct {

@@ -3,8 +3,8 @@
 // smoothing, the Hampel outlier filter, and Savitzky–Golay polynomial
 // smoothing. The paper's pitch (§I) is that its deep model works *without*
 // these "computationally-demanding pre-processing pipelines"; implementing
-// them lets the preprocessing ablation (core.RunPreprocessAblation) test
-// that claim on the synthetic substrate.
+// them lets the preprocessing ablation (core.RunAblation's "preproc" sweep)
+// test that claim on the synthetic substrate.
 package filter
 
 import (

@@ -18,6 +18,7 @@ import (
 // names under internal/ that no non-test code names, each with the reason it
 // stays. A name is "pkg.Ident" or "pkg.Type.Method".
 var reachedIndirectly = map[string]string{
+	"fault.Config.Validate":   "the config contract's pre-flight check (TestEveryConfigHasValidate); NewInjector clamps rather than refuses, and every profile in the tree is built from DefaultProfile",
 	"nn.GradCheck":            "the numerical-gradient reference the nn tests compare backward passes against",
 	"server.Server.FeedCount": "the server tests' leak check: how many feeds a node holds, read without a request that would itself be routed, rate-limited or refused while draining",
 }
