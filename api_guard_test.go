@@ -14,7 +14,7 @@ import (
 // TestNoRawAPIPaths enforces the client-facade boundary of the /v1 surface:
 // the wire paths may be spelled only where the API is defined — the server's
 // route table and the typed occupancy.Client. Everything else in the module
-// (commands, examples, sibling packages) must go through the client, so the
+// (commands, sibling packages) must go through the client, so the
 // versioned surface has exactly one producer and one consumer and a path
 // change cannot silently fork the two.
 //

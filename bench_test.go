@@ -228,7 +228,8 @@ func BenchmarkTable5Neural(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, fold := range split.Folds {
-			reg.Predict(fold)
+			xf, _ := fold.Matrix(dataset.FeatCSI)
+			reg.Predict(xf)
 		}
 	}
 }

@@ -14,10 +14,9 @@
 //   - internal/xai, internal/stats, internal/filter, internal/tensor,
 //     internal/report — supporting machinery
 //
-// Entry points are the commands under cmd/ and the runnable examples under
-// examples/. See README.md for the tour, DESIGN.md for the system inventory
-// and per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results.
+// Entry points are the commands under cmd/. See README.md for the tour,
+// DESIGN.md for the system inventory and per-experiment index, and
+// EXPERIMENTS.md for paper-vs-measured results.
 //
 // # Zero-allocation naming convention
 //

@@ -101,7 +101,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		}
 	}
 
-	// 7. Explain the decisions (examples/explain's job).
+	// 7. Explain the decisions (experiments -only figure3's job).
 	xs := loaded.Scaler.Transform(x)
 	cam, err := xai.GradCAM(loaded.Net, xs, 1)
 	if err != nil {

@@ -159,16 +159,6 @@ func (c EnvRegressorConfig) Validate() error {
 	return c.Train.Validate()
 }
 
-// DefaultEnvRegressorConfig mirrors the detector's architecture with an MSE
-// objective.
-func DefaultEnvRegressorConfig() EnvRegressorConfig {
-	return EnvRegressorConfig{
-		Hidden: append([]int(nil), PaperHidden...),
-		Train:  nn.DefaultTrainConfig(),
-		Seed:   1,
-	}
-}
-
 // TrainEnvRegressor fits (T, H) ← CSI on the training fold.
 func TrainEnvRegressor(train *dataset.Dataset, cfg EnvRegressorConfig) (*EnvRegressor, error) {
 	if err := cfg.Validate(); err != nil {
@@ -206,14 +196,9 @@ func TrainEnvRegressor(train *dataset.Dataset, cfg EnvRegressorConfig) (*EnvRegr
 	return reg, nil
 }
 
-// Predict returns the estimated (temperature, humidity) series for a fold.
-func (e *EnvRegressor) Predict(ds *dataset.Dataset) (temp, hum []float64) {
-	x, _ := ds.Matrix(e.Feature)
-	return e.predict(x)
-}
-
-// predict is Predict on the raw feature matrix.
-func (e *EnvRegressor) predict(x *tensor.Matrix) (temp, hum []float64) {
+// Predict returns the estimated (temperature, humidity) series for the rows
+// of a raw (unscaled) CSI feature matrix.
+func (e *EnvRegressor) Predict(x *tensor.Matrix) (temp, hum []float64) {
 	xs := e.Scaler.Transform(x)
 	cols := e.Net.PredictRegression(xs)
 	temp = make([]float64, len(cols[0]))

@@ -162,8 +162,7 @@ func TestLoadDetectorRejectsGarbage(t *testing.T) {
 
 func TestEnvRegressorLearns(t *testing.T) {
 	_, split := testSplit(t)
-	cfg := DefaultEnvRegressorConfig()
-	cfg.Hidden = []int{32, 16}
+	cfg := EnvRegressorConfig{Hidden: []int{32, 16}, Train: nn.DefaultTrainConfig(), Seed: 1}
 	cfg.Train.Epochs = 10
 	cfg.Train.BatchSize = 64
 	reg, err := TrainEnvRegressor(split.Train.Thin(1500), cfg)
@@ -171,7 +170,8 @@ func TestEnvRegressorLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := split.Train.Thin(400)
-	tPred, hPred := reg.Predict(ev)
+	x, _ := ev.Matrix(dataset.FeatCSI)
+	tPred, hPred := reg.Predict(x)
 	tTrue, _ := ev.Column("temp")
 	hTrue, _ := ev.Column("humidity")
 	var maeT, maeH float64
@@ -251,10 +251,6 @@ func TestDefaultConfigsConsistent(t *testing.T) {
 	if d.Train.Epochs != 10 || d.Train.LR != 5e-3 {
 		t.Fatal("paper hyper-parameters changed")
 	}
-	e := DefaultEnvRegressorConfig()
-	if len(e.Hidden) != 3 {
-		t.Fatal("regressor defaults")
-	}
 	x := DefaultExperimentConfig()
 	if x.RF.NumTrees <= 0 || x.Logistic.Epochs <= 0 {
 		t.Fatal("experiment defaults")
@@ -283,7 +279,7 @@ func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 	} {
 		det := DefaultDetectorConfig()
 		bad.set(&det.Train)
-		env := DefaultEnvRegressorConfig()
+		env := EnvRegressorConfig{Train: nn.DefaultTrainConfig()}
 		bad.set(&env.Train)
 		exp := DefaultExperimentConfig()
 		bad.set(&exp.NNTrain)

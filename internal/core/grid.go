@@ -382,7 +382,7 @@ func (c cell) fit(d *inputs, lcfg linmodel.LogisticConfig) (fitted, error) {
 		if err != nil {
 			return fitted{}, err
 		}
-		return fitted{env: reg.predict, net: reg.Net}, nil
+		return fitted{env: reg.Predict, net: reg.Net}, nil
 	}
 
 	x, y := c.input(d.x, d.xs), labels(d.recs, c.task)

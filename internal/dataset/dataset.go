@@ -77,15 +77,6 @@ func (r *Record) CountLabel(maxClasses int) int {
 	return r.Count
 }
 
-// CountLabels extracts clamped occupant-count classes for every record.
-func (d *Dataset) CountLabels(maxClasses int) []int {
-	out := make([]int, len(d.Records))
-	for i := range d.Records {
-		out[i] = d.Records[i].CountLabel(maxClasses)
-	}
-	return out
-}
-
 // Dataset is an in-memory sequence of records ordered by time.
 type Dataset struct {
 	Records []Record

@@ -410,11 +410,6 @@ func TestCountLabels(t *testing.T) {
 	if r.CountLabel(5) != 2 {
 		t.Fatal("pass-through")
 	}
-	d := &Dataset{Records: []Record{{Count: 0}, {Count: 3}, {Count: 9}}}
-	got := d.CountLabels(4)
-	if got[0] != 0 || got[1] != 3 || got[2] != 3 {
-		t.Fatalf("CountLabels %v", got)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for <2 classes")
@@ -507,6 +502,19 @@ func TestGenerateRejectsNonFiniteParameters(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: Generate error %v, want one naming the field", name, err)
+		}
+	}
+}
+
+// TestNonPositiveRateRefused: DefaultGenConfig once turned a rate ≤ 0 into
+// 20 Hz, so a zero or negative -rate generated the 74 h trace at the paper's
+// hardware rate, and Validate called NaN "too high". Every non-positive rate
+// now reaches Validate as given and is refused as non-positive.
+func TestNonPositiveRateRefused(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		err := DefaultGenConfig(rate, 1).Validate()
+		if err == nil || !strings.Contains(err.Error(), "non-positive sample rate") {
+			t.Errorf("rate %g: Validate error %v, want the non-positive-rate error", rate, err)
 		}
 	}
 }

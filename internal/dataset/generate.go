@@ -38,7 +38,7 @@ type GenConfig struct {
 // least one nanosecond), and the nested simulator configs must themselves
 // validate. Stream calls it; callers may too, as a pre-flight check.
 func (c GenConfig) Validate() error {
-	if c.Rate <= 0 {
+	if !(c.Rate > 0) {
 		return fmt.Errorf("dataset: non-positive sample rate %g", c.Rate)
 	}
 	if c.Duration <= 0 {
@@ -61,9 +61,6 @@ func (c GenConfig) Validate() error {
 // fold-5 heat-boost + full-occupancy afternoon scripted so the Table III /
 // Table IV structure emerges.
 func DefaultGenConfig(rate float64, seed int64) GenConfig {
-	if rate <= 0 {
-		rate = 20
-	}
 	start := PaperStart
 	// Fold boundaries (70% train, then 5 equal test folds — Table III).
 	foldDur := time.Duration(float64(PaperDuration) * 0.3 / 5)
@@ -134,10 +131,10 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 
 // Stream generates records one at a time, invoking fn for each. It is the
 // memory-bounded path used by cmd/csigen for long high-rate traces and by
-// the real-time example. It returns ctx.Err() promptly when the context is
-// cancelled mid-trace, letting callers (SIGINT handlers, the streaming
-// runtime) shut the generator down without draining the full duration;
-// callers that never cancel pass context.Background().
+// cmd/occupredict's live stream. It returns ctx.Err() promptly when the
+// context is cancelled mid-trace, letting callers (SIGINT handlers, the
+// streaming runtime) shut the generator down without draining the full
+// duration; callers that never cancel pass context.Background().
 func Stream(ctx context.Context, cfg GenConfig, fn func(Record) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err

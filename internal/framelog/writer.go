@@ -245,51 +245,18 @@ func (w *Writer) errFailed() error {
 	return fmt.Errorf("framelog: %s: writer disabled by an earlier unrecoverable I/O error; reopen to resume", w.feed)
 }
 
-// Append encodes one frame and writes it to the active segment, rotating
-// first if the segment is full. The write goes straight to the kernel —
-// there is no user-space buffer to lose on SIGKILL — and the fsync policy
-// decides how often it is forced to the device.
+// Append writes one frame: AppendBatch on a one-element batch, so it rotates,
+// repairs a torn write and applies the fsync policy exactly as a batch does.
 func (w *Writer) Append(f *fault.Frame) error {
-	if w.closed {
-		return fmt.Errorf("framelog: append to closed writer (%s)", w.feed)
-	}
-	if w.failed {
-		return w.errFailed()
-	}
-	var t0 time.Time
-	if w.m.appendLat != nil {
-		t0 = time.Now()
-	}
-	if w.segBytes+recordLen > w.cfg.SegmentMaxBytes && w.segBytes > segHeaderLen {
-		if err := w.rotate(); err != nil {
-			w.m.appendErrors.Inc()
-			return err
-		}
-	}
-	w.buf = appendRecord(w.buf[:0], f)
-	if _, err := w.f.Write(w.buf); err != nil {
-		w.truncateTorn()
-		w.m.appendErrors.Inc()
-		return err
-	}
-	w.anchorAt(f)
-	w.segBytes += int64(len(w.buf))
-	w.m.appends.Inc()
-	w.m.bytes.Add(int64(len(w.buf)))
-	if err := w.maybeSync(); err != nil {
-		w.m.appendErrors.Inc()
-		return err
-	}
-	if w.m.appendLat != nil {
-		w.m.appendLat.Observe(time.Since(t0).Seconds())
-	}
-	return nil
+	_, err := w.AppendBatch([]fault.Frame{*f})
+	return err
 }
 
 // AppendBatch appends frames with one write per segment touched (for any
 // realistic segment size: one write, full stop) and one fsync-policy check
-// for the whole batch, amortising the per-frame syscall cost Append pays —
-// the serving layer logs each accepted ingest batch through this.
+// for the whole batch, amortising the per-frame syscall cost of appending one
+// frame at a time — the serving layer logs each accepted ingest batch through
+// this.
 //
 // It returns how many leading frames have fully-written records in the
 // log. A batch that straddles a rotation issues one write per segment, so
@@ -327,7 +294,7 @@ func (w *Writer) AppendBatch(frames []fault.Frame) (int, error) {
 			}
 		}
 		// Fill the active segment; a fresh segment always takes at least one
-		// record, mirroring Append's oversized-record behaviour.
+		// record, however small SegmentMaxBytes is.
 		fit := int((w.cfg.SegmentMaxBytes - w.segBytes) / recordLen)
 		if fit < 1 {
 			fit = 1

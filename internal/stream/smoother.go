@@ -2,8 +2,8 @@ package stream
 
 // Smoother debounces per-sample decisions with hysteresis: the announced
 // state flips only after `need` consecutive contrary samples, so 20 Hz
-// per-sample flicker is not reported as a door event. It was lifted out of
-// examples/realtime so every stream consumer shares one implementation.
+// per-sample flicker is not reported as a door event. Every stream consumer
+// gets it through Config.SmootherNeed.
 type Smoother struct {
 	state, run, need int
 }

@@ -10,15 +10,15 @@
 //     fallback when the env feed dies, swapping back after the feed has
 //     been healthy again for a recovery window;
 //   - hysteresis smoothing — per-sample flicker is debounced before a
-//     state transition is announced (Smoother, shared with the examples).
+//     state transition is announced (Smoother).
 //
 // The runtime is Process, one call per frame, driven from the caller's own
-// loop: the server's under its feed lock, the CLIs' inside dataset.Stream's
-// callback. It is purely deterministic: its output is a function of the
-// frame sequence alone, never of time or scheduling, which is what lets
-// internal/core's robustness sweep promise bit-identical results for any
-// worker count. The package reads no clock and draws no random numbers
-// (TestNoClockInStream).
+// loop: the server's under its feed lock, cmd/occupredict's inside
+// dataset.Stream's callback. It is purely deterministic: its output is a
+// function of the frame sequence alone, never of time or scheduling, which
+// is what lets internal/core's robustness sweep promise bit-identical
+// results for any worker count. The package reads no clock and draws no
+// random numbers (TestNoClockInStream).
 package stream
 
 import (

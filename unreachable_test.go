@@ -20,6 +20,7 @@ import (
 var reachedIndirectly = map[string]string{
 	"fault.Config.Validate":   "the config contract's pre-flight check (TestEveryConfigHasValidate); NewInjector clamps rather than refuses, and every profile in the tree is built from DefaultProfile",
 	"nn.GradCheck":            "the numerical-gradient reference the nn tests compare backward passes against",
+	"nn.Network.FitOnline":    "the paper's §V-B online-training claim: TestOnlineTrainingIntegration and the root BenchmarkGradientStep exercise it, and the leave-one-room-out few-shot arm (ROADMAP item 15) decides whether it stays",
 	"server.Server.FeedCount": "the server tests' leak check: how many feeds a node holds, read without a request that would itself be routed, rate-limited or refused while draining",
 }
 
