@@ -30,7 +30,6 @@ import (
 	"repro/internal/infer"
 	"repro/internal/linmodel"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/rf"
 	"repro/internal/tensor"
 	"repro/internal/xai"
@@ -400,26 +399,16 @@ func BenchmarkInferenceMLPSingleFusedF32(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineMultiFeed drives 64 concurrent feeds through the inference
-// engine — the serving fleet's scoring path as a Go benchmark. Each op is one row
-// scored end-to-end (take an arena, fused row forward, return the arena) on
-// the feed's own goroutine.
+// BenchmarkEngineMultiFeed drives 64 concurrent feeds through
+// core.DetectorEngine at the paper's model size and f64 — the serving
+// fleet's scoring path as a Go benchmark. Each op is one record scored
+// end-to-end (feature row, standardisation, a pooled arena, the fused row
+// kernel) on the feed's own goroutine.
 func BenchmarkEngineMultiFeed(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	net := nn.NewMLP(66, core.PaperHidden, 1, rng)
-	newScorer, err := infer.NetworkScorerAt(net, infer.PrecisionF64)
+	det, recs := benchEngineDetector(b)
+	de, err := core.NewDetectorEngine(det, core.ServeConfig{})
 	if err != nil {
 		b.Fatal(err)
-	}
-	eng, err := infer.New(infer.Config{NewScorer: newScorer})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	rows := make([][]float64, 64)
-	for i := range rows {
-		rows[i] = tensor.NewMatrix(1, 66).RandomizeNormal(rng, 1).Row(0)
-		eng.Predict(rows[i]) // warm the arenas
 	}
 	b.ReportAllocs()
 	b.SetParallelism(64)
@@ -427,7 +416,7 @@ func BenchmarkEngineMultiFeed(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			eng.Predict(rows[i&63])
+			de.PredictRecord(&recs[i%len(recs)])
 			i++
 		}
 	})
@@ -436,12 +425,25 @@ func BenchmarkEngineMultiFeed(b *testing.B) {
 // BenchmarkEnginePredictSingle is the lone caller's cost at the paper's
 // model size and the serving precision (f32): one goroutine calling
 // core.DetectorEngine.PredictRecord — feature extraction, standardisation,
-// taking an arena, the fused row kernel, returning the arena. It is the
-// go-test counterpart of the repo benchmark's core.engine_predict_c1_us
-// probe. "bare" runs without an Observer, as the probe does; "observed"
-// attaches a live registry, as every server does, so the difference is what
-// the engine's per-row instrument updates cost (DESIGN.md §10).
+// a pooled arena, the fused row kernel. It is the go-test counterpart of
+// the repo benchmark's core.engine_predict_c1_us probe.
 func BenchmarkEnginePredictSingle(b *testing.B) {
+	det, recs := benchEngineDetector(b)
+	de, err := core.NewDetectorEngine(det, core.ServeConfig{Precision: "f32"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	de.PredictRecord(&recs[0]) // fill the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		de.PredictRecord(&recs[i%len(recs)])
+	}
+}
+
+// benchEngineDetector trains the default detector for one epoch and returns
+// it with a bank of records to score.
+func benchEngineDetector(b *testing.B) (*core.Detector, []dataset.Record) {
 	_, split := benchFixture(b)
 	dcfg := core.DefaultDetectorConfig()
 	dcfg.Train.Epochs = 1
@@ -449,25 +451,7 @@ func BenchmarkEnginePredictSingle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	recs := split.Folds[0].Records
-	for _, c := range []struct {
-		name     string
-		observer obs.Observer
-	}{{"bare", nil}, {"observed", obs.NewRegistry()}} {
-		b.Run(c.name, func(b *testing.B) {
-			de, err := core.NewDetectorEngine(det, core.ServeConfig{Precision: "f32", Observer: c.observer})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer de.Close()
-			de.PredictRecord(&recs[0]) // warm the arena and the row pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				de.PredictRecord(&recs[i%len(recs)])
-			}
-		})
-	}
+	return det, split.Folds[0].Records
 }
 
 // BenchmarkInferenceRFSingle contrasts the RF per-sample cost (§V-B argues

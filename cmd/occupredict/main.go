@@ -15,7 +15,7 @@
 // Usage:
 //
 //	occupredict [-model detector.bin] [-minutes m] [-rate hz] [-seed n]
-//	            [-fault intensity] [-smooth k] [-epochs n] [-workers n]
+//	            [-fault intensity] [-smooth k] [-epochs n]
 //	            [-precision f64|f32|int8] [-metrics-addr :9090]
 //
 // Without -model, a detector is trained on the fly first (plus a CSI-only
@@ -49,7 +49,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "stream random seed")
 		intensity = flag.Float64("fault", 0, "fault-channel intensity (0 = clean, 1 = ~20% bursty loss + env outages)")
 		smooth    = flag.Int("smooth", 0, "state flips only after k consecutive contrary samples (0 = raw)")
-		workers   = flag.Int("workers", 0, "inference engine arenas, i.e. concurrent scores (0 = one per core)")
 		precision = flag.String("precision", "f64", "inference arithmetic: f64 (bit-exact reference), f32 (fast) or int8 (small)")
 		epochs    = flag.Int("epochs", 5, "training epochs for the on-the-fly detector (ignored with -model)")
 		metrics   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. :9090; empty disables)")
@@ -82,7 +81,7 @@ func main() {
 
 	// Model lifecycle goes through the public facade (pkg/occupancy) — the
 	// same path an external consumer would use — with the in-module
-	// Observer hook wiring train_*/infer_* into the shared registry.
+	// Observer hook wiring train_* into the shared registry.
 	var primary, fallback *occupancy.Detector
 	var err error
 	if *model != "" {
@@ -99,24 +98,22 @@ func main() {
 		fail(err)
 	}
 
-	// Serve the detectors through the inference engine: preallocated forward
-	// arenas and the fused row kernel on the caller's goroutine, with
-	// predictions bit-identical to calling the detectors directly
-	// (DESIGN.md §9). This is the deployment shape — cmd/loadgen drives the
-	// same path with many feeds.
-	ecfg := occupancy.EngineConfig{Workers: *workers, Precision: *precision, Observer: observer}
+	// Serve the detectors through the inference engine: each network
+	// lowered once, scored on the caller's goroutine with a pooled arena,
+	// with predictions bit-identical to calling the detectors directly at
+	// f64 (DESIGN.md §9). This is the deployment shape — cmd/loadgen drives
+	// the same path with many feeds.
+	ecfg := occupancy.EngineConfig{Precision: *precision}
 	fail(ecfg.Validate())
 	if *precision != occupancy.PrecisionF64 {
 		fmt.Printf("occupredict: serving at %s precision (f64 is the bit-exact reference; divergence is bounded, DESIGN.md §12)\n", *precision)
 	}
 	primaryEng, err := occupancy.NewEngine(primary, ecfg)
 	fail(err)
-	defer primaryEng.Close()
 	var fallbackPred stream.Predictor
 	if fallback != nil {
 		fallbackEng, err := occupancy.NewEngine(fallback, ecfg)
 		fail(err)
-		defer fallbackEng.Close()
 		fallbackPred = fallbackEng
 	}
 

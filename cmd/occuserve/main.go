@@ -32,8 +32,7 @@
 //
 //	occuserve [-addr :8080] [-model detector.bin] [-epochs n]
 //	          [-max-feeds n] [-rate-limit hz] [-idle-timeout d]
-//	          [-stream-buffer n]
-//	          [-workers n] [-precision f64|f32|int8]
+//	          [-stream-buffer n] [-precision f64|f32|int8]
 //	          [-log-dir dir] [-fsync always|interval|off] [-fsync-interval d]
 //	          [-drain-timeout d] [-seed n]
 //	          [-drift-baseline n] [-drift-window n] [-drift-bins n]
@@ -92,7 +91,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		model     = flag.String("model", "", "detector bundle (empty: train one on the fly)")
 		epochs    = flag.Int("epochs", 5, "training epochs for the on-the-fly detector (ignored with -model)")
-		workers   = flag.Int("workers", 0, "inference engine arenas, i.e. concurrent scores (0 = one per core)")
 		precision = flag.String("precision", "f64", "inference arithmetic: f64 (bit-exact reference), f32 (fast) or int8 (small)")
 		maxFeeds  = flag.Int("max-feeds", 0, "concurrent feed cap (0 = default 1024)")
 		rate      = flag.Float64("rate-limit", 0, "per-feed ingest rate limit in frames/sec (0 = unlimited)")
@@ -175,7 +173,6 @@ func main() {
 	srv, err := occupancy.NewServer(primary, occupancy.ServeConfig{
 		Addr:         *addr,
 		Fallback:     fallback,
-		Workers:      *workers,
 		Precision:    *precision,
 		MaxFeeds:     *maxFeeds,
 		RatePerSec:   *rate,

@@ -91,11 +91,10 @@ func (r *DivergenceResult) String() string {
 		r.Flips, r.FlipRate, r.BoundFlipRate, verdict)
 }
 
-// RunDivergence sweeps every record through the detector's float64
-// reference path and the reduced-precision arena, comparing probabilities
-// and decisions. The comparison shares one feature row per record —
-// extraction and standardisation are identical on both sides, so the
-// measured divergence is purely the forward pass arithmetic.
+// RunDivergence sweeps every record through two engines over the detector —
+// the float64 reference and the reduced precision — comparing probabilities
+// and decisions. Extraction and standardisation are the same code on both
+// sides, so the measured divergence is purely the forward pass arithmetic.
 func RunDivergence(det *Detector, recs []dataset.Record, cfg DivergenceConfig) (*DivergenceResult, error) {
 	if det == nil || det.Net == nil || det.Scaler == nil {
 		return nil, fmt.Errorf("core: RunDivergence needs a trained detector")
@@ -111,19 +110,17 @@ func RunDivergence(det *Detector, recs []dataset.Record, cfg DivergenceConfig) (
 		prec = infer.PrecisionF32
 	}
 
-	// Reference: the float64 arena, bit-identical to Detector.PredictRecord
-	// (TestArenaBitIdentical). Candidate: one reduced-precision scorer of
-	// the same kind the serving engine builds per worker. Either lowering
-	// refuses a network no arena can score.
-	newRef, err := infer.NetworkScorerAt(det.Net, infer.PrecisionF64)
+	// Reference: the f64 engine, bit-identical to Detector.PredictRecord.
+	// Candidate: an engine at the reduced precision, as serving builds it.
+	// Either lowering refuses a network no arena can score.
+	ref, err := NewDetectorEngine(det, ServeConfig{Precision: string(infer.PrecisionF64)})
 	if err != nil {
 		return nil, err
 	}
-	newScorer, err := infer.NetworkScorerAt(det.Net, prec)
+	reduced, err := NewDetectorEngine(det, ServeConfig{Precision: string(prec)})
 	if err != nil {
 		return nil, err
 	}
-	ref, reduced := newRef(), newScorer()
 
 	res := &DivergenceResult{Precision: prec, Kernel: cpukit.Active().String(), Samples: len(recs)}
 	res.BoundAbsDelta, res.BoundFlipRate = DefaultDivergenceBounds(prec)
@@ -134,13 +131,10 @@ func RunDivergence(det *Detector, recs []dataset.Record, cfg DivergenceConfig) (
 		res.BoundFlipRate = cfg.MaxFlipRate
 	}
 
-	row := make([]float64, det.Features.Dim())
 	sum := 0.0
 	for i := range recs {
-		dataset.FeatureRowInto(row, &recs[i], det.Features)
-		det.Scaler.TransformRow(row)
-		p64 := ref.PredictProb1(row)
-		pr := reduced.PredictProb1(row)
+		p64, l64 := ref.PredictRecord(&recs[i])
+		pr, lr := reduced.PredictRecord(&recs[i])
 		d := pr - p64
 		if d < 0 {
 			d = -d
@@ -149,7 +143,7 @@ func RunDivergence(det *Detector, recs []dataset.Record, cfg DivergenceConfig) (
 		if d > res.MaxAbsDelta {
 			res.MaxAbsDelta = d
 		}
-		if (p64 >= 0.5) != (pr >= 0.5) {
+		if l64 != lr {
 			res.Flips++
 		}
 	}

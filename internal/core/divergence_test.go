@@ -107,18 +107,18 @@ func TestDetectorEnginePrecision(t *testing.T) {
 		t.Fatal("NewDetectorEngine accepted precision f16")
 	}
 	for _, p := range []string{"f32", "int8"} {
-		de, err := NewDetectorEngine(det, ServeConfig{Workers: 2, Precision: p})
+		de, err := NewDetectorEngine(det, ServeConfig{Precision: p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := infer.ParsePrecision(p); de.Precision() != got {
 			t.Fatalf("engine precision %q, want %q", de.Precision(), p)
 		}
-		newScorer, err := infer.NetworkScorerAt(det.Net, infer.Precision(p))
+		prog, err := nn.Lower(det.Net, infer.Precision(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := newScorer()
+		direct := prog.NewArena()
 		row := make([]float64, det.Features.Dim())
 		for i := range recs {
 			dataset.FeatureRowInto(row, &recs[i], det.Features)
@@ -129,7 +129,6 @@ func TestDetectorEnginePrecision(t *testing.T) {
 				t.Fatalf("%s: record %d: engine %v != direct reduced path %v", p, i, got, want)
 			}
 		}
-		de.Close()
 	}
 }
 

@@ -5,20 +5,20 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cpukit"
 	"repro/internal/dataset"
 	"repro/internal/infer"
-	"repro/internal/obs"
+	"repro/internal/nn"
 )
 
 // ServeConfig parametrises a DetectorEngine. The zero value is a sensible
-// deployment default: one forward arena per core, float64 scoring.
+// deployment default: float64 scoring.
 type ServeConfig struct {
-	// Workers is how many callers can score at once (<= 0: one per core).
-	Workers int
 	// MaxDelay is accepted and ignored. It configured the straggler window
 	// of the micro-batch coalescer, which no longer exists; the field stays
 	// only because bench/occubench sets it and bench/ is frozen across a PR
-	// that claims a gain. Drop it with the next benchmark PR (ROADMAP).
+	// that claims a gain. Drop it with the next benchmark PR (ROADMAP item
+	// 1(a)).
 	MaxDelay time.Duration
 	// Precision selects the scorer arithmetic: "f64" (default; bit-identical
 	// to Detector.PredictRecord), "f32" (float32 sparse-compaction arenas,
@@ -26,40 +26,48 @@ type ServeConfig struct {
 	// footprint). Reduced precisions diverge boundedly from the reference —
 	// bound them with RunDivergence before deploying (DESIGN.md §12).
 	Precision string
-	// Observer receives the engine's infer_* metrics (see infer.Config).
-	// Nil disables observability.
-	Observer obs.Observer
 }
 
-// Validate reports whether the engine parameters are usable. Workers uses
-// <= 0 for "one per core", so only an unknown precision fails.
+// Validate reports whether the engine parameters are usable: only an
+// unknown precision fails.
 func (c ServeConfig) Validate() error {
 	_, err := infer.ParsePrecision(c.Precision)
 	return err
 }
 
-// DetectorEngine serves one trained Detector to many concurrent callers
-// through the inference engine (internal/infer): a bounded free list of
-// forward arenas and the fused single-sample path, run on the caller's
-// goroutine. It implements stream.Predictor, so a fleet of stream Runtimes
-// — one per sensor feed — can share a single model at full hardware
-// throughput instead of each paying the allocating per-record path.
+// DetectorEngine serves one trained Detector to many concurrent callers.
+// The network is lowered once (nn.Lower) at the configured precision, and
+// each PredictRecord scores on the caller's own goroutine with a pooled
+// scratch — a forward arena over that one read-only program plus a feature
+// row — so there are no scoring goroutines, no queue, no clock and no cap on
+// how many callers score at once. It implements stream.Predictor, so a fleet
+// of stream Runtimes — one per sensor feed — can share a single model
+// without each paying the allocating per-record path.
 //
-// At the default "f64" precision, predictions are bit-identical to
-// Detector.PredictRecord for any worker count and any number of concurrent
-// callers (see TestDetectorEngineBitIdentical and DESIGN.md §9). At
-// "f32"/"int8" the engine keeps the same internal determinism — a record's
-// score is a pure function of the record and the model — but diverges
-// boundedly from the f64 reference; RunDivergence measures and bounds that
-// divergence. Safe for concurrent use. Close waits for in-flight
-// predictions; a prediction after Close panics.
+// A record's score is a pure function of the record and the lowered program,
+// never of which pooled arena ran it or what ran beside it. At the default
+// "f64" precision it is bit-identical to Detector.PredictRecord (see
+// TestDetectorEngineBitIdentical and DESIGN.md §9). At "f32"/"int8" it
+// diverges boundedly from the f64 reference; RunDivergence measures and
+// bounds that divergence. Safe for concurrent use.
 type DetectorEngine struct {
-	det  *Detector
-	eng  *infer.Engine
-	rows sync.Pool // *[]float64, len = Features.Dim()
+	det     *Detector
+	prec    infer.Precision
+	scratch sync.Pool // *engineScratch
 }
 
-// NewDetectorEngine starts a serving engine over a trained detector.
+// engineScratch is one caller's private workspace.
+type engineScratch struct {
+	arena *nn.Arena
+	row   []float64 // len = Features.Dim()
+}
+
+// NewDetectorEngine lowers a trained detector for serving. It fails on an
+// unknown precision and on any stack nn.Lower cannot serve — a convolution,
+// widths that do not chain, a head wider than one column — so a model that
+// cannot be scored is refused here instead of panicking on its first row. At
+// f64 the arenas read the network's own weights: do not train it while the
+// engine is live.
 func NewDetectorEngine(d *Detector, cfg ServeConfig) (*DetectorEngine, error) {
 	if d == nil || d.Net == nil || d.Scaler == nil {
 		return nil, fmt.Errorf("core: NewDetectorEngine needs a trained detector")
@@ -67,48 +75,43 @@ func NewDetectorEngine(d *Detector, cfg ServeConfig) (*DetectorEngine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	prec := infer.Precision(cfg.Precision)
-	newScorer, err := infer.NetworkScorerAt(d.Net, prec)
+	prec, _ := infer.ParsePrecision(cfg.Precision)
+	prog, err := nn.Lower(d.Net, prec)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := infer.New(infer.Config{
-		NewScorer: newScorer,
-		Precision: prec,
-		Workers:   cfg.Workers,
-		Observer:  cfg.Observer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	de := &DetectorEngine{det: d, eng: eng}
+	de := &DetectorEngine{det: d, prec: prec}
 	dim := d.Features.Dim()
-	de.rows.New = func() any {
-		s := make([]float64, dim)
-		return &s
+	de.scratch.New = func() any {
+		return &engineScratch{arena: prog.NewArena(), row: make([]float64, dim)}
 	}
 	return de, nil
 }
 
 // Precision returns the scorer precision the engine was built with.
-func (de *DetectorEngine) Precision() infer.Precision { return de.eng.Precision() }
+func (de *DetectorEngine) Precision() infer.Precision { return de.prec }
 
-// Kernel names the compute kernel the engine's scores run on.
-func (de *DetectorEngine) Kernel() string { return de.eng.Kernel() }
+// Kernel names the cpukit compute kernel every score this engine produces
+// runs on ("generic" or "avx2") — a process-wide constant.
+func (de *DetectorEngine) Kernel() string { return cpukit.Active().String() }
 
 // PredictRecord classifies one record through the engine, returning
 // P(occupied) and the label — the same contract as Detector.PredictRecord,
-// bit for bit, but allocation-free. It implements stream.Predictor.
+// bit for bit at f64, but allocation-free in steady state. It implements
+// stream.Predictor.
 func (de *DetectorEngine) PredictRecord(r *dataset.Record) (float64, int) {
-	bp := de.rows.Get().(*[]float64)
-	row := *bp
-	dataset.FeatureRowInto(row, r, de.det.Features)
-	de.det.Scaler.TransformRow(row)
-	p, label := de.eng.PredictLabel(row)
-	de.rows.Put(bp)
-	return p, label
+	s := de.scratch.Get().(*engineScratch)
+	dataset.FeatureRowInto(s.row, r, de.det.Features)
+	de.det.Scaler.TransformRow(s.row)
+	p := s.arena.PredictProb1(s.row)
+	de.scratch.Put(s)
+	if p >= 0.5 {
+		return p, 1
+	}
+	return p, 0
 }
 
-// Close waits for in-flight predictions and retires the engine; a
-// prediction afterwards panics.
-func (de *DetectorEngine) Close() { de.eng.Close() }
+// Close is a no-op: the engine holds nothing to release. It stays only
+// because bench/occubench calls it; drop it with the next benchmark PR
+// (ROADMAP item 1(a)).
+func (de *DetectorEngine) Close() {}

@@ -237,13 +237,3 @@ func (r *Registry) List() []VersionInfo {
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
-
-// All snapshots every installed *Version — the owner uses it to close
-// engine payloads on shutdown.
-func (r *Registry) All() []*Version {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Version, len(r.order))
-	copy(out, r.order)
-	return out
-}

@@ -266,9 +266,6 @@ func (p *Program) NewArena() *Arena {
 	return a
 }
 
-// InputDim returns the feature width the program expects.
-func (a *Arena) InputDim() int { return a.prog.inDim }
-
 // forwardRow runs the program on one float64 feature row and returns the
 // head's output before the final sigmoid (the logit, unless the head has
 // activations of its own). Activations travel between ops in the form the

@@ -55,7 +55,7 @@ func testArenaBitIdentical(t *testing.T, seed int64, ps []Precision) {
 			prog := lower(t, net, p)
 			a, b := prog.NewArena(), prog.NewArena()
 			for _, rows := range []int{1, 3, 17, 64, 2, 64, 1} {
-				x := tensor.NewMatrix(rows, a.InputDim()).RandomizeNormal(rng, 1)
+				x := tensor.NewMatrix(rows, net.InputDim()).RandomizeNormal(rng, 1)
 				got := a.PredictProbsInto(make([]float64, rows), x)
 				var want []float64
 				if p == F64 {
@@ -205,7 +205,7 @@ func TestNetworkF32RoundTrip(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, p, err)
 			}
 			direct, viaFile := pd.NewArena(), pl.NewArena()
-			x := tensor.NewMatrix(32, direct.InputDim()).RandomizeNormal(rng, 1)
+			x := tensor.NewMatrix(32, net.InputDim()).RandomizeNormal(rng, 1)
 			for i := 0; i < x.Rows; i++ {
 				if d, l := direct.PredictProb1(x.Row(i)), viaFile.PredictProb1(x.Row(i)); d != l {
 					t.Fatalf("%s/%s: round trip diverges at row %d: %v != %v", name, p, i, d, l)

@@ -4,7 +4,7 @@
 // optional HTTP server that also mounts net/http/pprof.
 //
 // The package is a leaf — it imports nothing from this repository — so any
-// layer (stream runtime, inference engine, fault channel, training loop) can
+// layer (stream runtime, version registry, fault channel, training loop) can
 // depend on it without cycles. Instrumented packages accept the small
 // Observer interface in their Config; *Registry implements it. A nil
 // Observer is the documented no-op default: packages that receive nil simply
@@ -14,8 +14,8 @@
 // Determinism: instruments only *count*; they never feed back into any
 // decision, batch boundary, or weight update. Attaching an Observer to an
 // instrumented component changes what is exported, never what is computed —
-// the bit-identity tests in internal/stream and internal/infer run with a
-// live Registry attached to enforce exactly that.
+// the bit-identity tests in internal/stream run with a live Registry
+// attached to enforce exactly that.
 //
 // Update-path cost: Counter.Add and Gauge.Set are one atomic op;
 // Histogram.Observe is a binary search over a fixed bucket table plus three
@@ -115,21 +115,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add moves the gauge by delta (CAS loop; intended for low-frequency
-// occupancy-style gauges such as busy-worker counts).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
 	}
 }
 

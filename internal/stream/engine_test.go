@@ -14,8 +14,8 @@ import (
 
 // TestRuntimeOnEngineBitIdentical is the rewiring guarantee: a Runtime
 // whose Predictors are served through the inference engine
-// (core.DetectorEngine) — for any arena count, with dozens of runtimes
-// sharing the engines — must emit exactly the decision sequence of a
+// (core.DetectorEngine) — with dozens of runtimes sharing the engines —
+// must emit exactly the decision sequence of a
 // Runtime calling the detectors directly — same probabilities (bit for
 // bit), same labels, same mode transitions — across a faulty stream that
 // exercises imputation, fallback and recovery.
@@ -66,68 +66,64 @@ func TestRuntimeOnEngineBitIdentical(t *testing.T) {
 		wantDecs = append(wantDecs, direct.Process(f))
 	}
 
-	for _, workers := range []int{1, 2, 8} {
-		pe, err := core.NewDetectorEngine(primary, core.ServeConfig{Workers: workers})
+	pe, err := core.NewDetectorEngine(primary, core.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := core.NewDetectorEngine(fallback, core.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two dozen runtimes share the two engines, as feeds share them in
+	// the server; runtime 0 carries the registry the counters are
+	// compared through.
+	const runtimes = 24
+	servedReg := obs.NewRegistry()
+	var firstFallback int
+	var wg sync.WaitGroup
+	for r := 0; r < runtimes; r++ {
+		engCfg := runCfg
+		engCfg.Primary = pe
+		engCfg.Fallback = fe
+		engCfg.Observer = nil
+		if r == 0 {
+			engCfg.Observer = servedReg
+		}
+		served, err := stream.New(engCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := core.NewDetectorEngine(fallback, core.ServeConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two dozen runtimes share the two engines, as feeds share them in
-		// the server; runtime 0 carries the registry the counters are
-		// compared through.
-		const runtimes = 24
-		servedReg := obs.NewRegistry()
-		var firstFallback int
-		var wg sync.WaitGroup
-		for r := 0; r < runtimes; r++ {
-			engCfg := runCfg
-			engCfg.Primary = pe
-			engCfg.Fallback = fe
-			engCfg.Observer = nil
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i, f := range frames {
+				if got := served.Process(f); got != wantDecs[i] {
+					t.Errorf("runtime %d frame %d: engine-served decision %+v != direct %+v",
+						r, i, got, wantDecs[i])
+					return
+				}
+			}
 			if r == 0 {
-				engCfg.Observer = servedReg
+				firstFallback = served.FirstFallbackFrame()
 			}
-			served, err := stream.New(engCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				for i, f := range frames {
-					if got := served.Process(f); got != wantDecs[i] {
-						t.Errorf("workers=%d runtime %d frame %d: engine-served decision %+v != direct %+v",
-							workers, r, i, got, wantDecs[i])
-						return
-					}
-				}
-				if r == 0 {
-					firstFallback = served.FirstFallbackFrame()
-				}
-			}(r)
+		}(r)
+	}
+	wg.Wait()
+	for _, name := range []string{
+		"stream_frames_total", "stream_primary_frames_total",
+		"stream_fallback_frames_total", "stream_held_frames_total",
+		"stream_csi_imputed_total", "stream_env_imputed_total",
+		"stream_degradations_total", "stream_recoveries_total",
+		"stream_flips_total",
+	} {
+		dv := directReg.Counter(name, "").Value()
+		sv := servedReg.Counter(name, "").Value()
+		if dv != sv {
+			t.Errorf("%s diverges: direct %d != engine-served %d", name, dv, sv)
 		}
-		wg.Wait()
-		pe.Close()
-		fe.Close()
-		for _, name := range []string{
-			"stream_frames_total", "stream_primary_frames_total",
-			"stream_fallback_frames_total", "stream_held_frames_total",
-			"stream_csi_imputed_total", "stream_env_imputed_total",
-			"stream_degradations_total", "stream_recoveries_total",
-			"stream_flips_total",
-		} {
-			dv := directReg.Counter(name, "").Value()
-			sv := servedReg.Counter(name, "").Value()
-			if dv != sv {
-				t.Errorf("workers=%d: %s diverges: direct %d != engine-served %d", workers, name, dv, sv)
-			}
-		}
-		if direct.FirstFallbackFrame() != firstFallback {
-			t.Fatalf("workers=%d: first fallback frame diverges: direct %d != engine-served %d",
-				workers, direct.FirstFallbackFrame(), firstFallback)
-		}
+	}
+	if direct.FirstFallbackFrame() != firstFallback {
+		t.Fatalf("first fallback frame diverges: direct %d != engine-served %d",
+			direct.FirstFallbackFrame(), firstFallback)
 	}
 }

@@ -264,41 +264,28 @@ func KernelDescription() string { return cpukit.Describe() }
 // fatal at startup rather than silently serving slower than asked.
 func KernelError() error { return cpukit.SelectionError() }
 
-// EngineConfig controls NewEngine. The zero value is sensible: one forward
-// arena per core, float64 scoring.
+// EngineConfig controls NewEngine. The zero value scores in float64.
 type EngineConfig struct {
-	// Workers is how many callers can score at once (0: one per core).
-	Workers int
 	// Precision selects the scorer arithmetic: PrecisionF64 (default),
 	// PrecisionF32 or PrecisionI8.
 	Precision string
-	// Observer receives the infer_* metrics. In-module hook; external
-	// consumers leave it nil (the engine then keeps a private registry so
-	// Requests still works).
-	Observer obs.Observer
 }
 
 // Validate reports whether the configuration is usable.
 func (c EngineConfig) Validate() error {
-	if c.Workers < 0 {
-		return fmt.Errorf("occupancy: negative engine workers %d", c.Workers)
-	}
-	if _, err := infer.ParsePrecision(c.Precision); err != nil {
-		return err
-	}
-	return nil
+	_, err := infer.ParsePrecision(c.Precision)
+	return err
 }
 
-// Engine serves one detector to many concurrent callers through the
-// inference engine: each call scores on its own goroutine with one of a
-// bounded set of preallocated arenas, with results bit-identical to
-// Detector.Score.
+// Engine serves one detector to many concurrent callers: the network is
+// lowered once, and each call scores on its own goroutine with a pooled
+// arena, allocation-free, with results bit-identical to Detector.Score at
+// PrecisionF64.
 type Engine struct {
 	eng *core.DetectorEngine
-	reg *obs.Registry
 }
 
-// NewEngine wraps the detector in a serving engine. Close it when done.
+// NewEngine wraps the detector in a serving engine.
 func NewEngine(d *Detector, cfg EngineConfig) (*Engine, error) {
 	if d == nil {
 		return nil, errNilDetector
@@ -306,20 +293,11 @@ func NewEngine(d *Detector, cfg EngineConfig) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	observer := cfg.Observer
-	if observer == nil {
-		observer = obs.NewRegistry()
-	}
-	reg, _ := observer.(*obs.Registry)
-	eng, err := core.NewDetectorEngine(d.det, core.ServeConfig{
-		Workers:   cfg.Workers,
-		Precision: cfg.Precision,
-		Observer:  observer,
-	})
+	eng, err := core.NewDetectorEngine(d.det, core.ServeConfig{Precision: cfg.Precision})
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: eng, reg: reg}, nil
+	return &Engine{eng: eng}, nil
 }
 
 // Score classifies one sample through the shared engine.
@@ -337,18 +315,5 @@ func (e *Engine) Score(s Sample) (Result, error) {
 func (e *Engine) PredictRecord(r *dataset.Record) (float64, int) {
 	return e.eng.PredictRecord(r)
 }
-
-// Requests returns how many predictions the engine has served (0 when a
-// custom non-registry Observer was supplied).
-func (e *Engine) Requests() int64 {
-	if e.reg == nil {
-		return 0
-	}
-	return e.reg.Counter("infer_requests_total", "").Value()
-}
-
-// Close waits for in-flight scores and retires the engine; scoring
-// afterwards panics.
-func (e *Engine) Close() { e.eng.Close() }
 
 var errNilDetector = errors.New("occupancy: nil detector")

@@ -34,7 +34,7 @@ func TestConfigPrecisionValidation(t *testing.T) {
 
 // TestEnginePrecision drives the public facade end to end at each precision:
 // a reduced-precision engine must score deterministically (same sample, same
-// probability, regardless of batching) and stay within the documented bounds
+// probability, on every call) and stay within the documented bounds
 // of the f64 Detector.Score reference.
 func TestEnginePrecision(t *testing.T) {
 	det, err := Train(TrainConfig{Epochs: 1, Seed: 7, SyntheticHours: 4})
@@ -69,7 +69,7 @@ func TestEnginePrecision(t *testing.T) {
 		{PrecisionF32, 1e-3},
 		{PrecisionI8, 0.15},
 	} {
-		eng, err := NewEngine(det, EngineConfig{Workers: 2, Precision: tc.precision})
+		eng, err := NewEngine(det, EngineConfig{Precision: tc.precision})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,6 +98,5 @@ func TestEnginePrecision(t *testing.T) {
 				t.Fatalf("%s: sample %d not deterministic: %v then %v", tc.precision, i, first[i], r.P)
 			}
 		}
-		eng.Close()
 	}
 }

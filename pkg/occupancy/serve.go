@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/cpukit"
 	"repro/internal/dataset"
 	"repro/internal/drift"
 	"repro/internal/framelog"
@@ -30,8 +31,6 @@ type ServeConfig struct {
 	// has died; train it with FeaturesCSI.
 	Fallback *Detector
 
-	// Workers sizes the shared inference engines (see EngineConfig).
-	Workers int
 	// Precision selects the scorer arithmetic for both the primary and the
 	// fallback engine: PrecisionF64 (default), PrecisionF32 or PrecisionI8
 	// (see EngineConfig.Precision).
@@ -48,7 +47,8 @@ type ServeConfig struct {
 	Burst      int
 	// IdleTimeout evicts silent feeds (negative disables).
 	IdleTimeout time.Duration
-	// RequestTimeout bounds every non-streaming request.
+	// RequestTimeout bounds every non-streaming request (default 10 s),
+	// and the time a client may take to send a request's headers.
 	RequestTimeout time.Duration
 	// StreamBuffer is the per-subscriber NDJSON event buffer.
 	StreamBuffer int
@@ -130,10 +130,8 @@ type Server struct {
 	cfg      ServeConfig
 	inner    *server.Server
 	reg      *obs.Registry
-	models   *infer.Registry
 	lis      net.Listener
 	httpSrv  *http.Server
-	engines  []*core.DetectorEngine
 	shutdown chan struct{}
 }
 
@@ -148,6 +146,9 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	}
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 30 * time.Second
+	}
+	if cfg.RequestTimeout == 0 {
+		cfg.RequestTimeout = 10 * time.Second // server.Config's default
 	}
 
 	// Every node serves its detector bundle from the version registry
@@ -170,26 +171,21 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	ecfg := core.ServeConfig{Workers: cfg.Workers, Precision: cfg.Precision, Observer: reg}
+	// The obs model has no labels, so kernel identity is a 0/1 gauge.
+	kernel := reg.Gauge("infer_kernel_avx2", "1 when the cpukit AVX2 kernel is active, 0 for generic")
+	if cpukit.Active() == cpukit.KernelAVX2 {
+		kernel.Set(1)
+	}
+	ecfg := core.ServeConfig{Precision: cfg.Precision}
 	primary, err := core.NewDetectorEngine(d.det, ecfg)
 	if err != nil {
 		return nil, err
 	}
-	engines := []*core.DetectorEngine{primary}
-	closeAll := func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}
 	var fallback stream.Predictor
 	if cfg.Fallback != nil {
-		fe, err := core.NewDetectorEngine(cfg.Fallback.det, ecfg)
-		if err != nil {
-			closeAll()
+		if fallback, err = core.NewDetectorEngine(cfg.Fallback.det, ecfg); err != nil {
 			return nil, err
 		}
-		engines = append(engines, fe)
-		fallback = fe
 	}
 
 	// The model registry: the boot detector is version 1 and active, so
@@ -207,7 +203,6 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 		_, err = models.Activate(v0.ID())
 	}
 	if err != nil {
-		closeAll()
 		return nil, err
 	}
 
@@ -230,14 +225,12 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 		Drift:          cfg.Drift,
 	})
 	if err != nil {
-		closeAll()
 		return nil, err
 	}
 
 	lis, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		inner.Close()
-		closeAll()
 		return nil, err
 	}
 
@@ -245,14 +238,15 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	mux.Handle("/", inner.Handler())
 	mux.Handle("/metrics", obs.Handler(reg))
 	mux.Handle("/debug/pprof/", obs.Handler(reg))
+	// Without a header timeout, a client that never finishes its headers
+	// holds its connection and goroutine forever.
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: cfg.RequestTimeout}
 	return &Server{
 		cfg:      cfg,
 		inner:    inner,
 		reg:      reg,
-		models:   models,
 		lis:      lis,
-		httpSrv:  &http.Server{Handler: mux},
-		engines:  engines,
+		httpSrv:  httpSrv,
 		shutdown: make(chan struct{}),
 	}, nil
 }
@@ -326,7 +320,6 @@ func (s *Server) Run(ctx context.Context) error {
 
 	select {
 	case err := <-errc:
-		s.closeEngines()
 		return err
 	case <-ctx.Done():
 	}
@@ -339,7 +332,6 @@ func (s *Server) Run(ctx context.Context) error {
 	defer cancel()
 	drainErr := s.inner.Drain(drainCtx)
 	shutErr := s.httpSrv.Shutdown(drainCtx)
-	s.closeEngines()
 	// A request's stopped timeout timer keeps its context, which names the
 	// http.Server, reachable until the deadline: unhooked, a stopped
 	// server's models and engines do not outlive it by RequestTimeout.
@@ -354,29 +346,12 @@ func (s *Server) Run(ctx context.Context) error {
 	return nil
 }
 
-// Metrics renders the Prometheus exposition of every server and engine
-// series.
+// Metrics renders the Prometheus exposition of every series the server
+// registers.
 func (s *Server) Metrics() string {
 	var b strings.Builder
 	_ = s.reg.WriteProm(&b)
 	return b.String()
-}
-
-func (s *Server) closeEngines() {
-	closed := make(map[*core.DetectorEngine]bool, len(s.engines))
-	for _, e := range s.engines {
-		e.Close()
-		closed[e] = true
-	}
-	// Engines behind versions installed over the wire live in the model
-	// registry, not s.engines; the boot version's payload is the primary
-	// engine already closed above.
-	for _, v := range s.models.All() {
-		if e, ok := v.Payload().(*core.DetectorEngine); ok && !closed[e] {
-			e.Close()
-			closed[e] = true
-		}
-	}
 }
 
 // Serve runs the occupancy service until ctx is cancelled: NewServer + Run.
