@@ -200,7 +200,11 @@ func BenchmarkTable4Full(b *testing.B) {
 func BenchmarkTable5Linear(b *testing.B) {
 	_, split := benchFixture(b)
 	x, _ := split.Train.Matrix(dataset.FeatCSI)
-	y := split.Train.EnvTargets()
+	y := tensor.NewMatrix(split.Train.Len(), 2)
+	for i := range split.Train.Records {
+		y.Set(i, 0, split.Train.Records[i].Temp)
+		y.Set(i, 1, split.Train.Records[i].Humidity)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lin, err := linmodel.FitLinear(x, y, 1e-8)
@@ -214,21 +218,15 @@ func BenchmarkTable5Linear(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5Neural regenerates the NN half of Table V.
+// BenchmarkTable5Neural regenerates Table V through core.RunTable5: the MLP
+// regressor and, alongside it, the OLS cell.
 func BenchmarkTable5Neural(b *testing.B) {
 	_, split := benchFixture(b)
 	cfg := benchCfg()
-	ecfg := core.EnvRegressorConfig{Hidden: cfg.Hidden, Train: cfg.NNTrain, Seed: 1}
-	train := split.Train
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg, err := core.TrainEnvRegressor(train, ecfg)
-		if err != nil {
+		if _, err := core.RunTable5(split, cfg); err != nil {
 			b.Fatal(err)
-		}
-		for _, fold := range split.Folds {
-			xf, _ := fold.Matrix(dataset.FeatCSI)
-			reg.Predict(xf)
 		}
 	}
 }

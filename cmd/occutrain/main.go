@@ -111,15 +111,7 @@ func main() {
 		fmt.Printf("  epoch %2d  loss %.4f\n", e+1, loss)
 	}
 
-	train := split.Train
-	if *trainN > 0 && train.Len() > *trainN {
-		stride := (train.Len() + *trainN - 1) / *trainN
-		t := &dataset.Dataset{}
-		for i := 0; i < train.Len(); i += stride {
-			t.Records = append(t.Records, train.Records[i])
-		}
-		train = t
-	}
+	train := split.Train.Thin(*trainN)
 
 	t0 := time.Now()
 	det, err := core.TrainDetector(train, dcfg)

@@ -1,9 +1,9 @@
 // Package core is the public face of the reproduction: the occupancy
 // Detector (the paper's lightweight MLP of §IV-B wrapped with feature
-// extraction and standardisation), the EnvRegressor that estimates
-// temperature and humidity from CSI (§V-D), model persistence, and the
-// experiment runners that regenerate every table and figure of the
-// evaluation section (internal/core/experiments.go).
+// extraction and standardisation), model persistence, and the experiment
+// runners that regenerate every table and figure of the evaluation section,
+// the §V-D temperature and humidity regression among them
+// (internal/core/experiments.go).
 package core
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 
 	"repro/internal/atomicfile"
@@ -78,7 +77,9 @@ type Detector struct {
 	Features dataset.FeatureSet
 }
 
-// TrainDetector fits the paper's MLP on the training fold.
+// TrainDetector fits the paper's MLP on the training fold: the grid's MLP
+// occupancy cell on cfg.Features, trained on every record with cfg's
+// topology, training config and init seed.
 func TrainDetector(train *dataset.Dataset, cfg DetectorConfig) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -86,20 +87,19 @@ func TrainDetector(train *dataset.Dataset, cfg DetectorConfig) (*Detector, error
 	if train.Len() == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
+	c := cell{feat: cfg.Features, task: occupancy, model: mlp, hidden: cfg.Hidden, std: true, train: cfg.Train, seed: cfg.Seed}
+	if len(c.hidden) == 0 {
+		c.hidden = PaperHidden
 	}
-	x, yi := train.Matrix(cfg.Features)
-	scaler := linmodel.FitScaler(x)
-	xs := scaler.Transform(x)
-	y := tensor.NewMatrix(len(yi), 1)
-	for i, v := range yi {
-		y.Set(i, 0, float64(v))
+	in, err := buildInputs(train, c, 0, nil)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := nn.NewMLP(cfg.Features.Dim(), cfg.Hidden, 1, rng)
-	net.Fit(xs, y, nn.BCEWithLogits{}, cfg.Train)
-	return &Detector{Net: net, Scaler: scaler, Features: cfg.Features}, nil
+	f, err := c.fit(&in, linmodel.LogisticConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return &Detector{Net: f.net, Scaler: in.scaler, Features: cfg.Features}, nil
 }
 
 // Evaluate runs the detector over a fold and returns the confusion matrix.
@@ -128,86 +128,6 @@ func (d *Detector) PredictRecord(r *dataset.Record) (float64, int) {
 		return p, 1
 	}
 	return probs[0], 0
-}
-
-// EnvRegressor estimates temperature and humidity from CSI amplitudes (the
-// §V-D "non-linear regression ... implemented with our neural network
-// model"). Targets are standardised internally for optimisation stability
-// and un-standardised on prediction.
-type EnvRegressor struct {
-	Net     *nn.Network
-	Scaler  *linmodel.Scaler
-	YMean   [2]float64
-	YStd    [2]float64
-	Feature dataset.FeatureSet
-}
-
-// EnvRegressorConfig controls EnvRegressor training.
-type EnvRegressorConfig struct {
-	Hidden []int
-	Train  nn.TrainConfig
-	Seed   int64
-}
-
-// Validate reports whether the configuration is trainable (see
-// DetectorConfig.Validate; the regressor always reads CSI features, so
-// there is no feature-set field to check). TrainEnvRegressor calls it.
-func (c EnvRegressorConfig) Validate() error {
-	if err := validHidden(c.Hidden); err != nil {
-		return err
-	}
-	return c.Train.Validate()
-}
-
-// TrainEnvRegressor fits (T, H) ← CSI on the training fold.
-func TrainEnvRegressor(train *dataset.Dataset, cfg EnvRegressorConfig) (*EnvRegressor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = append([]int(nil), PaperHidden...)
-	}
-	x, _ := train.Matrix(dataset.FeatCSI)
-	scaler := linmodel.FitScaler(x)
-	xs := scaler.Transform(x)
-	yRaw := train.EnvTargets()
-	reg := &EnvRegressor{Scaler: scaler, Feature: dataset.FeatCSI}
-	y := tensor.NewMatrix(yRaw.Rows, 2)
-	for c := 0; c < 2; c++ {
-		col := make([]float64, yRaw.Rows)
-		for i := range col {
-			col[i] = yRaw.At(i, c)
-		}
-		m, s := stats.Mean(col), stats.StdDev(col)
-		if s < 1e-9 {
-			s = 1
-		}
-		reg.YMean[c], reg.YStd[c] = m, s
-		for i := range col {
-			y.Set(i, c, (col[i]-m)/s)
-		}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	reg.Net = nn.NewMLP(dataset.FeatCSI.Dim(), cfg.Hidden, 2, rng)
-	reg.Net.Fit(xs, y, nn.MSE{}, cfg.Train)
-	return reg, nil
-}
-
-// Predict returns the estimated (temperature, humidity) series for the rows
-// of a raw (unscaled) CSI feature matrix.
-func (e *EnvRegressor) Predict(x *tensor.Matrix) (temp, hum []float64) {
-	xs := e.Scaler.Transform(x)
-	cols := e.Net.PredictRegression(xs)
-	temp = make([]float64, len(cols[0]))
-	hum = make([]float64, len(cols[1]))
-	for i := range temp {
-		temp[i] = cols[0][i]*e.YStd[0] + e.YMean[0]
-		hum[i] = cols[1][i]*e.YStd[1] + e.YMean[1]
-	}
-	return temp, hum
 }
 
 // --- persistence -----------------------------------------------------------

@@ -160,27 +160,33 @@ func TestLoadDetectorRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestEnvRegressorLearns drives Table V's MLP cell through buildInputs and
+// cell.fit, the way runCells trains and scores it.
 func TestEnvRegressorLearns(t *testing.T) {
 	_, split := testSplit(t)
-	cfg := EnvRegressorConfig{Hidden: []int{32, 16}, Train: nn.DefaultTrainConfig(), Seed: 1}
-	cfg.Train.Epochs = 10
-	cfg.Train.BatchSize = 64
-	reg, err := TrainEnvRegressor(split.Train.Thin(1500), cfg)
+	c := cell{feat: dataset.FeatCSI, task: envTH, model: mlp, hidden: []int{32, 16}, std: true, train: nn.DefaultTrainConfig(), seed: 1}
+	c.train.Epochs = 10
+	c.train.BatchSize = 64
+	in, err := buildInputs(split.Train.Thin(1500), c, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := split.Train.Thin(400)
-	x, _ := ev.Matrix(dataset.FeatCSI)
-	tPred, hPred := reg.Predict(x)
-	tTrue, _ := ev.Column("temp")
-	hTrue, _ := ev.Column("humidity")
-	var maeT, maeH float64
-	for i := range tTrue {
-		maeT += abs(tTrue[i] - tPred[i])
-		maeH += abs(hTrue[i] - hPred[i])
+	f, err := c.fit(&in, linmodel.LogisticConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	maeT /= float64(len(tTrue))
-	maeH /= float64(len(hTrue))
+	ev, err := buildInputs(split.Train, c, 400, in.scaler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tPred, hPred := f.env(c.input(ev.x, ev.xs))
+	var maeT, maeH float64
+	for i, r := range ev.recs {
+		maeT += abs(r.Temp - tPred[i])
+		maeH += abs(r.Humidity - hPred[i])
+	}
+	maeT /= float64(len(ev.recs))
+	maeH /= float64(len(ev.recs))
 	// In-sample: must clearly beat predicting the mean (std of T over a
 	// day is several °C).
 	if maeT > 2.5 {
@@ -189,7 +195,11 @@ func TestEnvRegressorLearns(t *testing.T) {
 	if maeH > 5 {
 		t.Fatalf("humidity MAE %g too high", maeH)
 	}
-	if _, err := TrainEnvRegressor(&dataset.Dataset{}, cfg); err == nil {
+	empty, err := buildInputs(&dataset.Dataset{}, c, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.fit(&empty, linmodel.LogisticConfig{}); err == nil {
 		t.Fatal("empty training set must error")
 	}
 }
@@ -265,8 +275,7 @@ func TestDefaultConfigsConsistent(t *testing.T) {
 
 // TestConfigsRejectNonFiniteTrainRates: every config that embeds an
 // nn.TrainConfig refuses a NaN or infinite rate through its Validate, which
-// TrainDetector, TrainEnvRegressor and the experiment grids call before
-// training.
+// TrainDetector and the experiment grids call before training.
 func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 	for _, bad := range []struct {
 		name string
@@ -279,14 +288,11 @@ func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 	} {
 		det := DefaultDetectorConfig()
 		bad.set(&det.Train)
-		env := EnvRegressorConfig{Train: nn.DefaultTrainConfig()}
-		bad.set(&env.Train)
 		exp := DefaultExperimentConfig()
 		bad.set(&exp.NNTrain)
 		for cfg, err := range map[string]error{
-			"DetectorConfig":     det.Validate(),
-			"EnvRegressorConfig": env.Validate(),
-			"ExperimentConfig":   exp.Validate(),
+			"DetectorConfig":   det.Validate(),
+			"ExperimentConfig": exp.Validate(),
 		} {
 			if err == nil {
 				t.Errorf("%s with %s validated", cfg, bad.name)

@@ -200,23 +200,14 @@ type Figure3Result struct {
 	TopSubcarriers []int
 }
 
-// RunFigure3 trains the C+E detector and applies Grad-CAM over a
+// RunFigure3 applies Grad-CAM to Table IV's MLP C+E cell over a
 // (subsampled) batch of evaluation records, reproducing Figure 3.
 func RunFigure3(split *dataset.Split, cfg ExperimentConfig) (*Figure3Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dcfg := DefaultDetectorConfig()
-	dcfg.Features = dataset.FeatCSIEnv
-	if len(cfg.Hidden) > 0 {
-		dcfg.Hidden = cfg.Hidden
-	}
-	dcfg.Train = cfg.NNTrain
-	dcfg.Seed = cfg.Seed
-	det, err := TrainDetector(split.Train.Thin(cfg.MaxTrainSamples), dcfg)
+	rows, err := runCells(split, cfg, []cell{baseCell(cfg, mlp, dataset.FeatCSIEnv, occupancy)})
 	if err != nil {
 		return nil, err
 	}
+	det := &Detector{Net: rows[0].net, Scaler: rows[0].scaler, Features: dataset.FeatCSIEnv}
 	return ExplainDetector(det, split, cfg.MaxEvalSamples)
 }
 

@@ -102,6 +102,34 @@ func TestRunFigure3EnvUnimportant(t *testing.T) {
 	}
 }
 
+// TestFigure3ExplainsTable4Cell: Figure 3 explains Table IV's MLP C+E
+// network. At a seed other than NNTrain's default shuffle seed its
+// importance is, bit for bit, ExplainDetector's on the net and scaler
+// runCells trains for that cell.
+func TestFigure3ExplainsTable4Cell(t *testing.T) {
+	_, split := testSplit(t)
+	cfg := quickCfg()
+	cfg.Seed = 2
+	got, err := RunFigure3(split, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := runCells(split, cfg, table4Cells(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := rows[2*len(Table4Features)+2] // model-major: MLP, then C+E
+	want, err := ExplainDetector(&Detector{Net: ce.net, Scaler: ce.scaler, Features: dataset.FeatCSIEnv}, split, cfg.MaxEvalSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range want.Importance {
+		if math.Float64bits(got.Importance[i]) != math.Float64bits(v) {
+			t.Fatalf("Figure 3 importance[%d] = %v, Table IV's MLP C+E cell gives %v", i, got.Importance[i], v)
+		}
+	}
+}
+
 func TestExplainDetectorRejectsWrongFeatures(t *testing.T) {
 	_, split := testSplit(t)
 	det, err := TrainDetector(split.Train.Thin(400), quickDetectorCfg(dataset.FeatCSI))

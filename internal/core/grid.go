@@ -60,7 +60,7 @@ type model int
 const (
 	linear model = iota // logistic regression; least squares for envTH
 	forest              // random forest (one forest per class for activity, a regressor for count)
-	mlp                 // dense network; for envTH the EnvRegressor
+	mlp                 // dense network; for envTH a two-output regressor
 	cnn                 // 1-D convolution over the subcarrier axis
 )
 
@@ -115,7 +115,6 @@ type score struct {
 // inputs is one (filtered, thinned) design matrix, raw and standardised
 // with the training rows' scaler, with the record each row is labelled by.
 type inputs struct {
-	data   *dataset.Dataset // snapshot features: the thinned records
 	recs   []*dataset.Record
 	x, xs  *tensor.Matrix
 	scaler *linmodel.Scaler
@@ -124,7 +123,7 @@ type inputs struct {
 // fitted is a trained cell.
 type fitted struct {
 	classes func(x *tensor.Matrix) []int                 // classification tasks
-	env     func(x *tensor.Matrix) (temp, hum []float64) // envTH, from raw inputs
+	env     func(x *tensor.Matrix) (temp, hum []float64) // envTH, from the cell's input
 	net     *nn.Network
 }
 
@@ -251,7 +250,7 @@ func runCells(split *dataset.Split, cfg ExperimentConfig, cells []cell) ([]row, 
 		c, f, in := uniq[ci], fits[ci], &evals[designOf[ci]*nFold+fold]
 		s := &rows[ci].folds[fold]
 		if c.task == envTH {
-			t, h := f.env(in.x)
+			t, h := f.env(c.input(in.x, in.xs))
 			tTrue, hTrue := make([]float64, len(in.recs)), make([]float64, len(in.recs))
 			for i, r := range in.recs {
 				tTrue[i], hTrue[i] = r.Temp, r.Humidity
@@ -304,10 +303,10 @@ func firstErr(errs []error) error {
 func buildInputs(src *dataset.Dataset, c cell, max int, scaler *linmodel.Scaler) (inputs, error) {
 	var in inputs
 	if c.window == 0 {
-		in.data = src.Thin(max)
-		in.x, _ = in.data.Matrix(c.feat)
-		for i := range in.data.Records {
-			in.recs = append(in.recs, &in.data.Records[i])
+		data := src.Thin(max)
+		in.x, _ = data.Matrix(c.feat)
+		for i := range data.Records {
+			in.recs = append(in.recs, &data.Records[i])
 		}
 	} else {
 		xFull, idxFull, err := src.WindowedMatrix(dataset.WindowSpec{N: c.window})
@@ -367,22 +366,7 @@ func (c cell) fit(d *inputs, lcfg linmodel.LogisticConfig) (fitted, error) {
 		return fitted{}, fmt.Errorf("empty training set")
 	}
 	if c.task == envTH {
-		if c.model == linear {
-			// OLS on raw CSI, a tiny ridge for collinear subcarriers.
-			lin, err := linmodel.FitLinear(d.x, d.data.EnvTargets(), 1e-8)
-			if err != nil {
-				return fitted{}, err
-			}
-			return fitted{env: func(x *tensor.Matrix) ([]float64, []float64) {
-				p := lin.Predict(x)
-				return p[0], p[1]
-			}}, nil
-		}
-		reg, err := TrainEnvRegressor(d.data, EnvRegressorConfig{Hidden: c.hidden, Train: c.train, Seed: c.seed})
-		if err != nil {
-			return fitted{}, err
-		}
-		return fitted{env: reg.Predict, net: reg.Net}, nil
+		return c.fitEnv(d)
 	}
 
 	x, y := c.input(d.x, d.xs), labels(d.recs, c.task)
@@ -397,6 +381,54 @@ func (c cell) fit(d *inputs, lcfg linmodel.LogisticConfig) (fitted, error) {
 	classes := f.classes
 	f.classes = func(x *tensor.Matrix) []int { return classes(pca.Transform(x)) }
 	return f, nil
+}
+
+// fitEnv trains c's (temperature, humidity) regressor on c's input of
+// design d (Table V: raw CSI for OLS, standardised for the MLP): OLS with a
+// tiny ridge for collinear subcarriers, or the MLP of §V-D, its targets
+// standardised for optimisation stability and its predictions
+// un-standardised.
+func (c cell) fitEnv(d *inputs) (fitted, error) {
+	x, y := c.input(d.x, d.xs), tensor.NewMatrix(len(d.recs), 2)
+	for i, r := range d.recs {
+		y.Set(i, 0, r.Temp)
+		y.Set(i, 1, r.Humidity)
+	}
+	if c.model == linear {
+		lin, err := linmodel.FitLinear(x, y, 1e-8)
+		if err != nil {
+			return fitted{}, err
+		}
+		return fitted{env: func(x *tensor.Matrix) ([]float64, []float64) {
+			p := lin.Predict(x)
+			return p[0], p[1]
+		}}, nil
+	}
+	var mean, std [2]float64
+	col := make([]float64, y.Rows)
+	for j := range mean {
+		for i := range col {
+			col[i] = y.At(i, j)
+		}
+		mean[j], std[j] = stats.Mean(col), stats.StdDev(col)
+		if std[j] < 1e-9 {
+			std[j] = 1
+		}
+		for i, v := range col {
+			y.Set(i, j, (v-mean[j])/std[j])
+		}
+	}
+	net := nn.NewMLP(x.Cols, c.hidden, 2, rand.New(rand.NewSource(c.seed)))
+	net.Fit(x, y, nn.MSE{}, c.train)
+	return fitted{env: func(x *tensor.Matrix) ([]float64, []float64) {
+		cols := net.PredictRegression(x)
+		for j, col := range cols {
+			for i, v := range col {
+				col[i] = v*std[j] + mean[j]
+			}
+		}
+		return cols[0], cols[1]
+	}, net: net}, nil
 }
 
 // fitClasses trains c's classifier on inputs x with labels y.

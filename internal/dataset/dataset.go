@@ -207,17 +207,6 @@ func (d *Dataset) Matrix(f FeatureSet) (*tensor.Matrix, []int) {
 	return x, y
 }
 
-// EnvTargets returns the (temperature, humidity) regression targets of
-// Table V as an n×2 matrix: column 0 = T, column 1 = H.
-func (d *Dataset) EnvTargets() *tensor.Matrix {
-	y := tensor.NewMatrix(len(d.Records), 2)
-	for i := range d.Records {
-		y.Set(i, 0, d.Records[i].Temp)
-		y.Set(i, 1, d.Records[i].Humidity)
-	}
-	return y
-}
-
 // Column extracts a single named series for profiling: "temp", "humidity",
 // "occupancy", "time", or a subcarrier index "a0".."a63".
 func (d *Dataset) Column(name string) ([]float64, error) {

@@ -105,13 +105,6 @@ func TestMatrixAndTargets(t *testing.T) {
 			t.Fatal("temp feature mismatch")
 		}
 	}
-	env := d.EnvTargets()
-	if env.Rows != d.Len() || env.Cols != 2 {
-		t.Fatal("target shape")
-	}
-	if env.At(3, 1) != d.Records[3].Humidity {
-		t.Fatal("humidity target")
-	}
 }
 
 func TestColumn(t *testing.T) {

@@ -83,15 +83,6 @@ func (r *ReLU) Grads() []*tensor.Matrix { return nil }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
-// Sigmoid is the logistic activation 1/(1+e^{-x}).
-type Sigmoid struct {
-	output *tensor.Matrix
-	bwdDx  *tensor.Matrix
-}
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
 // SigmoidScalar evaluates the logistic function at x.
 func SigmoidScalar(x float64) float64 {
 	// Split by sign for numerical stability.
@@ -101,86 +92,3 @@ func SigmoidScalar(x float64) float64 {
 	e := math.Exp(x)
 	return e / (1 + e)
 }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	var out *tensor.Matrix
-	if train {
-		s.output = tensor.EnsureShape(s.output, x.Rows, x.Cols)
-		out = s.output
-	} else {
-		out = tensor.NewMatrix(x.Rows, x.Cols)
-	}
-	for i, v := range x.Data {
-		out.Data[i] = SigmoidScalar(v)
-	}
-	return out
-}
-
-// Backward implements Layer: dσ/dx = σ(x)·(1-σ(x)).
-func (s *Sigmoid) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if s.output == nil {
-		panic("nn: Sigmoid.Backward without a training Forward")
-	}
-	s.bwdDx = tensor.EnsureShape(s.bwdDx, grad.Rows, grad.Cols)
-	out := s.bwdDx
-	for i, o := range s.output.Data {
-		out.Data[i] = grad.Data[i] * o * (1 - o)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*tensor.Matrix { return nil }
-
-// Grads implements Layer.
-func (s *Sigmoid) Grads() []*tensor.Matrix { return nil }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "sigmoid" }
-
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	output *tensor.Matrix
-	bwdDx  *tensor.Matrix
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	var out *tensor.Matrix
-	if train {
-		t.output = tensor.EnsureShape(t.output, x.Rows, x.Cols)
-		out = t.output
-	} else {
-		out = tensor.NewMatrix(x.Rows, x.Cols)
-	}
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// Backward implements Layer: d tanh/dx = 1 - tanh².
-func (t *Tanh) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if t.output == nil {
-		panic("nn: Tanh.Backward without a training Forward")
-	}
-	t.bwdDx = tensor.EnsureShape(t.bwdDx, grad.Rows, grad.Cols)
-	out := t.bwdDx
-	for i, o := range t.output.Data {
-		out.Data[i] = grad.Data[i] * (1 - o*o)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*tensor.Matrix { return nil }
-
-// Grads implements Layer.
-func (t *Tanh) Grads() []*tensor.Matrix { return nil }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }

@@ -10,18 +10,18 @@ import (
 )
 
 // Serving-side inference (DESIGN.md §9, §12). Lower turns a trained
-// Dense/activation stack into a Program: one op per Dense layer, carrying
-// that layer's weights in the program's precision plus the activations that
-// follow it. An Arena is one holder's scratch over a shared Program. Its
-// forwardRow runs the ops in order, switching on each op's kernel, and both
+// Dense/ReLU stack into a Program: one op per Dense layer, carrying that
+// layer's weights in the program's precision and whether a ReLU follows it.
+// An Arena is one holder's scratch over a shared Program. Its forwardRow
+// runs the ops in order, switching on each op's kernel, and both
 // entry points — PredictProb1 and PredictProbsInto — are that row path, so a
 // row's score is a pure function of the row and the program at every
 // precision: batching, arena count and concurrency decide when a row is
 // scored, never its bits.
 //
 // The float64 program is the bit-exact reproduction reference: it runs
-// tensor.RowMatMulInto, whose accumulation is MatMul's own row loop, and the
-// activation layers' own arithmetic, so it matches Network.PredictProbs bit
+// tensor.RowMatMulInto, whose accumulation is MatMul's own row loop, and
+// ReLU.Forward's arithmetic, so it matches Network.PredictProbs bit
 // for bit (TestArenaBitIdentical). The float32 and int8 programs trade that
 // exactness for speed and footprint inside the divergence bounds core
 // enforces.
@@ -47,16 +47,9 @@ const (
 // float32 scalar path.
 var quantI8 = cpukit.Active() == cpukit.KernelAVX2
 
-// Activation kinds an activation layer lowers to.
-const (
-	actReLU = iota
-	actSigmoid
-	actTanh
-)
-
 // Op kernels: what forwardRow runs for one op.
 const (
-	kernF64      = iota // dense float64 row·W + b, then float64 activations
+	kernF64      = iota // dense float64 row·W + b, then the float64 ReLU
 	kernF32             // compacted float32 activations · float32 W
 	kernI8              // compacted float32 activations · int8 W
 	kernI8Quant         // u7 activations · k-quad-packed int8 W (VPMADDUBSW)
@@ -64,7 +57,7 @@ const (
 	kernLogitI8         // the 1-wide int8 head, logit accumulated in float64
 )
 
-// op is one Dense layer plus the activation layers that follow it, holding
+// op is one Dense layer and whether a ReLU follows it, holding
 // the weights its kernel reads: w64 for kernF64; w32 and b32 for the float32
 // kernels; w8, scale and b32 for the int8 ones, plus packed (w8 in
 // tensor.PackI8KQuad layout) for kernI8Quant. b64 is the bias in float64 —
@@ -72,7 +65,7 @@ const (
 type op struct {
 	kernel  byte
 	in, out int
-	acts    []byte
+	relu    bool
 	b64     []float64
 	w64     *tensor.Matrix
 	w32     *tensor.MatrixF32
@@ -92,12 +85,12 @@ type Program struct {
 }
 
 // Lower builds the serving program for net at precision p. It accepts
-// exactly what an Arena can score: Dense layers, each followed by any of
-// ReLU, Sigmoid, Tanh and Dropout (an identity at inference), whose widths
-// chain from the first Dense's input into a one-column head. Anything else —
-// a convolution, an activation before the first Dense, a Dense whose input
-// is not its predecessor's output, a wider head, no Dense at all, an unknown
-// precision — is an error here instead of a panic on the first row.
+// exactly what an Arena can score: Dense layers, each optionally followed by
+// ReLU, whose widths chain from the first Dense's input into a one-column
+// head. Anything else — a convolution, a ReLU before the first Dense, a
+// Dense whose input is not its predecessor's output, a wider head, no Dense
+// at all, an unknown precision — is an error here instead of a panic on the
+// first row.
 //
 // The f32 and int8 weights are narrowed exactly as the deployment format
 // narrows them on Save, so Lower(net, p) and Lower(Load(Save(net)), p) score
@@ -110,29 +103,20 @@ func Lower(net *Network, p Precision) (*Program, error) {
 	}
 	var ops []op
 	for _, l := range net.Layers {
-		var act byte
 		switch t := l.(type) {
 		case *Dense:
 			if n := len(ops); n > 0 && ops[n-1].out != t.In {
 				return nil, fmt.Errorf("nn: Dense(%d→%d) follows width %d", t.In, t.Out, ops[n-1].out)
 			}
 			ops = append(ops, lowerDense(t, p))
-			continue
-		case *Dropout:
-			continue
 		case *ReLU:
-			act = actReLU
-		case *Sigmoid:
-			act = actSigmoid
-		case *Tanh:
-			act = actTanh
+			if len(ops) == 0 {
+				return nil, errors.New("nn: relu before the first Dense")
+			}
+			ops[len(ops)-1].relu = true
 		default:
-			return nil, fmt.Errorf("nn: cannot serve a %s layer: only Dense/activation stacks lower", l.Name())
+			return nil, fmt.Errorf("nn: cannot serve a %s layer: only Dense/ReLU stacks lower", l.Name())
 		}
-		if len(ops) == 0 {
-			return nil, fmt.Errorf("nn: activation %s before the first Dense", l.Name())
-		}
-		ops[len(ops)-1].acts = append(ops[len(ops)-1].acts, act)
 	}
 	if len(ops) == 0 {
 		return nil, errors.New("nn: no Dense layers to serve")
@@ -154,8 +138,8 @@ func Lower(net *Network, p Precision) (*Program, error) {
 			o.kernel = kernF32
 		case i == last:
 			o.kernel = kernLogitI8
-		case quantI8 && i > 0 && len(ops[i-1].acts) == 1 && ops[i-1].acts[0] == actReLU:
-			// Fed by a pure ReLU, so its input is non-negative and
+		case quantI8 && i > 0 && ops[i-1].relu:
+			// Fed by a ReLU, so its input is non-negative and
 			// quantisable to u7. Layer 0 sees signed standardised features
 			// and the head runs the float64 logit dot, so neither qualifies.
 			o.kernel = kernI8Quant
@@ -267,8 +251,8 @@ func (p *Program) NewArena() *Arena {
 }
 
 // forwardRow runs the program on one float64 feature row and returns the
-// head's output before the final sigmoid (the logit, unless the head has
-// activations of its own). Activations travel between ops in the form the
+// head's output before the final sigmoid (the logit, unless a ReLU follows
+// the head). Activations travel between ops in the form the
 // next op's kernel reads: dense float64 in cur at f64; compacted float32 in
 // idx/val at f32 and int8; dense u7 bytes in qact (scale qscale) into a
 // kernI8Quant op, with the float32 originals left in buf.
@@ -297,8 +281,13 @@ func (a *Arena) forwardRow(row []float64) float64 {
 		if o.kernel == kernF64 {
 			out := buf[:o.out]
 			tensor.RowMatMulInto(out, cur, o.w64, o.b64)
-			for _, act := range o.acts {
-				applyActF64(act, out)
+			if o.relu {
+				// ReLU.Forward's arithmetic: NaN and −0 go to +0.
+				for j, x := range out {
+					if !(x > 0) {
+						out[j] = 0
+					}
+				}
 			}
 			cur, buf, next = out, next, buf
 			continue
@@ -306,13 +295,13 @@ func (a *Arena) forwardRow(row []float64) float64 {
 		out := a.buf[:o.out]
 		switch o.kernel {
 		case kernLogitF32:
-			return applyActLogit(o.acts, tensor.SparseRowDotColumnF64(o.w32, o.b64[0], 0, a.idx[:nz], a.val[:nz]))
+			return o.head(tensor.SparseRowDotColumnF64(o.w32, o.b64[0], 0, a.idx[:nz], a.val[:nz]))
 		case kernLogitI8:
 			acc := 0.0
 			for k, id := range a.idx[:nz] {
 				acc += float64(a.val[k]) * float64(o.w8[id])
 			}
-			return applyActLogit(o.acts, acc*float64(o.scale)+o.b64[0])
+			return o.head(acc*float64(o.scale) + o.b64[0])
 		case kernF32:
 			tensor.SparseRowMatMulF32Into(out, o.b32, o.w32, a.idx[:nz], a.val[:nz])
 		case kernI8:
@@ -338,14 +327,11 @@ func (a *Arena) forwardRow(row []float64) float64 {
 			for j := o.out; j < (o.out+3)&^3; j++ {
 				a.qact[j] = 0
 			}
-		case len(o.acts) == 1 && o.acts[0] == actReLU:
-			// The common Dense→ReLU chain: activation fused with the
-			// compaction, one pass over the vector.
+		case o.relu:
+			// The Dense→ReLU chain: ReLU fused with the compaction, one
+			// pass over the vector.
 			nz = tensor.ReLUCompactF32(a.idx, a.val, out)
 		default:
-			for _, act := range o.acts {
-				applyActF32(act, out)
-			}
 			nz = tensor.CompactNonzeroF32(a.idx, a.val, out)
 		}
 	}
@@ -354,60 +340,10 @@ func (a *Arena) forwardRow(row []float64) float64 {
 	return cur[0]
 }
 
-// applyActF64 runs one activation in place with the arithmetic of the
-// layer's own Forward (ReLU sends NaN and −0 to +0, as ReLU.Forward does).
-func applyActF64(act byte, v []float64) {
-	switch act {
-	case actReLU:
-		for j, x := range v {
-			if !(x > 0) {
-				v[j] = 0
-			}
-		}
-	case actSigmoid:
-		for j, x := range v {
-			v[j] = SigmoidScalar(x)
-		}
-	case actTanh:
-		for j, x := range v {
-			v[j] = math.Tanh(x)
-		}
-	}
-}
-
-// applyActF32 runs one dense activation pass in float32.
-func applyActF32(act byte, v []float32) {
-	switch act {
-	case actReLU:
-		for j, x := range v {
-			if x < 0 {
-				v[j] = 0
-			}
-		}
-	case actSigmoid:
-		for j, x := range v {
-			v[j] = float32(SigmoidScalar(float64(x)))
-		}
-	case actTanh:
-		for j, x := range v {
-			v[j] = float32(math.Tanh(float64(x)))
-		}
-	}
-}
-
-// applyActLogit runs a reduced head's activations on its float64 logit.
-func applyActLogit(acts []byte, z float64) float64 {
-	for _, act := range acts {
-		switch act {
-		case actReLU:
-			if z < 0 {
-				z = 0
-			}
-		case actSigmoid:
-			z = SigmoidScalar(z)
-		case actTanh:
-			z = math.Tanh(z)
-		}
+// head applies a reduced head's ReLU, if it has one, to its float64 logit.
+func (o *op) head(z float64) float64 {
+	if o.relu && z < 0 {
+		return 0
 	}
 	return z
 }

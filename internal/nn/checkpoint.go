@@ -207,9 +207,6 @@ func finiteFrom(vals []float64, lo float64) bool {
 // a checkpoint is saved atomically after every `every` epochs (and after
 // the final one). A failed save stops training at its epoch. Returns the
 // per-epoch losses of the epochs actually run, with the save error if any.
-//
-// Exactness holds for dropout-free networks (dropout draws are not part of
-// the checkpoint); the paper's MLP qualifies.
 func (n *Network) FitCheckpointed(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, path string, every int) ([]float64, error) {
 	if every <= 0 {
 		every = 1

@@ -84,6 +84,7 @@ func FuzzLoad(f *testing.F) {
 	mut := append([]byte(nil), raw...)
 	mut[11] ^= 0x40
 	f.Add(mut)
+	f.Add(oneLayerModel(4)) // a retired kind (Dropout's)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, err := Load(bytes.NewReader(data))
 		if err != nil {

@@ -1,7 +1,8 @@
-// Package nn is a small, dependency-free neural-network library: dense
-// layers, ReLU/Sigmoid/Tanh activations, dropout, BCE/MSE losses, the AdamW
-// optimiser, a mini-batch training loop, binary model serialisation, and
-// gradient checking. It implements exactly what the
+// Package nn is a small, dependency-free neural-network library: the layers
+// some model in the tree builds (Dense, ReLU, Conv1D, MaxPool1D), BCE, MSE
+// and softmax cross-entropy losses, the AdamW optimiser, a mini-batch
+// training loop, binary model serialisation, the serving lowering (Lower,
+// Arena) and gradient checking. It implements exactly what the
 // paper's PyTorch-Lightning MLP needs (4 dense layers, ReLU, BCE, AdamW-style
 // "adaptive mini-batch gradient descent with a weight decay strategy"),
 // plus the hidden-activation and hidden-gradient capture that Grad-CAM
@@ -30,7 +31,7 @@ import (
 type Layer interface {
 	// Forward computes the layer output for input x. When train is true
 	// the layer may cache values needed by Backward, reuse internal
-	// scratch buffers, and apply training-only behaviour (e.g. dropout).
+	// scratch buffers.
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward propagates the gradient. Must be called after a Forward
 	// with train=true.
@@ -129,72 +130,3 @@ func (d *Dense) Grads() []*tensor.Matrix { return []*tensor.Matrix{d.GradW, d.Gr
 
 // Name implements Layer.
 func (d *Dense) Name() string { return "dense" }
-
-// Dropout randomly zeroes activations with probability P during training and
-// rescales survivors by 1/(1-P) (inverted dropout). At inference it is the
-// identity.
-type Dropout struct {
-	P   float64
-	rng *rand.Rand
-
-	mask   *tensor.Matrix
-	fwdOut *tensor.Matrix
-	bwdDx  *tensor.Matrix
-}
-
-// NewDropout creates a dropout layer with drop probability p in [0, 1).
-func NewDropout(p float64, rng *rand.Rand) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %g out of [0,1)", p))
-	}
-	return &Dropout{P: p, rng: rng}
-}
-
-// Forward implements Layer.
-func (dp *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train {
-		// No writes to dp here: inference must stay concurrent-safe.
-		return x
-	}
-	if dp.P == 0 {
-		dp.mask = nil
-		return x
-	}
-	keep := 1 - dp.P
-	scale := 1 / keep
-	dp.mask = tensor.EnsureShape(dp.mask, x.Rows, x.Cols)
-	dp.fwdOut = tensor.EnsureShape(dp.fwdOut, x.Rows, x.Cols)
-	out := dp.fwdOut
-	for i, v := range x.Data {
-		if dp.rng.Float64() < keep {
-			dp.mask.Data[i] = scale
-			out.Data[i] = v * scale
-		} else {
-			dp.mask.Data[i] = 0
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (dp *Dropout) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if dp.mask == nil {
-		return grad
-	}
-	dp.bwdDx = tensor.EnsureShape(dp.bwdDx, grad.Rows, grad.Cols)
-	out := dp.bwdDx
-	for i, v := range grad.Data {
-		out.Data[i] = v * dp.mask.Data[i]
-	}
-	return out
-}
-
-// Params implements Layer (dropout has none).
-func (dp *Dropout) Params() []*tensor.Matrix { return nil }
-
-// Grads implements Layer.
-func (dp *Dropout) Grads() []*tensor.Matrix { return nil }
-
-// Name implements Layer.
-func (dp *Dropout) Name() string { return "dropout" }

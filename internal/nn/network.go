@@ -35,8 +35,8 @@ func NewMLP(in int, hidden []int, out int, rng *rand.Rand) *Network {
 	return NewNetwork(layers...)
 }
 
-// Forward runs the full stack. train selects training behaviour (caching,
-// dropout).
+// Forward runs the full stack. train selects training behaviour (caching
+// for Backward, scratch reuse).
 func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for _, l := range n.Layers {
 		x = l.Forward(x, train)

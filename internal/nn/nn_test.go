@@ -125,75 +125,6 @@ func TestSigmoidScalarStability(t *testing.T) {
 	}
 }
 
-func TestSigmoidLayerGradient(t *testing.T) {
-	s := NewSigmoid()
-	x := tensor.FromSlice(1, 1, []float64{0})
-	out := s.Forward(x, true)
-	if out.Data[0] != 0.5 {
-		t.Fatal("sigmoid forward")
-	}
-	g := s.Backward(tensor.FromSlice(1, 1, []float64{1}))
-	if math.Abs(g.Data[0]-0.25) > 1e-12 {
-		t.Fatalf("sigmoid grad at 0 must be 0.25, got %g", g.Data[0])
-	}
-}
-
-func TestTanhLayer(t *testing.T) {
-	l := NewTanh()
-	x := tensor.FromSlice(1, 2, []float64{0, 1})
-	out := l.Forward(x, true)
-	if out.Data[0] != 0 || math.Abs(out.Data[1]-math.Tanh(1)) > 1e-15 {
-		t.Fatal("tanh forward")
-	}
-	g := l.Backward(tensor.FromSlice(1, 2, []float64{1, 1}))
-	if math.Abs(g.Data[0]-1) > 1e-12 {
-		t.Fatalf("tanh grad at 0 must be 1, got %g", g.Data[0])
-	}
-}
-
-func TestDropout(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	dp := NewDropout(0.5, rng)
-	x := tensor.NewMatrix(10, 100)
-	x.Fill(1)
-	// Inference: identity.
-	out := dp.Forward(x, false)
-	if out != x {
-		t.Fatal("inference dropout must be identity")
-	}
-	// Training: roughly half dropped, survivors scaled by 2.
-	out = dp.Forward(x, true)
-	zeros, twos := 0, 0
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			twos++
-		default:
-			t.Fatalf("unexpected dropout value %g", v)
-		}
-	}
-	if zeros < 300 || twos < 300 {
-		t.Fatalf("dropout counts off: zeros=%d twos=%d", zeros, twos)
-	}
-	// Backward respects the same mask.
-	ones := tensor.NewMatrix(10, 100)
-	ones.Fill(1)
-	g := dp.Backward(ones)
-	for i, v := range g.Data {
-		if (out.Data[i] == 0) != (v == 0) {
-			t.Fatal("dropout backward mask mismatch")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on p=1")
-		}
-	}()
-	NewDropout(1.0, rng)
-}
-
 func TestBCEWithLogitsMatchesNaive(t *testing.T) {
 	pred := tensor.FromSlice(3, 1, []float64{2.0, -1.5, 0.3})
 	target := tensor.FromSlice(3, 1, []float64{1, 0, 1})
@@ -257,10 +188,12 @@ func TestGradCheckMLPMSE(t *testing.T) {
 	}
 }
 
-func TestGradCheckTanhMSE(t *testing.T) {
+// TestGradCheckLinearStackMSE: a Dense feeding a Dense with no activation
+// between them, a stack NewMLP never builds.
+func TestGradCheckLinearStackMSE(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewNetwork(
-		NewDense(3, 5, rng), NewTanh(),
+		NewDense(3, 5, rng),
 		NewDense(5, 1, rng),
 	)
 	x := tensor.NewMatrix(4, 3).RandomizeNormal(rng, 1)

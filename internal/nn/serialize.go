@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 )
 
 // Binary model format:
@@ -15,10 +14,9 @@ import (
 //	version uint32  1
 //	nLayers uint32
 //	per layer:
-//	  kind   uint8   (0 dense, 1 relu, 2 sigmoid, 3 tanh, 4 dropout,
-//	                  5 conv1d, 6 maxpool1d)
+//	  kind   uint8   (0 dense, 1 relu, 5 conv1d, 6 maxpool1d; 2–4 held
+//	                  layers no model builds and are refused as unknown)
 //	  dense:   in uint32, out uint32, W float32[in*out], B float32[out]
-//	  dropout: p float64
 //	  conv1d:  inC, outC, k, l uint32, W float32[outC*inC*k], B float32[outC]
 //	  maxpool: c, l, w uint32
 //
@@ -33,9 +31,6 @@ const (
 const (
 	kindDense   = 0
 	kindReLU    = 1
-	kindSigmoid = 2
-	kindTanh    = 3
-	kindDropout = 4
 	kindConv1D  = 5
 	kindMaxPool = 6
 )
@@ -75,21 +70,6 @@ func (n *Network) Save(w io.Writer) error {
 			if err := bw.WriteByte(kindReLU); err != nil {
 				return err
 			}
-		case *Sigmoid:
-			if err := bw.WriteByte(kindSigmoid); err != nil {
-				return err
-			}
-		case *Tanh:
-			if err := bw.WriteByte(kindTanh); err != nil {
-				return err
-			}
-		case *Dropout:
-			if err := bw.WriteByte(kindDropout); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, t.P); err != nil {
-				return err
-			}
 		case *Conv1D:
 			if err := bw.WriteByte(kindConv1D); err != nil {
 				return err
@@ -121,10 +101,9 @@ func (n *Network) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a network in the binary model format. Dropout layers are
-// restored with a fresh deterministic RNG (they are inference no-ops). A
-// NaN or infinite weight or bias is refused: no trained model holds one,
-// and every score it touched would be NaN.
+// Load reads a network in the binary model format. An unknown layer kind is
+// refused, and so is a NaN or infinite weight or bias: no trained model
+// holds one, and every score it touched would be NaN.
 func Load(r io.Reader) (*Network, error) {
 	br := bufio.NewReader(r)
 	var magic, version, nLayers uint32
@@ -180,21 +159,6 @@ func Load(r io.Reader) (*Network, error) {
 			net.Layers = append(net.Layers, d)
 		case kindReLU:
 			net.Layers = append(net.Layers, NewReLU())
-		case kindSigmoid:
-			net.Layers = append(net.Layers, NewSigmoid())
-		case kindTanh:
-			net.Layers = append(net.Layers, NewTanh())
-		case kindDropout:
-			var p float64
-			if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
-				return nil, err
-			}
-			// NewDropout panics on rates outside [0,1); a corrupt file must
-			// produce an error instead.
-			if math.IsNaN(p) || p < 0 || p >= 1 {
-				return nil, fmt.Errorf("nn: corrupt dropout probability %v", p)
-			}
-			net.Layers = append(net.Layers, NewDropout(p, rand.New(rand.NewSource(0))))
 		case kindConv1D:
 			var dims [4]uint32
 			for j := range dims {

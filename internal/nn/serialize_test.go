@@ -3,9 +3,11 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,9 +18,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	net := NewNetwork(
 		NewDense(6, 10, rng), NewReLU(),
-		NewDropout(0.2, rng),
-		NewDense(10, 4, rng), NewTanh(),
-		NewDense(4, 1, rng), NewSigmoid(),
+		NewDense(10, 4, rng),
+		NewDense(4, 1, rng), NewReLU(),
 	)
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
@@ -60,6 +61,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
 	}
+	// Kinds 2–4 held the Sigmoid, Tanh and Dropout layers no model builds:
+	// a bundle with one is refused as unknown, never a panic.
+	for kind := byte(2); kind <= 4; kind++ {
+		want := fmt.Sprintf("unknown layer kind %d", kind)
+		if _, err := Load(bytes.NewReader(oneLayerModel(kind))); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("layer kind %d: Load error %v, want %q", kind, err, want)
+		}
+	}
+}
+
+// oneLayerModel is a valid model header for a one-layer network followed by
+// that layer's kind byte.
+func oneLayerModel(kind byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, modelMagic)
+	b = binary.LittleEndian.AppendUint32(b, modelVersion)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	return append(b, kind)
 }
 
 // TestNonFiniteParametersRefused: a NaN weight, a ±Inf bias, or a finite
