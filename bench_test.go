@@ -130,14 +130,13 @@ func BenchmarkTable3Folds(b *testing.B) {
 // BenchmarkTable4Logistic trains + evaluates the logistic baseline on CSI.
 func BenchmarkTable4Logistic(b *testing.B) {
 	_, split := benchFixture(b)
-	cfg := benchCfg()
 	x, y := split.Train.Matrix(dataset.FeatCSI)
 	scaler := linmodel.FitScaler(x)
 	xs := scaler.Transform(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var lr linmodel.Logistic
-		lr.Fit(xs, y, cfg.Logistic)
+		lr.Fit(xs, y)
 		for _, fold := range split.Folds {
 			xf, _ := fold.Matrix(dataset.FeatCSI)
 			lr.Predict(scaler.Transform(xf))

@@ -59,7 +59,7 @@ func TestTable4Golden(t *testing.T) {
 		{"table1", 0x4aa8db9fbbd17072},
 		{"table2", 0xd2eaf62e799b043c},
 		{"table3", 0x26d89511211a9fac},
-		{"table4", 0xdb926ee9bdc3af17},
+		{"table4", 0x2219fb917eab0764},
 		{"table5", 0xd76bbe9b7e309f83},
 		{"profile", 0x089161d819d98239},
 		{"figure3", 0xc3e6c68ebba9c0e1},

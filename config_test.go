@@ -23,7 +23,7 @@ type configStruct struct {
 // pre-flight any configuration — including ones built from external input
 // such as occuserve request parameters or JSON profiles — before handing it
 // to a constructor. Constructors that can fail call Validate themselves;
-// clamp-style entry points (nn.Fit, rf/linmodel fits, fault.NewInjector)
+// clamp-style entry points (nn.Fit, the rf fits, fault.NewInjector)
 // keep their behaviour and expose Validate purely as the pre-flight check.
 func TestEveryConfigHasValidate(t *testing.T) {
 	fset := token.NewFileSet()

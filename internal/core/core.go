@@ -95,7 +95,7 @@ func TrainDetector(train *dataset.Dataset, cfg DetectorConfig) (*Detector, error
 	if err != nil {
 		return nil, err
 	}
-	f, err := c.fit(&in, linmodel.LogisticConfig{})
+	f, err := c.fit(&in)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,6 @@ func quickCfg() ExperimentConfig {
 	cfg.MaxEvalSamples = 400
 	cfg.RF.NumTrees = 10
 	cfg.RF.MaxDepth = 12
-	cfg.Logistic.Epochs = 10
 	return cfg
 }
 
@@ -171,7 +170,7 @@ func TestEnvRegressorLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.fit(&in, linmodel.LogisticConfig{})
+	f, err := c.fit(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestEnvRegressorLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.fit(&empty, linmodel.LogisticConfig{}); err == nil {
+	if _, err := c.fit(&empty); err == nil {
 		t.Fatal("empty training set must error")
 	}
 }
@@ -262,7 +261,7 @@ func TestDefaultConfigsConsistent(t *testing.T) {
 		t.Fatal("paper hyper-parameters changed")
 	}
 	x := DefaultExperimentConfig()
-	if x.RF.NumTrees <= 0 || x.Logistic.Epochs <= 0 {
+	if x.RF.NumTrees <= 0 {
 		t.Fatal("experiment defaults")
 	}
 	// Paper architecture invariant: CSI-only net has the Table/§IV-B
@@ -284,7 +283,6 @@ func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 		{"LR NaN", func(c *nn.TrainConfig) { c.LR = math.NaN() }},
 		{"LR +Inf", func(c *nn.TrainConfig) { c.LR = math.Inf(1) }},
 		{"WeightDecay NaN", func(c *nn.TrainConfig) { c.WeightDecay = math.NaN() }},
-		{"ClipNorm +Inf", func(c *nn.TrainConfig) { c.ClipNorm = math.Inf(1) }},
 	} {
 		det := DefaultDetectorConfig()
 		bad.set(&det.Train)

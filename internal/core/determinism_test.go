@@ -52,7 +52,6 @@ func shrink(cfg ExperimentConfig) ExperimentConfig {
 	cfg.MaxEvalSamples = 150
 	cfg.RF.NumTrees = 5
 	cfg.RF.MaxDepth = 8
-	cfg.Logistic.Epochs = 4
 	return cfg
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/infer"
-	"repro/internal/linmodel"
 	"repro/internal/nn"
 	"repro/internal/rf"
 	"repro/internal/stats"
@@ -42,7 +41,6 @@ type ExperimentConfig struct {
 	Hidden         []int
 	NNTrain        nn.TrainConfig
 	RF             rf.ForestConfig
-	Logistic       linmodel.LogisticConfig
 	Seed           int64
 	// Workers bounds the goroutines the experiment grids fan out across
 	// (<=0 means GOMAXPROCS). Results are bit-identical for every value —
@@ -64,20 +62,16 @@ func (c ExperimentConfig) Validate() error {
 	if err := c.NNTrain.Validate(); err != nil {
 		return err
 	}
-	if err := c.RF.Validate(); err != nil {
-		return err
-	}
-	return c.Logistic.Validate()
+	return c.RF.Validate()
 }
 
 // DefaultExperimentConfig returns the paper-default hyper-parameters.
 func DefaultExperimentConfig() ExperimentConfig {
 	return ExperimentConfig{
-		Hidden:   append([]int(nil), PaperHidden...),
-		NNTrain:  nn.DefaultTrainConfig(),
-		RF:       rf.DefaultForestConfig(),
-		Logistic: linmodel.DefaultLogisticConfig(),
-		Seed:     1,
+		Hidden:  append([]int(nil), PaperHidden...),
+		NNTrain: nn.DefaultTrainConfig(),
+		RF:      rf.DefaultForestConfig(),
+		Seed:    1,
 	}
 }
 

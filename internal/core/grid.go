@@ -83,7 +83,7 @@ type cell struct {
 	std      bool           // feed the model standardised inputs
 	pca      int            // > 0: project the standardised inputs onto this many components
 	train    nn.TrainConfig // network epochs and shuffle seed
-	seed     int64          // network init, PCA and logistic seed
+	seed     int64          // network init and PCA seed
 }
 
 // row is one cell's outcome.
@@ -228,7 +228,7 @@ func runCells(split *dataset.Split, cfg ExperimentConfig, cells []cell) ([]row, 
 	}
 	fits := parallel.Map(workers, len(uniq), func(ci int) trained {
 		t0 := time.Now()
-		f, err := uniq[ci].fit(&train[designOf[ci]], cfg.Logistic)
+		f, err := uniq[ci].fit(&train[designOf[ci]])
 		return trained{f, time.Since(t0), err}
 	})
 	rows := make([]row, len(uniq))
@@ -361,7 +361,7 @@ func (c cell) input(x, xs *tensor.Matrix) *tensor.Matrix {
 }
 
 // fit trains c on design d.
-func (c cell) fit(d *inputs, lcfg linmodel.LogisticConfig) (fitted, error) {
+func (c cell) fit(d *inputs) (fitted, error) {
 	if d.x.Rows == 0 {
 		return fitted{}, fmt.Errorf("empty training set")
 	}
@@ -371,13 +371,13 @@ func (c cell) fit(d *inputs, lcfg linmodel.LogisticConfig) (fitted, error) {
 
 	x, y := c.input(d.x, d.xs), labels(d.recs, c.task)
 	if c.pca <= 0 {
-		return c.fitClasses(x, y, lcfg), nil
+		return c.fitClasses(x, y), nil
 	}
 	pca, err := linmodel.FitPCA(x, c.pca, c.seed)
 	if err != nil {
 		return fitted{}, fmt.Errorf("PCA front-end: %w", err)
 	}
-	f := c.fitClasses(pca.Transform(x), y, lcfg)
+	f := c.fitClasses(pca.Transform(x), y)
 	classes := f.classes
 	f.classes = func(x *tensor.Matrix) []int { return classes(pca.Transform(x)) }
 	return f, nil
@@ -432,12 +432,11 @@ func (c cell) fitEnv(d *inputs) (fitted, error) {
 }
 
 // fitClasses trains c's classifier on inputs x with labels y.
-func (c cell) fitClasses(x *tensor.Matrix, y []int, lcfg linmodel.LogisticConfig) fitted {
+func (c cell) fitClasses(x *tensor.Matrix, y []int) fitted {
 	switch c.model {
 	case linear:
 		logit := &linmodel.Logistic{}
-		lcfg.Seed = c.seed
-		logit.Fit(x, y, lcfg)
+		logit.Fit(x, y)
 		return fitted{classes: logit.Predict}
 	case forest:
 		return c.fitForest(x, y)

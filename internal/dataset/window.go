@@ -17,18 +17,10 @@ import (
 type WindowSpec struct {
 	// N is the window length in samples (e.g. 20 = 1 s at 20 Hz).
 	N int
-	// WithEnv appends the instantaneous temperature and humidity.
-	WithEnv bool
 }
 
-// Dim returns the feature width: mean+std per subcarrier (+2 env).
-func (w WindowSpec) Dim() int {
-	d := 2 * csi.NumSubcarriers
-	if w.WithEnv {
-		d += 2
-	}
-	return d
-}
+// Dim returns the feature width: mean and std per subcarrier.
+func (w WindowSpec) Dim() int { return 2 * csi.NumSubcarriers }
 
 // WindowedMatrix materialises windowed features for records [N-1, len),
 // returning the feature matrix plus the row-aligned indices into d.Records
@@ -70,10 +62,6 @@ func (d *Dataset) WindowedMatrix(spec WindowSpec) (*tensor.Matrix, []int, error)
 			}
 			row[2*k] = mean
 			row[2*k+1] = math.Sqrt(variance)
-		}
-		if spec.WithEnv {
-			row[2*csi.NumSubcarriers] = rec.Temp
-			row[2*csi.NumSubcarriers+1] = rec.Humidity
 		}
 		idx[r] = last
 		// Slide the window: drop the oldest sample.

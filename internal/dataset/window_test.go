@@ -12,16 +12,13 @@ func TestWindowSpecDim(t *testing.T) {
 	if (WindowSpec{N: 10}).Dim() != 128 {
 		t.Fatal("csi-only dim")
 	}
-	if (WindowSpec{N: 10, WithEnv: true}).Dim() != 130 {
-		t.Fatal("with-env dim")
-	}
 }
 
 func TestWindowedMatrixAgainstNaive(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Duration = 5 * time.Minute
 	d := mustGenerate(t, cfg)
-	spec := WindowSpec{N: 7, WithEnv: true}
+	spec := WindowSpec{N: 7}
 	x, idx, err := d.WindowedMatrix(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +47,6 @@ func TestWindowedMatrixAgainstNaive(t *testing.T) {
 			if math.Abs(x.At(r, 2*k+1)-wantStd) > 1e-9 {
 				t.Fatalf("row %d sc %d std %g want %g", r, k, x.At(r, 2*k+1), wantStd)
 			}
-		}
-		// Env columns carry the last sample's readings.
-		rec := &d.Records[idx[r]]
-		if x.At(r, 128) != rec.Temp || x.At(r, 129) != rec.Humidity {
-			t.Fatal("env columns misaligned")
 		}
 	}
 }

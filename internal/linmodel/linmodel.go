@@ -8,7 +8,6 @@ package linmodel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -67,86 +66,115 @@ func (s *Scaler) TransformRow(row []float64) {
 	}
 }
 
-// Logistic is a binary logistic-regression classifier trained by mini-batch
-// gradient descent with L2 regularisation.
+// Logistic is a binary logistic-regression classifier: W and B minimise
+// the mean log-loss plus (l2/2)·‖W‖², solved by Fit to its optimum.
 type Logistic struct {
 	W []float64
 	B float64
 }
 
-// LogisticConfig controls Logistic.Fit.
-type LogisticConfig struct {
-	Epochs    int
-	BatchSize int
-	LR        float64
-	L2        float64
-	Seed      int64
-}
+// l2 is the ridge on the weights of Logistic's objective; the bias is not
+// penalised. It is scikit-learn's C = 1/(n·l2) on the sum-form objective.
+const l2 = 1e-4
 
-// Validate reports whether the configuration is trainable (zero sizes are
-// defaulted by Fit, so only negative values fail).
-func (c LogisticConfig) Validate() error {
-	if c.Epochs < 0 || c.BatchSize < 0 {
-		return fmt.Errorf("linmodel: negative training sizes (epochs %d, batch %d)", c.Epochs, c.BatchSize)
-	}
-	if c.LR < 0 || c.L2 < 0 {
-		return fmt.Errorf("linmodel: negative rates (lr %g, l2 %g)", c.LR, c.L2)
-	}
-	return nil
-}
+// The Newton solve stops once ‖∇J‖∞ ≤ gradTol, when no step along the
+// Newton direction lowers J, or after maxNewtonSteps steps.
+const (
+	gradTol        = 1e-8
+	maxNewtonSteps = 100
+	maxHalvings    = 50
+	armijo         = 1e-4 // sufficient-decrease fraction of the line search
+)
 
-// DefaultLogisticConfig mirrors scikit-learn-ish defaults adapted to GD.
-func DefaultLogisticConfig() LogisticConfig {
-	return LogisticConfig{Epochs: 30, BatchSize: 256, LR: 0.1, L2: 1e-4, Seed: 1}
-}
-
-// Fit trains on rows of x with binary labels y.
-func (l *Logistic) Fit(x *tensor.Matrix, y []int, cfg LogisticConfig) {
+// Fit trains on rows of x with binary labels y by Newton's method
+// (iteratively reweighted least squares): each step solves
+// (X̃ᵀSX̃/n + l2·I′)·Δ = ∇J, with X̃ = [X | 1], S the diagonal of p(1−p)
+// and I′ the identity without the bias entry, and halves the step until J
+// falls by the Armijo margin.
+func (l *Logistic) Fit(x *tensor.Matrix, y []int) {
 	if x.Rows != len(y) {
 		panic(fmt.Sprintf("linmodel: Logistic.Fit rows %d != labels %d", x.Rows, len(y)))
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
-	}
-	if cfg.BatchSize <= 0 || cfg.BatchSize > x.Rows {
-		cfg.BatchSize = x.Rows
-	}
-	l.W = make([]float64, x.Cols)
+	n, d := x.Rows, x.Cols
+	l.W = make([]float64, d)
 	l.B = 0
-	if x.Rows == 0 {
+	if n == 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	idx := make([]int, x.Rows)
-	for i := range idx {
-		idx[i] = i
+	// θ = (W, B) against the design with a trailing column of ones.
+	xb := tensor.NewMatrix(n, d+1)
+	for i := 0; i < n; i++ {
+		row := xb.Row(i)
+		copy(row, x.Row(i))
+		row[d] = 1
 	}
-	gw := make([]float64, x.Cols)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
+	theta, trial := make([]float64, d+1), make([]float64, d+1)
+	z, zTrial := make([]float64, n), make([]float64, n)
+	obj := logLoss(xb, y, theta, z)
+	resid := tensor.NewMatrix(n, 1)
+	ws := tensor.NewMatrix(n, d+1) // rows of X̃ weighted by √(p(1−p))
+	grad := tensor.NewMatrix(d+1, 1)
+	hess := tensor.NewMatrix(d+1, d+1)
+	inv := 1 / float64(n)
+	for step := 0; step < maxNewtonSteps; step++ {
+		for i, zi := range z {
+			p := nn.SigmoidScalar(zi)
+			resid.Data[i] = p - float64(y[i])
+			row := ws.Row(i)
+			copy(row, xb.Row(i))
+			tensor.ScaleVec(row, math.Sqrt(p*(1-p)))
+		}
+		tensor.MatMulATB(grad, xb, resid)
+		gmax := 0.0
+		for j := range grad.Data {
+			grad.Data[j] *= inv
+			if j < d {
+				grad.Data[j] += l2 * theta[j]
 			}
-			for j := range gw {
-				gw[j] = 0
+			gmax = math.Max(gmax, math.Abs(grad.Data[j]))
+		}
+		if gmax <= gradTol {
+			break
+		}
+		tensor.MatMulATB(hess, ws, ws)
+		tensor.ScaleVec(hess.Data, inv)
+		for j := 0; j < d; j++ {
+			hess.Data[j*(d+1)+j] += l2
+		}
+		delta, err := tensor.SolveSPD(hess, grad, 0)
+		if err != nil {
+			break
+		}
+		slope := tensor.Dot(grad.Data, delta.Data)
+		accepted := false
+		for t, k := 1.0, 0; k < maxHalvings; t, k = t/2, k+1 {
+			for j := range trial {
+				trial[j] = theta[j] - t*delta.Data[j]
 			}
-			var gb float64
-			for _, si := range idx[start:end] {
-				row := x.Row(si)
-				p := nn.SigmoidScalar(tensor.Dot(l.W, row) + l.B)
-				e := p - float64(y[si])
-				tensor.Axpy(gw, e, row)
-				gb += e
+			if o := logLoss(xb, y, trial, zTrial); o < obj-armijo*t*slope {
+				theta, trial, z, zTrial, obj, accepted = trial, theta, zTrial, z, o, true
+				break
 			}
-			inv := 1 / float64(end-start)
-			for j := range l.W {
-				l.W[j] -= cfg.LR * (gw[j]*inv + cfg.L2*l.W[j])
-			}
-			l.B -= cfg.LR * gb * inv
+		}
+		if !accepted {
+			break
 		}
 	}
+	copy(l.W, theta[:d])
+	l.B = theta[d]
+}
+
+// logLoss returns the objective at θ over the bias-augmented design x,
+// leaving each row's logit in z.
+func logLoss(x *tensor.Matrix, y []int, theta, z []float64) float64 {
+	var sum float64
+	for i := range z {
+		z[i] = tensor.Dot(x.Row(i), theta)
+		// log(1+eᶻ) − y·z, with log(1+eᶻ) = max(z, 0) + log1p(e^−|z|).
+		sum += math.Max(z[i], 0) + math.Log1p(math.Exp(-math.Abs(z[i]))) - float64(y[i])*z[i]
+	}
+	w := theta[:len(theta)-1]
+	return sum/float64(len(z)) + l2/2*tensor.Dot(w, w)
 }
 
 // PredictProb returns P(class=1) for one sample.

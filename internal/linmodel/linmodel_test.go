@@ -71,7 +71,7 @@ func TestLogisticSeparable(t *testing.T) {
 		}
 	}
 	var lr Logistic
-	lr.Fit(x, y, DefaultLogisticConfig())
+	lr.Fit(x, y)
 	pred := lr.Predict(x)
 	if acc := stats.Accuracy(y, pred); acc < 0.95 {
 		t.Fatalf("separable accuracy %g", acc)
@@ -84,21 +84,45 @@ func TestLogisticSeparable(t *testing.T) {
 
 func TestLogisticCannotSolveXOR(t *testing.T) {
 	// The paper's point: a linear classifier cannot capture non-linear
-	// structure. XOR accuracy should hover near chance.
+	// structure. By symmetry the XOR optimum is W = 0, B = 0 exactly: the
+	// gradient vanishes at the starting point.
 	x := tensor.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	y := []int{0, 1, 1, 0}
 	var lr Logistic
-	cfg := DefaultLogisticConfig()
-	cfg.Epochs = 200
-	lr.Fit(x, y, cfg)
-	if acc := stats.Accuracy(y, lr.Predict(x)); acc > 0.75 {
-		t.Fatalf("logistic regression should not solve XOR, acc=%g", acc)
+	lr.Fit(x, y)
+	if lr.W[0] != 0 || lr.W[1] != 0 || lr.B != 0 {
+		t.Fatalf("XOR optimum W=%v B=%g, want exact zeros", lr.W, lr.B)
+	}
+}
+
+// With one class present the optimum runs off to infinity along the bias;
+// the solve must still stop, with finite weights that predict that class.
+func TestLogisticSingleClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	x := tensor.NewMatrix(50, 3).RandomizeNormal(rng, 1)
+	for _, class := range []int{0, 1} {
+		y := make([]int, x.Rows)
+		for i := range y {
+			y[i] = class
+		}
+		var lr Logistic
+		lr.Fit(x, y)
+		for _, v := range append([]float64{lr.B}, lr.W...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("class %d: non-finite weights W=%v B=%g", class, lr.W, lr.B)
+			}
+		}
+		for i, p := range lr.Predict(x) {
+			if p != class {
+				t.Fatalf("class %d: row %d predicted %d", class, i, p)
+			}
+		}
 	}
 }
 
 func TestLogisticEmptyAndMismatch(t *testing.T) {
 	var lr Logistic
-	lr.Fit(tensor.NewMatrix(0, 3), nil, DefaultLogisticConfig())
+	lr.Fit(tensor.NewMatrix(0, 3), nil)
 	if len(lr.W) != 3 || lr.B != 0 {
 		t.Fatal("empty fit must produce zero model")
 	}
@@ -107,7 +131,7 @@ func TestLogisticEmptyAndMismatch(t *testing.T) {
 			t.Fatal("expected mismatch panic")
 		}
 	}()
-	lr.Fit(tensor.NewMatrix(2, 3), []int{1}, DefaultLogisticConfig())
+	lr.Fit(tensor.NewMatrix(2, 3), []int{1})
 }
 
 func TestFitLinearRecoversPlantedModel(t *testing.T) {

@@ -17,9 +17,7 @@ type TrainConfig struct {
 	BatchSize   int
 	LR          float64
 	WeightDecay float64
-	ClipNorm    float64 // 0 disables gradient clipping
-	Seed        int64
-	Shuffle     bool
+	Seed        int64 // the per-epoch shuffle's seed
 	// OnEpoch, when non-nil, receives (epoch, meanLoss) after each epoch.
 	OnEpoch func(epoch int, loss float64)
 	// Observer receives per-epoch training metrics (train_* series: epoch
@@ -41,7 +39,7 @@ func (c TrainConfig) Validate() error {
 	for _, r := range [...]struct {
 		name string
 		v    float64
-	}{{"LR", c.LR}, {"WeightDecay", c.WeightDecay}, {"ClipNorm", c.ClipNorm}} {
+	}{{"LR", c.LR}, {"WeightDecay", c.WeightDecay}} {
 		if !(r.v >= 0) || math.IsInf(r.v, 1) {
 			return fmt.Errorf("nn: training rate %s = %v, want finite and non-negative", r.name, r.v)
 		}
@@ -57,11 +55,12 @@ func DefaultTrainConfig() TrainConfig {
 		BatchSize:   256,
 		LR:          5e-3,
 		WeightDecay: 1e-4,
-		ClipNorm:    5,
 		Seed:        1,
-		Shuffle:     true,
 	}
 }
+
+// clipNorm is the global gradient-norm bound of every Fit step.
+const clipNorm = 5
 
 // Fit trains the network on (x, y) minimising loss with a fresh AdamW. y
 // must have one row per x row. Returns the per-epoch mean training loss.
@@ -96,7 +95,7 @@ func (n *Network) fitEpochs(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, opt
 		idx[i] = i
 	}
 	shuffle := func() { rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }) }
-	step := newTrainStep(n, loss, opt, cfg.ClipNorm)
+	step := newTrainStep(n, loss, opt, clipNorm)
 
 	// Persistent batch buffers. The tail batch (when x.Rows is not a
 	// multiple of BatchSize) reuses the same backing arrays through
@@ -109,10 +108,8 @@ func (n *Network) fitEpochs(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, opt
 		ty = tensor.FromSlice(tail, y.Cols, by.Data[:tail*y.Cols])
 	}
 
-	if cfg.Shuffle {
-		for e := 0; e < start; e++ {
-			shuffle()
-		}
+	for e := 0; e < start; e++ {
+		shuffle()
 	}
 
 	// Training metrics: resolved once per Fit, updated once per epoch —
@@ -133,9 +130,7 @@ func (n *Network) fitEpochs(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, opt
 		if mDur != nil {
 			t0 = time.Now()
 		}
-		if cfg.Shuffle {
-			shuffle()
-		}
+		shuffle()
 		var epochLoss float64
 		batches := 0
 		for start := 0; start < len(idx); start += cfg.BatchSize {

@@ -15,7 +15,7 @@ import (
 // TestTrainConfigValidateRejectsNonFinite: NaN passes every ordered range
 // check, so Validate must refuse NaN and ±Inf in each rate by name — a NaN
 // learning rate otherwise trains into a model of NaN weights. Negative rates
-// stay refused; zero rates (no decay, no clipping) stay accepted.
+// stay refused; zero rates (no decay) stay accepted.
 func TestTrainConfigValidateRejectsNonFinite(t *testing.T) {
 	for _, f := range []struct {
 		name string
@@ -23,7 +23,6 @@ func TestTrainConfigValidateRejectsNonFinite(t *testing.T) {
 	}{
 		{"LR", func(c *TrainConfig, v float64) { c.LR = v }},
 		{"WeightDecay", func(c *TrainConfig, v float64) { c.WeightDecay = v }},
-		{"ClipNorm", func(c *TrainConfig, v float64) { c.ClipNorm = v }},
 	} {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-3} {
 			c := DefaultTrainConfig()

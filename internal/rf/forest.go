@@ -17,10 +17,7 @@ type ForestConfig struct {
 	// MTry is the number of features considered per split; <=0 selects
 	// √d for classification and d/3 for regression, the customary defaults.
 	MTry int
-	// SubsampleRatio is the bootstrap fraction (default 1.0, with
-	// replacement).
-	SubsampleRatio float64
-	Seed           int64
+	Seed int64
 }
 
 // Validate reports whether the configuration is trainable (zero sizes are
@@ -29,16 +26,13 @@ func (c ForestConfig) Validate() error {
 	if c.NumTrees < 0 {
 		return fmt.Errorf("rf: negative NumTrees %d", c.NumTrees)
 	}
-	if c.SubsampleRatio < 0 || c.SubsampleRatio > 1 {
-		return fmt.Errorf("rf: SubsampleRatio %g outside [0, 1]", c.SubsampleRatio)
-	}
 	return TreeConfig{MaxDepth: c.MaxDepth, MinLeaf: c.MinLeaf, MTry: c.MTry}.Validate()
 }
 
 // DefaultForestConfig mirrors common scikit-learn defaults scaled for a
 // pure-Go training budget.
 func DefaultForestConfig() ForestConfig {
-	return ForestConfig{NumTrees: 30, MaxDepth: 18, MinLeaf: 2, SubsampleRatio: 1.0, Seed: 1}
+	return ForestConfig{NumTrees: 30, MaxDepth: 18, MinLeaf: 2, Seed: 1}
 }
 
 // Forest is a bagged ensemble of CART trees.
@@ -68,9 +62,6 @@ func fit(x *tensor.Matrix, y []float64, cfg ForestConfig, regression bool) *Fore
 	if cfg.NumTrees <= 0 {
 		cfg.NumTrees = 1
 	}
-	if cfg.SubsampleRatio <= 0 || cfg.SubsampleRatio > 1 {
-		cfg.SubsampleRatio = 1
-	}
 	mtry := cfg.MTry
 	if mtry <= 0 {
 		if regression {
@@ -90,10 +81,6 @@ func fit(x *tensor.Matrix, y []float64, cfg ForestConfig, regression bool) *Fore
 		return f
 	}
 
-	nBoot := int(cfg.SubsampleRatio * float64(x.Rows))
-	if nBoot < 1 {
-		nBoot = 1
-	}
 	// Per-tree deterministic seeds derived from the master seed.
 	seeds := make([]int64, cfg.NumTrees)
 	master := rand.New(rand.NewSource(cfg.Seed))
@@ -105,7 +92,7 @@ func fit(x *tensor.Matrix, y []float64, cfg ForestConfig, regression bool) *Fore
 	// own slot, so no locking is needed.
 	parallel.ForEach(0, cfg.NumTrees, func(ti int) {
 		rng := rand.New(rand.NewSource(seeds[ti]))
-		idx := make([]int, nBoot)
+		idx := make([]int, x.Rows) // a bootstrap sample, drawn with replacement
 		for j := range idx {
 			idx[j] = rng.Intn(x.Rows)
 		}

@@ -32,10 +32,9 @@ type Tree struct {
 
 // TreeConfig bounds tree growth.
 type TreeConfig struct {
-	MaxDepth    int // <=0 means unlimited
-	MinLeaf     int // minimum samples per leaf (default 1)
-	MTry        int // features examined per split; <=0 means all
-	MinImpurity float64
+	MaxDepth int // <=0 means unlimited
+	MinLeaf  int // minimum samples per leaf (default 1)
+	MTry     int // features examined per split; <=0 means all
 }
 
 // Validate reports whether the bounds are usable. MaxDepth and MTry use
@@ -44,9 +43,6 @@ type TreeConfig struct {
 func (c TreeConfig) Validate() error {
 	if c.MinLeaf < 0 {
 		return fmt.Errorf("rf: negative MinLeaf %d", c.MinLeaf)
-	}
-	if c.MinImpurity < 0 {
-		return fmt.Errorf("rf: negative MinImpurity %g", c.MinImpurity)
 	}
 	return nil
 }
@@ -124,7 +120,7 @@ func (b *builder) grow(idx []int, depth int) int {
 	b.rng.Shuffle(len(b.feat), func(i, j int) { b.feat[i], b.feat[j] = b.feat[j], b.feat[i] })
 	for _, f := range b.feat[:b.cfg.MTry] {
 		thr, gain, ok := b.bestSplit(idx, f)
-		if ok && gain >= b.cfg.MinImpurity && gain > bestGain {
+		if ok && gain >= 0 && gain > bestGain {
 			bestFeat, bestThr, bestGain = f, thr, gain
 		}
 	}

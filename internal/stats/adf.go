@@ -94,23 +94,25 @@ func ADF(x []float64, lags int) (ADFResult, error) {
 
 // olsWithCov solves the least squares problem y = X·β and additionally
 // returns the residual variance s² = RSS/(n-k) and (XᵀX)⁻¹, from which
-// coefficient standard errors follow as sqrt(s²·diag((XᵀX)⁻¹)).
+// coefficient standard errors follow as sqrt(s²·diag((XᵀX)⁻¹)). One
+// factorisation of XᵀX solves for both, against [Xᵀy | I].
 func olsWithCov(X, y *tensor.Matrix) (beta *tensor.Matrix, resVar float64, xtxInv *tensor.Matrix, err error) {
 	k := X.Cols
-	xtx := tensor.MatMulATB(nil, X, X)
 	xty := tensor.MatMulATB(nil, X, y)
-	beta, err = tensor.SolveSPD(xtx, xty, 0)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	// Invert XᵀX by solving against the identity.
-	eye := tensor.NewMatrix(k, k)
+	rhs := tensor.NewMatrix(k, 1+k)
 	for i := 0; i < k; i++ {
-		eye.Set(i, i, 1)
+		rhs.Set(i, 0, xty.At(i, 0))
+		rhs.Set(i, 1+i, 1)
 	}
-	xtxInv, err = tensor.SolveSPD(xtx, eye, 0)
+	sol, err := tensor.SolveSPD(tensor.MatMulATB(nil, X, X), rhs, 0)
 	if err != nil {
 		return nil, 0, nil, err
+	}
+	beta, xtxInv = tensor.NewMatrix(k, 1), tensor.NewMatrix(k, k)
+	for i := 0; i < k; i++ {
+		row := sol.Row(i)
+		beta.Set(i, 0, row[0])
+		copy(xtxInv.Row(i), row[1:])
 	}
 	pred := tensor.MatMul(nil, X, beta)
 	var rss float64

@@ -100,3 +100,37 @@ func TestADFStringVerdicts(t *testing.T) {
 		t.Fatal("t=-1 must not reject")
 	}
 }
+
+// TestADFNoLagsMatchesSimpleRegression pins the statistic itself: with no
+// augmenting lags the ADF regression is Δy_t = α + γ·y_{t-1}, a simple
+// regression whose t(γ̂) has the closed form γ̂/√(s²/Sxx), with γ̂ = Sxy/Sxx
+// and s² = (Syy − Sxy²/Sxx)/(n−2).
+func TestADFNoLagsMatchesSimpleRegression(t *testing.T) {
+	x := []float64{1, 3, 2, 5, 4, 4.5, 3, 6}
+	var lag, dy []float64
+	for i := 1; i < len(x); i++ {
+		lag = append(lag, x[i-1])
+		dy = append(dy, x[i]-x[i-1])
+	}
+	n := float64(len(dy))
+	ml, md := Mean(lag), Mean(dy)
+	var sxx, sxy, syy float64
+	for i := range dy {
+		sxx += (lag[i] - ml) * (lag[i] - ml)
+		sxy += (lag[i] - ml) * (dy[i] - md)
+		syy += (dy[i] - md) * (dy[i] - md)
+	}
+	s2 := (syy - sxy*sxy/sxx) / (n - 2)
+	want := (sxy / sxx) / math.Sqrt(s2/sxx)
+
+	res, err := ADF(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lags != 0 || res.NObs != len(dy) {
+		t.Fatalf("lags %d nobs %d, want 0 and %d", res.Lags, res.NObs, len(dy))
+	}
+	if math.Abs(res.Statistic-want) > 1e-12 {
+		t.Fatalf("ADF t = %.17g, closed form %.17g", res.Statistic, want)
+	}
+}

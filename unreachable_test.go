@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,31 +38,7 @@ var reachedIndirectly = map[string]string{
 // Tests are not callers: a helper only its own test reaches is deleted with
 // the test, not kept for it.
 func TestNoUnreachableExports(t *testing.T) {
-	l := &treeLoader{
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*types.Package),
-		info: &types.Info{
-			Defs: make(map[*ast.Ident]types.Object),
-			Uses: make(map[*ast.Ident]types.Object),
-		},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		_, ierr := l.Import(filepath.ToSlash(filepath.Join("repro", path)))
-		if _, noGo := ierr.(*build.NoGoError); noGo {
-			return nil // a directory without non-test Go files
-		}
-		return ierr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loadTree(t)
 
 	// own maps every declared object to the source range a use does not
 	// count in: its declaration, so recursion and a type's self-references
@@ -166,6 +143,107 @@ func TestNoUnreachableExports(t *testing.T) {
 	}
 }
 
+// setIndirectly is the allow-list of TestEveryConfigFieldIsSet: exported
+// fields of configuration structs that no non-test code writes, each with
+// the reason it stays. A name is "pkg.Type.Field".
+var setIndirectly = map[string]string{
+	"core.DivergenceConfig.MaxAbsDelta": "overrides the per-precision default probability bound (0 keeps it, negative disables); the divergence tests tighten and disable it to show the gate refusing and admitting",
+	"core.DivergenceConfig.MaxFlipRate": "overrides the zero-flip default (negative disables); the divergence tests disable it beside MaxAbsDelta",
+	"occupancy.ServeConfig.Burst":       "the public serving API's token-bucket capacity beside RatePerSec, which occuserve sets; zero takes server.Config's default of 2×RatePerSec",
+	"server.Config.MaxHoldGap":          "passed through to each feed's stream.Config (zero: stream's default); the server goldens shorten it so short traces reach every runtime path",
+	"server.Config.WatchdogFrames":      "passed through to each feed's stream.Config (zero: stream's default); the server goldens shorten it so short traces reach fallback",
+	"server.Config.RecoverFrames":       "passed through to each feed's stream.Config (zero: stream's default); the server goldens shorten it so short traces reach recovery",
+	"server.Config.SmootherNeed":        "passed through to each feed's stream.Config (zero: stream's default); the server goldens and durability tests set it to exercise smoothing",
+	"stream.Config.Imputation":          "the env gap policy, recorded in the encoded stream snapshot: dropping it moves TestSnapshotBytesGolden, so it goes with ROADMAP item 19",
+}
+
+// TestEveryConfigFieldIsSet keeps options from outliving their callers:
+// every exported field of an exported struct named Config or *Config under
+// internal/ or pkg/ must be written by non-test code somewhere in the tree
+// — the root module or bench/ — as a composite-literal key or an
+// assignment target, or sit in setIndirectly with a reason. A field only
+// its own tests set is a constant in disguise: inline it.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	l := loadTree(t)
+	var fields []*types.Var
+	names := make(map[*types.Var]string)
+	for _, f := range l.files {
+		path := filepath.ToSlash(l.fset.Position(f.Pos()).Filename)
+		if !strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "pkg/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || ts.Assign != 0 || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				obj := l.info.Defs[ts.Name]
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if fv := st.Field(i); fv.Exported() {
+						fields = append(fields, fv)
+						names[fv] = obj.Pkg().Name() + "." + obj.Name() + "." + fv.Name()
+					}
+				}
+			}
+		}
+	}
+
+	set := make(map[types.Object]bool)
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[l.info.Uses[key]] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						set[l.info.Uses[sel.Sel]] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var unset []string
+	declared := make(map[string]bool)
+	for _, fv := range fields {
+		name := names[fv]
+		declared[name] = true
+		_, allowed := setIndirectly[name]
+		switch {
+		case set[fv] && allowed:
+			t.Errorf("setIndirectly lists %s, which non-test code now sets — drop the entry", name)
+		case !set[fv] && !allowed:
+			unset = append(unset, name+"  ("+l.fset.Position(fv.Pos()).String()+")")
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("config field set by no non-test code: %s — inline its default and delete it, or allow-list it with a reason", u)
+	}
+	for name := range setIndirectly {
+		if !declared[name] {
+			t.Errorf("setIndirectly lists %s, which internal/ and pkg/ no longer declare", name)
+		}
+	}
+}
+
 // receiverOf returns the named type obj is a method of, or nil.
 func receiverOf(obj types.Object) *types.Named {
 	fn, ok := obj.(*types.Func)
@@ -196,6 +274,47 @@ type treeLoader struct {
 	files []*ast.File
 	// stdPkgs are the standard-library packages the tree imports.
 	stdPkgs []*types.Package
+}
+
+var (
+	treeOnce sync.Once
+	tree     *treeLoader
+	treeErr  error
+)
+
+// loadTree type-checks every non-test package of the tree once, for all the
+// tests that read it.
+func loadTree(t *testing.T) *treeLoader {
+	t.Helper()
+	treeOnce.Do(func() {
+		l := &treeLoader{
+			fset: token.NewFileSet(),
+			pkgs: make(map[string]*types.Package),
+			info: &types.Info{
+				Defs: make(map[*ast.Ident]types.Object),
+				Uses: make(map[*ast.Ident]types.Object),
+			},
+		}
+		l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+		treeErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			_, ierr := l.Import(filepath.ToSlash(filepath.Join("repro", path)))
+			if _, noGo := ierr.(*build.NoGoError); noGo {
+				return nil // a directory without non-test Go files
+			}
+			return ierr
+		})
+		tree = l
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
 }
 
 func (l *treeLoader) Import(path string) (*types.Package, error) {
