@@ -29,9 +29,9 @@ import (
 //  4. the install gate holds: garbage bundles answer model_rejected and
 //     never become installable or activatable.
 //
-// The candidate comes from the server's own durable frame logs via
-// core.ShadowTrain, so the gate exercises the full retrain-install-swap
-// loop the online-learning design describes.
+// The candidate is core.TrainDetector on the server's own durable frame
+// logs, pseudo-labelled by core.PseudoLabel, so the gate exercises the full
+// retrain-install-swap loop the online-learning design describes.
 func runSwap(ctx context.Context, fx fixture, feeds, perFeed, epochs int, seed int64) error {
 	half := perFeed / 2
 	tmp, err := os.MkdirTemp("", "loadgen-swap-*")
@@ -95,19 +95,20 @@ func runSwap(ctx context.Context, fx fixture, feeds, perFeed, epochs int, seed i
 
 	// Phase 2: shadow-train a candidate from the server's own frame logs,
 	// pseudo-labelled by the bundle the server actually serves.
-	scfg := core.ShadowTrainConfig{
-		LogDir:         logDir,
-		MaxFrames:      20000,
-		CheckpointPath: filepath.Join(tmp, "shadow.ckpt"),
-		Detector: core.DetectorConfig{
-			Hidden: []int{32, 16},
-			Train:  nn.DefaultTrainConfig(),
-			Seed:   seed + 1,
-		},
-	}
-	scfg.Detector.Train.Epochs = epochs
 	t0 := time.Now()
-	candidate, nTrained, err := core.ShadowTrain(old.det, scfg)
+	logged, err := core.PseudoLabel(old.det, logDir, nil, 20000)
+	if err != nil {
+		return err
+	}
+	dcfg := core.DetectorConfig{
+		Features: old.det.Features,
+		Hidden:   []int{32, 16},
+		Train:    nn.DefaultTrainConfig(),
+		Seed:     seed + 1,
+	}
+	dcfg.Train.Epochs = epochs
+	dcfg.Train.Checkpoint = filepath.Join(tmp, "shadow.ckpt")
+	candidate, err := core.TrainDetector(logged, dcfg)
 	if err != nil {
 		return err
 	}
@@ -115,7 +116,7 @@ func runSwap(ctx context.Context, fx fixture, feeds, perFeed, epochs int, seed i
 	if err := candidate.Save(&bundle); err != nil {
 		return err
 	}
-	fmt.Printf("loadgen: swap: shadow-trained candidate on %d logged frames in %v\n", nTrained, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("loadgen: swap: shadow-trained candidate on %d logged frames in %v\n", logged.Len(), time.Since(t0).Round(time.Millisecond))
 
 	// Phase 3: install, pin feed 0 to the incumbent, activate — the swap. No
 	// frame is in flight, so every unpinned feed must flip exactly at half.

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -187,15 +188,17 @@ func main() {
 }
 
 // validateFlags rejects nonsensical flag values before any heavy work runs.
+// The float flags must be finite: the comparisons below are written so that
+// NaN fails them, and +Inf is refused by name.
 func validateFlags(rate, minutes, intensity float64, smooth int, model string) error {
-	if rate <= 0 {
-		return fmt.Errorf("-rate must be positive (got %g)", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate must be positive and finite (got %g)", rate)
 	}
-	if minutes <= 0 {
-		return fmt.Errorf("-minutes must be positive (got %g)", minutes)
+	if !(minutes > 0) || math.IsInf(minutes, 1) {
+		return fmt.Errorf("-minutes must be positive and finite (got %g)", minutes)
 	}
-	if intensity < 0 {
-		return fmt.Errorf("-fault must be non-negative (got %g)", intensity)
+	if !(intensity >= 0) || math.IsInf(intensity, 1) {
+		return fmt.Errorf("-fault must be non-negative and finite (got %g)", intensity)
 	}
 	if smooth < 0 {
 		return fmt.Errorf("-smooth must be non-negative (got %d)", smooth)

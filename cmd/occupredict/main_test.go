@@ -4,6 +4,7 @@ import (
 	"flag"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"testing"
@@ -43,5 +44,41 @@ func TestStreamGolden(t *testing.T) {
 	const want = 0x860d6b0023a0639d
 	if h.Sum64() != want {
 		t.Fatalf("stdout hashes to %#016x, want %#016x:\n%s", h.Sum64(), uint64(want), out)
+	}
+}
+
+// TestValidateFlags: every float flag refuses NaN and ±Inf up front — a
+// NaN -fault would otherwise run a silently clean stream, and a NaN
+// -minutes fail only after both detectors had trained.
+func TestValidateFlags(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name                     string
+		rate, minutes, intensity float64
+		smooth                   int
+		ok                       bool
+	}{
+		{"defaults", 20, 10, 0, 0, true},
+		{"faulty smoothed", 20, 2, 1, 3, true},
+		{"rate 0", 0, 10, 0, 0, false},
+		{"rate NaN", nan, 10, 0, 0, false},
+		{"rate +Inf", inf, 10, 0, 0, false},
+		{"rate -Inf", -inf, 10, 0, 0, false},
+		{"minutes negative", 20, -1, 0, 0, false},
+		{"minutes NaN", 20, nan, 0, 0, false},
+		{"minutes +Inf", 20, inf, 0, 0, false},
+		{"fault negative", 20, 10, -0.5, 0, false},
+		{"fault NaN", 20, 10, nan, 0, false},
+		{"fault +Inf", 20, 10, inf, 0, false},
+		{"fault -Inf", 20, 10, -inf, 0, false},
+		{"smooth negative", 20, 10, 0, -1, false},
+	} {
+		err := validateFlags(tc.rate, tc.minutes, tc.intensity, tc.smooth, "")
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	if err := validateFlags(20, 10, 0, 0, "no-such-bundle.bin"); err == nil {
+		t.Error("a missing -model passed")
 	}
 }

@@ -1,28 +1,33 @@
-// Command occutrain trains an occupancy detector on a CSV trace (csigen
-// format) and evaluates it on a held-out temporal split, saving the model
-// bundle for occupredict / deployment.
+// Command occutrain trains an occupancy detector and saves the model bundle
+// for occupredict / deployment. There is one training path,
+// core.TrainDetector; only the data differs:
 //
-// Usage:
-//
-//	occutrain -data trace.csv [-features CSI|Env|C+E] [-model out.bin]
-//	          [-epochs n] [-lr f] [-batch n] [-hidden 128,256,128] [-seed n]
+//	occutrain [-data trace.csv] [-features CSI|Env|C+E] [-train n]
+//	          [-model out.bin] [-epochs n] [-lr f] [-batch n]
+//	          [-hidden 128,256,128] [-seed n] [-checkpoint path]
 //	          [-metrics-addr :9090]
-//	occutrain -shadow-log-dir dir -shadow-from active.bin -model out.bin
+//	occutrain -shadow-log-dir dir -shadow-from active.bin [-model out.bin]
 //	          [-shadow-feeds a,b] [-shadow-max-frames n]
-//	          [-checkpoint path] [-checkpoint-every n]
 //	          [-epochs n] [-lr f] [-batch n] [-hidden 128,256,128] [-seed n]
+//	          [-checkpoint path] [-metrics-addr :9090]
 //
-// With -data "" a synthetic trace is generated on the fly. With
+// The first form trains on the paper split's training fold of a CSV trace
+// (csigen format; with -data "" a synthetic 24 h trace is generated on the
+// fly), thinned to -train samples, and evaluates the held-out folds.
+//
+// The second form is shadow retraining (DESIGN.md §16): the candidate
+// trains on the frames a serving node retained in its durable frame log
+// (-log-dir on occuserve), pseudo-labeled by the active detector bundle
+// given via -shadow-from, whose feature set it keeps; -data, -features and
+// -train are refused. The resulting bundle is what POST /v1/models on a
+// running server gates and installs for a zero-downtime hot-swap.
+//
+// With -checkpoint (in shadow mode it defaults to <model>.ckpt) training
+// saves a checkpoint after every epoch, and rerunning the same command
+// resumes into the bit-identical weight trajectory; a checkpoint left by
+// a run on other data or settings is refused, not resumed. With
 // -metrics-addr, training progress (train_* series) is served on /metrics
 // alongside /debug/pprof/ for profiling slow epochs.
-//
-// The second form is shadow retraining (DESIGN.md §16): instead of a CSV,
-// the candidate trains on the frames a serving node retained in its durable
-// frame log (-log-dir on occuserve), pseudo-labeled by the active detector
-// bundle given via -shadow-from. Training is checkpointed — rerunning with
-// the same -checkpoint resumes into the bit-identical weight trajectory —
-// and the resulting bundle is what POST /v1/models on a running server
-// gates and installs for a zero-downtime hot-swap.
 package main
 
 import (
@@ -49,76 +54,84 @@ func main() {
 		hidden  = flag.String("hidden", "128,256,128", "hidden layer widths")
 		seed    = flag.Int64("seed", 1, "random seed")
 		trainN  = flag.Int("train", 40000, "max training samples after thinning (0 = all)")
+		ckpt    = flag.String("checkpoint", "", "training checkpoint to resume from and save to (empty: none; shadow mode: <model>.ckpt)")
 		metrics = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (empty disables)")
 
 		shadowLogDir = flag.String("shadow-log-dir", "", "shadow mode: frame-log root to retrain from (occuserve -log-dir)")
 		shadowFrom   = flag.String("shadow-from", "", "shadow mode: active detector bundle used as pseudo-labeler (required with -shadow-log-dir)")
 		shadowFeeds  = flag.String("shadow-feeds", "", "shadow mode: comma-separated feed IDs to train on (empty: every logged feed)")
 		shadowMax    = flag.Int("shadow-max-frames", 0, "shadow mode: cap on total training frames across feeds (0 = no cap)")
-		checkpoint   = flag.String("checkpoint", "", "shadow mode: training checkpoint path (default <model>.ckpt)")
-		ckptEvery    = flag.Int("checkpoint-every", 1, "shadow mode: epochs between checkpoints")
 	)
 	flag.Parse()
-
-	if *shadowLogDir != "" {
-		shadowMain(*shadowLogDir, *shadowFrom, *shadowFeeds, *shadowMax, *checkpoint, *ckptEvery,
-			*model, *hidden, *epochs, *lr, *batch, *seed)
-		return
-	}
-	if *shadowFrom != "" {
-		fail(fmt.Errorf("occutrain: -shadow-from needs -shadow-log-dir"))
-	}
-
-	feat, err := parseFeatures(*featStr)
-	fail(err)
-
-	var observer obs.Observer
-	if *metrics != "" {
-		reg := obs.NewRegistry()
-		srv, err := obs.StartServer(*metrics, reg)
-		fail(err)
-		defer srv.Close()
-		fmt.Printf("occutrain: metrics at %s/metrics\n", srv.URL())
-		observer = reg
-	}
-
-	var d *dataset.Dataset
-	if *data == "" {
-		fmt.Println("occutrain: no -data given; generating a 24 h synthetic trace")
-		cfg := dataset.DefaultGenConfig(1, *seed)
-		cfg.Duration = 24 * time.Hour
-		d, err = dataset.Generate(cfg)
-	} else {
-		d, err = dataset.LoadCSV(*data)
-	}
-	fail(err)
-	fmt.Printf("occutrain: %d records\n", d.Len())
-
-	split, err := d.PaperSplit()
-	fail(err)
+	shadow := *shadowLogDir != ""
+	fail(checkModeFlags(flag.CommandLine, shadow))
 
 	dcfg := core.DefaultDetectorConfig()
-	dcfg.Features = feat
+	var err error
 	dcfg.Hidden, err = parseHidden(*hidden)
 	fail(err)
 	dcfg.Train.Epochs = *epochs
 	dcfg.Train.LR = *lr
 	dcfg.Train.BatchSize = *batch
 	dcfg.Train.Seed = *seed
-	dcfg.Train.Observer = observer
+	dcfg.Train.Checkpoint = *ckpt
 	dcfg.Seed = *seed
 	dcfg.Train.OnEpoch = func(e int, loss float64) {
 		fmt.Printf("  epoch %2d  loss %.4f\n", e+1, loss)
 	}
+	if *metrics != "" {
+		reg := obs.NewRegistry()
+		srv, err := obs.StartServer(*metrics, reg)
+		fail(err)
+		defer srv.Close()
+		fmt.Printf("occutrain: metrics at %s/metrics\n", srv.URL())
+		dcfg.Train.Observer = reg
+	}
 
-	train := split.Train.Thin(*trainN)
+	var train *dataset.Dataset
+	var folds []*dataset.Dataset
+	if shadow {
+		if *shadowFrom == "" {
+			fail(fmt.Errorf("occutrain: shadow mode needs -shadow-from (the active detector bundle)"))
+		}
+		active, err := core.LoadDetectorFile(*shadowFrom)
+		fail(err)
+		fmt.Printf("occutrain: shadow mode: pseudo-labeling with %s (%s features)\n", *shadowFrom, active.Features)
+		dcfg.Features = active.Features
+		if dcfg.Train.Checkpoint == "" {
+			dcfg.Train.Checkpoint = *model + ".ckpt"
+		}
+		train, err = core.PseudoLabel(active, *shadowLogDir, splitList(*shadowFeeds), *shadowMax)
+		fail(err)
+		fmt.Printf("occutrain: %d logged frames\n", train.Len())
+	} else {
+		dcfg.Features, err = parseFeatures(*featStr)
+		fail(err)
+		var d *dataset.Dataset
+		if *data == "" {
+			fmt.Println("occutrain: no -data given; generating a 24 h synthetic trace")
+			cfg := dataset.DefaultGenConfig(1, *seed)
+			cfg.Duration = 24 * time.Hour
+			d, err = dataset.Generate(cfg)
+		} else {
+			d, err = dataset.LoadCSV(*data)
+		}
+		fail(err)
+		fmt.Printf("occutrain: %d records\n", d.Len())
+		split, err := d.PaperSplit()
+		fail(err)
+		train, folds = split.Train.Thin(*trainN), split.Folds
+	}
 
 	t0 := time.Now()
 	det, err := core.TrainDetector(train, dcfg)
 	fail(err)
 	fmt.Printf("occutrain: trained %v on %d samples in %.1fs\n", det.Net, train.Len(), time.Since(t0).Seconds())
+	if dcfg.Train.Checkpoint != "" {
+		fmt.Printf("occutrain: checkpoint %s\n", dcfg.Train.Checkpoint)
+	}
 
-	for i, fold := range split.Folds {
+	for i, fold := range folds {
 		cm := det.Evaluate(fold)
 		fmt.Printf("  fold %d: acc %.2f%%  precision %.3f  recall %.3f  f1 %.3f\n",
 			i+1, 100*cm.Accuracy(), cm.Precision(), cm.Recall(), cm.F1())
@@ -128,59 +141,46 @@ func main() {
 	st, err := os.Stat(*model)
 	fail(err)
 	fmt.Printf("occutrain: saved %s (%.2f KiB)\n", *model, float64(st.Size())/1024)
+	if shadow {
+		fmt.Println("occutrain: install the candidate on a serving node via occupancy.Client.InstallModel")
+	}
 }
 
-// shadowMain is the -shadow-log-dir entry point: retrain a candidate from a
-// serving node's frame logs, pseudo-labeled by the active bundle, and save
-// it as an installable candidate (core.ShadowTrain; DESIGN.md §16).
-func shadowMain(logDir, from, feeds string, maxFrames int, ckpt string, ckptEvery int,
-	model, hidden string, epochs int, lr float64, batch int, seed int64) {
-	if from == "" {
-		fail(fmt.Errorf("occutrain: shadow mode needs -shadow-from (the active detector bundle)"))
-	}
-	active, err := core.LoadDetectorFile(from)
-	fail(err)
-	fmt.Printf("occutrain: shadow mode: pseudo-labeling with %s (%s features)\n", from, active.Features)
+// dataFlags pick the training data outside shadow mode; shadowFlags only
+// mean something in it.
+var (
+	dataFlags   = []string{"data", "features", "train"}
+	shadowFlags = []string{"shadow-from", "shadow-feeds", "shadow-max-frames"}
+)
 
-	if ckpt == "" {
-		ckpt = model + ".ckpt"
+// checkModeFlags refuses an explicitly set flag the chosen mode would
+// otherwise ignore: shadow mode trains on logged frames with the active
+// bundle's features, and the shadow flags need -shadow-log-dir.
+func checkModeFlags(fs *flag.FlagSet, shadow bool) error {
+	ignored, why := shadowFlags, "needs -shadow-log-dir"
+	if shadow {
+		ignored, why = dataFlags, "does not apply in shadow mode (the frame log is the data, the active bundle's features are kept)"
 	}
-	cfg := core.ShadowTrainConfig{
-		LogDir:          logDir,
-		MaxFrames:       maxFrames,
-		CheckpointPath:  ckpt,
-		CheckpointEvery: ckptEvery,
-	}
-	if feeds != "" {
-		for _, f := range strings.Split(feeds, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				cfg.Feeds = append(cfg.Feeds, f)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, name := range ignored {
+			if f.Name == name && err == nil {
+				err = fmt.Errorf("occutrain: -%s %s", name, why)
 			}
 		}
-	}
-	cfg.Detector = core.DefaultDetectorConfig()
-	cfg.Detector.Hidden, err = parseHidden(hidden)
-	fail(err)
-	cfg.Detector.Train.Epochs = epochs
-	cfg.Detector.Train.LR = lr
-	cfg.Detector.Train.BatchSize = batch
-	cfg.Detector.Train.Seed = seed
-	cfg.Detector.Seed = seed
-	cfg.Detector.Train.OnEpoch = func(e int, loss float64) {
-		fmt.Printf("  epoch %2d  loss %.4f\n", e+1, loss)
-	}
+	})
+	return err
+}
 
-	t0 := time.Now()
-	cand, frames, err := core.ShadowTrain(active, cfg)
-	fail(err)
-	fmt.Printf("occutrain: shadow-trained %v on %d logged frames in %.1fs (checkpoint %s)\n",
-		cand.Net, frames, time.Since(t0).Seconds(), ckpt)
-
-	fail(cand.SaveFile(model))
-	st, err := os.Stat(model)
-	fail(err)
-	fmt.Printf("occutrain: saved candidate %s (%.2f KiB) — install it on a serving node via occupancy.Client.InstallModel\n",
-		model, float64(st.Size())/1024)
+// splitList parses a comma-separated list, dropping empty entries.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func parseFeatures(s string) (dataset.FeatureSet, error) {

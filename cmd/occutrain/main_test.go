@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"testing"
 
 	"repro/internal/dataset"
@@ -38,6 +39,38 @@ func TestParseHidden(t *testing.T) {
 	for _, bad := range []string{"", "a,b", "0", "-3", "8,,4"} {
 		if _, err := parseHidden(bad); err == nil {
 			t.Fatalf("parseHidden(%q) must fail", bad)
+		}
+	}
+}
+
+// TestCheckModeFlags: a flag the chosen mode would ignore is refused when
+// set explicitly, never dropped silently; defaults pass in both modes.
+func TestCheckModeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		shadow bool
+		ok     bool
+	}{
+		{nil, false, true},
+		{nil, true, true},
+		{[]string{"-data", "x.csv", "-features", "CSI", "-train", "10"}, false, true},
+		{[]string{"-data", ""}, true, false},
+		{[]string{"-features", "C+E"}, true, false},
+		{[]string{"-train", "100"}, true, false},
+		{[]string{"-shadow-from", "a.bin"}, true, true},
+		{[]string{"-shadow-from", "a.bin"}, false, false},
+		{[]string{"-shadow-feeds", "a"}, false, false},
+		{[]string{"-shadow-max-frames", "5"}, false, false},
+	} {
+		fs := flag.NewFlagSet("occutrain", flag.ContinueOnError)
+		for _, name := range append(append([]string(nil), dataFlags...), shadowFlags...) {
+			fs.String(name, "", "")
+		}
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkModeFlags(fs, tc.shadow); (err == nil) != tc.ok {
+			t.Errorf("%v (shadow %v): %v, want ok=%v", tc.args, tc.shadow, err, tc.ok)
 		}
 	}
 }

@@ -298,3 +298,24 @@ func TestConfigsRejectNonFiniteTrainRates(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentConfigRefusesCheckpoint: the grid fits its cells
+// concurrently, so a checkpoint path in NNTrain would have every network
+// resume from and overwrite one file; Validate refuses it before any cell
+// trains, while a detector, which is one fit, takes it.
+func TestExperimentConfigRefusesCheckpoint(t *testing.T) {
+	exp := DefaultExperimentConfig()
+	exp.NNTrain.Checkpoint = filepath.Join(t.TempDir(), "grid.ckpt")
+	if err := exp.Validate(); err == nil {
+		t.Fatal("ExperimentConfig with a checkpoint validated")
+	}
+	_, split := testSplit(t)
+	if _, err := RunTable4(split, exp); err == nil {
+		t.Fatal("RunTable4 ran with a checkpoint")
+	}
+	det := DefaultDetectorConfig()
+	det.Train.Checkpoint = exp.NNTrain.Checkpoint
+	if err := det.Validate(); err != nil {
+		t.Fatalf("DetectorConfig with a checkpoint refused: %v", err)
+	}
+}

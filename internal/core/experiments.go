@@ -50,11 +50,16 @@ type ExperimentConfig struct {
 }
 
 // Validate reports whether the grid is runnable: sample caps must be
-// non-negative (0 = use everything), hidden widths positive, and the
-// per-model hyper-parameters must each validate.
+// non-negative (0 = use everything), hidden widths positive, the
+// per-model hyper-parameters must each validate, and NNTrain must name no
+// checkpoint — the grid fits its cells concurrently, and every cell would
+// resume from and overwrite the one file.
 func (c ExperimentConfig) Validate() error {
 	if c.MaxTrainSamples < 0 || c.MaxEvalSamples < 0 {
 		return fmt.Errorf("core: negative sample caps (train %d, eval %d)", c.MaxTrainSamples, c.MaxEvalSamples)
+	}
+	if c.NNTrain.Checkpoint != "" {
+		return fmt.Errorf("core: experiment grids take no training checkpoint (NNTrain.Checkpoint %q)", c.NNTrain.Checkpoint)
 	}
 	if err := validHidden(c.Hidden); err != nil {
 		return err

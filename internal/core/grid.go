@@ -371,13 +371,16 @@ func (c cell) fit(d *inputs) (fitted, error) {
 
 	x, y := c.input(d.x, d.xs), labels(d.recs, c.task)
 	if c.pca <= 0 {
-		return c.fitClasses(x, y), nil
+		return c.fitClasses(x, y)
 	}
 	pca, err := linmodel.FitPCA(x, c.pca, c.seed)
 	if err != nil {
 		return fitted{}, fmt.Errorf("PCA front-end: %w", err)
 	}
-	f := c.fitClasses(pca.Transform(x), y)
+	f, err := c.fitClasses(pca.Transform(x), y)
+	if err != nil {
+		return fitted{}, err
+	}
 	classes := f.classes
 	f.classes = func(x *tensor.Matrix) []int { return classes(pca.Transform(x)) }
 	return f, nil
@@ -419,7 +422,9 @@ func (c cell) fitEnv(d *inputs) (fitted, error) {
 		}
 	}
 	net := nn.NewMLP(x.Cols, c.hidden, 2, rand.New(rand.NewSource(c.seed)))
-	net.Fit(x, y, nn.MSE{}, c.train)
+	if _, err := net.Fit(x, y, nn.MSE{}, c.train); err != nil {
+		return fitted{}, err
+	}
 	return fitted{env: func(x *tensor.Matrix) ([]float64, []float64) {
 		cols := net.PredictRegression(x)
 		for j, col := range cols {
@@ -432,14 +437,14 @@ func (c cell) fitEnv(d *inputs) (fitted, error) {
 }
 
 // fitClasses trains c's classifier on inputs x with labels y.
-func (c cell) fitClasses(x *tensor.Matrix, y []int) fitted {
+func (c cell) fitClasses(x *tensor.Matrix, y []int) (fitted, error) {
 	switch c.model {
 	case linear:
 		logit := &linmodel.Logistic{}
 		logit.Fit(x, y)
-		return fitted{classes: logit.Predict}
+		return fitted{classes: logit.Predict}, nil
 	case forest:
-		return c.fitForest(x, y)
+		return c.fitForest(x, y), nil
 	}
 	k, out := c.task.classes(), c.task.classes()
 	if k == 2 {
@@ -457,8 +462,8 @@ func (c cell) fitClasses(x *tensor.Matrix, y []int) fitted {
 		for i, v := range y {
 			yF.Set(i, 0, float64(v))
 		}
-		net.Fit(x, yF, nn.BCEWithLogits{}, c.train)
-		return fitted{classes: net.PredictBinary, net: net}
+		_, err := net.Fit(x, yF, nn.BCEWithLogits{}, c.train)
+		return fitted{classes: net.PredictBinary, net: net}, err
 	}
 	loss := nn.SoftmaxCE{}
 	if c.task == activity {
@@ -467,8 +472,8 @@ func (c cell) fitClasses(x *tensor.Matrix, y []int) fitted {
 		// simply ignore that class.
 		loss.ClassWeights = nn.InverseFrequencyWeights(y, k)
 	}
-	net.Fit(x, nn.OneHot(y, k), loss, c.train)
-	return fitted{classes: net.PredictClasses, net: net}
+	_, err := net.Fit(x, nn.OneHot(y, k), loss, c.train)
+	return fitted{classes: net.PredictClasses, net: net}, err
 }
 
 // fitForest trains c's forest: a classifier for occupancy, one forest per

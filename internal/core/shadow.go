@@ -3,152 +3,69 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/framelog"
-	"repro/internal/linmodel"
-	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
-// ShadowTrainConfig parameterizes ShadowTrain: retraining a candidate
-// detector from retained frame-log segments while the active model keeps
-// serving.
-type ShadowTrainConfig struct {
-	// LogDir is the framelog root the serving tier appends to
-	// (DurabilityConfig.Dir).
-	LogDir string
-	// Feeds selects which feeds' logs to train on; empty means every feed
-	// under LogDir.
-	Feeds []string
-	// MaxFrames caps the total training frames across feeds (0: no cap).
-	// The cap is applied in feed order, so it is deterministic for a
-	// fixed log state.
-	MaxFrames int
-	// Detector configures the candidate: topology, training
-	// hyper-parameters and init seed. Zero-valued fields take
-	// DefaultDetectorConfig defaults. The feature set is always the
-	// active detector's — the install gate requires candidates to match
-	// the serving features, so Detector.Features is ignored.
-	Detector DetectorConfig
-	// CheckpointPath is where training checkpoints land; an existing
-	// checkpoint resumes with the bit-identical shuffle replay
-	// nn.FitCheckpointed guarantees. Required — shadow training exists to
-	// survive interruption.
-	CheckpointPath string
-	// CheckpointEvery is the epoch interval between checkpoints
-	// (default 1).
-	CheckpointEvery int
-}
-
-// Validate reports whether the configuration is trainable.
-func (c ShadowTrainConfig) Validate() error {
-	if c.LogDir == "" {
-		return fmt.Errorf("core: ShadowTrainConfig.LogDir is required")
-	}
-	if c.CheckpointPath == "" {
-		return fmt.Errorf("core: ShadowTrainConfig.CheckpointPath is required")
-	}
-	if c.MaxFrames < 0 {
-		return fmt.Errorf("core: negative MaxFrames %d", c.MaxFrames)
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("core: negative CheckpointEvery %d", c.CheckpointEvery)
-	}
-	if err := validHidden(c.Detector.Hidden); err != nil {
-		return err
-	}
-	return nil
-}
-
-// errFramesCapped aborts a replay once MaxFrames is reached; it never
-// escapes ShadowTrain.
+// errFramesCapped aborts a replay once maxFrames is reached; it never
+// escapes PseudoLabel.
 var errFramesCapped = errors.New("core: frame cap reached")
 
-// ShadowTrain trains a candidate detector on the frames retained in a
-// frame log, pseudo-labeled by the active detector. The logs carry no
-// occupancy ground truth — they record what arrived on the wire — so the
-// active model's decisions stand in as labels: the candidate distills the
-// incumbent on exactly the traffic the incumbent has been serving, which
-// is the retraining substrate drift recovery needs (swap in real labels
-// here when a deployment has them). Dropped frames (no CSI) are skipped.
+// PseudoLabel builds a shadow candidate's training set: the frames a
+// serving node retained in its frame log under logDir, each with its Count
+// replaced by the active detector's label. The logs carry no occupancy
+// ground truth — they record what arrived on the wire — so the active
+// model's decisions stand in as labels, and TrainDetector on the result
+// (with the active detector's features, which the install gate requires)
+// distills the incumbent on exactly the traffic it has been serving: the
+// retraining substrate drift recovery needs. Swap in real labels here when
+// a deployment has them.
 //
-// The function is deterministic for a fixed log state and configuration:
-// replay order is append order, the init RNG is seeded, and training goes
-// through nn.FitCheckpointed — interrupting and re-running with the same
-// CheckpointPath resumes into the bit-identical weight trajectory.
-// Returns the candidate and the number of frames it trained on.
-func ShadowTrain(active *Detector, cfg ShadowTrainConfig) (*Detector, int, error) {
-	if active == nil {
-		return nil, 0, fmt.Errorf("core: nil active detector")
+// feeds selects the feeds and their order (empty: every feed under
+// logDir). Frames keep append order, dropped frames (no CSI) are skipped,
+// and maxFrames caps the total in feed order (0: no cap), so the result is
+// deterministic for a fixed log state.
+func PseudoLabel(active *Detector, logDir string, feeds []string, maxFrames int) (*dataset.Dataset, error) {
+	switch {
+	case active == nil:
+		return nil, fmt.Errorf("core: nil active detector")
+	case logDir == "":
+		return nil, fmt.Errorf("core: no frame-log directory")
+	case maxFrames < 0:
+		return nil, fmt.Errorf("core: negative MaxFrames %d", maxFrames)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
-	}
-	dc := cfg.Detector
-	dc.Features = active.Features
-	if len(dc.Hidden) == 0 {
-		dc.Hidden = append([]int(nil), PaperHidden...)
-	}
-	if dc.Train.Epochs == 0 {
-		dc.Train = nn.DefaultTrainConfig()
-	}
-	if dc.Seed == 0 {
-		dc.Seed = 1
-	}
-	if err := (DetectorConfig{Features: dc.Features, Hidden: dc.Hidden, Train: dc.Train, Seed: dc.Seed}).Validate(); err != nil {
-		return nil, 0, err
-	}
-
-	feeds := cfg.Feeds
 	if len(feeds) == 0 {
 		var err error
-		feeds, err = framelog.ListFeeds(cfg.LogDir)
-		if err != nil {
-			return nil, 0, err
+		if feeds, err = framelog.ListFeeds(logDir); err != nil {
+			return nil, err
 		}
 	}
 
-	var recs []dataset.Record
+	ds := &dataset.Dataset{}
+	capped := func() bool { return maxFrames > 0 && ds.Len() >= maxFrames }
 	for _, feed := range feeds {
-		if cfg.MaxFrames > 0 && len(recs) >= cfg.MaxFrames {
+		if capped() {
 			break
 		}
-		_, err := framelog.Replay(cfg.LogDir, feed, -1, func(fr fault.Frame) error {
+		_, err := framelog.Replay(logDir, feed, -1, func(fr fault.Frame) error {
 			if fr.Dropped {
 				return nil
 			}
-			recs = append(recs, fr.Rec)
-			if cfg.MaxFrames > 0 && len(recs) >= cfg.MaxFrames {
+			_, fr.Rec.Count = active.PredictRecord(&fr.Rec)
+			ds.Records = append(ds.Records, fr.Rec)
+			if capped() {
 				return errFramesCapped
 			}
 			return nil
 		})
 		if err != nil && !errors.Is(err, errFramesCapped) {
-			return nil, 0, fmt.Errorf("core: replaying %s: %w", feed, err)
+			return nil, fmt.Errorf("core: replaying %s: %w", feed, err)
 		}
 	}
-	if len(recs) == 0 {
-		return nil, 0, fmt.Errorf("core: no trainable frames under %s", cfg.LogDir)
+	if ds.Len() == 0 {
+		return nil, fmt.Errorf("core: no trainable frames under %s", logDir)
 	}
-
-	dim := dc.Features.Dim()
-	x := tensor.NewMatrix(len(recs), dim)
-	y := tensor.NewMatrix(len(recs), 1)
-	for i := range recs {
-		dataset.FeatureRowInto(x.Row(i), &recs[i], dc.Features)
-		_, label := active.PredictRecord(&recs[i])
-		y.Set(i, 0, float64(label))
-	}
-
-	scaler := linmodel.FitScaler(x)
-	xs := scaler.Transform(x)
-	rng := rand.New(rand.NewSource(dc.Seed))
-	net := nn.NewMLP(dim, dc.Hidden, 1, rng)
-	if _, err := net.FitCheckpointed(xs, y, nn.BCEWithLogits{}, dc.Train, cfg.CheckpointPath, cfg.CheckpointEvery); err != nil {
-		return nil, 0, err
-	}
-	return &Detector{Net: net, Scaler: scaler, Features: dc.Features}, len(recs), nil
+	return ds, nil
 }

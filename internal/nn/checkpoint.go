@@ -3,9 +3,12 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 
@@ -17,13 +20,15 @@ import (
 // in serialize.go because resume must be *bit-exact*: parameters and AdamW
 // moments are stored as float64, and the whole payload is CRC-guarded so a
 // torn write or a flipped bit is rejected at load instead of silently
-// poisoning the resumed run.
+// poisoning the resumed run. The envelope is the frame log's: CRC-32C over
+// the payload.
 //
 //	magic      uint32  0x4F434B50 ("OCKP")
-//	version    uint32  1
-//	crc32      uint32  IEEE, over the payload bytes
+//	version    uint32  2
+//	crc32      uint32  Castagnoli, over the payload bytes
 //	payloadLen uint64
 //	payload:
+//	  run      uint64  runFingerprint of the run that wrote it
 //	  epoch    uint32  epochs fully completed
 //	  nParams  uint32
 //	  per param: len uint32, float64[len]
@@ -31,20 +36,62 @@ import (
 //	  AdamW:   t uint64, then m and v float64 arrays matching the params
 const (
 	ckptMagic   = 0x4F434B50
-	ckptVersion = 1
+	ckptVersion = 2
 
 	ckptOptAdamW = 1
 )
 
-// SaveCheckpoint atomically writes a training checkpoint: the network's
-// parameters at full precision, the AdamW moments and step count, and the
-// number of completed epochs. The file is replaced atomically
-// (atomicfile.Write), so a crash mid-save leaves the previous checkpoint
-// intact.
-func SaveCheckpoint(path string, n *Network, opt *AdamW, epoch int) error {
+var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// runFingerprint identifies the run a checkpoint belongs to: the data, the
+// parameters Fit starts from, the loss and every hyper-parameter that
+// shapes the weight trajectory. Epochs is left out, so a finished run can
+// be extended; cfg.BatchSize must already be defaulted.
+func runFingerprint(n *Network, x, y *tensor.Matrix, loss Loss, cfg TrainConfig) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%T%v|%d|%g|%g|%d", loss, loss, cfg.BatchSize, cfg.LR, cfg.WeightDecay, cfg.Seed)
+	var b []byte
+	for _, m := range append([]*tensor.Matrix{x, y}, n.Params()...) {
+		fmt.Fprintf(h, "|%dx%d|", m.Rows, m.Cols)
+		for i := 0; i < m.Rows; i++ {
+			b = b[:0]
+			for _, v := range m.Row(i) {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+			h.Write(b)
+		}
+	}
+	return h.Sum64()
+}
+
+// resume restores the checkpoint at path into n and opt and returns the
+// epochs it covers: 0 when there is no file, an error naming the file when
+// it is corrupt or belongs to another run.
+func resume(path string, n *Network, opt *AdamW, run uint64) (int, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	epoch := 0
+	if err == nil {
+		epoch, err = loadCheckpoint(raw, n, opt, run)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("nn: resume from %s: %w", path, err)
+	}
+	return epoch, nil
+}
+
+// saveCheckpoint atomically writes a training checkpoint: the run's
+// fingerprint, the network's parameters at full precision, the AdamW
+// moments and step count, and the number of completed epochs. The file is
+// replaced atomically (atomicfile.Write), so a crash mid-save leaves the
+// previous checkpoint intact.
+func saveCheckpoint(path string, n *Network, opt *AdamW, epoch int, run uint64) error {
 	params := n.Params()
 	var payload bytes.Buffer
 	le := binary.LittleEndian
+	binary.Write(&payload, le, run)
 	binary.Write(&payload, le, uint32(epoch))
 	binary.Write(&payload, le, uint32(len(params)))
 	for _, p := range params {
@@ -68,7 +115,7 @@ func SaveCheckpoint(path string, n *Network, opt *AdamW, epoch int) error {
 	var out bytes.Buffer
 	binary.Write(&out, le, uint32(ckptMagic))
 	binary.Write(&out, le, uint32(ckptVersion))
-	binary.Write(&out, le, crc32.ChecksumIEEE(payload.Bytes()))
+	binary.Write(&out, le, crc32.Checksum(payload.Bytes(), ckptCRC))
 	binary.Write(&out, le, uint64(payload.Len()))
 	out.Write(payload.Bytes())
 
@@ -78,18 +125,15 @@ func SaveCheckpoint(path string, n *Network, opt *AdamW, epoch int) error {
 	})
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint into net
+// loadCheckpoint restores a checkpoint written by saveCheckpoint into net
 // and opt, returning the number of completed epochs. It rejects — with an
 // error, never a panic, and changing neither net nor opt — truncated files,
-// bit flips (CRC mismatch), shape mismatches against the given network, an
-// optimiser kind other than AdamW, and values a resumed run could not
-// survive: non-finite parameters or first moments, negative or non-finite
-// second moments, and a step count int cannot hold.
-func LoadCheckpoint(path string, n *Network, opt *AdamW) (epoch int, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
+// bit flips (CRC mismatch), a checkpoint of a run other than run, shape
+// mismatches against the given network, an optimiser kind other than
+// AdamW, and values a resumed run could not survive: non-finite parameters
+// or first moments, negative or non-finite second moments, and a step
+// count int cannot hold.
+func loadCheckpoint(raw []byte, n *Network, opt *AdamW, run uint64) (epoch int, err error) {
 	le := binary.LittleEndian
 	if len(raw) < 20 {
 		return 0, fmt.Errorf("nn: checkpoint truncated (%d bytes)", len(raw))
@@ -106,11 +150,18 @@ func LoadCheckpoint(path string, n *Network, opt *AdamW) (epoch int, err error) 
 	if uint64(len(payload)) != payloadLen {
 		return 0, fmt.Errorf("nn: checkpoint truncated (payload %d bytes, header says %d)", len(payload), payloadLen)
 	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
+	if got := crc32.Checksum(payload, ckptCRC); got != wantCRC {
 		return 0, fmt.Errorf("nn: checkpoint corrupt (crc 0x%08X, want 0x%08X)", got, wantCRC)
 	}
 
 	r := bytes.NewReader(payload)
+	var ckptRun uint64
+	if err := binary.Read(r, le, &ckptRun); err != nil {
+		return 0, fmt.Errorf("nn: checkpoint: %w", err)
+	}
+	if ckptRun != run {
+		return 0, fmt.Errorf("nn: checkpoint is of another run (fingerprint %#016x, want %#016x): data, starting weights, loss or hyper-parameters differ", ckptRun, run)
+	}
 	var epoch32, nParams uint32
 	if err := binary.Read(r, le, &epoch32); err != nil {
 		return 0, fmt.Errorf("nn: checkpoint: %w", err)
@@ -198,35 +249,6 @@ func finiteFrom(vals []float64, lo float64) bool {
 		}
 	}
 	return true
-}
-
-// FitCheckpointed is Fit with checkpoint/resume: if path exists it is
-// loaded (a corrupt file is an error, not a silent restart) and training
-// continues from the recorded epoch through Fit's own loop, replaying the
-// shuffle RNG so the resumed run is bit-identical to an uninterrupted one;
-// a checkpoint is saved atomically after every `every` epochs (and after
-// the final one). A failed save stops training at its epoch. Returns the
-// per-epoch losses of the epochs actually run, with the save error if any.
-func (n *Network) FitCheckpointed(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, path string, every int) ([]float64, error) {
-	if every <= 0 {
-		every = 1
-	}
-	opt := NewAdamW(cfg.LR, cfg.WeightDecay)
-	start := 0
-	if _, statErr := os.Stat(path); statErr == nil {
-		ep, err := LoadCheckpoint(path, n, opt)
-		if err != nil {
-			return nil, fmt.Errorf("nn: resume from %s: %w", path, err)
-		}
-		start = ep
-	}
-	last := max(cfg.Epochs, 1) - 1
-	return n.fitEpochs(x, y, loss, cfg, opt, start, func(epoch int) error {
-		if (epoch+1)%every == 0 || epoch == last {
-			return SaveCheckpoint(path, n, opt, epoch+1)
-		}
-		return nil
-	})
 }
 
 func writeFloat64s(buf *bytes.Buffer, data []float64) {

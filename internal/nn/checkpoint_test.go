@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -37,11 +38,26 @@ func ckptProblem(t *testing.T) (*tensor.Matrix, *tensor.Matrix, func() *Network)
 	return x, y, mk
 }
 
-func ckptCfg() TrainConfig {
+// ckptCfg is the checkpointed training run of these tests, saving to path.
+func ckptCfg(path string) TrainConfig {
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 6
 	cfg.BatchSize = 32
+	cfg.Checkpoint = path
 	return cfg
+}
+
+// testRun is the run fingerprint the codec tests stamp and expect.
+const testRun = 0x0123456789ABCDEF
+
+// readCheckpoint loads the checkpoint file at path as run testRun.
+func readCheckpoint(t *testing.T, path string, n *Network, opt *AdamW) (int, error) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loadCheckpoint(raw, n, opt, testRun)
 }
 
 func paramsEqual(t *testing.T, a, b *Network) {
@@ -66,13 +82,12 @@ func paramsEqual(t *testing.T, a, b *Network) {
 // run.
 func TestKillAndRestartResumesBitIdentically(t *testing.T) {
 	x, y, mk := ckptProblem(t)
-	cfg := ckptCfg()
 	dir := t.TempDir()
+	cfg := ckptCfg(filepath.Join(dir, "ref.ckpt"))
 
 	// Reference: uninterrupted 6-epoch run with checkpointing on.
-	refPath := filepath.Join(dir, "ref.ckpt")
 	ref := mk()
-	refHist, err := ref.FitCheckpointed(x, y, BCEWithLogits{}, cfg, refPath, 1)
+	refHist, err := ref.Fit(x, y, BCEWithLogits{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +96,18 @@ func TestKillAndRestartResumesBitIdentically(t *testing.T) {
 	}
 
 	// "Killed" run: 3 epochs, then the process dies.
-	path := filepath.Join(dir, "train.ckpt")
+	cfg.Checkpoint = filepath.Join(dir, "train.ckpt")
 	killed := mk()
 	halfCfg := cfg
 	halfCfg.Epochs = 3
-	if _, err := killed.FitCheckpointed(x, y, BCEWithLogits{}, halfCfg, path, 1); err != nil {
+	if _, err := killed.Fit(x, y, BCEWithLogits{}, halfCfg); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart: a brand-new network object (fresh process) resumes from the
 	// checkpoint and finishes the remaining epochs.
 	resumed := mk()
-	hist, err := resumed.FitCheckpointed(x, y, BCEWithLogits{}, cfg, path, 1)
+	hist, err := resumed.Fit(x, y, BCEWithLogits{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,36 +120,34 @@ func TestKillAndRestartResumesBitIdentically(t *testing.T) {
 	paramsEqual(t, resumed, ref)
 }
 
+// TestFitCheckpointedNoopWhenComplete: rerunning a finished checkpointed
+// run (a fresh process rebuilds the same starting network) trains no epoch
+// and hands back the finished weights.
 func TestFitCheckpointedNoopWhenComplete(t *testing.T) {
 	x, y, mk := ckptProblem(t)
-	cfg := ckptCfg()
-	path := filepath.Join(t.TempDir(), "done.ckpt")
-	net := mk()
-	if _, err := net.FitCheckpointed(x, y, BCEWithLogits{}, cfg, path, 1); err != nil {
+	cfg := ckptCfg(filepath.Join(t.TempDir(), "done.ckpt"))
+	done := mk()
+	if _, err := done.Fit(x, y, BCEWithLogits{}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	before := net.Params()[0].Data[0]
-	hist, err := net.FitCheckpointed(x, y, BCEWithLogits{}, cfg, path, 1)
+	rerun := mk()
+	hist, err := rerun.Fit(x, y, BCEWithLogits{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hist != nil {
 		t.Fatalf("completed run trained %d more epochs", len(hist))
 	}
-	if net.Params()[0].Data[0] != before {
-		t.Fatalf("completed run mutated weights")
-	}
+	paramsEqual(t, rerun, done)
 }
 
 func TestSaveCheckpointIsAtomic(t *testing.T) {
-	x, y, mk := ckptProblem(t)
-	_ = x
-	_ = y
+	_, _, mk := ckptProblem(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.ckpt")
 	net := mk()
 	opt := NewAdamW(1e-3, 0)
-	if err := SaveCheckpoint(path, net, opt, 1); err != nil {
+	if err := saveCheckpoint(path, net, opt, 1, testRun); err != nil {
 		t.Fatal(err)
 	}
 	// No temporary litter left behind.
@@ -145,7 +158,7 @@ func TestSaveCheckpointIsAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries after save, want 1", len(entries))
 	}
-	ep, err := LoadCheckpoint(path, mk(), NewAdamW(1e-3, 0))
+	ep, err := readCheckpoint(t, path, mk(), NewAdamW(1e-3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestLoadCheckpointRejectsTruncation(t *testing.T) {
 	path := filepath.Join(dir, "a.ckpt")
 	net := mk()
 	opt := NewAdamW(1e-3, 0)
-	if err := SaveCheckpoint(path, net, opt, 2); err != nil {
+	if err := saveCheckpoint(path, net, opt, 2, testRun); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -168,11 +181,7 @@ func TestLoadCheckpointRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 4, 19, 20, len(raw) / 2, len(raw) - 1} {
-		trunc := filepath.Join(dir, "trunc.ckpt")
-		if err := os.WriteFile(trunc, raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadCheckpoint(trunc, mk(), NewAdamW(1e-3, 0)); err == nil {
+		if _, err := loadCheckpoint(raw[:cut], mk(), NewAdamW(1e-3, 0), testRun); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
@@ -182,7 +191,7 @@ func TestLoadCheckpointRejectsBitFlips(t *testing.T) {
 	_, _, mk := ckptProblem(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.ckpt")
-	if err := SaveCheckpoint(path, mk(), NewAdamW(1e-3, 0), 2); err != nil {
+	if err := saveCheckpoint(path, mk(), NewAdamW(1e-3, 0), 2, testRun); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -196,11 +205,7 @@ func TestLoadCheckpointRejectsBitFlips(t *testing.T) {
 		mut := append([]byte(nil), raw...)
 		pos := rng.Intn(len(mut))
 		mut[pos] ^= 1 << rng.Intn(8)
-		flipped := filepath.Join(dir, "flip.ckpt")
-		if err := os.WriteFile(flipped, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadCheckpoint(flipped, mk(), NewAdamW(1e-3, 0)); err == nil {
+		if _, err := loadCheckpoint(mut, mk(), NewAdamW(1e-3, 0), testRun); err == nil {
 			t.Fatalf("trial %d: bit flip at byte %d accepted", trial, pos)
 		}
 	}
@@ -209,11 +214,11 @@ func TestLoadCheckpointRejectsBitFlips(t *testing.T) {
 func TestLoadCheckpointRejectsShapeMismatch(t *testing.T) {
 	_, _, mk := ckptProblem(t)
 	path := filepath.Join(t.TempDir(), "a.ckpt")
-	if err := SaveCheckpoint(path, mk(), NewAdamW(1e-3, 0), 1); err != nil {
+	if err := saveCheckpoint(path, mk(), NewAdamW(1e-3, 0), 1, testRun); err != nil {
 		t.Fatal(err)
 	}
 	other := NewMLP(8, []int{4}, 1, rand.New(rand.NewSource(1)))
-	if _, err := LoadCheckpoint(path, other, NewAdamW(1e-3, 0)); err == nil {
+	if _, err := readCheckpoint(t, path, other, NewAdamW(1e-3, 0)); err == nil {
 		t.Fatal("checkpoint loaded into a differently shaped network")
 	}
 }
@@ -228,16 +233,17 @@ func TestLoadCheckpointRejectsHostileOptimiserState(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.ckpt")
 	net := mk()
-	if err := SaveCheckpoint(path, net, NewAdamW(1e-3, 0), 2); err != nil {
+	if err := saveCheckpoint(path, net, NewAdamW(1e-3, 0), 2, testRun); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Payload: header (20 bytes), epoch and tensor count, each tensor's
-	// length and values, then the kind byte, t, m and v (v ends the file).
-	kind := 20 + 8
+	// Payload: header (20 bytes), run fingerprint, epoch and tensor count,
+	// each tensor's length and values, then the kind byte, t, m and v (v
+	// ends the file).
+	kind := 20 + 16
 	for _, p := range net.Params() {
 		kind += 4 + 8*len(p.Data)
 	}
@@ -260,13 +266,9 @@ func TestLoadCheckpointRejectsHostileOptimiserState(t *testing.T) {
 	} {
 		mut := append([]byte(nil), raw...)
 		tc.patch(mut)
-		le.PutUint32(mut[8:], crc32.ChecksumIEEE(mut[20:]))
-		hostile := filepath.Join(dir, "hostile.ckpt")
-		if err := os.WriteFile(hostile, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		le.PutUint32(mut[8:], crc32.Checksum(mut[20:], ckptCRC))
 		got, opt := mk(), NewAdamW(1e-3, 0)
-		if _, err := LoadCheckpoint(hostile, got, opt); err == nil {
+		if _, err := loadCheckpoint(mut, got, opt, testRun); err == nil {
 			t.Errorf("%s: checkpoint loaded without error", tc.name)
 		}
 		if opt.t != 0 || opt.m != nil || opt.v != nil {
@@ -282,10 +284,10 @@ func TestLoadCheckpointRejectsHostileOptimiserState(t *testing.T) {
 // nothing to resume from.
 func TestFitCheckpointedStopsAtFailedSave(t *testing.T) {
 	x, y, mk := ckptProblem(t)
-	path := filepath.Join(t.TempDir(), "missing", "train.ckpt")
-	hist, err := mk().FitCheckpointed(x, y, BCEWithLogits{}, ckptCfg(), path, 1)
+	cfg := ckptCfg(filepath.Join(t.TempDir(), "missing", "train.ckpt"))
+	hist, err := mk().Fit(x, y, BCEWithLogits{}, cfg)
 	if err == nil {
-		t.Fatal("FitCheckpointed reported success with an unwritable checkpoint path")
+		t.Fatal("Fit reported success with an unwritable checkpoint path")
 	}
 	if len(hist) != 1 {
 		t.Fatalf("history has %d epochs, want 1: training must stop at the failed save", len(hist))
@@ -298,7 +300,72 @@ func TestFitCheckpointedSurfacesCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mk().FitCheckpointed(x, y, BCEWithLogits{}, ckptCfg(), path, 1); err == nil {
-		t.Fatal("FitCheckpointed silently accepted a corrupt checkpoint")
+	if _, err := mk().Fit(x, y, BCEWithLogits{}, ckptCfg(path)); err == nil {
+		t.Fatal("Fit silently accepted a corrupt checkpoint")
+	}
+}
+
+// TestFitRefusesCheckpointOfAnotherRun: a checkpoint resumes only the run
+// that wrote it. Changing the data, the starting weights, the loss or any
+// hyper-parameter but Epochs makes Fit refuse the file, naming it, and
+// leave the network as it was; changing Epochs extends the run.
+func TestFitRefusesCheckpointOfAnotherRun(t *testing.T) {
+	x, y, mk := ckptProblem(t)
+	cfg := ckptCfg(filepath.Join(t.TempDir(), "run.ckpt"))
+	cfg.Epochs = 2
+	if _, err := mk().Fit(x, y, BCEWithLogits{}, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	xOther := tensor.FromSlice(x.Rows, x.Cols, append([]float64(nil), x.Data...))
+	xOther.Data[17] = math.Nextafter(xOther.Data[17], math.Inf(1))
+	yOther := tensor.FromSlice(y.Rows, y.Cols, append([]float64(nil), y.Data...))
+	yOther.Data[3] = 1 - yOther.Data[3]
+	for _, tc := range []struct {
+		name string
+		x, y *tensor.Matrix
+		net  func() *Network
+		loss Loss
+		edit func(*TrainConfig)
+	}{
+		{name: "x", x: xOther},
+		{name: "y", y: yOther},
+		{name: "initial weights", net: func() *Network { return NewMLP(8, []int{16, 8}, 1, rand.New(rand.NewSource(8))) }},
+		{name: "loss", loss: MSE{}},
+		{name: "BatchSize", edit: func(c *TrainConfig) { c.BatchSize = 16 }},
+		{name: "LR", edit: func(c *TrainConfig) { c.LR *= 2 }},
+		{name: "WeightDecay", edit: func(c *TrainConfig) { c.WeightDecay = 0 }},
+		{name: "Seed", edit: func(c *TrainConfig) { c.Seed++ }},
+	} {
+		tx, ty, mkNet, loss, c := x, y, mk, Loss(BCEWithLogits{}), cfg
+		if tc.x != nil {
+			tx = tc.x
+		}
+		if tc.y != nil {
+			ty = tc.y
+		}
+		if tc.net != nil {
+			mkNet = tc.net
+		}
+		if tc.loss != nil {
+			loss = tc.loss
+		}
+		if tc.edit != nil {
+			tc.edit(&c)
+		}
+		c.Epochs = 4
+		net := mkNet()
+		hist, err := net.Fit(tx, ty, loss, c)
+		if err == nil || !strings.Contains(err.Error(), cfg.Checkpoint) {
+			t.Errorf("%s changed: Fit answered %v (trained %d epochs), want a refusal naming %s", tc.name, err, len(hist), cfg.Checkpoint)
+		}
+		paramsEqual(t, net, mkNet())
+	}
+
+	// Only Epochs changed: the run resumes from epoch 2.
+	cfg.Epochs = 4
+	hist, err := mk().Fit(x, y, BCEWithLogits{}, cfg)
+	if err != nil || len(hist) != 2 {
+		t.Fatalf("extending the run: %d epochs, %v; want 2 and no error", len(hist), err)
 	}
 }

@@ -2,9 +2,15 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 func fuzzSeedModel(t testing.TB) []byte {
@@ -93,6 +99,62 @@ func FuzzLoad(f *testing.F) {
 		var buf bytes.Buffer
 		if err := net.Save(&buf); err != nil {
 			t.Fatalf("loaded network failed to re-save: %v", err)
+		}
+	})
+}
+
+// FuzzLoadCheckpoint drives loadCheckpoint with arbitrary bytes: any input
+// may be rejected — with an error, leaving the network and the optimiser
+// untouched — but none may panic, and an accepted input must re-save to the
+// same bytes.
+func FuzzLoadCheckpoint(f *testing.F) {
+	mk := func() *Network { return NewMLP(4, []int{3}, 1, rand.New(rand.NewSource(5))) }
+	dir := f.TempDir()
+	seed := func(epoch int, trained bool) []byte {
+		net, opt := mk(), NewAdamW(1e-3, 1e-4)
+		if trained {
+			x := tensor.NewMatrix(8, 4).RandomizeNormal(rand.New(rand.NewSource(6)), 1)
+			newTrainStep(net, MSE{}, opt, clipNorm).run(x, tensor.NewMatrix(8, 1))
+		}
+		path := filepath.Join(dir, "seed.ckpt")
+		if err := saveCheckpoint(path, net, opt, epoch, testRun); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	fresh, trained := seed(0, false), seed(3, true)
+	f.Add(fresh)
+	f.Add(trained)
+	f.Add(trained[:len(trained)/2])
+	f.Add([]byte{})
+	stale := append([]byte(nil), trained...)
+	stale[20] ^= 1 // another run's fingerprint, under a valid CRC
+	binary.LittleEndian.PutUint32(stale[8:], crc32.Checksum(stale[20:], ckptCRC))
+	f.Add(stale)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, opt := mk(), NewAdamW(1e-3, 1e-4)
+		epoch, err := loadCheckpoint(data, net, opt, testRun)
+		if err != nil {
+			if opt.t != 0 || opt.m != nil || opt.v != nil {
+				t.Fatal("a refused load changed the optimiser")
+			}
+			paramsEqual(t, net, mk())
+			return
+		}
+		path := filepath.Join(t.TempDir(), "re.ckpt")
+		if err := saveCheckpoint(path, net, opt, epoch, testRun); err != nil {
+			t.Fatal(err)
+		}
+		re, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatal("an accepted checkpoint does not re-save to its own bytes")
 		}
 	})
 }

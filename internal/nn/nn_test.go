@@ -246,7 +246,7 @@ func TestFitLearnsXOR(t *testing.T) {
 	cfg.BatchSize = 4
 	cfg.LR = 0.01
 	cfg.WeightDecay = 0
-	hist := net.Fit(x, y, BCEWithLogits{}, cfg)
+	hist, _ := net.Fit(x, y, BCEWithLogits{}, cfg)
 	if hist[len(hist)-1] > 0.1 {
 		t.Fatalf("XOR loss did not converge: %g", hist[len(hist)-1])
 	}
@@ -275,7 +275,7 @@ func TestFitLossDecreasesAndCallbacks(t *testing.T) {
 	cfg.Epochs = 15
 	cfg.BatchSize = 32
 	cfg.OnEpoch = func(e int, l float64) { epochs++ }
-	hist := net.Fit(x, y, BCEWithLogits{}, cfg)
+	hist, _ := net.Fit(x, y, BCEWithLogits{}, cfg)
 	if epochs != 15 || len(hist) != 15 {
 		t.Fatalf("epoch callbacks %d, history %d", epochs, len(hist))
 	}
@@ -400,7 +400,7 @@ func TestForwardBackwardCapture(t *testing.T) {
 func TestFitInputValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	net := NewMLP(2, []int{3}, 1, rng)
-	if h := net.Fit(tensor.NewMatrix(0, 2), tensor.NewMatrix(0, 1), MSE{}, DefaultTrainConfig()); h != nil {
+	if h, err := net.Fit(tensor.NewMatrix(0, 2), tensor.NewMatrix(0, 1), MSE{}, DefaultTrainConfig()); h != nil || err != nil {
 		t.Fatal("empty fit should return nil history")
 	}
 	defer func() {

@@ -18,6 +18,9 @@ type TrainConfig struct {
 	LR          float64
 	WeightDecay float64
 	Seed        int64 // the per-epoch shuffle's seed
+	// Checkpoint, when set, is the file Fit resumes from and saves to after
+	// every epoch.
+	Checkpoint string
 	// OnEpoch, when non-nil, receives (epoch, meanLoss) after each epoch.
 	OnEpoch func(epoch int, loss float64)
 	// Observer receives per-epoch training metrics (train_* series: epoch
@@ -63,30 +66,38 @@ func DefaultTrainConfig() TrainConfig {
 const clipNorm = 5
 
 // Fit trains the network on (x, y) minimising loss with a fresh AdamW. y
-// must have one row per x row. Returns the per-epoch mean training loss.
-func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) []float64 {
-	hist, _ := n.fitEpochs(x, y, loss, cfg, NewAdamW(cfg.LR, cfg.WeightDecay), 0, nil)
-	return hist
-}
-
-// fitEpochs is the one training loop, under Fit and FitCheckpointed. It
-// trains epochs start..cfg.Epochs-1 with opt, first replaying the shuffle
-// draws of the epochs before start, so a run resumed from a checkpoint
-// walks the exact batch sequence the uninterrupted run would have. After
-// each epoch's OnEpoch it calls after, when non-nil; an error from after
-// stops training and is returned with the losses of the epochs run so far.
-func (n *Network) fitEpochs(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, opt *AdamW, start int, after func(epoch int) error) ([]float64, error) {
+// must have one row per x row. Returns the per-epoch mean training loss of
+// the epochs it ran.
+//
+// With cfg.Checkpoint set, Fit first resumes from that file when it exists
+// — a corrupt file, or one another run wrote (runFingerprint), is an error
+// naming it, never a silent restart — and replays the shuffle draws of the
+// epochs it covers, so the resumed run walks the exact batch sequence, and
+// reaches the exact weights, of an uninterrupted one. It saves the file
+// atomically after every epoch; a failed save stops training at its epoch
+// and is returned with the losses so far.
+func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) ([]float64, error) {
 	if x.Rows != y.Rows {
 		panic(fmt.Sprintf("nn: Fit rows mismatch x=%d y=%d", x.Rows, y.Rows))
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	if x.Rows == 0 || start >= cfg.Epochs {
+	if x.Rows == 0 {
 		return nil, nil
 	}
 	if cfg.BatchSize <= 0 || cfg.BatchSize > x.Rows {
 		cfg.BatchSize = x.Rows
+	}
+	opt := NewAdamW(cfg.LR, cfg.WeightDecay)
+	start := 0
+	var run uint64
+	if cfg.Checkpoint != "" {
+		run = runFingerprint(n, x, y, loss, cfg)
+		var err error
+		if start, err = resume(cfg.Checkpoint, n, opt, run); err != nil || start >= cfg.Epochs {
+			return nil, err
+		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -163,8 +174,8 @@ func (n *Network) fitEpochs(x, y *tensor.Matrix, loss Loss, cfg TrainConfig, opt
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(epoch, mean)
 		}
-		if after != nil {
-			if err := after(epoch); err != nil {
+		if cfg.Checkpoint != "" {
+			if err := saveCheckpoint(cfg.Checkpoint, n, opt, epoch+1, run); err != nil {
 				return history, err
 			}
 		}
