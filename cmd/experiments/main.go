@@ -232,15 +232,14 @@ func runAndPrintRobustness(split *dataset.Split, ecfg core.ExperimentConfig) *co
 	res, err := core.RunRobustness(split, ecfg)
 	check(err)
 	t := report.New("ROBUSTNESS — accuracy (%) vs fault intensity (bursty loss + AGC + nulls + env outage)",
-		"Intensity", "Drop %", "CSI-only avg", "Pipeline avg", "Fallback %", "Imputed %", "Degr/Recov")
+		"Intensity", "Drop %", "CSI-only avg", "Pipeline avg", "Fallback %", "Imputed %")
 	for _, p := range res.Points {
 		t.AddRowStrings(fmt.Sprintf("%.2f", p.Intensity),
 			fmt.Sprintf("%.1f", 100*p.DropRate),
 			fmt.Sprintf("%.1f", p.CSIAvg),
 			fmt.Sprintf("%.1f", p.PipeAvg),
 			fmt.Sprintf("%.0f", 100*p.FallbackFrac),
-			fmt.Sprintf("%.0f", 100*p.ImputedFrac),
-			fmt.Sprintf("%d/%d", p.Degradations, p.Recoveries))
+			fmt.Sprintf("%.0f", 100*p.ImputedFrac))
 	}
 	fmt.Println(t)
 	fmt.Printf("(intensity 0 row reproduces the Table IV MLP columns bit-identically; %.1fs)\n\n",

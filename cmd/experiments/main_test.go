@@ -67,7 +67,7 @@ func TestTable4Golden(t *testing.T) {
 		{"footprint", 0xf3a51fb66e4083eb},
 		{"activity", 0x61d2e4d0982687f0},
 		{"counting", 0x6f0e20a1afabf73d},
-		{"robustness", 0xe007214f80d1844f},
+		{"robustness", 0x15f45747f10c406f},
 	} {
 		t.Run(tc.only, func(t *testing.T) {
 			out := runMain(t, "-quick", "-only", tc.only)

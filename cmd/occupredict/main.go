@@ -6,9 +6,10 @@
 // the degradation-aware runtime (internal/stream): at -fault 0 the channel is
 // the identity; at -fault 1 it models ~20% bursty frame loss, AGC resteps,
 // subcarrier nulls and env-sensor outages, and the runtime imputes short gaps
-// and falls back from the C+E detector to the CSI-only model when the env
-// feed dies. Each generated record goes through the fault channel and the
-// runtime's Process inside dataset.Stream's callback: one loop, no queue.
+// and scores a frame with the CSI-only model instead of the C+E detector when
+// its env gap has lasted the watchdog interval. Each generated record goes
+// through the fault channel and the runtime's Process inside
+// dataset.Stream's callback: one loop, no queue.
 // Ctrl-C ends that loop (dataset.Stream returns ctx.Err()) and shuts down
 // gracefully: stats are flushed and the exit code is 0.
 //
@@ -180,10 +181,10 @@ func main() {
 		fmt.Printf("occupredict: faults: %.1f%% frames dropped, %d env gaps, %d null bursts, %d AGC jumps\n",
 			100*float64(dropped)/float64(maxi(int(frames), 1)),
 			count("fault_env_missing_total"), count("fault_null_bursts_total"), count("fault_agc_jumps_total"))
-		fmt.Printf("occupredict: runtime: %d primary / %d fallback / %d held, %d CSI imputed, %d degradations, %d recoveries\n",
+		fmt.Printf("occupredict: runtime: %d primary / %d fallback / %d held, %d CSI imputed, %d env imputed\n",
 			count("stream_primary_frames_total"), count("stream_fallback_frames_total"),
 			count("stream_held_frames_total"), count("stream_csi_imputed_total"),
-			count("stream_degradations_total"), count("stream_recoveries_total"))
+			count("stream_env_imputed_total"))
 	}
 }
 

@@ -18,7 +18,7 @@ var kernelLine = regexp.MustCompile(`compute kernel .*`)
 // -epochs 1 -minutes 2` prints: an FNV-1a hash of main's stdout with the
 // kernel line blanked — on-the-fly training of both detectors, the fault
 // channel, and every runtime path (primary, fallback and held frames,
-// imputed CSI, degradations and recoveries), the same under either
+// imputed CSI and env), the same under either
 // OCCU_KERNEL setting. A change that moves a decision moves it on purpose;
 // say so where it lands.
 func TestStreamGolden(t *testing.T) {
@@ -41,7 +41,7 @@ func TestStreamGolden(t *testing.T) {
 	out := kernelLine.ReplaceAll(<-done, []byte("compute kernel X"))
 	h := fnv.New64a()
 	h.Write(out)
-	const want = 0x860d6b0023a0639d
+	const want = 0x89ee9e42e81ba6d6
 	if h.Sum64() != want {
 		t.Fatalf("stdout hashes to %#016x, want %#016x:\n%s", h.Sum64(), uint64(want), out)
 	}

@@ -46,9 +46,9 @@ func TestRunRobustnessCleanReproducesTable4(t *testing.T) {
 			t.Fatalf("fold %d pipeline: clean sweep %v != Table IV %v", fi+1, got, want)
 		}
 	}
-	if p.DropRate != 0 || p.Degradations != 0 || p.FallbackFrac != 0 {
-		t.Fatalf("clean point reports faults: drop=%v degr=%d fallback=%v",
-			p.DropRate, p.Degradations, p.FallbackFrac)
+	if p.DropRate != 0 || p.FallbackFrac != 0 || p.ImputedFrac != 0 || p.HeldFrac != 0 {
+		t.Fatalf("clean point reports faults: drop=%v fallback=%v imputed=%v held=%v",
+			p.DropRate, p.FallbackFrac, p.ImputedFrac, p.HeldFrac)
 	}
 }
 
@@ -81,17 +81,19 @@ func TestRunRobustnessDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("intensity %v fold %d: accuracies differ across worker counts", pa.Intensity, fi+1)
 			}
 		}
-		if pa.DropRate != pb.DropRate || pa.Degradations != pb.Degradations {
+		if pa.DropRate != pb.DropRate || pa.FallbackFrac != pb.FallbackFrac || pa.ImputedFrac != pb.ImputedFrac {
 			t.Fatalf("intensity %v: stats differ across worker counts", pa.Intensity)
 		}
 	}
 }
 
 // TestRunRobustnessDegradesUnderOutage drives the pipeline at intensity 1:
-// ~20% bursty frame loss plus a full env-sensor outage. The acceptance contract: the
-// runtime must not panic, every fold's pipeline must fall back to the
-// CSI-only model within one watchdog interval, and the clean point must be
-// unaffected.
+// ~20% bursty frame loss plus the profile's intermittent env outages. The
+// acceptance contract: the runtime must not panic, the fallback must not
+// take over the stream, the pipeline must keep usable accuracy, and the
+// clean point must be unaffected. A sensor
+// dead for the whole stream is the stream package's
+// TestDeadEnvSensorIsTheFallbackRuntime.
 func TestRunRobustnessDegradesUnderOutage(t *testing.T) {
 	_, split := testSplit(t)
 	cfg := shrink(quickCfg())
@@ -106,26 +108,18 @@ func TestRunRobustnessDegradesUnderOutage(t *testing.T) {
 	if faulty.DropRate < 0.10 || faulty.DropRate > 0.40 {
 		t.Fatalf("drop rate %v outside the expected bursty-loss band", faulty.DropRate)
 	}
-	if faulty.Degradations < len(split.Folds) {
-		t.Fatalf("only %d degradations across %d folds: pipeline did not fall back everywhere",
-			faulty.Degradations, len(split.Folds))
+	// Outages are intermittent: a sweep that killed the env feed outright
+	// would hand nearly every frame to the fallback.
+	if faulty.FallbackFrac >= 0.5 {
+		t.Fatalf("fallback served %.1f%% of frames under intermittent env outages", 100*faulty.FallbackFrac)
 	}
-	// Env is dead from frame 0, so the watchdog must trip within its first
-	// interval (the stream default, 40 frames) in every fold.
-	if faulty.MaxFirstFallbackFrame < 0 || faulty.MaxFirstFallbackFrame > 40 {
-		t.Fatalf("first fallback at frame %d, want within one watchdog interval (40 frames)",
-			faulty.MaxFirstFallbackFrame)
-	}
-	if faulty.FallbackFrac < 0.9 {
-		t.Fatalf("fallback served only %.0f%% of frames under a full env outage", 100*faulty.FallbackFrac)
-	}
-	// The fallback path must still produce usable accuracy: no worse than a
+	// The pipeline must still produce usable accuracy: no worse than a
 	// coin flip even with a fifth of the frames destroyed.
 	if faulty.PipeAvg < 50 {
 		t.Fatalf("pipeline accuracy collapsed to %.1f%% under faults", faulty.PipeAvg)
 	}
 	clean := res.Points[0]
-	if clean.DropRate != 0 || clean.Degradations != 0 {
-		t.Fatalf("clean point contaminated by sweep: drop=%v degr=%d", clean.DropRate, clean.Degradations)
+	if clean.DropRate != 0 || clean.FallbackFrac != 0 {
+		t.Fatalf("clean point contaminated by sweep: drop=%v fallback=%v", clean.DropRate, clean.FallbackFrac)
 	}
 }

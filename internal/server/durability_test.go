@@ -495,7 +495,7 @@ func TestRecoveryAcrossRetentionMatchesFullHistory(t *testing.T) {
 	runtime := func(c *server.Config) {
 		c.Fallback = ampPred{}
 		c.PrimaryUsesEnv = true
-		c.MaxHoldGap, c.WatchdogFrames, c.RecoverFrames, c.SmootherNeed = 2, 5, 4, 3
+		c.MaxHoldGap, c.WatchdogFrames, c.SmootherNeed = 2, 5, 3
 	}
 	durable := func(dir string) func(*server.Config) {
 		return func(c *server.Config) {

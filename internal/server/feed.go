@@ -108,7 +108,6 @@ func (f *feed) fresh() error {
 		PrimaryUsesEnv: s.cfg.PrimaryUsesEnv,
 		MaxHoldGap:     s.cfg.MaxHoldGap,
 		WatchdogFrames: s.cfg.WatchdogFrames,
-		RecoverFrames:  s.cfg.RecoverFrames,
 		SmootherNeed:   s.cfg.SmootherNeed,
 		Observer:       s.cfg.Observer,
 	}

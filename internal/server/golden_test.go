@@ -31,12 +31,12 @@ import (
 // differ in their bits, so each kernel has its own.
 func TestServedDecisionsGolden(t *testing.T) {
 	want := map[string]uint64{
-		"f64/generic":  0x0413144875b16b5a,
-		"f64/avx2":     0x0413144875b16b5a,
-		"f32/generic":  0xdb415763827b5581,
-		"f32/avx2":     0x661d2356ff139c71,
-		"int8/generic": 0xeaee8feb10bcbae4,
-		"int8/avx2":    0x01db75f133a4f278,
+		"f64/generic":  0xf83e1520b7d494e1,
+		"f64/avx2":     0xf83e1520b7d494e1,
+		"f32/generic":  0xfc4d1ab90d4a3311,
+		"f32/avx2":     0x8a398e6a6e46f7cc,
+		"int8/generic": 0x2361d6c24ed5c47e,
+		"int8/avx2":    0x304144c24dfa5b0f,
 	}
 	for _, prec := range []string{"f64", "f32", "int8"} {
 		primary := randomEngine(t, dataset.FeatCSIEnv, prec, 1)
@@ -50,7 +50,7 @@ func TestServedDecisionsGolden(t *testing.T) {
 		}
 		s, err := New(Config{
 			Primary: primary, Fallback: randomEngine(t, dataset.FeatCSI, prec, 2), PrimaryUsesEnv: true,
-			MaxHoldGap: 2, WatchdogFrames: 5, RecoverFrames: 4, SmootherNeed: 2,
+			MaxHoldGap: 2, WatchdogFrames: 5, SmootherNeed: 2,
 			StreamBuffer: 64, Models: reg,
 		})
 		if err != nil {
@@ -97,12 +97,12 @@ func TestServedDecisionsGolden(t *testing.T) {
 // hides its precision and kernel, so the scorer stamp, and with it the file,
 // is the same under both kernels.
 func TestSnapshotBytesGolden(t *testing.T) {
-	const want = uint64(0xddc83ebb19b32cfb)
+	const want = uint64(0x59f6ae631ba49075)
 	dir := t.TempDir()
 	s, err := New(Config{
 		Primary:  struct{ stream.Predictor }{randomEngine(t, dataset.FeatCSIEnv, "f64", 1)},
 		Fallback: struct{ stream.Predictor }{randomEngine(t, dataset.FeatCSI, "f64", 2)}, PrimaryUsesEnv: true,
-		MaxHoldGap: 2, WatchdogFrames: 5, RecoverFrames: 4, SmootherNeed: 2,
+		MaxHoldGap: 2, WatchdogFrames: 5, SmootherNeed: 2,
 		Drift:      drift.Config{Baseline: 8, Window: 4, Bins: 4},
 		Durability: framelog.Config{Dir: dir, Fsync: framelog.FsyncOff},
 	})

@@ -168,7 +168,7 @@ func TestHandoffAcrossRetention(t *testing.T) {
 	runtime := func(c *server.Config) {
 		c.Fallback = ampPred{}
 		c.PrimaryUsesEnv = true
-		c.MaxHoldGap, c.WatchdogFrames, c.RecoverFrames, c.SmootherNeed = 2, 5, 4, 3
+		c.MaxHoldGap, c.WatchdogFrames, c.SmootherNeed = 2, 5, 3
 	}
 	want := referenceRun(t, runtime, frames)
 	p := newHandoffPair(t, func(_ string, c *server.Config) {

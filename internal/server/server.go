@@ -57,11 +57,10 @@ type Config struct {
 	Fallback stream.Predictor
 	// PrimaryUsesEnv declares whether Primary consumes Temp/Humidity.
 	PrimaryUsesEnv bool
-	// MaxHoldGap / WatchdogFrames / RecoverFrames / SmootherNeed tune each
-	// feed's stream.Runtime (zero: stream defaults).
+	// MaxHoldGap / WatchdogFrames / SmootherNeed tune each feed's
+	// stream.Runtime (zero: stream defaults).
 	MaxHoldGap     int
 	WatchdogFrames int
-	RecoverFrames  int
 	SmootherNeed   int
 
 	// QueueDepth is inert: feeds have had no ingest queue since ingest

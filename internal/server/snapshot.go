@@ -72,8 +72,8 @@ func scorerOf(c Config) string {
 	}); ok {
 		prec, kernel = e.Precision(), e.Kernel()
 	}
-	return fmt.Sprintf("%s/%s hold=%d watchdog=%d recover=%d smoother=%d env=%t fallback=%t drift=%+v", prec, kernel,
-		c.MaxHoldGap, c.WatchdogFrames, c.RecoverFrames, c.SmootherNeed, c.PrimaryUsesEnv, c.Fallback != nil, c.Drift)
+	return fmt.Sprintf("%s/%s hold=%d watchdog=%d smoother=%d env=%t fallback=%t drift=%+v", prec, kernel,
+		c.MaxHoldGap, c.WatchdogFrames, c.SmootherNeed, c.PrimaryUsesEnv, c.Fallback != nil, c.Drift)
 }
 
 // stateVersion tags the feed's own part of the snapshot state.

@@ -40,8 +40,9 @@ func randomEngine(t testing.TB, features dataset.FeatureSet, prec string, seed i
 
 // degradingFrames is stream's degradingTrace corpus with CSI a detector
 // scores on both sides of 0.5: 60 frames with an env outage long enough to
-// impute, degrade to the fallback and recover, isolated dropped frames (CSI
-// held) and one run of drops longer than MaxHoldGap (decision held).
+// impute, then fall back, then return to the primary, isolated dropped
+// frames (CSI held) and one run of drops longer than MaxHoldGap (decision
+// held).
 func degradingFrames() []fault.Frame {
 	trace := make([]fault.Frame, 60)
 	for i := range trace {
@@ -64,7 +65,7 @@ func degradingServer(t testing.TB, primary, fallback *core.DetectorEngine, withD
 	t.Helper()
 	cfg := Config{
 		Primary: primary, Fallback: fallback, PrimaryUsesEnv: true,
-		MaxHoldGap: 2, WatchdogFrames: 5, RecoverFrames: 4, SmootherNeed: 2,
+		MaxHoldGap: 2, WatchdogFrames: 5, SmootherNeed: 2,
 		StreamBuffer: 64,
 	}
 	if withDrift {
@@ -198,10 +199,10 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(state)
 	f.Add(fresh)
 	f.Add(state[:len(state)-3])    // short state
-	f.Add(patch(state, 0, 2))      // unknown runtime-state version
-	f.Add(patch(state, 8, 7))      // a mode the runtime has no name for
-	f.Add(patch(state, 8*5, 2))    // a bool that is neither 0 nor 1
-	f.Add(patch(state, 8*5, 1<<8)) // ... in a higher byte
+	f.Add(patch(state, 0, 1))      // the previous runtime-state version
+	f.Add(patch(state, 8*12, 7))   // a decision mode the runtime has no name for
+	f.Add(patch(state, 8*3, 2))    // a bool that is neither 0 nor 1
+	f.Add(patch(state, 8*3, 1<<8)) // ... in a higher byte
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if snap, err := framelog.ParseSnapshot(b); err == nil && !bytes.Equal(framelog.EncodeSnapshot(snap), b) {

@@ -32,7 +32,7 @@ const (
 	wireFramesGolden = uint64(0xcfba3446d5c06fa5)
 	// wireStreamGolden is FNV-1a of the bytes GET /v1/feeds/{id}/stream?all=1
 	// answers for degradingFrames on a registry-backed f64 feed.
-	wireStreamGolden = uint64(0x7970db794e1467a5)
+	wireStreamGolden = uint64(0x6718f5194f8ff13e)
 )
 
 // wireGoldenBatch is a frame batch with every encoding corner a frame can
@@ -146,7 +146,7 @@ func TestStreamWireGolden(t *testing.T) {
 	}
 	s, err := New(Config{
 		Primary: primary, Fallback: randomEngine(t, dataset.FeatCSI, "f64", 2), PrimaryUsesEnv: true,
-		MaxHoldGap: 2, WatchdogFrames: 5, RecoverFrames: 4, SmootherNeed: 2,
+		MaxHoldGap: 2, WatchdogFrames: 5, SmootherNeed: 2,
 		StreamBuffer: 64, Models: reg,
 	})
 	if err != nil {

@@ -358,7 +358,9 @@ func TestIngestDecodeAllocsPerRequest(t *testing.T) {
 // TestClaimedLengthIsNotAllocated: Content-Length sizes the ingest buffer
 // only up to what the pool keeps. A client claiming 8 MiB, or more than fits
 // an int, and sending one frame costs at most one pooled-size buffer, not
-// the claim.
+// the claim. Under -race the pool drops buffers at random, so a request may
+// pay for a fresh pooled-size buffer and more; what still holds there is
+// that it never pays for the claim.
 func TestClaimedLengthIsNotAllocated(t *testing.T) {
 	body, _ := AppendIngestBody(nil, wireGoldenBatch()[:1])
 	for _, claim := range []int64{maxIngestBody, math.MaxInt64} {
@@ -375,7 +377,8 @@ func TestClaimedLengthIsNotAllocated(t *testing.T) {
 			putFrames(frames)
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > maxPooledBody+64<<10 {
+		per := (after.TotalAlloc - before.TotalAlloc) / calls
+		if !raceEnabled && per > maxPooledBody+64<<10 || per >= maxIngestBody {
 			t.Fatalf("claim %d: %d bytes allocated per one-frame request", claim, per)
 		}
 	}

@@ -7,16 +7,14 @@ import (
 )
 
 // stateVersion tags EncodeState's encoding; RestoreState accepts no other.
-const stateVersion = 1
+const stateVersion = 2
 
 // carried lists, in encoding order, every field Process carries from one
 // frame to the next.
 func (rt *Runtime) carried() []any {
-	h, d := &rt.envHist, &rt.lastDec
-	fields := []any{(*int)(&rt.mode), &rt.envMissRun, &rt.envOKRun, &rt.dropRun, &rt.haveCSI, &rt.haveDec,
-		&d.P, &d.Pred, &d.State, &d.Flipped, (*int)(&d.Mode), &d.CSIImputed, &d.EnvImputed,
-		&h[0].index, &h[0].temp, &h[0].hum, &h[1].index, &h[1].temp, &h[1].hum, &rt.envCount,
-		&rt.frames, &rt.firstFallback}
+	d := &rt.lastDec
+	fields := []any{&rt.envMissRun, &rt.dropRun, &rt.haveEnv, &rt.haveCSI, &rt.haveDec, &rt.lastTemp, &rt.lastHum,
+		&d.P, &d.Pred, &d.State, &d.Flipped, (*int)(&d.Mode), &d.CSIImputed, &d.EnvImputed}
 	for k := range rt.lastCSI {
 		fields = append(fields, &rt.lastCSI[k])
 	}
@@ -35,8 +33,8 @@ func (rt *Runtime) EncodeState() []byte {
 
 // RestoreState replaces the runtime's state with one EncodeState wrote under
 // the same Config and returns the bytes after it. A state that does not
-// decode or validate — a mode this Config cannot be in, a negative count, a
-// smoother run at or past its need — changes nothing.
+// decode or validate — another version, a negative count, a decision mode
+// with no name, a smoother run at or past its need — changes nothing.
 func (rt *Runtime) RestoreState(b []byte) ([]byte, error) {
 	next := *rt
 	if rt.sm != nil {
@@ -47,10 +45,7 @@ func (rt *Runtime) RestoreState(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	canFallBack := rt.cfg.PrimaryUsesEnv && rt.cfg.Fallback != nil
-	if next.mode != ModePrimary && (next.mode != ModeFallback || !canFallBack) ||
-		next.envMissRun < 0 || next.envOKRun < 0 || next.dropRun < 0 || next.envCount < 0 || next.envCount > 2 ||
-		next.firstFallback < -1 || next.firstFallback >= next.frames ||
+	if next.envMissRun < 0 || next.dropRun < 0 ||
 		next.lastDec.Mode < ModePrimary || next.lastDec.Mode > ModeHeld ||
 		next.sm != nil && (next.sm.run < 0 || next.sm.run >= next.sm.need) {
 		return nil, errors.New("stream: restored state fails validation")

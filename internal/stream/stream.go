@@ -3,12 +3,13 @@
 // that a clean-room evaluation does not:
 //
 //   - imputation — short gaps from dropped frames are bridged by holding
-//     the last CSI vector; missing env readings are held or linearly
-//     extrapolated, policy-selectable;
-//   - graceful degradation — a watchdog counts consecutive missing env
-//     readings and swaps the CSI+Env primary detector for a CSI-only
-//     fallback when the env feed dies, swapping back after the feed has
-//     been healthy again for a recovery window;
+//     the last CSI vector; a missing env reading is bridged by holding the
+//     last one;
+//   - graceful degradation — a frame whose env reading is gone, before the
+//     first reading or once the gap has lasted WatchdogFrames frames, is
+//     scored by a CSI-only fallback detector instead of the CSI+Env
+//     primary; there is no mode to enter or leave, each frame's own gap
+//     decides;
 //   - hysteresis smoothing — per-sample flicker is debounced before a
 //     state transition is announced (Smoother).
 //
@@ -40,10 +41,11 @@ type Predictor interface {
 	PredictRecord(r *dataset.Record) (float64, int)
 }
 
-// Mode identifies which detector served a frame.
+// Mode identifies which detector served a frame. It is a property of the
+// one decision, not a state the runtime is in.
 type Mode int
 
-// Runtime modes.
+// Per-decision modes.
 const (
 	ModePrimary Mode = iota
 	ModeFallback
@@ -64,24 +66,15 @@ func (m Mode) String() string {
 	}
 }
 
-// ImputePolicy selects how missing env readings are bridged.
-type ImputePolicy int
-
-// Imputation policies for env gaps.
-const (
-	// ImputeHold repeats the last delivered reading.
-	ImputeHold ImputePolicy = iota
-	// ImputeLinear extrapolates linearly from the last two readings.
-	ImputeLinear
-)
-
-// Config parametrises the runtime. A zero Fallback disables degradation
-// (the primary is used throughout, with imputed env when missing).
+// Config parametrises the runtime. A zero Fallback disables degradation:
+// the primary is used throughout, a frame before the first env reading is
+// held and later gaps are imputed.
 type Config struct {
 	// Primary is the preferred detector (typically CSI+Env).
 	Primary Predictor
-	// Fallback, when non-nil, takes over while the env feed is dead
-	// (typically the CSI-only detector).
+	// Fallback, when non-nil, scores the frames whose env reading is gone:
+	// those before the first reading, and those WatchdogFrames or more
+	// frames into a gap (typically the CSI-only detector).
 	Fallback Predictor
 	// PrimaryUsesEnv declares whether Primary consumes Temp/Humidity. When
 	// false, env faults never trigger imputation or fallback.
@@ -91,21 +84,17 @@ type Config struct {
 	// the last CSI vector; longer gaps hold the previous *decision*
 	// instead of fabricating data. Default 8.
 	MaxHoldGap int
-	// Imputation selects the env gap-bridging policy. Default ImputeHold.
-	Imputation ImputePolicy
 	// WatchdogFrames is how many consecutive frames without a fresh env
-	// reading the watchdog tolerates before degrading to Fallback.
-	// Default 40 (2 s at the paper's 20 Hz).
+	// reading the primary scores on the last reading, held, before Fallback
+	// scores the rest of the gap. It counts frames, not time: the default
+	// 40 is 2 s at the paper's 20 Hz but 80 s at 0.5 Hz.
 	WatchdogFrames int
-	// RecoverFrames is how many consecutive healthy env frames are needed
-	// before returning to Primary. Default 100 (5 s at 20 Hz).
-	RecoverFrames int
 	// SmootherNeed enables hysteresis smoothing of the announced state
 	// when > 0: a flip requires that many consecutive contrary samples.
 	SmootherNeed int
 
-	// Observer receives the runtime's metrics (frame/imputation/transition
-	// counters, the current mode). Nil disables observability at zero cost;
+	// Observer receives the runtime's metrics (per-frame mode, imputation
+	// and flip counters). Nil disables observability at zero cost;
 	// attaching one never changes a decision — instruments only count
 	// (DESIGN.md §10). Several runtimes may share one Observer: the series
 	// aggregate.
@@ -114,18 +103,15 @@ type Config struct {
 
 // Validate reports whether the configuration can run. Zero fields select
 // defaults (withDefaults), so only contradictions fail: a missing primary
-// detector, negative counts, or an unknown imputation policy. New calls
-// it; callers may too, as a pre-flight check.
+// detector or negative counts. New calls it; callers may too, as a
+// pre-flight check.
 func (c Config) Validate() error {
 	if c.Primary == nil {
 		return errors.New("stream: Config.Primary is required")
 	}
-	if c.MaxHoldGap < 0 || c.WatchdogFrames < 0 || c.RecoverFrames < 0 || c.SmootherNeed < 0 {
-		return fmt.Errorf("stream: negative frame counts (hold %d, watchdog %d, recover %d, smoother %d)",
-			c.MaxHoldGap, c.WatchdogFrames, c.RecoverFrames, c.SmootherNeed)
-	}
-	if c.Imputation != ImputeHold && c.Imputation != ImputeLinear {
-		return fmt.Errorf("stream: unknown imputation policy %d", int(c.Imputation))
+	if c.MaxHoldGap < 0 || c.WatchdogFrames < 0 || c.SmootherNeed < 0 {
+		return fmt.Errorf("stream: negative frame counts (hold %d, watchdog %d, smoother %d)",
+			c.MaxHoldGap, c.WatchdogFrames, c.SmootherNeed)
 	}
 	return nil
 }
@@ -137,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatchdogFrames == 0 {
 		c.WatchdogFrames = 40
-	}
-	if c.RecoverFrames == 0 {
-		c.RecoverFrames = 100
 	}
 	return c
 }
@@ -166,16 +149,13 @@ type Decision struct {
 // Observer is configured; every method on a nil instrument no-ops, so the
 // uninstrumented hot path pays one nil check per touch.
 type metrics struct {
-	frames       *obs.Counter
-	primary      *obs.Counter
-	fallback     *obs.Counter
-	held         *obs.Counter
-	csiImputed   *obs.Counter
-	envImputed   *obs.Counter
-	degradations *obs.Counter
-	recoveries   *obs.Counter
-	flips        *obs.Counter
-	mode         *obs.Gauge
+	frames     *obs.Counter
+	primary    *obs.Counter
+	fallback   *obs.Counter
+	held       *obs.Counter
+	csiImputed *obs.Counter
+	envImputed *obs.Counter
+	flips      *obs.Counter
 }
 
 // newMetrics resolves the stream instrument set against o (nil → all-nil).
@@ -184,16 +164,13 @@ func newMetrics(o obs.Observer) metrics {
 		return metrics{}
 	}
 	return metrics{
-		frames:       o.Counter("stream_frames_total", "frames processed by the runtime"),
-		primary:      o.Counter("stream_primary_frames_total", "frames served by the primary detector"),
-		fallback:     o.Counter("stream_fallback_frames_total", "frames served by the fallback detector"),
-		held:         o.Counter("stream_held_frames_total", "frames where the previous decision was held"),
-		csiImputed:   o.Counter("stream_csi_imputed_total", "dropped frames bridged by holding the last CSI vector"),
-		envImputed:   o.Counter("stream_env_imputed_total", "missing env readings bridged by imputation"),
-		degradations: o.Counter("stream_degradations_total", "primary-to-fallback transitions"),
-		recoveries:   o.Counter("stream_recoveries_total", "fallback-to-primary transitions"),
-		flips:        o.Counter("stream_flips_total", "smoothed occupancy state transitions"),
-		mode:         o.Gauge("stream_mode", "current degradation mode (0=primary 1=fallback 2=held)"),
+		frames:     o.Counter("stream_frames_total", "frames processed by the runtime"),
+		primary:    o.Counter("stream_primary_frames_total", "frames served by the primary detector"),
+		fallback:   o.Counter("stream_fallback_frames_total", "frames served by the fallback detector"),
+		held:       o.Counter("stream_held_frames_total", "frames where the previous decision was held"),
+		csiImputed: o.Counter("stream_csi_imputed_total", "dropped frames bridged by holding the last CSI vector"),
+		envImputed: o.Counter("stream_env_imputed_total", "missing env readings bridged by holding the last one"),
+		flips:      o.Counter("stream_flips_total", "smoothed occupancy state transitions"),
 	}
 }
 
@@ -204,31 +181,21 @@ type Runtime struct {
 	sm  *Smoother
 	m   metrics
 
-	mode       Mode
-	envMissRun int
-	envOKRun   int
+	envMissRun int // consecutive frames without a fresh env reading
 	dropRun    int
 
-	lastCSI  [csi.NumSubcarriers]float64
-	haveCSI  bool
-	lastDec  Decision
-	haveDec  bool
-	envHist  [2]envSample // [0] newest, [1] previous
-	envCount int
-
-	frames        int // frames processed so far; also the next frame index
-	firstFallback int // index of the first fallback-served frame, -1 until one
+	lastCSI           [csi.NumSubcarriers]float64
+	haveCSI           bool
+	lastDec           Decision
+	haveDec           bool
+	lastTemp, lastHum float64
+	haveEnv           bool
 
 	// rec is the record handed to the detector: the frame's, with imputed
 	// fields patched in. It lives here because the pointer passed through
 	// the Predictor interface escapes — a local would cost one heap record
 	// per frame.
 	rec dataset.Record
-}
-
-type envSample struct {
-	index     int
-	temp, hum float64
 }
 
 // New builds a Runtime; zero config fields take defaults. Primary must be
@@ -238,69 +205,31 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	rt := &Runtime{
-		cfg:           cfg,
-		mode:          ModePrimary,
-		m:             newMetrics(cfg.Observer),
-		firstFallback: -1,
-	}
+	rt := &Runtime{cfg: cfg, m: newMetrics(cfg.Observer)}
 	if cfg.SmootherNeed > 0 {
 		rt.sm = NewSmoother(0, cfg.SmootherNeed)
 	}
 	return rt, nil
 }
 
-// FirstFallbackFrame returns the index of the first frame served by the
-// fallback detector, or -1 if the runtime has never fallen back. Aggregate
-// counts (frames, imputations, transitions) live in the stream_* series of
-// the configured Observer.
-func (rt *Runtime) FirstFallbackFrame() int { return rt.firstFallback }
-
-// Process runs one frame through imputation, the degradation state machine
-// and the detector, returning the decision. Purely deterministic in the
-// frame sequence.
+// Process runs one frame through imputation, detector selection and the
+// detector, returning the decision. Purely deterministic in the frame
+// sequence. Aggregate counts (frames, modes, imputations) live in the
+// stream_* series of the configured Observer.
 func (rt *Runtime) Process(f fault.Frame) Decision {
 	cfg := &rt.cfg
-	idx := rt.frames
-	rt.frames++
 	rt.m.frames.Inc()
-
-	// --- env feed tracking ------------------------------------------------
 	if f.EnvOK {
-		rt.envOKRun++
 		rt.envMissRun = 0
-		rt.envHist[1] = rt.envHist[0]
-		rt.envHist[0] = envSample{index: idx, temp: f.Rec.Temp, hum: f.Rec.Humidity}
-		if rt.envCount < 2 {
-			rt.envCount++
-		}
+		rt.lastTemp, rt.lastHum, rt.haveEnv = f.Rec.Temp, f.Rec.Humidity, true
 	} else {
 		rt.envMissRun++
-		rt.envOKRun = 0
-	}
-
-	// --- degradation state machine ---------------------------------------
-	if cfg.PrimaryUsesEnv && cfg.Fallback != nil {
-		switch rt.mode {
-		case ModePrimary:
-			if rt.envMissRun >= cfg.WatchdogFrames {
-				rt.mode = ModeFallback
-				rt.m.degradations.Inc()
-				rt.m.mode.Set(float64(ModeFallback))
-			}
-		case ModeFallback:
-			if rt.envOKRun >= cfg.RecoverFrames {
-				rt.mode = ModePrimary
-				rt.m.recoveries.Inc()
-				rt.m.mode.Set(float64(ModePrimary))
-			}
-		}
 	}
 
 	// --- CSI gap bridging -------------------------------------------------
 	rec := &rt.rec
 	*rec = f.Rec
-	d := Decision{Mode: rt.mode}
+	var d Decision
 	if f.Dropped {
 		rt.dropRun++
 		if !rt.haveCSI || rt.dropRun > cfg.MaxHoldGap {
@@ -316,20 +245,18 @@ func (rt *Runtime) Process(f fault.Frame) Decision {
 	}
 
 	// --- env imputation & detector selection ------------------------------
+	// A frame without a fresh reading goes to the fallback when there is no
+	// reading to hold or the gap has lasted a watchdog interval; otherwise
+	// the primary scores it on the last reading, held.
 	pred := cfg.Primary
-	if rt.mode == ModeFallback {
-		pred = cfg.Fallback
-	} else if cfg.PrimaryUsesEnv && !f.EnvOK {
-		if rt.envCount == 0 {
-			// No env reading ever arrived: the primary cannot run yet.
-			if cfg.Fallback != nil {
-				pred = cfg.Fallback
-				d.Mode = ModeFallback
-			} else {
-				return rt.hold(d)
-			}
-		} else {
-			rec.Temp, rec.Humidity = rt.imputeEnv(idx)
+	if cfg.PrimaryUsesEnv && !f.EnvOK {
+		switch {
+		case cfg.Fallback != nil && (!rt.haveEnv || rt.envMissRun >= cfg.WatchdogFrames):
+			pred, d.Mode = cfg.Fallback, ModeFallback
+		case !rt.haveEnv:
+			return rt.hold(d)
+		default:
+			rec.Temp, rec.Humidity = rt.lastTemp, rt.lastHum
 			d.EnvImputed = true
 			rt.m.envImputed.Inc()
 		}
@@ -344,13 +271,9 @@ func (rt *Runtime) Process(f fault.Frame) Decision {
 			rt.m.flips.Inc()
 		}
 	}
-	switch d.Mode {
-	case ModeFallback:
+	if d.Mode == ModeFallback {
 		rt.m.fallback.Inc()
-		if rt.firstFallback < 0 {
-			rt.firstFallback = idx
-		}
-	default:
+	} else {
 		rt.m.primary.Inc()
 	}
 	rt.lastDec = d
@@ -366,22 +289,6 @@ func (rt *Runtime) hold(d Decision) Decision {
 		d.P, d.Pred, d.State = rt.lastDec.P, rt.lastDec.Pred, rt.lastDec.State
 	}
 	return d
-}
-
-// imputeEnv bridges a missing env reading at frame idx.
-func (rt *Runtime) imputeEnv(idx int) (temp, hum float64) {
-	last := rt.envHist[0]
-	if rt.cfg.Imputation == ImputeHold || rt.envCount < 2 {
-		return last.temp, last.hum
-	}
-	prev := rt.envHist[1]
-	span := float64(last.index - prev.index)
-	if span <= 0 {
-		return last.temp, last.hum
-	}
-	ahead := float64(idx - last.index)
-	return last.temp + (last.temp-prev.temp)/span*ahead,
-		last.hum + (last.hum-prev.hum)/span*ahead
 }
 
 // Run hands every frame from frames, with its Process decision, to fn

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"go/parser"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/statecodec"
 )
 
 // fakePred records every record it is asked to classify and returns a
@@ -137,96 +139,80 @@ func TestHeldBeforeAnyFrame(t *testing.T) {
 	}
 }
 
-func TestEnvImputationHoldAndLinear(t *testing.T) {
-	for _, tc := range []struct {
-		policy   ImputePolicy
-		wantTemp float64
-	}{
-		{ImputeHold, 22},   // repeat the last reading
-		{ImputeLinear, 26}, // 20, 22 at 1-frame spacing → +2/frame, 2 ahead
-	} {
-		prim := &fakePred{p: 0.6, pred: 1}
-		rt, err := New(Config{Primary: prim, PrimaryUsesEnv: true, Imputation: tc.policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.Process(frame(0, 20))
-		rt.Process(frame(1, 22))
-		f := frame(3, 99) // env missing; 99 must never be seen
+// TestEnvImputationHoldsWithoutFallback: with no fallback the primary
+// scores every frame it can. A frame before the first env reading is held —
+// there is nothing to impute from — and every later gap, however long, is
+// bridged with the last reading.
+func TestEnvImputationHoldsWithoutFallback(t *testing.T) {
+	prim := &fakePred{p: 0.6, pred: 1}
+	rt, err := New(Config{Primary: prim, PrimaryUsesEnv: true, WatchdogFrames: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := frame(0, 99)
+	f.EnvOK = false
+	if d := rt.Process(f); d.Mode != ModeHeld || len(prim.calls) != 0 {
+		t.Fatalf("frame before the first env reading: %+v, primary called %d times", d, len(prim.calls))
+	}
+	rt.Process(frame(1, 20))
+	rt.Process(frame(2, 22))
+	for i := 3; i < 50; i++ {
+		f := frame(i, 99) // env missing; 99 must never be seen
 		f.EnvOK = false
-		f.Rec.Temp, f.Rec.Humidity = 0, 0
-		// Frame index inside the runtime is 2, one past the last reading at
-		// index 1; linear extrapolation steps 2-1=1... runtime indexes by
-		// arrival order, so this is frame 2: 22 + (22-20)/1*1 = 24 for
-		// linear. Recompute expectations from arrival order:
 		d := rt.Process(f)
-		if !d.EnvImputed {
-			t.Fatalf("policy %v: env not imputed: %+v", tc.policy, d)
+		if d.Mode != ModePrimary || !d.EnvImputed {
+			t.Fatalf("frame %d, %d into the gap: %+v, want primary on imputed env", i, i-2, d)
 		}
-		got := prim.calls[len(prim.calls)-1].Temp
-		want := tc.wantTemp
-		if tc.policy == ImputeLinear {
-			want = 24
-		}
-		if got != want {
-			t.Fatalf("policy %v: imputed temp %g, want %g", tc.policy, got, want)
+		if got := prim.calls[len(prim.calls)-1]; got.Temp != 22 || got.Humidity != 44 {
+			t.Fatalf("frame %d: imputed env (%g, %g), want the last reading (22, 44)", i, got.Temp, got.Humidity)
 		}
 	}
 }
 
+// TestDegradationAndRecovery walks env gaps of every length around the
+// watchdog W: the first W-1 frames of a gap are the primary's on the last
+// reading, held; the rest are the fallback's; the first frame with env back
+// is the primary's on its own reading, whatever came before.
 func TestDegradationAndRecovery(t *testing.T) {
-	prim := &fakePred{p: 0.9, pred: 1}
-	fb := &fakePred{p: 0.2, pred: 0}
-	reg := obs.NewRegistry()
-	rt, err := New(Config{
-		Primary: prim, Fallback: fb, PrimaryUsesEnv: true,
-		WatchdogFrames: 5, RecoverFrames: 4, Observer: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	// Healthy warm-up.
-	for ; i < 3; i++ {
-		rt.Process(frame(i, 20))
-	}
-	// Env feed dies: within one watchdog interval the runtime degrades.
-	firstFallback := -1
-	for ; i < 20; i++ {
-		f := frame(i, 0)
-		f.EnvOK = false
-		d := rt.Process(f)
-		if d.Mode == ModeFallback && firstFallback < 0 {
-			firstFallback = i
+	const w = 5
+	for _, gap := range []int{1, w - 1, w, w + 1, 3 * w} {
+		prim := &fakePred{p: 0.9, pred: 1}
+		fb := &fakePred{p: 0.2, pred: 0}
+		reg := obs.NewRegistry()
+		rt, err := New(Config{Primary: prim, Fallback: fb, PrimaryUsesEnv: true, WatchdogFrames: w, Observer: reg})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rt.mode != ModeFallback {
-		t.Fatalf("runtime did not degrade; mode %v", rt.mode)
-	}
-	if firstFallback < 0 || firstFallback-3 > 5 {
-		t.Fatalf("fallback started at frame %d, want within one watchdog interval (5) of the outage at 3", firstFallback)
-	}
-	if d := count(reg, "stream_degradations_total"); d != 1 {
-		t.Fatalf("degradations = %d, want 1", d)
-	}
-	if got := rt.FirstFallbackFrame(); got != firstFallback {
-		t.Fatalf("FirstFallbackFrame() = %d, want %d", got, firstFallback)
-	}
-	// Before the watchdog fired, env was imputed for the primary.
-	if count(reg, "stream_env_imputed_total") == 0 {
-		t.Fatal("no env imputation before degradation")
-	}
-
-	// Feed returns: after RecoverFrames healthy frames, primary resumes.
-	for k := 0; k < 4; k++ {
-		rt.Process(frame(i, 21))
-		i++
-	}
-	if rt.mode != ModePrimary {
-		t.Fatalf("runtime did not recover; mode %v", rt.mode)
-	}
-	if r := count(reg, "stream_recoveries_total"); r != 1 {
-		t.Fatalf("recoveries = %d, want 1", r)
+		i := 0
+		for ; i < 3; i++ {
+			if d := rt.Process(frame(i, 20+float64(i))); d.Mode != ModePrimary || d.EnvImputed {
+				t.Fatalf("gap %d: warm-up frame %d: %+v", gap, i, d)
+			}
+		}
+		for k := 1; k <= gap; k, i = k+1, i+1 {
+			f := frame(i, 99)
+			f.EnvOK = false
+			d := rt.Process(f)
+			switch {
+			case k < w && (d.Mode != ModePrimary || !d.EnvImputed || d.P != 0.9):
+				t.Fatalf("gap %d: frame %d into it: %+v, want primary on imputed env", gap, k, d)
+			case k < w && prim.calls[len(prim.calls)-1].Temp != 22:
+				t.Fatalf("gap %d: frame %d into it imputed temp %g, want 22", gap, k, prim.calls[len(prim.calls)-1].Temp)
+			case k >= w && (d.Mode != ModeFallback || d.EnvImputed || d.P != 0.2):
+				t.Fatalf("gap %d: frame %d into it: %+v, want fallback", gap, k, d)
+			}
+		}
+		back := frame(i, 21)
+		if d := rt.Process(back); d.Mode != ModePrimary || d.EnvImputed || prim.calls[len(prim.calls)-1] != back.Rec {
+			t.Fatalf("gap %d: first frame with env back: %+v, want primary on its own reading", gap, d)
+		}
+		wantFallback := max(gap-w+1, 0)
+		if got := count(reg, "stream_fallback_frames_total"); got != wantFallback || len(fb.calls) != wantFallback {
+			t.Fatalf("gap %d: %d fallback frames (%d calls), want %d", gap, got, len(fb.calls), wantFallback)
+		}
+		if got := count(reg, "stream_env_imputed_total"); got != gap-wantFallback {
+			t.Fatalf("gap %d: %d env-imputed frames, want %d", gap, got, gap-wantFallback)
+		}
 	}
 }
 
@@ -265,6 +251,30 @@ func TestFallbackFromFirstFrameWhenEnvNeverArrives(t *testing.T) {
 	}
 	if len(prim.calls) != 0 {
 		t.Fatalf("primary ran without any env reading")
+	}
+}
+
+// TestRestoreStateRefusesVersion1: the version-1 encoding carried the mode
+// state machine and its env history; a runtime without them refuses it and
+// keeps its own state.
+func TestRestoreStateRefusesVersion1(t *testing.T) {
+	rt, err := New(degradingConfig(recordSum{}, recordSum{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range degradingTrace()[:20] {
+		rt.Process(f)
+	}
+	before := rt.EncodeState()
+	v1 := make([]any, 22+len(rt.lastCSI)+2) // version 1's field count, smoother included
+	for k := range v1 {
+		v1[k] = new(int)
+	}
+	if _, err := rt.RestoreState(statecodec.Encode(1, v1...)); err == nil {
+		t.Fatal("a version-1 state was restored")
+	}
+	if after := rt.EncodeState(); !bytes.Equal(after, before) {
+		t.Fatal("a refused state changed the runtime")
 	}
 }
 
@@ -360,8 +370,8 @@ func (a *altPred) PredictRecord(*dataset.Record) (float64, int) {
 }
 
 // degradingTrace is the corpus the observer and allocation tests share: 60
-// frames with an env outage long enough to impute, degrade to the fallback
-// and recover, isolated dropped frames (CSI held) and one run of drops
+// frames with an env outage long enough to impute, then fall back, then
+// return to the primary, isolated dropped frames (CSI held) and one run of drops
 // longer than degradingConfig's MaxHoldGap (decision held) — every branch
 // of Process.
 func degradingTrace() []fault.Frame {
@@ -369,7 +379,7 @@ func degradingTrace() []fault.Frame {
 	for i := range trace {
 		f := frame(i, 20+float64(i%5))
 		if i >= 10 && i < 35 {
-			f.EnvOK = false // env outage: imputation, then degradation
+			f.EnvOK = false // env outage: imputation, then the fallback
 		}
 		if i%13 == 7 || (i >= 48 && i < 52) {
 			f.Dropped = true // CSI gaps: hold-imputation, then held decisions
@@ -386,7 +396,6 @@ func degradingConfig(primary, fallback Predictor, o obs.Observer) Config {
 		PrimaryUsesEnv: true,
 		MaxHoldGap:     2,
 		WatchdogFrames: 5,
-		RecoverFrames:  4,
 		SmootherNeed:   2,
 		Observer:       o,
 	}
@@ -470,11 +479,10 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 	// Reconstruct the expected counters from the decisions: every series the
 	// runtime exports per frame is derivable from the Decision stream.
 	var want struct {
-		primary, fallback, held         int
-		csiImputed, envImputed          int
-		degradations, recoveries, flips int
+		primary, fallback, held int
+		csiImputed, envImputed  int
+		flips                   int
 	}
-	mode := ModePrimary
 	for _, d := range plain {
 		switch d.Mode {
 		case ModePrimary:
@@ -483,15 +491,6 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 			want.fallback++
 		case ModeHeld:
 			want.held++
-		}
-		if d.Mode != ModeHeld { // held frames don't change the underlying mode
-			if mode == ModePrimary && d.Mode == ModeFallback {
-				want.degradations++
-			}
-			if mode == ModeFallback && d.Mode == ModePrimary {
-				want.recoveries++
-			}
-			mode = d.Mode
 		}
 		if d.CSIImputed {
 			want.csiImputed++
@@ -518,8 +517,6 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 		{"stream_held_frames_total", want.held},
 		{"stream_csi_imputed_total", want.csiImputed},
 		{"stream_env_imputed_total", want.envImputed},
-		{"stream_degradations_total", want.degradations},
-		{"stream_recoveries_total", want.recoveries},
 		{"stream_flips_total", want.flips},
 	}
 	for _, c := range checks {
@@ -531,10 +528,10 @@ func TestObserverDoesNotChangeDecisions(t *testing.T) {
 			t.Errorf("%s = %v, want %d (reconstructed from decisions)", c.name, m.Value, c.want)
 		}
 	}
-	// The trace must actually exercise both transitions for the counter
-	// checks above to mean anything.
-	if want.degradations == 0 || want.recoveries == 0 {
-		t.Fatalf("trace did not degrade and recover: %+v", want)
+	// The trace must reach every mode and imputation for the counter checks
+	// above to mean anything.
+	if want.primary == 0 || want.fallback == 0 || want.held == 0 || want.csiImputed == 0 || want.envImputed == 0 {
+		t.Fatalf("trace does not reach every branch: %+v", want)
 	}
 }
 

@@ -152,9 +152,7 @@ var setIndirectly = map[string]string{
 	"occupancy.ServeConfig.Burst":       "the public serving API's token-bucket capacity beside RatePerSec, which occuserve sets; zero takes server.Config's default of 2×RatePerSec",
 	"server.Config.MaxHoldGap":          "passed through to each feed's stream.Config (zero: stream's default); the server goldens shorten it so short traces reach every runtime path",
 	"server.Config.WatchdogFrames":      "passed through to each feed's stream.Config (zero: stream's default); the server goldens shorten it so short traces reach fallback",
-	"server.Config.RecoverFrames":       "passed through to each feed's stream.Config (zero: stream's default); the server goldens shorten it so short traces reach recovery",
 	"server.Config.SmootherNeed":        "passed through to each feed's stream.Config (zero: stream's default); the server goldens and durability tests set it to exercise smoothing",
-	"stream.Config.Imputation":          "the env gap policy, recorded in the encoded stream snapshot: dropping it moves TestSnapshotBytesGolden, so it goes with ROADMAP item 19",
 }
 
 // TestEveryConfigFieldIsSet keeps options from outliving their callers:
