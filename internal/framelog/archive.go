@@ -107,7 +107,7 @@ func trailer(files int, total int64, sum hash.Hash32) []byte {
 // soon as it has been read, before any segment, if it parses; its error
 // refuses the archive. Once the trailer checks out and the segments pass the
 // CRC walk recovery would make, every file and the staging directory are
-// fsynced, the directory is renamed into place and root is fsynced. Nothing
+// fsynced and the directory is renamed into place by atomicfile.Rename. Nothing
 // is left behind on any error. A feed that already has a directory is refused
 // with an error matching fs.ErrExist; callers serialise an import with
 // everything else that creates the feed's directory. Input that is not a
@@ -159,7 +159,7 @@ func Import(root, feed string, r io.Reader, accept func(Snapshot) error) (err er
 		var raw bytes.Buffer // the snapshot, read ahead of accept
 		if n, ok := segmentNumber(name); ok && (len(segs) == 0 || n > segs[len(segs)-1]) {
 			segs = append(segs, n)
-		} else if name != snapshotName || len(segs) > 0 || hdr.Size > snapHeaderLen+maxSnapshotBody {
+		} else if name != snapshotName || len(segs) > 0 || hdr.Size > atomicfile.HeaderLen+maxSnapshotBody {
 			return bad("entry %q (%d bytes) is out of place, oversized, or no file a feed's log holds", name, hdr.Size)
 		} else if _, err := io.Copy(&raw, tr); err != nil {
 			return bad("reading the snapshot: %v", err)
@@ -193,14 +193,11 @@ func Import(root, feed string, r io.Reader, accept func(Snapshot) error) (err er
 	if _, err := tr.Next(); err != io.EOF {
 		return bad("entries after the trailer (%v)", err)
 	}
-	if _, _, err := walk(stage, feed, segs, false, func([]byte, uint32) bool { return true }); err != nil {
+	if _, _, err := walk(stage, feed, segs, false, func(int, []byte, uint32) bool { return true }); err != nil {
 		return bad("%v", err)
 	}
-	if err := atomicfile.SyncDir(stage); err != nil {
+	if err := syncDir(stage); err != nil {
 		return err
 	}
-	if err := os.Rename(stage, dst); err != nil {
-		return err
-	}
-	return atomicfile.SyncDir(root)
+	return atomicfile.Rename(stage, dst)
 }

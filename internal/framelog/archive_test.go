@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/atomicfile"
 )
 
 // archivedFeed logs 10 frames for feed "f" under a fresh root, 4 to a
@@ -189,7 +191,7 @@ func TestImportRefusesHostileArchives(t *testing.T) {
 		"hard link":           build(t, resealed([]entry{snap, {name: seg1.name, typ: tar.TypeLink}, tr})),
 		"directory":           build(t, resealed([]entry{snap, {name: seg1.name, typ: tar.TypeDir}, tr})),
 		"fifo":                build(t, resealed([]entry{snap, {name: seg1.name, typ: tar.TypeFifo}, tr})),
-		"oversize snapshot":   build(t, resealed([]entry{{name: snapshotName, typ: tar.TypeReg, body: make([]byte, snapHeaderLen+maxSnapshotBody+1)}, seg1, tr})),
+		"oversize snapshot":   build(t, resealed([]entry{{name: snapshotName, typ: tar.TypeReg, body: make([]byte, atomicfile.HeaderLen+maxSnapshotBody+1)}, seg1, tr})),
 		"no trailer":          build(t, []entry{snap, seg1, seg2}),
 		"trailer miscounted":  build(t, []entry{snap, seg1, tr}),
 		"trailer wrong crc":   build(t, []entry{snap, seg1, {name: seg2.name, typ: tar.TypeReg, body: corrupt}, tr}),
@@ -301,7 +303,7 @@ func FuzzImport(f *testing.F) {
 	f.Add(build(f, resealed([]entry{snap, {name: "/" + seg1.name, typ: tar.TypeReg, body: seg1.body}, tr})))
 	f.Add(build(f, resealed([]entry{snap, seg1, seg1, tr})))
 	f.Add(build(f, resealed([]entry{snap, {name: seg2.name, typ: tar.TypeSymlink}, tr})))
-	f.Add(build(f, resealed([]entry{{name: snapshotName, typ: tar.TypeReg, body: make([]byte, snapHeaderLen+maxSnapshotBody+1)}, tr})))
+	f.Add(build(f, resealed([]entry{{name: snapshotName, typ: tar.TypeReg, body: make([]byte, atomicfile.HeaderLen+maxSnapshotBody+1)}, tr})))
 	f.Add(build(f, []entry{snap, seg1, seg2}))
 	f.Add(build(f, []entry{snap, seg1, tr}))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,36 +4,27 @@
 //
 // Every layer above this one is deterministic — a feed's decision sequence
 // is a pure function of its accepted frame sequence (stream.Process never
-// reads the clock or the scheduler). What a process crash used to destroy
-// was therefore not the decisions themselves but the *frames*: all in-flight
-// feed state lived in memory, so a restart silently forgot every accepted
-// frame and the determinism story ended at process death. The frame log
-// closes that gap with the same discipline the nn checkpoints use (CRC-
-// guarded binary records, validate-then-trust loading):
+// reads the clock or the scheduler) — so logging the accepted frames is
+// logging the state a crash would otherwise destroy:
 //
 //   - records are length-prefixed and CRC32-guarded, so a torn write or a
 //     flipped bit is detected at read time, never silently replayed;
 //   - segments rotate at a size bound and old segments can be retired under
 //     a retention cap, so one feed cannot grow a file without bound;
-//   - the fsync policy is explicit — "always" survives power loss per
-//     frame, "interval" bounds the power-loss window while the append
-//     stream keeps flowing (the deadline is checked per append, so a
-//     burst's trailing frames stay unsynced until the next append, rotate,
-//     Flush or Close) and keeps the append path cheap (a SIGKILL'd process
-//     loses nothing either way: appends go straight to the kernel, never a
-//     user-space buffer), and "off" leaves syncing to the OS entirely;
+//   - the fsync policy (Config.Fsync) sizes the power-loss window; a
+//     SIGKILL'd process loses nothing under any policy, because appends go
+//     straight to the kernel, never a user-space buffer;
 //   - Open repairs a torn tail by truncating the last segment to its final
-//     valid record, so recovery after a mid-append crash is clean, while
-//     corruption anywhere *before* the tail — acknowledged data — is an
-//     error, never a silent drop.
+//     valid record, while corruption anywhere *before* the tail —
+//     acknowledged data — is an error, never a silent drop.
 //
-// Replaying a feed's log through a fresh stream.Runtime reproduces the live
-// run's decisions bit for bit. Beside the segments each feed keeps one
-// checksummed snapshot of its decision state, written when a segment seals
-// and when the feed closes and anchored to the record it covers up to, so a
-// restart restores that state and replays only the records after it
-// (OpenReplay's anchor); cmd/loadgen -crash proves both against a SIGKILL'd
-// process. See DESIGN.md §13 for the formats and the measured costs.
+// Beside the segments each feed keeps one snapshot of its decision state,
+// written when a segment seals and when the feed closes and anchored to the
+// record it covers up to, so a restart restores that state and replays only
+// the records after it (OpenReplay's anchor). Every durable file operation —
+// the snapshot's envelope and atomic replace, the directory syncs — goes
+// through internal/atomicfile. See DESIGN.md §13 for the formats and the
+// measured costs.
 package framelog
 
 import (

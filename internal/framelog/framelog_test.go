@@ -763,3 +763,104 @@ func TestReplayToleratesSegmentRetiredMidReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectorySyncOrder records every directory sync the writer makes and
+// checks, before the first frame that depends on it is acknowledged, that
+// the entry it depends on was synced after it changed: creating a feed
+// syncs the log root once the feed's directory is in it and the feed's
+// directory once its first segment is; a rotation syncs the feed directory
+// after creating the new segment; and retention syncs it after each
+// remove. Under fsync=interval the same syncs are made; under off, none.
+func TestDirectorySyncOrder(t *testing.T) {
+	type dirSync struct {
+		dir   string
+		names map[string]bool
+	}
+	var synced []dirSync
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(dir string) error {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		names := make(map[string]bool)
+		for _, e := range ents {
+			names[e.Name()] = true
+		}
+		synced = append(synced, dirSync{dir, names})
+		return orig(dir)
+	}
+	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncOff} {
+		synced = nil
+		root := t.TempDir()
+		dir := feedDir(root, "f")
+		cfg := Config{Dir: root, Fsync: policy, Interval: time.Hour, SegmentMaxBytes: segHeaderLen + 4*recordLen, MaxSegments: 3}
+		// check takes the syncs made since the last check: want, in order,
+		// each entry change the next acknowledgement depends on.
+		check := func(when string, want ...func(dirSync) bool) {
+			t.Helper()
+			got := synced
+			synced = nil
+			if policy == FsyncOff {
+				want = nil
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, %s: %d directory syncs, want %d", policy, when, len(got), len(want))
+			}
+			for i, ok := range want {
+				if !ok(got[i]) {
+					t.Fatalf("%s, %s: sync %d of %s (holding %v) is out of order", policy, when, i, got[i].dir, got[i].names)
+				}
+			}
+		}
+		holds := func(d string, name string, in bool) func(dirSync) bool {
+			return func(s dirSync) bool { return s.dir == d && s.names[name] == in }
+		}
+		w, _, err := Open(cfg, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("creating the feed", holds(root, "f", true), holds(dir, segmentName(0), true))
+		frames := 0
+		appendAck := func(when string, want ...func(dirSync) bool) {
+			t.Helper()
+			f := mkFrame(frames)
+			if err := w.Append(&f); err != nil {
+				t.Fatal(err)
+			}
+			frames++
+			check(when, want...)
+		}
+		for seg := 0; seg < 3; seg++ { // segments 0..2 fill, no retention yet
+			for i := 0; i < 4; i++ {
+				if seg > 0 && i == 0 {
+					appendAck("rotating", holds(dir, segmentName(seg), true))
+				} else {
+					appendAck("appending")
+				}
+			}
+		}
+		appendAck("rotating into the cap", holds(dir, segmentName(3), true), holds(dir, segmentName(0), false))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Reopened under a cap of one: the next rotation retires three
+		// segments, each removal synced before the next.
+		cfg.MaxSegments = 1
+		if w, _, err = Open(cfg, "f"); err != nil {
+			t.Fatal(err)
+		}
+		check("reopening")
+		for i := 1; i < 4; i++ {
+			appendAck("appending")
+		}
+		appendAck("retiring three segments", holds(dir, segmentName(4), true),
+			func(s dirSync) bool { return holds(dir, segmentName(1), false)(s) && s.names[segmentName(2)] },
+			func(s dirSync) bool { return holds(dir, segmentName(2), false)(s) && s.names[segmentName(3)] },
+			holds(dir, segmentName(3), false))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

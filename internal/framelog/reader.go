@@ -12,22 +12,22 @@ import (
 
 // walk is the one pass over a feed's log that OpenReplay and Replay share:
 // segments in order, each read a chunk of records at a time through one
-// pooled buffer, each record validated — length, then CRC — and its payload
-// and stored CRC handed to visit, which returns false to end the walk early;
-// a payload is valid only until visit returns. The torn-tail rule lives here
-// and nowhere else: an invalid record or a short header in the last segment
-// was never acknowledged, so the walk ends cleanly there and reports (end,
-// torn), the last segment's valid length and the bytes after it; anywhere
-// earlier it cannot be a torn append (rotation syncs a segment before the
-// next exists) and fails with ErrCorrupt. skipRetired is for readers beside
-// a live writer, whose retention cap may retire a listed segment before the
-// walk reaches it: retired, not corrupt.
-func walk(dir, feed string, segs []int, skipRetired bool, visit func(payload []byte, crc uint32) bool) (end, torn int64, err error) {
+// pooled buffer, each record validated — length, then CRC — and its segment
+// number, payload and stored CRC handed to visit, which returns false to end
+// the walk early; a payload is valid only until visit returns. The
+// torn-tail rule lives here and nowhere else: an invalid record or a short
+// header in the last segment was never acknowledged, so the walk ends
+// cleanly there and reports (end, torn), the last segment's valid length and
+// the bytes after it; anywhere earlier it cannot be a torn append (rotation
+// syncs a segment before the next exists) and fails with ErrCorrupt.
+// skipRetired is for readers beside a live writer, whose retention cap may
+// retire a listed segment before the walk reaches it: retired, not corrupt.
+func walk(dir, feed string, segs []int, skipRetired bool, visit func(seg int, payload []byte, crc uint32) bool) (end, torn int64, err error) {
 	buf := chunks.Get().(*[walkChunk]byte)
 	defer chunks.Put(buf)
 	for i, seg := range segs {
 		name := segmentName(seg)
-		good, size, stopped, err := walkSegment(filepath.Join(dir, name), feed+"/"+name, buf[:], visit)
+		good, size, stopped, err := walkSegment(seg, filepath.Join(dir, name), feed+"/"+name, buf[:], visit)
 		switch {
 		case skipRetired && os.IsNotExist(err):
 			continue
@@ -50,12 +50,12 @@ const walkChunk = 256 * recordLen
 
 var chunks = sync.Pool{New: func() any { return new([walkChunk]byte) }}
 
-// walkSegment reads one segment, as long as it is when opened, through buf
+// walkSegment reads segment seg, as long as it is when opened, through buf
 // and hands visit each record up to the first that fails its check. good is
 // the valid prefix — nothing without a whole header (createSegment crashed),
 // else the header and the records that check out — and size what the file
 // held; stopped reports that visit ended the walk.
-func walkSegment(path, label string, buf []byte, visit func(payload []byte, crc uint32) bool) (good, size int64, stopped bool, err error) {
+func walkSegment(seg int, path, label string, buf []byte, visit func(seg int, payload []byte, crc uint32) bool) (good, size int64, stopped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -79,7 +79,7 @@ func walkSegment(path, label string, buf []byte, visit func(payload []byte, crc 
 			payload, crc, ok := checkRecord(buf[at:n])
 			if valid = ok; ok {
 				good += recordLen
-				if !visit(payload, crc) {
+				if !visit(seg, payload, crc) {
 					return 0, 0, true, nil
 				}
 			}
@@ -121,7 +121,7 @@ func Replay(root, feed string, limit int, fn func(fault.Frame) error) (int, erro
 	delivered := 0
 	var f fault.Frame
 	var fnErr error
-	_, _, err = walk(dir, feed, segs, true, func(payload []byte, _ uint32) bool {
+	_, _, err = walk(dir, feed, segs, true, func(_ int, payload []byte, _ uint32) bool {
 		decodePayload(&f, payload)
 		if fnErr = fn(f); fnErr != nil {
 			return false

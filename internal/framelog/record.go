@@ -51,8 +51,8 @@ const (
 // crcTable selects the Castagnoli polynomial: hash/crc32 dispatches it to
 // the hardware CRC32 instruction on amd64/arm64, which keeps the checksum
 // out of the append hot path's profile (IEEE stays software slicing-by-8
-// and measured ~4x slower per record here). The nn training checkpoint
-// guards its payload with the same polynomial.
+// and measured ~4x slower per record here). The atomicfile envelope uses
+// the same polynomial.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame flag bits.

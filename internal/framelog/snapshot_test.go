@@ -113,3 +113,80 @@ func TestResumeOrSayWhyNot(t *testing.T) {
 		t.Fatalf("anchor over an empty log: stale %q, want %q", rec.Stale, BeyondLog)
 	}
 }
+
+// TestRetentionKeepsSnapshotAnchor: the server writes a seal's snapshot only
+// once the batch that sealed is decided, so a crash between the two leaves
+// the previous snapshot as the newest, and retention must not have retired
+// the segment holding its anchor. Each case appends batches to 6-record
+// segments as the server does — a snapshot after every batch that seals —
+// but crashes after the last one, which seals, before its snapshot; the
+// reopened log must resume from the snapshot before it. The reopened writer,
+// which knows the anchor only from OpenReplay, then seals again and crashes
+// the same way.
+func TestRetentionKeepsSnapshotAnchor(t *testing.T) {
+	for _, c := range []struct{ maxSegments, batch, batches int }{
+		{1, 1, 25}, // anchor 19 in segment 3, sealed by frame 24
+		{2, 13, 3}, // anchor 26 in segment 4, two seals in the last batch
+		{2, 1, 25}, // the cap alone keeps the anchor
+		{3, 13, 5}, // a cap above what one batch seals
+		{1, 13, 4}, // every batch seals more than the cap holds
+		{2, 50, 2}, // one batch seals eight segments
+		{1, 7, 6},  // a batch the size of a segment and one
+		{2, 1, 97}, // many seals
+	} {
+		cfg := Config{Dir: t.TempDir(), Fsync: FsyncOff, SegmentMaxBytes: segHeaderLen + 6*recordLen, MaxSegments: c.maxSegments}
+		next := 0
+		// batch appends the next c.batch frames and reports whether they
+		// sealed a segment.
+		batch := func(w *Writer) bool {
+			seg := w.Segment()
+			frames := make([]fault.Frame, c.batch)
+			for i := range frames {
+				frames[i] = mkFrame(next + i)
+			}
+			if _, err := w.AppendBatch(frames); err != nil {
+				t.Fatal(err)
+			}
+			next += c.batch
+			return w.Segment() != seg
+		}
+		// crash abandons w, and the log must resume from its snapshot.
+		crash := func(w *Writer, when string) *Writer {
+			if err := w.Close(); err != nil { // nothing more is written
+				t.Fatal(err)
+			}
+			snap, err := ReadSnapshot(cfg.Dir, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			w, rec, err := OpenReplay(cfg, nil, "f", snap.Anchor, func(f *fault.Frame) { got = append(got, f.Index) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Stale != "" || len(got) != next-snap.Next || got[0] != snap.Next {
+				t.Errorf("%+v, %s: anchor next=%d, first retained record %d, stale %q, %d frames replayed; want the %d after the anchor",
+					c, when, snap.Next, rec.FirstIndex, rec.Stale, len(got), next-snap.Next)
+			}
+			return w
+		}
+		w, _, err := Open(cfg, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 1; b < c.batches; b++ {
+			if batch(w) {
+				if err := w.SaveSnapshot("s", []byte("state")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !batch(w) {
+			t.Fatalf("%+v: the last batch does not seal", c)
+		}
+		w = crash(w, "first crash")
+		for !batch(w) {
+		}
+		crash(w, "crash after reopening").Close()
+	}
+}

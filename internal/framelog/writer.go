@@ -2,15 +2,21 @@ package framelog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
+
+// syncDir makes the entries created or removed in a directory durable; tests
+// swap it to record the order of the writer's directory syncs.
+var syncDir = atomicfile.SyncDir
 
 // segFile is the surface the writer needs from the active segment file.
 // Production always uses *os.File; tests substitute implementations that
@@ -62,6 +68,9 @@ type Writer struct {
 	lastSync time.Time
 	buf      []byte
 	closed   bool
+
+	anchorSeg int // the segment holding anchor's record
+	snapSeg   int // the one holding the newest snapshot's anchor, which retention keeps; -1 for none
 
 	// failed latches after an I/O error the writer cannot repair in place
 	// (a sync failure, a dead rotation, or a torn write it could not
@@ -115,6 +124,7 @@ func OpenReplay(cfg Config, o obs.Observer, feed string, from Anchor, fn func(*f
 		feed:     feed,
 		dir:      feedDir(cfg.Dir, feed),
 		m:        newMetrics(o),
+		snapSeg:  -1,
 		lastSync: time.Now(),
 		buf:      make([]byte, 0, recordLen),
 	}
@@ -127,6 +137,10 @@ func OpenReplay(cfg Config, o obs.Observer, feed string, from Anchor, fn func(*f
 	}
 	rec.LastIndex = -1
 	if len(segs) == 0 {
+		// A new feed: its directory's entry, then its first segment's.
+		if err := w.syncEntries(cfg.Dir); err != nil {
+			return nil, rec, err
+		}
 		if err := w.createSegment(0); err != nil {
 			return nil, rec, err
 		}
@@ -137,7 +151,7 @@ func OpenReplay(cfg Config, o obs.Observer, feed string, from Anchor, fn func(*f
 
 	var frame fault.Frame
 	deliver := from.Next == 0
-	lastEnd, torn, err := walk(w.dir, feed, segs, false, func(payload []byte, crc uint32) bool {
+	lastEnd, torn, err := walk(w.dir, feed, segs, false, func(seg int, payload []byte, crc uint32) bool {
 		rec.LastIndex = payloadIndex(payload)
 		if rec.Frames == 0 {
 			rec.FirstIndex = rec.LastIndex
@@ -148,9 +162,11 @@ func OpenReplay(cfg Config, o obs.Observer, feed string, from Anchor, fn func(*f
 			fn(&frame)
 		}
 		if from.Next > 0 && rec.LastIndex == from.Next-1 {
-			deliver = crc == from.CRC
+			if deliver = crc == from.CRC; deliver {
+				w.snapSeg = seg
+			}
 		}
-		w.anchor.CRC = crc
+		w.anchor.CRC, w.anchorSeg = crc, seg
 		return true
 	})
 	if err != nil {
@@ -201,13 +217,16 @@ func OpenReplay(cfg Config, o obs.Observer, feed string, from Anchor, fn func(*f
 	return w, rec, nil
 }
 
-// createSegment starts segment n as the active one.
+// createSegment starts segment n as the active one, its entry synced.
 func (w *Writer) createSegment(n int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(n)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(segmentHeader()); err != nil {
+	if _, err = f.Write(segmentHeader()); err == nil {
+		err = w.syncEntries(w.dir)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -331,6 +350,7 @@ func (w *Writer) AppendBatch(frames []fault.Frame) (int, error) {
 // anchorAt records that f, whose record ends w.buf, is the log's last frame.
 func (w *Writer) anchorAt(f *fault.Frame) {
 	w.anchor = Anchor{Next: f.Index + 1, CRC: binary.LittleEndian.Uint32(w.buf[len(w.buf)-recordLen+4:])}
+	w.anchorSeg = w.seg
 }
 
 // Segment returns the number of the active segment; it advances each time a
@@ -349,6 +369,14 @@ func (w *Writer) maybeSync() error {
 		}
 	}
 	return nil
+}
+
+// syncEntries makes dir's entries durable, unless the fsync policy is off.
+func (w *Writer) syncEntries(dir string) error {
+	if w.cfg.Fsync == FsyncOff {
+		return nil
+	}
+	return syncDir(dir)
 }
 
 // sync forces the active segment to the device. A sync failure latches the
@@ -376,7 +404,9 @@ func (w *Writer) sync() error {
 // rotate seals the active segment (synced regardless of policy, so every
 // non-last segment is fully durable and the reader may treat corruption
 // there as real) and starts the next, retiring the oldest segments past the
-// retention cap.
+// retention cap — but never the newest snapshot's anchor segment: a sealing
+// batch's snapshot lands only once the batch is decided, so the cap may be
+// exceeded until then.
 func (w *Writer) rotate() error {
 	if err := w.sync(); err != nil {
 		return err
@@ -398,9 +428,11 @@ func (w *Writer) rotate() error {
 	if max <= 0 {
 		return nil
 	}
-	for len(w.segs) > max {
-		old := w.segs[0]
-		if err := os.Remove(filepath.Join(w.dir, segmentName(old))); err != nil {
+	for len(w.segs) > max && w.segs[0] != w.snapSeg {
+		if err := os.Remove(filepath.Join(w.dir, segmentName(w.segs[0]))); err != nil {
+			return err
+		}
+		if err := w.syncEntries(w.dir); err != nil {
 			return err
 		}
 		w.segs = w.segs[1:]
@@ -425,10 +457,5 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	syncErr := w.f.Sync()
-	closeErr := w.f.Close()
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	return errors.Join(w.f.Sync(), w.f.Close())
 }

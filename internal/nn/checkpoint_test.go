@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/tensor"
 )
 
@@ -180,7 +182,7 @@ func TestLoadCheckpointRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{0, 4, 19, 20, len(raw) / 2, len(raw) - 1} {
+	for _, cut := range []int{0, 4, 15, 16, len(raw) / 2, len(raw) - 1} {
 		if _, err := loadCheckpoint(raw[:cut], mk(), NewAdamW(1e-3, 0), testRun); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
@@ -240,14 +242,15 @@ func TestLoadCheckpointRejectsHostileOptimiserState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Payload: header (20 bytes), run fingerprint, epoch and tensor count,
-	// each tensor's length and values, then the kind byte, t, m and v (v
-	// ends the file).
-	kind := 20 + 16
+	// Payload, after the 16-byte envelope header: run fingerprint, epoch and
+	// tensor count, each tensor's length and values, then the kind byte, t,
+	// m and v (v ends the file). Offsets are into the payload.
+	payload := raw[atomicfile.HeaderLen:]
+	kind := 16
 	for _, p := range net.Params() {
 		kind += 4 + 8*len(p.Data)
 	}
-	tOff, mOff, vLast := kind+1, kind+9, len(raw)-8
+	tOff, mOff, vLast := kind+1, kind+9, len(payload)-8
 	le := binary.LittleEndian
 	putFloat := func(off int, v float64) func([]byte) {
 		return func(b []byte) { le.PutUint64(b[off:], math.Float64bits(v)) }
@@ -264,9 +267,9 @@ func TestLoadCheckpointRejectsHostileOptimiserState(t *testing.T) {
 		{"t above MaxInt64", func(b []byte) { le.PutUint64(b[tOff:], 1<<63) }},
 		{"stateless kind", func(b []byte) { b[kind] = 0 }},
 	} {
-		mut := append([]byte(nil), raw...)
+		mut := append([]byte(nil), payload...)
 		tc.patch(mut)
-		le.PutUint32(mut[8:], crc32.Checksum(mut[20:], ckptCRC))
+		mut = atomicfile.Seal(ckptMagic, ckptVersion, mut)
 		got, opt := mk(), NewAdamW(1e-3, 0)
 		if _, err := loadCheckpoint(mut, got, opt, testRun); err == nil {
 			t.Errorf("%s: checkpoint loaded without error", tc.name)
@@ -291,6 +294,42 @@ func TestFitCheckpointedStopsAtFailedSave(t *testing.T) {
 	}
 	if len(hist) != 1 {
 		t.Fatalf("history has %d epochs, want 1: training must stop at the failed save", len(hist))
+	}
+}
+
+// TestFitRefusesVersion2Checkpoint: a checkpoint in the version-2 layout
+// (its own header: magic, version, CRC, a 64-bit length) is refused with an
+// error naming the file, not resumed or overwritten.
+func TestFitRefusesVersion2Checkpoint(t *testing.T) {
+	x, y, mk := ckptProblem(t)
+	cfg := ckptCfg(filepath.Join(t.TempDir(), "v2.ckpt"))
+	cfg.Epochs = 1
+	if _, err := mk().Fit(x, y, BCEWithLogits{}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[atomicfile.HeaderLen:]
+	le := binary.LittleEndian
+	v2 := le.AppendUint32(nil, ckptMagic)
+	v2 = le.AppendUint32(v2, 2)
+	v2 = le.AppendUint32(v2, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	v2 = le.AppendUint64(v2, uint64(len(payload)))
+	v2 = append(v2, payload...)
+	if err := os.WriteFile(cfg.Checkpoint, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Epochs = 2
+	net := mk()
+	hist, err := net.Fit(x, y, BCEWithLogits{}, cfg)
+	if err == nil || !strings.Contains(err.Error(), cfg.Checkpoint) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("Fit answered %v (trained %d epochs), want a version-2 refusal naming %s", err, len(hist), cfg.Checkpoint)
+	}
+	paramsEqual(t, net, mk())
+	if got, _ := os.ReadFile(cfg.Checkpoint); !bytes.Equal(got, v2) {
+		t.Fatal("the refused checkpoint was overwritten")
 	}
 }
 

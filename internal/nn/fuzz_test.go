@@ -3,13 +3,13 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/tensor"
 )
 
@@ -131,10 +131,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(trained)
 	f.Add(trained[:len(trained)/2])
 	f.Add([]byte{})
-	stale := append([]byte(nil), trained...)
-	stale[20] ^= 1 // another run's fingerprint, under a valid CRC
-	binary.LittleEndian.PutUint32(stale[8:], crc32.Checksum(stale[20:], ckptCRC))
-	f.Add(stale)
+	stale := append([]byte(nil), trained[atomicfile.HeaderLen:]...)
+	stale[0] ^= 1 // another run's fingerprint, under a valid CRC
+	f.Add(atomicfile.Seal(ckptMagic, ckptVersion, stale))
+	v2 := append([]byte(nil), trained...) // the version-2 header is refused
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, opt := mk(), NewAdamW(1e-3, 1e-4)
 		epoch, err := loadCheckpoint(data, net, opt, testRun)
