@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,8 +71,8 @@ type Config struct {
 	QueueDepth int
 	// MaxFeeds caps concurrently registered feeds (default 1024).
 	MaxFeeds int
-	// RatePerSec is the per-feed token-bucket refill rate in frames/sec.
-	// <= 0 disables rate limiting.
+	// RatePerSec is the per-feed token-bucket refill rate in frames/sec;
+	// 0 disables rate limiting. Negative, NaN and +Inf are refused.
 	RatePerSec float64
 	// Burst is the token-bucket capacity (default: 2×RatePerSec, min 1).
 	Burst int
@@ -165,6 +166,9 @@ func (c Config) Validate() error {
 	}
 	if c.RequestTimeout < 0 {
 		return fmt.Errorf("server: negative RequestTimeout %v", c.RequestTimeout)
+	}
+	if !(c.RatePerSec >= 0) || math.IsInf(c.RatePerSec, 1) {
+		return fmt.Errorf("server: RatePerSec %v is not a finite rate ≥ 0", c.RatePerSec)
 	}
 	if err := c.Durability.Validate(); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -685,6 +686,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := (server.ClusterConfig{Self: "a", Map: occupancy.ShardMap{Epoch: -1}}).Validate(); err == nil {
 		t.Fatal("invalid shard map accepted")
+	}
+}
+
+// TestConfigRefusesBadRate: a NaN, negative or infinite RatePerSec is
+// refused rather than served as no limit; 0 still means unlimited.
+func TestConfigRefusesBadRate(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), -5, math.Inf(1)} {
+		if err := (server.Config{Primary: ampPred{}, RatePerSec: rate}).Validate(); err == nil {
+			t.Errorf("RatePerSec %v accepted", rate)
+		}
+	}
+	if err := (server.Config{Primary: ampPred{}, RatePerSec: 0}).Validate(); err != nil {
+		t.Errorf("RatePerSec 0 (unlimited) refused: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"time"
@@ -198,13 +199,18 @@ func (s *scanner) time(t *time.Time) bool {
 }
 
 // number returns the JSON number token ahead, "" when there is none. It
-// aliases the input; strconv keeps no reference to it.
-func (s *scanner) number() string {
+// aliases the input; strconv keeps no reference to it. In the same pass it
+// reads the token's magnitude as m·10^e with nd significant digits; m is
+// exact only while nd ≤ 19.
+func (s *scanner) number() (tok string, m uint64, e, nd int) {
 	b, i := s.b, s.i
 	digits := func() int {
 		j := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if m != 0 || b[i] != '0' {
+				nd++
+			}
+			m = m*10 + uint64(b[i]-'0')
 		}
 		return i - j
 	}
@@ -212,28 +218,101 @@ func (s *scanner) number() string {
 		i++
 	}
 	if n := digits(); n == 0 || n > 1 && b[i-n] == '0' {
-		return ""
+		return "", 0, 0, 0
 	}
 	if i < len(b) && b[i] == '.' {
-		if i++; digits() == 0 {
-			return ""
+		i++
+		if e = -digits(); e == 0 {
+			return "", 0, 0, 0
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+		i++
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		if digits() == 0 {
-			return ""
+		j, x := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			x = min(x*10+int(b[i]-'0'), 1<<20) // far outside exactFloat's domain
 		}
+		if i == j {
+			return "", 0, 0, 0
+		}
+		if neg {
+			x = -x
+		}
+		e += x
 	}
-	n := unsafe.String(&b[s.i], i-s.i)
+	tok = unsafe.String(&b[s.i], i-s.i)
 	s.i = i
-	return n
+	return tok, m, e, nd
 }
 
+// pow5[k] is 5^k; 5^27 is the last power below 2^64.
+var pow5 = func() (p [28]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = 5 * p[k-1]
+	}
+	return p
+}()
+
+// exactFloat returns the float64 nearest m·10^e, ties to even, as
+// strconv.ParseFloat does, for nd ≤ 19 significant digits in m and
+// -27 ≤ e ≤ 19; false outside that domain. The value is an exact 128-bit
+// product m·10^e, or an exact quotient m·2^k/5^-e (times 2^(e-k)) with its
+// remainder as the sticky bit; either is rounded once to 53 bits. Every
+// result is normal, since 10^-27 ≤ m·10^e < 10^38.
+func exactFloat(m uint64, e, nd int) (float64, bool) {
+	var hi, lo uint64
+	exp, sticky := 0, false
+	switch {
+	case nd > 19:
+		return 0, false
+	case m == 0:
+		return 0, true
+	case 0 <= e && e < 20:
+		hi, lo = bits.Mul64(m, pow5[e]<<e) // 10^e = 5^e·2^e
+	case -len(pow5) < e && e < 0:
+		// Shift m so the quotient has 63 or 64 bits and cannot overflow.
+		p := pow5[-e]
+		n, z := bits.Len64(p)-1, bits.LeadingZeros64(m)
+		m <<= z
+		var r uint64
+		lo, r = bits.Div64(m>>(64-n), m<<n, p)
+		exp, sticky = e-n-z, r != 0
+	default:
+		return 0, false
+	}
+	// w·2^exp is hi:lo·2^exp with w's top bit set; bits shifted out are sticky.
+	z := bits.LeadingZeros64(hi)
+	w, exp := hi<<z|lo>>(64-z), exp+64-z
+	sticky = sticky || lo<<z != 0
+	z = bits.LeadingZeros64(w)
+	w, exp = w<<z, exp-z
+	mant := w >> 11
+	if r := w & (1<<11 - 1); r > 1<<10 || r == 1<<10 && (sticky || mant&1 == 1) {
+		mant++
+	}
+	if exp += 11; mant == 1<<53 {
+		mant, exp = mant>>1, exp+1
+	}
+	return math.Float64frombits(uint64(exp+52+1023)<<52 | mant&(1<<52-1)), true
+}
+
+// float parses a JSON number as strconv.ParseFloat does: exactFloat when
+// the token is in its domain, strconv on the token otherwise.
 func (s *scanner) float(v *float64) bool {
-	f, err := strconv.ParseFloat(s.number(), 64)
+	tok, m, e, nd := s.number()
+	if f, ok := exactFloat(m, e, nd); ok && tok != "" {
+		if tok[0] == '-' {
+			f = -f
+		}
+		*v = f
+		return true
+	}
+	f, err := strconv.ParseFloat(tok, 64)
 	*v = f
 	return err == nil
 }
@@ -241,7 +320,8 @@ func (s *scanner) float(v *float64) bool {
 // scanInt parses an integer field as encoding/json does: a JSON number
 // strconv.ParseInt takes whole at the field's size.
 func scanInt[T int | int64](s *scanner, v *T) bool {
-	n, err := strconv.ParseInt(s.number(), 10, 8*int(unsafe.Sizeof(*v)))
+	tok, _, _, _ := s.number()
+	n, err := strconv.ParseInt(tok, 10, 8*int(unsafe.Sizeof(*v)))
 	*v = T(n)
 	return err == nil
 }

@@ -11,12 +11,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/infer"
+	"repro/internal/stream"
 )
 
 // wireEvents are stream events over every field's corners: each mode, both
@@ -75,6 +79,27 @@ func TestWireEncodersMatchJSON(t *testing.T) {
 		if e.float(f); !bytes.Equal(e.b, want) {
 			t.Fatalf("float %x: got %s, want %s", math.Float64bits(f), e.b, want)
 		}
+		checkNumber(t, string(e.b))
+	}
+	for _, tok := range hardNumbers {
+		checkNumber(t, tok)
+	}
+	// Random decimals of 1–21 digits, with and without a fraction and an
+	// exponent, around and across both ends of exactFloat's domain.
+	for i := 0; i < 20000; i++ {
+		digits := make([]byte, 1+rng.Intn(21))
+		for k := range digits {
+			digits[k] = byte('0' + rng.Intn(10))
+		}
+		digits[0] = byte('1' + rng.Intn(9))
+		tok := string(digits)
+		if p := rng.Intn(len(digits) + 1); p > 0 && p < len(digits) {
+			tok = tok[:p] + "." + tok[p:]
+		}
+		if rng.Intn(2) == 0 {
+			tok += "e" + strconv.Itoa(rng.Intn(60)-40)
+		}
+		checkNumber(t, tok)
 	}
 
 	// The edges of what time.Time.MarshalJSON takes, written byte for byte.
@@ -117,6 +142,58 @@ func TestWireEncodersMatchJSON(t *testing.T) {
 			t.Errorf("refusal %d: event error %v, want %v", i, err, want)
 		}
 	}
+}
+
+// hardNumbers are number tokens at the edges of exactFloat's rounding and
+// domain: halfway cases on both paths, values just past a halfway point by
+// less than the top 64 bits show (only the product's low word or the
+// quotient's remainder rounds them up), 19- and 20-digit mantissas (2^64
+// among them, which wraps a uint64 to 0), the 10^19 and 5^27 edges, signed
+// zeros, both ends of the float64 range and the exponent forms the encoder
+// writes.
+var hardNumbers = []string{
+	"9007199254740993", "9007199254740995", "-9007199254740993", "18014398509481986e1",
+	"4503599627370496.5", "4503599627370497.5", "2251799813685248.25", "2251799813685248.75",
+	"30818515303415498e14", "65860016164040569e5", "3022657169184369685e10",
+	"9394520428632833008e-6", "3826481205193192e-9", "9476817343603971831e-25",
+	"0.1", "0.3", "21.5", "-40.25", "0.30000000000000004", "0.7312894",
+	"9999999999999999999", "1234567890123456789", "0.1234567890123456789", "-9.223372036854775807",
+	"12345678901234567890", "99999999999999999999", "0.12345678901234567890", "10000000000000000000",
+	"18446744073709551616", "1844674407370955161.6e1", "36893488147419103232",
+	"1e19", "9999999999999999999e19", "1e20", "9007199254740993e19",
+	"1e-27", "1e-28", "9999999999999999999e-27", "9999999999999999999e-28",
+	"7450580596923828125", "7450580596923828125e-27", "0.000000000000000000000000001",
+	"-0", "0", "0.0", "-0.0", "0e400", "-0e-400", "0.0000000000000000000000000000000000000001",
+	"2.2250738585072011e-308", "2.2250738585072014e-308", "4.9e-324", "5e-324", "2e-324",
+	"1.7976931348623157e308", "1.7976931348623159e308", "1e400", "1e-400", "1e99999999999999999999",
+	"1e-7", "9.99e-7", "-2.5e-10", "1.2345678901234567e-7", "1e+21", "1.2345678901234567e+21",
+	"1E5", "1e+5", "1.0", "01", "1.", ".5", "+1", "1e", "-", "", "0x1p3", "Inf", "1_0", " 1", "1 ",
+}
+
+// checkNumber holds the ingest scanner to strconv.ParseFloat on one token:
+// it takes exactly the JSON numbers strconv takes, with strconv's bits.
+func checkNumber(t *testing.T, tok string) {
+	t.Helper()
+	s := scanner{b: []byte(tok)}
+	var got float64
+	ok := s.float(&got) && s.i == len(s.b)
+	want, err := strconv.ParseFloat(tok, 64)
+	isJSON := tok != "" && (tok[0] == '-' || '0' <= tok[0] && tok[0] <= '9') &&
+		'0' <= tok[len(tok)-1] && tok[len(tok)-1] <= '9' && json.Valid([]byte(tok))
+	if wantOK := err == nil && isJSON; ok != wantOK || ok && math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%q: scanned %v (%#x, taken %v); strconv %v (%#x, taken %v)",
+			tok, got, math.Float64bits(got), ok, want, math.Float64bits(want), wantOK)
+	}
+}
+
+// FuzzNumber holds the ingest scanner's acceptance and bits to strconv's
+// for one token. Byte mutations of a whole body almost never make a
+// halfway decimal; mutations of one token near the table above do.
+func FuzzNumber(f *testing.F) {
+	for _, tok := range hardNumbers {
+		f.Add(tok)
+	}
+	f.Fuzz(checkNumber)
 }
 
 // TestParsersTakeCanonicalOutput: what the encoders write never falls back
@@ -189,7 +266,7 @@ func wireSeedBodies() []string {
 	amps := func(n int) string {
 		return `{"frames":[{"time":"2022-01-05T09:00:00Z","csi":[` + strings.TrimSuffix(strings.Repeat("1.5,", n), ",") + `],"temp":20,"humidity":40}]}`
 	}
-	return []string{
+	seeds := []string{
 		string(canon), c,
 		strings.Replace(c, `"frames"`, `"fr\u0061mes"`, 1),
 		strings.Replace(c, `"temp"`, `"t\u0065mp"`, 1),
@@ -216,6 +293,10 @@ func wireSeedBodies() []string {
 		strings.Replace(c, `"time":"2022`, `"time":"\u0032022`, 1),
 		strings.Replace(c, `"time":"2022-01-05`, `"time":"2022-01-05é`, 1),
 	}
+	for _, tok := range hardNumbers {
+		seeds = append(seeds, strings.Replace(c, `"temp":21.5`, `"temp":`+tok, 1))
+	}
+	return seeds
 }
 
 // FuzzIngestBody holds the ingest handler's decode step — status, error
@@ -404,4 +485,88 @@ func TestDecodeBodyOverLimit(t *testing.T) {
 			t.Errorf("%q: %v", c.body, err)
 		}
 	}
+}
+
+// TestGeneratedDayTakesExactPath: every number a generated day puts on the
+// wire is in exactFloat's domain, so served traffic never falls back to
+// strconv. That covers each frame's 64 amplitudes, temp and humidity, and
+// the p of each decision a trained C+E detector, served at f32 as the bulk
+// benchmark serves it, streams for the day.
+func TestGeneratedDayTakesExactPath(t *testing.T) {
+	day := func(rate float64, seed int64) []dataset.Record {
+		gen := dataset.DefaultGenConfig(rate, seed)
+		gen.Duration = 24 * time.Hour
+		ds, err := dataset.Generate(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds.Records
+	}
+	dcfg := core.DefaultDetectorConfig()
+	dcfg.Train.Epochs = 2
+	det, err := core.TrainDetector(&dataset.Dataset{Records: day(0.1, 11)}, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewDetectorEngine(det, core.ServeConfig{Precision: "f32"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := stream.New(stream.Config{Primary: eng, PrimaryUsesEnv: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	numbers, fallbacks := 0, 0
+	exact := func(v float64) {
+		var enc encoder
+		enc.float(v)
+		s := scanner{b: enc.b}
+		_, m, e, nd := s.number()
+		if _, ok := exactFloat(m, e, nd); !ok {
+			if fallbacks++; fallbacks <= 5 {
+				t.Errorf("%s falls back to strconv", enc.b)
+			}
+		}
+		numbers++
+	}
+	for k, r := range day(0.2, 1) {
+		for _, a := range r.CSI {
+			exact(a)
+		}
+		exact(r.Temp)
+		exact(r.Humidity)
+		exact(rt.Process(fault.Frame{Rec: r, Truth: r, Index: k, EnvOK: true}).P)
+	}
+	if fallbacks > 0 {
+		t.Fatalf("%d of %d numbers fall back to strconv", fallbacks, numbers)
+	}
+}
+
+// BenchmarkParseIngest prices the ingest parser on a 256-frame body of
+// generated frames, the bulk batch size: ns/frame and ns/number, with 66
+// numbers a frame.
+func BenchmarkParseIngest(b *testing.B) {
+	gen := dataset.DefaultGenConfig(2, 17)
+	gen.Duration = 3 * time.Minute
+	ds, err := dataset.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]FrameJSON, 256)
+	for i := range batch {
+		r := &ds.Records[i]
+		batch[i] = FrameJSON{Time: r.Time, CSI: r.CSI[:], Temp: r.Temp, Humidity: r.Humidity}
+	}
+	body, _ := AppendIngestBody(nil, batch)
+	dst := make([]fault.Frame, 0, len(batch))
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !parseIngest(&dst, body) {
+			b.Fatal("canonical body refused")
+		}
+	}
+	perFrame := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(batch))
+	b.ReportMetric(perFrame, "ns/frame")
+	b.ReportMetric(perFrame/66, "ns/number")
 }

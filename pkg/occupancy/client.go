@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -312,7 +313,7 @@ func decodeAPIError(resp *http.Response) error {
 	}
 	if ae.RetryAfterMS == 0 {
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			ae.RetryAfterMS = int64(secs) * 1000
+			ae.RetryAfterMS = min(int64(secs), math.MaxInt64/1000) * 1000
 		}
 	}
 	return ae
@@ -404,14 +405,14 @@ func retryableCode(code string) bool {
 }
 
 // sleep waits the server-suggested backoff (capped at MaxRetryWait), or
-// until ctx is done.
+// until ctx is done. The cap applies in milliseconds, before a suggestion
+// too large for a time.Duration could wrap negative.
 func (c *Client) sleep(ctx context.Context, ms int64) error {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
-	if d > c.cfg.MaxRetryWait {
-		d = c.cfg.MaxRetryWait
+	d := c.cfg.MaxRetryWait
+	if ms <= 0 {
+		d = min(d, 50*time.Millisecond)
+	} else if ms <= d.Milliseconds() {
+		d = time.Duration(ms) * time.Millisecond
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
