@@ -81,9 +81,12 @@ func TestRunEpochsAblation(t *testing.T) {
 	if len(res.Points) != 4 {
 		t.Fatal("sweep length")
 	}
-	// More epochs must not make training *faster*.
-	if res.Points[1].TrainTime < res.Points[0].TrainTime/2 {
-		t.Fatalf("epoch timing implausible: %v then %v", res.Points[0].TrainTime, res.Points[1].TrainTime)
+	// More epochs must not make training *faster*. The 30-epoch cell does
+	// ≈ 30× the 1-epoch cell's work; comparing the 3-epoch cell instead
+	// flaked, because the first cell also pays the cold start and 3× the
+	// work is within that noise.
+	if res.Points[3].TrainTime < res.Points[0].TrainTime {
+		t.Fatalf("epoch timing implausible: %v for 1 epoch, %v for 30", res.Points[0].TrainTime, res.Points[3].TrainTime)
 	}
 }
 

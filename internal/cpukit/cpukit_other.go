@@ -2,8 +2,7 @@
 
 package cpukit
 
-// detectAVX2FMA on non-amd64 architectures: the AVX2 kernels do not exist,
-// so the hardware capability is simply false and selection degenerates to
-// KernelGeneric (OCCU_KERNEL=avx2 fails loudly, same as an amd64 machine
-// without the extensions).
-func detectAVX2FMA() bool { return false }
+// detect on non-amd64 architectures: the AVX2 and AVX-512 kernels do not
+// exist, so the hardware tier is KernelGeneric (OCCU_KERNEL=avx2 or avx512
+// fails loudly, same as an amd64 machine without the extensions).
+func detect() Kernel { return KernelGeneric }

@@ -17,7 +17,9 @@ func TestParseKernel(t *testing.T) {
 		{"auto", KernelGeneric, true, true},
 		{"generic", KernelGeneric, false, true},
 		{"avx2", KernelAVX2, false, true},
+		{"avx512", KernelAVX512, false, true},
 		{"AVX2", 0, false, false},
+		{"avx512f", 0, false, false},
 		{"sse", 0, false, false},
 	}
 	for _, c := range cases {
@@ -34,24 +36,33 @@ func TestParseKernel(t *testing.T) {
 	}
 }
 
-// TestSelectKernel covers the full (env, hardware) selection matrix — the
-// pure core of the init-time choice.
+// TestSelectKernel covers the full (env, avx2, avx512) selection matrix —
+// the pure core of the init-time choice. The hardware column is the best
+// tier detect reports: AVX-512 hardware also runs AVX2, and a CPU with
+// neither runs only generic.
 func TestSelectKernel(t *testing.T) {
 	cases := []struct {
 		env  string
-		hw   bool
+		hw   Kernel
 		want Kernel
 		ok   bool
 	}{
-		{"", true, KernelAVX2, true},
-		{"", false, KernelGeneric, true},
-		{"auto", true, KernelAVX2, true},
-		{"auto", false, KernelGeneric, true},
-		{"generic", true, KernelGeneric, true},
-		{"generic", false, KernelGeneric, true},
-		{"avx2", true, KernelAVX2, true},
-		{"avx2", false, KernelGeneric, false}, // forced fast path must fail loudly
-		{"bogus", true, KernelGeneric, false},
+		{"", KernelAVX512, KernelAVX512, true},
+		{"", KernelAVX2, KernelAVX2, true},
+		{"", KernelGeneric, KernelGeneric, true},
+		{"auto", KernelAVX512, KernelAVX512, true},
+		{"auto", KernelAVX2, KernelAVX2, true},
+		{"auto", KernelGeneric, KernelGeneric, true},
+		{"generic", KernelAVX512, KernelGeneric, true},
+		{"generic", KernelAVX2, KernelGeneric, true},
+		{"generic", KernelGeneric, KernelGeneric, true},
+		{"avx2", KernelAVX512, KernelAVX2, true}, // the ymm kernels on AVX-512 hardware
+		{"avx2", KernelAVX2, KernelAVX2, true},
+		{"avx2", KernelGeneric, KernelGeneric, false}, // forced fast path must fail loudly
+		{"avx512", KernelAVX512, KernelAVX512, true},
+		{"avx512", KernelAVX2, KernelGeneric, false}, // no silent step down to avx2
+		{"avx512", KernelGeneric, KernelGeneric, false},
+		{"bogus", KernelAVX512, KernelGeneric, false},
 	}
 	for _, c := range cases {
 		k, reason, err := selectKernel(c.env, c.hw)
@@ -63,6 +74,9 @@ func TestSelectKernel(t *testing.T) {
 		}
 		if err == nil && reason == "" {
 			t.Fatalf("selectKernel(%q, %v): empty reason", c.env, c.hw)
+		}
+		if err != nil && !strings.Contains(err.Error(), c.env) {
+			t.Fatalf("selectKernel(%q, %v): error %q does not name the value", c.env, c.hw, err)
 		}
 	}
 }
@@ -80,20 +94,24 @@ func TestActiveConsistent(t *testing.T) {
 	if (SelectionError() == nil) != (wantErr == nil) {
 		t.Fatalf("SelectionError() = %v, want err=%v", SelectionError(), wantErr)
 	}
-	if os.Getenv(EnvKernel) == "generic" && Active() != KernelGeneric {
-		t.Fatalf("OCCU_KERNEL=generic but Active() = %v", Active())
+	if env := os.Getenv(EnvKernel); env != "" && env != "auto" && Active().String() != env {
+		t.Fatalf("%s=%s but Active() = %v", EnvKernel, env, Active())
 	}
 }
 
 func TestDescribe(t *testing.T) {
 	d := Describe()
-	if !strings.Contains(d, Active().String()) {
-		t.Fatalf("Describe() = %q does not name the active kernel %q", d, Active())
+	for _, want := range []string{Active().String() + " (", "avx2+fma: ", "avx512f: "} {
+		if !strings.Contains(d, want) {
+			t.Fatalf("Describe() = %q lacks %q", d, want)
+		}
 	}
 }
 
 func TestKernelString(t *testing.T) {
-	if KernelGeneric.String() != "generic" || KernelAVX2.String() != "avx2" {
-		t.Fatalf("Kernel.String: %q / %q", KernelGeneric, KernelAVX2)
+	for k, want := range map[Kernel]string{KernelGeneric: "generic", KernelAVX2: "avx2", KernelAVX512: "avx512"} {
+		if got := k.String(); got != want {
+			t.Fatalf("Kernel(%d).String() = %q, want %q", k, got, want)
+		}
 	}
 }

@@ -83,6 +83,8 @@ func (r *ReLU) Grads() []*tensor.Matrix { return nil }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
+func (r *ReLU) dropScratch() { r.input, r.fwdOut, r.bwdDx = nil, nil, nil }
+
 // SigmoidScalar evaluates the logistic function at x.
 func SigmoidScalar(x float64) float64 {
 	// Split by sign for numerical stability.

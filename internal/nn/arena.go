@@ -42,10 +42,10 @@ const (
 
 // quantI8 enables the quantised-activation int8 path: post-ReLU activations
 // are quantised to u7 bytes and hidden layers accumulate in int32 via the
-// VPMADDUBSW kernel. Only worthwhile (and only enabled) when the AVX2 kernel
-// is live; under KernelGeneric every int8 layer runs the dequantise-to-
-// float32 scalar path.
-var quantI8 = cpukit.Active() == cpukit.KernelAVX2
+// VPMADDUBSW kernel. Only worthwhile (and only enabled) when the AVX2 kernels
+// are live, under the avx2 or avx512 tier; under KernelGeneric every int8
+// layer runs the dequantise-to-float32 scalar path.
+var quantI8 = cpukit.Active() >= cpukit.KernelAVX2
 
 // Op kernels: what forwardRow runs for one op.
 const (

@@ -6,8 +6,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpukit"
 	"repro/internal/tensor"
 )
+
+// TestQuantI8FollowsTier: the quantised-activation int8 path runs under every
+// tier that has the AVX2 kernels — avx2 and avx512 — and never under generic.
+func TestQuantI8FollowsTier(t *testing.T) {
+	if k := cpukit.Active(); quantI8 != (k != cpukit.KernelGeneric) {
+		t.Fatalf("kernel %s: quantI8 = %v", k, quantI8)
+	}
+}
 
 // precisions are the three programs the lowering-refusal table runs over.
 // The arena property tests below each run one helper twice: the Test… entry

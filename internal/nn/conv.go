@@ -141,6 +141,8 @@ func (c *Conv1D) Grads() []*tensor.Matrix { return []*tensor.Matrix{c.GradW, c.G
 // Name implements Layer.
 func (c *Conv1D) Name() string { return "conv1d" }
 
+func (c *Conv1D) dropScratch() { c.input, c.fwdOut, c.bwdDx = nil, nil, nil }
+
 // MaxPool1D downsamples each channel by taking the maximum over
 // non-overlapping windows of size W (stride = W, trailing remainder
 // dropped). It assumes the Conv1D channel-major layout.
@@ -237,6 +239,8 @@ func (m *MaxPool1D) Grads() []*tensor.Matrix { return nil }
 
 // Name implements Layer.
 func (m *MaxPool1D) Name() string { return "maxpool1d" }
+
+func (m *MaxPool1D) dropScratch() { m.argmax, m.fwdOut, m.bwdDx = nil, nil, nil }
 
 // NewCNN builds the CSI CNN used by the model-family extension:
 //

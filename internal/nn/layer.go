@@ -130,3 +130,5 @@ func (d *Dense) Grads() []*tensor.Matrix { return []*tensor.Matrix{d.GradW, d.Gr
 
 // Name implements Layer.
 func (d *Dense) Name() string { return "dense" }
+
+func (d *Dense) dropScratch() { d.input, d.fwdOut, d.bwdDx = nil, nil, nil }

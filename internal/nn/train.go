@@ -89,6 +89,15 @@ func (n *Network) Fit(x, y *tensor.Matrix, loss Loss, cfg TrainConfig) ([]float6
 	if cfg.BatchSize <= 0 || cfg.BatchSize > x.Rows {
 		cfg.BatchSize = x.Rows
 	}
+	// The layers' training scratch (4 MB for the paper MLP at batch 256) is
+	// Fit's alone: a trained network that serves should not keep it alive.
+	defer func() {
+		for _, l := range n.Layers {
+			if s, ok := l.(interface{ dropScratch() }); ok {
+				s.dropScratch()
+			}
+		}
+	}()
 	opt := NewAdamW(cfg.LR, cfg.WeightDecay)
 	start := 0
 	var run uint64

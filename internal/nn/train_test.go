@@ -75,3 +75,68 @@ func TestFitOnlineWeightsGolden(t *testing.T) {
 		t.Fatalf("FitOnline weights hash %#016x under kernel %s, want %#016x", got, cpukit.Active(), want)
 	}
 }
+
+// TestFitDropsScratch: once Fit returns no layer holds training scratch
+// (cached inputs, outputs, gradients, pooling winners), and the next Fit
+// trains to the same weights whether it starts from no scratch or from a
+// stale one.
+func TestFitDropsScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	x := tensor.NewMatrix(40, 20).RandomizeNormal(rng, 1)
+	y := tensor.NewMatrix(40, 1)
+	for i := 0; i < 40; i++ {
+		if x.At(i, 0) > x.At(i, 1) {
+			y.Set(i, 0, 1)
+		}
+	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs, cfg.BatchSize = 2, 16
+	for _, name := range []string{"mlp", "cnn"} {
+		build := func() *Network {
+			if name == "cnn" {
+				return NewCNN(20, 1, rand.New(rand.NewSource(23)))
+			}
+			return NewMLP(20, []int{16, 8}, 1, rand.New(rand.NewSource(23)))
+		}
+		net, kept := build(), build()
+		for _, n := range []*Network{net, kept} {
+			if _, err := n.Fit(x, y, BCEWithLogits{}, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, l := range net.Layers {
+			var held bool
+			switch l := l.(type) {
+			case *Dense:
+				held = l.input != nil || l.fwdOut != nil || l.bwdDx != nil
+			case *ReLU:
+				held = l.input != nil || l.fwdOut != nil || l.bwdDx != nil
+			case *Conv1D:
+				held = l.input != nil || l.fwdOut != nil || l.bwdDx != nil
+			case *MaxPool1D:
+				held = l.argmax != nil || l.fwdOut != nil || l.bwdDx != nil
+			default:
+				t.Fatalf("%s: layer %d is a %T the test does not know", name, i, l)
+			}
+			if held {
+				t.Fatalf("%s: layer %d (%s) holds training scratch after Fit", name, i, l.Name())
+			}
+		}
+		// A second Fit allocates the released network's scratch afresh and
+		// reuses the other's, stale from a forward pass at another batch
+		// shape. Neither may change a weight bit.
+		kept.Forward(tensor.NewMatrix(3, 20).RandomizeNormal(rng, 1), true)
+		for _, n := range []*Network{net, kept} {
+			if _, err := n.Fit(x, y, BCEWithLogits{}, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p, w := range net.Params() {
+			for i, v := range w.Data {
+				if math.Float64bits(v) != math.Float64bits(kept.Params()[p].Data[i]) {
+					t.Fatalf("%s: param %d[%d] = %v after a released Fit, %v after a kept one", name, p, i, v, kept.Params()[p].Data[i])
+				}
+			}
+		}
+	}
+}

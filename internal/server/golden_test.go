@@ -27,8 +27,10 @@ import (
 // TestServedDecisionsGolden runs the degrading corpus through a
 // registry-backed feed at each precision and hashes, FNV-1a, every published
 // decision's P bits, Pred, State, Mode and version tag. f64 is exact under
-// both kernels, so both keys hold one constant; the f32 and int8 kernels
-// differ in their bits, so each kernel has its own.
+// every kernel, so its keys hold one constant; the f32 and int8 kernels
+// differ in their bits, so generic and AVX2 each have their own. The avx512
+// tier serves f32 and int8 through the AVX2 code, so it must reproduce the
+// avx2 hashes.
 func TestServedDecisionsGolden(t *testing.T) {
 	want := map[string]uint64{
 		"f64/generic":  0xf83e1520b7d494e1,
@@ -37,6 +39,9 @@ func TestServedDecisionsGolden(t *testing.T) {
 		"f32/avx2":     0x8a398e6a6e46f7cc,
 		"int8/generic": 0x2361d6c24ed5c47e,
 		"int8/avx2":    0x304144c24dfa5b0f,
+	}
+	for _, prec := range []string{"f64", "f32", "int8"} {
+		want[prec+"/avx512"] = want[prec+"/avx2"]
 	}
 	for _, prec := range []string{"f64", "f32", "int8"} {
 		primary := randomEngine(t, dataset.FeatCSIEnv, prec, 1)

@@ -10,12 +10,14 @@ import (
 )
 
 // useAVX2 routes the float32/int8 inference kernels and the float64 training
-// matmuls through the hand-written AVX2 assembly in simd_amd64.s. Read once
-// at init from cpukit's process-wide selection (hardware detection +
-// OCCU_KERNEL override), so every dispatch site in this package serves the
-// whole process lifetime through one kernel — the property the startup log,
-// /metrics gauge and core.DivergenceResult.Kernel all report on.
-var useAVX2 = cpukit.Active() == cpukit.KernelAVX2
+// matmuls through the hand-written AVX2 assembly in simd_amd64.s; useAVX512
+// (a tier above, so useAVX2 holds too) moves the two float64 matmul kernels
+// onto their 512-bit twins. Read once at init from cpukit's process-wide
+// selection (hardware detection + OCCU_KERNEL override), so every dispatch
+// site in this package serves the whole process lifetime through one kernel
+// — the property the startup log, /metrics gauge and
+// core.DivergenceResult.Kernel all report on.
+var useAVX2, useAVX512 = cpukit.Active() >= cpukit.KernelAVX2, cpukit.Active() >= cpukit.KernelAVX512
 
 // The assembly kernels. All pointers must reference slices with enough
 // elements for the stated shape; nz/kMax/groups/passes/blocks of zero are
@@ -39,6 +41,12 @@ func axpy4F64AVX2(dst *float64, dstStride, n int, b *float64, bStride int, a *fl
 
 //go:noescape
 func dot4x4F64AVX2(out *float64, a *float64, b *float64, stride int, k int, blocks int)
+
+//go:noescape
+func axpy4F64AVX512(dst *float64, dstStride, n int, b *float64, bStride int, a *float64, aLane, aStride, passes int)
+
+//go:noescape
+func dot2x4F64AVX512(out *float64, outStride int, a *float64, b *float64, stride int, k int, blocks int)
 
 //go:noescape
 func reluCompactF32AVX2(idx *int32, val *float32, src *float32, n int) int

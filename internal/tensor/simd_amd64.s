@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 kernels (DESIGN.md §14). These implement the same operations as the
+// AVX2 and AVX-512 kernels (DESIGN.md §14). These implement the same operations as the
 // pure-Go kernels in simd.go, f32.go and tensor.go with vector arithmetic:
 //
 //   - sparseAxpyF32AVX2       dst[j] += Σ_k val[k] · w[idx[k]*n + j]   (f32)
@@ -11,6 +11,8 @@
 //   - quantMaddU7I8AVX2       dst[j] += Σ_g Σ_r act[4g+r] · packed[(g*n+j)*4+r] (u7×s8, i32)
 //   - axpy4F64AVX2            per pass: dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j] (f64, exact)
 //   - dot4x4F64AVX2           per block: out[r] = Σ_k a[k] · b[r*stride + k], r = 0..3  (f64, exact)
+//   - axpy4F64AVX512          axpy4F64AVX2 on 512-bit registers (f64, exact; AVX512F)
+//   - dot2x4F64AVX512         dot4x4F64AVX2 for two rows of a at once (f64, exact; AVX512F)
 //   - reluCompactF32AVX2      (idx, val) ← { (k, src[k]) : src[k] > 0 },  count  (f32, exact)
 //   - compactNonzeroF32AVX2   (idx, val) ← { (k, src[k]) : src[k] != 0 }, count  (f32, exact)
 //   - phasorSumAVX2           re[k] + i·im[k] = Σ_r G_r · Rect(Att_r, (w[k]·τ_r + base_r) + extra_r) (f64, exact)
@@ -692,6 +694,235 @@ dt_reduce:
 	JMP  dt_block
 
 dt_done:
+	VZEROUPPER
+	RET
+
+// func axpy4F64AVX512(dst *float64, dstStride, n int, b *float64, bStride int, a *float64, aLane, aStride, passes int)
+// axpy4F64AVX2's contract, passes, strides and ±0 group skip on 512-bit
+// registers: 32 and then 8 columns a step, each lane doing the ymm kernel's
+// VMULPD/VADDPD sequence, then the ymm 4-column step and the scalar tail on
+// the low halves of the same broadcasts. AVX512F only, and no register above
+// 15, so nothing here needs AVX512VL.
+//
+// Registers: as axpy4F64AVX2, with Z12–Z15 broadcasting a0..a3 and Z0–Z7
+// the sums and products.
+TEXT ·axpy4F64AVX512(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R14
+	MOVQ n+16(FP), BX
+	MOVQ b+24(FP), R8
+	MOVQ bStride+32(FP), R15
+	MOVQ a+40(FP), SI
+	MOVQ aLane+48(FP), R12
+	MOVQ aStride+56(FP), R13
+	MOVQ passes+64(FP), CX
+	SHLQ $3, R12
+	SHLQ $3, R13
+	SHLQ $3, R14
+	SHLQ $3, R15
+
+a5_pass:
+	TESTQ CX, CX
+	JLE   a5_done
+	LEAQ  (SI)(R12*2), AX         // &a2
+	MOVQ  (SI), DX
+	ORQ   (SI)(R12*1), DX
+	ORQ   (AX), DX
+	ORQ   (AX)(R12*1), DX
+	SHLQ  $1, DX                  // sign bits out: zero iff all four are ±0
+	JZ    a5_next
+	VBROADCASTSD (SI), Z12
+	VBROADCASTSD (SI)(R12*1), Z13
+	VBROADCASTSD (AX), Z14
+	VBROADCASTSD (AX)(R12*1), Z15
+	LEAQ (R8)(BX*8), R9
+	LEAQ (R9)(BX*8), R10
+	LEAQ (R10)(BX*8), R11
+	XORQ AX, AX
+
+a5_j32:
+	LEAQ 32(AX), DX
+	CMPQ DX, BX
+	JGT  a5_j8
+	VMULPD (R8)(AX*8), Z12, Z0
+	VMULPD 64(R8)(AX*8), Z12, Z1
+	VMULPD 128(R8)(AX*8), Z12, Z2
+	VMULPD 192(R8)(AX*8), Z12, Z3
+	VMULPD (R9)(AX*8), Z13, Z4
+	VMULPD 64(R9)(AX*8), Z13, Z5
+	VMULPD 128(R9)(AX*8), Z13, Z6
+	VMULPD 192(R9)(AX*8), Z13, Z7
+	VADDPD Z4, Z0, Z0
+	VADDPD Z5, Z1, Z1
+	VADDPD Z6, Z2, Z2
+	VADDPD Z7, Z3, Z3
+	VMULPD (R10)(AX*8), Z14, Z4
+	VMULPD 64(R10)(AX*8), Z14, Z5
+	VMULPD 128(R10)(AX*8), Z14, Z6
+	VMULPD 192(R10)(AX*8), Z14, Z7
+	VADDPD Z4, Z0, Z0
+	VADDPD Z5, Z1, Z1
+	VADDPD Z6, Z2, Z2
+	VADDPD Z7, Z3, Z3
+	VMULPD (R11)(AX*8), Z15, Z4
+	VMULPD 64(R11)(AX*8), Z15, Z5
+	VMULPD 128(R11)(AX*8), Z15, Z6
+	VMULPD 192(R11)(AX*8), Z15, Z7
+	VADDPD Z4, Z0, Z0
+	VADDPD Z5, Z1, Z1
+	VADDPD Z6, Z2, Z2
+	VADDPD Z7, Z3, Z3
+	VADDPD (DI)(AX*8), Z0, Z0
+	VADDPD 64(DI)(AX*8), Z1, Z1
+	VADDPD 128(DI)(AX*8), Z2, Z2
+	VADDPD 192(DI)(AX*8), Z3, Z3
+	VMOVUPD Z0, (DI)(AX*8)
+	VMOVUPD Z1, 64(DI)(AX*8)
+	VMOVUPD Z2, 128(DI)(AX*8)
+	VMOVUPD Z3, 192(DI)(AX*8)
+	ADDQ $32, AX
+	JMP  a5_j32
+
+a5_j8:
+	LEAQ 8(AX), DX
+	CMPQ DX, BX
+	JGT  a5_j4
+	VMULPD (R8)(AX*8), Z12, Z0
+	VMULPD (R9)(AX*8), Z13, Z4
+	VADDPD Z4, Z0, Z0
+	VMULPD (R10)(AX*8), Z14, Z4
+	VADDPD Z4, Z0, Z0
+	VMULPD (R11)(AX*8), Z15, Z4
+	VADDPD Z4, Z0, Z0
+	VADDPD (DI)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  a5_j8
+
+a5_j4:
+	// Fewer than 8 columns are left: at most one ymm step.
+	LEAQ 4(AX), DX
+	CMPQ DX, BX
+	JGT  a5_jtail
+	VMULPD (R8)(AX*8), Y12, Y0
+	VMULPD (R9)(AX*8), Y13, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R10)(AX*8), Y14, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R11)(AX*8), Y15, Y4
+	VADDPD Y4, Y0, Y0
+	VADDPD (DI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+
+a5_jtail:
+	CMPQ AX, BX
+	JGE  a5_next
+	VMULSD (R8)(AX*8), X12, X0
+	VMULSD (R9)(AX*8), X13, X4
+	VADDSD X4, X0, X0
+	VMULSD (R10)(AX*8), X14, X4
+	VADDSD X4, X0, X0
+	VMULSD (R11)(AX*8), X15, X4
+	VADDSD X4, X0, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  a5_jtail
+
+a5_next:
+	ADDQ R14, DI
+	ADDQ R15, R8
+	ADDQ R13, SI
+	DECQ CX
+	JMP  a5_pass
+
+a5_done:
+	VZEROUPPER
+	RET
+
+// func dot2x4F64AVX512(out *float64, outStride int, a *float64, b *float64, stride int, k int, blocks int)
+// dot4x4F64AVX2 for two rows of a at once: rows a and a+stride (a's rows
+// lie stride elements apart, like b's) are scored against every block of
+// four b rows into out[0..3] and out[outStride..outStride+3], and both out
+// rows then advance by 4. Row a fills the low half of a zmm and row
+// a+stride the high half, and each b row's four values are broadcast to
+// both halves, so lanes 0–3 of an accumulator are row a's s0..s3 and lanes
+// 4–7 row a+stride's: the scalar kernel's accumulators, each summed in
+// ascending k and reduced as (s0+s1)+(s2+s3). k must be a multiple of 4;
+// the k%4 tail and the b rows past the last whole block are the caller's.
+// AVX512F only, and no register above 15.
+//
+// Registers: DI/R15 the two out rows, SI/R12 the two a rows, R8–R11 the
+// block's four b rows, BX stride, R14 outStride, CX k, DX blocks left,
+// AX element index, Z0–Z3 accumulators, Z8 the two a rows, Z4–Z7 the
+// broadcast b rows and products, then the reduction.
+TEXT ·dot2x4F64AVX512(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ outStride+8(FP), R14
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), R8
+	MOVQ stride+32(FP), BX
+	MOVQ k+40(FP), CX
+	MOVQ blocks+48(FP), DX
+	LEAQ (DI)(R14*8), R15
+	LEAQ (SI)(BX*8), R12
+
+d5_block:
+	TESTQ DX, DX
+	JLE   d5_done
+	LEAQ (R8)(BX*8), R9
+	LEAQ (R9)(BX*8), R10
+	LEAQ (R10)(BX*8), R11
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ AX, AX
+
+d5_k4:
+	CMPQ AX, CX
+	JGE  d5_reduce
+	VMOVUPD (SI)(AX*8), Y8
+	VINSERTF64X4 $1, (R12)(AX*8), Z8, Z8
+	VBROADCASTF64X4 (R8)(AX*8), Z4
+	VBROADCASTF64X4 (R9)(AX*8), Z5
+	VBROADCASTF64X4 (R10)(AX*8), Z6
+	VBROADCASTF64X4 (R11)(AX*8), Z7
+	VMULPD Z4, Z8, Z4
+	VMULPD Z5, Z8, Z5
+	VMULPD Z6, Z8, Z6
+	VMULPD Z7, Z8, Z7
+	VADDPD Z4, Z0, Z0
+	VADDPD Z5, Z1, Z1
+	VADDPD Z6, Z2, Z2
+	VADDPD Z7, Z3, Z3
+	ADDQ $4, AX
+	JMP  d5_k4
+
+d5_reduce:
+	// Z0 = (A0 A1 A2 A3 | A'0 A'1 A'2 A'3) … Z3 = (D0 … | D'0 …): one
+	// accumulator per b row, row a's in the low half, row a+stride's (')
+	// in the high half. Pairs below are 128-bit units.
+	VUNPCKLPD Z1, Z0, Z4          // A0 B0 | A2 B2 | A'0 B'0 | A'2 B'2
+	VUNPCKHPD Z1, Z0, Z5          // A1 B1 | A3 B3 | A'1 B'1 | A'3 B'3
+	VADDPD Z5, Z4, Z4             // s0+s1 | s2+s3 | for A, B, A', B'
+	VUNPCKLPD Z3, Z2, Z6
+	VUNPCKHPD Z3, Z2, Z7
+	VADDPD Z7, Z6, Z6             // the same for C, D, C', D'
+	VSHUFF64X2 $0x88, Z6, Z4, Z5  // s0+s1 of AB | A'B' | CD | C'D'
+	VSHUFF64X2 $0xDD, Z6, Z4, Z7  // s2+s3 of AB | A'B' | CD | C'D'
+	VADDPD Z7, Z5, Z5             // (s0+s1)+(s2+s3)
+	VSHUFF64X2 $0xD8, Z5, Z5, Z5  // A B C D | A' B' C' D'
+	VMOVUPD Y5, (DI)
+	VEXTRACTF64X4 $1, Z5, (R15)
+	ADDQ $32, DI
+	ADDQ $32, R15
+	LEAQ (R11)(BX*8), R8          // the next block's first row
+	DECQ DX
+	JMP  d5_block
+
+d5_done:
 	VZEROUPPER
 	RET
 

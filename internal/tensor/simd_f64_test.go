@@ -184,8 +184,8 @@ func sameBits(t *testing.T, op string, got, want *Matrix) {
 	}
 	for i, w := range want.Data {
 		if g := got.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%s (avx2=%v): element %d (row %d col %d) = %v (%#016x), reference loop %v (%#016x)",
-				op, useAVX2, i, i/want.Cols, i%want.Cols, g, math.Float64bits(g), w, math.Float64bits(w))
+			t.Fatalf("%s (avx2=%v avx512=%v): element %d (row %d col %d) = %v (%#016x), reference loop %v (%#016x)",
+				op, useAVX2, useAVX512, i, i/want.Cols, i%want.Cols, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
@@ -226,7 +226,18 @@ func checkF64Exact(t *testing.T, rng *rand.Rand, m, k, n int, palette []float64,
 	matmulATBRange(part, x, dy, lo, hi)
 	sameBits(t, fmt.Sprintf("matmulATBRange[%d,%d)", lo, hi), part, want)
 	dirty = fillF64(NewMatrix(m, k), rng, palette, every)
-	sameBits(t, "MatMulABT", MatMulABT(dirty, dy, w), matMulABTRef(dy, w))
+	abt := matMulABTRef(dy, w)
+	sameBits(t, "MatMulABT", MatMulABT(dirty, dy, w), abt)
+	// One worker's share of MatMulABT: dst rows [lo, hi), lo odd about half
+	// the time, so the AVX-512 kernel's row pairs start off the even rows
+	// and an odd range leaves one row to the single-row kernel.
+	lo = rng.Intn(m + 1)
+	hi = lo + rng.Intn(m-lo+1)
+	part = fillF64(NewMatrix(m, k), rng, palette, every)
+	want = part.Clone()
+	copy(want.Data[lo*k:hi*k], abt.Data[lo*k:hi*k])
+	matmulABTRange(part, dy, w, lo, hi)
+	sameBits(t, fmt.Sprintf("matmulABTRange[%d,%d)", lo, hi), part, want)
 
 	row := NewMatrix(m, n)
 	for i := 0; i < m; i++ {
@@ -250,6 +261,12 @@ func TestF64KernelExact(t *testing.T) {
 		// MatMulABT with b.Rows = k not a multiple of 4 around whole blocks
 		// (one, two, many), and inner widths 4 and 5 (one dot step, plus a tail).
 		{3, 5, 4}, {2, 9, 5}, {4, 10, 8}, {3, 15, 12}, {2, 67, 9},
+		// The 512-bit kernels' edges: n around the 32- and 8-column zmm
+		// steps (the ymm step and scalar tail after them), odd and even row
+		// counts for MatMulABT's row pairs with b.Rows = k % 4 ≠ 0 among
+		// them, and one row, which leaves no pair at all.
+		{1, 8, 8}, {3, 9, 7}, {5, 12, 9}, {2, 31, 31}, {7, 32, 32}, {4, 33, 33},
+		{9, 40, 40}, {6, 66, 66}, {3, 128, 128}, {5, 7, 256}, {1, 66, 3}, {10, 13, 4},
 	}
 	for _, s := range shapes {
 		checkF64Exact(t, rng, s[0], s[1], s[2], nil, 0, false)
@@ -274,8 +291,10 @@ func FuzzF64KernelExact(f *testing.F) {
 	f.Add(int64(8), 13, 10, 6, uint8(5))      // ATB sub-range inside 10 rows
 	f.Add(int64(9), 5, 4, 9, uint8(128))      // NaN groups, one pass each way
 	f.Add(int64(10), 48, 66, 128, uint8(128)) // NaN groups, many passes
+	f.Add(int64(11), 7, 33, 40, uint8(0))     // zmm 32+8 columns, odd ABT rows
+	f.Add(int64(12), 6, 66, 256, uint8(128))  // NaN groups, wide zmm rows
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, edge uint8) {
-		if m < 1 || m > 48 || k < 1 || k > 160 || n < 1 || n > 160 {
+		if m < 1 || m > 48 || k < 1 || k > 260 || n < 1 || n > 260 {
 			t.Skip()
 		}
 		palette := f64Finite
@@ -313,7 +332,8 @@ func axpy4F64Ref(dst []float64, dstStride int, b []float64, bStride int, a []flo
 // advancing four rows a pass, coefficients consecutive) and a MatMulATB
 // k-block (dst advancing a row a pass, b fixed, coefficients a column of a
 // row-major block) — and in one with every stride odd, over column counts
-// that reach each of the 16/4/1-wide loops. dst starts dirty with −0s among
+// that reach each of the AVX2 16/4/1-wide loops and the AVX-512 32/8-wide
+// ones before them. dst starts dirty with −0s among
 // its values, so a zero group the kernel wrongly added would turn them into
 // +0; coefficient groups are all −0, mixed ±0, or hold one NaN, and elements
 // no pass touches must stay as they were.
@@ -321,7 +341,7 @@ func TestAxpy4F64Passes(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	negZero := math.Copysign(0, -1)
 	for _, passes := range []int{0, 1, 2, 7, 40} {
-		for _, n := range []int{1, 3, 4, 5, 16, 17, 33} {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 40, 66, 128, 256} {
 			for _, pat := range []struct {
 				name                               string
 				dstStride, bStride, aLane, aStride int

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpukit"
 )
 
 // Kernel parity tests (ISSUE 8 / DESIGN.md §14). Each test drives the
@@ -14,6 +16,18 @@ import (
 // when dispatch selected generic; the integer kernel must be exact under
 // either. The CI kernel-parity job runs this package twice, once per
 // OCCU_KERNEL setting, so both branches of every `if useAVX2` execute.
+
+// TestKernelTierDispatch: the tiers nest, so every non-generic tier routes
+// the f32, int8, phasor and compaction kernels through AVX2 (an avx512
+// process that fell back to generic there would pass every parity test and
+// serve at a third of the speed), and only the avx512 tier takes the
+// 512-bit f64 kernels. The CI kernel-parity job runs it under each tier.
+func TestKernelTierDispatch(t *testing.T) {
+	k := cpukit.Active()
+	if useAVX2 != (k != cpukit.KernelGeneric) || useAVX512 != (k == cpukit.KernelAVX512) {
+		t.Fatalf("kernel %s: useAVX2 = %v, useAVX512 = %v", k, useAVX2, useAVX512)
+	}
+}
 
 // simdShapes stresses every lane-remainder case of the 32/8/4/1-wide loop
 // structure: n%8 ∈ {0..7}, n<8, n<32, and the real layer widths.

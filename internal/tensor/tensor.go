@@ -126,20 +126,20 @@ func (m *Matrix) Scale(s float64) *Matrix {
 }
 
 // matmulParallelThreshold is the multiply-accumulate count above which the
-// matmul kernels fan out across goroutines. Re-measured with the AVX2 kernels
-// (ISSUE 19) on the three training widths 66→128, 128→256 and 256→128 at
-// batch 4..256, serial against parallelRows at 2 workers and at 4 (Xeon
-// 2.1 GHz, 2 vCPUs, so the 4-worker column is oversubscribed): one kernel
-// runs ≈ 9 MACs/ns, so 2^17 MACs — the old threshold, set when the scalar
-// loops took ~100 µs for 2^18 — is ≈ 14 µs of work against a spawn+join that
-// costs 15–20 µs here. At 2 workers every shape loses below 2^19 (0.5–0.9×),
-// 2^19 is break-even (0.72–1.11×), 2^20 is the first size that gains on
-// balance (0.87–1.57×, mean 1.22×) and 2^21..2^23 gain 1.1–1.85×; 4 workers
-// on 2 vCPUs lose until 2^21 and gain from there. Below the threshold a call
-// stays on the caller's goroutine, which is also what keeps small test and
-// ablation nets from paying a fork per layer. The same constant gates MatMul,
-// MatMulATB and MatMulABT since all three move the same flops per output
-// element; results never depend on it (each output row has one fixed order).
+// matmul kernels fan out across goroutines. Measured with the AVX-512 f64
+// kernels on the three training widths 66→128, 128→256 and 256→128 at batch
+// 4..256, each product serial against parallelRows at 2 workers (Xeon
+// 2.1 GHz, 2 vCPUs): a serial kernel runs 10–26 MACs/ns, against a
+// spawn+join that costs 15–20 µs here. Every shape loses below 2^18
+// (0.36–0.79×) and 2^18 loses on balance (0.67–1.04×, mean 0.85×); 2^19 is
+// break-even (0.94–1.20×, mean 1.07×, MatMulATB still losing); 2^20 is the
+// first size at which no shape loses (1.02–1.54×, mean 1.27×) and 2^21..2^23
+// gain 1.0–1.9×. The AVX2 kernels (≈ 9 MACs/ns) drew the line at the same
+// 2^20. Below the threshold a call stays on the caller's goroutine, which is
+// also what keeps small test and ablation nets from paying a fork per layer.
+// The same constant gates MatMul, MatMulATB and MatMulABT since all three
+// move the same flops per output element; results never depend on it (each
+// output row has one fixed order).
 const matmulParallelThreshold = 1 << 20
 
 // MatMul computes a×b into dst (allocating when dst is nil) and returns dst.
@@ -183,10 +183,11 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 // result. ±0 count as zero, a NaN does not. Strides are non-negative.
 //
 // The order is what nn.Fit's trained weights, the arena's row≡batch
-// contract and every golden rest on, so it is written exactly twice: the
-// loop below, and axpy4F64AVX2 (simd_amd64.s), which does the same
-// multiplies and adds four columns to a register, tests the same skip, and
-// is therefore bit-identical, not merely close (TestF64KernelExact).
+// contract and every golden rest on, so it is written exactly three times:
+// the loop below, axpy4F64AVX2 and axpy4F64AVX512 (simd_amd64.s), which do
+// the same multiplies and adds four or eight columns to a register, test the
+// same skip, and are therefore bit-identical, not merely close
+// (TestF64KernelExact).
 //
 // The Go compiler does not fuse x*y + z on amd64 at the default GOAMD64=v1
 // (it may at v3, and does on arm64); the identity between the two kernels is
@@ -201,6 +202,10 @@ func axpy4F64(dst []float64, dstStride int, b []float64, bStride int, a []float6
 	_ = dst[last*dstStride+n-1]
 	_ = b[last*bStride+4*n-1]
 	_ = a[last*aStride+3*aLane]
+	if useAVX512 {
+		axpy4F64AVX512(&dst[0], dstStride, n, &b[0], bStride, &a[0], aLane, aStride, passes)
+		return
+	}
 	if useAVX2 {
 		axpy4F64AVX2(&dst[0], dstStride, n, &b[0], bStride, &a[0], aLane, aStride, passes)
 		return
@@ -348,8 +353,10 @@ func MatMulABT(dst, a, b *Matrix) *Matrix {
 // k%4 tail added one term at a time. Under AVX2 the four accumulators are the
 // four lanes of one register and dot4x4F64AVX2 runs four rows of b against
 // one load of a, every group of four rows of b in one call per output row;
-// multiply and add stay separate instructions, so both paths round
-// identically (TestF64KernelExact).
+// under AVX-512 dot2x4F64AVX512 does the same for two rows of a at once, one
+// per register half, and an odd last row takes the AVX2 kernel. Multiply and
+// add stay separate instructions, so every path rounds identically
+// (TestF64KernelExact).
 func matmulABTRange(dst, a, b *Matrix, lo, hi int) {
 	kMax := a.Cols
 	k4 := kMax &^ 3
@@ -357,10 +364,17 @@ func matmulABTRange(dst, a, b *Matrix, lo, hi int) {
 	if useAVX2 && k4 > 0 {
 		j4 = b.Rows &^ 3
 	}
+	paired := false // row i's first j4 outputs came with row i-1's
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
 		di := dst.Row(i)
-		if j4 > 0 {
+		switch {
+		case j4 == 0 || paired:
+			paired = false
+		case useAVX512 && i+1 < hi:
+			dot2x4F64AVX512(&di[0], b.Rows, &ai[0], &b.Data[0], kMax, k4, j4/4)
+			paired = true
+		default:
 			dot4x4F64AVX2(&di[0], &ai[0], &b.Data[0], kMax, k4, j4/4)
 		}
 		for j := j4; j < b.Rows; j++ {

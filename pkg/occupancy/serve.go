@@ -172,8 +172,8 @@ func NewServer(d *Detector, cfg ServeConfig) (*Server, error) {
 	}
 	reg := obs.NewRegistry()
 	// The obs model has no labels, so kernel identity is a 0/1 gauge.
-	kernel := reg.Gauge("infer_kernel_avx2", "1 when the cpukit AVX2 kernel is active, 0 for generic")
-	if cpukit.Active() == cpukit.KernelAVX2 {
+	kernel := reg.Gauge("infer_kernel_avx2", "1 when the cpukit AVX2 kernels serve (the avx2 or avx512 tier), 0 for generic")
+	if cpukit.Active() >= cpukit.KernelAVX2 {
 		kernel.Set(1)
 	}
 	ecfg := core.ServeConfig{Precision: cfg.Precision}
